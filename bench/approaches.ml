@@ -2,11 +2,11 @@
    workloads and unified behind one first-class-module interface so each
    figure sweeps the same way the paper does. *)
 
-module type STORE = sig
+module type DICT = sig
   include Mvdict.Dict_intf.S with type key = int and type value = int
 end
 
-type instance = Instance : (module STORE with type t = 'a) * 'a -> instance
+type instance = Instance : (module DICT with type t = 'a) * 'a -> instance
 
 type approach = {
   label : string;

@@ -24,7 +24,6 @@
    fences_saved — off the returned record. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let batch_sizes = [ 1; 8; 64; 512 ]
 
@@ -120,12 +119,12 @@ let run ~n =
   let store = Store.create heap in
   let path = socket_path () in
   let server =
-    Server.start ~store ~workers:2 ~batch:256
+    Net.Server.start ~store ~workers:2 ~batch:256
       ~listen:(Net.Sockaddr.Unix_sock path) ()
   in
   let net =
     Fun.protect
-      ~finally:(fun () -> Server.stop server)
+      ~finally:(fun () -> Net.Server.stop server)
       (fun () ->
         (* fresh key range per run: the server's store is shared *)
         let slot = ref 0 in

@@ -20,7 +20,6 @@
    merge overheads, not parallel speedup — see DESIGN.md. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let shard_counts = [ 1; 2; 4; 8 ]
 let snapshot_reps = 3
@@ -60,7 +59,7 @@ let run_one ~n k =
   let paths = Array.init k (socket_path k) in
   let servers =
     Array.init k (fun i ->
-        Server.start ~store:stores.(i) ~workers:1 ~batch:256
+        Net.Server.start ~store:stores.(i) ~workers:1 ~batch:256
           ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ())
   in
   let topo =
@@ -71,7 +70,7 @@ let run_one ~n k =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Array.iter Server.stop servers;
+      Array.iter Net.Server.stop servers;
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
     (fun () ->
       ok (Cluster.Router.ping router);

@@ -21,7 +21,6 @@
    client write p99 under 500 ms. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 type result = {
   rounds : int;
@@ -67,7 +66,7 @@ let run ~n =
     Array.init 3 (fun i ->
         (* router + mutator + the coordinator's copy and fence
            connections can all be parked on one shard at once *)
-        Server.start ~store:stores.(i) ~workers:4 ~batch:256
+        Net.Server.start ~store:stores.(i) ~workers:4 ~batch:256
           ~epoch_cell:(Atomic.make 0) ~listen:addrs.(i) ())
   in
   let topo = Cluster.Topology.create ~key_bits (Array.sub addrs 0 2) in
@@ -80,7 +79,7 @@ let run ~n =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Array.iter (fun s -> try Server.stop s with _ -> ()) servers;
+      Array.iter (fun s -> try Net.Server.stop s with _ -> ()) servers;
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
       try Sys.remove topo_file with Sys_error _ -> ())
     (fun () ->

@@ -16,7 +16,6 @@
    reads off the JSON. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let batch_sizes = [ 1; 8; 32; 128 ]
 
@@ -53,11 +52,11 @@ let run ~n =
   let store = Store.create heap in
   let path = socket_path () in
   let server =
-    Server.start ~store ~workers:2 ~batch:256 ~listen:(Net.Sockaddr.Unix_sock path) ()
+    Net.Server.start ~store ~workers:2 ~batch:256 ~listen:(Net.Sockaddr.Unix_sock path) ()
   in
   let results =
     Fun.protect
-      ~finally:(fun () -> Server.stop server)
+      ~finally:(fun () -> Net.Server.stop server)
       (fun () ->
         List.map
           (fun batch ->

@@ -21,7 +21,6 @@
    primary's exact state, and failover p99 bounded. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 type result = {
   unreplicated_ops : float;
@@ -61,7 +60,7 @@ let run_unreplicated ~n =
   let store = new_store n in
   let path = socket_path "solo" in
   let server =
-    Server.start ~store ~workers:1 ~batch:256
+    Net.Server.start ~store ~workers:1 ~batch:256
       ~listen:(Net.Sockaddr.Unix_sock path) ()
   in
   let topo = Cluster.Topology.create ~key_bits [| Net.Sockaddr.Unix_sock path |] in
@@ -69,7 +68,7 @@ let run_unreplicated ~n =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Server.stop server;
+      Net.Server.stop server;
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let ops = insert_throughput router n in
@@ -82,7 +81,7 @@ let run_replicated ~n =
   let p_path = socket_path "primary" and b_path = socket_path "backup" in
   let epoch_cell = Atomic.make 0 in
   let backup =
-    Server.start ~store:backup_store ~workers:1 ~batch:256
+    Net.Server.start ~store:backup_store ~workers:1 ~batch:256
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
@@ -94,7 +93,7 @@ let run_replicated ~n =
       [| Net.Sockaddr.Unix_sock b_path |]
   in
   let primary =
-    Server.start ~store:primary_store ~workers:1 ~batch:256 ~epoch_cell
+    Net.Server.start ~store:primary_store ~workers:1 ~batch:256 ~epoch_cell
       ~on_mutation:(Repl.Chain.on_mutation chain)
       ~listen:(Net.Sockaddr.Unix_sock p_path) ()
   in
@@ -105,9 +104,9 @@ let run_replicated ~n =
   let primary_stopped = ref false in
   Fun.protect
     ~finally:(fun () ->
-      if not !primary_stopped then Server.stop primary;
+      if not !primary_stopped then Net.Server.stop primary;
       Repl.Chain.close chain;
-      Server.stop backup;
+      Net.Server.stop backup;
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
         [ p_path; b_path ])
@@ -132,7 +131,7 @@ let run_replicated ~n =
          that slot. *)
       Repl.Chain.close chain;
       (* Primary dies; each fresh router pays one read failover. *)
-      Server.stop primary;
+      Net.Server.stop primary;
       primary_stopped := true;
       (try Sys.remove p_path with Sys_error _ -> ());
       let lat_us =

@@ -228,7 +228,6 @@ let compact pool threads before retain dump =
 
 (* ---- serving over the network (lib/net) ---- *)
 
-module Server = Net.Server.Make (Store)
 
 let socket_arg =
   let doc = "Serve/connect on a Unix-domain socket at $(docv) instead of TCP." in
@@ -354,7 +353,7 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
   let on_mutation, tick = hooks store in
   let server =
     match
-      Server.start ~store ~workers ~batch ~max_conns ~request_timeout:timeout
+      Net.Server.start ~store ~workers ~batch ~max_conns ~request_timeout:timeout
         ~slowlog_threshold_ns:(int_of_float (slowlog_ms *. 1e6))
         ~trace ?slo ?epoch_cell ?on_mutation ~listen ()
     with
@@ -364,7 +363,7 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
           (Unix.error_message e)
   in
   Format.printf "mvkv: serving %s%s on %a (workers=%d, batch=%d, max-conns=%d%s%s)@."
-    pool banner Net.Sockaddr.pp (Server.addr server) workers batch max_conns
+    pool banner Net.Sockaddr.pp (Net.Server.addr server) workers batch max_conns
     (match retain with
     | Some keep -> Printf.sprintf ", retain=%d" keep
     | None -> "")
@@ -387,7 +386,7 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
   done;
   Format.printf "mvkv: draining connections and shutting down@.";
   (match gc with Some gc -> Store.gc_stop gc | None -> ());
-  Server.stop server
+  Net.Server.stop server
 
 let serve pool threads socket host port workers batch max_conns timeout slowlog_ms
     trace_cap retain gc_interval slo =
@@ -496,21 +495,24 @@ let client_history socket host port timeout_ms retries key =
           | Mvdict.Dict_intf.Del -> Printf.printf "v%d\tdel\n" version)
         (Net.Client.history c key))
 
+(* --retain N probes the server's clock with [Tag_at 0] and sends the
+   absolute horizon clock - N, the same shape as `cluster compact`. *)
 let client_compact socket host port timeout_ms retries before retain =
   with_client ?timeout_ms ~retries socket host port (fun c ->
-      match (before, retain) with
-      | Some _, Some _ -> die "mvkv: pass either --before or --retain, not both"
-      | Some before, None ->
-          if before < 0 then die "mvkv: --before must be non-negative";
-          let dropped = Net.Client.compact c ~before in
-          Printf.printf "compacted before version %d: dropped %d entries\n" before
-            dropped
-      | None, Some keep ->
-          if keep < 0 then die "mvkv: --retain must be non-negative";
-          let before, dropped = Net.Client.retention c ~keep in
-          Printf.printf "compacted before version %d: dropped %d entries\n" before
-            dropped
-      | None, None -> die "mvkv: compact needs --before or --retain")
+      let before =
+        match (before, retain) with
+        | Some _, Some _ -> die "mvkv: pass either --before or --retain, not both"
+        | Some before, None ->
+            if before < 0 then die "mvkv: --before must be non-negative";
+            before
+        | None, Some keep ->
+            if keep < 0 then die "mvkv: --retain must be non-negative";
+            max 0 (Net.Client.tag_at c ~version:0 - keep)
+        | None, None -> die "mvkv: compact needs --before or --retain"
+      in
+      let dropped = if before > 0 then Net.Client.compact c ~before else 0 in
+      Printf.printf "compacted before version %d: dropped %d entries\n" before
+        dropped)
 
 let client_snapshot socket host port timeout_ms retries version =
   with_client ?timeout_ms ~retries socket host port (fun c ->
@@ -518,15 +520,20 @@ let client_snapshot socket host port timeout_ms retries version =
         (fun (k, v) -> Printf.printf "%d\t%d\n" k v)
         (Net.Client.snapshot c ?version ()))
 
-(* The server's whole lib/obs registry, fetched over the wire. The
-   reply is validated through Obs.Json before printing, so a garbled
-   stats payload exits nonzero instead of echoing junk. *)
+(* The server's whole lib/obs registry as a mergeable snapshot — the
+   one registry export, rendered here as JSON, Prometheus text or the
+   top table. A garbled payload exits nonzero instead of echoing junk. *)
+let fetch_snap c =
+  match
+    Result.bind (Obs.Json.of_string (Net.Client.registry_snap c)) Obs.Snap.of_json
+  with
+  | Ok snap -> snap
+  | Error e -> die "mvkv: server returned an invalid registry snapshot: %s" e
+
 let client_stats socket host port timeout_ms retries =
   with_client ?timeout_ms ~retries socket host port (fun c ->
-      let text = Net.Client.stats c in
-      match Obs.Json.of_string text with
-      | Ok json -> print_endline (Obs.Json.to_string ~indent:true json)
-      | Error e -> die "mvkv: server returned invalid stats JSON: %s" e)
+      print_endline
+        (Obs.Json.to_string ~indent:true (Obs.Snap.to_json (fetch_snap c))))
 
 (* ---- sharded cluster (lib/cluster) ---- *)
 
@@ -1075,23 +1082,26 @@ let cluster_trace topo timeout_ms retries out keep =
    per-node histograms; the aggregate row merges every snapshot first,
    so its p50/p99 are computed on the summed log-buckets, not averaged
    per-node percentiles. *)
+(* Snapshot queries shared by `mvkv top` and `mvkv cluster top`: a
+   window's 10 s rate, and an op's latency percentile ("-" when no
+   sample was timed). *)
+let rate10 snap name =
+  match Obs.Snap.window_sums snap name with
+  | Some (_, s10, _) -> float_of_int s10 /. 10.
+  | None -> 0.
+
+let pct snap op q =
+  match Obs.Snap.find_hist snap (Printf.sprintf "net.%s.ns" op) with
+  | Some h when h.Obs.Snap.hcount > 0 ->
+      Printf.sprintf "%.1fus" (float_of_int (Obs.Snap.hist_percentile h q) /. 1e3)
+  | _ -> "-"
+
 let cluster_top topo_file timeout_ms retries interval count =
   if interval <= 0. then die "mvkv: --interval must be positive";
   let topo = load_topology topo_file in
   let reload () = Result.to_option (Cluster.Topology.of_file topo_file) in
   let router = Cluster.Router.create ?timeout_ms ~retries ~reload topo in
   Fun.protect ~finally:(fun () -> Cluster.Router.close router) @@ fun () ->
-  let rate10 snap name =
-    match Obs.Snap.window_sums snap name with
-    | Some (_, s10, _) -> float_of_int s10 /. 10.
-    | None -> 0.
-  in
-  let pct snap op q =
-    match Obs.Snap.find_hist snap (Printf.sprintf "net.%s.ns" op) with
-    | Some h when h.Obs.Snap.hcount > 0 ->
-        Printf.sprintf "%.1fus" (float_of_int (Obs.Snap.hist_percentile h q) /. 1e3)
-    | _ -> "-"
-  in
   let row label snap =
     Printf.printf "%-12s %10d %8.1f %10s %10s %10s %10s %5d %9s\n" label
       (Obs.Snap.counter snap "net.requests")
@@ -1162,7 +1172,8 @@ let cluster_top topo_file timeout_ms retries interval count =
 (* ---- live inspection: metrics / trace / slowlog / top ---- *)
 
 let metrics socket host port =
-  with_client socket host port (fun c -> print_string (Net.Client.metrics c))
+  with_client socket host port (fun c ->
+      print_string (Obs.Snap.prometheus [ ([], fetch_snap c) ]))
 
 let trace socket host port out keep =
   with_client socket host port (fun c ->
@@ -1224,104 +1235,60 @@ let slowlog socket host port n =
           end
       | Ok _ -> die "mvkv: server returned a non-list slowlog payload")
 
-(* `mvkv top`: poll the stats endpoint and render a refreshing
+(* `mvkv top`: poll the registry snapshot and render a refreshing
    per-operation table — rates from counter deltas between polls,
    percentiles from the live histograms, plus the server-side sliding
    windows and pmem flush/fence deltas. *)
-
-let json_section json section name =
-  match Obs.Json.member section json with
-  | Some obj -> Obs.Json.member name obj
-  | None -> None
-
-let counter_of json name =
-  match json_section json "counters" name with
-  | Some (Obs.Json.Int n) -> n
-  | _ -> 0
-
-let gauge_of json name =
-  match json_section json "gauges" name with
-  | Some (Obs.Json.Int n) -> n
-  | _ -> 0
-
-let hist_field json name field =
-  match json_section json "histograms" name with
-  | Some h -> (
-      match Obs.Json.member field h with
-      | Some (Obs.Json.Int n) -> Some n
-      | _ -> None)
-  | _ -> None
-
-let window_rate json name field =
-  match json_section json "windows" name with
-  | Some w -> (
-      match Obs.Json.member field w with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int n) -> float_of_int n
-      | _ -> 0.)
-  | _ -> 0.
-
-let render_top ~prev ~now json =
+let render_top ~prev ~now snap =
+  let counter = Obs.Snap.counter snap and gauge = Obs.Snap.gauge snap in
   (* Home the cursor and clear to the end of the screen: a flicker-free
      refresh for a table of constant height. *)
   print_string "\027[H\027[J";
   let tm = Unix.localtime now in
   Printf.printf "mvkv top — %02d:%02d:%02d   active conns %d   reqs/s %.1f (10s)   in %.0f B/s   out %.0f B/s\n"
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-    (gauge_of json "net.active_connections")
-    (window_rate json "net.rate.requests" "rate_10s")
-    (window_rate json "net.rate.bytes_in" "rate_10s")
-    (window_rate json "net.rate.bytes_out" "rate_10s");
-  Printf.printf "\n%-10s %12s %10s %12s %12s\n" "op" "total" "ops/s" "p50" "p99";
+    (gauge "net.active_connections")
+    (rate10 snap "net.rate.requests")
+    (rate10 snap "net.rate.bytes_in")
+    (rate10 snap "net.rate.bytes_out");
+  Printf.printf "\n%-13s %12s %10s %12s %12s\n" "op" "total" "ops/s" "p50" "p99";
   let dt = match prev with Some (t0, _) when now > t0 -> now -. t0 | _ -> 0. in
   (* Counters only move forward on a live server, so a negative delta
      means the server restarted between polls (fresh registry). Clamp:
      a rate can be stale for one refresh, never negative. *)
-  List.iter
-    (fun op ->
-      let total = counter_of json (Printf.sprintf "net.%s.ops" op) in
-      let rate =
-        match prev with
-        | Some (_, j0) when dt > 0. ->
-            float_of_int
-              (max 0 (total - counter_of j0 (Printf.sprintf "net.%s.ops" op)))
-            /. dt
-        | _ -> 0.
-      in
-      let pct field =
-        match hist_field json (Printf.sprintf "net.%s.ns" op) field with
-        | Some ns -> Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
-        | None -> "-"
-      in
-      if total > 0 then
-        Printf.printf "%-10s %12d %10.1f %12s %12s\n" op total rate
-          (pct "p50_ns") (pct "p99_ns"))
-    Net.Wire.request_labels;
   let delta name =
-    let v = counter_of json name in
     match prev with
-    | Some (_, j0) when dt > 0. -> float_of_int (max 0 (v - counter_of j0 name)) /. dt
+    | Some (_, s0) when dt > 0. ->
+        float_of_int (max 0 (counter name - Obs.Snap.counter s0 name)) /. dt
     | _ -> 0.
   in
+  List.iter
+    (fun op ->
+      let ops = Printf.sprintf "net.%s.ops" op in
+      if counter ops > 0 then
+        Printf.printf "%-13s %12d %10.1f %12s %12s\n" op (counter ops) (delta ops)
+          (pct snap op 0.5) (pct snap op 0.99))
+    Net.Wire.request_labels;
   Printf.printf "\npmem: %d lines flushed (%.0f/s)   %d fences (%.0f/s)\n"
-    (counter_of json "pmem.flushed_lines")
+    (counter "pmem.flushed_lines")
     (delta "pmem.flushed_lines")
-    (counter_of json "pmem.fences")
+    (counter "pmem.fences")
     (delta "pmem.fences");
   (* Batching effectiveness: how much durability work batch scopes
      coalesced away, and how hard the server is batching/coalescing its
      request stream. *)
   Printf.printf
     "      saved by batching: %d lines (%.0f/s)   %d fences (%.0f/s)\n"
-    (counter_of json "pmem.flushes_saved")
+    (counter "pmem.flushes_saved")
     (delta "pmem.flushes_saved")
-    (counter_of json "pmem.fences_saved")
+    (counter "pmem.fences_saved")
     (delta "pmem.fences_saved");
   Printf.printf "net:  batch p50 %s frames   coalesced %d frames (%.0f/s)\n"
-    (match hist_field json "net.batch_size" "p50_ns" with
-    | Some n -> string_of_int n
-    | None -> "-")
-    (counter_of json "net.coalesced_frames")
+    (match Obs.Snap.find_hist snap "net.batch_size" with
+    | Some h when h.Obs.Snap.hcount > 0 ->
+        string_of_int (Obs.Snap.hist_percentile h 0.5)
+    | _ -> "-")
+    (counter "net.coalesced_frames")
     (delta "net.coalesced_frames");
   (* Replication health: forwarding/catch-up are primary-side, the
      redial and read-failover counters appear when the polled process
@@ -1329,13 +1296,13 @@ let render_top ~prev ~now json =
   Printf.printf
     "repl: forwarded %d (%.1f/s 10s)   catchups %d   lagging backups %d   \
      redials %d   read failovers %d   bad epochs %d\n"
-    (counter_of json "repl.forwarded")
-    (window_rate json "repl.rate.forwarded" "rate_10s")
-    (counter_of json "repl.catchups")
-    (gauge_of json "repl.lagging_backups")
-    (counter_of json "cluster.redials")
-    (counter_of json "repl.read_failovers")
-    (counter_of json "net.bad_epoch");
+    (counter "repl.forwarded")
+    (rate10 snap "repl.rate.forwarded")
+    (counter "repl.catchups")
+    (gauge "repl.lagging_backups")
+    (counter "cluster.redials")
+    (counter "repl.read_failovers")
+    (counter "net.bad_epoch");
   Printf.printf "%!"
 
 let top socket host port interval count =
@@ -1346,21 +1313,18 @@ let top socket host port interval count =
       let i = ref 0 in
       while !i < rounds do
         incr i;
-        let text = Net.Client.stats c in
-        (match Obs.Json.of_string text with
-        | Error e -> die "mvkv: server returned invalid stats JSON: %s" e
-        | Ok json ->
-            let now = Unix.gettimeofday () in
-            (* A restart zeroes every counter; the previous poll would
-               make every rate negative. Reseed the baseline instead. *)
-            (match !prev with
-            | Some (_, j0)
-              when counter_of json "net.requests" < counter_of j0 "net.requests"
-              ->
-                prev := None
-            | _ -> ());
-            render_top ~prev:!prev ~now json;
-            prev := Some (now, json));
+        let snap = fetch_snap c in
+        let now = Unix.gettimeofday () in
+        (* A restart zeroes every counter; the previous poll would make
+           every rate negative. Reseed the baseline instead. *)
+        (match !prev with
+        | Some (_, s0)
+          when Obs.Snap.counter snap "net.requests"
+               < Obs.Snap.counter s0 "net.requests" ->
+            prev := None
+        | _ -> ());
+        render_top ~prev:!prev ~now snap;
+        prev := Some (now, snap);
         if !i < rounds then
           try Unix.sleepf interval
           with Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -8,16 +8,15 @@
      dune exec examples/serve_traffic.exe *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let () =
   let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 24) () in
   let store = Store.create heap in
   let sock = Printf.sprintf "serve_traffic_%d.sock" (Unix.getpid ()) in
   let server =
-    Server.start ~store ~workers:2 ~batch:64 ~listen:(Net.Sockaddr.Unix_sock sock) ()
+    Net.Server.start ~store ~workers:2 ~batch:64 ~listen:(Net.Sockaddr.Unix_sock sock) ()
   in
-  Format.printf "serving on %a@." Net.Sockaddr.pp (Server.addr server);
+  Format.printf "serving on %a@." Net.Sockaddr.pp (Net.Server.addr server);
 
   (* Two writers, disjoint key ranges, pipelined batches of 32. *)
   let writers =
@@ -53,17 +52,17 @@ let () =
     | None -> "-");
 
   (* Every hop above was counted server-side; ask for the registry. *)
-  (match Obs.Json.of_string (Net.Client.stats client) with
-  | Ok json ->
-      let counter name =
-        match Option.bind (Obs.Json.member "counters" json) (Obs.Json.member name) with
-        | Some (Obs.Json.Int n) -> n
-        | _ -> 0
-      in
+  (match
+     Result.bind
+       (Obs.Json.of_string (Net.Client.registry_snap client))
+       Obs.Snap.of_json
+   with
+  | Ok snap ->
       Format.printf "server handled %d requests over %d connections@."
-        (counter "net.requests") (counter "net.connections")
-  | Error e -> Format.printf "stats unavailable: %s@." e);
+        (Obs.Snap.counter snap "net.requests")
+        (Obs.Snap.counter snap "net.connections")
+  | Error e -> Format.printf "registry unavailable: %s@." e);
 
   Net.Client.close client;
-  Server.stop server;
+  Net.Server.stop server;
   Format.printf "drained and stopped.@."

@@ -8,7 +8,6 @@
    Run with: dune exec examples/sharded_cluster.exe *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let ok = function
   | Ok v -> v
@@ -29,7 +28,7 @@ let () =
   let servers =
     Array.init shards (fun i ->
         let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 24) () in
-        Server.start ~store:(Store.create heap) ~workers:1
+        Net.Server.start ~store:(Store.create heap) ~workers:1
           ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ())
   in
 
@@ -43,7 +42,7 @@ let () =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Array.iter Server.stop servers;
+      Array.iter Net.Server.stop servers;
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
     (fun () ->
       (* Routed writes: each lands on its owning shard's server. *)

@@ -266,13 +266,8 @@ let tag_at t ~version =
 
 let compact t ~before =
   match call t (Wire.Compact { before }) with
-  | Wire.Gc_done { dropped; _ } -> dropped
+  | Wire.Gc_done { dropped } -> dropped
   | r -> unexpected "compact" r
-
-let retention t ~keep =
-  match call t (Wire.Retention { keep }) with
-  | Wire.Gc_done { dropped; before } -> (before, dropped)
-  | r -> unexpected "retention" r
 
 let history t key =
   match call t (Wire.History { key }) with
@@ -349,16 +344,6 @@ let replicate t ~epoch req =
   match call t (Wire.Replicate { epoch; req }) with
   | Wire.Error { code; message } -> raise (Remote_error (code, message))
   | resp -> resp
-
-let stats t =
-  match call t Wire.Stats with
-  | Wire.Stats_json s -> s
-  | r -> unexpected "stats" r
-
-let metrics t =
-  match call t Wire.Metrics_prom with
-  | Wire.Prom_text s -> s
-  | r -> unexpected "metrics" r
 
 let trace_dump ?(clear = true) t =
   match call t (Wire.Trace_dump { clear }) with

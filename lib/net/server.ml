@@ -1,5 +1,5 @@
-(* Concurrent socket server dispatching the wire protocol onto any
-   int/int multi-version dict.
+(* Concurrent socket server dispatching the wire protocol onto the
+   int/int PSkipList store.
 
    Topology: one acceptor plus a pool of worker domains (fork-join via
    [Concurrent.Parallel]), all supervised by a single spawned domain so
@@ -26,14 +26,17 @@
    requests keep arriving, then flush and close when their connection
    goes idle.
 
-   Live inspection: besides the JSON [Stats] blob, the server answers
-   [Metrics_prom] (registry as Prometheus text), [Trace_dump] (the span
-   ring as Chrome trace JSON, drained on read) and [Slowlog] (the
-   newest threshold-gated slow operations). Per-server state for the
-   latter two lives in [t.trace] / [t.slow]; the trace ring doubles as
-   the process-wide span sink. *)
+   Live inspection: the server answers [Registry_snap] (the whole
+   registry as a mergeable snapshot, rendered as JSON, Prometheus text
+   or a top table by the client), [Trace_dump] (the span ring as Chrome
+   trace JSON, drained on read) and [Slowlog] (the newest
+   threshold-gated slow operations). Per-server state for the latter
+   two lives in [t.trace] / [t.slow]; the trace ring doubles as the
+   process-wide span sink. *)
 
-(* ---- obs handles (shared across functor instantiations) ---- *)
+module S = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
+
+(* ---- obs handles ---- *)
 
 let c_requests = Obs.Registry.counter "net.requests"
 let c_errors = Obs.Registry.counter "net.errors"
@@ -73,8 +76,13 @@ let h_move_pause = Obs.Registry.histogram "move.cutover_pause_ns"
 (** Seal-to-unseal wall time: the write-unavailability window of a
     cutover, as observed by the sealed (old) owner. *)
 
+(* Per-op instruments indexed by request opcode, so dispatch finds its
+   counter/histogram pair with one array load. Wrapper and unused
+   opcodes have none: dispatch unwraps wrappers before the lookup. *)
 let op_metrics =
-  List.map (fun label -> (label, Obs.Instr.op ("net." ^ label))) Wire.request_labels
+  Array.map
+    (function "" -> None | label -> Some (Obs.Instr.op ("net." ^ label)))
+    Wire.opcode_labels
 
 (* ---- bounded connection handoff queue ---- *)
 
@@ -135,867 +143,813 @@ let scan_chunk = 65536
    flag; bounds shutdown latency without any cross-domain signalling. *)
 let poll_interval = 0.05
 
-(* What the server needs from a store: the full dict API plus the GC
-   entry point behind the Compact/Retention opcodes. *)
-module type STORE = sig
-  include Mvdict.Dict_intf.S with type key = int and type value = int
+type t = {
+  store : S.t;
+  listen_fd : Unix.file_descr;
+  addr : Sockaddr.t;  (** actually bound (ephemeral TCP port resolved) *)
+  batch : int;
+  max_conns : int;
+  request_timeout : float;
+  timeout_ns : int;  (** request_timeout on the Obs.Clock scale *)
+  slow : Obs.Slowlog.t;
+  slo : Obs.Slo.t option;
+  trace : Obs.Tracebuf.t;
+  epoch : int Atomic.t;
+      (** newest topology epoch this server has seen; older stamps
+          are rejected with [Bad_epoch]. Shared with the replication
+          chain (when one is attached) so forwarded frames always
+          carry the epoch the server is fencing at. *)
+  on_mutation : (Wire.request -> Wire.response -> unit) option;
+      (** called after a client mutation applied successfully —
+          the primary-side replication hook. Never called for
+          [Replicate] frames, so forwarding is one hop deep. *)
+  stop_flag : bool Atomic.t;
+  active : int Atomic.t;
+  queue : Handoff.t;
+  seals : (int * int * int * string * int) list Atomic.t;
+      (** sealed key ranges: [(lo, hi, epoch, endpoint, sealed_at_ns)].
+          While a range is sealed, mutations touching it are rejected
+          with a [Moved] error naming [epoch]/[endpoint] — the
+          migration cutover's write gate. *)
+  mut_slots : int Atomic.t list Atomic.t;
+      (** one in-flight-mutation flag per connection; [Range_seal]
+          drains by observing each flag at zero once (a grace period,
+          not a global-zero instant, so traffic on unrelated ranges
+          cannot stall the drain). *)
+  mutable supervisor : unit Domain.t option;
+}
 
-  val compact : t -> before:int -> int
-  (** Drop history entries no snapshot at or after [before] observes;
-      returns how many were dropped (see {!Mvdict.Pskiplist}). *)
+let addr t = t.addr
+let is_stopping t = Atomic.get t.stop_flag
+let slowlog t = t.slow
+let tracebuf t = t.trace
+let epoch t = Atomic.get t.epoch
 
-  val pull_chains :
-    t ->
-    lo:int ->
-    hi:int ->
-    since:int ->
-    limit:int ->
-    (int * (int * int Mvdict.Dict_intf.event) list) list
-  (** One page of per-key version chains above [since] for keys in
-      [lo, hi) — the Migrate_pull opcode (see {!Mvdict.Pskiplist}). *)
+(* ---- epoch fencing ----
 
-  val install_chains :
-    t -> since:int -> (int * (int * int Mvdict.Dict_intf.event) list) list -> unit
-  (** Install pulled chains verbatim, idempotently — the History_batch
-      opcode (see {!Mvdict.Pskiplist}). *)
-end
+   The rule is monotone adoption: a stamp older than the newest epoch
+   this server has seen is answered with a typed [Bad_epoch] error (the
+   router's cue to reload the topology); a newer stamp is adopted via
+   CAS, so one request from a post-promotion router fences out every
+   router still stamping with the old epoch. *)
 
-module Make (S : STORE) =
-struct
-  type t = {
-    store : S.t;
-    listen_fd : Unix.file_descr;
-    addr : Sockaddr.t;  (** actually bound (ephemeral TCP port resolved) *)
-    batch : int;
-    max_conns : int;
-    request_timeout : float;
-    timeout_ns : int;  (** request_timeout on the Obs.Clock scale *)
-    slow : Obs.Slowlog.t;
-    slo : Obs.Slo.t option;
-    trace : Obs.Tracebuf.t;
-    epoch : int Atomic.t;
-        (** newest topology epoch this server has seen; older stamps
-            are rejected with [Bad_epoch]. Shared with the replication
-            chain (when one is attached) so forwarded frames always
-            carry the epoch the server is fencing at. *)
-    on_mutation : (Wire.request -> Wire.response -> unit) option;
-        (** called after a client mutation applied successfully —
-            the primary-side replication hook. Never called for
-            [Replicate] frames, so forwarding is one hop deep. *)
-    stop_flag : bool Atomic.t;
-    active : int Atomic.t;
-    queue : Handoff.t;
-    seals : (int * int * int * string * int) list Atomic.t;
-        (** sealed key ranges: [(lo, hi, epoch, endpoint, sealed_at_ns)].
-            While a range is sealed, mutations touching it are rejected
-            with a [Moved] error naming [epoch]/[endpoint] — the
-            migration cutover's write gate. *)
-    mut_slots : int Atomic.t list Atomic.t;
-        (** one in-flight-mutation flag per connection; [Range_seal]
-            drains by observing each flag at zero once (a grace period,
-            not a global-zero instant, so traffic on unrelated ranges
-            cannot stall the drain). *)
-    mutable supervisor : unit Domain.t option;
-  }
+let check_epoch t stamp =
+  let rec adopt () =
+    let current = Atomic.get t.epoch in
+    if stamp < current then
+      Error
+        (Wire.Error
+           {
+             code = Wire.Bad_epoch;
+             message =
+               Printf.sprintf "stale epoch %d, server at epoch %d" stamp current;
+           })
+    else if stamp = current || Atomic.compare_and_set t.epoch current stamp then
+      Ok ()
+    else adopt ()
+  in
+  adopt ()
 
-  let addr t = t.addr
-  let is_stopping t = Atomic.get t.stop_flag
-  let slowlog t = t.slow
-  let tracebuf t = t.trace
-  let epoch t = Atomic.get t.epoch
+(* ---- migration write gate ----
 
-  (* ---- epoch fencing ----
+   A sealed range rejects mutations that touch it with a typed
+   [Moved] error carrying the new epoch and owner. The Dekker-style
+   handshake with [Range_seal]'s drain: a mutation raises its
+   connection's in-flight flag {e before} reading the seal list; the
+   sealer publishes the seal {e before} waiting for every flag to
+   read zero once. Either the mutation saw the seal (rejected), or
+   the drain saw its flag (waited for it) — no acked write can slip
+   through after the drain returns. *)
 
-     The rule is monotone adoption: a stamp older than the newest epoch
-     this server has seen is answered with a typed [Bad_epoch] error (the
-     router's cue to reload the topology); a newer stamp is adopted via
-     CAS, so one request from a post-promotion router fences out every
-     router still stamping with the old epoch. *)
-
-  let check_epoch t stamp =
-    let rec adopt () =
-      let current = Atomic.get t.epoch in
-      if stamp < current then
-        Error
-          (Wire.Error
-             {
-               code = Wire.Bad_epoch;
-               message =
-                 Printf.sprintf "stale epoch %d, server at epoch %d" stamp current;
-             })
-      else if stamp = current || Atomic.compare_and_set t.epoch current stamp then
-        Ok ()
-      else adopt ()
-    in
-    adopt ()
-
-  (* ---- migration write gate ----
-
-     A sealed range rejects mutations that touch it with a typed
-     [Moved] error carrying the new epoch and owner. The Dekker-style
-     handshake with [Range_seal]'s drain: a mutation raises its
-     connection's in-flight flag {e before} reading the seal list; the
-     sealer publishes the seal {e before} waiting for every flag to
-     read zero once. Either the mutation saw the seal (rejected), or
-     the drain saw its flag (waited for it) — no acked write can slip
-     through after the drain returns. *)
-
-  let seal_conflict t (req : Wire.request) =
-    match Atomic.get t.seals with
-    | [] -> None
-    | seals -> (
-        let hit key =
-          List.find_opt (fun (lo, hi, _, _, _) -> key >= lo && key < hi) seals
-        in
-        let first_hit fold keys =
-          fold
-            (fun acc key -> match acc with Some _ -> acc | None -> hit key)
-            None keys
-        in
-        match req with
-        | Wire.Insert { key; _ } | Wire.Remove { key } -> hit key
-        | Wire.Insert_batch { pairs } ->
-            first_hit
-              (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
-              pairs
-        | Wire.Remove_batch { keys } ->
-            first_hit (fun f acc -> Array.fold_left f acc) keys
-        | Wire.History_batch { chains; _ } ->
-            first_hit
-              (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
-              chains
-        (* The version clock and the GC horizon are migrating state
-           too: a tag or compaction that landed after the coordinator's
-           final clock probe would be missing on the new owner, so a
-           seal rejects them — the router chases and re-issues the same
-           absolute operation on the post-move topology. But only while
-           the cutover is unpublished to this server: once we have
-           adopted an epoch at or above the seal's (the chased retry
-           stamps the new epoch, adopted before this check), the range
-           already belongs to the destination per the live map — it
-           gets the clock op directly, and our clock only governs the
-           ranges we kept. Without the epoch cut-off, the residual seal
-           between topology save and unseal would bounce every retry
-           and exhaust the chase for nothing. Clock {e probes}
-           ([Tag_at 0]) mutate nothing and always pass. *)
-        | Wire.Tag | Wire.Compact _ | Wire.Retention _ ->
+let seal_conflict t (req : Wire.request) =
+  match Atomic.get t.seals with
+  | [] -> None
+  | seals -> (
+      let hit key =
+        List.find_opt (fun (lo, hi, _, _, _) -> key >= lo && key < hi) seals
+      in
+      let first_hit fold keys =
+        fold
+          (fun acc key -> match acc with Some _ -> acc | None -> hit key)
+          None keys
+      in
+      match req with
+      | Wire.Insert { key; _ } | Wire.Remove { key } -> hit key
+      | Wire.Insert_batch { pairs } ->
+          first_hit
+            (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
+            pairs
+      | Wire.Remove_batch { keys } ->
+          first_hit (fun f acc -> Array.fold_left f acc) keys
+      | Wire.History_batch { chains; _ } ->
+          first_hit
+            (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
+            chains
+      (* The version clock and the GC horizon are migrating state
+         too: a tag or compaction that landed after the coordinator's
+         final clock probe would be missing on the new owner, so a
+         seal rejects them — the router chases and re-issues the same
+         absolute operation on the post-move topology. But only while
+         the cutover is unpublished to this server: once we have
+         adopted an epoch at or above the seal's (the chased retry
+         stamps the new epoch, adopted before this check), the range
+         already belongs to the destination per the live map — it
+         gets the clock op directly, and our clock only governs the
+         ranges we kept. Without the epoch cut-off, the residual seal
+         between topology save and unseal would bounce every retry
+         and exhaust the chase for nothing. Clock {e probes}
+         ([Tag_at 0]) mutate nothing and always pass. *)
+      | Wire.Tag | Wire.Compact _ ->
+          let cur = Atomic.get t.epoch in
+          List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
+      | Wire.Tag_at { version } ->
+          if version > 0 then
             let cur = Atomic.get t.epoch in
             List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
-        | Wire.Tag_at { version } ->
-            if version > 0 then
-              let cur = Atomic.get t.epoch in
-              List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
-            else None
-        | _ -> None)
+          else None
+      | _ -> None)
 
-  let sealed_reject (_, _, epoch, endpoint, _) =
-    Obs.Metric.incr c_move_sealed_rejects;
-    Wire.Error { code = Wire.Moved; message = Wire.moved_message ~epoch ~endpoint }
+let sealed_reject (_, _, epoch, endpoint, _) =
+  Obs.Metric.incr c_move_sealed_rejects;
+  Wire.Error { code = Wire.Moved; message = Wire.moved_message ~epoch ~endpoint }
 
-  (* Grace-period drain: observe every connection's in-flight flag at
-     zero once. Flags are raised only around one frame's apply, so each
-     wait is bounded by one store operation, not by traffic. [except]
-     skips the caller's own gate — a drain issued from inside a gated
-     request (the Tag_at 0 publication barrier) must not wait on
-     itself. *)
-  let drain_mutations ?except t =
-    List.iter
-      (fun slot ->
-        if match except with Some g -> g != slot | None -> true then
-          while Atomic.get slot > 0 do
-            Domain.cpu_relax ()
-          done)
-      (Atomic.get t.mut_slots)
+(* Grace-period drain: observe every connection's in-flight flag at
+   zero once. Flags are raised only around one frame's apply, so each
+   wait is bounded by one store operation, not by traffic. [except]
+   skips the caller's own gate — a drain issued from inside a gated
+   request (the Tag_at 0 publication barrier) must not wait on
+   itself. *)
+let drain_mutations ?except t =
+  List.iter
+    (fun slot ->
+      if match except with Some g -> g != slot | None -> true then
+        while Atomic.get slot > 0 do
+          Domain.cpu_relax ()
+        done)
+    (Atomic.get t.mut_slots)
 
-  let set_seal t ~lo ~hi ~epoch ~endpoint =
-    let rec update () =
-      let cur = Atomic.get t.seals in
-      (* Re-sealing the same range keeps the original timestamp: the
-         cutover-pause histogram measures from the first seal. *)
-      let sealed_at =
-        match List.find_opt (fun (l, h, _, _, _) -> l = lo && h = hi) cur with
-        | Some (_, _, _, _, at) -> at
-        | None -> Obs.Clock.now_ns ()
-      in
-      let rest = List.filter (fun (l, h, _, _, _) -> not (l = lo && h = hi)) cur in
-      if
-        not
-          (Atomic.compare_and_set t.seals cur
-             ((lo, hi, epoch, endpoint, sealed_at) :: rest))
-      then update ()
+let set_seal t ~lo ~hi ~epoch ~endpoint =
+  let rec update () =
+    let cur = Atomic.get t.seals in
+    (* Re-sealing the same range keeps the original timestamp: the
+       cutover-pause histogram measures from the first seal. *)
+    let sealed_at =
+      match List.find_opt (fun (l, h, _, _, _) -> l = lo && h = hi) cur with
+      | Some (_, _, _, _, at) -> at
+      | None -> Obs.Clock.now_ns ()
     in
-    update ();
-    Obs.Metric.set g_move_sealed (List.length (Atomic.get t.seals))
+    let rest = List.filter (fun (l, h, _, _, _) -> not (l = lo && h = hi)) cur in
+    if
+      not
+        (Atomic.compare_and_set t.seals cur
+           ((lo, hi, epoch, endpoint, sealed_at) :: rest))
+    then update ()
+  in
+  update ();
+  Obs.Metric.set g_move_sealed (List.length (Atomic.get t.seals))
 
-  let clear_seal t ~lo ~hi =
-    let rec update () =
-      let cur = Atomic.get t.seals in
-      let removed = List.find_opt (fun (l, h, _, _, _) -> l = lo && h = hi) cur in
-      let rest = List.filter (fun (l, h, _, _, _) -> not (l = lo && h = hi)) cur in
-      if Atomic.compare_and_set t.seals cur rest then removed else update ()
-    in
-    let removed = update () in
-    Obs.Metric.set g_move_sealed (List.length (Atomic.get t.seals));
-    removed
+let clear_seal t ~lo ~hi =
+  let rec update () =
+    let cur = Atomic.get t.seals in
+    let removed = List.find_opt (fun (l, h, _, _, _) -> l = lo && h = hi) cur in
+    let rest = List.filter (fun (l, h, _, _, _) -> not (l = lo && h = hi)) cur in
+    if Atomic.compare_and_set t.seals cur rest then removed else update ()
+  in
+  let removed = update () in
+  Obs.Metric.set g_move_sealed (List.length (Atomic.get t.seals));
+  removed
 
-  let moves_json t =
-    let now = Obs.Clock.now_ns () in
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"epoch\":%d,\"version\":%d,\"sealed\":["
-         (Atomic.get t.epoch)
-         (S.current_version t.store));
-    List.iteri
-      (fun i (lo, hi, epoch, endpoint, sealed_at) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"lo\":%d,\"hi\":%d,\"epoch\":%d,\"endpoint\":%S,\"age_ms\":%.1f}"
-             lo hi epoch endpoint
-             (float_of_int (now - sealed_at) /. 1e6)))
-      (Atomic.get t.seals);
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
+let moves_json t =
+  let now = Obs.Clock.now_ns () in
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf
+    (Printf.sprintf "{\"epoch\":%d,\"version\":%d,\"sealed\":["
+       (Atomic.get t.epoch)
+       (S.current_version t.store));
+  List.iteri
+    (fun i (lo, hi, epoch, endpoint, sealed_at) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"lo\":%d,\"hi\":%d,\"epoch\":%d,\"endpoint\":%S,\"age_ms\":%.1f}"
+           lo hi epoch endpoint
+           (float_of_int (now - sealed_at) /. 1e6)))
+    (Atomic.get t.seals);
+  Buffer.add_string buf "]}";
+  Buffer.contents buf
 
-  (* ---- request dispatch ---- *)
+(* ---- request dispatch ---- *)
 
-  let apply t ~gate (req : Wire.request) : Wire.response =
-    match req with
-    | Wire.Ping -> Wire.Pong
-    | Wire.Insert { key; value } ->
-        S.insert t.store key value;
-        Wire.Ack
-    | Wire.Remove { key } ->
-        S.remove t.store key;
-        Wire.Ack
-    | Wire.Find { key; version } -> Wire.Value (S.find t.store ?version key)
-    | Wire.Find_bulk { keys; version } ->
-        Wire.Values (Array.map (fun key -> S.find t.store ?version key) keys)
-    | Wire.Tag -> Wire.Version (S.tag t.store)
-    | Wire.Tag_at { version } ->
-        (* Advance the version clock until it reaches [version] and
-           answer whatever it then reads. [version] 0 is a pure probe;
-           a clock already past [version] is answered as-is and left to
-           the caller (the cluster router) to flag as a conflict. The
-           loop re-reads the clock so concurrent taggers cannot push it
-           past the target through us. *)
-        if version = 0 then begin
-          (* The probe doubles as a publication barrier: read the clock
-             first, then drain every other connection's in-flight flag.
-             A write that will ever be stamped <= the answer read the
-             clock before it reached that value — its flag was already
-             up when we started scanning, so the drain waits for its
-             chain append. A write starting after our read stamps
-             strictly above the answer. This is what lets a migration
-             round trust [since = probed clock]: no event at or below
-             the watermark can surface after the round's pulls. *)
-          let current = S.current_version t.store in
-          drain_mutations ~except:gate t;
-          Wire.Version current
-        end
-        else
-          let rec bump () =
-            let current = S.current_version t.store in
-            if current >= version then current
-            else begin
-              ignore (S.tag t.store);
-              bump ()
-            end
-          in
-          Wire.Version (bump ())
-    | Wire.History { key } -> Wire.Events (S.extract_history t.store key)
-    | Wire.Snapshot { version } ->
-        (* The one request that walks the whole store: span it so a
-           snapshot round-trip shows up in the trace ring. *)
-        Obs.Span.with_ "net.snapshot" (fun () ->
-            Wire.Pairs
-              (match version with
-              | Some version -> S.extract_snapshot t.store ~version ()
-              | None -> S.extract_snapshot t.store ()))
-    | Wire.Stats ->
-        Wire.Stats_json (Obs.Json.to_string (Obs.Registry.to_json ()))
-    | Wire.Metrics_prom -> Wire.Prom_text (Obs.Expo.to_prometheus ())
-    | Wire.Registry_snap ->
-        (* The mergeable counterpart of [Stats]: raw snapshot data the
-           fleet aggregator can sum/merge across nodes. *)
-        Wire.Snap_json
-          (Obs.Json.to_string (Obs.Snap.to_json (Obs.Snap.of_registry ())))
-    | Wire.Trace_dump { clear } ->
-        (* Dump-and-clear by default, so each fetch is a fresh window
-           and a monitoring loop never re-reports the same spans.
-           [clear = false] lets concurrent collectors peek without
-           stealing each other's spans. The dump is stamped with this
-           node's clock so a fleet merger can rebase rings recorded on
-           different monotonic clocks onto one timeline. *)
-        let events = Obs.Tracebuf.dump t.trace in
-        if clear then Obs.Tracebuf.clear t.trace;
-        Wire.Trace_json
-          (Obs.Json.to_string
-             (Obs.Tracebuf.chrome_json ~clock_ns:(Obs.Clock.now_ns ()) events))
-    | Wire.Slowlog { n } ->
-        Wire.Slowlog_json
-          (Obs.Json.to_string (Obs.Slowlog.to_json (Obs.Slowlog.newest t.slow ~n)))
-    | Wire.Compact { before } ->
-        Wire.Gc_done { dropped = S.compact t.store ~before; before }
-    | Wire.Retention { keep } ->
-        (* Derive the horizon from this store's clock; the cluster
-           router sends absolute [Compact] horizons instead, computed
-           from the minimum clock across shards. *)
-        let before = max 0 (S.current_version t.store - keep) in
-        let dropped = if before > 0 then S.compact t.store ~before else 0 in
-        Wire.Gc_done { dropped; before }
-    | Wire.Epoch_probe ->
-        Wire.Epoch_info
-          { epoch = Atomic.get t.epoch; version = S.current_version t.store }
-    | Wire.Insert_batch { pairs } ->
-        S.insert_batch t.store (Array.to_list pairs);
-        Wire.Ack
-    | Wire.Remove_batch { keys } ->
-        S.remove_batch t.store (Array.to_list keys);
-        Wire.Ack
-    | Wire.Scan { lo; hi; version; limit } ->
-        (* One bounded page of the range: [limit] 0 (or anything above
-           the cap) means server-chosen. The walk stops early once the
-           page is full instead of materialising the whole range. *)
-        let limit =
-          if limit <= 0 then scan_chunk else min limit scan_chunk
-        in
-        let acc = ref [] and n = ref 0 in
-        let exception Page_full in
-        (try
-           S.iter_range t.store ?version ~lo ~hi (fun k v ->
-               acc := (k, v) :: !acc;
-               incr n;
-               if !n >= limit then raise Page_full)
-         with Page_full -> ());
-        let a = Array.of_list !acc in
-        let m = Array.length a in
-        Wire.Pairs (Array.init m (fun i -> a.(m - 1 - i)))
-    | Wire.Migrate_pull { lo; hi; since; limit } ->
-        (* [limit] bounds the page in events; the same cap as Scan
-           keeps the reply around 1 MiB. *)
-        let limit = if limit <= 0 then scan_chunk else min limit scan_chunk in
-        let chains = S.pull_chains t.store ~lo ~hi ~since ~limit in
-        Obs.Metric.add c_move_pull_keys (List.length chains);
-        Obs.Metric.add c_move_pull_events
-          (List.fold_left (fun n (_, es) -> n + List.length es) 0 chains);
-        Wire.Histories (Array.of_list chains)
-    | Wire.History_batch { since; chains } ->
-        S.install_chains t.store ~since (Array.to_list chains);
-        let events =
-          Array.fold_left (fun n (_, es) -> n + List.length es) 0 chains
-        in
-        Obs.Metric.add c_move_install_keys (Array.length chains);
-        Obs.Metric.add c_move_install_events events;
-        (* Wire-encoding sizes: 16 bytes per chain header, 9 or 17 per
-           event — close enough to the bytes that actually moved. *)
-        Obs.Metric.add c_move_install_bytes
-          ((16 * Array.length chains) + (17 * events));
-        Obs.Window.add w_move_install events;
-        Wire.Ack
-    | Wire.Range_seal { lo; hi; epoch; endpoint } ->
-        let t0 = Obs.Clock.now_ns () in
-        set_seal t ~lo ~hi ~epoch ~endpoint;
-        drain_mutations t;
-        Obs.Histogram.record h_move_drain (Obs.Clock.now_ns () - t0);
-        Wire.Ack
-    | Wire.Range_unseal { lo; hi } ->
-        (match clear_seal t ~lo ~hi with
-        | None -> ()
-        | Some (_, _, _, _, sealed_at) ->
-            Obs.Histogram.record h_move_pause (Obs.Clock.now_ns () - sealed_at));
-        Wire.Ack
-    | Wire.Moves_status -> Wire.Moves_json (moves_json t)
-    | Wire.Stamped _ | Wire.Replicate _ ->
-        (* Unreachable: [dispatch] unwraps both and the decoder rejects
-           nested wrappers — but keep it a typed error, not an assert. *)
-        Wire.Error { code = Wire.Malformed; message = "nested epoch wrapper" }
-    | Wire.Traced _ ->
-        Wire.Error { code = Wire.Malformed; message = "nested traced wrapper" }
-
-  (* [replicated] marks a frame forwarded by another primary: it must be
-     applied but never re-forwarded, which keeps the chain one hop deep
-     and loop-free. Everything else that mutates and succeeds is handed
-     to [on_mutation] (the replication chain) after the local apply, so
-     the ack the client sees means "applied here and offered to every
-     reachable backup". *)
-  let dispatch_core t ~replicated ~gate req =
-    let metrics = List.assoc (Wire.request_label req) op_metrics in
-    let t0 = Obs.Instr.start () in
-    let resp =
-      match apply t ~gate req with
-      | resp -> resp
-      | exception e ->
-          Obs.Metric.incr c_errors;
-          Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
-    in
-    let elapsed = Obs.Instr.finish_elapsed metrics t0 in
-    if elapsed > 0 then begin
-      Obs.Slowlog.note t.slow ~op:(Wire.request_label req)
-        ?key:(Wire.request_key req) ~latency_ns:elapsed ();
-      match t.slo with
-      | None -> ()
-      | Some slo ->
-          Obs.Slo.note slo ~op:(Wire.request_label req) ~latency_ns:elapsed
-    end;
-    (match (resp, t.on_mutation) with
-    | Wire.Error _, _ | _, None -> ()
-    | resp, Some hook ->
-        if (not replicated) && Wire.is_mutation req then (
-          try hook req resp
-          with e ->
-            (* A replication failure must not poison the client
-               connection; the chain records the lag and catches the
-               backup up later. *)
-            Printf.eprintf "net.server: replication hook failed: %s\n%!"
-              (Printexc.to_string e)));
-    resp
-
-  (* The write-gate shell around [dispatch_core]: client mutations
-     raise their connection's in-flight flag, then either bounce off a
-     seal covering one of their keys or run. Replicated frames bypass
-     the gate — backups are never sealed, and the seal must not recurse
-     into the replication path it is draining. *)
-  let dispatch_inner t ~replicated ~gate req =
-    if replicated || not (Wire.is_mutation req) then
-      dispatch_core t ~replicated ~gate req
-    else begin
-      Atomic.incr gate;
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr gate)
-        (fun () ->
-          match seal_conflict t req with
-          | Some seal -> sealed_reject seal
-          | None -> dispatch_core t ~replicated ~gate req)
-    end
-
-  let rec dispatch t ~gate req =
-    match req with
-    | Wire.Traced { trace_hi; trace_lo; parent_span; sampled; req } ->
-        (* Inherit the remote trace context for the duration of the
-           request: the [srv.*] span records this node's side of the
-           hop with the router's span as parent, and any span opened
-           while applying (snapshot walks, replication forwards) nests
-           under it — so one client call shows up as one connected tree
-           across every node it touched. *)
-        if sampled then
-          Obs.Span.with_context
-            (Some
-               {
-                 Obs.Span.trace = { Obs.Traceid.hi = trace_hi; lo = trace_lo };
-                 parent = parent_span;
-                 sampled = true;
-               })
-            (fun () ->
-              Obs.Span.with_ ("srv." ^ Wire.request_label req) (fun () ->
-                  dispatch t ~gate req))
-        else dispatch t ~gate req
-    | Wire.Stamped { epoch; req } -> (
-        match check_epoch t epoch with
-        | Error resp ->
-            Obs.Metric.incr c_bad_epoch;
-            resp
-        | Ok () -> dispatch_inner t ~replicated:false ~gate req)
-    | Wire.Replicate { epoch; req } -> (
-        match check_epoch t epoch with
-        | Error resp ->
-            Obs.Metric.incr c_bad_epoch;
-            resp
-        | Ok () ->
-            Obs.Metric.incr c_replicated;
-            dispatch_inner t ~replicated:true ~gate req)
-    | req -> dispatch_inner t ~replicated:false ~gate req
-
-  (* ---- per-connection state ---- *)
-
-  type conn = {
-    fd : Unix.file_descr;
-    inflight : int Atomic.t;
-        (** raised while a mutation from this connection is applying;
-            what [Range_seal]'s drain observes (see the write gate). *)
-    mutable buf : Bytes.t;
-    mutable start : int;  (** first unconsumed byte *)
-    mutable fill : int;  (** end of valid data *)
-    out : Buffer.t;
-    mutable partial_since : int;
-        (** Obs.Clock ns when the pending incomplete frame was first
-            seen; -1 = none. Monotonic (when a monotonic source is
-            installed), never wall clock — an NTP step must not fire or
-            suppress request timeouts. *)
-    mutable eof : bool;
-  }
-
-  exception Close_conn
-  exception Fatal_frame of Wire.error_code * string
-
-  let flush_out conn =
-    if Buffer.length conn.out > 0 then begin
-      let payload = Buffer.contents conn.out in
-      Buffer.clear conn.out;
-      match Sockaddr.write_string conn.fd payload with
-      | () ->
-          Obs.Metric.add c_bytes_out (String.length payload);
-          Obs.Window.add w_bytes_out (String.length payload)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          raise Close_conn
-    end
-
-  (* Drain up to [batch] complete frames; decode failures become
-     in-stream error replies so one garbled request cannot poison the
-     requests around it. *)
-  let collect t conn =
-    let items = ref [] and n = ref 0 in
-    let continue = ref true in
-    while !continue && !n < t.batch do
-      match Wire.scan conn.buf ~off:conn.start ~len:(conn.fill - conn.start) with
-      | `Oversize declared ->
-          raise
-            (Fatal_frame
-               ( Wire.Too_large,
-                 Printf.sprintf "declared frame length %d exceeds max %d" declared
-                   Wire.max_frame ))
-      | `Partial ->
-          if conn.fill = conn.start then conn.partial_since <- -1
-          else if conn.partial_since < 0 then
-            conn.partial_since <- Obs.Clock.now_ns ();
-          continue := false
-      | `Frame (off, len, consumed) ->
-          conn.partial_since <- -1;
-          (* Remember each frame's protocol version so the response can
-             echo it — a v4 client keeps decoding v4 responses even
-             though this server speaks v5. *)
-          let ver = Wire.frame_version conn.buf ~off ~len in
-          (match Wire.decode_request conn.buf ~off ~len with
-          | Ok req -> items := (ver, `Req req) :: !items
-          | Error (code, message) ->
-              items := (ver, `Err (Wire.Error { code; message })) :: !items);
-          conn.start <- conn.start + consumed;
-          incr n
-    done;
-    List.rev !items
-
-  (* Apply one coalesced run of same-kind mutations as a single store
-     batch. Mirrors [dispatch_inner]: one op-metric/slowlog sample and
-     one replication hook firing (with the synthesized batch request,
-     so backups see the same coalescing) — but one reply per original
-     frame, so client semantics are unchanged. *)
-  let apply_run t conn ~label ~req ~apply versions =
-    let metrics = List.assoc label op_metrics in
-    let t0 = Obs.Instr.start () in
-    (* Same write gate as [dispatch_inner]: the coalesced run is one
-       client mutation as far as seals are concerned. *)
-    let resp =
-      Atomic.incr conn.inflight;
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr conn.inflight)
-        (fun () ->
-          match seal_conflict t req with
-          | Some seal -> sealed_reject seal
-          | None -> (
-              match apply () with
-              | () -> Wire.Ack
-              | exception e ->
-                  Obs.Metric.incr c_errors;
-                  Wire.Error
-                    { code = Wire.Server_error; message = Printexc.to_string e }))
-    in
-    let elapsed = Obs.Instr.finish_elapsed metrics t0 in
-    if elapsed > 0 then begin
-      Obs.Slowlog.note t.slow ~op:label ~latency_ns:elapsed ();
-      match t.slo with
-      | None -> ()
-      | Some slo -> Obs.Slo.note slo ~op:label ~latency_ns:elapsed
-    end;
-    (match (resp, t.on_mutation) with
-    | Wire.Error _, _ | _, None -> ()
-    | resp, Some hook -> (
-        try hook req resp
-        with e ->
-          Printf.eprintf "net.server: replication hook failed: %s\n%!"
-            (Printexc.to_string e)));
-    List.iter
-      (fun version ->
-        Obs.Metric.incr c_requests;
-        Wire.add_response ~version conn.out resp)
-      versions
-
-  (* Same-connection write coalescing: within one drained batch, a
-     maximal run of consecutive top-level plain [Insert] (or [Remove])
-     frames with pairwise-distinct keys is applied as one store-level
-     batch. Wrapped frames ([Stamped]/[Traced]/[Replicate]) need their
-     own dispatch and never coalesce. A run also stops at a repeated
-     key: all events of one batch share one version, so the canonical
-     install would collapse the duplicate — but per-frame semantics
-     promise each write its own history event. *)
-  let process t conn items =
-    Obs.Histogram.record h_batch (List.length items);
-    Obs.Window.add w_requests (List.length items);
-    let single (version, item) =
-      Obs.Metric.incr c_requests;
-      let resp =
-        match item with
-        | `Req req -> dispatch t ~gate:conn.inflight req
-        | `Err resp ->
-            Obs.Metric.incr c_errors;
-            resp
-      in
-      Wire.add_response ~version conn.out resp
-    in
-    let rec go = function
-      | [] -> ()
-      | ((_, `Req (Wire.Insert _)) :: _) as l ->
-          let seen = Hashtbl.create 16 in
-          let rec take vers pairs = function
-            | (ver, `Req (Wire.Insert { key; value })) :: rest
-              when not (Hashtbl.mem seen key) ->
-                Hashtbl.add seen key ();
-                take (ver :: vers) ((key, value) :: pairs) rest
-            | rest -> (List.rev vers, List.rev pairs, rest)
-          in
-          let vers, pairs, rest = take [] [] l in
-          if List.length vers >= 2 then begin
-            Obs.Metric.add c_coalesced (List.length vers);
-            apply_run t conn ~label:"insert_batch"
-              ~req:(Wire.Insert_batch { pairs = Array.of_list pairs })
-              ~apply:(fun () -> S.insert_batch t.store pairs)
-              vers;
-            go rest
-          end
-          else begin
-            single (List.hd l);
-            go (List.tl l)
-          end
-      | ((_, `Req (Wire.Remove _)) :: _) as l ->
-          let seen = Hashtbl.create 16 in
-          let rec take vers keys = function
-            | (ver, `Req (Wire.Remove { key })) :: rest
-              when not (Hashtbl.mem seen key) ->
-                Hashtbl.add seen key ();
-                take (ver :: vers) (key :: keys) rest
-            | rest -> (List.rev vers, List.rev keys, rest)
-          in
-          let vers, keys, rest = take [] [] l in
-          if List.length vers >= 2 then begin
-            Obs.Metric.add c_coalesced (List.length vers);
-            apply_run t conn ~label:"remove_batch"
-              ~req:(Wire.Remove_batch { keys = Array.of_list keys })
-              ~apply:(fun () -> S.remove_batch t.store keys)
-              vers;
-            go rest
-          end
-          else begin
-            single (List.hd l);
-            go (List.tl l)
-          end
-      | it :: rest ->
-          single it;
-          go rest
-    in
-    go items;
-    flush_out conn
-
-  let read_more conn =
-    (* Make room: compact the consumed prefix, then grow if a pipelined
-       burst still does not fit. *)
-    if Bytes.length conn.buf - conn.fill < recv_chunk then begin
-      if conn.start > 0 then begin
-        Bytes.blit conn.buf conn.start conn.buf 0 (conn.fill - conn.start);
-        conn.fill <- conn.fill - conn.start;
-        conn.start <- 0
-      end;
-      if Bytes.length conn.buf - conn.fill < recv_chunk then begin
-        let bigger =
-          Bytes.create (max (2 * Bytes.length conn.buf) (conn.fill + recv_chunk))
-        in
-        Bytes.blit conn.buf 0 bigger 0 conn.fill;
-        conn.buf <- bigger
+let apply t ~gate (req : Wire.request) : Wire.response =
+  match req with
+  | Wire.Ping -> Wire.Pong
+  | Wire.Insert { key; value } ->
+      S.insert t.store key value;
+      Wire.Ack
+  | Wire.Remove { key } ->
+      S.remove t.store key;
+      Wire.Ack
+  | Wire.Find { key; version } -> Wire.Value (S.find t.store ?version key)
+  | Wire.Find_bulk { keys; version } ->
+      Wire.Values (Array.map (fun key -> S.find t.store ?version key) keys)
+  | Wire.Tag -> Wire.Version (S.tag t.store)
+  | Wire.Tag_at { version } ->
+      (* Advance the version clock until it reaches [version] and
+         answer whatever it then reads. [version] 0 is a pure probe;
+         a clock already past [version] is answered as-is and left to
+         the caller (the cluster router) to flag as a conflict. The
+         loop re-reads the clock so concurrent taggers cannot push it
+         past the target through us. *)
+      if version = 0 then begin
+        (* The probe doubles as a publication barrier: read the clock
+           first, then drain every other connection's in-flight flag.
+           A write that will ever be stamped <= the answer read the
+           clock before it reached that value — its flag was already
+           up when we started scanning, so the drain waits for its
+           chain append. A write starting after our read stamps
+           strictly above the answer. This is what lets a migration
+           round trust [since = probed clock]: no event at or below
+           the watermark can surface after the round's pulls. *)
+        let current = S.current_version t.store in
+        drain_mutations ~except:gate t;
+        Wire.Version current
       end
-    end;
-    match Unix.read conn.fd conn.buf conn.fill recv_chunk with
-    | 0 -> conn.eof <- true
-    | n ->
-        Obs.Metric.add c_bytes_in n;
-        Obs.Window.add w_bytes_in n;
-        conn.fill <- conn.fill + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        conn.eof <- true
-
-  let readable fd timeout =
-    match Unix.select [ fd ] [] [] timeout with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
-  (* Unsolicited error frames (no request frame to echo a version from)
-     go out at the oldest supported version, which every client in the
-     compatibility window decodes. *)
-  let fatal_close conn code message =
-    Wire.add_response ~version:Wire.min_protocol_version conn.out
-      (Wire.Error { code; message });
-    Obs.Metric.incr c_errors;
-    (try flush_out conn with Close_conn -> ())
-
-  let serve_conn t fd =
-    let conn =
-      {
-        fd;
-        inflight = Atomic.make 0;
-        buf = Bytes.create recv_chunk;
-        start = 0;
-        fill = 0;
-        out = Buffer.create recv_chunk;
-        partial_since = -1;
-        eof = false;
-      }
-    in
-    (* Register the in-flight flag for seal drains. Slots are never
-       unregistered — a closed connection's flag reads zero forever, and
-       the list is bounded by connections accepted over the server's
-       lifetime. *)
-    let rec register () =
-      let cur = Atomic.get t.mut_slots in
-      if not (Atomic.compare_and_set t.mut_slots cur (conn.inflight :: cur)) then
-        register ()
-    in
-    register ();
-    let rec loop () =
-      match collect t conn with
-      | exception Fatal_frame (code, message) -> fatal_close conn code message
-      | [] ->
-          if conn.eof then ()
-          else if
-            conn.partial_since >= 0
-            && Obs.Clock.now_ns () - conn.partial_since > t.timeout_ns
-          then
-            fatal_close conn Wire.Timeout
-              (Printf.sprintf "gave up waiting for the rest of a frame after %.1fs"
-                 t.request_timeout)
-          else if readable conn.fd poll_interval then begin
-            read_more conn;
-            loop ()
+      else
+        let rec bump () =
+          let current = S.current_version t.store in
+          if current >= version then current
+          else begin
+            ignore (S.tag t.store);
+            bump ()
           end
-          else if Atomic.get t.stop_flag then
-            (* Stopping and the connection is idle: drain is complete. *)
-            ()
-          else loop ()
-      | items ->
-          process t conn items;
-          loop ()
-    in
-    (try loop () with Close_conn -> ());
-    (try Unix.close fd with _ -> ());
-    Atomic.decr t.active;
-    Obs.Metric.set g_active (Atomic.get t.active)
-
-  (* ---- acceptor / workers ---- *)
-
-  let reject fd =
-    Obs.Metric.incr c_rejected;
-    let out = Buffer.create 64 in
-    Wire.add_response ~version:Wire.min_protocol_version out
-      (Wire.Error { code = Wire.Busy; message = "server at connection limit" });
-    (try Sockaddr.write_string fd (Buffer.contents out) with _ -> ());
-    try Unix.close fd with _ -> ()
-
-  let acceptor t =
-    while not (Atomic.get t.stop_flag) do
-      if readable t.listen_fd poll_interval then
-        match Unix.accept t.listen_fd with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop_flag true
-        | fd, _peer ->
-            Obs.Metric.incr c_connections;
-            Sockaddr.nodelay fd;
-            if Atomic.get t.stop_flag then (try Unix.close fd with _ -> ())
-            else if Atomic.fetch_and_add t.active 1 >= t.max_conns then begin
-              Atomic.decr t.active;
-              reject fd
-            end
-            else begin
-              Obs.Metric.set g_active (Atomic.get t.active);
-              Handoff.push t.queue fd
-            end
-    done
-
-  let worker t =
-    let rec go () =
-      match Handoff.pop t.queue with
+        in
+        Wire.Version (bump ())
+  | Wire.History { key } -> Wire.Events (S.extract_history t.store key)
+  | Wire.Snapshot { version } ->
+      (* The one request that walks the whole store: span it so a
+         snapshot round-trip shows up in the trace ring. *)
+      Obs.Span.with_ "net.snapshot" (fun () ->
+          Wire.Pairs
+            (match version with
+            | Some version -> S.extract_snapshot t.store ~version ()
+            | None -> S.extract_snapshot t.store ()))
+  | Wire.Registry_snap ->
+      Wire.Snap_json
+        (Obs.Json.to_string (Obs.Snap.to_json (Obs.Snap.of_registry ())))
+  | Wire.Trace_dump { clear } ->
+      (* Dump-and-clear by default, so each fetch is a fresh window
+         and a monitoring loop never re-reports the same spans.
+         [clear = false] lets concurrent collectors peek without
+         stealing each other's spans. The dump is stamped with this
+         node's clock so a fleet merger can rebase rings recorded on
+         different monotonic clocks onto one timeline. *)
+      let events = Obs.Tracebuf.dump t.trace in
+      if clear then Obs.Tracebuf.clear t.trace;
+      Wire.Trace_json
+        (Obs.Json.to_string
+           (Obs.Tracebuf.chrome_json ~clock_ns:(Obs.Clock.now_ns ()) events))
+  | Wire.Slowlog { n } ->
+      Wire.Slowlog_json
+        (Obs.Json.to_string (Obs.Slowlog.to_json (Obs.Slowlog.newest t.slow ~n)))
+  | Wire.Compact { before } ->
+      Wire.Gc_done { dropped = S.compact t.store ~before }
+  | Wire.Epoch_probe ->
+      Wire.Epoch_info
+        { epoch = Atomic.get t.epoch; version = S.current_version t.store }
+  | Wire.Insert_batch { pairs } ->
+      S.insert_batch t.store (Array.to_list pairs);
+      Wire.Ack
+  | Wire.Remove_batch { keys } ->
+      S.remove_batch t.store (Array.to_list keys);
+      Wire.Ack
+  | Wire.Scan { lo; hi; version; limit } ->
+      (* One bounded page of the range: [limit] 0 (or anything above
+         the cap) means server-chosen. The walk stops early once the
+         page is full instead of materialising the whole range. *)
+      let limit =
+        if limit <= 0 then scan_chunk else min limit scan_chunk
+      in
+      let acc = ref [] and n = ref 0 in
+      let exception Page_full in
+      (try
+         S.iter_range t.store ?version ~lo ~hi (fun k v ->
+             acc := (k, v) :: !acc;
+             incr n;
+             if !n >= limit then raise Page_full)
+       with Page_full -> ());
+      let a = Array.of_list !acc in
+      let m = Array.length a in
+      Wire.Pairs (Array.init m (fun i -> a.(m - 1 - i)))
+  | Wire.Migrate_pull { lo; hi; since; limit } ->
+      (* [limit] bounds the page in events; the same cap as Scan
+         keeps the reply around 1 MiB. *)
+      let limit = if limit <= 0 then scan_chunk else min limit scan_chunk in
+      let chains = S.pull_chains t.store ~lo ~hi ~since ~limit in
+      Obs.Metric.add c_move_pull_keys (List.length chains);
+      Obs.Metric.add c_move_pull_events
+        (List.fold_left (fun n (_, es) -> n + List.length es) 0 chains);
+      Wire.Histories (Array.of_list chains)
+  | Wire.History_batch { since; chains } ->
+      S.install_chains t.store ~since (Array.to_list chains);
+      let events =
+        Array.fold_left (fun n (_, es) -> n + List.length es) 0 chains
+      in
+      Obs.Metric.add c_move_install_keys (Array.length chains);
+      Obs.Metric.add c_move_install_events events;
+      (* Wire-encoding sizes: 16 bytes per chain header, 9 or 17 per
+         event — close enough to the bytes that actually moved. *)
+      Obs.Metric.add c_move_install_bytes
+        ((16 * Array.length chains) + (17 * events));
+      Obs.Window.add w_move_install events;
+      Wire.Ack
+  | Wire.Range_seal { lo; hi; epoch; endpoint } ->
+      let t0 = Obs.Clock.now_ns () in
+      set_seal t ~lo ~hi ~epoch ~endpoint;
+      drain_mutations t;
+      Obs.Histogram.record h_move_drain (Obs.Clock.now_ns () - t0);
+      Wire.Ack
+  | Wire.Range_unseal { lo; hi } ->
+      (match clear_seal t ~lo ~hi with
       | None -> ()
-      | Some fd ->
-          serve_conn t fd;
-          go ()
+      | Some (_, _, _, _, sealed_at) ->
+          Obs.Histogram.record h_move_pause (Obs.Clock.now_ns () - sealed_at));
+      Wire.Ack
+  | Wire.Moves_status -> Wire.Moves_json (moves_json t)
+  | Wire.Stamped _ | Wire.Replicate _ ->
+      (* Unreachable: [dispatch] unwraps both and the decoder rejects
+         nested wrappers — but keep it a typed error, not an assert. *)
+      Wire.Error { code = Wire.Malformed; message = "nested epoch wrapper" }
+  | Wire.Traced _ ->
+      Wire.Error { code = Wire.Malformed; message = "nested traced wrapper" }
+
+(* Close [req]'s op timing started at [t0], noting a timed request in
+   the slowlog and the SLO counters. *)
+let finish_op t req t0 =
+  match op_metrics.(Wire.request_opcode req) with
+  | None -> ()
+  | Some metrics ->
+      let elapsed = Obs.Instr.finish_elapsed metrics t0 in
+      if elapsed > 0 then begin
+        let op = Wire.request_label req in
+        Obs.Slowlog.note t.slow ~op ?key:(Wire.request_key req)
+          ~latency_ns:elapsed ();
+        match t.slo with
+        | None -> ()
+        | Some slo -> Obs.Slo.note slo ~op ~latency_ns:elapsed
+      end
+
+(* Hand a successfully applied mutation to the replication hook. A
+   replication failure must not poison the client connection; the
+   chain records the lag and catches the backup up later. *)
+let offer t req resp =
+  match (resp, t.on_mutation) with
+  | Wire.Error _, _ | _, None -> ()
+  | resp, Some hook -> (
+      try hook req resp
+      with e ->
+        Printf.eprintf "net.server: replication hook failed: %s\n%!"
+          (Printexc.to_string e))
+
+(* [replicated] marks a frame forwarded by another primary: it must be
+   applied but never re-forwarded, which keeps the chain one hop deep
+   and loop-free. Everything else that mutates and succeeds is handed
+   to [on_mutation] (the replication chain) after the local apply, so
+   the ack the client sees means "applied here and offered to every
+   reachable backup". *)
+let dispatch_core t ~replicated ~gate req =
+  let t0 = Obs.Instr.start () in
+  let resp =
+    match apply t ~gate req with
+    | resp -> resp
+    | exception e ->
+        Obs.Metric.incr c_errors;
+        Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
+  in
+  finish_op t req t0;
+  if (not replicated) && Wire.is_mutation req then offer t req resp;
+  resp
+
+(* The write-gate shell around [dispatch_core]: client mutations
+   raise their connection's in-flight flag, then either bounce off a
+   seal covering one of their keys or run. Replicated frames bypass
+   the gate — backups are never sealed, and the seal must not recurse
+   into the replication path it is draining. *)
+let dispatch_inner t ~replicated ~gate req =
+  if replicated || not (Wire.is_mutation req) then
+    dispatch_core t ~replicated ~gate req
+  else begin
+    Atomic.incr gate;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr gate)
+      (fun () ->
+        match seal_conflict t req with
+        | Some seal -> sealed_reject seal
+        | None -> dispatch_core t ~replicated ~gate req)
+  end
+
+let rec dispatch t ~gate req =
+  match req with
+  | Wire.Traced { trace_hi; trace_lo; parent_span; sampled; req } ->
+      (* Inherit the remote trace context for the duration of the
+         request: the [srv.*] span records this node's side of the
+         hop with the router's span as parent, and any span opened
+         while applying (snapshot walks, replication forwards) nests
+         under it — so one client call shows up as one connected tree
+         across every node it touched. *)
+      if sampled then
+        Obs.Span.with_context
+          (Some
+             {
+               Obs.Span.trace = { Obs.Traceid.hi = trace_hi; lo = trace_lo };
+               parent = parent_span;
+               sampled = true;
+             })
+          (fun () ->
+            Obs.Span.with_ ("srv." ^ Wire.request_label req) (fun () ->
+                dispatch t ~gate req))
+      else dispatch t ~gate req
+  | Wire.Stamped { epoch; req } -> (
+      match check_epoch t epoch with
+      | Error resp ->
+          Obs.Metric.incr c_bad_epoch;
+          resp
+      | Ok () -> dispatch_inner t ~replicated:false ~gate req)
+  | Wire.Replicate { epoch; req } -> (
+      match check_epoch t epoch with
+      | Error resp ->
+          Obs.Metric.incr c_bad_epoch;
+          resp
+      | Ok () ->
+          Obs.Metric.incr c_replicated;
+          dispatch_inner t ~replicated:true ~gate req)
+  | req -> dispatch_inner t ~replicated:false ~gate req
+
+(* ---- per-connection state ---- *)
+
+type conn = {
+  fd : Unix.file_descr;
+  inflight : int Atomic.t;
+      (** raised while a mutation from this connection is applying;
+          what [Range_seal]'s drain observes (see the write gate). *)
+  mutable buf : Bytes.t;
+  mutable start : int;  (** first unconsumed byte *)
+  mutable fill : int;  (** end of valid data *)
+  out : Buffer.t;
+  mutable partial_since : int;
+      (** Obs.Clock ns when the pending incomplete frame was first
+          seen; -1 = none. Monotonic (when a monotonic source is
+          installed), never wall clock — an NTP step must not fire or
+          suppress request timeouts. *)
+  mutable eof : bool;
+}
+
+exception Close_conn
+exception Fatal_frame of Wire.error_code * string
+
+let flush_out conn =
+  if Buffer.length conn.out > 0 then begin
+    let payload = Buffer.contents conn.out in
+    Buffer.clear conn.out;
+    match Sockaddr.write_string conn.fd payload with
+    | () ->
+        Obs.Metric.add c_bytes_out (String.length payload);
+        Obs.Window.add w_bytes_out (String.length payload)
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        raise Close_conn
+  end
+
+(* Drain up to [batch] complete frames; decode failures become
+   in-stream error replies so one garbled request cannot poison the
+   requests around it. *)
+let collect t conn =
+  let items = ref [] and n = ref 0 in
+  let continue = ref true in
+  while !continue && !n < t.batch do
+    match Wire.scan conn.buf ~off:conn.start ~len:(conn.fill - conn.start) with
+    | `Oversize declared ->
+        raise
+          (Fatal_frame
+             ( Wire.Too_large,
+               Printf.sprintf "declared frame length %d exceeds max %d" declared
+                 Wire.max_frame ))
+    | `Partial ->
+        if conn.fill = conn.start then conn.partial_since <- -1
+        else if conn.partial_since < 0 then
+          conn.partial_since <- Obs.Clock.now_ns ();
+        continue := false
+    | `Frame (off, len, consumed) ->
+        conn.partial_since <- -1;
+        (match Wire.decode_request conn.buf ~off ~len with
+        | Ok req -> items := `Req req :: !items
+        | Error (code, message) ->
+            items := `Err (Wire.Error { code; message }) :: !items);
+        conn.start <- conn.start + consumed;
+        incr n
+  done;
+  List.rev !items
+
+(* Apply one coalesced run of same-kind mutations as a single store
+   batch. Mirrors [dispatch_inner]: one op-metric/slowlog sample and
+   one replication hook firing (with the synthesized batch request,
+   so backups see the same coalescing) — but one reply per original
+   frame, so client semantics are unchanged. *)
+let apply_run t conn ~req ~apply frames =
+  let t0 = Obs.Instr.start () in
+  (* Same write gate as [dispatch_inner]: the coalesced run is one
+     client mutation as far as seals are concerned. *)
+  let resp =
+    Atomic.incr conn.inflight;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr conn.inflight)
+      (fun () ->
+        match seal_conflict t req with
+        | Some seal -> sealed_reject seal
+        | None -> (
+            match apply () with
+            | () -> Wire.Ack
+            | exception e ->
+                Obs.Metric.incr c_errors;
+                Wire.Error
+                  { code = Wire.Server_error; message = Printexc.to_string e }))
+  in
+  finish_op t req t0;
+  offer t req resp;
+  for _ = 1 to frames do
+    Obs.Metric.incr c_requests;
+    Wire.add_response conn.out resp
+  done
+
+(* Same-connection write coalescing: within one drained batch, a
+   maximal run of consecutive top-level plain [Insert] (or [Remove])
+   frames with pairwise-distinct keys is applied as one store-level
+   batch. Wrapped frames ([Stamped]/[Traced]/[Replicate]) need their
+   own dispatch and never coalesce. A run also stops at a repeated
+   key: all events of one batch share one version, so the canonical
+   install would collapse the duplicate — but per-frame semantics
+   promise each write its own history event. *)
+let process t conn items =
+  Obs.Histogram.record h_batch (List.length items);
+  Obs.Window.add w_requests (List.length items);
+  let single item =
+    Obs.Metric.incr c_requests;
+    let resp =
+      match item with
+      | `Req req -> dispatch t ~gate:conn.inflight req
+      | `Err resp ->
+          Obs.Metric.incr c_errors;
+          resp
     in
-    go ()
+    Wire.add_response conn.out resp
+  in
+  let rec go = function
+    | [] -> ()
+    | `Req (Wire.Insert _) :: _ as l ->
+        let seen = Hashtbl.create 16 in
+        let rec take n pairs = function
+          | `Req (Wire.Insert { key; value }) :: rest
+            when not (Hashtbl.mem seen key) ->
+              Hashtbl.add seen key ();
+              take (n + 1) ((key, value) :: pairs) rest
+          | rest -> (n, List.rev pairs, rest)
+        in
+        let n, pairs, rest = take 0 [] l in
+        if n >= 2 then begin
+          Obs.Metric.add c_coalesced n;
+          apply_run t conn
+            ~req:(Wire.Insert_batch { pairs = Array.of_list pairs })
+            ~apply:(fun () -> S.insert_batch t.store pairs)
+            n;
+          go rest
+        end
+        else begin
+          single (List.hd l);
+          go (List.tl l)
+        end
+    | `Req (Wire.Remove _) :: _ as l ->
+        let seen = Hashtbl.create 16 in
+        let rec take n keys = function
+          | `Req (Wire.Remove { key }) :: rest when not (Hashtbl.mem seen key) ->
+              Hashtbl.add seen key ();
+              take (n + 1) (key :: keys) rest
+          | rest -> (n, List.rev keys, rest)
+        in
+        let n, keys, rest = take 0 [] l in
+        if n >= 2 then begin
+          Obs.Metric.add c_coalesced n;
+          apply_run t conn
+            ~req:(Wire.Remove_batch { keys = Array.of_list keys })
+            ~apply:(fun () -> S.remove_batch t.store keys)
+            n;
+          go rest
+        end
+        else begin
+          single (List.hd l);
+          go (List.tl l)
+        end
+    | it :: rest ->
+        single it;
+        go rest
+  in
+  go items;
+  flush_out conn
 
-  let guarded name f =
-    try f ()
-    with e ->
-      Printf.eprintf "net.server: %s died: %s\n%!" name (Printexc.to_string e)
+let read_more conn =
+  (* Make room: compact the consumed prefix, then grow if a pipelined
+     burst still does not fit. *)
+  if Bytes.length conn.buf - conn.fill < recv_chunk then begin
+    if conn.start > 0 then begin
+      Bytes.blit conn.buf conn.start conn.buf 0 (conn.fill - conn.start);
+      conn.fill <- conn.fill - conn.start;
+      conn.start <- 0
+    end;
+    if Bytes.length conn.buf - conn.fill < recv_chunk then begin
+      let bigger =
+        Bytes.create (max (2 * Bytes.length conn.buf) (conn.fill + recv_chunk))
+      in
+      Bytes.blit conn.buf 0 bigger 0 conn.fill;
+      conn.buf <- bigger
+    end
+  end;
+  match Unix.read conn.fd conn.buf conn.fill recv_chunk with
+  | 0 -> conn.eof <- true
+  | n ->
+      Obs.Metric.add c_bytes_in n;
+      Obs.Window.add w_bytes_in n;
+      conn.fill <- conn.fill + n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+      conn.eof <- true
 
-  let run t ~workers =
-    ignore
-      (Concurrent.Parallel.run ~threads:(workers + 1) (fun tid ->
-           if tid = 0 then begin
-             guarded "acceptor" (fun () -> acceptor t);
-             (* No more handoffs: workers drain what is queued, then exit. *)
-             Handoff.close t.queue
-           end
-           else guarded "worker" (fun () -> worker t)))
+let readable fd timeout =
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-  let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
-      ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
-      ?(trace_capacity = 4096) ?trace ?slo ?epoch_cell ?on_mutation ~listen () =
-    if workers < 1 then invalid_arg "Server.start: need at least one worker";
-    if batch < 1 then invalid_arg "Server.start: batch must be positive";
-    let listen_fd = Sockaddr.listen listen in
-    let trace =
-      (* Callers that already own a ring (e.g. one installed before
-         recovery so the rebuild spans are captured) pass it in;
-         otherwise we create one and install it as the span sink. *)
-      match trace with
-      | Some trace -> trace
-      | None ->
-          let trace = Obs.Tracebuf.create ~capacity:trace_capacity in
-          Obs.Tracebuf.install trace;
-          trace
-    in
-    let t =
-      {
-        store;
-        listen_fd;
-        addr = Sockaddr.bound listen listen_fd;
-        batch;
-        max_conns;
-        request_timeout;
-        timeout_ns = int_of_float (request_timeout *. 1e9);
-        slow = Obs.Slowlog.create ~threshold_ns:slowlog_threshold_ns ();
-        slo;
-        trace;
-        epoch = (match epoch_cell with Some c -> c | None -> Atomic.make 0);
-        on_mutation;
-        stop_flag = Atomic.make false;
-        active = Atomic.make 0;
-        queue = Handoff.create ();
-        seals = Atomic.make [];
-        mut_slots = Atomic.make [];
-        supervisor = None;
-      }
-    in
-    t.supervisor <- Some (Domain.spawn (fun () -> run t ~workers));
-    t
+let fatal_close conn code message =
+  Wire.add_response conn.out (Wire.Error { code; message });
+  Obs.Metric.incr c_errors;
+  (try flush_out conn with Close_conn -> ())
 
-  (* Graceful: stop accepting, let workers drain in-flight requests,
-     join everything. Safe to call more than once. *)
-  let stop t =
-    Atomic.set t.stop_flag true;
-    (match t.supervisor with
-    | Some d ->
-        t.supervisor <- None;
-        Domain.join d
-    | None -> ());
-    (try Unix.close t.listen_fd with _ -> ());
-    match t.addr with
-    | Sockaddr.Unix_sock path -> ( try Sys.remove path with _ -> ())
-    | _ -> ()
-end
+let serve_conn t fd =
+  let conn =
+    {
+      fd;
+      inflight = Atomic.make 0;
+      buf = Bytes.create recv_chunk;
+      start = 0;
+      fill = 0;
+      out = Buffer.create recv_chunk;
+      partial_since = -1;
+      eof = false;
+    }
+  in
+  (* Register the in-flight flag for seal drains. Slots are never
+     unregistered — a closed connection's flag reads zero forever, and
+     the list is bounded by connections accepted over the server's
+     lifetime. *)
+  let rec register () =
+    let cur = Atomic.get t.mut_slots in
+    if not (Atomic.compare_and_set t.mut_slots cur (conn.inflight :: cur)) then
+      register ()
+  in
+  register ();
+  let rec loop () =
+    match collect t conn with
+    | exception Fatal_frame (code, message) -> fatal_close conn code message
+    | [] ->
+        if conn.eof then ()
+        else if
+          conn.partial_since >= 0
+          && Obs.Clock.now_ns () - conn.partial_since > t.timeout_ns
+        then
+          fatal_close conn Wire.Timeout
+            (Printf.sprintf "gave up waiting for the rest of a frame after %.1fs"
+               t.request_timeout)
+        else if readable conn.fd poll_interval then begin
+          read_more conn;
+          loop ()
+        end
+        else if Atomic.get t.stop_flag then
+          (* Stopping and the connection is idle: drain is complete. *)
+          ()
+        else loop ()
+    | items ->
+        process t conn items;
+        loop ()
+  in
+  (try loop () with Close_conn -> ());
+  (try Unix.close fd with _ -> ());
+  Atomic.decr t.active;
+  Obs.Metric.set g_active (Atomic.get t.active)
+
+(* ---- acceptor / workers ---- *)
+
+let reject fd =
+  Obs.Metric.incr c_rejected;
+  let out = Buffer.create 64 in
+  Wire.add_response out
+    (Wire.Error { code = Wire.Busy; message = "server at connection limit" });
+  (try Sockaddr.write_string fd (Buffer.contents out) with _ -> ());
+  try Unix.close fd with _ -> ()
+
+let acceptor t =
+  while not (Atomic.get t.stop_flag) do
+    if readable t.listen_fd poll_interval then
+      match Unix.accept t.listen_fd with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop_flag true
+      | fd, _peer ->
+          Obs.Metric.incr c_connections;
+          Sockaddr.nodelay fd;
+          if Atomic.get t.stop_flag then (try Unix.close fd with _ -> ())
+          else if Atomic.fetch_and_add t.active 1 >= t.max_conns then begin
+            Atomic.decr t.active;
+            reject fd
+          end
+          else begin
+            Obs.Metric.set g_active (Atomic.get t.active);
+            Handoff.push t.queue fd
+          end
+  done
+
+let worker t =
+  let rec go () =
+    match Handoff.pop t.queue with
+    | None -> ()
+    | Some fd ->
+        serve_conn t fd;
+        go ()
+  in
+  go ()
+
+let guarded name f =
+  try f ()
+  with e ->
+    Printf.eprintf "net.server: %s died: %s\n%!" name (Printexc.to_string e)
+
+let run t ~workers =
+  ignore
+    (Concurrent.Parallel.run ~threads:(workers + 1) (fun tid ->
+         if tid = 0 then begin
+           guarded "acceptor" (fun () -> acceptor t);
+           (* No more handoffs: workers drain what is queued, then exit. *)
+           Handoff.close t.queue
+         end
+         else guarded "worker" (fun () -> worker t)))
+
+let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
+    ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
+    ?(trace_capacity = 4096) ?trace ?slo ?epoch_cell ?on_mutation ~listen () =
+  if workers < 1 then invalid_arg "Server.start: need at least one worker";
+  if batch < 1 then invalid_arg "Server.start: batch must be positive";
+  let listen_fd = Sockaddr.listen listen in
+  let trace =
+    (* Callers that already own a ring (e.g. one installed before
+       recovery so the rebuild spans are captured) pass it in;
+       otherwise we create one and install it as the span sink. *)
+    match trace with
+    | Some trace -> trace
+    | None ->
+        let trace = Obs.Tracebuf.create ~capacity:trace_capacity in
+        Obs.Tracebuf.install trace;
+        trace
+  in
+  let t =
+    {
+      store;
+      listen_fd;
+      addr = Sockaddr.bound listen listen_fd;
+      batch;
+      max_conns;
+      request_timeout;
+      timeout_ns = int_of_float (request_timeout *. 1e9);
+      slow = Obs.Slowlog.create ~threshold_ns:slowlog_threshold_ns ();
+      slo;
+      trace;
+      epoch = (match epoch_cell with Some c -> c | None -> Atomic.make 0);
+      on_mutation;
+      stop_flag = Atomic.make false;
+      active = Atomic.make 0;
+      queue = Handoff.create ();
+      seals = Atomic.make [];
+      mut_slots = Atomic.make [];
+      supervisor = None;
+    }
+  in
+  t.supervisor <- Some (Domain.spawn (fun () -> run t ~workers));
+  t
+
+(* Graceful: stop accepting, let workers drain in-flight requests,
+   join everything. Safe to call more than once. *)
+let stop t =
+  Atomic.set t.stop_flag true;
+  (match t.supervisor with
+  | Some d ->
+      t.supervisor <- None;
+      Domain.join d
+  | None -> ());
+  (try Unix.close t.listen_fd with _ -> ());
+  match t.addr with
+  | Sockaddr.Unix_sock path -> ( try Sys.remove path with _ -> ())
+  | _ -> ()

@@ -15,39 +15,12 @@
    and keep the connection alive: the frame boundary is still known
    from the length prefix. *)
 
-(* Version 2 added the cluster opcodes: Tag_at (cut a snapshot at an
-   exact version number, the primitive behind cluster-wide tags) and
-   Find_bulk (one frame looking many keys up).
-   Version 3 added the GC opcodes: Compact / Retention requests and the
-   Gc_done response.
-   Version 4 added the replication opcodes: Stamped (epoch-fenced
-   wrapper around any plain request), Replicate (primary-to-backup
-   apply, never re-forwarded), Epoch_probe / Epoch_info, and the
-   Bad_epoch error code.
-   Version 5 added cluster observability: the Traced wrapper (trace
-   context riding outside Stamped/Replicate), a clear flag on
-   Trace_dump (absent in v4 frames, defaulting to true), and
-   Registry_snap / Snap_json (mergeable registry snapshots for fleet
-   aggregation). v4 peers still interoperate: requests are accepted
-   down to {!min_protocol_version} and responses echo the request
-   frame's version byte.
-   Version 6 added the batching opcodes: Insert_batch / Remove_batch
-   (multi-key mutations installed under one version bump) and Scan (a
-   ranged read answered with Pairs, streamed in bounded chunks via the
-   limit field).
-   Version 7 added the migration opcodes: Migrate_pull / Histories
-   (page a range's per-key version chains out of the current owner),
-   History_batch (install pulled chains verbatim on the new owner,
-   preserving version stamps and tombstones), Range_seal /
-   Range_unseal (the old owner's write gate around cutover),
-   Moves_status / Moves_json, and the Moved error code (sealed range:
-   the payload names the new epoch and endpoint). *)
-let protocol_version = 7
-
-(* Oldest request version a decoder accepts. Older frames contain no
-   newer constructs (the opcodes did not exist), so decoding them with
-   the current rules is sound. *)
-let min_protocol_version = 4
+(* The only accepted version: a frame carrying any other version byte
+   is answered with a Bad_version error frame. Request opcodes 8, 9 and
+   15 are retired and decode as unknown: the registry travels only as a
+   Registry_snap that clients render, and a retention window is a
+   Compact horizon the caller computes from a probed clock. *)
+let protocol_version = 8
 
 (* Largest accepted body, in bytes. Generous enough for a snapshot of
    ~500k pairs in one frame; small enough that a garbage length prefix
@@ -82,13 +55,10 @@ type request =
   | Tag
   | History of { key : int }
   | Snapshot of { version : int option }
-  | Stats
-  | Metrics_prom  (** registry in Prometheus text exposition format *)
   | Trace_dump of { clear : bool }
-      (** Dump the span ring as Chrome trace JSON. [clear] (default
-          true, and implied by version-4 frames, which carry no flag)
-          also drains the ring — a second concurrent collector passes
-          [false] so polling from two terminals doesn't lose spans. *)
+      (** Dump the span ring as Chrome trace JSON. [clear] also drains
+          the ring — a second concurrent collector passes [false] so
+          polling from two terminals doesn't lose spans. *)
   | Slowlog of { n : int }  (** newest [n] slow-op log entries *)
   | Tag_at of { version : int }
       (** Advance the store's version clock to exactly [version] and
@@ -101,11 +71,9 @@ type request =
           input order. *)
   | Compact of { before : int }
       (** Garbage-collect history entries no snapshot at or after
-          [before] observes; answered with {!Gc_done}. *)
-  | Retention of { keep : int }
-      (** Compact so the last [keep] versions stay fully observable; the
-          server derives [before] from its own clock. Answered with
-          {!Gc_done}. *)
+          [before] observes; answered with {!Gc_done}. A retention
+          window of the last [keep] versions is [before = clock - keep],
+          with the clock probed by [Tag_at 0] first. *)
   | Stamped of { epoch : int; req : request }
       (** Epoch-fenced wrapper: if [epoch] is older than the newest
           epoch the server has seen, the whole request is rejected with
@@ -138,9 +106,10 @@ type request =
           join the sender's trace. *)
   | Registry_snap
       (** Answered with {!Snap_json}: the node's full registry as a
-          mergeable snapshot (raw histogram buckets, window sums) —
-          what the router scrapes from every shard and replica for
-          [mvkv cluster top]/[cluster metrics]. *)
+          mergeable snapshot (raw histogram buckets, window sums). The
+          one registry export: clients render it as JSON, Prometheus
+          text or a [top] table, and the router merges it across every
+          shard and replica for [mvkv cluster top]/[cluster metrics]. *)
   | Insert_batch of { pairs : (int * int) array }
       (** Install every pair under one version bump
           ({!Dict_intf.S.insert_batch}); answered with {!Ack}. *)
@@ -198,13 +167,9 @@ type response =
   | Values of int option array  (** find_bulk result, in request key order *)
   | Events of (int * int Mvdict.Dict_intf.event) list  (** history result *)
   | Pairs of (int * int) array  (** snapshot result *)
-  | Stats_json of string  (** the lib/obs registry as JSON text *)
-  | Prom_text of string  (** Prometheus exposition text *)
   | Trace_json of string  (** Chrome trace_event JSON text *)
   | Slowlog_json of string  (** slow-op log entries as JSON text *)
-  | Gc_done of { dropped : int; before : int }
-      (** compact/retention result: entries dropped and the horizon the
-          server actually compacted before *)
+  | Gc_done of { dropped : int }  (** compact result: entries dropped *)
   | Epoch_info of { epoch : int; version : int }
       (** Epoch_probe result: the server's epoch and version clock. *)
   | Snap_json of string
@@ -270,47 +235,50 @@ let parse_moved message =
       | _ -> None)
   | _ -> None
 
-(* Stable per-op label: metric names and the serve log both key on it.
-   Wrappers are unwrapped by the server before the metric lookup, so
-   their own labels only name undispatched frames (e.g. in errors). *)
-let rec request_label = function
-  | Ping -> "ping"
-  | Insert _ -> "insert"
-  | Remove _ -> "remove"
-  | Find _ -> "find"
-  | Tag -> "tag"
-  | History _ -> "history"
-  | Snapshot _ -> "snapshot"
-  | Stats -> "stats"
-  | Metrics_prom -> "metrics"
-  | Trace_dump _ -> "trace"
-  | Slowlog _ -> "slowlog"
-  | Tag_at _ -> "tag_at"
-  | Find_bulk _ -> "find_bulk"
-  | Compact _ -> "compact"
-  | Retention _ -> "retention"
-  | Stamped { req; _ } -> request_label req
-  | Replicate _ -> "replicate"
-  | Epoch_probe -> "epoch_probe"
-  | Traced { req; _ } -> request_label req
-  | Registry_snap -> "registry_snap"
-  | Insert_batch _ -> "insert_batch"
-  | Remove_batch _ -> "remove_batch"
-  | Scan _ -> "scan"
-  | Migrate_pull _ -> "migrate_pull"
-  | History_batch _ -> "history_batch"
-  | Range_seal _ -> "range_seal"
-  | Range_unseal _ -> "range_unseal"
-  | Moves_status -> "moves_status"
+let request_opcode = function
+  | Ping -> 1
+  | Insert _ -> 2
+  | Remove _ -> 3
+  | Find _ -> 4
+  | Tag -> 5
+  | History _ -> 6
+  | Snapshot _ -> 7
+  | Trace_dump _ -> 10
+  | Slowlog _ -> 11
+  | Tag_at _ -> 12
+  | Find_bulk _ -> 13
+  | Compact _ -> 14
+  | Stamped _ -> 16
+  | Replicate _ -> 17
+  | Epoch_probe -> 18
+  | Traced _ -> 19
+  | Registry_snap -> 20
+  | Insert_batch _ -> 21
+  | Remove_batch _ -> 22
+  | Scan _ -> 23
+  | Migrate_pull _ -> 24
+  | History_batch _ -> 25
+  | Range_seal _ -> 26
+  | Range_unseal _ -> 27
+  | Moves_status -> 28
 
-let request_labels =
-  [
-    "ping"; "insert"; "remove"; "find"; "tag"; "history"; "snapshot"; "stats";
-    "metrics"; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; "retention";
-    "replicate"; "epoch_probe"; "registry_snap"; "insert_batch"; "remove_batch";
-    "scan"; "migrate_pull"; "history_batch"; "range_seal"; "range_unseal";
-    "moves_status";
-  ]
+(* Stable per-op labels indexed by request opcode: metric names and
+   the serve log key on them. "" marks an unused opcode or a wrapper
+   (Stamped/Traced), whose label is its inner request's. *)
+let opcode_labels =
+  [|
+    ""; "ping"; "insert"; "remove"; "find"; "tag"; "history"; "snapshot"; "";
+    ""; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; ""; "";
+    "replicate"; "epoch_probe"; ""; "registry_snap"; "insert_batch";
+    "remove_batch"; "scan"; "migrate_pull"; "history_batch"; "range_seal";
+    "range_unseal"; "moves_status";
+  |]
+
+let rec request_label = function
+  | Stamped { req; _ } | Traced { req; _ } -> request_label req
+  | r -> opcode_labels.(request_opcode r)
+
+let request_labels = List.filter (fun l -> l <> "") (Array.to_list opcode_labels)
 
 (* The key a request touches, when it names one — slow-op log entries
    carry it so a hot key is identifiable from the log alone. *)
@@ -319,10 +287,10 @@ let rec request_key = function
       Some key
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       request_key req
-  | Ping | Tag | Snapshot _ | Stats | Metrics_prom | Trace_dump _ | Slowlog _
-  | Tag_at _ | Find_bulk _ | Compact _ | Retention _ | Epoch_probe
-  | Registry_snap | Insert_batch _ | Remove_batch _ | Scan _ | Migrate_pull _
-  | History_batch _ | Range_seal _ | Range_unseal _ | Moves_status ->
+  | Ping | Tag | Snapshot _ | Trace_dump _ | Slowlog _ | Tag_at _ | Find_bulk _
+  | Compact _ | Epoch_probe | Registry_snap | Insert_batch _ | Remove_batch _
+  | Scan _ | Migrate_pull _ | History_batch _ | Range_seal _ | Range_unseal _
+  | Moves_status ->
       None
 
 (* Requests a primary must forward to its backups for the replica set
@@ -332,14 +300,14 @@ let rec request_key = function
    lives on the primary (backups never take client writes), and a seal
    must not recurse into the replication path it is draining. *)
 let rec is_mutation = function
-  | Insert _ | Remove _ | Tag | Tag_at _ | Compact _ | Retention _
-  | Insert_batch _ | Remove_batch _ | History_batch _ ->
+  | Insert _ | Remove _ | Tag | Tag_at _ | Compact _ | Insert_batch _
+  | Remove_batch _ | History_batch _ ->
       true
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       is_mutation req
-  | Ping | Find _ | Find_bulk _ | History _ | Snapshot _ | Stats | Metrics_prom
-  | Trace_dump _ | Slowlog _ | Epoch_probe | Registry_snap | Scan _
-  | Migrate_pull _ | Range_seal _ | Range_unseal _ | Moves_status ->
+  | Ping | Find _ | Find_bulk _ | History _ | Snapshot _ | Trace_dump _
+  | Slowlog _ | Epoch_probe | Registry_snap | Scan _ | Migrate_pull _
+  | Range_seal _ | Range_unseal _ | Moves_status ->
       false
 
 (* ---- equality / printing (tests, error messages) ---- *)
@@ -362,12 +330,9 @@ let pp_response fmt = function
   | Values vs -> Format.fprintf fmt "values(%d)" (Array.length vs)
   | Events evs -> Format.fprintf fmt "events(%d)" (List.length evs)
   | Pairs ps -> Format.fprintf fmt "pairs(%d)" (Array.length ps)
-  | Stats_json s -> Format.fprintf fmt "stats(%d bytes)" (String.length s)
-  | Prom_text s -> Format.fprintf fmt "metrics(%d bytes)" (String.length s)
   | Trace_json s -> Format.fprintf fmt "trace(%d bytes)" (String.length s)
   | Slowlog_json s -> Format.fprintf fmt "slowlog(%d bytes)" (String.length s)
-  | Gc_done { dropped; before } ->
-      Format.fprintf fmt "gc_done dropped=%d before=%d" dropped before
+  | Gc_done { dropped } -> Format.fprintf fmt "gc_done dropped=%d" dropped
   | Snap_json s -> Format.fprintf fmt "snap(%d bytes)" (String.length s)
   | Histories chains -> Format.fprintf fmt "histories(%d keys)" (Array.length chains)
   | Moves_json s -> Format.fprintf fmt "moves(%d bytes)" (String.length s)
@@ -392,36 +357,6 @@ let put_opt_int buf = function
 let put_string buf s =
   put_int buf (String.length s);
   Buffer.add_string buf s
-
-let request_opcode = function
-  | Ping -> 1
-  | Insert _ -> 2
-  | Remove _ -> 3
-  | Find _ -> 4
-  | Tag -> 5
-  | History _ -> 6
-  | Snapshot _ -> 7
-  | Stats -> 8
-  | Metrics_prom -> 9
-  | Trace_dump _ -> 10
-  | Slowlog _ -> 11
-  | Tag_at _ -> 12
-  | Find_bulk _ -> 13
-  | Compact _ -> 14
-  | Retention _ -> 15
-  | Stamped _ -> 16
-  | Replicate _ -> 17
-  | Epoch_probe -> 18
-  | Traced _ -> 19
-  | Registry_snap -> 20
-  | Insert_batch _ -> 21
-  | Remove_batch _ -> 22
-  | Scan _ -> 23
-  | Migrate_pull _ -> 24
-  | History_batch _ -> 25
-  | Range_seal _ -> 26
-  | Range_unseal _ -> 27
-  | Moves_status -> 28
 
 (* Chains travel as: count, then per key the key, the event count, and
    each event as version + tag byte (0 Del / 1 Put + value) — the same
@@ -452,7 +387,7 @@ let rec encode_request_body (r : request) =
   put_u8 buf protocol_version;
   put_u8 buf (request_opcode r);
   (match r with
-  | Ping | Tag | Stats | Metrics_prom | Epoch_probe | Registry_snap -> ()
+  | Ping | Tag | Epoch_probe | Registry_snap -> ()
   | Trace_dump { clear } -> put_u8 buf (if clear then 1 else 0)
   | Insert { key; value } ->
       put_int buf key;
@@ -469,7 +404,6 @@ let rec encode_request_body (r : request) =
       put_int buf (Array.length keys);
       Array.iter (put_int buf) keys
   | Compact { before } -> put_int buf before
-  | Retention { keep } -> put_int buf keep
   | Stamped { epoch; req } | Replicate { epoch; req } ->
       put_int buf epoch;
       Buffer.add_string buf (encode_request_body req)
@@ -520,9 +454,7 @@ let response_opcode = function
   | Value _ -> 4
   | Events _ -> 5
   | Pairs _ -> 6
-  | Stats_json _ -> 7
   | Error _ -> 8
-  | Prom_text _ -> 9
   | Trace_json _ -> 10
   | Slowlog_json _ -> 11
   | Values _ -> 12
@@ -532,13 +464,9 @@ let response_opcode = function
   | Histories _ -> 16
   | Moves_json _ -> 17
 
-(* [version] echoes the request frame's version byte so a v4 client's
-   strict decoder accepts the reply; the payload encodings are
-   identical across supported versions (v5 only adds opcodes a v4
-   client never elicits). *)
-let encode_response_body ?(version = protocol_version) (r : response) =
+let encode_response_body (r : response) =
   let buf = Buffer.create 32 in
-  put_u8 buf version;
+  put_u8 buf protocol_version;
   put_u8 buf (response_opcode r);
   (match r with
   | Pong | Ack -> ()
@@ -565,11 +493,8 @@ let encode_response_body ?(version = protocol_version) (r : response) =
           put_int buf k;
           put_int buf v)
         pairs
-  | Stats_json s | Prom_text s | Trace_json s | Slowlog_json s | Snap_json s ->
-      put_string buf s
-  | Gc_done { dropped; before } ->
-      put_int buf dropped;
-      put_int buf before
+  | Trace_json s | Slowlog_json s | Snap_json s -> put_string buf s
+  | Gc_done { dropped } -> put_int buf dropped
   | Epoch_info { epoch; version } ->
       put_int buf epoch;
       put_int buf version
@@ -591,7 +516,7 @@ let add_frame buf body =
   Buffer.add_string buf body
 
 let add_request buf r = add_frame buf (encode_request_body r)
-let add_response ?version buf r = add_frame buf (encode_response_body ?version r)
+let add_response buf r = add_frame buf (encode_response_body r)
 
 (* ---- frame scanning ---- *)
 
@@ -688,23 +613,13 @@ let get_chains c what =
 let open_cursor b ~off ~len what =
   let c = { b; limit = off + len; pos = off } in
   let version = get_u8 c "version" in
-  if version < min_protocol_version || version > protocol_version then
+  if version <> protocol_version then
     raise
       (Bad
          ( Bad_version,
-           Printf.sprintf "protocol version %d, expected %d..%d (%s)" version
-             min_protocol_version protocol_version what ));
+           Printf.sprintf "protocol version %d, expected %d (%s)" version
+             protocol_version what ));
   c
-
-(* Peek a frame's version byte without decoding — how the server learns
-   which version to echo in the response. Falls back to the current
-   version for frames too short to carry one. *)
-let frame_version b ~off ~len =
-  if len < 1 then protocol_version
-  else
-    let v = Char.code (Bytes.get b off) in
-    if v >= min_protocol_version && v <= protocol_version then v
-    else protocol_version
 
 (* [allow_wrap]/[allow_trace] bound wrapper nesting: Traced is
    outermost and may contain one epoch wrapper (Stamped/Replicate),
@@ -728,18 +643,12 @@ let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
     | 5 -> finish c Tag
     | 6 -> finish c (History { key = get_int c "history.key" })
     | 7 -> finish c (Snapshot { version = get_opt_int c "snapshot.version" })
-    | 8 -> finish c Stats
-    | 9 -> finish c Metrics_prom
     | 10 ->
-        (* v4 frames carry no payload: clear defaults to true,
-           preserving dump-and-drain semantics for old clients. *)
         let clear =
-          if c.pos = c.limit then true
-          else
-            match get_u8 c "trace.clear" with
-            | 0 -> false
-            | 1 -> true
-            | t -> raise (Bad (Malformed, Printf.sprintf "bad trace clear flag %d" t))
+          match get_u8 c "trace.clear" with
+          | 0 -> false
+          | 1 -> true
+          | t -> raise (Bad (Malformed, Printf.sprintf "bad trace clear flag %d" t))
         in
         finish c (Trace_dump { clear })
     | 11 ->
@@ -765,11 +674,6 @@ let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
         if before < 0 then
           raise (Bad (Malformed, Printf.sprintf "negative compact horizon %d" before));
         finish c (Compact { before })
-    | 15 ->
-        let keep = get_int c "retention.keep" in
-        if keep < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative retention window %d" keep));
-        finish c (Retention { keep })
     | (16 | 17) as op ->
         let what = if op = 16 then "stamped" else "replicate" in
         if not allow_wrap then
@@ -913,7 +817,6 @@ let decode_response b ~off ~len : (response, error_code * string) result =
                   let k = get_int c "pairs.key" in
                   let v = get_int c "pairs.value" in
                   (k, v))))
-    | 7 -> finish c (Stats_json (get_string c "stats"))
     | 8 ->
         let code_byte = get_u8 c "error.code" in
         let message = get_string c "error.message" in
@@ -923,7 +826,6 @@ let decode_response b ~off ~len : (response, error_code * string) result =
           | None -> Server_error
         in
         finish c (Error { code; message })
-    | 9 -> finish c (Prom_text (get_string c "metrics"))
     | 10 -> finish c (Trace_json (get_string c "trace"))
     | 11 -> finish c (Slowlog_json (get_string c "slowlog"))
     | 12 ->
@@ -932,10 +834,7 @@ let decode_response b ~off ~len : (response, error_code * string) result =
         if n > c.limit - c.pos then
           raise (Bad (Malformed, Printf.sprintf "value count %d overruns frame" n));
         finish c (Values (Array.init n (fun _ -> get_opt_int c "values.value")))
-    | 13 ->
-        let dropped = get_int c "gc_done.dropped" in
-        let before = get_int c "gc_done.before" in
-        finish c (Gc_done { dropped; before })
+    | 13 -> finish c (Gc_done { dropped = get_int c "gc_done.dropped" })
     | 14 ->
         let epoch = get_int c "epoch_info.epoch" in
         let version = get_int c "epoch_info.version" in

@@ -1,17 +1,12 @@
-(* Prometheus text exposition (version 0.0.4) of the whole registry.
+(* Prometheus text exposition (version 0.0.4) building blocks.
 
    Metric names are sanitized to the Prometheus grammar (letters,
    digits, '_' and ':', not starting with a digit): every other
    character becomes '_', and a leading digit gets a '_' prefix — so
-   "net.requests" scrapes as "net_requests". Counters and gauges are single series; histograms
-   become cumulative "_bucket" series with the log-bucket upper bounds
-   as "le" labels (empty buckets are skipped — cumulative values make
-   that lossless) plus "_sum"/"_count"; windows become one gauge series
-   per rate with the window length as a "window_s" label.
-
-   The output has no HTTP framing on purpose: the wire protocol's
-   Metrics_prom opcode and `mvkv metrics` carry it, and a node_exporter
-   textfile collector (or any sidecar) turns it into a scrape target. *)
+   "net.requests" scrapes as "net_requests". {!Snap.prometheus} renders
+   whole pages with these; the output has no HTTP framing on purpose:
+   `mvkv metrics` prints it, and a node_exporter textfile collector (or
+   any sidecar) turns it into a scrape target. *)
 
 let is_name_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
@@ -22,13 +17,6 @@ let sanitize name =
   match mapped with
   | "" -> "_"
   | s -> ( match s.[0] with '0' .. '9' -> "_" ^ s | _ -> s)
-
-(* One HELP/TYPE preamble per series family. The HELP text is the
-   original (unsanitized) registry name — the reverse mapping a
-   dashboard needs. *)
-let preamble buf name ~orig ~kind =
-  Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name orig);
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
 
 let series buf name ?(labels = []) value =
   Buffer.add_string buf name;
@@ -45,44 +33,3 @@ let series buf name ?(labels = []) value =
   Buffer.add_char buf ' ';
   Buffer.add_string buf value;
   Buffer.add_char buf '\n'
-
-let int_value = string_of_int
-let float_value v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0"
-
-let add_histogram buf name ~orig h =
-  preamble buf name ~orig ~kind:"histogram";
-  List.iter
-    (fun (le, cum) ->
-      series buf (name ^ "_bucket") ~labels:[ ("le", int_value le) ] (int_value cum))
-    (Histogram.cumulative_buckets h);
-  series buf (name ^ "_bucket")
-    ~labels:[ ("le", "+Inf") ]
-    (int_value (Histogram.count h));
-  series buf (name ^ "_sum") (int_value (Histogram.sum h));
-  series buf (name ^ "_count") (int_value (Histogram.count h))
-
-let add_window buf name ~orig w =
-  preamble buf name ~orig ~kind:"gauge";
-  List.iter
-    (fun window_s ->
-      series buf name
-        ~labels:[ ("window_s", int_value window_s) ]
-        (float_value (Window.rate w ~window_s)))
-    [ 1; 10; 60 ]
-
-let to_prometheus () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (orig, entry) ->
-      let name = sanitize orig in
-      match (entry : Registry.entry) with
-      | Registry.Counter c ->
-          preamble buf name ~orig ~kind:"counter";
-          series buf name (int_value (Metric.value c))
-      | Registry.Gauge g ->
-          preamble buf name ~orig ~kind:"gauge";
-          series buf name (int_value (Metric.gauge_value g))
-      | Registry.Histogram h -> add_histogram buf name ~orig h
-      | Registry.Window w -> add_window buf (name ^ "_per_sec") ~orig w)
-    (Registry.snapshot ());
-  Buffer.contents buf

@@ -1,17 +1,9 @@
-(** Prometheus text-format exposition of the {!Registry}.
-
-    Counters and gauges are single series; histograms are cumulative
-    [_bucket] series keyed by the log-bucket upper bounds as [le]
-    labels plus [_sum]/[_count]; windows are [<name>_per_sec] gauge
-    series labelled by [window_s]. Registry names are sanitized to the
-    Prometheus grammar (every non-[[a-zA-Z0-9_:]] character becomes
-    ['_']); the original name travels in the [# HELP] line. *)
+(** Prometheus text-format building blocks, shared by the page renderer
+    {!Snap.prometheus}. Registry names are sanitized to the Prometheus
+    grammar (every non-[[a-zA-Z0-9_:]] character becomes ['_']); the
+    original name travels in the [# HELP] line. *)
 
 val sanitize : string -> string
 
 val series : Buffer.t -> string -> ?labels:(string * string) list -> string -> unit
-(** Append one sample line ([name{labels} value\n]) — shared with the
-    labelled fleet renderer in {!Snap}. *)
-
-val to_prometheus : unit -> string
-(** The whole registry in Prometheus exposition format 0.0.4. *)
+(** Append one sample line ([name{labels} value\n]). *)

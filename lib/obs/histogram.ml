@@ -97,21 +97,6 @@ let percentile t q =
     if !found then !result else max_value t
   end
 
-(* Cumulative (le, count) pairs over the nonzero buckets, ascending.
-   [le] is the bucket's inclusive integer upper bound (bucket_hi - 1),
-   so "samples <= le" is exact for our integer values. The final +Inf
-   bucket is the caller's to add (its count is [count t]). *)
-let cumulative_buckets t =
-  let acc = ref 0 and out = ref [] in
-  for i = 0 to bucket_count - 1 do
-    let n = Atomic.get t.buckets.(i) in
-    if n > 0 then begin
-      acc := !acc + n;
-      out := (bucket_hi i - 1, !acc) :: !out
-    end
-  done;
-  List.rev !out
-
 (* Sparse (index, count) view of the nonzero buckets, ascending — the
    portable form {!Snap} serialises for fleet aggregation. *)
 let nonzero_buckets t =

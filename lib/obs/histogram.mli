@@ -25,12 +25,6 @@ val percentile : t -> float -> int
 (** [percentile t q] for [q] in [0,1], e.g. [percentile t 0.99]. 0 when
     empty. *)
 
-val cumulative_buckets : t -> (int * int) list
-(** [(le, cumulative_count)] per nonzero bucket, ascending; [le] is the
-    bucket's inclusive upper bound in ns. Excludes the [+Inf] bucket,
-    whose cumulative count is [count t]. Feeds the Prometheus
-    histogram exposition in {!Expo}. *)
-
 val merge : t -> t -> t
 (** [merge a b] is a fresh histogram (named after [a]) whose buckets,
     count and sum are the exact element-wise sums of the inputs and

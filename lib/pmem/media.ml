@@ -2,9 +2,10 @@ open Bigarray
 
 type mapped = (char, int8_unsigned_elt, c_layout) Array1.t
 
-(* RAM media use Bytes so word accesses compile to single 64-bit loads
-   (Bytes.{get,set}_int64_le are primitives); file media are mmapped
-   bigarrays and assemble words bytewise. *)
+(* RAM media use Bytes and file media mmapped bigarrays; both move a
+   word with one 64-bit load or store, so a reader racing a writer of
+   the same aligned word sees either the old or the new value, never a
+   torn mix. *)
 type buffer = Ram_buf of Bytes.t | Map_buf of mapped
 
 type backing =
@@ -73,21 +74,21 @@ let check_range t off len =
       (Printf.sprintf "Media: access [%d, %d) out of bounds (capacity %d)" off
          (off + len) t.capacity)
 
+external map_get64 : mapped -> int -> int64 = "%caml_bigstring_get64"
+external map_set64 : mapped -> int -> int64 -> unit = "%caml_bigstring_set64"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Words are little-endian on the media; the primitives are native
+   order. [Int64.to_int] drops bit 63, so pools written when file media
+   stored words bytewise with bit 63 cleared decode to the same ints. *)
 let get_i64 t off =
   assert (off land 7 = 0);
   check_range t off 8;
   match t.buf with
   | Ram_buf b -> Int64.to_int (Bytes.get_int64_le b off)
   | Map_buf b ->
-      let byte i = Char.code (Array1.unsafe_get b (off + i)) in
-      byte 0
-      lor (byte 1 lsl 8)
-      lor (byte 2 lsl 16)
-      lor (byte 3 lsl 24)
-      lor (byte 4 lsl 32)
-      lor (byte 5 lsl 40)
-      lor (byte 6 lsl 48)
-      lor (byte 7 lsl 56)
+      let w = map_get64 b off in
+      Int64.to_int (if Sys.big_endian then swap64 w else w)
 
 let set_i64 t off v =
   assert (off land 7 = 0);
@@ -95,14 +96,8 @@ let set_i64 t off v =
   match t.buf with
   | Ram_buf b -> Bytes.set_int64_le b off (Int64.of_int v)
   | Map_buf b ->
-      Array1.unsafe_set b off (Char.unsafe_chr (v land 0xff));
-      Array1.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-      Array1.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-      Array1.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xff));
-      Array1.unsafe_set b (off + 4) (Char.unsafe_chr ((v lsr 32) land 0xff));
-      Array1.unsafe_set b (off + 5) (Char.unsafe_chr ((v lsr 40) land 0xff));
-      Array1.unsafe_set b (off + 6) (Char.unsafe_chr ((v lsr 48) land 0xff));
-      Array1.unsafe_set b (off + 7) (Char.unsafe_chr ((v lsr 56) land 0x7f))
+      let w = Int64.of_int v in
+      map_set64 b off (if Sys.big_endian then swap64 w else w)
 
 let get_byte t off =
   check_range t off 1;

@@ -191,8 +191,6 @@ let canonical (req : Net.Wire.request) (resp : Net.Wire.response) :
   match (req, resp) with
   | (Net.Wire.Tag | Net.Wire.Tag_at _), Net.Wire.Version v ->
       Some (Net.Wire.Tag_at { version = v })
-  | Net.Wire.Retention _, Net.Wire.Gc_done { before; _ } ->
-      if before > 0 then Some (Net.Wire.Compact { before }) else None
   | ((Net.Wire.Insert _ | Net.Wire.Remove _ | Net.Wire.Compact _) as req), _ ->
       Some req
   (* Batches forward canonicalised (sorted, later duplicates winning) —

@@ -3,7 +3,7 @@
 
     The chain is the [on_mutation] hook of a {!Net.Server}: after the
     primary applies a client mutation locally, the chain ships it to
-    every backup as a wire-v4 [Replicate] frame — stamped with the
+    every backup as a [Replicate] frame — stamped with the
     epoch cell it {e shares} with the server, so a fenced-out primary
     stops forwarding the moment it learns of a newer epoch. Forwarding
     is synchronous: by the time the client sees its ack, the write has
@@ -48,11 +48,10 @@ val create :
     stall client writes for long). *)
 
 val on_mutation : t -> Net.Wire.request -> Net.Wire.response -> unit
-(** The [Server.start ?on_mutation] hook. [Tag] and [Retention] are
-    canonicalised against the primary's response before forwarding
-    ([Tag_at] the acked version, [Compact] the absolute horizon), so
-    backups converge on the same clock and GC horizon without racing
-    their own. *)
+(** The [Server.start ?on_mutation] hook. [Tag] is canonicalised
+    against the primary's response before forwarding ([Tag_at] the
+    acked version), so backups converge on the same clock without
+    racing their own; [Compact] already carries an absolute horizon. *)
 
 val tick : t -> unit
 (** Opportunistic repair: try to catch up every out-of-sync backup.

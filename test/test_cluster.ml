@@ -10,7 +10,6 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let fresh_store () = Store.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 22) ())
 
@@ -187,7 +186,7 @@ let with_cluster ?(k = 4) ?(key_bits = 8) ~tag f =
   let stores = Array.init k (fun _ -> fresh_store ()) in
   let servers =
     Array.init k (fun i ->
-        Server.start ~store:stores.(i) ~workers:1
+        Net.Server.start ~store:stores.(i) ~workers:1
           ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ())
   in
   let topo =
@@ -198,7 +197,7 @@ let with_cluster ?(k = 4) ?(key_bits = 8) ~tag f =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Array.iter (fun s -> try Server.stop s with _ -> ()) servers;
+      Array.iter (fun s -> try Net.Server.stop s with _ -> ()) servers;
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
     (fun () -> f router stores)
 
@@ -400,7 +399,7 @@ let e2e_shard_down_and_recover () =
   let paths = Array.init k (sock_path "down") in
   let stores = Array.init k (fun _ -> fresh_store ()) in
   let start i =
-    Server.start ~store:stores.(i) ~workers:1
+    Net.Server.start ~store:stores.(i) ~workers:1
       ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ()
   in
   let s0 = start 0 in
@@ -413,14 +412,14 @@ let e2e_shard_down_and_recover () =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      (try Server.stop s0 with _ -> ());
-      (try Server.stop !s1 with _ -> ());
+      (try Net.Server.stop s0 with _ -> ());
+      (try Net.Server.stop !s1 with _ -> ());
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
     (fun () ->
       (* keys 0-7 on shard 0, 8-15 on shard 1 *)
       ok "insert" (Cluster.Router.insert router ~key:3 ~value:30);
       ok "insert" (Cluster.Router.insert router ~key:12 ~value:120);
-      Server.stop !s1;
+      Net.Server.stop !s1;
       (* single-key op on the dead shard: a typed error naming it *)
       (match Cluster.Router.find router 12 with
       | Error (Cluster.Router.Shard_down { shard = 1; _ }) -> ()
@@ -565,7 +564,7 @@ let e2e_connected_trace () =
   (* two workers: the chain parks a long-lived connection on the
      backup, and the router dials a second one to scrape it *)
   let backup =
-    Server.start ~store:backup_store ~workers:2 ~trace:ring
+    Net.Server.start ~store:backup_store ~workers:2 ~trace:ring
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
@@ -579,11 +578,11 @@ let e2e_connected_trace () =
   let servers =
     Array.init k (fun i ->
         if i = 0 then
-          Server.start ~store:stores.(0) ~workers:1 ~trace:ring ~epoch_cell
+          Net.Server.start ~store:stores.(0) ~workers:1 ~trace:ring ~epoch_cell
             ~on_mutation:(Repl.Chain.on_mutation chain)
             ~listen:(Net.Sockaddr.Unix_sock paths.(0)) ()
         else
-          Server.start ~store:stores.(i) ~workers:1 ~trace:ring
+          Net.Server.start ~store:stores.(i) ~workers:1 ~trace:ring
             ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ())
   in
   let topo =
@@ -598,8 +597,8 @@ let e2e_connected_trace () =
     ~finally:(fun () ->
       Cluster.Router.close router;
       Repl.Chain.close chain;
-      Array.iter (fun s -> try Server.stop s with _ -> ()) servers;
-      (try Server.stop backup with _ -> ());
+      Array.iter (fun s -> try Net.Server.stop s with _ -> ()) servers;
+      (try Net.Server.stop backup with _ -> ());
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
       try Sys.remove b_path with Sys_error _ -> ())
     (fun () ->

@@ -11,7 +11,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let fresh_store () = Store.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 22) ())
 
@@ -38,7 +37,7 @@ let with_fleet ?(k = 3) ?(spares = 2) ?(key_bits = 8) ~tag f =
     Array.init n (fun i ->
         (* enough workers for the router's parked connection plus the
            coordinator's migration + fence connections at once *)
-        Server.start ~store:stores.(i) ~workers:4
+        Net.Server.start ~store:stores.(i) ~workers:4
           ~epoch_cell:(Atomic.make 0) ~listen:addrs.(i) ())
   in
   let topo = Cluster.Topology.create ~key_bits (Array.sub addrs 0 k) in
@@ -51,7 +50,7 @@ let with_fleet ?(k = 3) ?(spares = 2) ?(key_bits = 8) ~tag f =
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.close router;
-      Array.iter (fun s -> try Server.stop s with _ -> ()) servers;
+      Array.iter (fun s -> try Net.Server.stop s with _ -> ()) servers;
       Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
       try Sys.remove topo_file with Sys_error _ -> ())
     (fun () -> f ~router ~topo_file ~addrs ~stores ~servers)
@@ -183,7 +182,7 @@ let move_whole_shard () =
       Cluster.Router.set_topology router topo';
       check_parity router twin touched;
       (* the old owner is not consulted any more: kill it, parity holds *)
-      Server.stop servers.(1);
+      Net.Server.stop servers.(1);
       check_parity router twin touched;
       (* writes land on the new owner *)
       Store.insert twin lo 4242;

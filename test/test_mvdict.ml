@@ -170,13 +170,13 @@ let lazy_tail_fc_gates_visibility () =
 
 (* Shared conformance suite over Dict_intf.S *)
 
-module type STORE = sig
+module type DICT = sig
   include Mvdict.Dict_intf.S with type key = int and type value = int
 
   val make : unit -> t
 end
 
-module Conformance (S : STORE) = struct
+module Conformance (S : DICT) = struct
   let simple_insert_find () =
     let t = S.make () in
     S.insert t 1 100;

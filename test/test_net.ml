@@ -25,8 +25,6 @@ let gen_plain_request =
         return Net.Wire.Tag;
         map (fun key -> Net.Wire.History { key }) gen_key_value;
         map (fun version -> Net.Wire.Snapshot { version }) (opt small_nat);
-        return Net.Wire.Stats;
-        return Net.Wire.Metrics_prom;
         map (fun clear -> Net.Wire.Trace_dump { clear }) bool;
         return Net.Wire.Registry_snap;
         map (fun n -> Net.Wire.Slowlog { n }) small_nat;
@@ -35,7 +33,6 @@ let gen_plain_request =
           (fun keys version -> Net.Wire.Find_bulk { keys = Array.of_list keys; version })
           (small_list gen_key_value) (opt small_nat);
         map (fun before -> Net.Wire.Compact { before }) small_nat;
-        map (fun keep -> Net.Wire.Retention { keep }) small_nat;
         return Net.Wire.Epoch_probe;
         map
           (fun ps -> Net.Wire.Insert_batch { pairs = Array.of_list ps })
@@ -113,15 +110,12 @@ let gen_response =
           (small_list (pair small_nat gen_event));
         map (fun ps -> Net.Wire.Pairs (Array.of_list ps))
           (small_list (pair gen_key_value gen_key_value));
-        map (fun s -> Net.Wire.Stats_json s) string_printable;
-        map (fun s -> Net.Wire.Prom_text s) string_printable;
         map (fun s -> Net.Wire.Trace_json s) string_printable;
         map (fun s -> Net.Wire.Slowlog_json s) string_printable;
         map (fun s -> Net.Wire.Snap_json s) string_printable;
         map2 (fun code message -> Net.Wire.Error { code; message }) gen_error_code
           string_printable;
-        map2 (fun dropped before -> Net.Wire.Gc_done { dropped; before }) small_nat
-          small_nat;
+        map (fun dropped -> Net.Wire.Gc_done { dropped }) small_nat;
         map2 (fun epoch version -> Net.Wire.Epoch_info { epoch; version }) small_nat
           small_nat;
       ])
@@ -230,50 +224,29 @@ let decode_bad_version () =
         (explain (Net.Wire.decode_request b ~off:0 ~len));
       check_string "bad version (response)" "bad_version"
         (explain (Net.Wire.decode_response b ~off:0 ~len)))
-    (* a garbage byte, the version just below the compatibility window,
-       and the version just above it *)
+    (* a garbage byte and the versions either side of the one accepted *)
     [
       "\x63";
-      String.make 1 (Char.chr (Net.Wire.min_protocol_version - 1));
+      String.make 1 (Char.chr (Net.Wire.protocol_version - 1));
       String.make 1 (Char.chr (Net.Wire.protocol_version + 1));
     ]
 
-(* The v4→v5 compatibility window: a frame carrying the previous
-   protocol version decodes fine, for every v4 shape — including the
-   payloadless Trace_dump, which must imply clear=true. *)
-let decode_v4_frames_accepted () =
-  let v4 = String.make 1 (Char.chr Net.Wire.min_protocol_version) in
-  let reframe req =
-    let body = Net.Wire.encode_request_body req in
-    v4 ^ String.sub body 1 (String.length body - 1)
-  in
-  List.iter
-    (fun req ->
-      let b, len = body_of_string (reframe req) in
-      match Net.Wire.decode_request b ~off:0 ~len with
-      | Ok req' ->
-          check_bool "v4 frame decodes to the same request" true
-            (Net.Wire.equal_request req req')
-      | Error (c, m) ->
-          Alcotest.failf "v4 frame rejected: %s %s" (Net.Wire.error_code_name c) m)
-    [
-      Net.Wire.Ping;
-      Net.Wire.Insert { key = 1; value = 2 };
-      Net.Wire.Stamped { epoch = 3; req = Net.Wire.Find { key = 1; version = None } };
-    ];
-  (* v4 Trace_dump: opcode 10 with no flag byte *)
-  let b, len = body_of_string (v4 ^ "\x0a") in
-  (match Net.Wire.decode_request b ~off:0 ~len with
-  | Ok (Net.Wire.Trace_dump { clear }) ->
-      check_bool "payloadless trace_dump means clear" true clear
-  | r -> Alcotest.failf "v4 trace_dump decoded as %s" (explain r))
-
+(* Request opcodes 8, 9 and 15 (registry JSON, registry Prometheus
+   text, server-relative retention) and response opcodes 7 and 9 were
+   removed in version 8: they now decode like any unknown opcode. *)
 let decode_bad_opcode () =
-  let b, len = body_of_string (ver ^ "\x63") in
-  check_string "bad opcode" "bad_opcode"
-    (explain (Net.Wire.decode_request b ~off:0 ~len));
-  check_string "bad opcode (response)" "bad_opcode"
-    (explain (Net.Wire.decode_response b ~off:0 ~len))
+  List.iter
+    (fun op ->
+      let b, len = body_of_string (ver ^ String.make 1 (Char.chr op)) in
+      check_string "bad opcode" "bad_opcode"
+        (explain (Net.Wire.decode_request b ~off:0 ~len)))
+    [ 0x63; 8; 9; 15 ];
+  List.iter
+    (fun op ->
+      let b, len = body_of_string (ver ^ String.make 1 (Char.chr op)) in
+      check_string "bad opcode (response)" "bad_opcode"
+        (explain (Net.Wire.decode_response b ~off:0 ~len)))
+    [ 0x63; 7; 9 ]
 
 let decode_truncated_payload () =
   (* insert opcode with only 4 of the 16 payload bytes *)
@@ -313,8 +286,8 @@ let decode_pair_count_overrun () =
     (explain (Net.Wire.decode_response b ~off:0 ~len))
 
 let decode_negative_string_length () =
-  (* stats response with length -1 *)
-  let b, len = body_of_string (ver ^ "\x07" ^ String.make 8 '\xff') in
+  (* trace response with length -1 *)
+  let b, len = body_of_string (ver ^ "\x0a" ^ String.make 8 '\xff') in
   check_string "negative string length" "malformed"
     (explain (Net.Wire.decode_response b ~off:0 ~len))
 
@@ -425,16 +398,11 @@ let decode_negative_gc_horizons () =
   (* compact with before = -1 *)
   let b, len = body_of_string (ver ^ "\x0e" ^ String.make 8 '\xff') in
   check_string "negative compact horizon" "malformed"
-    (explain (Net.Wire.decode_request b ~off:0 ~len));
-  (* retention with keep = -1 *)
-  let b, len = body_of_string (ver ^ "\x0f" ^ String.make 8 '\xff') in
-  check_string "negative retention window" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
 (* ---- loopback end-to-end ---- *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let with_server ?(workers = 2) ?batch ?max_conns ?request_timeout
     ?slowlog_threshold_ns ?trace_capacity
@@ -442,15 +410,15 @@ let with_server ?(workers = 2) ?batch ?max_conns ?request_timeout
   let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 24) () in
   let store = Store.create heap in
   let server =
-    Server.start ~store ~workers ?batch ?max_conns ?request_timeout
+    Net.Server.start ~store ~workers ?batch ?max_conns ?request_timeout
       ?slowlog_threshold_ns ?trace_capacity ~listen ()
   in
-  match f store server (Server.addr server) with
+  match f store server (Net.Server.addr server) with
   | v ->
-      Server.stop server;
+      Net.Server.stop server;
       v
   | exception e ->
-      Server.stop server;
+      Net.Server.stop server;
       raise e
 
 let e2e_full_api () =
@@ -513,34 +481,32 @@ let e2e_pipelined_batch () =
         resps;
       Net.Client.close client)
 
-let e2e_stats_json () =
-  with_server (fun _store _server addr ->
-      let client = Net.Client.connect addr in
-      Net.Client.insert client ~key:1 ~value:1;
-      let text = Net.Client.stats client in
-      (match Obs.Json.of_string text with
-      | Error e -> Alcotest.failf "stats JSON does not parse: %s" e
-      | Ok json -> (
-          match Obs.Json.member "counters" json with
-          | Some counters -> (
-              match Obs.Json.member "net.requests" counters with
-              | Some (Obs.Json.Int n) ->
-                  check_bool "net.requests counted" true (n >= 2)
-              | _ -> Alcotest.fail "stats lacks counters/net.requests")
-          | None -> Alcotest.fail "stats lacks counters object"));
-      Net.Client.close client)
-
-(* ---- live-inspection opcodes ---- *)
-
-let e2e_metrics_prom () =
+(* The one registry export, rendered the way `mvkv client stats` and
+   `mvkv metrics` render it: JSON through Obs.Snap.to_json, Prometheus
+   text through Obs.Snap.prometheus. *)
+let e2e_registry_renderings () =
   with_server (fun _store _server addr ->
       let client = Net.Client.connect addr in
       Net.Client.insert client ~key:1 ~value:1;
       ignore (Net.Client.find client 1);
-      let text = Net.Client.metrics client in
+      let snap =
+        match
+          Result.bind
+            (Obs.Json.of_string (Net.Client.registry_snap client))
+            Obs.Snap.of_json
+        with
+        | Ok snap -> snap
+        | Error e -> Alcotest.failf "registry snapshot does not parse: %s" e
+      in
       Net.Client.close client;
+      (match Obs.Json.of_string (Obs.Json.to_string (Obs.Snap.to_json snap)) with
+      | Error e -> Alcotest.failf "stats JSON does not parse: %s" e
+      | Ok json -> (
+          match Option.bind (Obs.Json.member "counters" json) (Obs.Json.member "net.requests") with
+          | Some (Obs.Json.Int n) -> check_bool "net.requests counted" true (n >= 2)
+          | _ -> Alcotest.fail "stats lacks counters/net.requests"));
+      let text = Obs.Snap.prometheus [ ([], snap) ] in
       let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
-      check_bool "exposition non-empty" true (lines <> []);
       let mentions prefix =
         List.exists
           (fun l ->
@@ -793,11 +759,17 @@ let e2e_error_frames_keep_connection () =
       (* 3. garbled payload *)
       raw_write fd (frame_of_body (ver ^ "\x02AB"));
       expect_error "malformed" Net.Wire.Malformed (raw_read_response fd);
+      (* 4. the opcodes removed in version 8 *)
+      List.iter
+        (fun op ->
+          raw_write fd (frame_of_body (ver ^ String.make 1 (Char.chr op)));
+          expect_error "removed opcode" Net.Wire.Bad_opcode (raw_read_response fd))
+        [ 8; 9; 15 ];
       (* ... and the connection is still perfectly usable *)
       raw_write fd
         (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
       check_bool "ping after errors" true (raw_read_response fd = Net.Wire.Pong);
-      (* 4. an oversize declared length is fatal: error frame, then EOF *)
+      (* 5. an oversize declared length is fatal: error frame, then EOF *)
       let b = Bytes.create 4 in
       let declared = Net.Wire.max_frame + 1 in
       Bytes.set b 0 (Char.chr ((declared lsr 24) land 0xff));
@@ -812,103 +784,20 @@ let e2e_error_frames_keep_connection () =
         | _ -> false);
       raw_close fd)
 
-(* Regression for the protocol version bump: a frame carrying a version
-   below the compatibility window (a stale client) is answered with a
-   Bad_version error frame — not a closed connection, not a hang — and
-   the very next well-formed request on the same connection succeeds. *)
+(* Regression for the protocol version bump: a frame carrying the
+   previous version (a stale client) is answered with a Bad_version
+   error frame — not a closed connection, not a hang — and the very
+   next well-formed request on the same connection succeeds. *)
 let e2e_stale_version_keeps_connection () =
   with_server (fun _store _server addr ->
       let fd = raw_connect addr in
-      let stale = String.make 1 (Char.chr (Net.Wire.min_protocol_version - 1)) in
-      (* a pre-window Tag request, bit-exact *)
+      let stale = String.make 1 (Char.chr (Net.Wire.protocol_version - 1)) in
+      (* a version-7 Tag request, bit-exact *)
       raw_write fd (frame_of_body (stale ^ "\x05"));
       expect_error "stale version" Net.Wire.Bad_version (raw_read_response fd);
       raw_write fd (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
       check_bool "connection usable after stale-version frame" true
         (raw_read_response fd = Net.Wire.Pong);
-      raw_close fd)
-
-(* Like [raw_read_response] but hands back the raw frame body, so a
-   test can inspect the response's version byte. *)
-let raw_read_frame raw =
-  let rec go () =
-    match Net.Wire.scan raw.buf ~off:raw.start ~len:(raw.fill - raw.start) with
-    | `Frame (off, len, consumed) ->
-        raw.start <- raw.start + consumed;
-        Bytes.sub raw.buf off len
-    | `Oversize _ -> Alcotest.fail "oversize response"
-    | `Partial -> (
-        if raw.start > 0 then begin
-          Bytes.blit raw.buf raw.start raw.buf 0 (raw.fill - raw.start);
-          raw.fill <- raw.fill - raw.start;
-          raw.start <- 0
-        end;
-        match Unix.read raw.fd raw.buf raw.fill (Bytes.length raw.buf - raw.fill) with
-        | 0 -> raise End_of_file
-        | n ->
-            raw.fill <- raw.fill + n;
-            go ())
-  in
-  go ()
-
-(* The v4→v5 interop contract live: a client speaking the previous
-   protocol version gets served, and every response frame echoes the
-   request's version byte so the old client can keep decoding. *)
-let e2e_v4_client_interop () =
-  with_server (fun _store _server addr ->
-      let fd = raw_connect addr in
-      let v4_body req =
-        let body = Net.Wire.encode_request_body req in
-        String.make 1 (Char.chr Net.Wire.min_protocol_version)
-        ^ String.sub body 1 (String.length body - 1)
-      in
-      raw_write fd (frame_of_body (v4_body Net.Wire.Ping));
-      let frame = raw_read_frame fd in
-      check_int "response echoes v4" Net.Wire.min_protocol_version
-        (Char.code (Bytes.get frame 0));
-      (match Net.Wire.decode_response frame ~off:0 ~len:(Bytes.length frame) with
-      | Ok Net.Wire.Pong -> ()
-      | r -> Alcotest.failf "v4 ping answered with %s" (explain r));
-      (* a v4 mutation round-trips too, and a current-version frame on
-         the same connection is answered at the current version *)
-      raw_write fd (frame_of_body (v4_body (Net.Wire.Insert { key = 9; value = 90 })));
-      let frame = raw_read_frame fd in
-      check_int "insert response echoes v4" Net.Wire.min_protocol_version
-        (Char.code (Bytes.get frame 0));
-      raw_write fd
-        (frame_of_body (Net.Wire.encode_request_body (Net.Wire.Find { key = 9; version = None })));
-      let frame = raw_read_frame fd in
-      check_int "v6 request answered at v6" Net.Wire.protocol_version
-        (Char.code (Bytes.get frame 0));
-      (match Net.Wire.decode_response frame ~off:0 ~len:(Bytes.length frame) with
-      | Ok (Net.Wire.Value (Some 90)) -> ()
-      | r -> Alcotest.failf "find answered with %s" (explain r));
-      (* a v5 client reaching a v6 server: even a v6-era opcode in a
-         v5-stamped frame is served, and the reply echoes v5 so the
-         client's strict decoder keeps working *)
-      let v5_body req =
-        let body = Net.Wire.encode_request_body req in
-        String.make 1 (Char.chr (Net.Wire.protocol_version - 1))
-        ^ String.sub body 1 (String.length body - 1)
-      in
-      raw_write fd
-        (frame_of_body
-           (v5_body (Net.Wire.Insert_batch { pairs = [| (20, 200); (21, 210) |] })));
-      let frame = raw_read_frame fd in
-      check_int "batch response echoes v5"
-        (Net.Wire.protocol_version - 1)
-        (Char.code (Bytes.get frame 0));
-      (match Net.Wire.decode_response frame ~off:0 ~len:(Bytes.length frame) with
-      | Ok Net.Wire.Ack -> ()
-      | r -> Alcotest.failf "v5 insert_batch answered with %s" (explain r));
-      raw_write fd (frame_of_body (v5_body (Net.Wire.Find { key = 21; version = None })));
-      let frame = raw_read_frame fd in
-      check_int "follow-up find echoes v5"
-        (Net.Wire.protocol_version - 1)
-        (Char.code (Bytes.get frame 0));
-      (match Net.Wire.decode_response frame ~off:0 ~len:(Bytes.length frame) with
-      | Ok (Net.Wire.Value (Some 210)) -> ()
-      | r -> Alcotest.failf "v5 find answered with %s" (explain r));
       raw_close fd)
 
 let e2e_batch_and_scan () =
@@ -1001,9 +890,14 @@ let e2e_compact_retention () =
       let dropped = Net.Client.compact client ~before:v in
       check_int "two superseded waves dropped" 20 dropped;
       check_bool "current values intact" true (Net.Client.find client 5 = Some 305);
-      (* Retention computes the horizon server-side from its own clock:
-         with the full history already gone, keep=0 drops nothing more. *)
-      let before, dropped = Net.Client.retention client ~keep:0 in
+      (* A retention window is client-side, as `mvkv client compact
+         --retain` does it: probe the clock, compact below clock - keep.
+         With the full history already gone, keep=0 drops nothing more. *)
+      let retain keep =
+        let before = max 0 (Net.Client.tag_at client ~version:0 - keep) in
+        (before, if before > 0 then Net.Client.compact client ~before else 0)
+      in
+      let before, dropped = retain 0 in
       check_int "retention horizon is the clock" v before;
       check_int "nothing left to drop" 0 dropped;
       (* Two more waves then retention keep=1: the horizon lands on the
@@ -1015,7 +909,7 @@ let e2e_compact_retention () =
         done;
         ignore (Net.Client.tag client)
       done;
-      let before, dropped = Net.Client.retention client ~keep:1 in
+      let before, dropped = retain 1 in
       check_int "horizon = clock - keep" 4 before;
       check_int "superseded floors dropped" 10 dropped;
       check_bool "store serves the last wave" true
@@ -1098,7 +992,7 @@ let e2e_graceful_drain () =
         Net.Wire.add_request buf (Net.Wire.Insert { key = k; value = k })
       done;
       raw_write fd (Buffer.contents buf);
-      Server.stop server;
+      Net.Server.stop server;
       for _ = 1 to n do
         check_bool "drained ack" true (raw_read_response fd = Net.Wire.Ack)
       done;
@@ -1120,16 +1014,16 @@ let e2e_unix_socket_reconnect () =
   let listen = Net.Sockaddr.Unix_sock path in
   let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
   let store = Store.create heap in
-  let server = ref (Server.start ~store ~workers:1 ~listen ()) in
+  let server = ref (Net.Server.start ~store ~workers:1 ~listen ()) in
   let client = Net.Client.connect ~retries:8 listen in
   Net.Client.insert client ~key:1 ~value:11;
   (* bounce the server on the same path; the client's next call must
      reconnect with backoff and succeed *)
-  Server.stop !server;
-  server := Server.start ~store ~workers:1 ~listen ();
+  Net.Server.stop !server;
+  server := Net.Server.start ~store ~workers:1 ~listen ();
   check_bool "find after reconnect" true (Net.Client.find client 1 = Some 11);
   Net.Client.close client;
-  Server.stop !server
+  Net.Server.stop !server
 
 let () =
   Alcotest.run "net"
@@ -1163,14 +1057,13 @@ let () =
           Alcotest.test_case "nested traced wrapper" `Quick decode_nested_traced_wrapper;
           Alcotest.test_case "bad traced fields" `Quick decode_bad_traced_fields;
           Alcotest.test_case "bad trace clear flag" `Quick decode_bad_trace_clear_flag;
-          Alcotest.test_case "v4 frames accepted" `Quick decode_v4_frames_accepted;
         ] );
       ( "server-e2e",
         [
           Alcotest.test_case "full dict API over loopback" `Quick e2e_full_api;
           Alcotest.test_case "pipelined batch" `Quick e2e_pipelined_batch;
-          Alcotest.test_case "stats returns registry JSON" `Quick e2e_stats_json;
-          Alcotest.test_case "metrics returns Prometheus text" `Quick e2e_metrics_prom;
+          Alcotest.test_case "registry snapshot renders as JSON and Prometheus"
+            `Quick e2e_registry_renderings;
           Alcotest.test_case "trace dump returns and clears the span ring" `Quick
             e2e_trace_dump;
           Alcotest.test_case "trace dump clear=false is a peek" `Quick
@@ -1184,8 +1077,6 @@ let () =
             e2e_error_frames_keep_connection;
           Alcotest.test_case "stale protocol version keeps the connection usable"
             `Quick e2e_stale_version_keeps_connection;
-          Alcotest.test_case "v4/v5 client interop against a v6 server" `Quick
-            e2e_v4_client_interop;
           Alcotest.test_case "tag_at and find_bulk opcodes" `Quick e2e_tag_at_find_bulk;
           Alcotest.test_case "batch opcodes and ranged scan" `Quick e2e_batch_and_scan;
           Alcotest.test_case "compact and retention opcodes" `Quick

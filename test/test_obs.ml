@@ -806,7 +806,7 @@ let expo_line_format () =
   let h = Obs.Registry.histogram "test.expo.hist" in
   List.iter (fun v -> Obs.Histogram.record h v) [ 5; 50; 500; 5_000; 50_000 ];
   Obs.Window.add (Obs.Registry.window "test.expo.window") 9;
-  let text = Obs.Expo.to_prometheus () in
+  let text = Obs.Snap.prometheus [ ([], Obs.Snap.of_registry ()) ] in
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
   check_bool "non-empty exposition" true (lines <> []);
   let buckets = Hashtbl.create 16 and counts = Hashtbl.create 16 in

@@ -88,6 +88,46 @@ let media_file_backed_persists () =
   Pmem.Media.close m2;
   Sys.remove path
 
+(* A word store on file media is one 64-bit store: a reader racing a
+   writer of the same word sees one of the two values, never a mix of
+   their bytes (a torn history pointer). 0 and -1 differ in every byte,
+   so any torn read is caught. *)
+let media_file_words_not_torn () =
+  let path = Filename.temp_file "mvkv" ".pm" in
+  let m = Pmem.Media.create_file ~path ~capacity:4096 in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Pmem.Media.set_i64 m 64 (-1);
+          Pmem.Media.set_i64 m 64 0
+        done)
+  in
+  let torn = ref 0 in
+  for _ = 1 to 1_000_000 do
+    match Pmem.Media.get_i64 m 64 with 0 | -1 -> () | _ -> incr torn
+  done;
+  Atomic.set stop true;
+  Domain.join writer;
+  Pmem.Media.close m;
+  Sys.remove path;
+  check_int "torn reads" 0 !torn
+
+(* Pools written when file media stored words bytewise (bit 63 always
+   clear) still decode to the same ints. *)
+let media_file_words_legacy_layout () =
+  let path = Filename.temp_file "mvkv" ".pm" in
+  let m = Pmem.Media.create_file ~path ~capacity:4096 in
+  List.iteri
+    (fun i v ->
+      let b = Bytes.create 8 in
+      Bytes.set_int64_le b 0 (Int64.logand (Int64.of_int v) Int64.max_int);
+      Pmem.Media.write_bytes m (8 * i) b;
+      check_int "legacy word decodes" v (Pmem.Media.get_i64 m (8 * i)))
+    [ 0; 1; -1; -2; max_int; min_int; 0x0123_4567_89ab_cdef ];
+  Pmem.Media.close m;
+  Sys.remove path
+
 (* Allocator *)
 
 let alloc_basic () =
@@ -558,6 +598,9 @@ let () =
           Alcotest.test_case "crash partial flush" `Quick media_crash_partial_flush;
           Alcotest.test_case "crash requires mode" `Quick media_crash_requires_mode;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
+          Alcotest.test_case "file words never torn" `Quick media_file_words_not_torn;
+          Alcotest.test_case "file words decode legacy layout" `Quick
+            media_file_words_legacy_layout;
         ] );
       ( "alloc",
         [

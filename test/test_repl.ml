@@ -11,7 +11,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module Server = Net.Server.Make (Store)
 
 let fresh_store () = Store.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 22) ())
 
@@ -28,8 +27,8 @@ type range = {
   backup_store : Store.t;
   p_path : string;
   b_path : string;
-  primary : Server.t;
-  backup : Server.t;
+  primary : Net.Server.t;
+  backup : Net.Server.t;
   chain : Repl.Chain.t;
   epoch_cell : int Atomic.t;
   mutable primary_up : bool;
@@ -40,7 +39,7 @@ let start_range tag =
   let primary_store = fresh_store () and backup_store = fresh_store () in
   let epoch_cell = Atomic.make 0 in
   let backup =
-    Server.start ~store:backup_store ~workers:2
+    Net.Server.start ~store:backup_store ~workers:2
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
@@ -51,7 +50,7 @@ let start_range tag =
       [| Net.Sockaddr.Unix_sock b_path |]
   in
   let primary =
-    Server.start ~store:primary_store ~workers:2 ~epoch_cell
+    Net.Server.start ~store:primary_store ~workers:2 ~epoch_cell
       ~on_mutation:(Repl.Chain.on_mutation chain)
       ~listen:(Net.Sockaddr.Unix_sock p_path) ()
   in
@@ -68,9 +67,9 @@ let start_range tag =
   }
 
 let stop_range r =
-  if r.primary_up then (try Server.stop r.primary with _ -> ());
+  if r.primary_up then (try Net.Server.stop r.primary with _ -> ());
   Repl.Chain.close r.chain;
-  (try Server.stop r.backup with _ -> ());
+  (try Net.Server.stop r.backup with _ -> ());
   List.iter
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ r.p_path; r.b_path ]
@@ -87,7 +86,7 @@ let topo_of r ~key_bits =
    does: rotate the set, bump the epoch, fence the new primary with a
    stamped ping. Returns the post-promotion topology. *)
 let kill_and_promote r topo =
-  Server.stop r.primary;
+  Net.Server.stop r.primary;
   r.primary_up <- false;
   Repl.Chain.close r.chain;
   (try Sys.remove r.p_path with Sys_error _ -> ());
@@ -137,7 +136,7 @@ let chain_catchup_after_backup_restart () =
   ignore (Net.Client.tag client);
   check_bool "in sync before the bounce" true (Repl.Chain.in_sync r.chain);
   (* the backup dies and loses everything *)
-  Server.stop r.backup;
+  Net.Server.stop r.backup;
   (try Sys.remove r.b_path with Sys_error _ -> ());
   (* writes during the outage are acked anyway (availability over
      blocking) and the peer is marked out of sync *)
@@ -150,11 +149,11 @@ let chain_catchup_after_backup_restart () =
      with a ranged state diff, not an op replay *)
   let backup_store' = fresh_store () in
   let backup' =
-    Server.start ~store:backup_store' ~workers:2
+    Net.Server.start ~store:backup_store' ~workers:2
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock r.b_path) ()
   in
-  Fun.protect ~finally:(fun () -> try Server.stop backup' with _ -> ())
+  Fun.protect ~finally:(fun () -> try Net.Server.stop backup' with _ -> ())
   @@ fun () ->
   Repl.Chain.tick r.chain;
   check_bool "caught up after tick" true (Repl.Chain.in_sync r.chain);
