@@ -484,27 +484,37 @@ let e2e_pipelined_batch () =
 (* The one registry export, rendered the way `mvkv client stats` and
    `mvkv metrics` render it: JSON through Obs.Snap.to_json, Prometheus
    text through Obs.Snap.prometheus. *)
-let e2e_registry_renderings () =
+(* Drives one insert and one find, then fetches the server's registry
+   snapshot; JSON and Prometheus text are rendered client-side from it. *)
+let fetch_registry_snap addr =
+  let client = Net.Client.connect addr in
+  Net.Client.insert client ~key:1 ~value:1;
+  ignore (Net.Client.find client 1);
+  let snap =
+    match
+      Result.bind
+        (Obs.Json.of_string (Net.Client.registry_snap client))
+        Obs.Snap.of_json
+    with
+    | Ok snap -> snap
+    | Error e -> Alcotest.failf "registry snapshot does not parse: %s" e
+  in
+  Net.Client.close client;
+  snap
+
+let e2e_stats_json () =
   with_server (fun _store _server addr ->
-      let client = Net.Client.connect addr in
-      Net.Client.insert client ~key:1 ~value:1;
-      ignore (Net.Client.find client 1);
-      let snap =
-        match
-          Result.bind
-            (Obs.Json.of_string (Net.Client.registry_snap client))
-            Obs.Snap.of_json
-        with
-        | Ok snap -> snap
-        | Error e -> Alcotest.failf "registry snapshot does not parse: %s" e
-      in
-      Net.Client.close client;
-      (match Obs.Json.of_string (Obs.Json.to_string (Obs.Snap.to_json snap)) with
+      let snap = fetch_registry_snap addr in
+      match Obs.Json.of_string (Obs.Json.to_string (Obs.Snap.to_json snap)) with
       | Error e -> Alcotest.failf "stats JSON does not parse: %s" e
       | Ok json -> (
           match Option.bind (Obs.Json.member "counters" json) (Obs.Json.member "net.requests") with
           | Some (Obs.Json.Int n) -> check_bool "net.requests counted" true (n >= 2)
-          | _ -> Alcotest.fail "stats lacks counters/net.requests"));
+          | _ -> Alcotest.fail "stats lacks counters/net.requests"))
+
+let e2e_metrics_prometheus () =
+  with_server (fun _store _server addr ->
+      let snap = fetch_registry_snap addr in
       let text = Obs.Snap.prometheus [ ([], snap) ] in
       let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
       let mentions prefix =
@@ -1062,8 +1072,9 @@ let () =
         [
           Alcotest.test_case "full dict API over loopback" `Quick e2e_full_api;
           Alcotest.test_case "pipelined batch" `Quick e2e_pipelined_batch;
-          Alcotest.test_case "registry snapshot renders as JSON and Prometheus"
-            `Quick e2e_registry_renderings;
+          Alcotest.test_case "stats returns registry JSON" `Quick e2e_stats_json;
+          Alcotest.test_case "metrics returns Prometheus text" `Quick
+            e2e_metrics_prometheus;
           Alcotest.test_case "trace dump returns and clears the span ring" `Quick
             e2e_trace_dump;
           Alcotest.test_case "trace dump clear=false is a peek" `Quick
