@@ -82,11 +82,14 @@ let smoke () =
   in
   (* The batch-update path: a miniature B in {1,8,64,512} sweep over the
      local store and the loopback server regenerates BENCH_batch.json.
-     The gate is the batching contract itself: batched installs (B >= 8)
-     strictly out-run the unbatched baseline in both sweeps, and the
-     coalesced fence epilogue actually saved fences (fences_saved > 0)
-     — an inversion or a zero means the single-traversal install or the
-     batch scope rotted, not noise. *)
+     The gate is the batching contract itself: locally, batched installs
+     (B >= 8) issue strictly fewer fences per key than the unbatched
+     baseline and the coalesced epilogue saved fences (fences_saved > 0)
+     — both counted, so an inversion or a zero means the batch scope
+     rotted; over loopback, where a batch frame saves B - 1 round trips,
+     batched installs strictly out-run the unbatched baseline. Local
+     wall time is not gated: its margin is small enough that two cores
+     shared with the rest of the test suite can invert it. *)
   let batch_results = ref None in
   Metrics.with_report ~fig:"batch" (fun () ->
       batch_results := Some (Fig_batch.run ~n:4_000));
@@ -101,21 +104,21 @@ let smoke () =
     match !batch_results with
     | None -> [ "BENCH_batch.json: figure did not run" ]
     | Some r ->
-        let inversions tag results =
+        let inversions what ~want ~worse results =
           let base = List.assoc 1 results in
           List.filter_map
-            (fun (batch, ops) ->
-              if batch >= 8 && ops <= base then
+            (fun (batch, v) ->
+              if batch >= 8 && worse v base then
                 Some
                   (Printf.sprintf
-                     "BENCH_batch.json: %s batch=%d throughput %.0f not above \
-                      unbatched %.0f"
-                     tag batch ops base)
+                     "BENCH_batch.json: %s batch=%d %.3f not %s unbatched %.3f" what
+                     batch v want base)
               else None)
             results
         in
-        inversions "local" r.Fig_batch.local
-        @ inversions "net" r.Fig_batch.net
+        inversions "local fences per key" ~want:"below" ~worse:( >= )
+          r.Fig_batch.fences_per_key
+        @ inversions "net throughput" ~want:"above" ~worse:( <= ) r.Fig_batch.net
         @
         if r.Fig_batch.fences_saved <= 0 then
           [ "BENCH_batch.json: batched installs saved no fences" ]

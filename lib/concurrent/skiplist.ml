@@ -1,6 +1,7 @@
 type ('k, 'v) node =
   | Nil
   | Node of { key : 'k; value : 'v; next : ('k, 'v) node Atomic.t array }
+      (* [next]: one cell per level the node drew *)
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
@@ -40,46 +41,44 @@ let random_level t =
   in
   count_ones z 1
 
-(* Algorithm 2: walk down from the top level recording, per level, the
-   next-pointer array of the predecessor (the CAS target) and the
-   successor node. Returns the level-0 match if the key is present. *)
+(* Algorithm 2, the one descent every search shares: from level
+   [top - 1] down to level 0, advance along each level while the next
+   key is below [key], and return the node the level-0 walk stops at
+   (the first key >= [key], or Nil). Non-empty [preds]/[succs] also
+   record, per level, the predecessor's next-array (the CAS target) and
+   the successor; find and the iterators pass [[||]] and allocate
+   nothing.
+
+   Both the start at [top - 1] and the drawn-height towers are safe for
+   the reason given on [seek] below: a walk reaches a node at [level] only
+   through a link at [level], and a node is linked only at levels below
+   its own height, so [n.next.(level)] is always in bounds. A taller
+   insert racing the read of [top] bumps [top] before it links its upper
+   levels, so a read that misses them merely takes a lower road, and an
+   insert whose upper levels were recorded from a stale start fails its
+   CAS there and re-descends from the new [top]. *)
+let rec descend t key preds succs level pred_next =
+  match Atomic.get pred_next.(level) with
+  | Node n when t.compare n.key key < 0 -> descend t key preds succs level n.next
+  | cur ->
+      if Array.length preds > 0 then begin
+        preds.(level) <- pred_next;
+        succs.(level) <- cur
+      end;
+      if level = 0 then cur else descend t key preds succs (level - 1) pred_next
+
+let lower_bound t key = descend t key [||] [||] (Atomic.get t.top - 1) t.head
+
+(* The level-0 match for [key], recording the towers an insert needs. *)
 let find_towers t key preds succs =
-  let found = ref Nil in
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    preds.(level) <- pred_next;
-    succs.(level) <- cur;
-    if level = 0 then begin
-      match cur with
-      | Node n when t.compare n.key key = 0 -> found := cur
-      | Node _ | Nil -> ()
-    end
-    else descend (level - 1) pred_next
-  in
-  descend (max_level - 1) t.head;
-  !found
+  match descend t key preds succs (Atomic.get t.top - 1) t.head with
+  | Node n as cur when t.compare n.key key = 0 -> cur
+  | Node _ | Nil -> Nil
 
 let find t key =
-  (* Read-only variant of the descent: no towers recorded. *)
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then
-      match cur with
-      | Node n when t.compare n.key key = 0 -> Some n.value
-      | Node _ | Nil -> None
-    else descend (level - 1) pred_next
-  in
-  descend (max_level - 1) t.head
+  match lower_bound t key with
+  | Node n when t.compare n.key key = 0 -> Some n.value
+  | Node _ | Nil -> None
 
 let rec bump_top t level =
   let current = Atomic.get t.top in
@@ -103,7 +102,7 @@ let insert_with t ~search key ~make preds succs =
     | Nil ->
         let value = match made with Some v -> v | None -> make () in
         let level = random_level t in
-        let next = Array.init max_level (fun i -> Atomic.make succs.(i)) in
+        let next = Array.init level (fun i -> Atomic.make succs.(i)) in
         let node = Node { key; value; next } in
         if not (Atomic.compare_and_set preds.(0).(0) succs.(0) node) then begin
           Backoff.once backoff;
@@ -172,6 +171,19 @@ let cursor t =
     c_last = None;
   }
 
+(* One level of a seek: walk right from [pred] (Nil = head, whose
+   next-array is [t.head]) while the next key is below [key], and record
+   the straddle in the cursor — a top-level recursion, so it allocates
+   nothing. *)
+let rec advance_at c key level pred pred_next =
+  match Atomic.get pred_next.(level) with
+  | Node n as cur when c.list.compare n.key key < 0 ->
+      advance_at c key level cur n.next
+  | cur ->
+      c.c_preds.(level) <- pred_next;
+      c.c_pred_nodes.(level) <- pred;
+      c.c_succs.(level) <- cur
+
 (* The fast path that makes the fingers pay: a level whose recorded
    predecessor still points at its recorded successor (one atomic load)
    with that successor >= [key] is untouched — adopt it without
@@ -189,7 +201,6 @@ let seek c key =
     match c.c_last with Some k -> t.compare k key = 0 | None -> true
   in
   c.c_last <- Some key;
-  let found = ref Nil in
   (* Levels at and above [top] hold no nodes, so the cursor's init
      state (head pred, Nil succ) stays a valid straddle there; starting
      the loop at [top] skips them wholesale. A racing taller insert is
@@ -198,102 +209,51 @@ let seek c key =
   let top = Atomic.get t.top in
   (* predecessor node found one level up; Nil = still at the head *)
   let carry = ref Nil in
-  for level = (if top < max_level then top - 1 else max_level - 1) downto 0 do
+  for level = top - 1 downto 0 do
     let finger = c.c_pred_nodes.(level) in
-    let start_pred, start_next =
+    let start =
       match (!carry, finger) with
-      | (Node cn as carried), Nil -> (carried, cn.next)
-      | (Node cn as carried), Node fn when t.compare cn.key fn.key > 0 ->
-          (carried, cn.next)
-      | _, Nil -> (Nil, c.c_preds.(level))
-      | _, (Node fn as fng) -> (fng, fn.next)
+      | (Node _ as carried), Nil -> carried
+      | (Node cn as carried), Node fn when t.compare cn.key fn.key > 0 -> carried
+      | _, finger -> finger
     in
     let skip =
       (not retry)
-      && start_pred == finger
+      && start == finger
       && Atomic.get c.c_preds.(level).(level) == c.c_succs.(level)
       && match c.c_succs.(level) with
          | Nil -> true
          | Node s -> t.compare s.key key >= 0
     in
-    if skip then begin
-      (match finger with Node _ -> carry := finger | Nil -> ());
-      if level = 0 then begin
-        match c.c_succs.(0) with
-        | Node s as cur when t.compare s.key key = 0 -> found := cur
-        | Node _ | Nil -> ()
-      end
-    end
-    else begin
-      let rec advance pred pred_next =
-        match Atomic.get pred_next.(level) with
-        | Node n as cur when t.compare n.key key < 0 -> advance cur n.next
-        | cur -> (pred, pred_next, cur)
-      in
-      let pred, pred_next, cur = advance start_pred start_next in
-      c.c_preds.(level) <- pred_next;
-      c.c_pred_nodes.(level) <- pred;
-      c.c_succs.(level) <- cur;
-      (match pred with Node _ -> carry := pred | Nil -> ());
-      if level = 0 then begin
-        match cur with
-        | Node n when t.compare n.key key = 0 -> found := cur
-        | Node _ | Nil -> ()
-      end
-    end
+    if not skip then
+      advance_at c key level start
+        (match start with Nil -> t.head | Node n -> n.next);
+    match c.c_pred_nodes.(level) with Node _ as p -> carry := p | Nil -> ()
   done;
-  !found
+  match c.c_succs.(0) with
+  | Node s as cur when t.compare s.key key = 0 -> cur
+  | Node _ | Nil -> Nil
 
 let find_or_insert_at c key ~make =
   insert_with c.list ~search:(fun () -> seek c key) key ~make c.c_preds
     c.c_succs
 
-let iter t f =
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        f n.key n.value;
-        walk (Atomic.get n.next.(0))
-  in
-  walk (Atomic.get t.head.(0))
+(* Level-0 walks, top-level so that a traversal allocates no closure. *)
+let rec walk f = function
+  | Nil -> ()
+  | Node n ->
+      f n.key n.value;
+      walk f (Atomic.get n.next.(0))
 
-let iter_from t key f =
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key key < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then cur else descend (level - 1) pred_next
-  in
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        f n.key n.value;
-        walk (Atomic.get n.next.(0))
-  in
-  walk (descend (max_level - 1) t.head)
+let rec walk_below t hi f = function
+  | Node n when t.compare n.key hi < 0 ->
+      f n.key n.value;
+      walk_below t hi f (Atomic.get n.next.(0))
+  | Node _ | Nil -> ()
 
-let iter_range t ~lo ~hi f =
-  let rec descend level pred_next =
-    let rec advance pred_next =
-      match Atomic.get pred_next.(level) with
-      | Node n when t.compare n.key lo < 0 -> advance n.next
-      | cur -> (pred_next, cur)
-    in
-    let pred_next, cur = advance pred_next in
-    if level = 0 then cur else descend (level - 1) pred_next
-  in
-  let rec walk = function
-    | Nil -> ()
-    | Node n ->
-        if t.compare n.key hi < 0 then begin
-          f n.key n.value;
-          walk (Atomic.get n.next.(0))
-        end
-  in
-  walk (descend (max_level - 1) t.head)
+let iter t f = walk f (Atomic.get t.head.(0))
+let iter_from t key f = walk f (lower_bound t key)
+let iter_range t ~lo ~hi f = walk_below t hi f (lower_bound t lo)
 
 (* Physically unlink every node matching [dead] at all levels, the
    vordered-kv scrub idiom: per level, walk the pred's next-cell and

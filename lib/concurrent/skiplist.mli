@@ -18,7 +18,9 @@ type ('k, 'v) t
 
 val max_level : int
 (** Tower height bound (24: comfortable for hundreds of millions of
-    keys at p = 1/2). *)
+    keys at p = 1/2). It bounds height, not allocation: a node's tower
+    has one cell per level the node drew (2 expected), and every search
+    starts at the highest level in use. *)
 
 val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
 
@@ -37,6 +39,7 @@ val find_or_insert : ('k, 'v) t -> 'k -> make:(unit -> 'v) -> 'v insert_outcome
     result. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
+(** Allocates nothing on a miss and only the [Some] on a hit. *)
 
 (** {1 Finger cursors}
 
@@ -66,7 +69,8 @@ val iter_from : ('k, 'v) t -> 'k -> ('k -> 'v -> unit) -> unit
 (** In-order traversal starting at the smallest key >= the given key. *)
 
 val iter_range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k -> 'v -> unit) -> unit
-(** In-order traversal of keys in [lo, hi). *)
+(** In-order traversal of keys in [lo, hi). Like {!iter} and
+    {!iter_from}, allocates nothing besides what [f] does. *)
 
 val scrub : ('k, 'v) t -> dead:('k -> 'v -> bool) -> int
 (** [scrub t ~dead] physically unlinks every node whose key/value

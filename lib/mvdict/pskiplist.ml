@@ -91,21 +91,25 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      registered in the persistent key chain; a raced speculative one is
      recycled (the paper: "the slower thread needs to detect this
      situation and clean up accordingly, then reuse the pointer of the
-     faster thread"). *)
+     faster thread"). The read-only [find] goes first: a write to an
+     existing key then skips the insert's tower-recording arrays. *)
   let history_of t key =
-    match
-      Concurrent.Skiplist.find_or_insert t.index key ~make:(fun () ->
-          Phistory.create t.heap)
-    with
-    | Concurrent.Skiplist.Found h -> h
-    | Concurrent.Skiplist.Added h ->
-        Pmem.Pblockchain.append t.chain
-          ~key:(Codec.encode (module K) t.heap key)
-          ~hist:(Phistory.handle h);
-        h
-    | Concurrent.Skiplist.Raced { made; existing } ->
-        Phistory.destroy t.heap made;
-        existing
+    match Concurrent.Skiplist.find t.index key with
+    | Some h -> h
+    | None -> (
+        match
+          Concurrent.Skiplist.find_or_insert t.index key ~make:(fun () ->
+              Phistory.create t.heap)
+        with
+        | Concurrent.Skiplist.Found h -> h
+        | Concurrent.Skiplist.Added h ->
+            Pmem.Pblockchain.append t.chain
+              ~key:(Codec.encode (module K) t.heap key)
+              ~hist:(Phistory.handle h);
+            h
+        | Concurrent.Skiplist.Raced { made; existing } ->
+            Phistory.destroy t.heap made;
+            existing)
 
   let append t key value_word =
     let version = Version.stamp t.ctx in

@@ -19,7 +19,7 @@ type entry =
   | Window of Window.t
 
 val snapshot : unit -> (string * entry) list
-(** Every registered metric, sorted by name — what {!Expo} and the
+(** Every registered metric, sorted by name — what {!Snap} and the
     renderers below iterate. *)
 
 val reset : unit -> unit

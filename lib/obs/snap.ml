@@ -237,6 +237,40 @@ let of_json (j : Json.t) : (t, string) result =
 
 (* ---- labelled Prometheus page (mvkv cluster metrics) ---- *)
 
+(* Text exposition version 0.0.4, without HTTP framing on purpose:
+   `mvkv metrics` prints it, and a node_exporter textfile collector (or
+   any sidecar) turns it into a scrape target. Names are sanitized to
+   the Prometheus grammar (letters, digits, '_' and ':', not starting
+   with a digit): every other character becomes '_', and a leading
+   digit gets a '_' prefix — so "net.requests" scrapes as
+   "net_requests"; the original name travels in the HELP line. *)
+
+let is_name_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+  | _ -> false
+
+let sanitize name =
+  let mapped = String.map (fun c -> if is_name_char c then c else '_') name in
+  match mapped with
+  | "" -> "_"
+  | s -> ( match s.[0] with '0' .. '9' -> "_" ^ s | _ -> s)
+
+let series buf name ?(labels = []) value =
+  Buffer.add_string buf name;
+  (match labels with
+  | [] -> ()
+  | labels ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (Printf.sprintf "%s=\"%s\"" k v))
+        labels;
+      Buffer.add_char buf '}');
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf value;
+  Buffer.add_char buf '\n'
+
 let prometheus (parts : ((string * string) list * t) list) =
   let buf = Buffer.create 4096 in
   let names =
@@ -251,7 +285,7 @@ let prometheus (parts : ((string * string) list * t) list) =
   in
   List.iter
     (fun orig ->
-      let name = Expo.sanitize orig in
+      let name = sanitize orig in
       (* One preamble per family, then one series per labelled part. *)
       let first =
         List.find_map (fun (_, snap) -> List.assoc_opt orig snap) parts
@@ -267,25 +301,25 @@ let prometheus (parts : ((string * string) list * t) list) =
           match List.assoc_opt orig snap with
           | None -> ()
           | Some (Counter v) | Some (Gauge v) ->
-              Expo.series buf name ~labels (int_value v)
+              series buf name ~labels (int_value v)
           | Some (Hist h) ->
               let acc = ref 0 in
               List.iter
                 (fun (i, n) ->
                   acc := !acc + n;
-                  Expo.series buf (name ^ "_bucket")
+                  series buf (name ^ "_bucket")
                     ~labels:(labels @ [ ("le", int_value (Histogram.bucket_hi i - 1)) ])
                     (int_value !acc))
                 h.buckets;
-              Expo.series buf (name ^ "_bucket")
+              series buf (name ^ "_bucket")
                 ~labels:(labels @ [ ("le", "+Inf") ])
                 (int_value h.hcount);
-              Expo.series buf (name ^ "_sum") ~labels (int_value h.hsum);
-              Expo.series buf (name ^ "_count") ~labels (int_value h.hcount)
+              series buf (name ^ "_sum") ~labels (int_value h.hsum);
+              series buf (name ^ "_count") ~labels (int_value h.hcount)
           | Some (Win { s1; s10; s60 }) ->
               List.iter
                 (fun (window_s, total) ->
-                  Expo.series buf (name ^ "_per_sec")
+                  series buf (name ^ "_per_sec")
                     ~labels:(labels @ [ ("window_s", int_value window_s) ])
                     (float_value (float_of_int total /. float_of_int window_s)))
                 [ (1, s1); (10, s10); (60, s60) ])

@@ -56,6 +56,11 @@ val merge_all : t list -> t
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 
+val sanitize : string -> string
+(** A registry name in the Prometheus grammar: every
+    non-[[a-zA-Z0-9_:]] character becomes ['_'], and a leading digit
+    gets a ['_'] prefix. *)
+
 val prometheus : ((string * string) list * t) list -> string
 (** One exposition page over many labelled snapshots: one HELP/TYPE
     preamble per metric family, one series per part carrying its label

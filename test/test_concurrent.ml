@@ -138,6 +138,144 @@ let skiplist_concurrent_readers_during_inserts () =
   in
   check_int "no order violations" 0 (results.(1) + results.(2))
 
+(* Two writers race towers of every height into one list from opposite
+   ends (evens ascending, odds descending), while a reader descends from
+   whatever [top] it reads: every key acknowledged before a find or a
+   range scan must be in it, and every range comes back sorted, inside
+   its bounds. *)
+let skiplist_race_from_top () =
+  let s = int_skiplist () in
+  let n = 4_000 and width = 64 in
+  let acked = [| Atomic.make 0; Atomic.make 0 |] in
+  let key writer i = if writer = 0 then 2 * i else (2 * (n - 1 - i)) + 1 in
+  let acknowledged k =
+    if k >= 2 * n then false
+    else if k land 1 = 0 then k / 2 < Atomic.get acked.(0)
+    else n - 1 - (k / 2) < Atomic.get acked.(1)
+  in
+  let results =
+    Concurrent.Parallel.run ~threads:3 (fun tid ->
+        if tid < 2 then begin
+          for i = 0 to n - 1 do
+            let k = key tid i in
+            ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k));
+            Atomic.set acked.(tid) (i + 1)
+          done;
+          0
+        end
+        else begin
+          let failures = ref 0 and round = ref 0 in
+          while Atomic.get acked.(0) < n || Atomic.get acked.(1) < n do
+            incr round;
+            for writer = 0 to 1 do
+              let upto = Atomic.get acked.(writer) in
+              if upto > 0 then begin
+                let k = key writer (!round * 7919 mod upto) in
+                if Concurrent.Skiplist.find s k <> Some k then incr failures
+              end
+            done;
+            let lo = !round * 37 mod (2 * n) in
+            let hi = lo + width in
+            let before = Array.init width (fun i -> acknowledged (lo + i)) in
+            let seen = Array.make width false in
+            let prev = ref (lo - 1) in
+            Concurrent.Skiplist.iter_range s ~lo ~hi (fun k v ->
+                if k <= !prev || k >= hi || v <> k then incr failures
+                else seen.(k - lo) <- true;
+                prev := k);
+            Array.iteri
+              (fun i acked_before -> if acked_before && not seen.(i) then incr failures)
+              before
+          done;
+          !failures
+        end)
+  in
+  check_int "acknowledged keys found, ranges sorted and complete" 0 results.(2);
+  for k = 0 to (2 * n) - 1 do
+    if Concurrent.Skiplist.find s k <> Some k then Alcotest.failf "key %d lost" k
+  done;
+  check_int "cardinal" (2 * n) (Concurrent.Skiplist.cardinal s)
+
+(* Skiplist: footprint and allocation. Towers are sized at the level
+   each node drew (2 cells expected) and every descent is a top-level
+   recursion from [top], so the bounds below hold with room to spare; a
+   tower of max_level boxed cells per key (77 words) or a closure and a
+   tuple per level per descent fails them. *)
+
+let even_skiplist n =
+  let s = int_skiplist () in
+  for k = 0 to n - 1 do
+    ignore (Concurrent.Skiplist.find_or_insert s (2 * k) ~make:(fun () -> ()))
+  done;
+  s
+
+let skiplist_footprint () =
+  let n = 10_000 in
+  let words = Obj.reachable_words (Obj.repr (even_skiplist n)) in
+  check_bool
+    (Printf.sprintf "%d words for %d keys: at most 16 per key" words n)
+    true
+    (words <= 16 * n)
+
+(* The two Gc.minor_words calls may box a handful of words; a per-call
+   allocation shows up as thousands. *)
+let skiplist_find_allocation () =
+  let n = 10_000 in
+  let s = even_skiplist n in
+  let misses = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to misses do
+    ignore (Sys.opaque_identity (Concurrent.Skiplist.find s ((2 * (i mod n)) + 1)))
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool
+    (Printf.sprintf "%d find misses allocate < 64 words (%.0f)" misses (w1 -. w0))
+    true
+    (w1 -. w0 < 64.0);
+  let hits = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to hits do
+    ignore (Sys.opaque_identity (Concurrent.Skiplist.find s (2 * (i mod n))))
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool
+    (Printf.sprintf "a find hit allocates at most its Some (%.0f words for %d)"
+       (w1 -. w0) hits)
+    true
+    (w1 -. w0 <= (2.0 *. float_of_int hits) +. 64.0)
+
+let skiplist_iter_range_allocation () =
+  let s = even_skiplist 10_000 in
+  let visited = ref 0 in
+  let count _ () = incr visited in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1_000 do
+    Concurrent.Skiplist.iter_range s ~lo:(i * 17) ~hi:((i * 17) + 40) count
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "every range visited" (1_000 * 20) !visited;
+  check_bool
+    (Printf.sprintf "1000 iter_range calls allocate < 64 words (%.0f)" (w1 -. w0))
+    true
+    (w1 -. w0 < 64.0)
+
+(* The batch-install path: an ascending cursor walk over present keys
+   pays for the insert call's own records (backoff, retry closures, the
+   Found), not for a closure and tuples per level of each seek. *)
+let skiplist_cursor_allocation () =
+  let n = 10_000 in
+  let s = even_skiplist n in
+  let make () = () in
+  let w0 = Gc.minor_words () in
+  let c = Concurrent.Skiplist.cursor s in
+  for k = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Concurrent.Skiplist.find_or_insert_at c (2 * k) ~make))
+  done;
+  let per_key = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.1f words per ascending cursor find, < 32" per_key)
+    true (per_key < 32.0)
+
 (* Skiplist: model-based property test against Map *)
 
 let qcheck_skiplist_vs_map =
@@ -407,6 +545,12 @@ let () =
           Alcotest.test_case "concurrent same keys" `Quick skiplist_concurrent_same_keys;
           Alcotest.test_case "readers during inserts" `Quick
             skiplist_concurrent_readers_during_inserts;
+          Alcotest.test_case "race from top" `Quick skiplist_race_from_top;
+          Alcotest.test_case "footprint per key" `Quick skiplist_footprint;
+          Alcotest.test_case "find allocation" `Quick skiplist_find_allocation;
+          Alcotest.test_case "iter_range allocation" `Quick
+            skiplist_iter_range_allocation;
+          Alcotest.test_case "cursor allocation" `Quick skiplist_cursor_allocation;
           QCheck_alcotest.to_alcotest qcheck_skiplist_vs_map;
         ] );
       ( "rbtree",

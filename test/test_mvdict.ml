@@ -574,6 +574,26 @@ let pskiplist_store_continues_after_restart () =
   check_bool "new key" true (PStore.find t2 2 = Some 22);
   check_bool "versions strictly increase across restarts" true (v2 > v1)
 
+(* A write to an existing key resolves its history with the read-only
+   index find: no insert-side search arrays (two max_level-slot arrays)
+   and no closure per descended level. *)
+let pskiplist_insert_existing_allocation () =
+  let t = PStore.create (fresh_heap ()) in
+  let keys = 1_000 and rounds = 10 in
+  for k = 0 to keys - 1 do
+    PStore.insert t k k
+  done;
+  let w0 = Gc.minor_words () in
+  for r = 1 to rounds do
+    for k = 0 to keys - 1 do
+      PStore.insert t k (k + r)
+    done
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int (keys * rounds) in
+  check_bool
+    (Printf.sprintf "%.1f words per insert into an existing key, < 100" per_call)
+    true (per_call < 100.0)
+
 let crash_heap () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 24) () in
   (media, Pmem.Pheap.create media)
@@ -1206,6 +1226,8 @@ let () =
           Alcotest.test_case "blob values" `Quick pskiplist_blob_values;
           Alcotest.test_case "file-backed pool" `Quick pskiplist_file_backed_pool;
           Alcotest.test_case "string keys/values" `Quick pskiplist_string_store;
+          Alcotest.test_case "insert into existing key allocation" `Quick
+            pskiplist_insert_existing_allocation;
         ] );
       ( "compaction",
         [

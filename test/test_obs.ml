@@ -856,9 +856,9 @@ let expo_line_format () =
       | None -> Alcotest.failf "%s has buckets but no _count" base)
     buckets;
   (* Sanitization: dotted registry names must not leak into series. *)
-  check_bool "sanitize maps dots" true (Obs.Expo.sanitize "a.b-c" = "a_b_c");
+  check_bool "sanitize maps dots" true (Obs.Snap.sanitize "a.b-c" = "a_b_c");
   check_bool "sanitize guards leading digit" true
-    (prom_name_ok (Obs.Expo.sanitize "9lives"))
+    (prom_name_ok (Obs.Snap.sanitize "9lives"))
 
 (* Instrumented stores feed the registry end to end. *)
 
