@@ -5,16 +5,18 @@
       poorly". The ablated find scans the persistent key chain instead
       of descending the skip list.
    2. key-chain block size — the block chain trades allocation rate
-      (small blocks) against reconstruction work distribution.
+      (small blocks) against reconstruction work distribution; a block
+      is 8 + 16 x slots bytes, so 63 slots fill the 1024-byte size class
+      and 64 round up to 2048.
    3. inline vs blob values — the codec stores small scalars inline in
       the history entry; the ablation forces a blob allocation per
       insert (what a naive encoding would do). *)
 
 module P = Approaches.P
 
-let build ?(block_slots = 64) ~n () =
+let build ?block_slots ~n () =
   let heap = Pmem.Pheap.create_ram ~capacity:!Approaches.heap_capacity () in
-  let store = P.create ~block_slots heap in
+  let store = P.create ?block_slots heap in
   let keys = Workload.Keygen.unique_keys ~seed:1 n in
   Array.iter
     (fun k ->
@@ -63,7 +65,8 @@ let index_vs_chain_scan ~n =
 (* Ablation 2: block chain block size. *)
 let block_size_sweep ~n =
   Report.subheader "ablation 2: key-chain block size (insert + reconstruction)";
-  Printf.printf "  %-12s%14s%16s%12s\n" "block_slots" "insert ns/op" "reconstruct" "blocks";
+  Printf.printf "  %-12s%14s%16s%12s%12s\n" "block_slots" "insert ns/op" "reconstruct"
+    "blocks" "live KiB";
   List.iter
     (fun block_slots ->
       let insert_ns =
@@ -83,10 +86,11 @@ let block_size_sweep ~n =
             ignore (P.open_existing ~threads:2 (Pmem.Pheap.reopen heap)))
       in
       let chain = Pmem.Pblockchain.attach heap (Pmem.Pheap.root_get heap 0) in
-      Printf.printf "  %-12d%14.0f%16s%12d\n" block_slots insert_ns
+      Printf.printf "  %-12d%14.0f%16s%12d%12d\n" block_slots insert_ns
         (Report.seconds reconstruct_s)
-        (Pmem.Pblockchain.block_count chain))
-    [ 4; 64; 512 ]
+        (Pmem.Pblockchain.block_count chain)
+        (Pmem.Pstats.live_bytes (Pmem.Pheap.stats heap) / 1024))
+    [ 4; 63; 64; 512 ]
 
 (* Ablation 3: inline vs blob value encoding. *)
 let inline_vs_blob ~n =

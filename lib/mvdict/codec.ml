@@ -65,5 +65,5 @@ let decode (type a) (module V : VALUE with type t = a) media word : a =
   else if word land 1 = 1 then V.of_inline (word lsr 1)
   else V.of_bytes (Pmem.Pblob.read media word)
 
-let free_word heap word =
-  if word <> marker_word && word land 1 = 0 then Pmem.Pblob.free heap word
+let is_blob w = w <> marker_word && w land 1 = 0
+let free_word heap word = if is_blob word then Pmem.Pblob.free heap word

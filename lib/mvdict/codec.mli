@@ -47,6 +47,10 @@ module String_key : KEY with type t = string
 
 val marker_word : int
 val is_marker : int -> bool
+
+val is_blob : int -> bool
+(** Whether a word points to a blob (even and non-zero). *)
+
 val max_inline : int
 
 val encode : (module VALUE with type t = 'a) -> Pmem.Pheap.t -> 'a -> int

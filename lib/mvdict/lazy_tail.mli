@@ -41,14 +41,20 @@ module type BACKEND = sig
       grower with no writer in flight. *)
 
   val write_entry : t -> int -> version:int -> value -> unit
-  (** Publish version then value of a claimed slot, then persist them
-      (persistence is a no-op for RAM backends). *)
+  (** Publish version then value of a claimed slot, then persist
+      whatever of them the stamp's persist in {!set_finished} will not
+      cover, plus what recovery needs without a stamp: a persistent
+      backend persists the lines before the stamp's line, and a blob
+      pointer wherever it lies, so an unstamped slot's blob can be
+      freed (persistence is a no-op for RAM backends). *)
 
   val read_version : t -> int -> int
   (** Version word of a slot; 0 if not yet written. *)
 
   val set_finished : t -> int -> int -> unit
-  (** Persist the completion stamp of a slot (written last). *)
+  (** Write the completion stamp of a slot (written last) and persist
+      its line, which makes the slot's version and value durable too
+      where they share it. *)
 
   val read_entry : t -> int -> int * value * int
   (** [(version, value, finished)] of a slot, all read from one buffer

@@ -10,16 +10,22 @@ module Backend = struct
   let capacity = Pmem.Pvector.capacity
   let ensure v n = Pmem.Pvector.grow v n
 
+  (* The stamp (word 2) is the record's commit word: version and an
+     inline value are persisted only where they lie on an earlier line
+     than the stamp, and otherwise become durable with the stamp's line.
+     A blob pointer is persisted before the stamp wherever it lies, so
+     recovery can free the blob of a record that a crash left unstamped. *)
   let write_entry v slot ~version word =
     Pmem.Pvector.set_word v ~record:slot ~word:0 version;
     Pmem.Pvector.set_word v ~record:slot ~word:1 word;
-    Pmem.Pvector.persist_record v ~record:slot
+    if Codec.is_blob word then Pmem.Pvector.persist_record v ~record:slot
+    else Pmem.Pvector.persist_before_word v ~record:slot ~word:2
 
   let read_version v slot = Pmem.Pvector.get_word v ~record:slot ~word:0
 
   let set_finished v slot stamp =
     Pmem.Pvector.set_word v ~record:slot ~word:2 stamp;
-    Pmem.Pvector.persist_record v ~record:slot
+    Pmem.Pvector.persist_word v ~record:slot ~word:2
 
   let read_entry v slot = Pmem.Pvector.get_record3 v ~record:slot
 end

@@ -5,9 +5,20 @@
     removal marker), so a history entry costs 24 bytes of persistent
     memory and — for inline values — zero allocations on the append path.
 
-    Persist ordering per entry: version+value words first, completion
-    stamp last; recovery treats a slot as present iff its stamp is
-    non-zero and globally contiguous. *)
+    Persist ordering per entry: the stamp is the record's commit word
+    and persists last and alone. For an inline value or a removal
+    marker, [write_entry] persists only the lines of version and value
+    that lie before the stamp's line (none for 6 of every 8 slots,
+    whose 24 bytes sit in one 64-byte line); [set_finished] writes the
+    stamp and persists its line, so an append costs one line and one
+    fence when the record fits a line and two of each when it straddles
+    two. A line is the unit of durability ({!Pmem.Media.cache_line})
+    and stores to one line reach it in program order, so the stamp
+    never becomes durable without the version and value it covers. A
+    blob pointer is persisted with the version before the stamp
+    wherever it lies, so recovery ({!attach_pruned}) can free the blob
+    of an entry a crash left unstamped. Recovery treats a slot as
+    present iff its stamp is non-zero and globally contiguous. *)
 
 module Backend : Lazy_tail.BACKEND with type value = int
 

@@ -80,7 +80,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         op_exit t;
         raise e
 
-  let create ?(block_slots = 64) heap =
+  let create ?(block_slots = 63) heap =
     if not (Pmem.Pptr.is_null (Pmem.Pheap.root_get heap chain_root_slot)) then
       invalid_arg "Pskiplist.create: heap already holds a store (use open_existing)";
     let chain = Pmem.Pblockchain.create heap ~block_slots in
@@ -148,7 +148,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      version for the whole batch, resolve every history along a single
      ascending finger walk, write all payloads, then stamp all entries
      — with [Media.with_batch] coalescing the persistence epilogue into
-     two barriers (payloads durable before any stamp; stamps durable
+     two barriers (no payload durable after its stamp; stamps durable
      before any publication). Completion stamps are published last and
      still inside the gated section: compaction's drain assumes a
      drained store has published every claimed slot.

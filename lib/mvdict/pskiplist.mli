@@ -20,7 +20,8 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
 
   val create : ?block_slots:int -> Pmem.Pheap.t -> t
   (** Format a store in a fresh heap (root slot 0). [block_slots] is the
-      key-chain block size (default 64). *)
+      key-chain block size (default 63: a block is [8 + 16 * slots]
+      bytes, and 63 slots fill the 1024-byte size class). *)
 
   val open_existing : ?threads:int -> Pmem.Pheap.t -> t
   (** Restart path: recover the global finished counter from the

@@ -7,8 +7,12 @@
           oversized free-list head (intrusive like the class lists, but
           each free block also records its own byte size in its second
           word, so first-fit can match on size)
-   Every mutation is persisted before [alloc]/[free] returns, so a crash
-   can only leak the block being handed out, never double-allocate it. *)
+   Every mutation is persisted before [alloc]/[free] returns, even
+   inside a [Media.with_batch] scope ([Media.persist_now]): a block
+   handed out in a scope can be written and flushed by another domain
+   before the scope's barrier. So a crash can only leak the block being
+   handed out, never double-allocate it, and memory at or above the
+   persisted bump pointer has never been handed out. *)
 
 let size_classes =
   [| 16; 24; 32; 48; 64; 96; 128; 192; 256; 384; 512; 1024; 2048; 4096 |]
@@ -93,7 +97,7 @@ let pop_free_list t c =
   else begin
     let next = Media.get_i64 t.media head in
     Media.set_i64 t.media head_off next;
-    Media.persist t.media head_off 8;
+    Media.persist_now t.media head_off 8;
     head
   end
 
@@ -103,18 +107,18 @@ let push_class t c ptr =
   let head_off = class_head_off t c in
   let head = Media.get_i64 t.media head_off in
   Media.set_i64 t.media ptr head;
-  Media.persist t.media ptr 8;
+  Media.persist_now t.media ptr 8;
   Media.set_i64 t.media head_off ptr;
-  Media.persist t.media head_off 8
+  Media.persist_now t.media head_off 8
 
 let push_oversized t ptr size =
   let head_off = oversized_head_off t in
   let head = Media.get_i64 t.media head_off in
   Media.set_i64 t.media ptr head;
   Media.set_i64 t.media (ptr + 8) size;
-  Media.persist t.media ptr 16;
+  Media.persist_now t.media ptr 16;
   Media.set_i64 t.media head_off ptr;
-  Media.persist t.media head_off 8
+  Media.persist_now t.media head_off 8
 
 (* Recycle the tail of a split oversized block. A remainder too big for
    any class stays on the oversized list whole; otherwise it is carved
@@ -147,7 +151,7 @@ let pop_oversized t size =
       if cur_size = size || cur_size >= size + oversized_min_remainder then begin
         (* Unlink, then recycle any split tail. *)
         Media.set_i64 t.media prev_link (Media.get_i64 t.media cur);
-        Media.persist t.media prev_link 8;
+        Media.persist_now t.media prev_link 8;
         if cur_size > size then recycle_remainder t (cur + size) (cur_size - size);
         cur
       end
@@ -161,30 +165,39 @@ let alloc_fresh t size =
   let heap_end = Media.get_i64 t.media (end_off t) in
   if bump + size > heap_end then raise Out_of_memory;
   Media.set_i64 t.media (bump_off t) (bump + size);
-  Media.persist t.media (bump_off t) 8;
+  Media.persist_now t.media (bump_off t) 8;
   bump
 
-let alloc t size =
+(* A block of [rounded_size size] bytes, and whether it came off a
+   free list (and so may hold stale bytes). *)
+let take t size =
   if size <= 0 then invalid_arg "Alloc.alloc: size must be positive";
-  let off =
+  let rounded = rounded_size size in
+  let block =
     with_lock t (fun () ->
-        match class_of_size size with
-        | Some c ->
-            let recycled = pop_free_list t c in
-            if Pptr.is_null recycled then alloc_fresh t size_classes.(c)
-            else recycled
-        | None ->
-            let aligned = Pptr.align8 size in
-            let recycled = pop_oversized t aligned in
-            if Pptr.is_null recycled then alloc_fresh t aligned else recycled)
+        let recycled =
+          match class_of_size size with
+          | Some c -> pop_free_list t c
+          | None -> pop_oversized t rounded
+        in
+        if Pptr.is_null recycled then (alloc_fresh t rounded, false)
+        else (recycled, true))
   in
-  Pstats.record_alloc (Media.stats t.media) ~bytes:(rounded_size size);
-  off
+  Pstats.record_alloc (Media.stats t.media) ~bytes:rounded;
+  block
 
+let alloc t size = fst (take t size)
+
+(* Fresh blocks lie at or above the persisted bump pointer, which no
+   block handed out so far has reached, so they are durable zero
+   already (see [format]); only a recycled block is zeroed. *)
 let alloc_zeroed t size =
-  let off = alloc t size in
-  Media.fill t.media off (rounded_size size) '\000';
-  Media.persist t.media off (rounded_size size);
+  let off, recycled = take t size in
+  if recycled then begin
+    let n = rounded_size size in
+    Media.fill t.media off n '\000';
+    Media.persist t.media off n
+  end;
   off
 
 let free t ptr size =

@@ -9,10 +9,11 @@
     - oversized blocks (beyond the largest size class) go to a persisted
       first-fit free list keyed by their 8-byte-aligned size; splitting a
       larger block recycles the remainder through the class lists;
-    - allocation metadata is persisted before a block is handed out, so a
-      crash can at worst {e leak} blocks, never double-allocate them
-      (leaks are reclaimable offline; PMDK makes the same trade under
-      [POBJ_XALLOC_NO_FLUSH]).
+    - allocation metadata is persisted before a block is handed out,
+      even inside a {!Media.with_batch} scope ({!Media.persist_now}),
+      so a crash can at worst {e leak} blocks, never double-allocate
+      them (leaks are reclaimable offline; PMDK makes the same trade
+      under [POBJ_XALLOC_NO_FLUSH]).
 
     Thread-safe: a single internal mutex serialises allocation, mirroring
     the internal locking of real persistent allocators. The hot paths of
@@ -30,7 +31,12 @@ val header_size : int
 
 val format : Media.t -> base_off:int -> heap_end:int -> t
 (** Initialise allocator state on a fresh media. Blocks are served from
-    [\[base_off + header_size, heap_end)]. *)
+    [\[base_off + header_size, heap_end)], which must read zero, durably:
+    {!alloc_zeroed} relies on memory at or above the bump pointer being
+    durable zero. Fresh media are ({!Media.create_ram} zero-fills, and
+    {!Media.create_file} makes a sparse, zero-filled file). The bump
+    pointer is persisted before the block it cuts is handed out, so no
+    write to a handed-out block can land at or above it. *)
 
 val attach : Media.t -> base_off:int -> t
 (** Recover allocator state persisted by {!format} from an existing
@@ -42,7 +48,10 @@ val alloc : t -> int -> Pptr.t
     @raise Out_of_memory when the heap range is exhausted. *)
 
 val alloc_zeroed : t -> int -> Pptr.t
-(** Like {!alloc} but the block is zero-filled. *)
+(** Like {!alloc} but the block reads zero, durably. A fresh block (cut
+    at the bump pointer) is durable zero already and costs no write or
+    flush; only a block recycled from a free list is zero-filled and
+    persisted. *)
 
 val free : t -> Pptr.t -> int -> unit
 (** [free t ptr size] recycles a block previously returned by [alloc t

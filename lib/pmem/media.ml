@@ -8,8 +8,13 @@ type mapped = (char, int8_unsigned_elt, c_layout) Array1.t
    torn mix. *)
 type buffer = Ram_buf of Bytes.t | Map_buf of mapped
 
+(* The crash-sim durable image. Flushes copy whole lines into it under
+   [lock]: an unlocked copy that read a line before a neighbour's write
+   and stored it after the neighbour's own flush would drop that word. *)
+type shadow = { image : Bytes.t; lock : Mutex.t }
+
 type backing =
-  | Ram of { shadow : Bytes.t option }
+  | Ram of { shadow : shadow option }
   | File of { fd : Unix.file_descr; path : string }
 
 type t = {
@@ -24,7 +29,10 @@ let cache_line = 64
 
 let create_ram ?(crash_sim = false) ~capacity () =
   if capacity <= 0 then invalid_arg "Media.create_ram: capacity must be positive";
-  let shadow = if crash_sim then Some (Bytes.make capacity '\000') else None in
+  let shadow =
+    if crash_sim then Some { image = Bytes.make capacity '\000'; lock = Mutex.create () }
+    else None
+  in
   {
     buf = Ram_buf (Bytes.make capacity '\000');
     capacity;
@@ -141,22 +149,24 @@ let fill t off len c =
         Array1.unsafe_set b i c
       done
 
-(* Make cache line [line] durable in the crash-sim shadow. Accounting
-   is the caller's job, so batch drains can blit many deduplicated
-   lines under one [record_flush]. *)
-let blit_line t line =
+(* Make cache lines [first, last] durable in the crash-sim shadow.
+   Accounting is the caller's job, so batch drains can blit many
+   deduplicated lines under one [record_flush]. *)
+let blit_lines t first last =
   match (t.backing, t.buf) with
   | Ram { shadow = Some shadow }, Ram_buf b ->
-      let lo = line * cache_line in
-      let hi = min t.capacity (lo + cache_line) in
-      if hi > lo then Bytes.blit b lo shadow lo (hi - lo)
+      let lo = first * cache_line in
+      let hi = min t.capacity ((last + 1) * cache_line) in
+      if hi > lo then begin
+        Mutex.lock shadow.lock;
+        Bytes.blit b lo shadow.image lo (hi - lo);
+        Mutex.unlock shadow.lock
+      end
   | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _ -> ()
 
 let flush_lines t first last =
   Pstats.record_flush t.stats ~lines:(last - first + 1);
-  for line = first to last do
-    blit_line t line
-  done
+  blit_lines t first last
 
 (* Batch scopes. Inside [with_batch] the calling domain defers every
    flush and fence: dirty cache-line ranges are only appended to a flat
@@ -271,19 +281,9 @@ let drain_entry e =
       if i > 0 && p < packed.(i - 1) then sorted := false
     done;
     if not !sorted then Array.sort (fun (a : int) b -> Stdlib.compare a b) packed;
-    let media = e.media in
-    let flush_run =
-      (* hoist the backing dispatch out of the per-line loop *)
-      match (media.backing, media.buf) with
-      | Ram { shadow = Some shadow }, Ram_buf b ->
-          fun first last ->
-            actual := !actual + (last - first + 1);
-            let lo = first * cache_line in
-            let hi = min media.capacity ((last + 1) * cache_line) in
-            if hi > lo then Bytes.blit b lo shadow lo (hi - lo)
-      | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _
-        ->
-          fun first last -> actual := !actual + (last - first + 1)
+    let flush_run first last =
+      actual := !actual + (last - first + 1);
+      blit_lines e.media first last
     in
     let mask = (1 lsl range_bits) - 1 in
     let cur_first = ref (packed.(0) lsr range_bits)
@@ -349,25 +349,34 @@ let fence t =
       e.asked_fences <- e.asked_fences + 1
   | None -> Pstats.record_fence t.stats
 
+let persist_now t off len =
+  check_range t off len;
+  if len > 0 then flush_lines t (off / cache_line) ((off + len - 1) / cache_line);
+  Pstats.record_fence t.stats
+
 (* One DLS lookup for the flush + fence pair (persist is the hot call
    on every entry write). *)
 let persist t off len =
-  check_range t off len;
   match (Domain.DLS.get scope_key).active with
   | Some scope ->
+      check_range t off len;
       let e = scope_entry scope t in
       if len > 0 then
         record_range e (off / cache_line) ((off + len - 1) / cache_line);
       e.asked_fences <- e.asked_fences + 1
-  | None ->
-      if len > 0 then
-        flush_lines t (off / cache_line) ((off + len - 1) / cache_line);
-      Pstats.record_fence t.stats
+  | None -> persist_now t off len
+
+let persist_before t off ~commit =
+  let commit_line = commit / cache_line in
+  if off / cache_line < commit_line then
+    persist t off ((commit_line * cache_line) - off)
 
 let simulate_crash t =
   match (t.backing, t.buf) with
   | Ram { shadow = Some shadow }, Ram_buf b ->
-      Bytes.blit shadow 0 b 0 t.capacity
+      Mutex.lock shadow.lock;
+      Bytes.blit shadow.image 0 b 0 t.capacity;
+      Mutex.unlock shadow.lock
   | Ram { shadow = None }, _ ->
       invalid_arg "Media.simulate_crash: media created without crash_sim"
   | File _, _ | Ram { shadow = Some _ }, Map_buf _ ->

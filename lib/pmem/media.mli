@@ -8,10 +8,15 @@
 
     Durability model: a store becomes durable only once the cache lines
     covering it have been {!flush}ed and a {!fence} issued — exactly the
-    [clwb + sfence] discipline of real persistent memory. In
-    [crash_sim:true] mode the media keeps a shadow "durable image":
+    [clwb + sfence] discipline of real persistent memory. The line
+    ({!cache_line}) is the unit: a flush makes a whole line durable at
+    once, and stores by one domain to one line reach it in program order.
+    In [crash_sim:true] mode the media keeps a shadow "durable image":
     {!simulate_crash} discards every write that was not flushed, which is
     how the test suite proves crash consistency of the layouts above.
+    Flushes copy whole lines into the shadow under one lock per media, so
+    domains flushing neighbouring words of a line never drop each
+    other's.
 
     Concurrency: distinct byte ranges may be written by different domains
     concurrently. Same-word racing accesses must be coordinated by the
@@ -67,6 +72,22 @@ val fence : t -> unit
 val persist : t -> int -> int -> unit
 (** [flush] followed by [fence]. *)
 
+val persist_now : t -> int -> int -> unit
+(** {!persist} that takes effect at once, even inside a {!with_batch}
+    scope. For metadata that must be durable before anything it hands
+    out can be written: a block allocated inside a scope may be written
+    and flushed by another domain before the scope's barrier. *)
+
+val persist_before : t -> int -> commit:int -> unit
+(** [persist_before t off ~commit] persists the cache lines covering
+    [\[off, commit)] that lie strictly before [commit]'s line, and does
+    nothing when [off] shares that line. It orders a record's payload
+    before its commit word (the word whose write makes the record
+    valid): payload words on the commit word's line need no persist of
+    their own, because a line is the unit of durability and stores to
+    one line reach it in program order, so persisting the commit word's
+    line makes them durable with it. *)
+
 (** {1 Batch scopes}
 
     A batch scope coalesces the persistence epilogues of a multi-record
@@ -79,7 +100,8 @@ val persist : t -> int -> int -> unit
     updated at the barrier, so a simulated crash mid-batch loses the
     whole unfenced suffix — callers must not expose batch effects
     before the closing barrier. Scopes are per-domain; other domains
-    flush and fence eagerly as usual. *)
+    flush and fence eagerly as usual, and {!persist_now} bypasses the
+    scope. *)
 
 val with_batch : (unit -> 'a) -> 'a
 (** Run [f] with deferred persistence on this domain, draining the

@@ -1,7 +1,8 @@
 (* On-media layout:
      header: { head_block : i64; block_slots : i64 }
      block:  { next : i64; slots : block_slots * (key : i64, hist : i64) }
-   Slot validity: hist <> 0, written and persisted after the key word.
+   Slot validity: hist <> 0, written after the key word and persisted
+   no earlier than it.
 
    Ephemeral state rebuilt on attach:
      claim  — global monotonic slot counter (fetch-add to claim),
@@ -27,11 +28,7 @@ let block_size block_slots = 8 + (16 * block_slots)
 let slot_off block_off slot = block_off + 8 + (16 * slot)
 
 let alloc_block t =
-  let size = block_size t.block_slots in
-  let off = Alloc.alloc (Pheap.allocator t.heap) size in
-  Media.fill t.media off size '\000';
-  Media.persist t.media off size;
-  off
+  Alloc.alloc_zeroed (Pheap.allocator t.heap) (block_size t.block_slots)
 
 let fresh_table n = Array.init n (fun _ -> Atomic.make Pptr.null)
 
@@ -161,8 +158,10 @@ let append t ~key ~hist =
   let index = g / t.block_slots and slot = g mod t.block_slots in
   let block = obtain_block t index ~owner:(slot = 0 && index > 0) in
   let off = slot_off block slot in
+  (* The history word is the slot's commit word: the key word needs a
+     persist of its own only when it lies on an earlier line. *)
   Media.set_i64 t.media off key;
-  Media.persist t.media off 8;
+  Media.persist_before t.media off ~commit:(off + 8);
   Media.set_i64 t.media (off + 8) hist;
   Media.persist t.media (off + 8) 8
 

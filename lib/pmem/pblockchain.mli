@@ -7,8 +7,11 @@
     [i mod T = tid] and bulk-inserts its slots into the ephemeral index.
 
     Append protocol: a global slot is claimed with an atomic fetch-add;
-    the key word is written and persisted first, then the history pointer
-    — a slot is valid if and only if its history word is non-null, so a
+    the key word is written first, then the history pointer, the slot's
+    commit word, which persists last and alone
+    ({!Media.persist_before}): one line and one fence when both words
+    share a cache line, two of each when the slot straddles two. A slot
+    is valid if and only if its history word is non-null, so a
     crash mid-append leaves a hole that iteration skips (the insert that
     died was not yet visible anyway, matching the paper's recovery
     argument). The thread that claims the first slot of a fresh block

@@ -11,7 +11,8 @@ val root_slots : int
 (** Number of root slots (16). *)
 
 val create : Media.t -> t
-(** Format a fresh media as a heap (magic, roots, allocator). *)
+(** Format a fresh media as a heap (magic, roots, allocator). The media
+    must read zero, as fresh media do ({!Alloc.format}). *)
 
 val open_existing : Media.t -> t
 (** Attach to a previously formatted media.

@@ -13,11 +13,20 @@ type t = {
 let header_size = 16
 let buffer_bytes ~record_words ~capacity = 8 + (record_words * 8 * capacity)
 
-let alloc_buffer t ~capacity =
-  let size = buffer_bytes ~record_words:t.record_words ~capacity in
-  let off = Alloc.alloc (Pheap.allocator t.heap) size in
-  Media.fill t.media off size '\000';
+(* A durable buffer of [capacity] records whose first [keep] are copied
+   from [src] and the rest are zero. The block comes from
+   [Alloc.alloc_zeroed], which makes it durable zero, so only the
+   capacity word and the copied records are persisted here. *)
+let alloc_buffer t ~capacity ~src ~keep =
+  let off =
+    Alloc.alloc_zeroed (Pheap.allocator t.heap)
+      (buffer_bytes ~record_words:t.record_words ~capacity)
+  in
   Media.set_i64 t.media off capacity;
+  let payload = t.record_words * 8 * keep in
+  if payload > 0 then
+    Media.write_bytes t.media (off + 8) (Media.read_bytes t.media (src + 8) payload);
+  Media.persist t.media off (8 + payload);
   off
 
 let create heap ~record_words ~initial_capacity =
@@ -26,8 +35,7 @@ let create heap ~record_words ~initial_capacity =
   let media = Pheap.media heap in
   let header_off = Alloc.alloc (Pheap.allocator heap) header_size in
   let t = { heap; media; header_off; record_words } in
-  let buf = alloc_buffer t ~capacity:initial_capacity in
-  Media.persist media buf (buffer_bytes ~record_words ~capacity:initial_capacity);
+  let buf = alloc_buffer t ~capacity:initial_capacity ~src:Pptr.null ~keep:0 in
   Media.set_i64 media header_off buf;
   Media.set_i64 media (header_off + 8) record_words;
   Media.persist media header_off header_size;
@@ -53,12 +61,9 @@ let grow t wanted =
       let rec double c = if c >= wanted then c else double (c * 2) in
       double (max 1 old_capacity)
     in
-    let new_buf = alloc_buffer t ~capacity:new_capacity in
-    let payload = t.record_words * 8 * old_capacity in
-    Media.write_bytes t.media (new_buf + 8)
-      (Media.read_bytes t.media (old_buf + 8) payload);
-    Media.persist t.media new_buf
-      (buffer_bytes ~record_words:t.record_words ~capacity:new_capacity);
+    let new_buf =
+      alloc_buffer t ~capacity:new_capacity ~src:old_buf ~keep:old_capacity
+    in
     Media.set_i64 t.media t.header_off new_buf;
     Media.persist t.media t.header_off 8;
     (* The old buffer is quarantined, not freed, so concurrent readers
@@ -74,12 +79,7 @@ let shrink_offline t ~capacity ~keep =
   let old_buf = buf_off t in
   let old_capacity = Media.get_i64 t.media old_buf in
   if capacity < old_capacity then begin
-    let new_buf = alloc_buffer t ~capacity in
-    let payload = t.record_words * 8 * min keep old_capacity in
-    if payload > 0 then
-      Media.write_bytes t.media (new_buf + 8)
-        (Media.read_bytes t.media (old_buf + 8) payload);
-    Media.persist t.media new_buf (buffer_bytes ~record_words:t.record_words ~capacity);
+    let new_buf = alloc_buffer t ~capacity ~src:old_buf ~keep in
     (* Same publication point as growth: the header swap. A crash in
        between orphans the new buffer; after it, the old one — either
        way a bounded leak, never a torn vector. *)
@@ -107,6 +107,13 @@ let get_record3 t ~record =
 
 let persist_record t ~record =
   Media.persist t.media (record_off t record) (t.record_words * 8)
+
+let persist_word t ~record ~word =
+  Media.persist t.media (record_off t record + (8 * word)) 8
+
+let persist_before_word t ~record ~word =
+  let off = record_off t record in
+  Media.persist_before t.media off ~commit:(off + (8 * word))
 
 let free heap t =
   let buf = buf_off t in

@@ -5,7 +5,11 @@
     capacity. Growth allocates a double-size buffer, copies, persists, and
     swaps the header word — a single atomic publication, so readers always
     see either the old or the new complete buffer, and a crash mid-growth
-    merely leaks the new buffer.
+    merely leaks the new buffer. Buffers come from
+    {!Alloc.alloc_zeroed}, so a new buffer is durable zero before it is
+    written: growth (and {!create}, {!shrink_offline}) persists only the
+    capacity word and the records it copied, not the zeros behind
+    them.
 
     Concurrency contract (matching Algorithm 1 of the paper): many threads
     may read and write {e distinct} records concurrently; growth must be
@@ -52,6 +56,14 @@ val get_record3 : t -> record:int -> int * int * int
 
 val persist_record : t -> record:int -> unit
 (** Flush + fence the cache lines of one record. *)
+
+val persist_word : t -> record:int -> word:int -> unit
+(** Flush + fence the cache line holding one word of a record. *)
+
+val persist_before_word : t -> record:int -> word:int -> unit
+(** Flush + fence the lines holding words [\[0, word)] of a record that
+    lie before [word]'s line ({!Media.persist_before}): the payload a
+    commit word at [word] covers. Nothing when they share its line. *)
 
 val free : Pheap.t -> t -> unit
 (** Recycle the current buffer and header. Unsafe under concurrency. *)

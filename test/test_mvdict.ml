@@ -1106,6 +1106,164 @@ let batch_twin_equivalence =
       let a2 = PStore.open_existing ~threads:2 (Pmem.Pheap.reopen heap) in
       pre && agree !last_stamp a2)
 
+(* Persisting a history append: counted cost and crash rules. The stamp
+   is a record's commit word, so a record that fits one cache line costs
+   one flushed line and one fence, and a record straddling two lines (its
+   start at 48 or 56 mod 64) costs two of each. *)
+
+module PH = Mvdict.Phistory
+
+let cost stats f =
+  let lines = Pmem.Pstats.flushed_lines stats and fences = Pmem.Pstats.fences stats in
+  f ();
+  (Pmem.Pstats.flushed_lines stats - lines, Pmem.Pstats.fences stats - fences)
+
+let int_word heap v = Mvdict.Codec.encode (module Mvdict.Codec.Int_value) heap v
+
+(* Media offset of a history record, read through the vector header. *)
+let record_start heap h slot =
+  let media = Pmem.Pheap.media heap in
+  Pmem.Media.get_i64 media (PH.handle h) + 8 + (24 * slot)
+
+(* Append stamped filler entries until the next slot's record starts at
+   a line offset satisfying [p]. *)
+let append_until heap h ~ctx ~board p =
+  while not (p (record_start heap h (PH.H.pending_length h) mod Pmem.Media.cache_line)) do
+    PH.H.append h ~ctx ~board ~version:1 (int_word heap 1)
+  done
+
+(* Any 8 consecutive 24-byte records span 3 lines, and 2 of them
+   straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). *)
+let history_append_cost () =
+  let heap = fresh_heap () in
+  let ctx, board = history_env () in
+  let h = PH.create heap in
+  PH.Backend.ensure (PH.H.backend h) 8;
+  let lines, fences =
+    cost (Pmem.Pheap.stats heap) (fun () ->
+        for v = 1 to 8 do
+          PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+        done)
+  in
+  check_int "flushed lines for 8 appends" 10 lines;
+  check_int "fences for 8 appends" 10 fences;
+  check_int "all appends visible" 8 (List.length (PH.H.events h ~ctx))
+
+(* Growth persists the allocator's bump word, the capacity word plus the
+   copied records (200 bytes: at most 4 lines) and the header, not the
+   zeros of the rest of the doubled buffer. *)
+let history_growth_cost () =
+  let heap = fresh_heap () in
+  let ctx, board = history_env () in
+  let h = PH.create heap in
+  for v = 1 to 8 do
+    PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+  done;
+  let v = PH.H.backend h in
+  check_int "full" 8 (PH.Backend.capacity v);
+  let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PH.Backend.ensure v 9) in
+  check_int "doubled" 16 (PH.Backend.capacity v);
+  check_bool (Printf.sprintf "%d lines flushed, at most 7" lines) true (lines <= 7);
+  check_int "fences: bump word, buffer, header" 3 fences
+
+let slot_words h slot = PH.Backend.read_entry (PH.H.backend h) slot
+
+(* Reopen [h] from the durable image, as a restart would. *)
+let recover heap h ~ctx =
+  PH.attach_pruned (Pmem.Pheap.reopen heap) (PH.handle h) ~fc:(Mvdict.Version.fc ctx)
+
+(* A record inside one line is written but not stamped: nothing of it
+   was persisted, so the slot reads all zero after the crash. *)
+let crash_unstamped_one_line_record () =
+  let media, heap = crash_heap () in
+  let ctx, board = history_env () in
+  let h = PH.create heap in
+  append_until heap h ~ctx ~board (fun start -> start < 48);
+  let slot = PH.H.append_entry h ~version:2 (int_word heap 2) in
+  Pmem.Media.simulate_crash media;
+  let h2, _ = recover heap h ~ctx in
+  check_bool "slot all zero" true (slot_words h2 slot = (0, 0, 0));
+  check_int "stamped prefix kept" slot (PH.H.visible_length h2)
+
+(* A record with a blob value crashed before its stamp persisted. The
+   blob pointer is persisted with the version whatever the record's
+   line offset (the value may share the stamp's line: at 56 and for
+   any record inside one line), so recovery prunes the slot and frees
+   the blob exactly once. *)
+let crash_unstamped_blob_record offset () =
+  let media, heap = crash_heap () in
+  let stats = Pmem.Pheap.stats heap in
+  let ctx, board = history_env () in
+  let h = PH.create heap in
+  append_until heap h ~ctx ~board (( = ) offset);
+  PH.Backend.ensure (PH.H.backend h) (PH.H.pending_length h + 1);
+  let blob = int_word heap (-7) in
+  let live0 = Pmem.Pstats.live_bytes stats in
+  let slot = PH.H.append_entry h ~version:2 blob in
+  Pmem.Media.simulate_crash media;
+  let h2, _ = recover heap h ~ctx in
+  check_bool "slot pruned" true (slot_words h2 slot = (0, 0, 0));
+  let live = Pmem.Pstats.live_bytes stats in
+  check_int "blob freed once" Pmem.Alloc.size_classes.(0) (live0 - live);
+  Pmem.Media.simulate_crash media;
+  ignore (recover heap h ~ctx);
+  check_int "no second free" live (Pmem.Pstats.live_bytes stats)
+
+(* Growth into a block recycled from a free list: the block still holds
+   another history's stamped records, which must not resurface past the
+   copied prefix after a crash, nor be freed by recovery. *)
+let crash_growth_into_reused_block () =
+  let media, heap = crash_heap () in
+  let stats = Pmem.Pheap.stats heap in
+  let ctx, board = history_env () in
+  let old = PH.create heap in
+  for v = 1 to 16 do
+    PH.H.append old ~ctx ~board ~version:v (int_word heap (-v))
+  done;
+  let buffer h = record_start heap h 0 in
+  let old_buffer = buffer old in
+  PH.destroy heap old;
+  let h = PH.create heap in
+  for v = 17 to 25 do
+    PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+  done;
+  check_int "grown into the freed buffer" old_buffer (buffer h);
+  let live = Pmem.Pstats.live_bytes stats in
+  Pmem.Media.simulate_crash media;
+  let h2, max_version = recover heap h ~ctx in
+  check_int "capacity" 16 (PH.Backend.capacity (PH.H.backend h2));
+  check_int "only this history's records" 9 (PH.H.visible_length h2);
+  check_int "highest version" 25 max_version;
+  for slot = 9 to 15 do
+    check_bool "tail slot zero" true (slot_words h2 slot = (0, 0, 0))
+  done;
+  check_int "recovery freed nothing" live (Pmem.Pstats.live_bytes stats)
+
+(* A batch scope defers its own persists to its barrier, yet another
+   domain may write into a history the scope created before then. The
+   blocks cut for that history must stay allocated across a crash
+   before the barrier: with the bump pointer's persist deferred too,
+   they would lie above it after recovery and be handed out again as
+   fresh, durable-zero memory still holding the other domain's record. *)
+let crash_mid_batch_keeps_fresh_memory_zero () =
+  let media, heap = crash_heap () in
+  let t = PStore.create heap in
+  let alloc = Pmem.Pheap.allocator heap in
+  let start = Pmem.Alloc.used_bytes alloc in
+  let cut =
+    Pmem.Media.with_batch (fun () ->
+        PStore.insert t 1 10;
+        Domain.join (Domain.spawn (fun () -> PStore.insert t 1 11));
+        let cut = Pmem.Alloc.used_bytes alloc - start in
+        Pmem.Media.simulate_crash media;
+        cut)
+  in
+  check_bool "the new key cut fresh blocks" true (cut > 0);
+  let alloc2 = Pmem.Pheap.allocator (Pmem.Pheap.reopen heap) in
+  let q = Pmem.Alloc.alloc_zeroed alloc2 cut in
+  check_bool "fresh memory reads zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes media q cut))
+
 let crash_after_concurrent_inserts () =
   (* Concurrent writers, then power cut: every completed operation must
      be recovered (each insert fully persists before returning). *)
@@ -1258,6 +1416,24 @@ let () =
           Alcotest.test_case "coalescing saves pmem work" `Quick
             batch_coalescing_saves_pmem_work;
           QCheck_alcotest.to_alcotest batch_twin_equivalence;
+        ] );
+      ( "append-persistence",
+        [
+          Alcotest.test_case "8 appends cost 10 lines and 10 fences" `Quick
+            history_append_cost;
+          Alcotest.test_case "growth persists no zeros" `Quick history_growth_cost;
+          Alcotest.test_case "crash before the stamp leaves a zero slot" `Quick
+            crash_unstamped_one_line_record;
+          Alcotest.test_case "crash mid straddling record at 48" `Quick
+            (crash_unstamped_blob_record 48);
+          Alcotest.test_case "crash mid straddling record at 56" `Quick
+            (crash_unstamped_blob_record 56);
+          Alcotest.test_case "crash before a one-line record's stamp frees its blob"
+            `Quick (crash_unstamped_blob_record 0);
+          Alcotest.test_case "crash after growth into a reused block" `Quick
+            crash_growth_into_reused_block;
+          Alcotest.test_case "crash mid batch keeps fresh memory zero" `Quick
+            crash_mid_batch_keeps_fresh_memory_zero;
         ] );
       ( "properties",
         [

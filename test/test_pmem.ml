@@ -9,6 +9,12 @@ let small_media () = Pmem.Media.create_ram ~capacity:(1 lsl 16) ()
 let crash_media () = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 16) ()
 let small_heap () = Pmem.Pheap.create_ram ~capacity:(1 lsl 20) ()
 
+(* [f ()] with the lines it flushed and the fences it issued. *)
+let persist_cost stats f =
+  let lines = Pmem.Pstats.flushed_lines stats and fences = Pmem.Pstats.fences stats in
+  let r = f () in
+  (r, Pmem.Pstats.flushed_lines stats - lines, Pmem.Pstats.fences stats - fences)
+
 (* Media *)
 
 let media_i64_roundtrip () =
@@ -70,6 +76,28 @@ let media_crash_partial_flush () =
   check_int "line 0 dropped" 0 (Pmem.Media.get_i64 m 0);
   check_int "line 2 kept" 2 (Pmem.Media.get_i64 m 128)
 
+(* [persist_before] persists the payload lines before the commit word's
+   line and leaves that line to the commit word's own persist. *)
+let media_persist_before () =
+  let m = crash_media () in
+  let stats = Pmem.Media.stats m in
+  let cost off commit =
+    let (), lines, fences =
+      persist_cost stats (fun () -> Pmem.Media.persist_before m off ~commit)
+    in
+    (lines, fences)
+  in
+  check_bool "same line: nothing" true (cost 8 24 = (0, 0));
+  check_bool "one line before" true (cost 48 72 = (1, 1));
+  check_bool "two lines before" true (cost 56 136 = (2, 1));
+  Pmem.Media.set_i64 m 184 1;
+  Pmem.Media.set_i64 m 192 2;
+  Pmem.Media.set_i64 m 200 3;
+  Pmem.Media.persist_before m 184 ~commit:200;
+  Pmem.Media.simulate_crash m;
+  check_int "payload before the commit line kept" 1 (Pmem.Media.get_i64 m 184);
+  check_int "payload on the commit line dropped" 0 (Pmem.Media.get_i64 m 192)
+
 let media_crash_requires_mode () =
   let m = small_media () in
   Alcotest.check_raises "no crash_sim"
@@ -112,6 +140,37 @@ let media_file_words_not_torn () =
   Pmem.Media.close m;
   Sys.remove path;
   check_int "torn reads" 0 !torn
+
+(* Domains claim consecutive words with a shared counter (as key-chain
+   appends claim slots), so neighbouring words of one cache line are
+   written and flushed by different domains at nearly the same time.
+   Each flush copies whole lines into the durable image: a copy that
+   read a line before a neighbour's write and stored it after the
+   neighbour's own flush would drop that word. Every word must survive
+   the crash that ends each round. *)
+let media_concurrent_line_flushes () =
+  let words = 1 lsl 18 in
+  let m = Pmem.Media.create_ram ~crash_sim:true ~capacity:(8 * words) () in
+  let lost = ref 0 in
+  for round = 1 to 8 do
+    let next = Atomic.make 0 in
+    ignore
+      (Concurrent.Parallel.run ~threads:6 (fun _ ->
+           let rec claim () =
+             let w = Atomic.fetch_and_add next 1 in
+             if w < words then begin
+               Pmem.Media.set_i64 m (8 * w) ((round * words) + w);
+               Pmem.Media.persist m (8 * w) 8;
+               claim ()
+             end
+           in
+           claim ()));
+    Pmem.Media.simulate_crash m;
+    for w = 0 to words - 1 do
+      if Pmem.Media.get_i64 m (8 * w) <> (round * words) + w then incr lost
+    done
+  done;
+  check_int "words lost to racing line copies" 0 !lost
 
 (* Pools written when file media stored words bytewise (bit 63 always
    clear) still decode to the same ints. *)
@@ -180,6 +239,47 @@ let alloc_zeroed_is_zero () =
   let q = Pmem.Alloc.alloc_zeroed a 32 in
   check_int "same block" p q;
   check_int "zeroed" 0 (Pmem.Media.get_i64 m (q + 8))
+
+(* A fresh block lies above every block handed out so far, so it is
+   durable zero already: zeroing it costs nothing beyond the bump word
+   that [alloc] persists anyway. *)
+let alloc_zeroed_fresh_flushes_nothing () =
+  let m = small_media () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
+  let stats = Pmem.Media.stats m in
+  let _, alloc_lines, alloc_fences =
+    persist_cost stats (fun () -> Pmem.Alloc.alloc a 1024)
+  in
+  let q, lines, fences = persist_cost stats (fun () -> Pmem.Alloc.alloc_zeroed a 1024) in
+  check_int "lines: the bump word only" alloc_lines lines;
+  check_int "fences: the bump word only" alloc_fences fences;
+  check_int "one line" 1 lines;
+  check_bool "reads zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m q 1024))
+
+(* A block handed out inside a batch scope can be written and flushed
+   by another domain before the scope's barrier, so the allocator
+   persists its own words at once even there. After a crash before the
+   barrier the block stays allocated: it is neither cut again as fresh,
+   durable-zero memory nor popped again from its free list. *)
+let alloc_in_batch_survives_crash ~recycled () =
+  let m = crash_media () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
+  if recycled then Pmem.Alloc.free a (Pmem.Alloc.alloc a 32) 32;
+  let p =
+    Pmem.Media.with_batch (fun () ->
+        let p = Pmem.Alloc.alloc a 32 in
+        Pmem.Media.set_i64 m p 0xdead;
+        Pmem.Media.set_i64 m (p + 8) 0xbeef;
+        Domain.join (Domain.spawn (fun () -> Pmem.Media.persist m p 16));
+        Pmem.Media.simulate_crash m;
+        p)
+  in
+  let a2 = Pmem.Alloc.attach m ~base_off:64 in
+  let q = Pmem.Alloc.alloc_zeroed a2 32 in
+  check_bool "not handed out again" true (q <> p);
+  check_bool "reads zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m q 32))
 
 let alloc_oversized_reuse () =
   let m = small_media () in
@@ -452,6 +552,32 @@ let chain_concurrent_appends () =
       Hashtbl.add seen key ());
   check_int "every append landed" (4 * per_domain) (Hashtbl.length seen)
 
+(* The history word is a slot's commit word: a slot whose two words share
+   a cache line costs one flushed line and one fence, and only a slot
+   straddling two lines pays for the key word's line separately. *)
+let chain_append_cost () =
+  let h = small_heap () in
+  let stats = Pmem.Pheap.stats h in
+  let c = Pmem.Pblockchain.create h ~block_slots:8 in
+  let block = (Pmem.Pblockchain.block_offsets c).(0) in
+  let one_line_slots = ref 0 in
+  for slot = 0 to 7 do
+    let off = block + 8 + (16 * slot) in
+    let expect =
+      if off / Pmem.Media.cache_line = (off + 15) / Pmem.Media.cache_line then begin
+        incr one_line_slots;
+        1
+      end
+      else 2
+    in
+    let (), lines, fences =
+      persist_cost stats (fun () -> Pmem.Pblockchain.append c ~key:slot ~hist:8)
+    in
+    check_int "flushed lines" expect lines;
+    check_int "fences" expect fences
+  done;
+  check_bool "most slots fit one line" true (!one_line_slots >= 6)
+
 let chain_crash_hole_skipped () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
@@ -596,7 +722,11 @@ let () =
           Alcotest.test_case "flush counts lines" `Quick media_flush_counts_lines;
           Alcotest.test_case "crash discards unflushed" `Quick media_crash_discards_unflushed;
           Alcotest.test_case "crash partial flush" `Quick media_crash_partial_flush;
+          Alcotest.test_case "persist_before leaves the commit line" `Quick
+            media_persist_before;
           Alcotest.test_case "crash requires mode" `Quick media_crash_requires_mode;
+          Alcotest.test_case "concurrent line flushes keep every word" `Quick
+            media_concurrent_line_flushes;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
           Alcotest.test_case "file words never torn" `Quick media_file_words_not_torn;
           Alcotest.test_case "file words decode legacy layout" `Quick
@@ -610,6 +740,12 @@ let () =
           Alcotest.test_case "out of memory" `Quick alloc_out_of_memory;
           Alcotest.test_case "reattach" `Quick alloc_survives_reattach;
           Alcotest.test_case "alloc_zeroed" `Quick alloc_zeroed_is_zero;
+          Alcotest.test_case "alloc_zeroed of a fresh block flushes nothing" `Quick
+            alloc_zeroed_fresh_flushes_nothing;
+          Alcotest.test_case "a block cut in a batch survives a crash" `Quick
+            (alloc_in_batch_survives_crash ~recycled:false);
+          Alcotest.test_case "a block popped in a batch survives a crash" `Quick
+            (alloc_in_batch_survives_crash ~recycled:true);
           Alcotest.test_case "oversized free is reused" `Quick alloc_oversized_reuse;
           Alcotest.test_case "oversized first-fit split" `Quick
             alloc_oversized_first_fit_split;
@@ -655,5 +791,6 @@ let () =
           Alcotest.test_case "attach resumes" `Quick chain_attach_resumes;
           Alcotest.test_case "concurrent appends" `Quick chain_concurrent_appends;
           Alcotest.test_case "crash holes" `Quick chain_crash_hole_skipped;
+          Alcotest.test_case "append costs one line and fence" `Quick chain_append_cost;
         ] );
     ]
