@@ -53,34 +53,20 @@ let scan_persisted heap hist_handle =
   in
   Array.of_list (collect 0 [])
 
-let rewrite_offline t entries =
+(* The capacity growth reaches for [n] records: doubling from the
+   initial capacity. *)
+let right_size n =
+  let rec fit c = if c >= n then c else fit (c * 2) in
+  fit initial_capacity
+
+let drop_prefix t ~first =
   let v = H.backend t in
-  let cap = Pmem.Pvector.capacity v in
-  let n = Array.length entries in
-  if n > cap then invalid_arg "Phistory.rewrite_offline: more entries than capacity";
-  Array.iteri
-    (fun slot (version, word, stamp) ->
-      Pmem.Pvector.set_word v ~record:slot ~word:0 version;
-      Pmem.Pvector.set_word v ~record:slot ~word:1 word;
-      Pmem.Pvector.set_word v ~record:slot ~word:2 stamp;
-      Pmem.Pvector.persist_record v ~record:slot)
-    entries;
-  (* Shrink the storage back to a right-sized buffer (frees the old
-     one); when nothing shrinks, zero the tail in place so stale
-     records beyond [n] cannot resurface after a crash. *)
-  let target =
-    let rec fit c = if c >= n then c else fit (c * 2) in
-    fit initial_capacity
-  in
-  if target < cap then Pmem.Pvector.shrink_offline v ~capacity:target ~keep:n
-  else
-    for slot = n to cap - 1 do
-      Pmem.Pvector.set_word v ~record:slot ~word:0 0;
-      Pmem.Pvector.set_word v ~record:slot ~word:1 0;
-      Pmem.Pvector.set_word v ~record:slot ~word:2 0;
-      Pmem.Pvector.persist_record v ~record:slot
-    done;
-  H.reset_offline t ~length:n
+  let keep = H.pending_length t - first in
+  let capacity = right_size keep in
+  if first > 0 || capacity < Pmem.Pvector.capacity v then begin
+    Pmem.Pvector.shrink_offline v ~capacity ~first ~keep;
+    H.reset_offline t ~length:keep
+  end
 
 let attach_pruned heap hist_handle ~fc =
   let v = Pmem.Pvector.attach heap hist_handle in

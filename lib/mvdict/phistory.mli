@@ -18,7 +18,8 @@
     blob pointer is persisted with the version before the stamp
     wherever it lies, so recovery ({!attach_pruned}) can free the blob
     of an entry a crash left unstamped. Recovery treats a slot as
-    present iff its stamp is non-zero and globally contiguous. *)
+    present iff its stamp is non-zero and at most the recovered
+    finished counter ({!Recovery.recover_fc}). *)
 
 module Backend : Lazy_tail.BACKEND with type value = int
 
@@ -43,10 +44,16 @@ val scan_persisted : Pmem.Pheap.t -> Pmem.Pptr.t -> (int * int * int) array
     records of the contiguous finished prefix as persisted — the input to
     recovery ({!Recovery.recover_fc}). *)
 
-val rewrite_offline : t -> (int * int * int) array -> unit
-(** Overwrite the persisted records with the given [(version, word,
-    stamp)] array from slot 0, zeroing the remainder, and reset the
-    ephemeral cursors. Offline only (compaction). *)
+val drop_prefix : t -> first:int -> unit
+(** [drop_prefix t ~first] drops the first [first] records and keeps
+    the rest, stamps untouched, in a buffer of the capacity growth
+    would give them, published by one header swap
+    ({!Pmem.Pvector.shrink_offline}); then it resets the ephemeral
+    cursors. Nothing is written unless [first > 0] or the buffer is
+    larger than that capacity. The dropped records' value blobs are
+    the caller's to free, once this returns and the swap is durable.
+    Offline only (compaction); [first] must leave at least one
+    record. *)
 
 val attach_pruned : Pmem.Pheap.t -> Pmem.Pptr.t -> fc:int -> t * int
 (** Re-attach after restart: truncate the persisted history to the

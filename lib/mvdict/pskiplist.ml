@@ -8,7 +8,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     chain : Pmem.Pblockchain.t;
     index : (K.t, Phistory.t) Concurrent.Skiplist.t;
     ctx : Version.t;
-    mutable board : Completion.t;
+    board : Completion.t;
     recovered_fc : int;
     (* GC gate: ordinary operations pass through [gated]; compaction
        closes the gate, drains in-flight operations and then has the
@@ -20,6 +20,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let name = "PSkipList"
   let chain_root_slot = 0
+
+  (* The stamp floor F (0 in a pool no compaction has touched): every
+     stamp <= F counts as present on recovery, so compaction may drop
+     records and the ones it keeps keep their stamps. *)
+  let floor_root_slot = 1
 
   (* Hot-path op metrics (lib/obs). Registry handles are get-or-create
      by name, so every functor instantiation shares them. *)
@@ -373,7 +378,8 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           (Phistory.scan_persisted heap hist));
     let stamp_array = Array.make !stamp_count 0 in
     List.iteri (fun i s -> stamp_array.(i) <- s) !stamps;
-    let fc = Recovery.recover_fc stamp_array in
+    let floor = Pmem.Pheap.root_get heap floor_root_slot in
+    let fc = Recovery.recover_fc ~floor stamp_array in
     Obs.Metric.set g_recovered_fc fc;
     (* Pass 2 — prune beyond [fc] and rebuild the index in parallel:
        thread [tid] claims the chain blocks with index = tid mod threads
@@ -413,16 +419,29 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   let heap t = t.heap
 
   (* The GC core; runs with the store quiesced (gate closed, in-flight
-     drained, fc settled). Retained entries keep their relative order;
-     their completion stamps are renumbered to 1..M globally (in
-     old-stamp order) so the contiguous-prefix recovery invariant holds
-     after a crash. Keys whose history empties out are scrubbed: their
-     chain slot is cleared (persisted) and queued for reuse, the key blob
-     and history storage are freed, and the index node is physically
-     unlinked. *)
+     drained, fc settled). Persist order is the crash-safety argument:
+     (1) the floor F = fc, before anything is dropped, so recovery
+     counts every dropped stamp as present and kept records keep their
+     stamps; (2) per history that drops records (a prefix: everything
+     before the newest entry at or below [before], and that entry too
+     when it is a removal marker) or is larger than its right size,
+     one buffer swap ([Phistory.drop_prefix]); (3) only after the swap,
+     the dropped value blobs are freed. Keys whose history empties out
+     are scrubbed: their chain slot is cleared (persisted) first, and
+     only then are the key blob, value blobs and history storage freed
+     and the index node unlinked. A crash between any two steps leaks
+     blocks at worst, and never leaves a record pointing at freed
+     storage. *)
   let compact_quiesced t ~before =
+    Pmem.Pheap.root_set t.heap floor_root_slot (Version.fc t.ctx);
+    let free_values raw ~upto =
+      for i = 0 to upto - 1 do
+        let _, word, _ = raw.(i) in
+        Codec.free_word t.heap word
+      done
+    in
     let dropped = ref 0 in
-    let histories = ref [] in
+    let dead = Hashtbl.create 16 in
     Concurrent.Skiplist.iter t.index (fun _ h ->
         let raw = Phistory.scan_persisted t.heap (Phistory.handle h) in
         let n = Array.length raw in
@@ -431,68 +450,34 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         Array.iteri
           (fun i (version, _, _) -> if version <= before then floor_idx := i)
           raw;
-        let keep i (_, word, _) =
-          if i > !floor_idx then true
-          else if i = !floor_idx then not (Codec.is_marker word)
-          else false
+        let first =
+          if !floor_idx < 0 then 0
+          else
+            let _, word, _ = raw.(!floor_idx) in
+            if Codec.is_marker word then !floor_idx + 1 else !floor_idx
         in
-        let kept = ref [] in
-        for i = n - 1 downto 0 do
-          let ((_, word, _) as entry) = raw.(i) in
-          if keep i entry then kept := entry :: !kept
-          else begin
-            incr dropped;
-            Codec.free_word t.heap word
-          end
-        done;
-        histories := (h, Array.of_list !kept) :: !histories);
-    (* Renumber stamps globally in old-stamp order. *)
-    let flat = ref [] in
-    List.iter
-      (fun (_, kept) ->
-        Array.iteri (fun i (_, _, stamp) -> flat := (stamp, kept, i) :: !flat)
-        kept)
-      !histories;
-    let order = Array.of_list !flat in
-    Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) order;
-    Array.iteri
-      (fun rank (_, kept, i) ->
-        let version, word, _ = kept.(i) in
-        kept.(i) <- (version, word, rank + 1))
-      order;
-    List.iter
-      (fun (h, kept) ->
-        if Array.length kept > 0 then Phistory.rewrite_offline h kept)
-      !histories;
-    (* Scrub emptied keys. Order matters for crash safety: clearing the
-       chain slot (persisted) comes first, so a crash mid-scrub leaves
-       orphaned blocks (a bounded leak) and never a slot pointing at
-       freed storage. *)
-    let dead = Hashtbl.create 16 in
-    List.iter
-      (fun (h, kept) ->
-        if Array.length kept = 0 then Hashtbl.replace dead (Phistory.handle h) ())
-      !histories;
+        dropped := !dropped + first;
+        if first = n then Hashtbl.replace dead (Phistory.handle h) (h, raw)
+        else begin
+          Phistory.drop_prefix h ~first;
+          free_values raw ~upto:first
+        end);
     if Hashtbl.length dead > 0 then begin
       ignore
         (Pmem.Pblockchain.release_slots t.chain
            ~dead:(fun ~hist -> Hashtbl.mem dead hist)
            ~on_release:(fun ~key ~hist:_ -> Codec.free_word t.heap key));
-      List.iter
-        (fun (h, kept) ->
-          if Array.length kept = 0 then Phistory.destroy t.heap h)
-        !histories;
+      Hashtbl.iter
+        (fun _ (h, raw) ->
+          free_values raw ~upto:(Array.length raw);
+          Phistory.destroy t.heap h)
+        dead;
       let scrubbed =
         Concurrent.Skiplist.scrub t.index ~dead:(fun _ h ->
             Hashtbl.mem dead (Phistory.handle h))
       in
       Obs.Metric.add c_gc_scrubbed scrubbed
     end;
-    let fc = Array.length order in
-    Version.reset_completed_offline t.ctx ~fc;
-    (* The board may hold stale stamps that collide with the renumbered
-       sequence; replace it. *)
-    t.board <- Completion.create t.ctx;
     (* With writers drained, no reader can hold a buffer retired by
        Pvector growth: free the quarantine. *)
     ignore (Pmem.Pheap.drain_quarantine t.heap);

@@ -19,13 +19,15 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
   include Dict_intf.S with type key = K.t and type value = V.t
 
   val create : ?block_slots:int -> Pmem.Pheap.t -> t
-  (** Format a store in a fresh heap (root slot 0). [block_slots] is the
-      key-chain block size (default 63: a block is [8 + 16 * slots]
-      bytes, and 63 slots fill the 1024-byte size class). *)
+  (** Format a store in a fresh heap (root slot 0; {!compact} writes
+      root slot 1). [block_slots] is the key-chain block size (default
+      63: a block is [8 + 16 * slots] bytes, and 63 slots fill the
+      1024-byte size class). *)
 
   val open_existing : ?threads:int -> Pmem.Pheap.t -> t
   (** Restart path: recover the global finished counter from the
-      persisted stamps, prune entries beyond it, and rebuild the
+      persisted stamps above the stamp floor compaction persisted
+      ({!Recovery.recover_fc}), prune entries beyond it, and rebuild the
       skip-list index with [threads] reconstruction threads
       (default 1). *)
 
@@ -42,8 +44,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
       reads as absent — the usual contract of version GC). Keys whose
       history empties out entirely are scrubbed: unlinked from the index,
       their chain slot cleared for reuse and their key blob and history
-      storage recycled. The persisted completion stamps are renumbered
-      globally so crash recovery keeps working.
+      storage recycled. Kept entries keep their completion stamps: the
+      pass first persists a stamp floor (root slot 1) that recovery
+      counts as present, and a crash at any point of the pass leaves
+      every read at or after [before] as it was (blocks may leak, none
+      is freed twice).
 
       Safe against a live store: concurrent operations are quiesced at a
       gate while the pass runs (a bounded stop-the-world pause, recorded

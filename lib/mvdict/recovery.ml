@@ -1,18 +1,18 @@
-let recover_fc stamps =
+let recover_fc ?(floor = 0) stamps =
   let n = Array.length stamps in
-  if n = 0 then 0
-  else begin
-    (* Mark which stamps in [1, n] are present; any stamp above [n]
-       cannot belong to the complete prefix {1..G} since G <= n. *)
-    let present = Bytes.make (n + 1) '\000' in
-    Array.iter
-      (fun s -> if s >= 1 && s <= n then Bytes.set present s '\001')
-      stamps;
-    let rec scan g =
-      if g < n && Bytes.get present (g + 1) = '\001' then scan (g + 1) else g
-    in
-    scan 0
-  end
+  (* Mark which stamps in [floor + 1, floor + n] are present; any stamp
+     above that cannot belong to the complete run {floor + 1..G}, since
+     G <= floor + n. *)
+  let present = Bytes.make (n + 1) '\000' in
+  Array.iter
+    (fun s ->
+      let i = s - floor in
+      if i >= 1 && i <= n then Bytes.set present i '\001')
+    stamps;
+  let rec scan g =
+    if g < n && Bytes.get present (g + 1) = '\001' then scan (g + 1) else g
+  in
+  floor + scan 0
 
 let plan_blocks ~blocks ~threads ~tid =
   if threads < 1 || tid < 0 || tid >= threads then

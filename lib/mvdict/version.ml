@@ -11,7 +11,3 @@ let current t = Atomic.get t.clock
 let next_completion t = Atomic.fetch_and_add t.pc 1 + 1
 let fc t = Atomic.get t.fc
 let try_advance_fc t ~expected = Atomic.compare_and_set t.fc expected (expected + 1)
-
-let reset_completed_offline t ~fc =
-  Atomic.set t.pc fc;
-  Atomic.set t.fc fc

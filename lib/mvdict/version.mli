@@ -39,8 +39,3 @@ val fc : t -> int
 val try_advance_fc : t -> expected:int -> bool
 (** CAS [fc] from [expected] to [expected + 1]; true on success. Readers
     use it to acknowledge the next globally contiguous completion. *)
-
-val reset_completed_offline : t -> fc:int -> unit
-(** Rebase the completion sequence after an offline history rewrite
-    (compaction renumbers the persisted stamps to [1..fc]). Must not
-    race with any operation. *)

@@ -10,8 +10,12 @@ type buffer = Ram_buf of Bytes.t | Map_buf of mapped
 
 (* The crash-sim durable image. Flushes copy whole lines into it under
    [lock]: an unlocked copy that read a line before a neighbour's write
-   and stored it after the neighbour's own flush would drop that word. *)
-type shadow = { image : Bytes.t; lock : Mutex.t }
+   and stored it after the neighbour's own flush would drop that word.
+   [fuse] is the {!crash_after} countdown: 0 disarmed, n > 0 flushes to
+   go before the crash, -1 crashed (flushes no longer reach [image]). *)
+type shadow = { image : Bytes.t; lock : Mutex.t; mutable fuse : int }
+
+exception Crash
 
 type backing =
   | Ram of { shadow : shadow option }
@@ -30,7 +34,8 @@ let cache_line = 64
 let create_ram ?(crash_sim = false) ~capacity () =
   if capacity <= 0 then invalid_arg "Media.create_ram: capacity must be positive";
   let shadow =
-    if crash_sim then Some { image = Bytes.make capacity '\000'; lock = Mutex.create () }
+    if crash_sim then
+      Some { image = Bytes.make capacity '\000'; lock = Mutex.create (); fuse = 0 }
     else None
   in
   {
@@ -159,8 +164,14 @@ let blit_lines t first last =
       let hi = min t.capacity ((last + 1) * cache_line) in
       if hi > lo then begin
         Mutex.lock shadow.lock;
-        Bytes.blit b lo shadow.image lo (hi - lo);
-        Mutex.unlock shadow.lock
+        let fuse = shadow.fuse in
+        if fuse = 1 then shadow.fuse <- -1
+        else if fuse >= 0 then begin
+          Bytes.blit b lo shadow.image lo (hi - lo);
+          if fuse > 1 then shadow.fuse <- fuse - 1
+        end;
+        Mutex.unlock shadow.lock;
+        if fuse = 1 then raise Crash
       end
   | (Ram { shadow = None } | File _), _ | Ram { shadow = Some _ }, Map_buf _ -> ()
 
@@ -318,20 +329,30 @@ let with_batch f =
   let slot = Domain.DLS.get scope_key in
   match slot.active with
   | Some _ -> f () (* nested: the outer scope's barriers cover us *)
-  | None ->
+  | None -> (
       let scope = slot.cached in
       slot.active <- Some scope;
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter drain_entry scope.entries;
-          (* retire the entries (no media refs survive the scope) but
-             keep their arrays for the next batch on this domain *)
-          List.iter
-            (fun e -> scope.pool <- (e.firsts, e.lasts) :: scope.pool)
-            scope.entries;
-          scope.entries <- [];
-          slot.active <- None)
-        f
+      (* Close the scope before draining it, so a {!Crash} raised by a
+         drain leaves this domain outside any scope. The entries are
+         retired (no media refs survive the scope) but their arrays are
+         kept for the next batch on this domain. *)
+      let close () =
+        let entries = scope.entries in
+        scope.entries <- [];
+        slot.active <- None;
+        List.iter
+          (fun e ->
+            scope.pool <- (e.firsts, e.lasts) :: scope.pool;
+            drain_entry e)
+          entries
+      in
+      match f () with
+      | result ->
+          close ();
+          result
+      | exception e ->
+          close ();
+          raise e)
 
 let flush t off len =
   check_range t off len;
@@ -371,13 +392,24 @@ let persist_before t off ~commit =
   if off / cache_line < commit_line then
     persist t off ((commit_line * cache_line) - off)
 
-let simulate_crash t =
+let crash_sim_shadow t fn =
   match (t.backing, t.buf) with
-  | Ram { shadow = Some shadow }, Ram_buf b ->
-      Mutex.lock shadow.lock;
-      Bytes.blit shadow.image 0 b 0 t.capacity;
-      Mutex.unlock shadow.lock
+  | Ram { shadow = Some shadow }, Ram_buf b -> (shadow, b)
   | Ram { shadow = None }, _ ->
-      invalid_arg "Media.simulate_crash: media created without crash_sim"
+      invalid_arg ("Media." ^ fn ^ ": media created without crash_sim")
   | File _, _ | Ram { shadow = Some _ }, Map_buf _ ->
-      invalid_arg "Media.simulate_crash: unsupported on file-backed media"
+      invalid_arg ("Media." ^ fn ^ ": unsupported on file-backed media")
+
+let crash_after t ~flushes =
+  if flushes < 1 then invalid_arg "Media.crash_after: flushes must be positive";
+  let shadow, _ = crash_sim_shadow t "crash_after" in
+  Mutex.lock shadow.lock;
+  shadow.fuse <- flushes;
+  Mutex.unlock shadow.lock
+
+let simulate_crash t =
+  let shadow, b = crash_sim_shadow t "simulate_crash" in
+  Mutex.lock shadow.lock;
+  Bytes.blit shadow.image 0 b 0 t.capacity;
+  shadow.fuse <- 0;
+  Mutex.unlock shadow.lock

@@ -117,4 +117,17 @@ val batch_barrier : unit -> unit
 
 val simulate_crash : t -> unit
 (** Crash-sim RAM media only: revert every non-durable write, as a power
-    failure would. Raises [Invalid_argument] otherwise. *)
+    failure would, and disarm {!crash_after}. Raises [Invalid_argument]
+    otherwise. *)
+
+exception Crash
+(** Raised by the flush that an armed {!crash_after} stops. *)
+
+val crash_after : t -> flushes:int -> unit
+(** Crash-sim RAM media only: the [flushes]-th flush from now (counting
+    each run of lines a flush or batch barrier writes to the shadow
+    image) raises {!Crash} instead of reaching the shadow image, so the
+    durable image stays as it was after the flush before it. Later
+    flushes are dropped as well, as after a power cut, until
+    {!simulate_crash}. Other media never check it. Raises
+    [Invalid_argument] on other media or for [flushes < 1]. *)

@@ -14,9 +14,10 @@ let header_size = 16
 let buffer_bytes ~record_words ~capacity = 8 + (record_words * 8 * capacity)
 
 (* A durable buffer of [capacity] records whose first [keep] are copied
-   from [src] and the rest are zero. The block comes from
-   [Alloc.alloc_zeroed], which makes it durable zero, so only the
-   capacity word and the copied records are persisted here. *)
+   from the records starting at media offset [src] and the rest are
+   zero. The block comes from [Alloc.alloc_zeroed], which makes it
+   durable zero, so only the capacity word and the copied records are
+   persisted here. *)
 let alloc_buffer t ~capacity ~src ~keep =
   let off =
     Alloc.alloc_zeroed (Pheap.allocator t.heap)
@@ -25,7 +26,7 @@ let alloc_buffer t ~capacity ~src ~keep =
   Media.set_i64 t.media off capacity;
   let payload = t.record_words * 8 * keep in
   if payload > 0 then
-    Media.write_bytes t.media (off + 8) (Media.read_bytes t.media (src + 8) payload);
+    Media.write_bytes t.media (off + 8) (Media.read_bytes t.media src payload);
   Media.persist t.media off (8 + payload);
   off
 
@@ -53,44 +54,43 @@ let record_words t = t.record_words
 let buf_off t = Media.get_i64 t.media t.header_off
 let capacity t = Media.get_i64 t.media (buf_off t)
 
-let grow t wanted =
+let record_off t record =
+  buf_off t + 8 + (t.record_words * 8 * record)
+
+(* Replace the buffer with a new one of [capacity] records holding
+   copies of records [first, first + keep), published by the header
+   swap: a crash before the swap orphans the new buffer, after it the
+   old one, never a torn vector. Returns the old buffer's offset and
+   size, for the caller to retire. *)
+let swap t ~capacity ~first ~keep =
   let old_buf = buf_off t in
-  let old_capacity = Media.get_i64 t.media old_buf in
+  let old_bytes =
+    buffer_bytes ~record_words:t.record_words ~capacity:(Media.get_i64 t.media old_buf)
+  in
+  let new_buf = alloc_buffer t ~capacity ~src:(record_off t first) ~keep in
+  Media.set_i64 t.media t.header_off new_buf;
+  Media.persist t.media t.header_off 8;
+  (old_buf, old_bytes)
+
+let grow t wanted =
+  let old_capacity = capacity t in
   if wanted > old_capacity then begin
     let new_capacity =
       let rec double c = if c >= wanted then c else double (c * 2) in
       double (max 1 old_capacity)
     in
-    let new_buf =
-      alloc_buffer t ~capacity:new_capacity ~src:old_buf ~keep:old_capacity
-    in
-    Media.set_i64 t.media t.header_off new_buf;
-    Media.persist t.media t.header_off 8;
+    let off, size = swap t ~capacity:new_capacity ~first:0 ~keep:old_capacity in
     (* The old buffer is quarantined, not freed, so concurrent readers
        that already loaded it stay valid; the heap's quiesced GC drains
        the quarantine once no reader can hold the pointer. *)
-    Pheap.quarantine_block t.heap ~off:old_buf
-      ~size:(buffer_bytes ~record_words:t.record_words ~capacity:old_capacity)
+    Pheap.quarantine_block t.heap ~off ~size
   end
 
-let shrink_offline t ~capacity ~keep =
-  if capacity <= 0 then invalid_arg "Pvector.shrink_offline: capacity";
-  if keep < 0 || keep > capacity then invalid_arg "Pvector.shrink_offline: keep";
-  let old_buf = buf_off t in
-  let old_capacity = Media.get_i64 t.media old_buf in
-  if capacity < old_capacity then begin
-    let new_buf = alloc_buffer t ~capacity ~src:old_buf ~keep in
-    (* Same publication point as growth: the header swap. A crash in
-       between orphans the new buffer; after it, the old one — either
-       way a bounded leak, never a torn vector. *)
-    Media.set_i64 t.media t.header_off new_buf;
-    Media.persist t.media t.header_off 8;
-    Alloc.free (Pheap.allocator t.heap) old_buf
-      (buffer_bytes ~record_words:t.record_words ~capacity:old_capacity)
-  end
-
-let record_off t record =
-  buf_off t + 8 + (t.record_words * 8 * record)
+let shrink_offline t ~capacity:c ~first ~keep =
+  if c < 1 || first < 0 || keep < 0 || keep > c || first + keep > capacity t then
+    invalid_arg "Pvector.shrink_offline";
+  let off, size = swap t ~capacity:c ~first ~keep in
+  Alloc.free (Pheap.allocator t.heap) off size
 
 let get_word t ~record ~word =
   Media.get_i64 t.media (record_off t record + (8 * word))

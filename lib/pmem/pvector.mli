@@ -2,14 +2,15 @@
 
     Backs the per-key version histories: a small header holds a single
     word pointing at the current buffer, and the buffer itself carries its
-    capacity. Growth allocates a double-size buffer, copies, persists, and
-    swaps the header word — a single atomic publication, so readers always
-    see either the old or the new complete buffer, and a crash mid-growth
-    merely leaks the new buffer. Buffers come from
-    {!Alloc.alloc_zeroed}, so a new buffer is durable zero before it is
-    written: growth (and {!create}, {!shrink_offline}) persists only the
-    capacity word and the records it copied, not the zeros behind
-    them.
+    capacity. Both ways of replacing the buffer, {!grow} and
+    {!shrink_offline}, allocate a new buffer, copy records into it,
+    persist it, and then swap the header word — a single atomic
+    publication, so readers always see either the old or the new
+    complete buffer, and a crash before the swap merely leaks the new
+    buffer. Buffers come from {!Alloc.alloc_zeroed}, so a new buffer is
+    durable zero before it is written: {!create}, {!grow} and
+    {!shrink_offline} persist only the capacity word and the records
+    they copied, not the zeros behind them.
 
     Concurrency contract (matching Algorithm 1 of the paper): many threads
     may read and write {e distinct} records concurrently; growth must be
@@ -32,7 +33,8 @@ val handle : t -> Pptr.t
 val record_words : t -> int
 
 val capacity : t -> int
-(** Current capacity in records. Monotonically increasing. *)
+(** Current capacity in records. {!grow} raises it; {!shrink_offline}
+    may lower it. *)
 
 val grow : t -> int -> unit
 (** [grow t n] ensures capacity >= [n] (doubling). Single-grower
@@ -40,12 +42,19 @@ val grow : t -> int -> unit
     quarantine ({!Pheap.quarantine_block}) for reclamation at the next
     quiesced point. *)
 
-val shrink_offline : t -> capacity:int -> keep:int -> unit
-(** [shrink_offline t ~capacity ~keep] replaces the buffer with one of
-    exactly [capacity] records carrying the first [keep] records (the
-    rest zeroed), freeing the old buffer immediately. No-op if the
-    vector is not larger than [capacity]. Offline only: safe solely
-    while no concurrent reader can hold the current buffer pointer. *)
+val shrink_offline : t -> capacity:int -> first:int -> keep:int -> unit
+(** [shrink_offline t ~capacity ~first ~keep] is the one routine that
+    rewrites a vector's records: it replaces the buffer with a new one
+    of exactly [capacity] records whose first [keep] records are copies
+    of records [\[first, first + keep)] of the current buffer (the rest
+    zero). The new buffer is persisted, then the header swap is
+    persisted, and only then is the old buffer freed, so a crash leaves
+    either the old records or the new ones and, at worst, leaks a
+    buffer. Offline only: safe solely while no concurrent reader can
+    hold the current buffer pointer.
+    @raise Invalid_argument unless [1 <= capacity], [0 <= keep <=
+    capacity] and [\[first, first + keep)] lies within the current
+    capacity. *)
 
 val get_word : t -> record:int -> word:int -> int
 val set_word : t -> record:int -> word:int -> int -> unit

@@ -75,44 +75,6 @@ let ensure_conn t peer =
       peer.conn <- Some c;
       c
 
-(* Ship the state difference between the primary ([local]) and the
-   backup's answer — both snapshots are ordered by key, so one
-   two-pointer walk yields exactly the removes and inserts that turn
-   the backup's state into the primary's. *)
-let diff_ops local remote =
-  let ops = ref [] in
-  let nl = Array.length local and nr = Array.length remote in
-  let i = ref 0 and j = ref 0 in
-  while !i < nl || !j < nr do
-    if !j >= nr then begin
-      let k, v = local.(!i) in
-      ops := Net.Wire.Insert { key = k; value = v } :: !ops;
-      incr i
-    end
-    else if !i >= nl then begin
-      let k, _ = remote.(!j) in
-      ops := Net.Wire.Remove { key = k } :: !ops;
-      incr j
-    end
-    else begin
-      let kl, vl = local.(!i) and kr, vr = remote.(!j) in
-      if kl < kr then begin
-        ops := Net.Wire.Insert { key = kl; value = vl } :: !ops;
-        incr i
-      end
-      else if kl > kr then begin
-        ops := Net.Wire.Remove { key = kr } :: !ops;
-        incr j
-      end
-      else begin
-        if vl <> vr then ops := Net.Wire.Insert { key = kl; value = vl } :: !ops;
-        incr i;
-        incr j
-      end
-    end
-  done;
-  List.rev !ops
-
 (* [replay_removes]: when the catch-up was triggered by removes of keys
    the backup never held, the state diff carries no trace of them —
    replay those removes on top so the backup records the same tombstone
@@ -123,17 +85,19 @@ let catch_up ?replay_removes t peer =
   let c = ensure_conn t peer in
   let epoch = Atomic.get t.epoch in
   let remote = Net.Client.snapshot c () in
-  let local = t.snapshot () in
-  let ops = diff_ops local remote in
+  let changes =
+    Mvdict.Snapshot.diff ~compare_key:Int.compare ~equal_value:Int.equal
+      ~prev:remote ~next:(t.snapshot ())
+  in
   (* The diff's removes and inserts touch disjoint keys, so the whole
      state ship collapses into at most two replicated batch frames. *)
   let inserts, removes =
     List.partition_map
       (function
-        | Net.Wire.Insert { key; value } -> Either.Left (key, value)
-        | Net.Wire.Remove { key } -> Either.Right key
-        | op -> invalid_arg ("catch_up: unexpected diff op " ^ Net.Wire.request_label op))
-      ops
+        | Mvdict.Snapshot.Added (key, value) | Changed (key, _, value) ->
+            Either.Left (key, value)
+        | Removed (key, _) -> Either.Right key)
+      changes
   in
   if removes <> [] then
     ignore
@@ -163,7 +127,7 @@ let catch_up ?replay_removes t peer =
     (Net.Client.replicate c ~epoch
        (Net.Wire.Tag_at { version = t.current_version () }));
   Obs.Metric.incr c_catchups;
-  Obs.Metric.add c_catchup_pairs (List.length ops);
+  Obs.Metric.add c_catchup_pairs (List.length changes);
   peer.lagging <- false;
   peer.last_error <- None
 

@@ -14,7 +14,7 @@
     Catch-up (anti-entropy): a backup that missed writes — it was down,
     partitioned, or just restarted empty — is brought back by a state
     diff instead of an op replay: the primary pulls the backup's
-    snapshot, two-pointer-diffs it against its own, ships the
+    snapshot, diffs it against its own ({!Mvdict.Snapshot.diff}), ships the
     difference as [Replicate] removes and inserts, then aligns the
     version clock with a [Replicate (Tag_at current)]. From the sync
     point on, the backup answers reads exactly like the primary;

@@ -56,7 +56,13 @@ let recover_fc_cases () =
   check_int "complete" 4 (Mvdict.Recovery.recover_fc [| 3; 1; 4; 2 |]);
   check_int "gap at 3" 2 (Mvdict.Recovery.recover_fc [| 1; 2; 4; 5 |]);
   check_int "missing 1" 0 (Mvdict.Recovery.recover_fc [| 2; 3 |]);
-  check_int "duplicates tolerated" 2 (Mvdict.Recovery.recover_fc [| 1; 1; 2 |])
+  check_int "duplicates tolerated" 2 (Mvdict.Recovery.recover_fc [| 1; 1; 2 |]);
+  check_int "stamps at or below the floor count as present" 7
+    (Mvdict.Recovery.recover_fc ~floor:5 [| 2; 7; 6 |]);
+  check_int "gap above the floor" 6 (Mvdict.Recovery.recover_fc ~floor:5 [| 3; 6; 8 |]);
+  check_int "floor with no stamps above it" 5
+    (Mvdict.Recovery.recover_fc ~floor:5 [| 1; 4 |]);
+  check_int "floor alone" 5 (Mvdict.Recovery.recover_fc ~floor:5 [||])
 
 let plan_blocks_partition () =
   (* Every block claimed exactly once across threads. *)
@@ -1281,6 +1287,189 @@ let crash_after_concurrent_inserts () =
   let t2 = PStore.open_existing ~threads:2 (Pmem.Pheap.reopen heap) in
   check_int "every completed insert recovered" (threads * per) (PStore.key_count t2)
 
+(* A compaction pass: counted cost and crash points. *)
+
+(* The pass persists the stamp floor, then rewrites only the histories
+   that drop records: a pass with nothing below the horizon costs the
+   floor word whatever the key count, and one that drops records costs
+   in proportion to the keys that drop them. *)
+let compaction_pass_cost () =
+  let pass ~keys ~dropping =
+    let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
+    let t = PStore.create heap in
+    for k = 0 to keys - 1 do
+      PStore.insert t k k
+    done;
+    ignore (PStore.tag t);
+    for k = 0 to dropping - 1 do
+      PStore.insert t k (k + 1)
+    done;
+    let before = PStore.tag t in
+    cost (Pmem.Pheap.stats heap) (fun () ->
+        check_int "dropped" dropping (PStore.compact t ~before))
+  in
+  List.iter
+    (fun keys ->
+      let lines, fences = pass ~keys ~dropping:0 in
+      check_int (Printf.sprintf "%d keys, nothing dropped: lines" keys) 1 lines;
+      check_int (Printf.sprintf "%d keys, nothing dropped: fences" keys) 1 fences;
+      List.iter
+        (fun dropping ->
+          let lines, fences = pass ~keys ~dropping in
+          check_bool
+            (Printf.sprintf "%d keys, %d dropping: %d lines, %d fences, at most 1 + 8 per dropping key"
+               keys dropping lines fences)
+            true
+            (lines <= 1 + (8 * dropping) && fences <= 1 + (8 * dropping)))
+        [ 8; 32 ])
+    [ 64; 1024 ];
+  let few, _ = pass ~keys:1024 ~dropping:8 and many, _ = pass ~keys:1024 ~dropping:32 in
+  check_bool (Printf.sprintf "lines grow with dropping keys: %d < %d" few many) true
+    (few < many)
+
+(* The crash-point store. Stamps interleave across five keys: key 1
+   holds inline values, keys 2 and 5 blobs, key 3 a blob under a
+   removal marker (its floor: the pass scrubs it), and key 4 two
+   records in a buffer of four, left by a growth whose record's stamp
+   never became durable. *)
+let compaction_program t =
+  List.iter
+    (fun round ->
+      List.iter
+        (function k, Some v -> PStore.insert t k v | k, None -> PStore.remove t k)
+        round;
+      ignore (PStore.tag t))
+    [
+      [ (1, Some 10); (2, Some (-20)); (3, Some (-30)) ];
+      [ (1, Some 11); (2, Some (-21)); (3, None) ];
+      [ (1, Some 12); (2, Some (-22)); (4, Some 43) ];
+      [ (1, Some 13); (2, Some (-23)); (4, Some 44); (5, Some (-50)) ];
+    ]
+
+let compaction_keys = [ 1; 2; 3; 4; 5 ]
+
+(* Key 4's third append: it grows the buffer from 2 records to 4. *)
+let grow_key_4 t = PStore.insert t 4 45
+
+(* Builds the crash-point store afresh, as its durable image after a
+   crash. The flushes of [grow_key_4] are counted on a first build; the
+   last of them persists the new record's stamp, and that is where the
+   crash strikes. *)
+let compaction_store () =
+  let flushes =
+    let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 20) () in
+    let t = PStore.create heap in
+    compaction_program t;
+    snd (cost (Pmem.Pheap.stats heap) (fun () -> grow_key_4 t))
+  in
+  fun () ->
+    let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+    let heap = Pmem.Pheap.create media in
+    let t = PStore.create heap in
+    compaction_program t;
+    Pmem.Media.crash_after media ~flushes;
+    (match grow_key_4 t with
+    | () -> Alcotest.fail "the growing append's stamp became durable"
+    | exception Pmem.Media.Crash -> ());
+    Pmem.Media.simulate_crash media;
+    (media, heap)
+
+(* Capacity of a key's history buffer, found through the key chain. *)
+let history_capacity heap key =
+  let chain = Pmem.Pblockchain.attach heap (Pmem.Pheap.root_get heap 0) in
+  let media = Pmem.Pheap.media heap in
+  let capacity = ref 0 in
+  Pmem.Pblockchain.iter_slots chain (fun ~key:word ~hist ->
+      if Mvdict.Codec.decode (module Mvdict.Codec.Int_key) media word = key then
+        capacity := Pmem.Pvector.capacity (Pmem.Pvector.attach heap hist));
+  !capacity
+
+(* What readers at or after [before] can see: each key's latest value,
+   its value at every version from [before] on, and its history cut to
+   the entries above [before] and the floor entry below them (none when
+   that is a removal marker). *)
+let observable t ~before =
+  List.map
+    (fun k ->
+      let full = PStore.extract_history t k in
+      let floor =
+        match List.rev (List.filter (fun (v, _) -> v <= before) full) with
+        | [] | (_, Mvdict.Dict_intf.Del) :: _ -> []
+        | entry :: _ -> [ entry ]
+      in
+      ( PStore.find t k,
+        List.init
+          (PStore.current_version t - before + 1)
+          (fun i -> PStore.find t ~version:(before + i) k),
+        floor @ List.filter (fun (v, _) -> v > before) full ))
+    compaction_keys
+
+(* Pops every size class's free list until the allocator cuts fresh
+   memory: a block freed twice comes out twice. *)
+let free_lists_distinct heap =
+  let alloc = Pmem.Pheap.allocator heap in
+  let seen = Hashtbl.create 64 in
+  Array.for_all
+    (fun size ->
+      let rec pop () =
+        let used = Pmem.Alloc.used_bytes alloc in
+        let off = Pmem.Alloc.alloc alloc size in
+        if Pmem.Alloc.used_bytes alloc > used then true
+        else if Hashtbl.mem seen off then false
+        else begin
+          Hashtbl.add seen off ();
+          pop ()
+        end
+      in
+      pop ())
+    Pmem.Alloc.size_classes
+
+(* For k = 1, 2, ... until the pass completes, the k-th flush of
+   [compact] crashes. After each reopen every read at or after the
+   horizon equals the uncompacted store's, and a second pass and reopen
+   then succeed and free no block twice. *)
+let compaction_crash_points () =
+  (* Keys 1 and 2 drop two records each, key 3 all of its own. *)
+  let before = 3 in
+  let fresh = compaction_store () in
+  let expected =
+    let _, heap = fresh () in
+    check_int "key 4 over-sized before the pass" 4 (history_capacity heap 4);
+    observable (PStore.open_existing (Pmem.Pheap.reopen heap)) ~before
+  in
+  let agrees k stage t =
+    match observable t ~before with
+    | seen ->
+        check_bool (Printf.sprintf "crash at flush %d, %s: reads from the horizon on" k stage)
+          true (seen = expected)
+    | exception e ->
+        Alcotest.failf "crash at flush %d, %s: a read raised %s" k stage
+          (Printexc.to_string e)
+  in
+  let rec crash_at k =
+    let media, heap = fresh () in
+    let t = PStore.open_existing (Pmem.Pheap.reopen heap) in
+    Pmem.Media.crash_after media ~flushes:k;
+    let completed =
+      match PStore.compact t ~before with
+      | _ -> true
+      | exception Pmem.Media.Crash -> false
+    in
+    Pmem.Media.simulate_crash media;
+    let heap = Pmem.Pheap.reopen heap in
+    let t = PStore.open_existing heap in
+    agrees k "reopened" t;
+    ignore (PStore.compact t ~before);
+    let heap = Pmem.Pheap.reopen heap in
+    agrees k "compacted again" (PStore.open_existing heap);
+    if completed then check_int "key 4 right-sized" 2 (history_capacity heap 4);
+    check_bool (Printf.sprintf "crash at flush %d: no block freed twice" k) true
+      (free_lists_distinct heap);
+    if completed then k else crash_at (k + 1)
+  in
+  let flushes = crash_at 1 in
+  check_bool (Printf.sprintf "the pass has %d flushes" flushes) true (flushes > 10)
+
 (* Snapshot diff *)
 
 let int_diff = Mvdict.Snapshot.diff ~compare_key:Int.compare ~equal_value:Int.equal
@@ -1395,6 +1584,9 @@ let () =
             compact_store_still_works_and_recovers;
           Alcotest.test_case "recycles blob values" `Quick compact_recycles_blob_values;
           Alcotest.test_case "random program model" `Slow compact_random_program_model;
+          Alcotest.test_case "a pass costs the floor plus the dropping keys" `Quick
+            compaction_pass_cost;
+          Alcotest.test_case "every crash point of a pass" `Quick compaction_crash_points;
         ] );
       ( "gc",
         [

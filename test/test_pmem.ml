@@ -104,6 +104,36 @@ let media_crash_requires_mode () =
     (Invalid_argument "Media.simulate_crash: media created without crash_sim")
     (fun () -> Pmem.Media.simulate_crash m)
 
+(* An armed crash stops the k-th flush: the flushes before it are
+   durable, it and every flush after it are lost. A batch barrier's
+   drain is a flush too, and a crash there leaves the domain outside
+   the scope. *)
+let media_crash_after () =
+  let m = crash_media () in
+  let persist off v =
+    Pmem.Media.set_i64 m off v;
+    Pmem.Media.persist m off 8
+  in
+  Pmem.Media.crash_after m ~flushes:2;
+  persist 0 1;
+  Alcotest.check_raises "second flush crashes" Pmem.Media.Crash (fun () -> persist 64 2);
+  persist 128 3;
+  Pmem.Media.simulate_crash m;
+  check_int "first flush durable" 1 (Pmem.Media.get_i64 m 0);
+  check_int "crashed flush lost" 0 (Pmem.Media.get_i64 m 64);
+  check_int "later flush lost" 0 (Pmem.Media.get_i64 m 128);
+  Pmem.Media.crash_after m ~flushes:1;
+  Alcotest.check_raises "barrier crashes" Pmem.Media.Crash (fun () ->
+      Pmem.Media.with_batch (fun () -> persist 192 4));
+  Pmem.Media.simulate_crash m;
+  persist 256 5;
+  Pmem.Media.simulate_crash m;
+  check_int "batched line lost" 0 (Pmem.Media.get_i64 m 192);
+  check_int "disarmed, outside any scope" 5 (Pmem.Media.get_i64 m 256);
+  Alcotest.check_raises "crash_sim media only"
+    (Invalid_argument "Media.crash_after: media created without crash_sim")
+    (fun () -> Pmem.Media.crash_after (small_media ()) ~flushes:1)
+
 let media_file_backed_persists () =
   let path = Filename.temp_file "mvkv" ".pm" in
   let m = Pmem.Media.create_file ~path ~capacity:4096 in
@@ -725,6 +755,7 @@ let () =
           Alcotest.test_case "persist_before leaves the commit line" `Quick
             media_persist_before;
           Alcotest.test_case "crash requires mode" `Quick media_crash_requires_mode;
+          Alcotest.test_case "crash_after stops the k-th flush" `Quick media_crash_after;
           Alcotest.test_case "concurrent line flushes keep every word" `Quick
             media_concurrent_line_flushes;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
