@@ -2,52 +2,65 @@ module Make (V : sig
   type t
 end) =
 struct
-  type buffer = {
+  (* Slots [start, start + length) of a history. *)
+  type segment = {
+    start : int;
     versions : int array;
     values : V.t option array;
     finished : int array;
   }
 
   module Backend = struct
-    type t = buffer Atomic.t
+    (* Segments of c, c, 2c, 4c, ... slots, the geometry of
+       {!Pmem.Pvector}: growth publishes a longer array of the same
+       segments plus a new one, so no entry ever moves. *)
+    type t = segment array Atomic.t
     type value = V.t option
 
     let marker = None
     let is_marker v = v = None
-    let capacity t = Array.length (Atomic.get t).versions
 
-    let make_buffer n =
-      { versions = Array.make n 0; values = Array.make n None;
+    let segment start n =
+      { start; versions = Array.make n 0; values = Array.make n None;
         finished = Array.make n 0 }
 
-    (* Called with writers excluded (Lazy_tail's growth protocol), so the
-       copy cannot miss an in-flight entry. *)
-    let ensure t wanted =
-      let old = Atomic.get t in
-      let cap = Array.length old.versions in
+    let capacity t =
+      let segs = Atomic.get t in
+      let last = segs.(Array.length segs - 1) in
+      last.start + Array.length last.versions
+
+    let rec ensure t wanted =
+      let cap = capacity t in
       if wanted > cap then begin
-        let rec double c = if c >= wanted then c else double (c * 2) in
-        let fresh = make_buffer (double (max 1 cap)) in
-        Array.blit old.versions 0 fresh.versions 0 cap;
-        Array.blit old.values 0 fresh.values 0 cap;
-        Array.blit old.finished 0 fresh.finished 0 cap;
-        Atomic.set t fresh
+        Atomic.set t (Array.append (Atomic.get t) [| segment cap cap |]);
+        ensure t wanted
       end
 
-    let write_entry t slot ~version value =
-      let buf = Atomic.get t in
-      buf.versions.(slot) <- version;
-      buf.values.(slot) <- value
+    (* The segment holding [slot], searched from the newest. *)
+    let rec find segs slot k =
+      if slot >= segs.(k).start then segs.(k) else find segs slot (k - 1)
 
-    let read_version t slot = (Atomic.get t).versions.(slot)
+    let locate t slot =
+      let segs = Atomic.get t in
+      find segs slot (Array.length segs - 1)
+
+    let write_entry t slot ~version value =
+      let s = locate t slot in
+      s.versions.(slot - s.start) <- version;
+      s.values.(slot - s.start) <- value
+
+    let read_version t slot =
+      let s = locate t slot in
+      s.versions.(slot - s.start)
 
     let set_finished t slot stamp =
-      let buf = Atomic.get t in
-      buf.finished.(slot) <- stamp
+      let s = locate t slot in
+      s.finished.(slot - s.start) <- stamp
 
     let read_entry t slot =
-      let buf = Atomic.get t in
-      (buf.versions.(slot), buf.values.(slot), buf.finished.(slot))
+      let s = locate t slot in
+      let i = slot - s.start in
+      (s.versions.(i), s.values.(i), s.finished.(i))
   end
 
   module H = Lazy_tail.Make (Backend)
@@ -57,5 +70,5 @@ struct
   let initial_capacity = 2
 
   let create () =
-    H.wrap (Atomic.make (Backend.make_buffer initial_capacity)) ~length:0
+    H.wrap (Atomic.make [| Backend.segment 0 initial_capacity |]) ~length:0
 end

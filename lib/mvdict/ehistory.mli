@@ -1,11 +1,12 @@
 (** Ephemeral (RAM) history backend — the version-history used by the
     LockedMap and ESkipList baselines.
 
-    Same {!Lazy_tail} semantics as the persistent backend, but entries
-    live in OCaml arrays and persistence calls are no-ops: this is the
-    paper's "lock-free ephemeral vector with binary search support". The
-    delta between the two backends is exactly the cost of persistence the
-    experiments quantify (ESkipList vs PSkipList). *)
+    Same {!Lazy_tail} semantics and segment geometry as the persistent
+    backend, but entries live in OCaml arrays and persistence calls are
+    no-ops: this is the paper's "lock-free ephemeral vector with binary
+    search support". The delta between the two backends is exactly the
+    cost of persistence the experiments quantify (ESkipList vs
+    PSkipList). *)
 
 module Make (V : sig
   type t

@@ -13,60 +13,25 @@ module type BACKEND = sig
 end
 
 module Make (B : BACKEND) = struct
-  type t = {
-    backend : B.t;
-    pending : int Atomic.t;
-    tail : int Atomic.t;
-    (* Growth exclusion: [growing] holds the owner's slot + 1 while a
-       growth is in flight (0 otherwise); [writers] counts in-flight
-       entry writers. Growth is rare (doubling), so the flag is almost
-       never observed set. *)
-    writers : int Atomic.t;
-    growing : int Atomic.t;
-  }
+  type t = { backend : B.t; pending : int Atomic.t; tail : int Atomic.t }
 
   let wrap backend ~length =
-    {
-      backend;
-      pending = Atomic.make length;
-      tail = Atomic.make length;
-      writers = Atomic.make 0;
-      growing = Atomic.make 0;
-    }
+    { backend; pending = Atomic.make length; tail = Atomic.make length }
 
   let backend t = t.backend
 
   (* The appender whose slot equals the capacity grows; later slots wait
-     for the capacity to cover them, re-checking ownership each round (a
-     chain of growths may be needed if many slots are claimed at once).
-     The grower announces itself with a CAS (so it can only clear its own
-     announcement), drains in-flight writers, grows, and clears. *)
+     for the capacity to cover them (a chain of growths may be needed if
+     many slots are claimed at once). The capacity changes only when a
+     growth ends, so the next grower starts after it: growths never
+     overlap. They move no entry, so writers of covered slots never wait
+     for one. *)
   let rec ensure_capacity t slot =
     let cap = B.capacity t.backend in
     if slot >= cap then begin
-      if slot = cap && Atomic.compare_and_set t.growing 0 (slot + 1) then begin
-        while Atomic.get t.writers > 0 do
-          Domain.cpu_relax ()
-        done;
-        B.ensure t.backend (slot + 1);
-        Atomic.set t.growing 0
-      end
-      else Domain.cpu_relax ();
+      if slot = cap then B.ensure t.backend (slot + 1) else Domain.cpu_relax ();
       ensure_capacity t slot
     end
-
-  (* Enter the writer section: must not overlap a growth. *)
-  let rec writer_enter t =
-    while Atomic.get t.growing <> 0 do
-      Domain.cpu_relax ()
-    done;
-    ignore (Atomic.fetch_and_add t.writers 1);
-    if Atomic.get t.growing <> 0 then begin
-      ignore (Atomic.fetch_and_add t.writers (-1));
-      writer_enter t
-    end
-
-  let writer_exit t = ignore (Atomic.fetch_and_add t.writers (-1))
 
   (* Non-decreasing versions per history: wait for the predecessor's
      version word and take the max (see interface). *)
@@ -89,11 +54,9 @@ module Make (B : BACKEND) = struct
     let slot = Atomic.fetch_and_add t.pending 1 in
     ensure_capacity t slot;
     let version = ordered_version t slot version in
-    writer_enter t;
     B.write_entry t.backend slot ~version value;
     let stamp = Version.next_completion ctx in
     B.set_finished t.backend slot stamp;
-    writer_exit t;
     Completion.publish board stamp
 
   (* Two-phase append for batch installs: [append_entry] claims a slot
@@ -109,16 +72,12 @@ module Make (B : BACKEND) = struct
     let slot = Atomic.fetch_and_add t.pending 1 in
     ensure_capacity t slot;
     let version = ordered_version t slot version in
-    writer_enter t;
     B.write_entry t.backend slot ~version value;
-    writer_exit t;
     slot
 
   let finish_entry t ~ctx ~slot =
-    writer_enter t;
     let stamp = Version.next_completion ctx in
     B.set_finished t.backend slot stamp;
-    writer_exit t;
     stamp
 
   type lookup = Absent | Entry of int * B.value
@@ -128,10 +87,13 @@ module Make (B : BACKEND) = struct
      is still below the requested one; then publish the longer tail and
      binary-search the visible prefix. *)
   let extend_tail t ~ctx ~version =
-    let pending = Atomic.get t.pending in
+    (* Claimed slots past the capacity may belong to an appender still
+       growing the history, so the walk stops at the capacity; every
+       slot below it stays readable, since growth never moves one. *)
+    let limit = min (Atomic.get t.pending) (B.capacity t.backend) in
     let start = Atomic.get t.tail in
     let rec walk cursor =
-      if cursor >= pending then cursor
+      if cursor >= limit then cursor
       else begin
         let entry_version, _, stamp = B.read_entry t.backend cursor in
         if stamp = 0 then cursor

@@ -21,10 +21,12 @@
     interleaving.
 
     Growth: the appender whose slot equals the current capacity becomes
-    the designated grower; it briefly excludes in-flight writers (a
-    write-preferring flag + count), copies to a doubled buffer, and
-    publishes it. Readers are never blocked: they read each entry from a
-    single buffer snapshot and entries are write-once. *)
+    the designated grower and doubles the capacity by linking one more
+    segment; appenders with later slots wait until the capacity covers
+    them. Growth never moves an entry, so nothing else waits for it:
+    writers of covered slots write on, and readers walk the claimed
+    slots only up to the capacity they read first, since a slot past it
+    may belong to an appender still growing. Entries are write-once. *)
 
 module type BACKEND = sig
   type t
@@ -38,7 +40,10 @@ module type BACKEND = sig
 
   val ensure : t -> int -> unit
   (** Grow to at least the given capacity. Called only by the designated
-      grower with no writer in flight. *)
+      grower, one at a time, while other domains read and write slots
+      below the current capacity: it never moves an entry, and a slot
+      below the old capacity reads and writes the same storage before
+      and after. *)
 
   val write_entry : t -> int -> version:int -> value -> unit
   (** Publish version then value of a claimed slot, then persist
@@ -57,8 +62,7 @@ module type BACKEND = sig
       where they share it. *)
 
   val read_entry : t -> int -> int * value * int
-  (** [(version, value, finished)] of a slot, all read from one buffer
-      snapshot. *)
+  (** [(version, value, finished)] of a slot below the capacity. *)
 end
 
 module Make (B : BACKEND) : sig

@@ -46,11 +46,11 @@ val scan_persisted : Pmem.Pheap.t -> Pmem.Pptr.t -> (int * int * int) array
 
 val drop_prefix : t -> first:int -> unit
 (** [drop_prefix t ~first] drops the first [first] records and keeps
-    the rest, stamps untouched, in a buffer of the capacity growth
+    the rest, stamps untouched, in one segment of the capacity growth
     would give them, published by one header swap
     ({!Pmem.Pvector.shrink_offline}); then it resets the ephemeral
-    cursors. Nothing is written unless [first > 0] or the buffer is
-    larger than that capacity. The dropped records' value blobs are
+    cursors. Nothing is written unless [first > 0] or the history's
+    capacity is larger than that. The dropped records' value blobs are
     the caller's to free, once this returns and the swap is durable.
     Offline only (compaction); [first] must leave at least one
     record. *)

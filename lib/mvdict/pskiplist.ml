@@ -56,9 +56,8 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       gc_lock = Mutex.create ();
     }
 
-  (* Same shape as the lazy-tail writer/grower handshake: register, then
-     re-check the flag and back out if compaction closed the gate in
-     between — compaction's drain loop then cannot miss us. *)
+  (* Register, then re-check the flag and back out if compaction closed
+     the gate in between — compaction's drain loop then cannot miss us. *)
   let op_enter t =
     let rec loop () =
       while Atomic.get t.gate_closed do
@@ -133,30 +132,41 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   (* [history_of] along a finger cursor: the batch's ascending walk
      resumes each index search from the previous key's towers. Same
-     Added/Raced contract as above. *)
-  let history_of_at t cur key =
+     Added/Raced contract as above, except that a key new to the store
+     comes back with its encoded key word (the marker word otherwise),
+     for the caller to link into the key chain. *)
+  let resolve_at t cur key =
     match
       Concurrent.Skiplist.find_or_insert_at cur key ~make:(fun () ->
           Phistory.create t.heap)
     with
-    | Concurrent.Skiplist.Found h -> h
-    | Concurrent.Skiplist.Added h ->
-        Pmem.Pblockchain.append t.chain
-          ~key:(Codec.encode (module K) t.heap key)
-          ~hist:(Phistory.handle h);
-        h
+    | Concurrent.Skiplist.Found h -> (h, Codec.marker_word)
+    | Concurrent.Skiplist.Added h -> (h, Codec.encode (module K) t.heap key)
     | Concurrent.Skiplist.Raced { made; existing } ->
         Phistory.destroy t.heap made;
-        existing
+        (existing, Codec.marker_word)
+
+  let link_key t h key_word =
+    if key_word <> Codec.marker_word then
+      Pmem.Pblockchain.append t.chain ~key:key_word ~hist:(Phistory.handle h)
+
+  let history_of_at t cur key =
+    let h, key_word = resolve_at t cur key in
+    link_key t h key_word;
+    h
 
   (* The Jiffy-style batch install. Under one gate pass: stamp one
      version for the whole batch, resolve every history along a single
-     ascending finger walk, write all payloads, then stamp all entries
-     — with [Media.with_batch] coalescing the persistence epilogue into
-     two barriers (no payload durable after its stamp; stamps durable
-     before any publication). Completion stamps are published last and
-     still inside the gated section: compaction's drain assumes a
-     drained store has published every claimed slot.
+     ascending finger walk, write all payloads, then link the new keys
+     into the key chain and stamp all entries — with [Media.with_batch]
+     coalescing the persistence epilogue into two barriers (no payload
+     durable after its stamp; stamps durable before any publication).
+     A barrier makes its lines durable in no particular order, so a
+     new key's chain slot waits for the second barrier: the first makes
+     the history and key blob it points to durable. Completion stamps
+     are published last and still inside the gated section:
+     compaction's drain assumes a drained store has published every
+     claimed slot.
 
      Very large batches are installed as chunks of [install_chunk] keys
      (still one gate pass, one version and one cursor — the canonical
@@ -175,12 +185,13 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         let slots =
           Array.init k (fun i ->
               let key, x = items.(lo + i) in
-              let h = history_of_at t cur key in
-              (h, Phistory.H.append_entry h ~version (word_of x)))
+              let h, key_word = resolve_at t cur key in
+              (h, key_word, Phistory.H.append_entry h ~version (word_of x)))
         in
         Pmem.Media.batch_barrier ();
         Array.iteri
-          (fun i (h, slot) ->
+          (fun i (h, key_word, slot) ->
+            link_key t h key_word;
             stamps.(i) <- Phistory.H.finish_entry h ~ctx:t.ctx ~slot)
           slots);
     (* Scope exit above was the stamps' barrier; entries become visible
@@ -425,7 +436,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      stamps; (2) per history that drops records (a prefix: everything
      before the newest entry at or below [before], and that entry too
      when it is a removal marker) or is larger than its right size,
-     one buffer swap ([Phistory.drop_prefix]); (3) only after the swap,
+     one header swap ([Phistory.drop_prefix]); (3) only after the swap,
      the dropped value blobs are freed. Keys whose history empties out
      are scrubbed: their chain slot is cleared (persisted) first, and
      only then are the key blob, value blobs and history storage freed
@@ -478,9 +489,6 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       in
       Obs.Metric.add c_gc_scrubbed scrubbed
     end;
-    (* With writers drained, no reader can hold a buffer retired by
-       Pvector growth: free the quarantine. *)
-    ignore (Pmem.Pheap.drain_quarantine t.heap);
     !dropped
 
   (* Online GC entry point (see interface). Serialises concurrent

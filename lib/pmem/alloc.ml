@@ -190,13 +190,15 @@ let alloc t size = fst (take t size)
 
 (* Fresh blocks lie at or above the persisted bump pointer, which no
    block handed out so far has reached, so they are durable zero
-   already (see [format]); only a recycled block is zeroed. *)
+   already (see [format]); only a recycled block is zeroed, and at once
+   even inside a batch scope, since its caller may persist a link to it
+   at once. *)
 let alloc_zeroed t size =
   let off, recycled = take t size in
   if recycled then begin
     let n = rounded_size size in
     Media.fill t.media off n '\000';
-    Media.persist t.media off n
+    Media.persist_now t.media off n
   end;
   off
 

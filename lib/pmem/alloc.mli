@@ -51,7 +51,9 @@ val alloc_zeroed : t -> int -> Pptr.t
 (** Like {!alloc} but the block reads zero, durably. A fresh block (cut
     at the bump pointer) is durable zero already and costs no write or
     flush; only a block recycled from a free list is zero-filled and
-    persisted. *)
+    persisted, at once even inside a {!Media.with_batch} scope
+    ({!Media.persist_now}), so the caller may persist a link to the
+    block at once too. *)
 
 val free : t -> Pptr.t -> int -> unit
 (** [free t ptr size] recycles a block previously returned by [alloc t

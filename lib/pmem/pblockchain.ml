@@ -126,8 +126,10 @@ let rec obtain_block t index ~owner =
       wait ()
     in
     let fresh = alloc_block t in
+    (* Persisted at once even inside a batch scope: once published, the
+       block can take another domain's slots, persisted at once. *)
     Media.set_i64 t.media prev fresh;
-    Media.persist t.media prev 8;
+    Media.persist_now t.media prev 8;
     publish_block t index fresh;
     fresh
   end

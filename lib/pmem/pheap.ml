@@ -9,23 +9,16 @@ let magic = 0x4d564b565f504d00 land max_int (* "MVKV_PM" *)
 
 (* Version 2 widened the allocator header with the oversized free-list
    head word; version-1 pools place the first allocated block where the
-   new head word lives, so they are not readable under version 2. *)
-let layout_version = 2
+   new head word lives, so they are not readable under version 2.
+   Version 3 stores a history as a chain of segments ({!Pvector}), whose
+   first segment leads with a link word where a version-2 buffer kept
+   its capacity. *)
+let layout_version = 3
 let root_slots = 16
 let roots_off = 24
 let alloc_base = 192
 
-type t = {
-  media : Media.t;
-  alloc : Alloc.t;
-  (* Buffers retired by single-writer structures (Pvector growth) that
-     may still be referenced by concurrent readers. Ephemeral by design:
-     a crash forgets the list and the blocks become orphans (a bounded
-     leak), which is strictly safer than a persisted free of a buffer a
-     reader might still hold. Drained by the store's quiesced GC. *)
-  quarantine : (int * int) list ref;
-  quarantine_lock : Mutex.t;
-}
+type t = { media : Media.t; alloc : Alloc.t }
 
 let create media =
   let capacity = Media.capacity media in
@@ -41,7 +34,7 @@ let create media =
   (* The magic is persisted last: a heap is valid only once fully formatted. *)
   Media.set_i64 media 0 magic;
   Media.persist media 0 8;
-  { media; alloc; quarantine = ref []; quarantine_lock = Mutex.create () }
+  { media; alloc }
 
 let open_existing media =
   if Media.get_i64 media 0 <> magic then
@@ -49,7 +42,7 @@ let open_existing media =
   if Media.get_i64 media 8 <> layout_version then
     invalid_arg "Pheap.open_existing: unsupported layout version";
   let alloc = Alloc.attach media ~base_off:alloc_base in
-  { media; alloc; quarantine = ref []; quarantine_lock = Mutex.create () }
+  { media; alloc }
 
 let create_ram ?crash_sim ~capacity () =
   create (Media.create_ram ?crash_sim ~capacity ())
@@ -72,21 +65,5 @@ let root_set t i ptr =
   check_slot i;
   Media.set_i64 t.media (roots_off + (8 * i)) ptr;
   Media.persist t.media (roots_off + (8 * i)) 8
-
-let quarantine_block t ~off ~size =
-  Mutex.lock t.quarantine_lock;
-  t.quarantine := (off, size) :: !(t.quarantine);
-  Mutex.unlock t.quarantine_lock
-
-let drain_quarantine t =
-  Mutex.lock t.quarantine_lock;
-  let blocks = !(t.quarantine) in
-  t.quarantine := [];
-  Mutex.unlock t.quarantine_lock;
-  List.fold_left
-    (fun bytes (off, size) ->
-      Alloc.free t.alloc off size;
-      bytes + size)
-    0 blocks
 
 let close t = Media.close t.media

@@ -16,7 +16,9 @@ val create : Media.t -> t
 
 val open_existing : Media.t -> t
 (** Attach to a previously formatted media.
-    @raise Invalid_argument if the magic or layout version mismatch. *)
+    @raise Invalid_argument if the magic or layout version mismatch.
+    The layout version is 3: version-2 pools, whose histories are single
+    buffers rather than segment chains ({!Pvector}), are refused. *)
 
 val create_ram : ?crash_sim:bool -> capacity:int -> unit -> t
 (** Convenience: fresh RAM media + {!create}. *)
@@ -38,16 +40,5 @@ val root_get : t -> int -> Pptr.t
 
 val root_set : t -> int -> Pptr.t -> unit
 (** Atomically persist root slot [i]. *)
-
-val quarantine_block : t -> off:int -> size:int -> unit
-(** Park a retired block that concurrent readers may still reference
-    (e.g. a {!Pvector} buffer replaced by growth) instead of freeing it
-    immediately. The list is ephemeral: after a crash the parked blocks
-    are orphans — a bounded leak, never a dangling read. *)
-
-val drain_quarantine : t -> int
-(** Free every quarantined block; returns the bytes reclaimed. Only
-    safe at a quiescent point where no reader can hold a retired
-    buffer pointer (the store's GC calls this with writers drained). *)
 
 val close : t -> unit

@@ -1,23 +1,30 @@
 (** Persistent growable array of fixed-width records.
 
-    Backs the per-key version histories: a small header holds a single
-    word pointing at the current buffer, and the buffer itself carries its
-    capacity. Both ways of replacing the buffer, {!grow} and
-    {!shrink_offline}, allocate a new buffer, copy records into it,
-    persist it, and then swap the header word — a single atomic
-    publication, so readers always see either the old or the new
-    complete buffer, and a crash before the swap merely leaks the new
-    buffer. Buffers come from {!Alloc.alloc_zeroed}, so a new buffer is
-    durable zero before it is written: {!create}, {!grow} and
-    {!shrink_offline} persist only the capacity word and the records
-    they copied, not the zeros behind them.
+    Backs the per-key version histories. A small header holds a word
+    pointing at the first of a chain of segments, whose capacities are
+    c, c, 2c, 4c, ...: only the first segment records c, and each
+    segment's first word links the next (0 until one is linked). A
+    record never moves while the vector grows. {!grow} takes one fresh,
+    durably zero segment from {!Alloc.alloc_zeroed} and persists one
+    link word in the last segment, so a growth copies nothing, retires
+    nothing, and costs the allocator's word and the link: 2 lines and 2
+    fences on a fresh heap. A crash before the link is durable leaks
+    the new segment at worst. {!shrink_offline} is the one routine that
+    rewrites records: it copies them into a single new first segment and
+    swaps the header word.
+
+    Readers and writers find a record's segment through a DRAM array of
+    segment offsets. The array is never modified in place: {!grow}
+    publishes a new one with one [Atomic.set] after the link is durable,
+    and the old one, which still locates every record it covers, is left
+    to the OCaml GC. Readers are therefore never tracked.
 
     Concurrency contract (matching Algorithm 1 of the paper): many threads
-    may read and write {e distinct} records concurrently; growth must be
+    may read and write {e distinct} records below {!capacity}
+    concurrently, also while one thread grows the vector; growth must be
     performed by exactly one thread at a time (in the store above, the
-    thread whose claimed slot equals the current capacity), while other
-    writers spin until [capacity] covers their slot. The old buffer is
-    quarantined, not recycled, so stale readers are always safe. *)
+    thread whose claimed slot equals the current capacity). Record
+    accessors raise [Invalid_argument] at or beyond the capacity. *)
 
 type t
 
@@ -33,25 +40,23 @@ val handle : t -> Pptr.t
 val record_words : t -> int
 
 val capacity : t -> int
-(** Current capacity in records. {!grow} raises it; {!shrink_offline}
-    may lower it. *)
+(** Current capacity in records, read from the DRAM segment array.
+    {!grow} raises it; {!shrink_offline} may lower it. *)
 
 val grow : t -> int -> unit
-(** [grow t n] ensures capacity >= [n] (doubling). Single-grower
-    contract; see above. The replaced buffer goes to the heap's
-    quarantine ({!Pheap.quarantine_block}) for reclamation at the next
-    quiesced point. *)
+(** [grow t n] ensures capacity >= [n], linking one segment per
+    doubling. Single-grower contract; see above. *)
 
 val shrink_offline : t -> capacity:int -> first:int -> keep:int -> unit
 (** [shrink_offline t ~capacity ~first ~keep] is the one routine that
-    rewrites a vector's records: it replaces the buffer with a new one
-    of exactly [capacity] records whose first [keep] records are copies
-    of records [\[first, first + keep)] of the current buffer (the rest
-    zero). The new buffer is persisted, then the header swap is
-    persisted, and only then is the old buffer freed, so a crash leaves
+    rewrites a vector's records: it replaces the segment chain with one
+    first segment of exactly [capacity] records whose first [keep]
+    records are copies of records [\[first, first + keep)] (the rest
+    zero). The new segment is persisted, then the header swap is
+    persisted, and only then is the old chain freed, so a crash leaves
     either the old records or the new ones and, at worst, leaks a
-    buffer. Offline only: safe solely while no concurrent reader can
-    hold the current buffer pointer.
+    segment. Offline only: safe solely while no concurrent reader or
+    writer can use the vector.
     @raise Invalid_argument unless [1 <= capacity], [0 <= keep <=
     capacity] and [\[first, first + keep)] lies within the current
     capacity. *)
@@ -60,8 +65,7 @@ val get_word : t -> record:int -> word:int -> int
 val set_word : t -> record:int -> word:int -> int -> unit
 
 val get_record3 : t -> record:int -> int * int * int
-(** First three words of a record, all read from one buffer snapshot —
-    the read side of the growth protocol (requires [record_words >= 3]). *)
+(** First three words of a record (requires [record_words >= 3]). *)
 
 val persist_record : t -> record:int -> unit
 (** Flush + fence the cache lines of one record. *)
@@ -75,4 +79,4 @@ val persist_before_word : t -> record:int -> word:int -> unit
     commit word at [word] covers. Nothing when they share its line. *)
 
 val free : Pheap.t -> t -> unit
-(** Recycle the current buffer and header. Unsafe under concurrency. *)
+(** Recycle every segment and the header. Unsafe under concurrency. *)

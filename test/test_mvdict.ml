@@ -518,6 +518,62 @@ end
 module SRC = Conformance (SR)
 module SMC = Conformance (SM)
 
+(* A find racing a growth of the same key. [writers] domains append
+   rounds to one key after another while a reader domain keeps finding
+   the key being written, so its walk of the claimed slots often meets
+   a slot whose owner is still growing the history. Writer [w] writes
+   [key * 1_000_000 + round * 2 + w] and announces each round before
+   its insert, so every answer must decode to the key and a round some
+   writer has begun. *)
+let find_races_growth (module S : DICT) ~writers () =
+  let t = S.make () in
+  let keys = 256 and rounds = 128 in
+  let current = Atomic.make 0 in
+  let begun = Array.init writers (fun _ -> Array.init keys (fun _ -> Atomic.make 0)) in
+  let done_writers = Atomic.make 0 in
+  let wrong = Atomic.make 0 and raised = Atomic.make 0 and first = Atomic.make "" in
+  let note counter what =
+    if Atomic.fetch_and_add counter 1 = 0 then ignore (Atomic.compare_and_set first "" what)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        while Atomic.get done_writers < writers do
+          let k = Atomic.get current in
+          match S.find t k with
+          | None -> ()
+          | Some v ->
+              let round = v mod 1_000_000 / 2 and w = v mod 2 in
+              if v / 1_000_000 <> k || w >= writers || round < 1
+                 || round > Atomic.get begun.(w).(k)
+              then note wrong (Printf.sprintf "key %d answered %d" k v)
+          | exception e -> note raised (Printexc.to_string e)
+        done)
+  in
+  let writer w =
+    Domain.spawn (fun () ->
+        for k = 0 to keys - 1 do
+          if w = 0 then Atomic.set current k;
+          for round = 1 to rounds do
+            Atomic.set begun.(w).(k) round;
+            S.insert t k ((k * 1_000_000) + (round * 2) + w)
+          done
+        done;
+        Atomic.incr done_writers)
+  in
+  List.iter Domain.join (List.init writers writer);
+  Domain.join reader;
+  check_int
+    (Printf.sprintf "finds that raised (first: %s)" (Atomic.get first))
+    0 (Atomic.get raised);
+  check_int
+    (Printf.sprintf "finds that answered a value never written (first: %s)"
+       (Atomic.get first))
+    0 (Atomic.get wrong);
+  check_bool "every key holds its last round" true
+    (List.for_all
+       (fun k -> match S.find t k with Some v -> v / 1_000_000 = k | None -> false)
+       (List.init keys Fun.id))
+
 (* PSkipList specifics: persistence, restart, parallel reconstruction,
    crash consistency. *)
 
@@ -1126,25 +1182,45 @@ let cost stats f =
 
 let int_word heap v = Mvdict.Codec.encode (module Mvdict.Codec.Int_value) heap v
 
-(* Media offset of a history record, read through the vector header. *)
+(* Media offset of a history record, found through the vector header
+   and the segment links: the first segment's records follow its link
+   and capacity (c) words, and segment k >= 1, linked from segment
+   k - 1, holds records [c * 2^(k-1), c * 2^k) after its link word. *)
 let record_start heap h slot =
   let media = Pmem.Pheap.media heap in
-  Pmem.Media.get_i64 media (PH.handle h) + 8 + (24 * slot)
+  let first = Pmem.Media.get_i64 media (PH.handle h) in
+  let c = Pmem.Media.get_i64 media (first + 8) in
+  let rec seek seg start =
+    let next = Pmem.Media.get_i64 media seg in
+    if slot < 2 * start then next + 8 + (24 * (slot - start)) else seek next (2 * start)
+  in
+  if slot < c then first + 16 + (24 * slot) else seek first c
 
 (* Append stamped filler entries until the next slot's record starts at
-   a line offset satisfying [p]. *)
+   a line offset satisfying [p]. The next slot's segment is linked
+   first, so that its record has an offset. *)
 let append_until heap h ~ctx ~board p =
-  while not (p (record_start heap h (PH.H.pending_length h) mod Pmem.Media.cache_line)) do
+  let next_start () =
+    let slot = PH.H.pending_length h in
+    PH.Backend.ensure (PH.H.backend h) (slot + 1);
+    record_start heap h slot
+  in
+  while not (p (next_start () mod Pmem.Media.cache_line)) do
     PH.H.append h ~ctx ~board ~version:1 (int_word heap 1)
   done
+
+(* An empty history whose first [n] records are contiguous: one
+   segment of [n] records, attached as recovery would. *)
+let one_segment_history heap n =
+  let v = Pmem.Pvector.create heap ~record_words:PH.record_words ~initial_capacity:n in
+  fst (PH.attach_pruned heap (Pmem.Pvector.handle v) ~fc:0)
 
 (* Any 8 consecutive 24-byte records span 3 lines, and 2 of them
    straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). *)
 let history_append_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
-  let h = PH.create heap in
-  PH.Backend.ensure (PH.H.backend h) 8;
+  let h = one_segment_history heap 8 in
   let lines, fences =
     cost (Pmem.Pheap.stats heap) (fun () ->
         for v = 1 to 8 do
@@ -1155,22 +1231,42 @@ let history_append_cost () =
   check_int "fences for 8 appends" 10 fences;
   check_int "all appends visible" 8 (List.length (PH.H.events h ~ctx))
 
-(* Growth persists the allocator's bump word, the capacity word plus the
-   copied records (200 bytes: at most 4 lines) and the header, not the
-   zeros of the rest of the doubled buffer. *)
+(* Growth links one segment as large as the capacity: it persists the
+   allocator's bump word and the link word, and neither copies a
+   record nor flushes the zeros of the new segment. *)
 let history_growth_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
   let h = PH.create heap in
+  let v = PH.H.backend h in
+  List.iter
+    (fun capacity ->
+      while PH.H.pending_length h < capacity do
+        PH.H.append h ~ctx ~board ~version:1 (int_word heap 1)
+      done;
+      check_int "full" capacity (PH.Backend.capacity v);
+      let lines, fences =
+        cost (Pmem.Pheap.stats heap) (fun () -> PH.Backend.ensure v (capacity + 1))
+      in
+      check_int "doubled" (2 * capacity) (PH.Backend.capacity v);
+      check_int (Printf.sprintf "growth at %d: lines: bump word, link" capacity) 2 lines;
+      check_int (Printf.sprintf "growth at %d: fences: bump word, link" capacity) 2 fences)
+    [ 2; 8; 64 ]
+
+(* Eight entries fill the first three segments (2, 2 and 4 records),
+   and the two growths retire nothing: the header and those segments
+   are all the history holds. *)
+let history_live_bytes () =
+  let heap = fresh_heap () in
+  let stats = Pmem.Pheap.stats heap in
+  let ctx, board = history_env () in
+  let live0 = Pmem.Pstats.live_bytes stats in
+  let h = PH.create heap in
   for v = 1 to 8 do
     PH.H.append h ~ctx ~board ~version:v (int_word heap v)
   done;
-  let v = PH.H.backend h in
-  check_int "full" 8 (PH.Backend.capacity v);
-  let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PH.Backend.ensure v 9) in
-  check_int "doubled" 16 (PH.Backend.capacity v);
-  check_bool (Printf.sprintf "%d lines flushed, at most 7" lines) true (lines <= 7);
-  check_int "fences: bump word, buffer, header" 3 fences
+  check_int "live bytes: header, segments of 2, 2 and 4 records" (16 + 64 + 64 + 128)
+    (Pmem.Pstats.live_bytes stats - live0)
 
 let slot_words h slot = PH.Backend.read_entry (PH.H.backend h) slot
 
@@ -1216,8 +1312,9 @@ let crash_unstamped_blob_record offset () =
   check_int "no second free" live (Pmem.Pstats.live_bytes stats)
 
 (* Growth into a block recycled from a free list: the block still holds
-   another history's stamped records, which must not resurface past the
-   copied prefix after a crash, nor be freed by recovery. *)
+   another history's stamped records, which must not resurface past
+   this history's own records after a crash, nor be freed by recovery.
+   Both histories' segment for records 8-15 is the only 256-byte block. *)
 let crash_growth_into_reused_block () =
   let media, heap = crash_heap () in
   let stats = Pmem.Pheap.stats heap in
@@ -1226,7 +1323,7 @@ let crash_growth_into_reused_block () =
   for v = 1 to 16 do
     PH.H.append old ~ctx ~board ~version:v (int_word heap (-v))
   done;
-  let buffer h = record_start heap h 0 in
+  let buffer h = record_start heap h 8 in
   let old_buffer = buffer old in
   PH.destroy heap old;
   let h = PH.create heap in
@@ -1470,6 +1567,65 @@ let compaction_crash_points () =
   let flushes = crash_at 1 in
   check_bool (Printf.sprintf "the pass has %d flushes" flushes) true (flushes > 10)
 
+(* A growing history: counted crash points. *)
+
+(* Nine appends to one key take its history through three growths
+   (2 -> 4 -> 8 -> 16 records), alternating inline and blob values. *)
+let growth_values = List.init 9 (fun i -> if i mod 2 = 0 then i + 1 else -(i + 1))
+
+let history_values t key =
+  List.map
+    (function _, Mvdict.Dict_intf.Put v -> v | _, Mvdict.Dict_intf.Del -> 0)
+    (PStore.extract_history t key)
+
+(* For k = 1, 2, ... until the appends complete, the k-th flush after
+   the store is created crashes. After each reopen the key's history is
+   a prefix of the appends that holds every append that returned (and
+   so was visible), the reopened store takes the remaining appends, and
+   no block was freed twice. *)
+let growth_crash_points ~batch () =
+  let key = 7 in
+  let append t v =
+    if batch then PStore.insert_batch t [ (key, v) ] else PStore.insert t key v
+  in
+  let rec crash_at k =
+    let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+    let heap = Pmem.Pheap.create media in
+    let t = PStore.create heap in
+    Pmem.Media.crash_after media ~flushes:k;
+    let returned = ref 0 in
+    let completed =
+      match
+        List.iter
+          (fun v ->
+            append t v;
+            incr returned)
+          growth_values
+      with
+      | () -> true
+      | exception Pmem.Media.Crash -> false
+    in
+    Pmem.Media.simulate_crash media;
+    let heap = Pmem.Pheap.reopen heap in
+    let t = PStore.open_existing heap in
+    let seen = history_values t key in
+    let n = List.length seen in
+    check_bool
+      (Printf.sprintf "crash at flush %d: %d entries, a prefix holding the %d returned" k n
+         !returned)
+      true
+      (n >= !returned && seen = List.filteri (fun i _ -> i < n) growth_values);
+    List.iteri (fun i v -> if i >= n then append t v) growth_values;
+    check_bool (Printf.sprintf "crash at flush %d: the reopened store takes the rest" k) true
+      (history_values t key = growth_values);
+    check_bool (Printf.sprintf "crash at flush %d: no block freed twice" k) true
+      (free_lists_distinct heap);
+    if completed then k else crash_at (k + 1)
+  in
+  let flushes = crash_at 1 in
+  check_bool (Printf.sprintf "the appends have %d flushes" flushes) true
+    (flushes > List.length growth_values)
+
 (* Snapshot diff *)
 
 let int_diff = Mvdict.Snapshot.diff ~compare_key:Int.compare ~equal_value:Int.equal
@@ -1552,6 +1708,14 @@ let () =
           Alcotest.test_case "growth" `Quick lazy_tail_growth;
           Alcotest.test_case "concurrent appends" `Quick lazy_tail_concurrent_appends;
           Alcotest.test_case "fc gating" `Quick lazy_tail_fc_gates_visibility;
+          Alcotest.test_case "find racing a growth, ESkipList, 1 writer" `Quick
+            (find_races_growth (module E) ~writers:1);
+          Alcotest.test_case "find racing a growth, ESkipList, 2 writers" `Quick
+            (find_races_growth (module E) ~writers:2);
+          Alcotest.test_case "find racing a growth, PSkipList, 1 writer" `Quick
+            (find_races_growth (module P) ~writers:1);
+          Alcotest.test_case "find racing a growth, PSkipList, 2 writers" `Quick
+            (find_races_growth (module P) ~writers:2);
         ] );
       ("pskiplist-conformance", PC.tests "PSkipList");
       ("eskiplist-conformance", EC.tests "ESkipList");
@@ -1614,6 +1778,7 @@ let () =
           Alcotest.test_case "8 appends cost 10 lines and 10 fences" `Quick
             history_append_cost;
           Alcotest.test_case "growth persists no zeros" `Quick history_growth_cost;
+          Alcotest.test_case "8 appends hold 272 live bytes" `Quick history_live_bytes;
           Alcotest.test_case "crash before the stamp leaves a zero slot" `Quick
             crash_unstamped_one_line_record;
           Alcotest.test_case "crash mid straddling record at 48" `Quick
@@ -1626,6 +1791,10 @@ let () =
             crash_growth_into_reused_block;
           Alcotest.test_case "crash mid batch keeps fresh memory zero" `Quick
             crash_mid_batch_keeps_fresh_memory_zero;
+          Alcotest.test_case "every crash point of a growing history" `Quick
+            (growth_crash_points ~batch:false);
+          Alcotest.test_case "every crash point of a growing history, batched" `Quick
+            (growth_crash_points ~batch:true);
         ] );
       ( "properties",
         [

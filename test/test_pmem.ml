@@ -311,6 +311,22 @@ let alloc_in_batch_survives_crash ~recycled () =
   check_bool "reads zero" true
     (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m q 32))
 
+(* A recycled block's zero fill is durable when [alloc_zeroed] returns,
+   even inside a batch scope: its caller may persist a link to it at
+   once (a history growth does), and a crash before the scope's barrier
+   must not leave that link pointing at the block's old contents. *)
+let alloc_zeroed_recycled_in_batch_is_durable () =
+  let m = crash_media () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
+  let p = Pmem.Alloc.alloc a 32 in
+  Pmem.Media.set_i64 m (p + 8) 0xdead;
+  Pmem.Media.persist m p 32;
+  Pmem.Alloc.free a p 32;
+  Pmem.Media.with_batch (fun () ->
+      check_int "recycled" p (Pmem.Alloc.alloc_zeroed a 32);
+      Pmem.Media.simulate_crash m);
+  check_int "zero fill survives the crash" 0 (Pmem.Media.get_i64 m (p + 8))
+
 let alloc_oversized_reuse () =
   let m = small_media () in
   let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
@@ -391,6 +407,44 @@ let pheap_rejects_bad_magic () =
   Alcotest.check_raises "unformatted"
     (Invalid_argument "Pheap.open_existing: bad magic (not a formatted heap)")
     (fun () -> ignore (Pmem.Pheap.open_existing m))
+
+(* Version-2 pools keep a history in one buffer, whose first word is
+   its capacity; version 3 reads that word as a segment link. *)
+let layout_2_pool () =
+  let path = Filename.temp_file "mvkv" ".pool" in
+  let heap = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
+  Pmem.Media.set_i64 (Pmem.Pheap.media heap) 8 2;
+  Pmem.Media.persist (Pmem.Pheap.media heap) 8 8;
+  Pmem.Pheap.close heap;
+  path
+
+let pheap_rejects_layout_2 () =
+  let path = layout_2_pool () in
+  Alcotest.check_raises "layout 2"
+    (Invalid_argument "Pheap.open_existing: unsupported layout version")
+    (fun () -> ignore (Pmem.Pheap.open_file ~path));
+  Sys.remove path
+
+(* The command line reports the refusal as a user error: exit status 2
+   and one line on stderr. *)
+let mvkv_rejects_layout_2 () =
+  let path = layout_2_pool () and err = Filename.temp_file "mvkv" ".err" in
+  let mvkv = Filename.concat (Filename.dirname Sys.executable_name) "../bin/mvkv.exe" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s find --pool %s --key 1 > /dev/null 2> %s" (Filename.quote mvkv)
+         (Filename.quote path) (Filename.quote err))
+  in
+  let lines =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (In_channel.with_open_text err In_channel.input_all))
+  in
+  Sys.remove path;
+  Sys.remove err;
+  check_int "exit status" 2 status;
+  check_int "stderr lines" 1 (List.length lines);
+  check_bool "names the layout version" true
+    (List.for_all (String.ends_with ~suffix:"unsupported layout version") lines)
 
 let pheap_root_bounds () =
   let h = small_heap () in
@@ -623,6 +677,25 @@ let chain_crash_hole_skipped () =
   (* Both appends fully persisted each word, so both survive. *)
   Alcotest.(check (list int)) "persisted appends survive" [ 2; 1 ] !keys
 
+(* A block linked inside a batch scope is published at once, and
+   another domain's append there persists at once; so the link must be
+   durable before the scope's barrier, or a crash before it loses that
+   append. *)
+let chain_block_linked_in_batch_survives_crash () =
+  let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+  let h = Pmem.Pheap.create media in
+  let c = Pmem.Pblockchain.create h ~block_slots:2 in
+  Pmem.Pblockchain.append c ~key:1 ~hist:8;
+  Pmem.Pblockchain.append c ~key:2 ~hist:16;
+  Pmem.Media.with_batch (fun () ->
+      Pmem.Pblockchain.append c ~key:3 ~hist:24;
+      Domain.join (Domain.spawn (fun () -> Pmem.Pblockchain.append c ~key:4 ~hist:32));
+      Pmem.Media.simulate_crash media);
+  let c2 = Pmem.Pblockchain.attach (Pmem.Pheap.reopen h) (Pmem.Pblockchain.handle c) in
+  let keys = ref [] in
+  Pmem.Pblockchain.iter_slots c2 (fun ~key ~hist:_ -> keys := key :: !keys);
+  check_bool "the other domain's append survives" true (List.mem 4 !keys)
+
 (* Property: a random alloc/free program never hands out overlapping
    live blocks, and frees recycle within a size class. *)
 let qcheck_allocator_no_overlap =
@@ -777,6 +850,8 @@ let () =
             (alloc_in_batch_survives_crash ~recycled:false);
           Alcotest.test_case "a block popped in a batch survives a crash" `Quick
             (alloc_in_batch_survives_crash ~recycled:true);
+          Alcotest.test_case "alloc_zeroed of a recycled block in a batch is durable" `Quick
+            alloc_zeroed_recycled_in_batch_is_durable;
           Alcotest.test_case "oversized free is reused" `Quick alloc_oversized_reuse;
           Alcotest.test_case "oversized first-fit split" `Quick
             alloc_oversized_first_fit_split;
@@ -788,6 +863,9 @@ let () =
         [
           Alcotest.test_case "roots" `Quick pheap_roots;
           Alcotest.test_case "bad magic" `Quick pheap_rejects_bad_magic;
+          Alcotest.test_case "refuses a layout-2 pool" `Quick pheap_rejects_layout_2;
+          Alcotest.test_case "mvkv find on a layout-2 pool exits 2 with one line" `Quick
+            mvkv_rejects_layout_2;
           Alcotest.test_case "root bounds" `Quick pheap_root_bounds;
         ] );
       ( "tx",
@@ -822,6 +900,8 @@ let () =
           Alcotest.test_case "attach resumes" `Quick chain_attach_resumes;
           Alcotest.test_case "concurrent appends" `Quick chain_concurrent_appends;
           Alcotest.test_case "crash holes" `Quick chain_crash_hole_skipped;
+          Alcotest.test_case "a block linked in a batch survives a crash" `Quick
+            chain_block_linked_in_batch_survives_crash;
           Alcotest.test_case "append costs one line and fence" `Quick chain_append_cost;
         ] );
     ]
