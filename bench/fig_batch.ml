@@ -21,8 +21,9 @@
    land in BENCH_batch.json next to the `mvdict.*.insert_batch.ns` and
    `net.insert_batch.ns` histograms. The smoke gate reads the shape off
    the returned record: locally a counted one — B >= 8 issues strictly
-   fewer fences per key than B = 1, and fences_saved is positive — and
-   over loopback B >= 8 strictly above B = 1 in keys/s. *)
+   fewer fences per key than B = 1, B >= 64 at most 0.1, and
+   fences_saved is positive — and over loopback B >= 8 strictly above
+   B = 1 in keys/s. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
 

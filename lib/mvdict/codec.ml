@@ -67,3 +67,6 @@ let decode (type a) (module V : VALUE with type t = a) media word : a =
 
 let is_blob w = w <> marker_word && w land 1 = 0
 let free_word heap word = if is_blob word then Pmem.Pblob.free heap word
+
+let mark_word heap marks word =
+  if is_blob word then Pmem.Pblob.mark (Pmem.Pheap.media heap) marks word

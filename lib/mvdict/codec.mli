@@ -62,3 +62,7 @@ val decode : (module VALUE with type t = 'a) -> Pmem.Media.t -> int -> 'a
 val free_word : Pmem.Pheap.t -> int -> unit
 (** Release the blob behind a word, if any (markers and inline words are
     no-ops). *)
+
+val mark_word : Pmem.Pheap.t -> Pmem.Alloc.marks -> int -> unit
+(** Mark the blob behind a word as live, if any, for
+    {!Pmem.Alloc.rebuild}. *)

@@ -53,6 +53,16 @@ let scan_persisted heap hist_handle =
   in
   Array.of_list (collect 0 [])
 
+let mark_persisted heap hist_handle marks ~stamp =
+  let media = Pmem.Pheap.media heap in
+  let v = Pmem.Pvector.attach heap hist_handle in
+  Pmem.Pvector.mark v marks;
+  let prefix = ref true in
+  Pmem.Pvector.iter_records v (fun off ->
+      let s = Pmem.Media.get_i64 media (off + 16) in
+      if s = 0 then prefix := false else if !prefix then stamp s;
+      Codec.mark_word heap marks (Pmem.Media.get_i64 media (off + 8)))
+
 (* The capacity growth reaches for [n] records: doubling from the
    initial capacity. *)
 let right_size n =

@@ -44,6 +44,14 @@ val scan_persisted : Pmem.Pheap.t -> Pmem.Pptr.t -> (int * int * int) array
     records of the contiguous finished prefix as persisted — the input to
     recovery ({!Recovery.recover_fc}). *)
 
+val mark_persisted :
+  Pmem.Pheap.t -> Pmem.Pptr.t -> Pmem.Alloc.marks -> stamp:(int -> unit) -> unit
+(** [mark_persisted heap handle marks ~stamp] is recovery's first pass
+    over one history: it marks the history's header and segments and
+    the blob behind every non-zero value word in them, kept or about to
+    be pruned ({!attach_pruned} frees the pruned ones), and calls
+    [stamp] on each stamp of the contiguous finished prefix, in order. *)
+
 val drop_prefix : t -> first:int -> unit
 (** [drop_prefix t ~first] drops the first [first] records and keeps
     the rest, stamps untouched, in one segment of the capacity growth

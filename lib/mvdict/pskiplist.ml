@@ -42,12 +42,14 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   let c_gc_reclaimed = Obs.Registry.counter "gc.bytes_reclaimed"
   let h_gc_pause = Obs.Registry.histogram "gc.pause_ns"
 
-  let make_store heap chain ctx recovered_fc =
+  let new_index () = Concurrent.Skiplist.create ~compare:K.compare ()
+
+  let make_store heap chain index ctx recovered_fc =
     {
       heap;
       media = Pmem.Pheap.media heap;
       chain;
-      index = Concurrent.Skiplist.create ~compare:K.compare ();
+      index;
       ctx;
       board = Completion.create ctx;
       recovered_fc;
@@ -89,7 +91,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       invalid_arg "Pskiplist.create: heap already holds a store (use open_existing)";
     let chain = Pmem.Pblockchain.create heap ~block_slots in
     Pmem.Pheap.root_set heap chain_root_slot (Pmem.Pblockchain.handle chain);
-    make_store heap chain (Version.create ()) 0
+    make_store heap chain (new_index ()) (Version.create ()) 0
 
   (* Index lookup with insert-if-absent. A freshly won history is
      registered in the persistent key chain; a raced speculative one is
@@ -378,24 +380,39 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       invalid_arg "Pskiplist.open_existing: heap holds no store";
     let chain = Pmem.Pblockchain.attach heap chain_handle in
     (* Pass 1 — gather the completion stamps of every contiguous
-       finished prefix and recover the global finished counter. *)
-    let stamps = ref [] in
-    let stamp_count = ref 0 in
-    Pmem.Pblockchain.iter_slots chain (fun ~key:_ ~hist ->
-        Array.iter
-          (fun (_, _, stamp) ->
-            stamps := stamp :: !stamps;
-            incr stamp_count)
-          (Phistory.scan_persisted heap hist));
-    let stamp_array = Array.make !stamp_count 0 in
-    List.iteri (fun i s -> stamp_array.(i) <- s) !stamps;
+       finished prefix and recover the global finished counter, marking
+       every block reachable from the chain on the way: the chain, key
+       blobs, histories and the blobs their records point to. Every
+       other block of the heap is free, and the allocator takes it back
+       before pass 2 frees the pruned records' blobs. The stamps go into
+       one int array rather than a list, and the store (with its
+       65,536-cell completion board) is built once, after pass 2: the
+       peak heap of an open is a served pool's peak resident set. *)
+    let alloc = Pmem.Pheap.allocator heap in
+    let marks = Pmem.Alloc.marks alloc in
+    Pmem.Pblockchain.mark chain marks;
+    let stamps = ref (Array.make 1024 0) and count = ref 0 in
+    let add stamp =
+      if !count = Array.length !stamps then begin
+        let bigger = Array.make (2 * !count) 0 in
+        Array.blit !stamps 0 bigger 0 !count;
+        stamps := bigger
+      end;
+      !stamps.(!count) <- stamp;
+      incr count
+    in
+    Pmem.Pblockchain.iter_slots chain (fun ~key ~hist ->
+        Codec.mark_word heap marks key;
+        Phistory.mark_persisted heap hist marks ~stamp:add);
+    Pmem.Alloc.rebuild alloc marks;
     let floor = Pmem.Pheap.root_get heap floor_root_slot in
-    let fc = Recovery.recover_fc ~floor stamp_array in
+    let fc = Recovery.recover_fc ~floor (Array.sub !stamps 0 !count) in
     Obs.Metric.set g_recovered_fc fc;
     (* Pass 2 — prune beyond [fc] and rebuild the index in parallel:
        thread [tid] claims the chain blocks with index = tid mod threads
        and bulk-inserts their keys. *)
-    let store = make_store heap chain (Version.create ()) fc in
+    let index = new_index () in
+    let media = Pmem.Pheap.media heap in
     let blocks = Pmem.Pblockchain.block_offsets chain in
     let slots = Pmem.Pblockchain.block_slots chain in
     let max_versions =
@@ -407,11 +424,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                 match Pmem.Pblockchain.read_slot chain blocks.(bi) s with
                 | None -> ()
                 | Some (key_word, hist_handle) ->
-                    let key = Codec.decode (module K) store.media key_word in
+                    let key = Codec.decode (module K) media key_word in
                     let h, maxv = Phistory.attach_pruned heap hist_handle ~fc in
                     if maxv > !highest then highest := maxv;
                     (match
-                       Concurrent.Skiplist.find_or_insert store.index key
+                       Concurrent.Skiplist.find_or_insert index key
                          ~make:(fun () -> h)
                      with
                     | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ())
@@ -420,12 +437,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           !highest)
     in
     let clock = Array.fold_left max 0 max_versions in
-    let ctx = Version.restore ~clock ~fc in
-    {
-      store with
-      ctx;
-      board = Completion.create ctx;
-    }
+    make_store heap chain index (Version.restore ~clock ~fc) fc
 
   let heap t = t.heap
 
@@ -440,9 +452,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      the dropped value blobs are freed. Keys whose history empties out
      are scrubbed: their chain slot is cleared (persisted) first, and
      only then are the key blob, value blobs and history storage freed
-     and the index node unlinked. A crash between any two steps leaks
-     blocks at worst, and never leaves a record pointing at freed
-     storage. *)
+     and the index node unlinked. A crash between any two steps strands
+     blocks at worst, which the next open's rebuild frees, and never
+     leaves a record pointing at freed storage. *)
   let compact_quiesced t ~before =
     Pmem.Pheap.root_set t.heap floor_root_slot (Version.fc t.ctx);
     let free_values raw ~upto =

@@ -29,7 +29,10 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
       persisted stamps above the stamp floor compaction persisted
       ({!Recovery.recover_fc}), prune entries beyond it, and rebuild the
       skip-list index with [threads] reconstruction threads
-      (default 1). *)
+      (default 1). The first pass also marks every block reachable from
+      heap root 0 (the key chain, key blobs, histories and the blobs
+      their records point to) and hands the rest of the heap back to
+      the allocator ({!Pmem.Alloc.rebuild}): the store owns its heap. *)
 
   val heap : t -> Pmem.Pheap.t
 

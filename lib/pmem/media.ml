@@ -50,15 +50,28 @@ let map_fd fd capacity =
   let genarray = Unix.map_file fd char c_layout true [| capacity |] in
   array1_of_genarray genarray
 
+(* One process per pool: the allocator's free lists live in the DRAM of
+   the process that opened it, so a second one would hand out the same
+   blocks. The lock is a POSIX record lock on the whole file, dropped by
+   [close] and by the kernel when the holder dies, killed or not. *)
+let lock_pool fd =
+  try Unix.lockf fd Unix.F_TLOCK 0
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+    Unix.close fd;
+    raise (Sys_error "locked by another process")
+
 let create_file ~path ~capacity =
   if capacity <= 0 then invalid_arg "Media.create_file: capacity must be positive";
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  lock_pool fd;
+  Unix.ftruncate fd 0;
   Unix.ftruncate fd capacity;
   let buf = Map_buf (map_fd fd capacity) in
   { buf; capacity; backing = File { fd; path }; stats = Pstats.create (); closed = false }
 
 let open_file ~path =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  lock_pool fd;
   let capacity = (Unix.fstat fd).Unix.st_size in
   if capacity = 0 then begin
     Unix.close fd;

@@ -33,13 +33,24 @@ val create_ram : ?crash_sim:bool -> capacity:int -> unit -> t
     [crash_sim] a durable shadow image is maintained by {!flush}. *)
 
 val create_file : path:string -> capacity:int -> t
-(** Create (truncating) a file-backed media of [capacity] bytes. *)
+(** Create (truncating) a file-backed media of [capacity] bytes. Takes
+    an exclusive lock on the file first, as {!open_file} does.
+    @raise Sys_error ["locked by another process"] if another process
+    holds the file open as a media; the file is then left as it was. *)
 
 val open_file : path:string -> t
-(** Map an existing file-backed media; capacity is the file size. *)
+(** Map an existing file-backed media; capacity is the file size. Takes
+    an exclusive lock on the file ([Unix.lockf]): one process per pool,
+    because the allocator's free lists live in that process's DRAM
+    ({!Alloc}). {!close} drops the lock, and so does the kernel when the
+    process exits, killed or not. The lock is per process: the same
+    process may open a file twice, and closing either drops it.
+    @raise Sys_error ["locked by another process"] if another process
+    holds it. *)
 
 val close : t -> unit
-(** Unmap/flush a file-backed media. RAM media: no-op. *)
+(** Drop a file-backed media's lock and close its file. RAM media:
+    no-op. *)
 
 val capacity : t -> int
 val stats : t -> Pstats.t

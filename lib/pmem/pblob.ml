@@ -22,6 +22,8 @@ let read media off =
   let len = length media off in
   Media.read_bytes media (off + 8) len
 
+let mark media marks off = Alloc.mark marks off (footprint (length media off))
+
 let free heap off =
   let len = length (Pheap.media heap) off in
   Alloc.free (Pheap.allocator heap) off (footprint len)

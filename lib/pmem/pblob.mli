@@ -14,5 +14,8 @@ val free : Pheap.t -> Pptr.t -> unit
 (** Recycle a blob's block. Only safe once no reader can hold the
     pointer. *)
 
+val mark : Media.t -> Alloc.marks -> Pptr.t -> unit
+(** Mark a blob's block as live, for {!Alloc.rebuild}. *)
+
 val footprint : int -> int
 (** [footprint len] is the allocated size of a blob of [len] bytes. *)

@@ -178,6 +178,10 @@ let block_offsets t =
       assert (not (Pptr.is_null off));
       off)
 
+let mark t marks =
+  Alloc.mark marks t.header_off header_size;
+  Array.iter (fun b -> Alloc.mark marks b (block_size t.block_slots)) (block_offsets t)
+
 let read_slot t block slot =
   let off = slot_off block slot in
   let hist = Media.get_i64 t.media (off + 8) in
@@ -196,7 +200,8 @@ let iter_slots t f =
 
 (* GC entry point. Nulling the (persisted) history word first turns the
    slot into an ordinary hole — a crash part-way through leaves holes and
-   orphaned key/history blocks (a bounded leak), never dangling pointers.
+   orphaned key/history blocks (freed by the next open's rebuild), never
+   dangling pointers.
    The caller must hold off concurrent appends and readers (the store
    quiesces around compaction). *)
 let release_slots t ~dead ~on_release =

@@ -60,6 +60,9 @@ val block_offsets : t -> Pptr.t array
 (** Snapshot of the published block offsets, in chain order — the unit of
     distribution for parallel reconstruction. *)
 
+val mark : t -> Alloc.marks -> unit
+(** Mark the header and every block as live, for {!Alloc.rebuild}. *)
+
 val read_slot : t -> Pptr.t -> int -> (int * Pptr.t) option
 (** [read_slot t block slot] is [Some (key, hist)] if the slot is valid,
     [None] for a hole or a never-claimed slot. *)

@@ -12,8 +12,11 @@ let magic = 0x4d564b565f504d00 land max_int (* "MVKV_PM" *)
    new head word lives, so they are not readable under version 2.
    Version 3 stores a history as a chain of segments ({!Pvector}), whose
    first segment leads with a link word where a version-2 buffer kept
-   its capacity. *)
-let layout_version = 3
+   its capacity. Version 4 persists no free lists ({!Alloc}): its
+   allocator header is a reservation and the heap's end, and a pool's
+   free space is rebuilt from its roots at open; a version-3 pool keeps
+   a bump pointer and persisted free-list heads there. *)
+let layout_version = 4
 let root_slots = 16
 let roots_off = 24
 let alloc_base = 192
@@ -49,7 +52,10 @@ let create_ram ?crash_sim ~capacity () =
 
 let create_file ~path ~capacity = create (Media.create_file ~path ~capacity)
 let open_file ~path = open_existing (Media.open_file ~path)
-let reopen t = open_existing t.media
+let reopen t =
+  let t' = open_existing t.media in
+  Alloc.retire t.alloc;
+  t'
 let media t = t.media
 let allocator t = t.alloc
 let stats t = Media.stats t.media

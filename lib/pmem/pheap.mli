@@ -3,7 +3,12 @@
 
     This plays the role of a PMDK pool ([pmemobj_create]/[pmemobj_open]):
     a store persists the offset of its top-level object in a root slot and
-    finds it again after restart. *)
+    finds it again after restart. The allocator's free lists are not
+    persisted: after an open they are empty until the heap's owner walks
+    its roots and calls {!Alloc.rebuild}, and every block that walk does
+    not mark becomes free. So one owner walks the whole heap: the store
+    ([Mvdict.Pskiplist.open_existing]) marks what it reaches from root
+    slot 0 and frees the rest. *)
 
 type t
 
@@ -15,9 +20,11 @@ val create : Media.t -> t
     must read zero, as fresh media do ({!Alloc.format}). *)
 
 val open_existing : Media.t -> t
-(** Attach to a previously formatted media.
+(** Attach to a previously formatted media. The allocator starts with
+    empty free lists ({!Alloc.attach}).
     @raise Invalid_argument if the magic or layout version mismatch.
-    The layout version is 3: version-2 pools, whose histories are single
+    The layout version is 4: version-3 pools, whose allocator persisted
+    its free lists, and version-2 pools, whose histories are single
     buffers rather than segment chains ({!Pvector}), are refused. *)
 
 val create_ram : ?crash_sim:bool -> capacity:int -> unit -> t
@@ -29,7 +36,9 @@ val open_file : path:string -> t
 val reopen : t -> t
 (** Re-attach to the same media as if after a restart: allocator and
     roots are re-read from the media. Used by the crash tests together
-    with {!Media.simulate_crash}. *)
+    with {!Media.simulate_crash}. The handle it replaces is retired
+    ({!Alloc.retire}): an allocation through it raises, since its DRAM
+    free lists and cursor would hand out blocks the new handle owns. *)
 
 val media : t -> Media.t
 val allocator : t -> Alloc.t

@@ -76,9 +76,9 @@ let record_free t ~bytes =
   Obs.Metric.incr g_frees;
   Obs.Metric.add g_free_bytes bytes
 
-(* A free the allocator cannot recycle (oversized block, no size
-   class): the bytes stay allocated forever. Counted so the documented
-   leak is visible in `mvkv stats` / Prometheus instead of silent. *)
+(* A free range the allocator cannot recycle (under its minimum
+   block). Counted so a leak is visible in `mvkv stats` / Prometheus
+   instead of silent. *)
 let record_leak t ~bytes =
   add t.leaked_bytes bytes;
   Obs.Metric.add g_leaked_bytes bytes

@@ -27,10 +27,10 @@ val record_alloc : t -> bytes:int -> unit
 val record_free : t -> bytes:int -> unit
 
 val record_leak : t -> bytes:int -> unit
-(** Bytes handed to [Alloc.free] that the allocator cannot recycle
-    (oversized blocks have no size class — a documented
-    simplification). Mirrored into the registry as [pmem.leaked_bytes]
-    so the leak shows up in [mvkv stats] and Prometheus exposition. *)
+(** Bytes the allocator cannot recycle: a free range under its 16-byte
+    minimum block, which only the last bytes of a full heap can leave.
+    Mirrored into the registry as [pmem.leaked_bytes] so the leak shows
+    up in [mvkv stats] and Prometheus exposition. *)
 
 val flushed_lines : t -> int
 val fences : t -> int

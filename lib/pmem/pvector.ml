@@ -25,6 +25,9 @@ let segment_bytes t ~k ~records =
 
 let segments_capacity s = s.(0) lsl (Array.length s - 2)
 
+(* Records of segment [k] of a segment array. *)
+let segment_records s k = if k = 0 then s.(0) else s.(0) lsl (k - 1)
+
 (* Segment 0 holds records [0, c); segment k >= 1 holds [start, 2 * start)
    with start = c * 2^(k-1). Raises [Invalid_argument] past the last
    segment. *)
@@ -39,29 +42,24 @@ let record_off t record =
   if record < c then s.(1) + (8 * first_words) + (rw8 * record)
   else seek s rw8 record 1 c
 
-(* A first segment of [capacity] records with its capacity word set.
-   The block comes from [Alloc.alloc_zeroed], which makes it durable
-   zero, so the caller persists only the capacity word and the records
-   it writes after it. *)
-let alloc_first t ~capacity =
-  let off =
-    Alloc.alloc_zeroed (Pheap.allocator t.heap)
-      (segment_bytes t ~k:0 ~records:capacity)
-  in
-  Media.set_i64 (Pheap.media t.heap) (off + 8) capacity;
-  off
-
+(* The first segment comes durably zero from [Alloc.alloc_zeroed], so
+   only its capacity word and the header are written. Both are flushed
+   under one fence: nothing can reach the vector before its owner
+   persists a link to the header, which the fence orders after them. *)
 let create heap ~record_words ~initial_capacity =
   if record_words <= 0 then invalid_arg "Pvector.create: record_words";
   if initial_capacity <= 0 then invalid_arg "Pvector.create: initial_capacity";
   let media = Pheap.media heap in
-  let header_off = Alloc.alloc (Pheap.allocator heap) header_size in
+  let alloc = Pheap.allocator heap in
+  let header_off = Alloc.alloc alloc header_size in
   let t = { heap; header_off; record_words; segs = Atomic.make [||] } in
-  let first = alloc_first t ~capacity:initial_capacity in
-  Media.persist media (first + 8) 8;
+  let first = Alloc.alloc_zeroed alloc (segment_bytes t ~k:0 ~records:initial_capacity) in
+  Media.set_i64 media (first + 8) initial_capacity;
+  Media.flush media (first + 8) 8;
   Media.set_i64 media header_off first;
   Media.set_i64 media (header_off + 8) record_words;
-  Media.persist media header_off header_size;
+  Media.flush media header_off header_size;
+  Media.fence media;
   Atomic.set t.segs [| initial_capacity; first |];
   t
 
@@ -109,25 +107,34 @@ let rec grow t wanted =
 
 let free_segments t s =
   let alloc = Pheap.allocator t.heap in
-  let c = s.(0) in
   for k = 0 to Array.length s - 2 do
-    let records = if k = 0 then c else c lsl (k - 1) in
-    Alloc.free alloc s.(k + 1) (segment_bytes t ~k ~records)
+    Alloc.free alloc s.(k + 1) (segment_bytes t ~k ~records:(segment_records s k))
   done
 
+(* The new segment is written whole before one persist: a fresh block
+   is durable zero, so only its capacity word and the kept records need
+   it; a recycled one also gets its link word and the slots past the
+   kept records zeroed, and is persisted whole. *)
 let shrink_offline t ~capacity:c ~first ~keep =
   if c < 1 || first < 0 || keep < 0 || keep > c || first + keep > capacity t then
     invalid_arg "Pvector.shrink_offline";
   let media = Pheap.media t.heap in
   let old = Atomic.get t.segs in
   let rw8 = t.record_words * 8 in
-  let seg = alloc_first t ~capacity:c in
+  let bytes = segment_bytes t ~k:0 ~records:c in
+  let seg, recycled = Alloc.take (Pheap.allocator t.heap) bytes in
+  let records = seg + (8 * first_words) in
+  Media.set_i64 media (seg + 8) c;
   for i = 0 to keep - 1 do
-    Media.write_bytes media
-      (seg + (8 * first_words) + (rw8 * i))
+    Media.write_bytes media (records + (rw8 * i))
       (Media.read_bytes media (record_off t (first + i)) rw8)
   done;
-  Media.persist media (seg + 8) (8 + (rw8 * keep));
+  if recycled then begin
+    Media.set_i64 media seg Pptr.null;
+    Media.fill media (records + (rw8 * keep)) (rw8 * (c - keep)) '\000';
+    Media.persist media seg bytes
+  end
+  else Media.persist media (seg + 8) (8 + (rw8 * keep));
   Media.set_i64 media t.header_off seg;
   Media.persist media t.header_off 8;
   Atomic.set t.segs [| c; seg |];
@@ -153,6 +160,23 @@ let persist_word t ~record ~word =
 let persist_before_word t ~record ~word =
   let off = record_off t record in
   Media.persist_before (Pheap.media t.heap) off ~commit:(off + (8 * word))
+
+let mark t marks =
+  let s = Atomic.get t.segs in
+  Alloc.mark marks t.header_off header_size;
+  for k = 0 to Array.length s - 2 do
+    Alloc.mark marks s.(k + 1) (segment_bytes t ~k ~records:(segment_records s k))
+  done
+
+let iter_records t f =
+  let s = Atomic.get t.segs in
+  let rw8 = t.record_words * 8 in
+  for k = 0 to Array.length s - 2 do
+    let base = s.(k + 1) + (8 * if k = 0 then first_words else 1) in
+    for i = 0 to segment_records s k - 1 do
+      f (base + (rw8 * i))
+    done
+  done
 
 let free heap t =
   free_segments t (Atomic.get t.segs);

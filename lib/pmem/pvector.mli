@@ -7,9 +7,10 @@
     record never moves while the vector grows. {!grow} takes one fresh,
     durably zero segment from {!Alloc.alloc_zeroed} and persists one
     link word in the last segment, so a growth copies nothing, retires
-    nothing, and costs the allocator's word and the link: 2 lines and 2
-    fences on a fresh heap. A crash before the link is durable leaks
-    the new segment at worst. {!shrink_offline} is the one routine that
+    nothing, and costs the link: 1 line and 1 fence while the
+    allocator's reservation covers the segment. A crash before the link
+    is durable leaves the new segment unreachable, and the next open's
+    {!Alloc.rebuild} frees it. {!shrink_offline} is the one routine that
     rewrites records: it copies them into a single new first segment and
     swaps the header word.
 
@@ -29,7 +30,10 @@
 type t
 
 val create : Pheap.t -> record_words:int -> initial_capacity:int -> t
-(** Allocate an empty vector; all record words are zero. *)
+(** Allocate an empty vector; all record words are zero. Flushes the
+    first segment's capacity word and the header under one fence: the
+    caller persists a link to {!handle} after it, and nothing reaches
+    the vector before that link. *)
 
 val attach : Pheap.t -> Pptr.t -> t
 (** Re-attach to a vector from its header offset (after restart). *)
@@ -52,11 +56,15 @@ val shrink_offline : t -> capacity:int -> first:int -> keep:int -> unit
     rewrites a vector's records: it replaces the segment chain with one
     first segment of exactly [capacity] records whose first [keep]
     records are copies of records [\[first, first + keep)] (the rest
-    zero). The new segment is persisted, then the header swap is
+    zero). The new segment is written whole and persisted with one flush
+    range and one fence (a fresh block is durable zero, so only its
+    capacity word and kept records; a recycled one whole, its link word
+    and the slots past the kept records zeroed), then the header swap is
     persisted, and only then is the old chain freed, so a crash leaves
-    either the old records or the new ones and, at worst, leaks a
-    segment. Offline only: safe solely while no concurrent reader or
-    writer can use the vector.
+    either the old records or the new ones, and the next open's
+    {!Alloc.rebuild} frees whichever segment is unreachable. Offline
+    only: safe solely while no concurrent reader or writer can use the
+    vector.
     @raise Invalid_argument unless [1 <= capacity], [0 <= keep <=
     capacity] and [\[first, first + keep)] lies within the current
     capacity. *)
@@ -77,6 +85,14 @@ val persist_before_word : t -> record:int -> word:int -> unit
 (** Flush + fence the lines holding words [\[0, word)] of a record that
     lie before [word]'s line ({!Media.persist_before}): the payload a
     commit word at [word] covers. Nothing when they share its line. *)
+
+val mark : t -> Alloc.marks -> unit
+(** Mark the header and every segment as live, for {!Alloc.rebuild}. *)
+
+val iter_records : t -> (int -> unit) -> unit
+(** [iter_records t f] calls [f] on the media offset of every record
+    below the capacity, in record order: one walk of the segment array
+    for a pass over every record (recovery's). *)
 
 val free : Pheap.t -> t -> unit
 (** Recycle every segment and the header. Unsafe under concurrency. *)

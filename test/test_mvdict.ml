@@ -1231,9 +1231,9 @@ let history_append_cost () =
   check_int "fences for 8 appends" 10 fences;
   check_int "all appends visible" 8 (List.length (PH.H.events h ~ctx))
 
-(* Growth links one segment as large as the capacity: it persists the
-   allocator's bump word and the link word, and neither copies a
-   record nor flushes the zeros of the new segment. *)
+(* Growth links one segment as large as the capacity: on a heap whose
+   reservation covers the segment it persists the link word alone, and
+   neither copies a record nor flushes the zeros of the new segment. *)
 let history_growth_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
@@ -1249,8 +1249,8 @@ let history_growth_cost () =
         cost (Pmem.Pheap.stats heap) (fun () -> PH.Backend.ensure v (capacity + 1))
       in
       check_int "doubled" (2 * capacity) (PH.Backend.capacity v);
-      check_int (Printf.sprintf "growth at %d: lines: bump word, link" capacity) 2 lines;
-      check_int (Printf.sprintf "growth at %d: fences: bump word, link" capacity) 2 fences)
+      check_int (Printf.sprintf "growth at %d: lines: the link" capacity) 1 lines;
+      check_int (Printf.sprintf "growth at %d: fences: the link" capacity) 1 fences)
     [ 2; 8; 64 ]
 
 (* Eight entries fill the first three segments (2, 2 and 4 records),
@@ -1389,7 +1389,10 @@ let crash_after_concurrent_inserts () =
 (* The pass persists the stamp floor, then rewrites only the histories
    that drop records: a pass with nothing below the horizon costs the
    floor word whatever the key count, and one that drops records costs
-   in proportion to the keys that drop them. *)
+   in proportion to the keys that drop them. A dropping key here keeps
+   one record: its new segment is persisted once (its capacity word and
+   the record, 1 or 2 lines) and its header swap once (1 line), and the
+   frees of its old segments and blobs write nothing. *)
 let compaction_pass_cost () =
   let pass ~keys ~dropping =
     let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
@@ -1414,10 +1417,13 @@ let compaction_pass_cost () =
         (fun dropping ->
           let lines, fences = pass ~keys ~dropping in
           check_bool
-            (Printf.sprintf "%d keys, %d dropping: %d lines, %d fences, at most 1 + 8 per dropping key"
-               keys dropping lines fences)
+            (Printf.sprintf "%d keys, %d dropping: %d lines, at most 1 + 3 per dropping key"
+               keys dropping lines)
             true
-            (lines <= 1 + (8 * dropping) && fences <= 1 + (8 * dropping)))
+            (lines <= 1 + (3 * dropping));
+          check_int
+            (Printf.sprintf "%d keys, %d dropping: fences, 1 + 2 per dropping key" keys dropping)
+            (1 + (2 * dropping)) fences)
         [ 8; 32 ])
     [ 64; 1024 ];
   let few, _ = pass ~keys:1024 ~dropping:8 and many, _ = pass ~keys:1024 ~dropping:32 in
@@ -1564,8 +1570,13 @@ let compaction_crash_points () =
       (free_lists_distinct heap);
     if completed then k else crash_at (k + 1)
   in
-  let flushes = crash_at 1 in
-  check_bool (Printf.sprintf "the pass has %d flushes" flushes) true (flushes > 10)
+  (* [crash_at] returns the first k the pass outlives, one past its
+     last flush. *)
+  let flushes = crash_at 1 - 1 in
+  check_int
+    "the pass's flushes: the floor, a segment and a header swap for each of keys 1, 2 \
+     and 4, and key 3's history and key words"
+    9 flushes
 
 (* A growing history: counted crash points. *)
 
@@ -1625,6 +1636,263 @@ let growth_crash_points ~batch () =
   let flushes = crash_at 1 in
   check_bool (Printf.sprintf "the appends have %d flushes" flushes) true
     (flushes > List.length growth_values)
+
+(* Allocator state rebuilt at open: counted costs and crash points. *)
+
+(* A key's chain slot offset and history handle, found through the key
+   chain. *)
+let chain_slot heap key =
+  let chain = Pmem.Pblockchain.attach heap (Pmem.Pheap.root_get heap 0) in
+  let media = Pmem.Pheap.media heap in
+  let found = ref None in
+  Array.iter
+    (fun block ->
+      for slot = 0 to Pmem.Pblockchain.block_slots chain - 1 do
+        match Pmem.Pblockchain.read_slot chain block slot with
+        | Some (word, hist)
+          when Mvdict.Codec.decode (module Mvdict.Codec.Int_key) media word = key ->
+            found := Some (block + 8 + (16 * slot), hist)
+        | _ -> ()
+      done)
+    (Pmem.Pblockchain.block_offsets chain);
+  Option.get !found
+
+let line off = off / Pmem.Media.cache_line
+
+(* A new key's first insert on a heap whose reservation is warm: the
+   history's capacity word and header are flushed under one fence, then
+   the chain slot (its commit word) and the record's stamp each persist
+   one line. The allocator persists nothing. Key 3's chain slot and
+   first record each lie within one line. *)
+let new_key_insert_cost () =
+  let heap = fresh_heap () in
+  let t = PStore.create heap in
+  PStore.insert t 1 1;
+  PStore.insert t 2 2;
+  let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PStore.insert t 3 3) in
+  let slot, hist = chain_slot heap 3 in
+  let first = Pmem.Media.get_i64 (Pmem.Pheap.media heap) hist in
+  check_bool "the chain slot lies within one line" true (line slot = line (slot + 15));
+  check_bool "the first record lies within one line" true (line (first + 16) = line (first + 39));
+  let header = line (hist + 15) - line hist + 1 in
+  check_int "fences: history, chain slot, record" 3 fences;
+  check_int "lines: capacity word, header, chain slot, record" (1 + header + 2) lines
+
+(* A growth that crashed at its link's persist cut a segment that
+   nothing durable links to. With persisted free lists (heap layout 3)
+   it leaked for good; the rebuild at the next open finds it unmarked
+   and frees it, so the next request of its size gets it back, zeroed,
+   before any fresh memory. The crash point is the first flush that
+   finds the link written; the segment holds the 2 records past the
+   first segment's 2. *)
+let crash_before_link_frees_segment () =
+  let segment = 8 + (24 * 2) in
+  let rec crash_at k =
+    let media, heap = crash_heap () in
+    let t = PStore.create heap in
+    PStore.insert t 1 10;
+    PStore.insert t 1 11;
+    ignore (PStore.tag t);
+    let _, hist = chain_slot heap 1 in
+    let first = Pmem.Media.get_i64 media hist in
+    Pmem.Media.crash_after media ~flushes:k;
+    (match PStore.insert t 1 12 with
+    | () -> Alcotest.fail "the growing append did not crash"
+    | exception Pmem.Media.Crash -> ());
+    let seg = Pmem.Media.get_i64 media first in
+    Pmem.Media.simulate_crash media;
+    if seg = 0 then crash_at (k + 1) else (media, heap, first, seg)
+  in
+  let media, heap, first, seg = crash_at 1 in
+  check_int "the link is not durable" 0 (Pmem.Media.get_i64 media first);
+  let heap = Pmem.Pheap.reopen heap in
+  let t = PStore.open_existing heap in
+  check_bool "the history is as before the growth" true (history_values t 1 = [ 10; 11 ]);
+  let alloc = Pmem.Pheap.allocator heap in
+  let rec reused () =
+    let used = Pmem.Alloc.used_bytes alloc in
+    let off = Pmem.Alloc.alloc_zeroed alloc segment in
+    if off = seg then true else if Pmem.Alloc.used_bytes alloc > used then false else reused ()
+  in
+  check_bool "the segment is handed out again before fresh memory" true (reused ());
+  check_bool "zeroed" true
+    (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes media seg segment))
+
+let rebuild_free_bytes () = Obs.Snap.counter (Obs.Snap.of_registry ()) "pmem.rebuild.free_bytes"
+
+let rebuilds () =
+  match Obs.Snap.find_hist (Obs.Snap.of_registry ()) "pmem.rebuild.ns" with
+  | Some h -> h.Obs.Snap.hcount
+  | None -> 0
+
+(* Each open records its rebuild in the registry: the bytes it freed
+   and its time. A clean reopen of a pool no pass compacted frees at
+   most the unused rest of the reservation; a reopen after a compaction
+   also frees what the pass freed (and its allocations did not take
+   back), which the registry shows. *)
+let rebuild_reports_freed_bytes () =
+  let heap = fresh_heap () in
+  let t = PStore.create heap in
+  for round = 0 to 3 do
+    for k = 0 to 199 do
+      PStore.insert t k (k + round)
+    done;
+    ignore (PStore.tag t)
+  done;
+  let reopen heap =
+    let bytes = rebuild_free_bytes () and runs = rebuilds () in
+    let heap = Pmem.Pheap.reopen heap in
+    let t = PStore.open_existing heap in
+    check_int "one rebuild per open" (runs + 1) (rebuilds ());
+    (heap, t, rebuild_free_bytes () - bytes)
+  in
+  let heap, t, clean = reopen heap in
+  check_bool (Printf.sprintf "clean reopen frees %d bytes, at most one chunk" clean) true
+    (clean > 0 && clean <= Pmem.Alloc.reservation_chunk);
+  let stats = Pmem.Pheap.stats heap in
+  let live0 = Pmem.Pstats.live_bytes stats in
+  let freed0 = Obs.Snap.counter (Obs.Snap.of_registry ()) "pmem.free_bytes" in
+  ignore (PStore.retain t ~keep:1);
+  let reclaimed = live0 - Pmem.Pstats.live_bytes stats
+  and freed = Obs.Snap.counter (Obs.Snap.of_registry ()) "pmem.free_bytes" - freed0 in
+  check_bool "the pass reclaimed memory" true (reclaimed > 0);
+  let _, _, after = reopen heap in
+  check_bool
+    (Printf.sprintf "reopen after a pass that freed %d bytes (%d net) frees %d" freed
+       reclaimed after)
+    true
+    (after >= reclaimed && after <= freed + Pmem.Alloc.reservation_chunk)
+
+(* Every block the store can reach from heap root 0, with its allocated
+   size, found by walking the media: the key chain and its blocks, and
+   per slot its key blob, its history header, segments and the blobs
+   its records point to. *)
+let rounded_size size =
+  match Array.find_opt (fun c -> c >= size) Pmem.Alloc.size_classes with
+  | Some c -> c
+  | None -> (size + 7) land lnot 7
+
+let reachable_blocks heap =
+  let media = Pmem.Pheap.media heap in
+  let blocks = ref [] in
+  let add off size = blocks := (off, rounded_size size) :: !blocks in
+  let blob word =
+    if Mvdict.Codec.is_blob word then
+      add word (Pmem.Pblob.footprint (Pmem.Pblob.length media word))
+  in
+  let root = Pmem.Pheap.root_get heap 0 in
+  let chain = Pmem.Pblockchain.attach heap root in
+  add root 16;
+  Array.iter
+    (fun block -> add block (8 + (16 * Pmem.Pblockchain.block_slots chain)))
+    (Pmem.Pblockchain.block_offsets chain);
+  Pmem.Pblockchain.iter_slots chain (fun ~key ~hist ->
+      blob key;
+      add hist 16;
+      let values seg base n =
+        for i = 0 to n - 1 do
+          blob (Pmem.Media.get_i64 media (seg + base + (24 * i) + 8))
+        done
+      in
+      let first = Pmem.Media.get_i64 media hist in
+      let c = Pmem.Media.get_i64 media (first + 8) in
+      add first (16 + (24 * c));
+      values first 16 c;
+      let rec linked seg records =
+        let next = Pmem.Media.get_i64 media seg in
+        if next <> 0 then begin
+          add next (8 + (24 * records));
+          values next 8 records;
+          linked next (2 * records)
+        end
+      in
+      linked first c);
+  !blocks
+
+(* The reachable blocks and the free blocks tile the range the rebuild
+   swept, [start, reservation): no block is both, and every byte that
+   no block reaches is on a free list. *)
+let blocks_tile heap =
+  let alloc = Pmem.Pheap.allocator heap in
+  let rec tiles pos = function
+    | [] -> pos = Pmem.Alloc.reservation alloc
+    | (off, size) :: rest -> off = pos && tiles (off + size) rest
+  in
+  tiles (Pmem.Alloc.start alloc)
+    (List.sort compare (reachable_blocks heap @ Pmem.Alloc.free_blocks alloc))
+
+type crash_op =
+  | Put of int * int
+  | Del of int
+  | New_keys of int list  (** values of a batch of keys new to the store *)
+  | Compact
+  | Tag
+
+(* Random inserts (negative values are blobs), removes, batches of new
+   keys and compactions; the k-th flush crashes. After the reopen, the
+   blocks tile the swept range, the latest values equal those after a
+   prefix of the single-key events that holds every acknowledged one,
+   and no block is on a free list twice. *)
+let rebuild_crash_property =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (5, map2 (fun k v -> Put (k, v)) (int_bound 15) (int_range (-40) 40));
+          (2, map (fun k -> Del k) (int_bound 15));
+          (2, map (fun vs -> New_keys vs) (list_size (int_range 1 8) (int_range (-40) 40)));
+          (1, return Compact);
+          (2, return Tag);
+        ])
+  in
+  Test.make ~name:"a crash at any flush leaves the rebuilt heap partitioned" ~count:100
+    (make Gen.(pair (list_size (int_range 1 40) op) (int_range 1 160)))
+    (fun (program, k) ->
+      let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+      let heap = Pmem.Pheap.create media in
+      let t = PStore.create heap in
+      let next_key = ref 100 in
+      let events = ref [] and acked = ref 0 in
+      let run = function
+        | Put (k, v) -> events := !events @ [ (k, Some v) ]; PStore.insert t k v
+        | Del k -> events := !events @ [ (k, None) ]; PStore.remove t k
+        | New_keys vs ->
+            let pairs = List.mapi (fun i v -> (!next_key + i, v)) vs in
+            next_key := !next_key + List.length vs;
+            events := !events @ List.map (fun (k, v) -> (k, Some v)) pairs;
+            PStore.insert_batch t pairs
+        | Compact -> ignore (PStore.retain t ~keep:1)
+        | Tag -> ignore (PStore.tag t)
+      in
+      Pmem.Media.crash_after media ~flushes:k;
+      (try
+         List.iter
+           (fun op ->
+             run op;
+             acked := List.length !events)
+           program
+       with Pmem.Media.Crash -> ());
+      Pmem.Media.simulate_crash media;
+      let heap = Pmem.Pheap.reopen heap in
+      let t = PStore.open_existing heap in
+      let seen = Array.to_list (PStore.extract_snapshot t ()) in
+      let after j =
+        let m =
+          List.fold_left
+            (fun m (k, v) -> IntMap.add k v m)
+            IntMap.empty
+            (List.filteri (fun i _ -> i < j) !events)
+        in
+        IntMap.fold (fun k v acc -> match v with Some v -> (k, v) :: acc | None -> acc) m []
+        |> List.rev
+      in
+      let prefix =
+        List.exists
+          (fun j -> after j = seen)
+          (List.init (List.length !events - !acked + 1) (fun i -> !acked + i))
+      in
+      prefix && blocks_tile heap && free_lists_distinct heap)
 
 (* Snapshot diff *)
 
@@ -1795,11 +2063,19 @@ let () =
             (growth_crash_points ~batch:false);
           Alcotest.test_case "every crash point of a growing history, batched" `Quick
             (growth_crash_points ~batch:true);
+          Alcotest.test_case "a new key's first insert costs 3 fences" `Quick
+            new_key_insert_cost;
+          Alcotest.test_case
+            "a segment cut for a growth that crashed before its link is free after reopen"
+            `Quick crash_before_link_frees_segment;
+          Alcotest.test_case "a rebuild reports the bytes it frees" `Quick
+            rebuild_reports_freed_bytes;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_store_agreement;
           QCheck_alcotest.to_alcotest crash_point_property;
+          QCheck_alcotest.to_alcotest rebuild_crash_property;
           Alcotest.test_case "crash after concurrent inserts" `Quick
             crash_after_concurrent_inserts;
         ] );

@@ -270,9 +270,9 @@ let alloc_zeroed_is_zero () =
   check_int "same block" p q;
   check_int "zeroed" 0 (Pmem.Media.get_i64 m (q + 8))
 
-(* A fresh block lies above every block handed out so far, so it is
-   durable zero already: zeroing it costs nothing beyond the bump word
-   that [alloc] persists anyway. *)
+(* A fresh block lies below the persisted reservation and above every
+   block handed out so far, so it is durable zero already: neither
+   cutting it nor zeroing it writes or flushes anything. *)
 let alloc_zeroed_fresh_flushes_nothing () =
   let m = small_media () in
   let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
@@ -281,20 +281,25 @@ let alloc_zeroed_fresh_flushes_nothing () =
     persist_cost stats (fun () -> Pmem.Alloc.alloc a 1024)
   in
   let q, lines, fences = persist_cost stats (fun () -> Pmem.Alloc.alloc_zeroed a 1024) in
-  check_int "lines: the bump word only" alloc_lines lines;
-  check_int "fences: the bump word only" alloc_fences fences;
-  check_int "one line" 1 lines;
+  check_int "alloc: no line" 0 alloc_lines;
+  check_int "alloc: no fence" 0 alloc_fences;
+  check_int "alloc_zeroed: no line" 0 lines;
+  check_int "alloc_zeroed: no fence" 0 fences;
   check_bool "reads zero" true
     (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m q 1024))
 
+let zeroed m off len = Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m off len)
+
 (* A block handed out inside a batch scope can be written and flushed
-   by another domain before the scope's barrier, so the allocator
-   persists its own words at once even there. After a crash before the
-   barrier the block stays allocated: it is neither cut again as fresh,
-   durable-zero memory nor popped again from its free list. *)
+   by another domain before the scope's barrier, and the allocator
+   persists nothing when it hands the block out. After a crash before
+   the barrier, the rebuild at the next open decides: when it marks the
+   block live (its owner linked it), the block is not handed out again,
+   neither cut again as fresh memory nor split off a free block; when it
+   does not, the block is free, and handed out zeroed. *)
 let alloc_in_batch_survives_crash ~recycled () =
-  let m = crash_media () in
-  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
+  let m = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 20) in
   if recycled then Pmem.Alloc.free a (Pmem.Alloc.alloc a 32) 32;
   let p =
     Pmem.Media.with_batch (fun () ->
@@ -305,11 +310,54 @@ let alloc_in_batch_survives_crash ~recycled () =
         Pmem.Media.simulate_crash m;
         p)
   in
-  let a2 = Pmem.Alloc.attach m ~base_off:64 in
-  let q = Pmem.Alloc.alloc_zeroed a2 32 in
-  check_bool "not handed out again" true (q <> p);
-  check_bool "reads zero" true
-    (Bytes.for_all (fun c -> c = '\000') (Pmem.Media.read_bytes m q 32))
+  check_int "the other domain's write is durable" 0xdead (Pmem.Media.get_i64 m p);
+  let rebuilt ~live =
+    let a = Pmem.Alloc.attach m ~base_off:64 in
+    let marks = Pmem.Alloc.marks a in
+    if live then Pmem.Alloc.mark marks p 32;
+    Pmem.Alloc.rebuild a marks;
+    a
+  in
+  let a2 = rebuilt ~live:true in
+  let rec until_fresh () =
+    let used = Pmem.Alloc.used_bytes a2 in
+    let q = Pmem.Alloc.alloc_zeroed a2 32 in
+    check_bool "not handed out again" true (q <> p);
+    check_bool "reads zero" true (zeroed m q 32);
+    if Pmem.Alloc.used_bytes a2 = used then until_fresh ()
+  in
+  until_fresh ();
+  let q = Pmem.Alloc.alloc_zeroed (rebuilt ~live:false) 32 in
+  check_int "unmarked: handed out again" p q;
+  check_bool "unmarked: zeroed" true (zeroed m q 32)
+
+(* A block cut past the reservation moves it first, persisted at once
+   even inside a batch scope: after a crash before the scope's barrier,
+   the block (which another domain wrote and flushed) still lies below
+   the durable reservation, so memory cut fresh after the crash is not
+   it, and reads zero. *)
+let alloc_past_reservation_survives_crash () =
+  let m = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 20) in
+  let r0 = Pmem.Alloc.reservation a in
+  let p =
+    Pmem.Media.with_batch (fun () ->
+        let rec past () =
+          let p = Pmem.Alloc.alloc a 4096 in
+          if p + 4096 + 16 > r0 then p else past ()
+        in
+        let p = past () in
+        Domain.join
+          (Domain.spawn (fun () ->
+               Pmem.Media.set_i64 m p 0xdead;
+               Pmem.Media.persist m p 8));
+        Pmem.Media.simulate_crash m;
+        p)
+  in
+  check_int "the other domain's write is durable" 0xdead (Pmem.Media.get_i64 m p);
+  let q = Pmem.Alloc.alloc_zeroed (Pmem.Alloc.attach m ~base_off:64) 4096 in
+  check_bool "cut past the block" true (q >= p + 4096);
+  check_bool "reads zero" true (zeroed m q 4096)
 
 (* A recycled block's zero fill is durable when [alloc_zeroed] returns,
    even inside a batch scope: its caller may persist a link to it at
@@ -370,11 +418,55 @@ let alloc_oversized_survives_reattach () =
   let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 16) in
   let p = Pmem.Alloc.alloc a 6000 in
   Pmem.Alloc.free a p 6000;
-  (* The oversized free list is persisted: a fresh attach must still
-     serve the freed block. *)
+  (* The free lists live in DRAM: after a reattach, a rebuild that does
+     not mark the freed block makes it free again, and it is served
+     again. *)
   let a2 = Pmem.Alloc.attach m ~base_off:64 in
+  Pmem.Alloc.rebuild a2 (Pmem.Alloc.marks a2);
   let q = Pmem.Alloc.alloc a2 6000 in
   check_int "oversized free list survives reattach" p q
+
+(* The free lists live in DRAM and a warm reservation covers the
+   cursor, so alloc/free pairs write nothing to the media: class-sized
+   and oversized, recycled and fresh alike. *)
+let alloc_free_pairs_persist_nothing () =
+  let h = Pmem.Pheap.create_ram ~capacity:(1 lsl 20) () in
+  let a = Pmem.Pheap.allocator h in
+  let sizes = [| 24; 64; 200; 5000 |] in
+  Array.iter (fun size -> Pmem.Alloc.free a (Pmem.Alloc.alloc a size) size) sizes;
+  let (), lines, fences =
+    persist_cost (Pmem.Pheap.stats h) (fun () ->
+        for i = 1 to 10_000 do
+          let size = sizes.(i mod Array.length sizes) in
+          Pmem.Alloc.free a (Pmem.Alloc.alloc a size) size
+        done)
+  in
+  check_int "10,000 pairs: lines" 0 lines;
+  check_int "10,000 pairs: fences" 0 fences
+
+(* A rebuild returns each maximal unmarked run as one free block, so
+   dead neighbours coalesce, and a class request splits a run too big
+   for any class before it cuts fresh memory. *)
+let alloc_rebuild_coalesces () =
+  let m = Pmem.Media.create_ram ~capacity:(1 lsl 20) () in
+  let a = Pmem.Alloc.format m ~base_off:64 ~heap_end:(1 lsl 20) in
+  let blocks = Array.init 8 (fun _ -> Pmem.Alloc.alloc a 1024) in
+  let a2 = Pmem.Alloc.attach m ~base_off:64 in
+  let marks = Pmem.Alloc.marks a2 in
+  Pmem.Alloc.mark marks blocks.(0) 1024;
+  Pmem.Alloc.mark marks blocks.(7) 1000;
+  Pmem.Alloc.rebuild a2 marks;
+  let tail = blocks.(7) + 1024 in
+  check_bool "blocks 1-6 and the tail are free, whole" true
+    (Pmem.Alloc.free_blocks a2
+    = [ (blocks.(1), 6 * 1024); (tail, Pmem.Alloc.reservation a2 - tail) ]);
+  let used = Pmem.Alloc.used_bytes a2 in
+  check_int "a class request splits the coalesced run" blocks.(1) (Pmem.Alloc.alloc a2 16);
+  check_int "an oversized one too" (blocks.(1) + 16) (Pmem.Alloc.alloc a2 5000);
+  check_int "no fresh memory cut" used (Pmem.Alloc.used_bytes a2);
+  let free = Pmem.Alloc.free_blocks a2 in
+  Pmem.Alloc.rebuild a2 (Pmem.Alloc.marks a2);
+  check_bool "a second rebuild frees nothing" true (Pmem.Alloc.free_blocks a2 = free)
 
 let alloc_concurrent_no_overlap () =
   let m = Pmem.Media.create_ram ~capacity:(1 lsl 20) () in
@@ -408,43 +500,101 @@ let pheap_rejects_bad_magic () =
     (Invalid_argument "Pheap.open_existing: bad magic (not a formatted heap)")
     (fun () -> ignore (Pmem.Pheap.open_existing m))
 
-(* Version-2 pools keep a history in one buffer, whose first word is
-   its capacity; version 3 reads that word as a segment link. *)
-let layout_2_pool () =
+(* A pool stamped with an older layout version. Version-2 pools keep a
+   history in one buffer, whose first word is its capacity; version 3
+   and later read that word as a segment link. Version-3 pools persist
+   a bump pointer and free-list heads where version 4 keeps its
+   reservation. *)
+let old_layout_pool version =
   let path = Filename.temp_file "mvkv" ".pool" in
   let heap = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
-  Pmem.Media.set_i64 (Pmem.Pheap.media heap) 8 2;
+  Pmem.Media.set_i64 (Pmem.Pheap.media heap) 8 version;
   Pmem.Media.persist (Pmem.Pheap.media heap) 8 8;
   Pmem.Pheap.close heap;
   path
 
-let pheap_rejects_layout_2 () =
-  let path = layout_2_pool () in
-  Alcotest.check_raises "layout 2"
+let pheap_rejects_layout version () =
+  let path = old_layout_pool version in
+  Alcotest.check_raises (Printf.sprintf "layout %d" version)
     (Invalid_argument "Pheap.open_existing: unsupported layout version")
     (fun () -> ignore (Pmem.Pheap.open_file ~path));
   Sys.remove path
 
-(* The command line reports the refusal as a user error: exit status 2
-   and one line on stderr. *)
-let mvkv_rejects_layout_2 () =
-  let path = layout_2_pool () and err = Filename.temp_file "mvkv" ".err" in
-  let mvkv = Filename.concat (Filename.dirname Sys.executable_name) "../bin/mvkv.exe" in
+let mvkv = Filename.concat (Filename.dirname Sys.executable_name) "../bin/mvkv.exe"
+
+(* Runs [mvkv args] and returns its exit status and its non-empty
+   stderr lines. *)
+let mvkv_run args =
+  let err = Filename.temp_file "mvkv" ".err" in
   let status =
     Sys.command
-      (Printf.sprintf "%s find --pool %s --key 1 > /dev/null 2> %s" (Filename.quote mvkv)
-         (Filename.quote path) (Filename.quote err))
+      (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote mvkv)
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote err))
   in
   let lines =
     List.filter (( <> ) "")
       (String.split_on_char '\n' (In_channel.with_open_text err In_channel.input_all))
   in
-  Sys.remove path;
   Sys.remove err;
+  (status, lines)
+
+(* The command line reports the refusal as a user error: exit status 2
+   and one line on stderr. *)
+let mvkv_rejects_layout version () =
+  let path = old_layout_pool version in
+  let status, lines = mvkv_run [ "find"; "--pool"; path; "--key"; "1" ] in
+  Sys.remove path;
   check_int "exit status" 2 status;
   check_int "stderr lines" 1 (List.length lines);
   check_bool "names the layout version" true
     (List.for_all (String.ends_with ~suffix:"unsupported layout version") lines)
+
+(* The allocator's free lists live in the DRAM of the process that opened
+   the pool, so a second process is refused the pool while a server
+   holds it, and gets it once the server is killed. *)
+let mvkv_refuses_a_held_pool () =
+  let dir = Filename.temp_dir "mvkv" "held" in
+  let pool = Filename.concat dir "p.mvkv" and sock = Filename.concat dir "s.sock" in
+  check_int "init" 0 (fst (mvkv_run [ "init"; "--pool"; pool; "--size"; "1048576" ]));
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let server =
+    Unix.create_process mvkv [| mvkv; "serve"; "--pool"; pool; "--socket"; sock |] null null null
+  in
+  Unix.close null;
+  let fd = Unix.openfile pool [ Unix.O_RDWR ] 0 in
+  let held () =
+    match Unix.lockf fd Unix.F_TEST 0 with
+    | () -> false
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) -> true
+  in
+  let t0 = Unix.gettimeofday () in
+  while (not (held ())) && Unix.gettimeofday () -. t0 < 20. do
+    Unix.sleepf 0.01
+  done;
+  Unix.close fd;
+  let status, lines = mvkv_run [ "find"; "--pool"; pool; "--key"; "1" ] in
+  Unix.kill server Sys.sigkill;
+  ignore (Unix.waitpid [] server);
+  let after, _ = mvkv_run [ "find"; "--pool"; pool; "--key"; "1" ] in
+  List.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    [ "p.mvkv"; "s.sock" ];
+  Sys.rmdir dir;
+  check_int "exit status while held" 2 status;
+  check_int "stderr lines" 1 (List.length lines);
+  check_bool "cannot open pool" true
+    (List.for_all (String.starts_with ~prefix:"mvkv: cannot open pool") lines);
+  check_int "after SIGKILL: opens (key absent)" 1 after
+
+(* Two live allocators on one media would hand out the same block, so
+   [reopen] retires the handle it replaces. *)
+let pheap_reopen_retires () =
+  let h = small_heap () in
+  let h2 = Pmem.Pheap.reopen h in
+  Alcotest.check_raises "alloc on the retired handle"
+    (Invalid_argument "Alloc.alloc: allocator retired by a reopen")
+    (fun () -> ignore (Pmem.Alloc.alloc (Pmem.Pheap.allocator h) 16));
+  ignore (Pmem.Alloc.alloc (Pmem.Pheap.allocator h2) 16)
 
 let pheap_root_bounds () =
   let h = small_heap () in
@@ -852,20 +1002,33 @@ let () =
             (alloc_in_batch_survives_crash ~recycled:true);
           Alcotest.test_case "alloc_zeroed of a recycled block in a batch is durable" `Quick
             alloc_zeroed_recycled_in_batch_is_durable;
+          Alcotest.test_case "a block cut past the reservation in a batch survives a crash"
+            `Quick alloc_past_reservation_survives_crash;
           Alcotest.test_case "oversized free is reused" `Quick alloc_oversized_reuse;
           Alcotest.test_case "oversized first-fit split" `Quick
             alloc_oversized_first_fit_split;
           Alcotest.test_case "oversized free list survives reattach" `Quick
             alloc_oversized_survives_reattach;
+          Alcotest.test_case "alloc/free pairs persist nothing" `Quick
+            alloc_free_pairs_persist_nothing;
+          Alcotest.test_case "rebuild coalesces unmarked blocks" `Quick
+            alloc_rebuild_coalesces;
           Alcotest.test_case "concurrent no overlap" `Quick alloc_concurrent_no_overlap;
         ] );
       ( "pheap",
         [
           Alcotest.test_case "roots" `Quick pheap_roots;
           Alcotest.test_case "bad magic" `Quick pheap_rejects_bad_magic;
-          Alcotest.test_case "refuses a layout-2 pool" `Quick pheap_rejects_layout_2;
+          Alcotest.test_case "refuses a layout-2 pool" `Quick (pheap_rejects_layout 2);
           Alcotest.test_case "mvkv find on a layout-2 pool exits 2 with one line" `Quick
-            mvkv_rejects_layout_2;
+            (mvkv_rejects_layout 2);
+          Alcotest.test_case "refuses a layout-3 pool" `Quick (pheap_rejects_layout 3);
+          Alcotest.test_case "mvkv find on a layout-3 pool exits 2 with one line" `Quick
+            (mvkv_rejects_layout 3);
+          Alcotest.test_case "mvkv find on a pool a server holds exits 2 with one line"
+            `Quick mvkv_refuses_a_held_pool;
+          Alcotest.test_case "reopen retires the replaced allocator" `Quick
+            pheap_reopen_retires;
           Alcotest.test_case "root bounds" `Quick pheap_root_bounds;
         ] );
       ( "tx",
