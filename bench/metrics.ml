@@ -1,14 +1,16 @@
 (* Metrics report plumbing for the benchmark harness: after each figure
-   the whole lib/obs registry (op counters, latency histogram
-   percentiles, pmem flush/fence totals) is dumped as BENCH_<fig>.json
-   next to the printed tables, seeding the benchmark trajectory that
-   future perf PRs diff against. *)
+   the whole lib/obs registry (op counters, latency histograms, pmem
+   flush/fence totals) is written as BENCH_<fig>.json next to the
+   printed tables, seeding the benchmark trajectory that future perf PRs
+   diff against. The file is the {!Obs.Snap} JSON that `mvkv client
+   stats` prints (histograms as raw log buckets, so percentiles are
+   computed by the reader), plus a "figure" field. *)
 
 let path ~fig = Printf.sprintf "BENCH_%s.json" fig
 
 let write ~fig =
   let report =
-    match Obs.Registry.to_json () with
+    match Obs.Snap.to_json (Obs.Snap.of_registry ()) with
     | Obs.Json.Obj fields -> Obs.Json.Obj (("figure", Obs.Json.String fig) :: fields)
     | other -> other
   in
@@ -26,8 +28,10 @@ let with_report ~fig f =
   write ~fig
 
 (* Validation used by the runtest smoke rule: the emitted report must
-   parse back and contain the expected histogram entries with the
-   percentile keys. Returns the list of problems (empty = good). *)
+   parse back as a snapshot of this figure, with counters recorded and
+   every expected histogram present, non-empty and with percentiles
+   that its buckets can compute. Returns the list of problems (empty =
+   good). *)
 let validate ~fig ~expect_histograms =
   let file = path ~fig in
   match
@@ -41,34 +45,35 @@ let validate ~fig ~expect_histograms =
   | text -> (
       match Obs.Json.of_string text with
       | Error e -> [ Printf.sprintf "%s: JSON parse error: %s" file e ]
-      | Ok json ->
-          let problems = ref [] in
-          let push p = problems := p :: !problems in
-          (match Obs.Json.member "figure" json with
-          | Some (Obs.Json.String f) when f = fig -> ()
-          | _ -> push (file ^ ": missing/incorrect \"figure\""));
-          (match Obs.Json.member "counters" json with
-          | Some (Obs.Json.Obj (_ :: _)) -> ()
-          | _ -> push (file ^ ": no counters recorded"));
-          (match Obs.Json.member "histograms" json with
-          | Some (Obs.Json.Obj _ as hists) ->
+      | Ok json -> (
+          match Obs.Snap.of_json json with
+          | Error e -> [ Printf.sprintf "%s: not a registry snapshot: %s" file e ]
+          | Ok snap ->
+              let problems = ref [] in
+              let push p = problems := p :: !problems in
+              (match Obs.Json.member "figure" json with
+              | Some (Obs.Json.String f) when f = fig -> ()
+              | _ -> push (file ^ ": missing/incorrect \"figure\""));
+              if
+                not
+                  (List.exists
+                     (function _, Obs.Snap.Counter _ -> true | _ -> false)
+                     snap)
+              then push (file ^ ": no counters recorded");
               List.iter
                 (fun name ->
-                  match Obs.Json.member name hists with
+                  match Obs.Snap.find_hist snap name with
                   | None -> push (Printf.sprintf "%s: histogram %s missing" file name)
+                  | Some h when h.Obs.Snap.hcount <= 0 ->
+                      push (Printf.sprintf "%s: histogram %s is empty" file name)
                   | Some h ->
-                      List.iter
-                        (fun key ->
-                          match Obs.Json.member key h with
-                          | Some (Obs.Json.Int _ | Obs.Json.Float _) -> ()
-                          | _ ->
-                              push
-                                (Printf.sprintf "%s: histogram %s lacks %s" file name key))
-                        [ "count"; "mean_ns"; "p50_ns"; "p90_ns"; "p99_ns"; "max_ns" ];
-                      (match Obs.Json.member "count" h with
-                      | Some (Obs.Json.Int n) when n > 0 -> ()
-                      | _ ->
-                          push (Printf.sprintf "%s: histogram %s is empty" file name)))
-                expect_histograms
-          | _ -> push (file ^ ": no histograms object"));
-          List.rev !problems)
+                      let p = Obs.Snap.hist_percentile h in
+                      if
+                        h.buckets = []
+                        || not (p 0.50 <= p 0.90 && p 0.90 <= p 0.99 && p 0.99 <= h.hmax)
+                      then
+                        push
+                          (Printf.sprintf "%s: histogram %s has no computable percentiles"
+                             file name))
+                expect_histograms;
+              List.rev !problems))

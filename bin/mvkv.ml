@@ -90,10 +90,18 @@ let stats_arg =
              histograms, pmem totals) after the command." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
+(* The one JSON rendering of a registry snapshot: `client stats` prints
+   a server's, `--stats` and `stats` this process's. *)
+let print_snap snap =
+  print_endline (Obs.Json.to_string ~indent:true (Obs.Snap.to_json snap))
+
+let print_registry () =
+  Format.printf "-- observability registry --@.";
+  print_snap (Obs.Snap.of_registry ())
+
 (* Every command runs under this wrapper so `--stats` can report the
    registry populated by the single operation this invocation did. *)
-let maybe_stats dump =
-  if dump then Format.printf "-- observability registry --@.%a" Obs.Registry.pp ()
+let maybe_stats dump = if dump then print_registry ()
 
 (* A missing or corrupt pool is an expected user error: one line on
    stderr and a nonzero exit, never an exception backtrace. *)
@@ -532,8 +540,7 @@ let fetch_snap c =
 
 let client_stats socket host port timeout_ms retries =
   with_client ?timeout_ms ~retries socket host port (fun c ->
-      print_endline
-        (Obs.Json.to_string ~indent:true (Obs.Snap.to_json (fetch_snap c))))
+      print_snap (fetch_snap c))
 
 (* ---- sharded cluster (lib/cluster) ---- *)
 
@@ -1339,7 +1346,7 @@ let stats pool threads =
   (* The same registry `--stats` dumps after any command: op counters
      and latency histograms from this invocation (including the
      recovery rebuild span) plus the global pmem totals. *)
-  Format.printf "-- observability registry --@.%a" Obs.Registry.pp ()
+  print_registry ()
 
 let cmd_of name doc term = Cmd.v (Cmd.info name ~doc) term
 

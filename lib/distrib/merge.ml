@@ -92,9 +92,9 @@ let multi_threaded ~threads a b =
   end
 
 (* Int-keyed binary min-heap of input cursors for the K-way merge, keys
-   compared exactly (the former float-timed Sim.Eventq routing lost
-   precision above 2^53 and boxed a float per push). Ties break on the
-   input index, so equal keys merge deterministically in input order. *)
+   compared exactly (a float-keyed queue would lose precision above 2^53
+   and box a float per push). Ties break on the input index, so equal
+   keys merge deterministically in input order. *)
 module Cursor_heap = struct
   type t = {
     keys : int array;

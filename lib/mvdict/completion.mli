@@ -19,9 +19,9 @@
 
 type t
 
-val create : ?ring:int -> Version.t -> t
-(** [ring] bounds how far completions may run ahead of [fc]
-    (default 1 lsl 16, plenty for any realistic thread count). *)
+val create : Version.t -> t
+(** The ring holds 1 lsl 16 cells, which bounds how far completions may
+    run ahead of [fc]: plenty for any realistic thread count. *)
 
 val publish : t -> int -> unit
 (** Announce that the append stamped [s] has fully persisted, then

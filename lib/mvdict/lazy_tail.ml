@@ -49,16 +49,6 @@ module Make (B : BACKEND) = struct
       max version (prev_version ())
     end
 
-  let append t ~ctx ~board ~version value =
-    if version < 1 then invalid_arg "Lazy_tail.append: version must be >= 1";
-    let slot = Atomic.fetch_and_add t.pending 1 in
-    ensure_capacity t slot;
-    let version = ordered_version t slot version in
-    B.write_entry t.backend slot ~version value;
-    let stamp = Version.next_completion ctx in
-    B.set_finished t.backend slot stamp;
-    Completion.publish board stamp
-
   (* Two-phase append for batch installs: [append_entry] claims a slot
      and writes (version, value) but no stamp, so the entry stays
      invisible; [finish_entry] later stamps it. Splitting the phases
@@ -79,6 +69,12 @@ module Make (B : BACKEND) = struct
     let stamp = Version.next_completion ctx in
     B.set_finished t.backend slot stamp;
     stamp
+
+  (* A single append is both phases back to back: [set_finished]
+     persists the stamp's line before the stamp is published. *)
+  let append t ~ctx ~board ~version value =
+    let slot = append_entry t ~version value in
+    Completion.publish board (finish_entry t ~ctx ~slot)
 
   type lookup = Absent | Entry of int * B.value
 

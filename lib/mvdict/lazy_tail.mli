@@ -76,8 +76,9 @@ module Make (B : BACKEND) : sig
   val backend : t -> B.t
 
   val append : t -> ctx:Version.t -> board:Completion.t -> version:int -> B.value -> unit
-  (** The full Algorithm-1 insert: claim, order, write, persist, stamp,
-      publish completion. [remove] is an append of {!B.marker}. *)
+  (** The full Algorithm-1 insert: {!append_entry} (claim, order,
+      write), {!finish_entry} (stamp, persist), then
+      [Completion.publish]. [remove] is an append of {!B.marker}. *)
 
   val append_entry : t -> version:int -> B.value -> int
   (** First half of a two-phase (batch) append: claim a slot, order the

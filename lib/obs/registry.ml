@@ -78,64 +78,3 @@ let reset () =
       | Histogram h -> Histogram.reset h
       | Window w -> Window.reset w)
     (snapshot ())
-
-let percentiles = [ ("p50_ns", 0.50); ("p90_ns", 0.90); ("p99_ns", 0.99) ]
-
-let histogram_json h =
-  Json.Obj
-    ([ ("count", Json.Int (Histogram.count h));
-       ("mean_ns", Json.Float (Histogram.mean h)) ]
-    @ List.map (fun (k, q) -> (k, Json.Int (Histogram.percentile h q))) percentiles
-    @ [ ("max_ns", Json.Int (Histogram.max_value h)) ])
-
-let rate_windows = [ ("rate_1s", 1); ("rate_10s", 10); ("rate_60s", 60) ]
-
-let window_json w =
-  Json.Obj
-    (List.map
-       (fun (k, window_s) -> (k, Json.Float (Window.rate w ~window_s)))
-       rate_windows)
-
-let to_json () =
-  let counters = ref []
-  and gauges = ref []
-  and histograms = ref []
-  and windows = ref [] in
-  List.iter
-    (fun (name, entry) ->
-      match entry with
-      | Counter c -> counters := (name, Json.Int (Metric.value c)) :: !counters
-      | Gauge g -> gauges := (name, Json.Int (Metric.gauge_value g)) :: !gauges
-      | Histogram h -> histograms := (name, histogram_json h) :: !histograms
-      | Window w -> windows := (name, window_json w) :: !windows)
-    (List.rev (snapshot ()));
-  Json.Obj
-    [
-      ("counters", Json.Obj !counters);
-      ("gauges", Json.Obj !gauges);
-      ("histograms", Json.Obj !histograms);
-      ("windows", Json.Obj !windows);
-    ]
-
-let pp fmt () =
-  List.iter
-    (fun (name, entry) ->
-      match entry with
-      | Counter c -> Format.fprintf fmt "%-44s %d@." name (Metric.value c)
-      | Gauge g -> Format.fprintf fmt "%-44s %d@." name (Metric.gauge_value g)
-      | Histogram h ->
-          if Histogram.count h > 0 then
-            Format.fprintf fmt
-              "%-44s n=%d mean=%.0fns p50=%dns p90=%dns p99=%dns max=%dns@." name
-              (Histogram.count h) (Histogram.mean h)
-              (Histogram.percentile h 0.50)
-              (Histogram.percentile h 0.90)
-              (Histogram.percentile h 0.99)
-              (Histogram.max_value h)
-          else Format.fprintf fmt "%-44s n=0@." name
-      | Window w ->
-          Format.fprintf fmt "%-44s %.1f/s (1s) %.1f/s (10s) %.1f/s (60s)@." name
-            (Window.rate w ~window_s:1)
-            (Window.rate w ~window_s:10)
-            (Window.rate w ~window_s:60))
-    (snapshot ())

@@ -19,16 +19,8 @@ type entry =
   | Window of Window.t
 
 val snapshot : unit -> (string * entry) list
-(** Every registered metric, sorted by name — what {!Snap} and the
-    renderers below iterate. *)
+(** Every registered metric, sorted by name — what {!Snap} iterates;
+    every rendering of the registry goes through a {!Snap.t}. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (registration survives). *)
-
-val to_json : unit -> Json.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {name:
-    {count, mean_ns, p50_ns, p90_ns, p99_ns, max_ns}}, "windows":
-    {name: {rate_1s, rate_10s, rate_60s}}}], names sorted. *)
-
-val pp : Format.formatter -> unit -> unit
-(** Human-readable dump of the whole registry, one line per metric. *)

@@ -21,8 +21,6 @@ type t = {
   epoch : int Atomic.t;
   snapshot : ?version:int -> unit -> (int * int) array;
   current_version : unit -> int;
-  timeout_ms : int option;
-  retries : int;
   m : Mutex.t;
   peers : peer array;
 }
@@ -35,8 +33,12 @@ let w_forwarded = Obs.Registry.window "repl.rate.forwarded"
 let h_forward_ns = Obs.Registry.histogram "repl.forward_latency_ns"
 let g_lagging = Obs.Registry.gauge "repl.lagging_backups"
 
-let create ~epoch_cell ~snapshot ~current_version ?(timeout_ms = 2000)
-    ?(retries = 1) backups =
+(* Backup connections: a dead backup must not stall client writes for
+   long (see chain.mli). *)
+let timeout_ms = 2000
+let retries = 1
+
+let create ~epoch_cell ~snapshot ~current_version backups =
   let peers =
     Array.map
       (* lagging from birth: the first contact with each backup is a
@@ -45,15 +47,7 @@ let create ~epoch_cell ~snapshot ~current_version ?(timeout_ms = 2000)
         (fun addr -> { addr; conn = None; lagging = true; last_error = None })
       backups
   in
-  {
-    epoch = epoch_cell;
-    snapshot;
-    current_version;
-    timeout_ms = Some timeout_ms;
-    retries;
-    m = Mutex.create ();
-    peers;
-  }
+  { epoch = epoch_cell; snapshot; current_version; m = Mutex.create (); peers }
 
 let update_lag_gauge t =
   Obs.Metric.set g_lagging
@@ -65,13 +59,11 @@ let drop_conn peer =
   | None -> ());
   peer.conn <- None
 
-let ensure_conn t peer =
+let ensure_conn peer =
   match peer.conn with
   | Some c -> c
   | None ->
-      let c =
-        Net.Client.connect ~retries:t.retries ?timeout_ms:t.timeout_ms peer.addr
-      in
+      let c = Net.Client.connect ~retries ~timeout_ms peer.addr in
       peer.conn <- Some c;
       c
 
@@ -82,7 +74,7 @@ let ensure_conn t peer =
    diff's own remove already records it.) *)
 let catch_up ?replay_removes t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
-  let c = ensure_conn t peer in
+  let c = ensure_conn peer in
   let epoch = Atomic.get t.epoch in
   let remote = Net.Client.snapshot c () in
   let changes =
@@ -200,7 +192,7 @@ let forward_to t peer op =
       in
       catch_up ?replay_removes t peer
     else begin
-      let c = ensure_conn t peer in
+      let c = ensure_conn peer in
       (* A span per hop: when the mutation arrived under a trace
          context (Traced frame → server srv.* span → this hook, all on
          one domain), the forward becomes a child span here and the

@@ -36,16 +36,13 @@ val create :
   epoch_cell:int Atomic.t ->
   snapshot:(?version:int -> unit -> (int * int) array) ->
   current_version:(unit -> int) ->
-  ?timeout_ms:int ->
-  ?retries:int ->
   Net.Sockaddr.t array ->
   t
 (** [epoch_cell] must be the same cell handed to [Server.start] so the
     chain forwards with whatever epoch the server has adopted.
     [snapshot]/[current_version] read the primary's own store (the
-    catch-up source). [timeout_ms]/[retries] parameterise the backup
-    connections (defaults 2000 ms, 1 retry — a dead backup must not
-    stall client writes for long). *)
+    catch-up source). Backup connections time out after 2000 ms and
+    retry once: a dead backup must not stall client writes for long. *)
 
 val on_mutation : t -> Net.Wire.request -> Net.Wire.response -> unit
 (** The [Server.start ?on_mutation] hook. [Tag] is canonicalised

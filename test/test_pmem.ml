@@ -1,5 +1,5 @@
 (* Tests for lib/pmem: media semantics (including crash simulation),
-   allocator, heap, transactions, blobs, vectors, block chain. *)
+   allocator, heap, blobs, vectors, block chain. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -601,63 +601,6 @@ let pheap_root_bounds () =
   Alcotest.check_raises "slot range" (Invalid_argument "Pheap: root slot out of range")
     (fun () -> ignore (Pmem.Pheap.root_get h 16))
 
-(* Tx *)
-
-let tx_commit_applies () =
-  let h = small_heap () in
-  let target = Pmem.Alloc.alloc_zeroed (Pmem.Pheap.allocator h) 16 in
-  let mgr = Pmem.Tx.attach h ~root_slot:15 ~log_capacity:4096 in
-  Pmem.Tx.run mgr (fun tx ->
-      Pmem.Tx.set_i64 tx target 7;
-      Pmem.Tx.set_i64 tx (target + 8) 8);
-  check_int "first word" 7 (Pmem.Media.get_i64 (Pmem.Pheap.media h) target);
-  check_int "second word" 8 (Pmem.Media.get_i64 (Pmem.Pheap.media h) (target + 8))
-
-let tx_abort_rolls_back () =
-  let h = small_heap () in
-  let m = Pmem.Pheap.media h in
-  let target = Pmem.Alloc.alloc_zeroed (Pmem.Pheap.allocator h) 16 in
-  Pmem.Media.set_i64 m target 100;
-  let mgr = Pmem.Tx.attach h ~root_slot:15 ~log_capacity:4096 in
-  (try
-     Pmem.Tx.run mgr (fun tx ->
-         Pmem.Tx.set_i64 tx target 999;
-         failwith "boom")
-   with Failure _ -> ());
-  check_int "rolled back" 100 (Pmem.Media.get_i64 m target)
-
-let tx_crash_mid_transaction_rolls_back () =
-  let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
-  let h = Pmem.Pheap.create media in
-  let m = Pmem.Pheap.media h in
-  let target = Pmem.Alloc.alloc_zeroed (Pmem.Pheap.allocator h) 16 in
-  Pmem.Media.set_i64 m target 55;
-  Pmem.Media.persist m target 8;
-  let mgr = Pmem.Tx.attach h ~root_slot:15 ~log_capacity:4096 in
-  (* Simulate dying inside the transaction body: snapshot taken, home
-     location scribbled, no commit. *)
-  (try
-     Pmem.Tx.run mgr (fun tx ->
-         Pmem.Tx.set_i64 tx target 777;
-         Pmem.Media.persist m target 8;
-         raise Exit)
-   with Exit -> ());
-  (* Rollback already ran on the exception path; now also test the
-     restart path: write again, crash before commit completes. *)
-  Pmem.Tx.run mgr (fun tx -> Pmem.Tx.set_i64 tx target 66);
-  check_int "committed" 66 (Pmem.Media.get_i64 m target);
-  (* Dirty state mid-tx then crash: recovery on attach must roll back. *)
-  (try
-     Pmem.Tx.run mgr (fun tx ->
-         Pmem.Tx.set_i64 tx target 888;
-         Pmem.Media.persist m target 8;
-         Pmem.Media.simulate_crash media;
-         raise Exit)
-   with Exit -> ());
-  let h2 = Pmem.Pheap.reopen h in
-  let _mgr2 = Pmem.Tx.attach h2 ~root_slot:15 ~log_capacity:4096 in
-  check_int "recovered to pre-tx value" 66 (Pmem.Media.get_i64 m target)
-
 (* Pblob *)
 
 let blob_roundtrip () =
@@ -877,65 +820,6 @@ let qcheck_allocator_no_overlap =
         program;
       !ok)
 
-(* Property: committed transactions survive crashes, uncommitted ones
-   roll back — for random batches of writes. *)
-let qcheck_tx_crash_atomicity =
-  (* Write batches are bounded so they always fit the 64 KiB undo log
-     (overflow is its own, deterministic test below). *)
-  QCheck.Test.make ~name:"transactions are atomic across crashes" ~count:50
-    QCheck.(pair
-              (make
-                 Gen.(list_size (int_bound 300)
-                        (pair (int_bound 15) (int_bound 10_000))))
-              bool)
-    (fun (writes, crash_mid) ->
-      let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
-      let heap = Pmem.Pheap.create media in
-      let m = Pmem.Pheap.media heap in
-      let cells = Array.init 16 (fun _ -> Pmem.Alloc.alloc_zeroed (Pmem.Pheap.allocator heap) 16) in
-      let mgr = Pmem.Tx.attach heap ~root_slot:15 ~log_capacity:(1 lsl 16) in
-      (* Baseline committed state. *)
-      Pmem.Tx.run mgr (fun tx -> Array.iter (fun off -> Pmem.Tx.set_i64 tx off 7) cells);
-      let expected = Array.map (fun _ -> 7) cells in
-      (if crash_mid then begin
-         (* Die inside a transaction: all its writes must vanish. *)
-         try
-           Pmem.Tx.run mgr (fun tx ->
-               List.iter (fun (i, v) -> Pmem.Tx.set_i64 tx cells.(i) v) writes;
-               Pmem.Media.simulate_crash media;
-               raise Exit)
-         with Exit -> ()
-       end
-       else begin
-         Pmem.Tx.run mgr (fun tx ->
-             List.iter (fun (i, v) -> Pmem.Tx.set_i64 tx cells.(i) v) writes);
-         List.iter (fun (i, v) -> expected.(i) <- v) writes;
-         Pmem.Media.simulate_crash media
-       end);
-      let heap2 = Pmem.Pheap.reopen heap in
-      let _mgr2 = Pmem.Tx.attach heap2 ~root_slot:15 ~log_capacity:(1 lsl 16) in
-      Array.for_all2 (fun off v -> Pmem.Media.get_i64 m off = v) cells expected)
-
-let tx_log_full_rejected () =
-  let h = small_heap () in
-  let target = Pmem.Alloc.alloc_zeroed (Pmem.Pheap.allocator h) 16 in
-  let mgr = Pmem.Tx.attach h ~root_slot:15 ~log_capacity:256 in
-  Pmem.Media.set_i64 (Pmem.Pheap.media h) target 5;
-  (* Overflowing the undo log must raise and roll back cleanly. *)
-  (match
-     Pmem.Tx.run mgr (fun tx ->
-         for _ = 1 to 100 do
-           Pmem.Tx.set_i64 tx target 9
-         done)
-   with
-  | () -> Alcotest.fail "expected log overflow"
-  | exception Failure msg ->
-      check_bool "overflow message" true (msg = "Tx.add_range: undo log full"));
-  check_int "rolled back" 5 (Pmem.Media.get_i64 (Pmem.Pheap.media h) target);
-  (* The manager stays usable afterwards. *)
-  Pmem.Tx.run mgr (fun tx -> Pmem.Tx.set_i64 tx target 6);
-  check_int "next tx commits" 6 (Pmem.Media.get_i64 (Pmem.Pheap.media h) target)
-
 (* Property: a chain survives any number of reattachments with all
    appended slots intact and in order. *)
 let qcheck_chain_reattach =
@@ -1031,13 +915,6 @@ let () =
             pheap_reopen_retires;
           Alcotest.test_case "root bounds" `Quick pheap_root_bounds;
         ] );
-      ( "tx",
-        [
-          Alcotest.test_case "commit applies" `Quick tx_commit_applies;
-          Alcotest.test_case "abort rolls back" `Quick tx_abort_rolls_back;
-          Alcotest.test_case "crash mid-tx rolls back" `Quick tx_crash_mid_transaction_rolls_back;
-          Alcotest.test_case "log overflow rejected" `Quick tx_log_full_rejected;
-        ] );
       ( "pblob",
         [
           Alcotest.test_case "roundtrip" `Quick blob_roundtrip;
@@ -1054,7 +931,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_allocator_no_overlap;
-          QCheck_alcotest.to_alcotest qcheck_tx_crash_atomicity;
           QCheck_alcotest.to_alcotest qcheck_chain_reattach;
         ] );
       ( "pblockchain",

@@ -4,8 +4,10 @@
    lost, qcheck parity with a single PSkipList across find / history /
    snapshot at every version after promotion), the stale-epoch
    contract (typed Bad_epoch surfaced as Router.Stale_epoch, recovery
-   via topology reload), and the deterministic Simrep fault scenarios
-   (partition, slow replica, crash + promote). *)
+   via topology reload), and fault schedules on the real chain
+   (partition then heal, slow replica, crash + promote + rejoin), with
+   faults injected from the test side only: a relay thread that delays
+   or severs the chain's bytes, and server stops and restarts. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -34,26 +36,35 @@ type range = {
   mutable primary_up : bool;
 }
 
+(* A server over [store] at [path] with no chain: a backup, or a
+   promoted backup as `mvkv cluster serve --replica-of` runs it. *)
+let serve ?(epoch = 0) store path =
+  Net.Server.start ~store ~workers:2 ~epoch_cell:(Atomic.make epoch)
+    ~listen:(Net.Sockaddr.Unix_sock path) ()
+
+(* A primary over [store] at [path] whose chain forwards to [backups],
+   sharing the server's epoch cell as `mvkv cluster serve --shard`
+   does. *)
+let serve_primary ?(epoch = 0) store path backups =
+  let epoch_cell = Atomic.make epoch in
+  let chain =
+    Repl.Chain.create ~epoch_cell
+      ~snapshot:(fun ?version () -> Store.extract_snapshot store ?version ())
+      ~current_version:(fun () -> Store.current_version store)
+      (Array.map (fun p -> Net.Sockaddr.Unix_sock p) backups)
+  in
+  let server =
+    Net.Server.start ~store ~workers:2 ~epoch_cell
+      ~on_mutation:(Repl.Chain.on_mutation chain)
+      ~listen:(Net.Sockaddr.Unix_sock path) ()
+  in
+  (server, chain, epoch_cell)
+
 let start_range tag =
   let p_path = sock_path (tag ^ "_p") and b_path = sock_path (tag ^ "_b") in
   let primary_store = fresh_store () and backup_store = fresh_store () in
-  let epoch_cell = Atomic.make 0 in
-  let backup =
-    Net.Server.start ~store:backup_store ~workers:2
-      ~epoch_cell:(Atomic.make 0)
-      ~listen:(Net.Sockaddr.Unix_sock b_path) ()
-  in
-  let chain =
-    Repl.Chain.create ~epoch_cell
-      ~snapshot:(fun ?version () -> Store.extract_snapshot primary_store ?version ())
-      ~current_version:(fun () -> Store.current_version primary_store)
-      [| Net.Sockaddr.Unix_sock b_path |]
-  in
-  let primary =
-    Net.Server.start ~store:primary_store ~workers:2 ~epoch_cell
-      ~on_mutation:(Repl.Chain.on_mutation chain)
-      ~listen:(Net.Sockaddr.Unix_sock p_path) ()
-  in
+  let backup = serve backup_store b_path in
+  let primary, chain, epoch_cell = serve_primary primary_store p_path [| b_path |] in
   {
     primary_store;
     backup_store;
@@ -148,11 +159,7 @@ let chain_catchup_after_backup_restart () =
   (* it comes back empty on the same address; the next tick repairs it
      with a ranged state diff, not an op replay *)
   let backup_store' = fresh_store () in
-  let backup' =
-    Net.Server.start ~store:backup_store' ~workers:2
-      ~epoch_cell:(Atomic.make 0)
-      ~listen:(Net.Sockaddr.Unix_sock r.b_path) ()
-  in
+  let backup' = serve backup_store' r.b_path in
   Fun.protect ~finally:(fun () -> try Net.Server.stop backup' with _ -> ())
   @@ fun () ->
   Repl.Chain.tick r.chain;
@@ -313,84 +320,311 @@ let failover_parity =
     ~name:"kill-primary failover keeps every acknowledged write" arb_ops
     failover_parity_property
 
-(* ---- simulated fault scenarios (deterministic, no sockets) ---- *)
+(* ---- fault schedules on the real chain ---- *)
 
-let simrep_partition_heal () =
-  let t = Repl.Simrep.create ~replicas:3 () in
-  for k = 0 to 9 do
-    Repl.Simrep.insert t ~key:k ~value:k
-  done;
-  check_int "tag acked" 1 (Repl.Simrep.tag t);
-  Repl.Simrep.run t;
-  check_bool "all backups converged" true (Repl.Simrep.converged t);
-  (* partition one backup: forwards to it are lost, acks keep flowing *)
-  Repl.Simrep.inject t 2 Repl.Simrep.Partitioned;
-  for k = 10 to 19 do
-    Repl.Simrep.insert t ~key:k ~value:k
-  done;
-  Repl.Simrep.run t;
-  check_bool "healthy backup kept up" true (Repl.Simrep.in_sync t 1);
-  check_bool "partitioned backup lagging" false (Repl.Simrep.in_sync t 2);
-  check_int "no acked write lost" 0 (Repl.Simrep.lost_acked_writes t);
-  (* heal + anti-entropy: state-level repair, then convergence *)
-  Repl.Simrep.heal t 2;
-  Repl.Simrep.sync t;
-  Repl.Simrep.run t;
-  check_bool "repaired after sync" true (Repl.Simrep.in_sync t 2);
-  check_bool "converged after heal" true (Repl.Simrep.converged t);
-  check_bool "repaired replica serves reads" true
-    (Repl.Simrep.find t ~node:2 15 = Some 15)
+(* Run [f defer]; every cleanup it registers with [defer] runs, last
+   registered first, however [f] exits. *)
+let with_cleanup f =
+  let stack = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun g -> try g () with _ -> ()) !stack)
+    (fun () -> f (fun g -> stack := g :: !stack))
 
-let simrep_slow_replica () =
-  (* same ops, one slow backup: delivery still converges, simulated
-     time shows the cost, and the whole run is deterministic *)
-  let run_once slow =
-    let t = Repl.Simrep.create ~replicas:2 () in
-    if slow then Repl.Simrep.inject t 1 (Repl.Simrep.Slow 50.);
-    for k = 0 to 19 do
-      Repl.Simrep.insert t ~key:k ~value:(k * 2)
-    done;
-    ignore (Repl.Simrep.tag t);
-    Repl.Simrep.run t;
-    check_bool "converged" true (Repl.Simrep.converged t);
-    Repl.Simrep.now_s t
+(* A byte relay between the chain and one backup, on test threads: the
+   chain dials [path] and each accepted connection is piped to
+   [upstream], waiting [delay] seconds before passing on each chunk it
+   reads (a slow link). While [cut] is set, the relay has severed its
+   connections and hangs up on new ones (a partition). *)
+type relay = {
+  path : string;
+  upstream : string;
+  delay : float;
+  cut : bool Atomic.t;
+  closing : bool Atomic.t;
+  m : Mutex.t;
+  mutable live : Unix.file_descr list;
+  mutable threads : Thread.t list;
+}
+
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let sever fds =
+  List.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    fds
+
+let pump relay src dst =
+  let buf = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read src buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Thread.delay relay.delay;
+        ignore (Unix.write dst buf 0 n);
+        go ()
   in
-  let fast_s = run_once false and slow_s = run_once true in
-  check_bool "slow replica costs simulated time" true (slow_s > fast_s);
-  check_bool "simulation is deterministic" true
-    (run_once true = slow_s && run_once false = fast_s)
+  (try go () with Unix.Unix_error _ -> ());
+  sever [ src; dst ]
 
-let simrep_crash_promote () =
-  let t = Repl.Simrep.create ~replicas:2 () in
+let relay_conn relay down =
+  match Net.Sockaddr.connect (Net.Sockaddr.Unix_sock relay.upstream) with
+  | exception Unix.Unix_error _ -> Unix.close down
+  | up ->
+      locked relay.m (fun () -> relay.live <- down :: up :: relay.live);
+      let back = Thread.create (fun () -> pump relay up down) () in
+      pump relay down up;
+      Thread.join back;
+      locked relay.m (fun () ->
+          relay.live <- List.filter (fun fd -> fd <> down && fd <> up) relay.live);
+      Unix.close down;
+      Unix.close up
+
+let relay_accept relay listen_fd =
+  while not (Atomic.get relay.closing) do
+    match Unix.select [ listen_fd ] [] [] 0.02 with
+    | [], _, _ -> ()
+    | _ ->
+        let fd, _ = Unix.accept listen_fd in
+        if Atomic.get relay.cut then Unix.close fd
+        else
+          let th = Thread.create (relay_conn relay) fd in
+          locked relay.m (fun () -> relay.threads <- th :: relay.threads)
+  done;
+  Unix.close listen_fd
+
+let start_relay ?(delay = 0.) ~path ~upstream () =
+  let relay =
+    {
+      path;
+      upstream;
+      delay;
+      cut = Atomic.make false;
+      closing = Atomic.make false;
+      m = Mutex.create ();
+      live = [];
+      threads = [];
+    }
+  in
+  let listen_fd = Net.Sockaddr.listen (Net.Sockaddr.Unix_sock path) in
+  let acceptor = Thread.create (relay_accept relay) listen_fd in
+  locked relay.m (fun () -> relay.threads <- [ acceptor ]);
+  relay
+
+let partition relay =
+  Atomic.set relay.cut true;
+  sever (locked relay.m (fun () -> relay.live))
+
+let heal relay = Atomic.set relay.cut false
+
+let stop_relay relay =
+  Atomic.set relay.closing true;
+  sever (locked relay.m (fun () -> relay.live));
+  List.iter Thread.join (locked relay.m (fun () -> relay.threads));
+  try Sys.remove relay.path with Sys_error _ -> ()
+
+(* One client op, applied to the reference store and through [client]
+   to the served primary: it is acknowledged when this returns. *)
+let apply_via client reference = function
+  | Insert (key, value) ->
+      Store.insert reference key value;
+      Net.Client.insert client ~key ~value
+  | Remove key ->
+      Store.remove reference key;
+      Net.Client.remove client ~key
+  | Tag -> check_int "tag parity" (Store.tag reference) (Net.Client.tag client)
+
+(* Keys whose latest value [store] serves differently from the
+   reference fed the same acknowledged ops: 0 means no acknowledged
+   write (insert or remove) was lost. *)
+let lost_acked_writes ~reference store =
+  let keys s = List.map fst (Array.to_list (Store.extract_snapshot s ())) in
+  List.sort_uniq compare (keys reference @ keys store)
+  |> List.filter (fun k -> Store.find store k <> Store.find reference k)
+  |> List.length
+
+(* What a replica serves now: its current state and its clock. *)
+let state store = (Store.extract_snapshot store (), Store.current_version store)
+
+let partition_then_heal () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("part_" ^ role) in
+  let reference = fresh_store () in
+  let p_store = fresh_store () and b1_store = fresh_store ()
+  and b2_store = fresh_store () in
+  let b1 = serve b1_store (path "b1") and b2 = serve b2_store (path "b2") in
+  defer (fun () -> Net.Server.stop b1);
+  defer (fun () -> Net.Server.stop b2);
+  (* backup 2 sits behind the relay: cutting it partitions backup 2
+     from the primary while both processes keep running *)
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b2") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ =
+    serve_primary p_store (path "p") [| path "b1"; path "relay" |]
+  in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  defer (fun () -> Net.Client.close client);
   for k = 0 to 9 do
-    Repl.Simrep.insert t ~key:k ~value:k
+    apply_via client reference (Insert (k, k))
   done;
-  ignore (Repl.Simrep.tag t);
-  Repl.Simrep.run t;
-  check_bool "replicated before the crash" true (Repl.Simrep.converged t);
-  (* the primary's process dies; the backup holds every acked write *)
-  Repl.Simrep.crash t 0;
-  Repl.Simrep.promote t 1;
-  check_int "promotion bumps the epoch" 1 (Repl.Simrep.epoch t);
-  check_int "backup is the new primary" 1 (Repl.Simrep.primary t);
-  check_int "no acked write lost by the crash" 0 (Repl.Simrep.lost_acked_writes t);
-  (* the promoted primary serves reads and writes *)
+  apply_via client reference Tag;
+  check_bool "all backups converged" true
+    (Repl.Chain.in_sync chain
+    && state b1_store = state p_store
+    && state b2_store = state p_store);
+  (* partition backup 2: forwards to it fail, acks keep flowing *)
+  partition relay;
+  let cut_off = state b2_store in
+  for k = 10 to 19 do
+    apply_via client reference (Insert (k, k))
+  done;
+  apply_via client reference Tag;
+  let peers = Repl.Chain.peers chain in
+  check_bool "healthy backup kept up" true
+    (peers.(0).in_sync && state b1_store = state p_store);
+  check_bool "partitioned backup lagging" false peers.(1).in_sync;
+  check_bool "partitioned backup kept its pre-partition state" true
+    (state b2_store = cut_off);
+  check_int "no acked write lost" 0 (lost_acked_writes ~reference p_store);
+  (* heal + anti-entropy: the next tick repairs it by a state diff *)
+  heal relay;
+  Repl.Chain.tick chain;
+  check_bool "repaired after sync" true (Repl.Chain.in_sync chain);
+  check_bool "converged after heal" true (state b2_store = state p_store);
+  check_bool "repaired replica serves reads" true (Store.find b2_store 15 = Some 15)
+
+let slow_replica_converges () =
+  (* the same ops, forwarded directly and through a relay that delays
+     every chunk: the slow link costs time on every forward, but both
+     runs end in the reference's state, at every version *)
+  let ops =
+    List.init 20 (fun k -> Insert (k, k * 2))
+    @ [ Tag; Remove 3; Insert (4, 40); Tag; Remove 19; Insert (20, 200) ]
+  in
+  let delay = 0.005 in
+  let run_once ~slow =
+    with_cleanup @@ fun defer ->
+    let tag = if slow then "slow" else "direct" in
+    let path role = sock_path (tag ^ "_" ^ role) in
+    let reference = fresh_store () in
+    let p_store = fresh_store () and b_store = fresh_store () in
+    let backup = serve b_store (path "b") in
+    defer (fun () -> Net.Server.stop backup);
+    let dial =
+      if slow then begin
+        let relay = start_relay ~delay ~path:(path "relay") ~upstream:(path "b") () in
+        defer (fun () -> stop_relay relay);
+        path "relay"
+      end
+      else path "b"
+    in
+    let primary, chain, _ = serve_primary p_store (path "p") [| dial |] in
+    defer (fun () -> Net.Server.stop primary);
+    defer (fun () -> Repl.Chain.close chain);
+    let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+    defer (fun () -> Net.Client.close client);
+    (* forwarding is synchronous, so each ack waits for its forward *)
+    let fastest =
+      List.fold_left
+        (fun fastest op ->
+          let t0 = Unix.gettimeofday () in
+          apply_via client reference op;
+          Float.min fastest (Unix.gettimeofday () -. t0))
+        infinity ops
+    in
+    check_bool "converged" true
+      (Repl.Chain.in_sync chain && state b_store = state p_store);
+    (fastest, b_store, reference)
+  in
+  let _, direct, reference = run_once ~slow:false in
+  let fastest_slow, relayed, _ = run_once ~slow:true in
+  check_bool "every relayed forward takes at least the delay" true
+    (fastest_slow >= delay);
+  let final = Store.current_version reference in
+  let same_at version =
+    let want = Store.extract_snapshot reference ?version () in
+    Store.extract_snapshot direct ?version () = want
+    && Store.extract_snapshot relayed ?version () = want
+  in
+  check_bool "both runs hold the reference's snapshot at every version" true
+    (same_at None && List.for_all (fun v -> same_at (Some v)) (List.init final succ));
+  let touched =
+    List.filter_map (function Insert (k, _) | Remove k -> Some k | Tag -> None) ops
+  in
+  check_bool "both runs hold the reference's history of every key" true
+    (List.for_all
+       (fun key ->
+         let want = Store.extract_history reference key in
+         Store.extract_history direct key = want
+         && Store.extract_history relayed key = want)
+       touched)
+
+let crash_promote_rejoin () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("crash_" ^ role) in
+  let reference = fresh_store () in
+  let b_store = fresh_store () in
+  let backup = ref (serve b_store (path "b")) in
+  defer (fun () -> Net.Server.stop !backup);
+  let primary, chain, _ = serve_primary (fresh_store ()) (path "p") [| path "b" |] in
+  let crash = lazy (Net.Server.stop primary; Repl.Chain.close chain) in
+  defer (fun () -> Lazy.force crash);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  for k = 0 to 9 do
+    apply_via client reference (Insert (k, k))
+  done;
+  apply_via client reference Tag;
+  Net.Client.close client;
+  check_bool "replicated before the crash" true
+    (Repl.Chain.in_sync chain && lost_acked_writes ~reference b_store = 0);
+  (* the primary's process dies, and its store with it *)
+  Lazy.force crash;
+  (* promote the backup the way `mvkv cluster promote` does: rotate the
+     set, bump the epoch, fence the new primary *)
+  let topo =
+    Cluster.Topology.promote ~shard:0 ~replica:1
+      (Cluster.Topology.create_replicated ~key_bits:6
+         [| [| Net.Sockaddr.Unix_sock (path "p"); Net.Sockaddr.Unix_sock (path "b") |] |])
+  in
+  let epoch = Cluster.Topology.epoch topo in
+  check_int "promotion bumps the epoch" 1 epoch;
+  check_bool "backup is the new primary" true
+    (Cluster.Topology.primary topo 0 = Net.Sockaddr.Unix_sock (path "b"));
+  let client = Net.Client.connect ~epoch (Cluster.Topology.primary topo 0) in
+  Net.Client.ping client;
+  check_int "no acked write lost by the crash" 0 (lost_acked_writes ~reference b_store);
+  (* the promoted node serves reads and writes; it runs no chain *)
   check_bool "acked write readable after promotion" true
-    (Repl.Simrep.find t ~node:1 5 = Some 5);
+    (Net.Client.find client 5 = Some 5);
   for k = 10 to 14 do
-    Repl.Simrep.insert t ~key:k ~value:k
+    apply_via client reference (Insert (k, k))
   done;
-  Repl.Simrep.run t;
-  check_int "still nothing lost" 0 (Repl.Simrep.lost_acked_writes t);
-  (* the old primary restarts empty and rejoins via anti-entropy *)
-  Repl.Simrep.restart t 0;
-  check_bool "restarted node out of sync" false (Repl.Simrep.in_sync t 0);
-  Repl.Simrep.sync t;
-  Repl.Simrep.run t;
-  check_bool "rejoined after sync" true (Repl.Simrep.in_sync t 0);
-  check_bool "cluster converged again" true (Repl.Simrep.converged t);
+  Net.Client.close client;
+  check_int "still nothing lost" 0 (lost_acked_writes ~reference b_store);
+  (* rejoin: the old primary restarts empty in the slot it slid back
+     to, and the promoted node restarts as a primary with a new chain
+     over its store *)
+  let rejoined = fresh_store () in
+  let old_primary =
+    match Cluster.Topology.replica topo 0 1 with
+    | Net.Sockaddr.Unix_sock p -> p
+    | _ -> Alcotest.fail "backup slot is not a unix socket"
+  in
+  let restarted = serve ~epoch rejoined old_primary in
+  defer (fun () -> Net.Server.stop restarted);
+  Net.Server.stop !backup;
+  let promoted, chain', _ = serve_primary ~epoch b_store (path "b") [| old_primary |] in
+  backup := promoted;
+  defer (fun () -> Repl.Chain.close chain');
+  check_bool "restarted node out of sync" false (Repl.Chain.in_sync chain');
+  Repl.Chain.tick chain';
+  check_bool "rejoined after sync" true (Repl.Chain.in_sync chain');
+  check_bool "cluster converged again" true (state rejoined = state b_store);
   check_bool "rejoined node serves the full state" true
-    (Repl.Simrep.find t ~node:0 12 = Some 12)
+    (Store.find rejoined 12 = Some 12)
 
 let () =
   Alcotest.run "repl"
@@ -411,10 +645,10 @@ let () =
       ( "simrep",
         [
           Alcotest.test_case "partition then heal + sync" `Quick
-            simrep_partition_heal;
+            partition_then_heal;
           Alcotest.test_case "slow replica converges deterministically" `Quick
-            simrep_slow_replica;
+            slow_replica_converges;
           Alcotest.test_case "crash primary, promote, rejoin" `Quick
-            simrep_crash_promote;
+            crash_promote_rejoin;
         ] );
     ]

@@ -1,62 +1,9 @@
-(* Tests for lib/sim (event queue, cost model, calibration helpers) and
-   lib/distrib (network model, partitioning, merges, distributed store). *)
+(* Tests for lib/sim (cost model, calibration helpers) and lib/distrib
+   (network model, partitioning, merges, distributed store). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
-
-(* Eventq *)
-
-let eventq_orders_events () =
-  let q = Sim.Eventq.create () in
-  List.iter (fun (t, p) -> Sim.Eventq.push q ~time:t p)
-    [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (0.5, "z") ];
-  let order = ref [] in
-  Sim.Eventq.drain q (fun _ p -> order := p :: !order);
-  Alcotest.(check (list string)) "time order" [ "z"; "a"; "b"; "c" ] (List.rev !order)
-
-let eventq_interleaved_push_pop () =
-  let q = Sim.Eventq.create () in
-  Sim.Eventq.push q ~time:5.0 5;
-  Sim.Eventq.push q ~time:1.0 1;
-  (match Sim.Eventq.pop q with
-  | Some (t, 1) -> check_float "earliest" 1.0 t
-  | _ -> Alcotest.fail "expected 1");
-  Sim.Eventq.push q ~time:0.5 0;
-  (match Sim.Eventq.pop q with
-  | Some (_, 0) -> ()
-  | _ -> Alcotest.fail "expected 0");
-  (match Sim.Eventq.pop q with
-  | Some (_, 5) -> ()
-  | _ -> Alcotest.fail "expected 5");
-  check_bool "empty" true (Sim.Eventq.is_empty q)
-
-let eventq_pop_releases_payload () =
-  (* Regression: pop used to leave the popped payload reachable from
-     payloads.(count) for the queue's lifetime; only the single
-     sentinel (first payload ever pushed) may be retained now. *)
-  let q = Sim.Eventq.create () in
-  Sim.Eventq.push q ~time:1.0 (Bytes.create 8);
-  let w = Weak.create 1 in
-  let payload = Bytes.create 4096 in
-  Weak.set w 0 (Some payload);
-  Sim.Eventq.push q ~time:2.0 payload;
-  ignore (Sim.Eventq.pop q);
-  ignore (Sim.Eventq.pop q);
-  Gc.full_major ();
-  check_bool "popped payload was collected" false (Weak.check w 0)
-
-let eventq_random_heap_property =
-  QCheck.Test.make ~name:"eventq pops in non-decreasing time order" ~count:200
-    QCheck.(list (pair (float_bound_exclusive 1000.0) small_int))
-    (fun events ->
-      let q = Sim.Eventq.create () in
-      List.iter (fun (t, p) -> Sim.Eventq.push q ~time:t p) events;
-      let last = ref neg_infinity and ok = ref true in
-      Sim.Eventq.drain q (fun t _ ->
-          if t < !last then ok := false;
-          last := t);
-      !ok)
 
 (* Cost model *)
 
@@ -126,67 +73,6 @@ let simnet_collectives_grow_logarithmically () =
   check_float "bcast log ratio" 2.0 (b64 /. b8);
   let g = Distrib.Simnet.gather_linear_s net ~ranks:2 ~bytes_per_rank:1000 in
   check_bool "gather positive" true (g > 0.0)
-
-(* Comm *)
-
-let test_net = { Distrib.Simnet.latency_s = 1e-6; bandwidth_bps = 1e9 }
-
-let comm_compute_and_send () =
-  let w = Distrib.Comm.create test_net ~ranks:4 in
-  Distrib.Comm.compute w ~rank:0 ~seconds:1.0;
-  Distrib.Comm.send w ~src:0 ~dst:1 ~bytes:0;
-  check_float "receiver after sender" (1.0 +. 1e-6) (Distrib.Comm.elapsed w ~rank:1);
-  check_float "untouched rank" 0.0 (Distrib.Comm.elapsed w ~rank:2);
-  check_float "makespan" (1.0 +. 1e-6) (Distrib.Comm.makespan w)
-
-let comm_bcast_rounds () =
-  (* A zero-compute broadcast over K ranks completes in ceil(log2 K)
-     rounds of one transfer each. *)
-  List.iter
-    (fun k ->
-      let w = Distrib.Comm.create test_net ~ranks:k in
-      Distrib.Comm.bcast w ~root:0 ~bytes:0;
-      check_float
-        (Printf.sprintf "bcast makespan k=%d" k)
-        (float_of_int (Distrib.Simnet.rounds k) *. 1e-6)
-        (Distrib.Comm.makespan w))
-    [ 1; 2; 4; 8; 32; 512 ]
-
-let comm_reduce_matches_bcast_cost () =
-  let w = Distrib.Comm.create test_net ~ranks:16 in
-  Distrib.Comm.reduce w ~root:0 ~bytes:0;
-  check_float "reduce rounds" (4.0 *. 1e-6) (Distrib.Comm.elapsed w ~rank:0)
-
-let comm_reduce_waits_for_slowest () =
-  let w = Distrib.Comm.create test_net ~ranks:4 in
-  Distrib.Comm.compute w ~rank:3 ~seconds:2.0;
-  Distrib.Comm.reduce w ~root:0 ~bytes:0;
-  check_bool "root waits for the straggler" true
-    (Distrib.Comm.elapsed w ~rank:0 >= 2.0)
-
-let comm_gather_linear () =
-  let w = Distrib.Comm.create test_net ~ranks:5 in
-  Distrib.Comm.gather w ~root:0 ~bytes_per_rank:1_000_000;
-  check_float "4 payloads through the root link" (1e-6 +. (4.0 *. 1e-3))
-    (Distrib.Comm.elapsed w ~rank:0)
-
-let comm_barrier_aligns () =
-  let w = Distrib.Comm.create test_net ~ranks:3 in
-  Distrib.Comm.compute w ~rank:1 ~seconds:5.0;
-  Distrib.Comm.barrier w;
-  check_bool "all clocks equal and past the straggler" true
-    (Distrib.Comm.elapsed w ~rank:0 = Distrib.Comm.elapsed w ~rank:2
-    && Distrib.Comm.elapsed w ~rank:0 >= 5.0);
-  Distrib.Comm.reset w;
-  check_float "reset" 0.0 (Distrib.Comm.makespan w)
-
-let comm_nonzero_root () =
-  let w = Distrib.Comm.create test_net ~ranks:8 in
-  Distrib.Comm.bcast w ~root:5 ~bytes:64;
-  check_bool "every rank reached" true
-    (List.for_all
-       (fun r -> Distrib.Comm.elapsed w ~rank:r > 0.0 || r = 5)
-       [ 0; 1; 2; 3; 4; 6; 7 ])
 
 (* Partition *)
 
@@ -445,13 +331,6 @@ let dstore_remove_and_history () =
 let () =
   Alcotest.run "sim+distrib"
     [
-      ( "eventq",
-        [
-          Alcotest.test_case "orders events" `Quick eventq_orders_events;
-          Alcotest.test_case "interleaved push/pop" `Quick eventq_interleaved_push_pop;
-          Alcotest.test_case "pop releases payload" `Quick eventq_pop_releases_payload;
-          QCheck_alcotest.to_alcotest eventq_random_heap_property;
-        ] );
       ( "cost_model",
         [
           Alcotest.test_case "lock-free scales" `Quick lock_free_scales;
@@ -466,16 +345,6 @@ let () =
           Alcotest.test_case "transfer" `Quick simnet_transfer;
           Alcotest.test_case "rounds" `Quick simnet_rounds;
           Alcotest.test_case "collectives" `Quick simnet_collectives_grow_logarithmically;
-        ] );
-      ( "comm",
-        [
-          Alcotest.test_case "compute and send" `Quick comm_compute_and_send;
-          Alcotest.test_case "bcast rounds" `Quick comm_bcast_rounds;
-          Alcotest.test_case "reduce rounds" `Quick comm_reduce_matches_bcast_cost;
-          Alcotest.test_case "reduce waits for slowest" `Quick comm_reduce_waits_for_slowest;
-          Alcotest.test_case "gather linear" `Quick comm_gather_linear;
-          Alcotest.test_case "barrier aligns" `Quick comm_barrier_aligns;
-          Alcotest.test_case "non-zero root" `Quick comm_nonzero_root;
         ] );
       ( "partition",
         [
