@@ -2,7 +2,7 @@
    means "stamp s completed". Stale values from earlier laps can never be
    mistaken for the stamp being awaited, so cells never need clearing. *)
 
-let ring = 1 lsl 16
+let ring = 4096
 
 type t = { ctx : Version.t; cells : int Atomic.t array }
 

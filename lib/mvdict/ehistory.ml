@@ -12,55 +12,52 @@ struct
 
   module Backend = struct
     (* Segments of c, c, 2c, 4c, ... slots, the geometry of
-       {!Pmem.Pvector}: growth publishes a longer array of the same
+       {!Pmem.Pvector}: growth returns a longer array of the same
        segments plus a new one, so no entry ever moves. *)
-    type t = segment array Atomic.t
+    type store = unit
+    type handle = unit
+    type segs = segment array
     type value = V.t option
-
-    let marker = None
-    let is_marker v = v = None
 
     let segment start n =
       { start; versions = Array.make n 0; values = Array.make n None;
         finished = Array.make n 0 }
 
-    let capacity t =
-      let segs = Atomic.get t in
+    let capacity segs =
       let last = segs.(Array.length segs - 1) in
       last.start + Array.length last.versions
 
-    let rec ensure t wanted =
-      let cap = capacity t in
-      if wanted > cap then begin
-        Atomic.set t (Array.append (Atomic.get t) [| segment cap cap |]);
-        ensure t wanted
-      end
+    let rec grow () segs wanted =
+      let cap = capacity segs in
+      if wanted <= cap then segs
+      else grow () (Array.append segs [| segment cap cap |]) wanted
 
     (* The segment holding [slot], searched from the newest. *)
     let rec find segs slot k =
       if slot >= segs.(k).start then segs.(k) else find segs slot (k - 1)
 
-    let locate t slot =
-      let segs = Atomic.get t in
-      find segs slot (Array.length segs - 1)
+    let locate segs slot = find segs slot (Array.length segs - 1)
 
-    let write_entry t slot ~version value =
-      let s = locate t slot in
+    let write_entry () segs slot ~version value =
+      let s = locate segs slot in
       s.versions.(slot - s.start) <- version;
       s.values.(slot - s.start) <- value
 
-    let read_version t slot =
-      let s = locate t slot in
+    let read_version () segs slot =
+      let s = locate segs slot in
       s.versions.(slot - s.start)
 
-    let set_finished t slot stamp =
-      let s = locate t slot in
-      s.finished.(slot - s.start) <- stamp
+    let read_value () segs slot =
+      let s = locate segs slot in
+      s.values.(slot - s.start)
 
-    let read_entry t slot =
-      let s = locate t slot in
-      let i = slot - s.start in
-      (s.versions.(i), s.values.(i), s.finished.(i))
+    let read_stamp () segs slot =
+      let s = locate segs slot in
+      s.finished.(slot - s.start)
+
+    let set_finished () segs slot stamp =
+      let s = locate segs slot in
+      s.finished.(slot - s.start) <- stamp
   end
 
   module H = Lazy_tail.Make (Backend)
@@ -68,7 +65,9 @@ struct
   type t = H.t
 
   let initial_capacity = 2
+  let create () = H.wrap () [| Backend.segment 0 initial_capacity |] ~length:0
 
-  let create () =
-    H.wrap (Atomic.make [| Backend.segment 0 initial_capacity |]) ~length:0
+  let lookup h ~ctx ~version =
+    let slot = H.find () h ~ctx ~version in
+    if slot < 0 then None else H.value () h slot
 end

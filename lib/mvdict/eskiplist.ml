@@ -44,7 +44,7 @@ struct
 
   let append t key value =
     let version = Version.stamp t.ctx in
-    EH.H.append (history_of t key) ~ctx:t.ctx ~board:t.board ~version value
+    EH.H.append () (history_of t key) ~ctx:t.ctx ~board:t.board ~version value
 
   let insert t key value =
     let t0 = Obs.Instr.start () in
@@ -63,7 +63,7 @@ struct
     let version = Version.stamp t.ctx in
     List.iter
       (fun (key, x) ->
-        EH.H.append (history_of t key) ~ctx:t.ctx ~board:t.board ~version
+        EH.H.append () (history_of t key) ~ctx:t.ctx ~board:t.board ~version
           (value_of x))
       items
 
@@ -91,10 +91,7 @@ struct
     let result =
       match Concurrent.Skiplist.find t.index key with
       | None -> None
-      | Some h -> (
-          match EH.H.find h ~ctx:t.ctx ~version with
-          | EH.H.Absent | EH.H.Entry (_, None) -> None
-          | EH.H.Entry (_, Some v) -> Some v)
+      | Some h -> EH.lookup h ~ctx:t.ctx ~version
     in
     Obs.Instr.finish m_find t0;
     result
@@ -110,22 +107,22 @@ struct
               match value with
               | Some v -> (version, Dict_intf.Put v)
               | None -> (version, Dict_intf.Del))
-            (EH.H.events h ~ctx:t.ctx)
+            (EH.H.events () h ~ctx:t.ctx)
     in
     Obs.Instr.finish m_history t0;
     result
 
   let iter_snapshot t ?(version = max_int) f =
     Concurrent.Skiplist.iter t.index (fun key h ->
-        match EH.H.find h ~ctx:t.ctx ~version with
-        | EH.H.Absent | EH.H.Entry (_, None) -> ()
-        | EH.H.Entry (_, Some v) -> f key v)
+        match EH.lookup h ~ctx:t.ctx ~version with
+        | None -> ()
+        | Some v -> f key v)
 
   let iter_range t ?(version = max_int) ~lo ~hi f =
     Concurrent.Skiplist.iter_range t.index ~lo ~hi (fun key h ->
-        match EH.H.find h ~ctx:t.ctx ~version with
-        | EH.H.Absent | EH.H.Entry (_, None) -> ()
-        | EH.H.Entry (_, Some v) -> f key v)
+        match EH.lookup h ~ctx:t.ctx ~version with
+        | None -> ()
+        | Some v -> f key v)
 
   let extract_snapshot t ?version () =
     let t0 = Obs.Instr.start () in

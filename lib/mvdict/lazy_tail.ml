@@ -1,24 +1,46 @@
 module type BACKEND = sig
-  type t
+  type store
+  type handle
+  type segs
   type value
 
-  val marker : value
-  val is_marker : value -> bool
-  val capacity : t -> int
-  val ensure : t -> int -> unit
-  val write_entry : t -> int -> version:int -> value -> unit
-  val read_version : t -> int -> int
-  val set_finished : t -> int -> int -> unit
-  val read_entry : t -> int -> int * value * int
+  val capacity : segs -> int
+  val grow : store -> segs -> int -> segs
+  val write_entry : store -> segs -> int -> version:int -> value -> unit
+  val read_version : store -> segs -> int -> int
+  val read_value : store -> segs -> int -> value
+  val read_stamp : store -> segs -> int -> int
+  val set_finished : store -> segs -> int -> int -> unit
 end
 
 module Make (B : BACKEND) = struct
-  type t = { backend : B.t; pending : int Atomic.t; tail : int Atomic.t }
+  (* The one DRAM record of a history. [segs] is replaced, never
+     modified in place, so a plain field publishes it: a reader holding
+     an older array still finds every slot that array covers. *)
+  type t = {
+    handle : B.handle;
+    mutable segs : B.segs;
+    pending : int Atomic.t;
+    tail : int Atomic.t;
+  }
 
-  let wrap backend ~length =
-    { backend; pending = Atomic.make length; tail = Atomic.make length }
+  let wrap handle segs ~length =
+    { handle; segs; pending = Atomic.make length; tail = Atomic.make length }
 
-  let backend t = t.backend
+  let handle t = t.handle
+  let segs t = t.segs
+  let grow store t n = t.segs <- B.grow store t.segs n
+
+  (* The segment array once it covers [n] slots. A slot becomes visible
+     only after a segment array covering it was published, so this
+     returns at once unless this domain has yet to see that array. *)
+  let rec covering t n =
+    let segs = t.segs in
+    if B.capacity segs >= n then segs
+    else begin
+      Domain.cpu_relax ();
+      covering t n
+    end
 
   (* The appender whose slot equals the capacity grows; later slots wait
      for the capacity to cover them (a chain of growths may be needed if
@@ -26,28 +48,22 @@ module Make (B : BACKEND) = struct
      growth ends, so the next grower starts after it: growths never
      overlap. They move no entry, so writers of covered slots never wait
      for one. *)
-  let rec ensure_capacity t slot =
-    let cap = B.capacity t.backend in
+  let rec ensure_capacity store t slot =
+    let cap = B.capacity t.segs in
     if slot >= cap then begin
-      if slot = cap then B.ensure t.backend (slot + 1) else Domain.cpu_relax ();
-      ensure_capacity t slot
+      if slot = cap then grow store t (slot + 1) else Domain.cpu_relax ();
+      ensure_capacity store t slot
     end
 
   (* Non-decreasing versions per history: wait for the predecessor's
      version word and take the max (see interface). *)
-  let ordered_version t slot version =
-    if slot = 0 then version
-    else begin
-      let rec prev_version () =
-        let v = B.read_version t.backend (slot - 1) in
-        if v = 0 then begin
-          Domain.cpu_relax ();
-          prev_version ()
-        end
-        else v
-      in
-      max version (prev_version ())
+  let rec prev_version store t slot =
+    let v = B.read_version store t.segs (slot - 1) in
+    if v = 0 then begin
+      Domain.cpu_relax ();
+      prev_version store t slot
     end
+    else v
 
   (* Two-phase append for batch installs: [append_entry] claims a slot
      and writes (version, value) but no stamp, so the entry stays
@@ -57,89 +73,95 @@ module Make (B : BACKEND) = struct
      whole batch instead of two per key. Completion publishing is the
      caller's job (after the final barrier, so visible implies
      durable). *)
-  let append_entry t ~version value =
+  let append_entry store t ~version value =
     if version < 1 then invalid_arg "Lazy_tail.append_entry: version must be >= 1";
     let slot = Atomic.fetch_and_add t.pending 1 in
-    ensure_capacity t slot;
-    let version = ordered_version t slot version in
-    B.write_entry t.backend slot ~version value;
+    ensure_capacity store t slot;
+    let version = if slot = 0 then version else max version (prev_version store t slot) in
+    B.write_entry store t.segs slot ~version value;
     slot
 
-  let finish_entry t ~ctx ~slot =
+  let finish_entry store t ~ctx ~slot =
     let stamp = Version.next_completion ctx in
-    B.set_finished t.backend slot stamp;
+    B.set_finished store t.segs slot stamp;
     stamp
 
   (* A single append is both phases back to back: [set_finished]
      persists the stamp's line before the stamp is published. *)
-  let append t ~ctx ~board ~version value =
-    let slot = append_entry t ~version value in
-    Completion.publish board (finish_entry t ~ctx ~slot)
-
-  type lookup = Absent | Entry of int * B.value
+  let append store t ~ctx ~board ~version value =
+    let slot = append_entry store t ~version value in
+    Completion.publish board (finish_entry store t ~ctx ~slot)
 
   (* Algorithm 1, find: walk the tail forward while the next entry is
      finished, globally acknowledged (helping fc along), and its version
-     is still below the requested one; then publish the longer tail and
-     binary-search the visible prefix. *)
-  let extend_tail t ~ctx ~version =
-    (* Claimed slots past the capacity may belong to an appender still
-       growing the history, so the walk stops at the capacity; every
-       slot below it stays readable, since growth never moves one. *)
-    let limit = min (Atomic.get t.pending) (B.capacity t.backend) in
-    let start = Atomic.get t.tail in
-    let rec walk cursor =
-      if cursor >= limit then cursor
+     is still below the requested one. The stamp is read first: it is
+     written last. *)
+  let rec walk store segs ctx version limit cursor =
+    if cursor >= limit then cursor
+    else begin
+      let stamp = B.read_stamp store segs cursor in
+      if stamp = 0 then cursor
       else begin
-        let entry_version, _, stamp = B.read_entry t.backend cursor in
-        if stamp = 0 then cursor
-        else begin
-          let fc = Version.fc ctx in
-          if stamp <= fc then
-            if entry_version <= version then walk (cursor + 1) else cursor
-          else if stamp = fc + 1 then begin
-            ignore (Version.try_advance_fc ctx ~expected:fc);
-            walk cursor
-          end
+        let fc = Version.fc ctx in
+        if stamp <= fc then
+          if B.read_version store segs cursor <= version then
+            walk store segs ctx version limit (cursor + 1)
           else cursor
+        else if stamp = fc + 1 then begin
+          ignore (Version.try_advance_fc ctx ~expected:fc);
+          walk store segs ctx version limit cursor
         end
+        else cursor
       end
-    in
-    let cursor = walk start in
-    let rec publish () =
-      let seen = Atomic.get t.tail in
-      if cursor > seen && not (Atomic.compare_and_set t.tail seen cursor) then
-        publish ()
-    in
-    publish ();
+    end
+
+  let rec publish tail cursor =
+    let seen = Atomic.get tail in
+    if cursor > seen && not (Atomic.compare_and_set tail seen cursor) then
+      publish tail cursor
+
+  (* Claimed slots past the capacity may belong to an appender still
+     growing the history, so the walk stops at the capacity of the array
+     it reads; every slot below it stays readable, since growth never
+     moves one. Returns the new tail. *)
+  let extend_tail store t ~ctx ~version =
+    let start = Atomic.get t.tail in
+    let segs = t.segs in
+    let limit = min (Atomic.get t.pending) (B.capacity segs) in
+    let cursor = walk store segs ctx version limit start in
+    publish t.tail cursor;
     cursor
 
-  let find t ~ctx ~version =
-    let visible = extend_tail t ~ctx ~version in
-    (* Rightmost entry with version <= requested, in [0, visible). *)
-    let rec search lo hi best =
-      if lo > hi then best
-      else begin
-        let mid = (lo + hi) / 2 in
-        let entry_version, value, _ = B.read_entry t.backend mid in
-        if entry_version <= version then search (mid + 1) hi (Entry (entry_version, value))
-        else search lo (mid - 1) best
-      end
-    in
-    search 0 (visible - 1) Absent
+  (* Rightmost slot in [lo, hi] whose version is <= [version], else
+     [best]. *)
+  let rec search store segs version lo hi best =
+    if lo > hi then best
+    else begin
+      let mid = (lo + hi) / 2 in
+      if B.read_version store segs mid <= version then
+        search store segs version (mid + 1) hi mid
+      else search store segs version lo (mid - 1) best
+    end
 
-  let events t ~ctx =
-    let visible = extend_tail t ~ctx ~version:max_int in
+  let find store t ~ctx ~version =
+    let visible = extend_tail store t ~ctx ~version in
+    search store (covering t visible) version 0 (visible - 1) (-1)
+
+  let value store t slot = B.read_value store (covering t (slot + 1)) slot
+
+  let events store t ~ctx =
+    let visible = extend_tail store t ~ctx ~version:max_int in
+    let segs = covering t visible in
     let rec collect i acc =
       if i < 0 then acc
-      else begin
-        let version, value, _ = B.read_entry t.backend i in
-        collect (i - 1) ((version, value) :: acc)
-      end
+      else
+        collect (i - 1)
+          ((B.read_version store segs i, B.read_value store segs i) :: acc)
     in
     collect (visible - 1) []
 
-  let reset_offline t ~length =
+  let reset_offline t segs ~length =
+    t.segs <- segs;
     Atomic.set t.pending length;
     Atomic.set t.tail length
 

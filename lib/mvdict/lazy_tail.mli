@@ -20,32 +20,47 @@
     max), which keeps the binary search of queries correct under every
     interleaving.
 
+    A history is one DRAM record: the backend's handle, its segment
+    array (an immutable value locating every slot below its capacity),
+    and the [pending] and [tail] atomics. Every operation that reads or
+    writes entries takes the backend's [store] (the persistent heap,
+    shared by every history of a store) as its first argument, so no
+    history holds it.
+
     Growth: the appender whose slot equals the current capacity becomes
-    the designated grower and doubles the capacity by linking one more
-    segment; appenders with later slots wait until the capacity covers
-    them. Growth never moves an entry, so nothing else waits for it:
-    writers of covered slots write on, and readers walk the claimed
-    slots only up to the capacity they read first, since a slot past it
-    may belong to an appender still growing. Entries are write-once. *)
+    the designated grower; it has the backend link one more segment and
+    then replaces the record's segment array by assignment. Appenders
+    with later slots wait until the array covers them. Growth never
+    moves an entry, so nothing else waits for it: writers of covered
+    slots write on, and readers walk the claimed slots only up to the
+    capacity of the array they read, since a slot past it may belong to
+    an appender still growing. Entries are write-once. *)
 
 module type BACKEND = sig
-  type t
+  type store
+  (** What reading and writing entries needs and no history holds (the
+      heap; [unit] for RAM backends). *)
+
+  type handle
+  (** A history's persistent name ([unit] for RAM backends). *)
+
+  type segs
+  (** An immutable segment array: where each slot below its capacity
+      lives. *)
+
   type value
 
-  val marker : value
-  (** The removal marker. *)
+  val capacity : segs -> int
 
-  val is_marker : value -> bool
-  val capacity : t -> int
+  val grow : store -> segs -> int -> segs
+  (** Return an array covering at least the given capacity. Called only
+      by the designated grower, one at a time, while other domains read
+      and write slots through older arrays: it never moves an entry, and
+      a slot below the old capacity reads and writes the same storage
+      through either array. A persistent backend makes the new segments
+      reachable durably before it returns. *)
 
-  val ensure : t -> int -> unit
-  (** Grow to at least the given capacity. Called only by the designated
-      grower, one at a time, while other domains read and write slots
-      below the current capacity: it never moves an entry, and a slot
-      below the old capacity reads and writes the same storage before
-      and after. *)
-
-  val write_entry : t -> int -> version:int -> value -> unit
+  val write_entry : store -> segs -> int -> version:int -> value -> unit
   (** Publish version then value of a claimed slot, then persist
       whatever of them the stamp's persist in {!set_finished} will not
       cover, plus what recovery needs without a stamp: a persistent
@@ -53,63 +68,77 @@ module type BACKEND = sig
       pointer wherever it lies, so an unstamped slot's blob can be
       freed (persistence is a no-op for RAM backends). *)
 
-  val read_version : t -> int -> int
+  val read_version : store -> segs -> int -> int
   (** Version word of a slot; 0 if not yet written. *)
 
-  val set_finished : t -> int -> int -> unit
+  val read_value : store -> segs -> int -> value
+  (** Value of a written slot. *)
+
+  val read_stamp : store -> segs -> int -> int
+  (** Completion stamp of a slot; 0 if not yet stamped. *)
+
+  val set_finished : store -> segs -> int -> int -> unit
   (** Write the completion stamp of a slot (written last) and persist
       its line, which makes the slot's version and value durable too
       where they share it. *)
-
-  val read_entry : t -> int -> int * value * int
-  (** [(version, value, finished)] of a slot below the capacity. *)
 end
 
 module Make (B : BACKEND) : sig
   type t
 
-  val wrap : B.t -> length:int -> t
-  (** Attach ephemeral state to a backend; [length] is the number of
-      already-visible entries (0 for a fresh history, the recovered
-      prefix length after a restart). *)
+  val wrap : B.handle -> B.segs -> length:int -> t
+  (** A history over a backend's handle and segment array; [length] is
+      the number of already-visible entries (0 for a fresh history, the
+      recovered prefix length after a restart). *)
 
-  val backend : t -> B.t
+  val handle : t -> B.handle
 
-  val append : t -> ctx:Version.t -> board:Completion.t -> version:int -> B.value -> unit
+  val segs : t -> B.segs
+  (** The segment array as last published. *)
+
+  val grow : B.store -> t -> int -> unit
+  (** Grow to at least the given capacity and publish the new array.
+      Appenders call it themselves (the designated grower); callers must
+      keep to the same single-grower contract. *)
+
+  val append :
+    B.store -> t -> ctx:Version.t -> board:Completion.t -> version:int -> B.value -> unit
   (** The full Algorithm-1 insert: {!append_entry} (claim, order,
       write), {!finish_entry} (stamp, persist), then
-      [Completion.publish]. [remove] is an append of {!B.marker}. *)
+      [Completion.publish]. A removal is an append of the backend's
+      removal marker. *)
 
-  val append_entry : t -> version:int -> B.value -> int
+  val append_entry : B.store -> t -> version:int -> B.value -> int
   (** First half of a two-phase (batch) append: claim a slot, order the
       version, write the entry payload — but do not stamp it, so it
       stays invisible. Returns the slot for {!finish_entry}. Used with
       {!Media.with_batch} so the payload persists at a shared barrier
       rather than per key. *)
 
-  val finish_entry : t -> ctx:Version.t -> slot:int -> int
+  val finish_entry : B.store -> t -> ctx:Version.t -> slot:int -> int
   (** Second half: take the next completion stamp and persist it into
       the slot. Returns the stamp; the caller must
       [Completion.publish] it only after the stamps' persistence
       barrier, so an entry can never be visible before it is durable. *)
 
-  type lookup =
-    | Absent  (** No visible entry at or below the requested version. *)
-    | Entry of int * B.value
-        (** Version and value of the latest visible entry; the value may
-            be the removal marker. *)
-
-  val find : t -> ctx:Version.t -> version:int -> lookup
+  val find : B.store -> t -> ctx:Version.t -> version:int -> int
   (** Algorithm-1 find: lazily extend the tail no further than the
-      requested version requires, then binary-search the visible
-      prefix. *)
+      requested version requires, then binary-search the visible prefix.
+      Returns the slot of the latest visible entry at or below
+      [version] (its value may be the removal marker), or -1 when there
+      is none. Reads the version and stamp words in place and allocates
+      nothing. *)
 
-  val events : t -> ctx:Version.t -> (int * B.value) list
+  val value : B.store -> t -> int -> B.value
+  (** The value of a slot {!find} returned. *)
+
+  val events : B.store -> t -> ctx:Version.t -> (int * B.value) list
   (** The visible history, oldest first (extract_history). *)
 
-  val reset_offline : t -> length:int -> unit
-  (** Reset the ephemeral cursors after an offline rewrite of the
-      backend (compaction). Must not race with any other operation. *)
+  val reset_offline : t -> B.segs -> length:int -> unit
+  (** Install the segment array of an offline rewrite of the backend
+      (compaction) and reset the ephemeral cursors. Must not race with
+      any other operation. *)
 
   val visible_length : t -> int
   (** Current tail position (entries known visible; diagnostics). *)

@@ -50,7 +50,7 @@ struct
     let version = Version.stamp t.ctx in
     let h = with_lock t (fun () -> Concurrent.Rbtree.find_or_insert t.map key ~make:EH.create) in
     (* The history itself is lock-free; only the index is serialised. *)
-    EH.H.append h ~ctx:t.ctx ~board:t.board ~version value
+    EH.H.append () h ~ctx:t.ctx ~board:t.board ~version value
 
   let insert t key value =
     let t0 = Obs.Instr.start () in
@@ -76,7 +76,7 @@ struct
     in
     List.iter
       (fun (h, x) ->
-        EH.H.append h ~ctx:t.ctx ~board:t.board ~version (value_of x))
+        EH.H.append () h ~ctx:t.ctx ~board:t.board ~version (value_of x))
       resolved
 
   let insert_batch t pairs =
@@ -103,10 +103,7 @@ struct
     let result =
       match with_lock t (fun () -> Concurrent.Rbtree.find t.map key) with
       | None -> None
-      | Some h -> (
-          match EH.H.find h ~ctx:t.ctx ~version with
-          | EH.H.Absent | EH.H.Entry (_, None) -> None
-          | EH.H.Entry (_, Some v) -> Some v)
+      | Some h -> EH.lookup h ~ctx:t.ctx ~version
     in
     Obs.Instr.finish m_find t0;
     result
@@ -122,7 +119,7 @@ struct
               match value with
               | Some v -> (version, Dict_intf.Put v)
               | None -> (version, Dict_intf.Del))
-            (EH.H.events h ~ctx:t.ctx)
+            (EH.H.events () h ~ctx:t.ctx)
     in
     Obs.Instr.finish m_history t0;
     result
@@ -132,16 +129,16 @@ struct
        extract-snapshot experiment punishes. *)
     with_lock t (fun () ->
         Concurrent.Rbtree.iter t.map (fun key h ->
-            match EH.H.find h ~ctx:t.ctx ~version with
-            | EH.H.Absent | EH.H.Entry (_, None) -> ()
-            | EH.H.Entry (_, Some v) -> f key v))
+            match EH.lookup h ~ctx:t.ctx ~version with
+            | None -> ()
+            | Some v -> f key v))
 
   let iter_range t ?(version = max_int) ~lo ~hi f =
     with_lock t (fun () ->
         Concurrent.Rbtree.iter_range t.map ~lo ~hi (fun key h ->
-            match EH.H.find h ~ctx:t.ctx ~version with
-            | EH.H.Absent | EH.H.Entry (_, None) -> ()
-            | EH.H.Entry (_, Some v) -> f key v))
+            match EH.lookup h ~ctx:t.ctx ~version with
+            | None -> ()
+            | Some v -> f key v))
 
   let extract_snapshot t ?version () =
     let t0 = Obs.Instr.start () in

@@ -1,33 +1,32 @@
-let record_words = 3
 let initial_capacity = 2
 
 module Backend = struct
-  type t = Pmem.Pvector.t
+  type store = Pmem.Pheap.t
+  type handle = Pmem.Pptr.t
+  type segs = Pmem.Pvector.t
   type value = int
 
-  let marker = Codec.marker_word
-  let is_marker = Codec.is_marker
   let capacity = Pmem.Pvector.capacity
-  let ensure v n = Pmem.Pvector.grow v n
+  let grow = Pmem.Pvector.grow
 
   (* The stamp (word 2) is the record's commit word: version and an
      inline value are persisted only where they lie on an earlier line
      than the stamp, and otherwise become durable with the stamp's line.
      A blob pointer is persisted before the stamp wherever it lies, so
      recovery can free the blob of a record that a crash left unstamped. *)
-  let write_entry v slot ~version word =
-    Pmem.Pvector.set_word v ~record:slot ~word:0 version;
-    Pmem.Pvector.set_word v ~record:slot ~word:1 word;
-    if Codec.is_blob word then Pmem.Pvector.persist_record v ~record:slot
-    else Pmem.Pvector.persist_before_word v ~record:slot ~word:2
+  let write_entry heap s slot ~version word =
+    Pmem.Pvector.set_word heap s ~record:slot ~word:0 version;
+    Pmem.Pvector.set_word heap s ~record:slot ~word:1 word;
+    if Codec.is_blob word then Pmem.Pvector.persist_record heap s ~record:slot
+    else Pmem.Pvector.persist_before_word heap s ~record:slot ~word:2
 
-  let read_version v slot = Pmem.Pvector.get_word v ~record:slot ~word:0
+  let read_version heap s slot = Pmem.Pvector.get_word heap s ~record:slot ~word:0
+  let read_value heap s slot = Pmem.Pvector.get_word heap s ~record:slot ~word:1
+  let read_stamp heap s slot = Pmem.Pvector.get_word heap s ~record:slot ~word:2
 
-  let set_finished v slot stamp =
-    Pmem.Pvector.set_word v ~record:slot ~word:2 stamp;
-    Pmem.Pvector.persist_word v ~record:slot ~word:2
-
-  let read_entry v slot = Pmem.Pvector.get_record3 v ~record:slot
+  let set_finished heap s slot stamp =
+    Pmem.Pvector.set_word heap s ~record:slot ~word:2 stamp;
+    Pmem.Pvector.persist_word heap s ~record:slot ~word:2
 end
 
 module H = Lazy_tail.Make (Backend)
@@ -35,32 +34,30 @@ module H = Lazy_tail.Make (Backend)
 type t = H.t
 
 let create heap =
-  H.wrap (Pmem.Pvector.create heap ~record_words ~initial_capacity) ~length:0
+  let handle, segs = Pmem.Pvector.create heap ~initial_capacity in
+  H.wrap handle segs ~length:0
 
-let handle t = Pmem.Pvector.handle (H.backend t)
-let destroy heap t = Pmem.Pvector.free heap (H.backend t)
+let handle = H.handle
+let destroy heap t = Pmem.Pvector.free heap (H.handle t) (H.segs t)
 
-let scan_persisted heap hist_handle =
-  let v = Pmem.Pvector.attach heap hist_handle in
-  let cap = Pmem.Pvector.capacity v in
+let scan_persisted heap t =
+  let s = H.segs t in
+  let word slot w = Pmem.Pvector.get_word heap s ~record:slot ~word:w in
+  let cap = Pmem.Pvector.capacity s in
   let rec collect slot acc =
-    if slot >= cap then List.rev acc
-    else begin
-      let version, word, stamp = Pmem.Pvector.get_record3 v ~record:slot in
-      if stamp = 0 then List.rev acc
-      else collect (slot + 1) ((version, word, stamp) :: acc)
-    end
+    let stamp = if slot < cap then word slot 2 else 0 in
+    if stamp = 0 then Array.of_list (List.rev acc)
+    else collect (slot + 1) ((word slot 0, word slot 1, stamp) :: acc)
   in
-  Array.of_list (collect 0 [])
+  collect 0 []
 
 let mark_persisted heap hist_handle marks ~stamp =
   let media = Pmem.Pheap.media heap in
-  let v = Pmem.Pvector.attach heap hist_handle in
-  Pmem.Pvector.mark v marks;
-  let prefix = ref true in
-  Pmem.Pvector.iter_records v (fun off ->
-      let s = Pmem.Media.get_i64 media (off + 16) in
-      if s = 0 then prefix := false else if !prefix then stamp s;
+  let s = Pmem.Pvector.attach heap hist_handle in
+  Pmem.Pvector.mark hist_handle s marks;
+  Pmem.Pvector.iter_records s (fun off ->
+      let st = Pmem.Media.get_i64 media (off + 16) in
+      if st <> 0 then stamp st;
       Codec.mark_word heap marks (Pmem.Media.get_i64 media (off + 8)))
 
 (* The capacity growth reaches for [n] records: doubling from the
@@ -69,43 +66,43 @@ let right_size n =
   let rec fit c = if c >= n then c else fit (c * 2) in
   fit initial_capacity
 
-let drop_prefix t ~first =
-  let v = H.backend t in
+let drop_prefix heap t ~first =
+  let s = H.segs t in
   let keep = H.pending_length t - first in
   let capacity = right_size keep in
-  if first > 0 || capacity < Pmem.Pvector.capacity v then begin
-    Pmem.Pvector.shrink_offline v ~capacity ~first ~keep;
-    H.reset_offline t ~length:keep
-  end
+  if first > 0 || capacity < Pmem.Pvector.capacity s then
+    H.reset_offline t
+      (Pmem.Pvector.shrink_offline heap (H.handle t) s ~capacity ~first ~keep)
+      ~length:keep
 
 let attach_pruned heap hist_handle ~fc =
-  let v = Pmem.Pvector.attach heap hist_handle in
-  let cap = Pmem.Pvector.capacity v in
+  let s = Pmem.Pvector.attach heap hist_handle in
+  let word slot w = Pmem.Pvector.get_word heap s ~record:slot ~word:w in
+  let cap = Pmem.Pvector.capacity s in
   (* Keep the longest prefix of slots whose stamps are contiguous,
      non-zero and <= fc; zero out everything beyond it so the slots can
      be reclaimed by future appends. *)
   let rec prefix slot =
     if slot >= cap then slot
     else begin
-      let _, _, stamp = Pmem.Pvector.get_record3 v ~record:slot in
+      let stamp = word slot 2 in
       if stamp = 0 || stamp > fc then slot else prefix (slot + 1)
     end
   in
   let keep = prefix 0 in
   let max_version = ref 0 in
   for slot = 0 to keep - 1 do
-    let version, _, _ = Pmem.Pvector.get_record3 v ~record:slot in
-    if version > !max_version then max_version := version
+    max_version := max !max_version (word slot 0)
   done;
   for slot = keep to cap - 1 do
-    let version, word, stamp = Pmem.Pvector.get_record3 v ~record:slot in
-    if version <> 0 || stamp <> 0 || word <> 0 then begin
+    let value = word slot 1 in
+    if word slot 0 <> 0 || word slot 2 <> 0 || value <> 0 then begin
       (* Pruned entry: release a blob it may have allocated, then clear. *)
-      Codec.free_word heap word;
-      Pmem.Pvector.set_word v ~record:slot ~word:0 0;
-      Pmem.Pvector.set_word v ~record:slot ~word:1 0;
-      Pmem.Pvector.set_word v ~record:slot ~word:2 0;
-      Pmem.Pvector.persist_record v ~record:slot
+      Codec.free_word heap value;
+      for w = 0 to 2 do
+        Pmem.Pvector.set_word heap s ~record:slot ~word:w 0
+      done;
+      Pmem.Pvector.persist_record heap s ~record:slot
     end
   done;
-  (H.wrap v ~length:keep, !max_version)
+  (H.wrap hist_handle s ~length:keep, !max_version)

@@ -4,6 +4,9 @@
     Values are {!Codec} words (inline payloads or blob pointers; 0 is the
     removal marker), so a history entry costs 24 bytes of persistent
     memory and — for inline values — zero allocations on the append path.
+    In DRAM a history is one {!Lazy_tail} record holding the vector's
+    header offset, its segment array and the two cursors; the heap is
+    the store's, passed to every operation.
 
     Persist ordering per entry: the stamp is the record's commit word
     and persists last and alone. For an inline value or a removal
@@ -18,16 +21,31 @@
     blob pointer is persisted with the version before the stamp
     wherever it lies, so recovery ({!attach_pruned}) can free the blob
     of an entry a crash left unstamped. Recovery treats a slot as
-    present iff its stamp is non-zero and at most the recovered
-    finished counter ({!Recovery.recover_fc}). *)
+    present iff it lies in the history's stamped prefix and its stamp
+    is at most the recovered finished counter
+    ({!Recovery.recover_fc}).
 
-module Backend : Lazy_tail.BACKEND with type value = int
+    Appends to one key may finish out of slot order: a later slot can
+    be stamped, and its stamp made visible through [fc], while an
+    earlier slot of the same history is still unstamped. A crash then
+    leaves a stamp behind an unstamped slot. {!mark_persisted} reports
+    it, so recovery does not set [fc] below it and prune writes that
+    were visible; {!attach_pruned} still prunes that record, which was
+    never visible (the lazy tail stops at the unstamped slot). Its
+    stamp is gone after the prune, so the store persists its stamp
+    floor at [fc] before it prunes, and a pool's floor becomes non-zero
+    at its first reopen. *)
+
+module Backend :
+  Lazy_tail.BACKEND
+    with type store = Pmem.Pheap.t
+     and type handle = Pmem.Pptr.t
+     and type segs = Pmem.Pvector.t
+     and type value = int
 
 module H : module type of Lazy_tail.Make (Backend)
 
 type t = H.t
-
-val record_words : int
 
 val create : Pmem.Pheap.t -> t
 (** Fresh empty history (initial capacity 2 records). *)
@@ -39,10 +57,10 @@ val destroy : Pmem.Pheap.t -> t -> unit
 (** Recycle an unregistered history (the loser of an index insert race).
     Must never be called on a history reachable from the key chain. *)
 
-val scan_persisted : Pmem.Pheap.t -> Pmem.Pptr.t -> (int * int * int) array
-(** [scan_persisted heap handle] returns the raw [(version, word, stamp)]
-    records of the contiguous finished prefix as persisted — the input to
-    recovery ({!Recovery.recover_fc}). *)
+val scan_persisted : Pmem.Pheap.t -> t -> (int * int * int) array
+(** [scan_persisted heap t] returns the raw [(version, word, stamp)]
+    records of the contiguous finished prefix as persisted (compaction's
+    input). *)
 
 val mark_persisted :
   Pmem.Pheap.t -> Pmem.Pptr.t -> Pmem.Alloc.marks -> stamp:(int -> unit) -> unit
@@ -50,12 +68,14 @@ val mark_persisted :
     over one history: it marks the history's header and segments and
     the blob behind every non-zero value word in them, kept or about to
     be pruned ({!attach_pruned} frees the pruned ones), and calls
-    [stamp] on each stamp of the contiguous finished prefix, in order. *)
+    [stamp] on every non-zero stamp, in slot order: those of the
+    stamped prefix and those behind an unstamped slot alike (the input
+    to {!Recovery.recover_fc}). *)
 
-val drop_prefix : t -> first:int -> unit
-(** [drop_prefix t ~first] drops the first [first] records and keeps
-    the rest, stamps untouched, in one segment of the capacity growth
-    would give them, published by one header swap
+val drop_prefix : Pmem.Pheap.t -> t -> first:int -> unit
+(** [drop_prefix heap t ~first] drops the first [first] records and
+    keeps the rest, stamps untouched, in one segment of the capacity
+    growth would give them, published by one header swap
     ({!Pmem.Pvector.shrink_offline}); then it resets the ephemeral
     cursors. Nothing is written unless [first > 0] or the history's
     capacity is larger than that. The dropped records' value blobs are
@@ -65,6 +85,7 @@ val drop_prefix : t -> first:int -> unit
 
 val attach_pruned : Pmem.Pheap.t -> Pmem.Pptr.t -> fc:int -> t * int
 (** Re-attach after restart: truncate the persisted history to the
-    longest prefix whose stamps are all [<= fc] (zeroing any entries
-    beyond it, as the paper prescribes), and return the wrapped history
-    plus the highest retained version (for clock recovery). *)
+    longest prefix whose stamps are all non-zero and [<= fc] (zeroing
+    any entries beyond it, as the paper prescribes, a stamp behind an
+    unstamped slot included), and return the wrapped history plus the
+    highest retained version (for clock recovery). *)

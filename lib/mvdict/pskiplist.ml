@@ -60,19 +60,16 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   (* Register, then re-check the flag and back out if compaction closed
      the gate in between — compaction's drain loop then cannot miss us. *)
-  let op_enter t =
-    let rec loop () =
-      while Atomic.get t.gate_closed do
-        Domain.cpu_relax ()
-      done;
-      ignore (Atomic.fetch_and_add t.gate_inflight 1);
-      if Atomic.get t.gate_closed then begin
-        ignore (Atomic.fetch_and_add t.gate_inflight (-1));
-        Domain.cpu_relax ();
-        loop ()
-      end
-    in
-    loop ()
+  let rec op_enter t =
+    while Atomic.get t.gate_closed do
+      Domain.cpu_relax ()
+    done;
+    ignore (Atomic.fetch_and_add t.gate_inflight 1);
+    if Atomic.get t.gate_closed then begin
+      ignore (Atomic.fetch_and_add t.gate_inflight (-1));
+      Domain.cpu_relax ();
+      op_enter t
+    end
 
   let op_exit t = ignore (Atomic.fetch_and_add t.gate_inflight (-1))
 
@@ -119,7 +116,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let append t key value_word =
     let version = Version.stamp t.ctx in
-    Phistory.H.append (history_of t key) ~ctx:t.ctx ~board:t.board ~version
+    Phistory.H.append t.heap (history_of t key) ~ctx:t.ctx ~board:t.board ~version
       value_word
 
   let insert t key value =
@@ -188,13 +185,13 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           Array.init k (fun i ->
               let key, x = items.(lo + i) in
               let h, key_word = resolve_at t cur key in
-              (h, key_word, Phistory.H.append_entry h ~version (word_of x)))
+              (h, key_word, Phistory.H.append_entry t.heap h ~version (word_of x)))
         in
         Pmem.Media.batch_barrier ();
         Array.iteri
           (fun i (h, key_word, slot) ->
             link_key t h key_word;
-            stamps.(i) <- Phistory.H.finish_entry h ~ctx:t.ctx ~slot)
+            stamps.(i) <- Phistory.H.finish_entry t.heap h ~ctx:t.ctx ~slot)
           slots);
     (* Scope exit above was the stamps' barrier; entries become visible
        only now, so visible still implies durable. *)
@@ -236,20 +233,29 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   let current_version t = Version.current t.ctx
 
   let lookup_value t h version =
-    match Phistory.H.find h ~ctx:t.ctx ~version with
-    | Phistory.H.Absent -> None
-    | Phistory.H.Entry (_, word) ->
-        if Codec.is_marker word then None
-        else Some (Codec.decode (module V) t.media word)
+    let slot = Phistory.H.find t.heap h ~ctx:t.ctx ~version in
+    if slot < 0 then None
+    else begin
+      let word = Phistory.H.value t.heap h slot in
+      if Codec.is_marker word then None
+      else Some (Codec.decode (module V) t.media word)
+    end
 
+  (* Gated like every op, but by hand: a closure for [gated] would be
+     the only allocation of a hit besides its two options. *)
   let find t ?(version = max_int) key =
     let t0 = Obs.Instr.start () in
+    op_enter t;
     let result =
-      gated t (fun () ->
-          match Concurrent.Skiplist.find t.index key with
-          | None -> None
-          | Some h -> lookup_value t h version)
+      try
+        match Concurrent.Skiplist.find t.index key with
+        | None -> None
+        | Some h -> lookup_value t h version
+      with e ->
+        op_exit t;
+        raise e
     in
+    op_exit t;
     Obs.Instr.finish m_find t0;
     result
 
@@ -265,7 +271,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                   if Codec.is_marker word then (version, Dict_intf.Del)
                   else
                     (version, Dict_intf.Put (Codec.decode (module V) t.media word)))
-                (Phistory.H.events h ~ctx:t.ctx))
+                (Phistory.H.events t.heap h ~ctx:t.ctx))
     in
     Obs.Instr.finish m_history t0;
     result
@@ -331,7 +337,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                    (fun (version, word) ->
                      if version > since then Some (version, decode_event t word)
                      else None)
-                   (Phistory.H.events h ~ctx:t.ctx)
+                   (Phistory.H.events t.heap h ~ctx:t.ctx)
                in
                if chain <> [] then begin
                  acc := (key, chain) :: !acc;
@@ -359,7 +365,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
               List.fold_left
                 (fun n (version, _) -> if version > since then n + 1 else n)
                 0
-                (Phistory.H.events h ~ctx:t.ctx)
+                (Phistory.H.events t.heap h ~ctx:t.ctx)
             in
             List.iteri
               (fun i (version, event) ->
@@ -369,7 +375,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                     | Dict_intf.Del -> Codec.marker_word
                     | Dict_intf.Put v -> Codec.encode (module V) t.heap v
                   in
-                  Phistory.H.append h ~ctx:t.ctx ~board:t.board ~version word)
+                  Phistory.H.append t.heap h ~ctx:t.ctx ~board:t.board ~version word)
               events)
           chains)
 
@@ -379,15 +385,17 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     if Pmem.Pptr.is_null chain_handle then
       invalid_arg "Pskiplist.open_existing: heap holds no store";
     let chain = Pmem.Pblockchain.attach heap chain_handle in
-    (* Pass 1 — gather the completion stamps of every contiguous
-       finished prefix and recover the global finished counter, marking
-       every block reachable from the chain on the way: the chain, key
-       blobs, histories and the blobs their records point to. Every
-       other block of the heap is free, and the allocator takes it back
-       before pass 2 frees the pruned records' blobs. The stamps go into
-       one int array rather than a list, and the store (with its
-       65,536-cell completion board) is built once, after pass 2: the
-       peak heap of an open is a served pool's peak resident set. *)
+    (* Pass 1 — gather every non-zero completion stamp of every history
+       and recover the global finished counter, marking every block
+       reachable from the chain on the way: the chain, key blobs,
+       histories and the blobs their records point to. Every other block
+       of the heap is free, and the allocator takes it back before pass
+       2 frees the pruned records' blobs. A stamp behind an unstamped
+       slot counts too: it may have been visible, and later stamps with
+       it (see [Phistory]). The stamps go into one int array rather than
+       a list, and the store (with its 4,096-cell completion board) is
+       built once, after pass 2: the peak heap of an open is a served
+       pool's peak resident set. *)
     let alloc = Pmem.Pheap.allocator heap in
     let marks = Pmem.Alloc.marks alloc in
     Pmem.Pblockchain.mark chain marks;
@@ -406,8 +414,15 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         Phistory.mark_persisted heap hist marks ~stamp:add);
     Pmem.Alloc.rebuild alloc marks;
     let floor = Pmem.Pheap.root_get heap floor_root_slot in
-    let fc = Recovery.recover_fc ~floor (Array.sub !stamps 0 !count) in
+    (* The array as grown: its unused tail of zeros counts for nothing,
+       and a copy of the used part was the open's peak allocation on a
+       pool of 65,536 keys x 8 stamps, and so its resident set. *)
+    let fc = Recovery.recover_fc ~floor !stamps in
     Obs.Metric.set g_recovered_fc fc;
+    (* Pass 2 prunes the records behind an unstamped slot, stamps <= fc
+       among them, so the floor moves up to fc first: the next open must
+       not find a gap there and prune below fc. *)
+    if fc > floor then Pmem.Pheap.root_set heap floor_root_slot fc;
     (* Pass 2 — prune beyond [fc] and rebuild the index in parallel:
        thread [tid] claims the chain blocks with index = tid mod threads
        and bulk-inserts their keys. *)
@@ -466,7 +481,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     let dropped = ref 0 in
     let dead = Hashtbl.create 16 in
     Concurrent.Skiplist.iter t.index (fun _ h ->
-        let raw = Phistory.scan_persisted t.heap (Phistory.handle h) in
+        let raw = Phistory.scan_persisted t.heap h in
         let n = Array.length raw in
         (* Rightmost entry with version <= before, if any. *)
         let floor_idx = ref (-1) in
@@ -482,7 +497,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         dropped := !dropped + first;
         if first = n then Hashtbl.replace dead (Phistory.handle h) (h, raw)
         else begin
-          Phistory.drop_prefix h ~first;
+          Phistory.drop_prefix t.heap h ~first;
           free_values raw ~upto:first
         end);
     if Hashtbl.length dead > 0 then begin
@@ -567,7 +582,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     gated t (fun () ->
         match Concurrent.Skiplist.find t.index key with
         | None -> [||]
-        | Some h -> Phistory.scan_persisted t.heap (Phistory.handle h))
+        | Some h -> Phistory.scan_persisted t.heap h)
 
   let recovered_fc t = t.recovered_fc
   let chain_claimed t = Pmem.Pblockchain.claimed t.chain

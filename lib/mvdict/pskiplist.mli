@@ -19,17 +19,17 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
   include Dict_intf.S with type key = K.t and type value = V.t
 
   val create : ?block_slots:int -> Pmem.Pheap.t -> t
-  (** Format a store in a fresh heap (root slot 0; {!compact} writes
-      root slot 1). [block_slots] is the key-chain block size (default
+  (** Format a store in a fresh heap (root slot 0; {!compact} and
+      {!open_existing} write the stamp floor in root slot 1). [block_slots] is the key-chain block size (default
       63: a block is [8 + 16 * slots] bytes, and 63 slots fill the
       1024-byte size class). *)
 
   val open_existing : ?threads:int -> Pmem.Pheap.t -> t
-  (** Restart path: recover the global finished counter from the
-      persisted stamps above the stamp floor compaction persisted
-      ({!Recovery.recover_fc}), prune entries beyond it, and rebuild the
-      skip-list index with [threads] reconstruction threads
-      (default 1). The first pass also marks every block reachable from
+  (** Restart path: recover the global finished counter from every
+      non-zero persisted stamp above the stamp floor
+      ({!Recovery.recover_fc}), persist the floor at it, prune entries
+      beyond it and behind an unstamped slot, and rebuild the skip-list
+      index with [threads] reconstruction threads (default 1). The first pass also marks every block reachable from
       heap root 0 (the key chain, key blobs, histories and the blobs
       their records point to) and hands the rest of the heap back to
       the allocator ({!Pmem.Alloc.rebuild}): the store owns its heap. *)

@@ -13,8 +13,8 @@
 
 val recover_fc : ?floor:int -> int array -> int
 (** [recover_fc ~floor stamps] is the largest [G >= floor] such that
-    every stamp in [floor+1..G] occurs in [stamps] (the stamps gathered
-    from the contiguous finished prefixes of all histories). Stamps
+    every stamp in [floor+1..G] occurs in [stamps] (the non-zero stamps
+    gathered from all histories; a 0 counts for nothing). Stamps
     [1..floor] count as present whether or not they occur: [floor]
     (default 0) is the stamp floor compaction persists before it drops
     records, all of which were visible, and so complete, when it was

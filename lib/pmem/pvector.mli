@@ -1,24 +1,29 @@
-(** Persistent growable array of fixed-width records.
+(** Persistent growable array of three-word records: the layout of a
+    per-key version history, as functions over a heap and a DRAM
+    segment array.
 
-    Backs the per-key version histories. A small header holds a word
-    pointing at the first of a chain of segments, whose capacities are
-    c, c, 2c, 4c, ...: only the first segment records c, and each
-    segment's first word links the next (0 until one is linked). A
-    record never moves while the vector grows. {!grow} takes one fresh,
-    durably zero segment from {!Alloc.alloc_zeroed} and persists one
-    link word in the last segment, so a growth copies nothing, retires
-    nothing, and costs the link: 1 line and 1 fence while the
-    allocator's reservation covers the segment. A crash before the link
-    is durable leaves the new segment unreachable, and the next open's
-    {!Alloc.rebuild} frees it. {!shrink_offline} is the one routine that
-    rewrites records: it copies them into a single new first segment and
-    swaps the header word.
+    A small header holds a word pointing at the first of a chain of
+    segments, whose capacities are c, c, 2c, 4c, ...: only the first
+    segment records c, and each segment's first word links the next (0
+    until one is linked). A record never moves while the vector grows.
+    {!grow} takes one fresh, durably zero segment from
+    {!Alloc.alloc_zeroed} and persists one link word in the last
+    segment, so a growth copies nothing, retires nothing, and costs the
+    link: 1 line and 1 fence while the allocator's reservation covers
+    the segment. A crash before the link is durable leaves the new
+    segment unreachable, and the next open's {!Alloc.rebuild} frees it.
+    {!shrink_offline} is the one routine that rewrites records: it
+    copies them into a single new first segment and swaps the header
+    word.
 
-    Readers and writers find a record's segment through a DRAM array of
-    segment offsets. The array is never modified in place: {!grow}
-    publishes a new one with one [Atomic.set] after the link is durable,
-    and the old one, which still locates every record it covers, is left
-    to the OCaml GC. Readers are therefore never tracked.
+    Readers and writers find a record's segment through a value of
+    type {!t}, an immutable DRAM array of segment offsets. The owner
+    holds it (with the header offset, {!create}'s handle) and replaces
+    it by the array {!grow} or {!shrink_offline} returns: after a
+    growth, once the link is durable. The old array still locates every
+    record it covers, so readers are never tracked and an owner may
+    publish the new one with a plain assignment (OCaml 5 publishes an
+    initialised block safely).
 
     Concurrency contract (matching Algorithm 1 of the paper): many threads
     may read and write {e distinct} records below {!capacity}
@@ -28,71 +33,69 @@
     accessors raise [Invalid_argument] at or beyond the capacity. *)
 
 type t
+(** The segment array: [\[| c; segment 0; segment 1; ... |\]]. *)
 
-val create : Pheap.t -> record_words:int -> initial_capacity:int -> t
-(** Allocate an empty vector; all record words are zero. Flushes the
-    first segment's capacity word and the header under one fence: the
-    caller persists a link to {!handle} after it, and nothing reaches
-    the vector before that link. *)
+val create : Pheap.t -> initial_capacity:int -> Pptr.t * t
+(** Allocate an empty vector and return its header offset (the handle
+    to store in other structures) and its segment array; all record
+    words are zero. Flushes the first segment's capacity word and the
+    header under one fence: the caller persists a link to the handle
+    after it, and nothing reaches the vector before that link. *)
 
 val attach : Pheap.t -> Pptr.t -> t
-(** Re-attach to a vector from its header offset (after restart). *)
-
-val handle : t -> Pptr.t
-(** Header offset, suitable for storing in other structures. *)
-
-val record_words : t -> int
+(** Re-read the segment array from a header offset (after restart) by
+    walking the links.
+    @raise Invalid_argument on a null handle or a header whose record
+    width is not 3 words. *)
 
 val capacity : t -> int
-(** Current capacity in records, read from the DRAM segment array.
-    {!grow} raises it; {!shrink_offline} may lower it. *)
+(** Capacity in records. *)
 
-val grow : t -> int -> unit
-(** [grow t n] ensures capacity >= [n], linking one segment per
-    doubling. Single-grower contract; see above. *)
+val grow : Pheap.t -> t -> int -> t
+(** [grow heap s n] ensures capacity >= [n], linking and persisting one
+    segment per doubling, and returns the array that covers them ([s]
+    itself when it already does). Single-grower contract; see above. *)
 
-val shrink_offline : t -> capacity:int -> first:int -> keep:int -> unit
-(** [shrink_offline t ~capacity ~first ~keep] is the one routine that
-    rewrites a vector's records: it replaces the segment chain with one
-    first segment of exactly [capacity] records whose first [keep]
-    records are copies of records [\[first, first + keep)] (the rest
-    zero). The new segment is written whole and persisted with one flush
-    range and one fence (a fresh block is durable zero, so only its
-    capacity word and kept records; a recycled one whole, its link word
-    and the slots past the kept records zeroed), then the header swap is
-    persisted, and only then is the old chain freed, so a crash leaves
-    either the old records or the new ones, and the next open's
-    {!Alloc.rebuild} frees whichever segment is unreachable. Offline
-    only: safe solely while no concurrent reader or writer can use the
-    vector.
+val shrink_offline :
+  Pheap.t -> Pptr.t -> t -> capacity:int -> first:int -> keep:int -> t
+(** [shrink_offline heap handle s ~capacity ~first ~keep] is the one
+    routine that rewrites a vector's records: it replaces the segment
+    chain with one first segment of exactly [capacity] records whose
+    first [keep] records are copies of records [\[first, first + keep)]
+    (the rest zero), and returns its array. The new segment is written
+    whole and persisted with one flush range and one fence (a fresh
+    block is durable zero, so only its capacity word and kept records; a
+    recycled one whole, its link word and the slots past the kept
+    records zeroed), then the header swap is persisted, and only then is
+    the old chain freed, so a crash leaves either the old records or the
+    new ones, and the next open's {!Alloc.rebuild} frees whichever
+    segment is unreachable. Offline only: safe solely while no
+    concurrent reader or writer can use the vector.
     @raise Invalid_argument unless [1 <= capacity], [0 <= keep <=
     capacity] and [\[first, first + keep)] lies within the current
     capacity. *)
 
-val get_word : t -> record:int -> word:int -> int
-val set_word : t -> record:int -> word:int -> int -> unit
+val get_word : Pheap.t -> t -> record:int -> word:int -> int
+val set_word : Pheap.t -> t -> record:int -> word:int -> int -> unit
 
-val get_record3 : t -> record:int -> int * int * int
-(** First three words of a record (requires [record_words >= 3]). *)
-
-val persist_record : t -> record:int -> unit
+val persist_record : Pheap.t -> t -> record:int -> unit
 (** Flush + fence the cache lines of one record. *)
 
-val persist_word : t -> record:int -> word:int -> unit
+val persist_word : Pheap.t -> t -> record:int -> word:int -> unit
 (** Flush + fence the cache line holding one word of a record. *)
 
-val persist_before_word : t -> record:int -> word:int -> unit
+val persist_before_word : Pheap.t -> t -> record:int -> word:int -> unit
 (** Flush + fence the lines holding words [\[0, word)] of a record that
     lie before [word]'s line ({!Media.persist_before}): the payload a
     commit word at [word] covers. Nothing when they share its line. *)
 
-val mark : t -> Alloc.marks -> unit
+val mark : Pptr.t -> t -> Alloc.marks -> unit
 (** Mark the header and every segment as live, for {!Alloc.rebuild}. *)
 
 val iter_records : t -> (int -> unit) -> unit
-(** [iter_records t f] calls [f] on the media offset of every record
+(** [iter_records s f] calls [f] on the media offset of every record
     below the capacity, in record order: one walk of the segment array
     for a pass over every record (recovery's). *)
 
-val free : Pheap.t -> t -> unit
+val free : Pheap.t -> Pptr.t -> t -> unit
 (** Recycle every segment and the header. Unsafe under concurrency. *)

@@ -57,6 +57,7 @@ let recover_fc_cases () =
   check_int "gap at 3" 2 (Mvdict.Recovery.recover_fc [| 1; 2; 4; 5 |]);
   check_int "missing 1" 0 (Mvdict.Recovery.recover_fc [| 2; 3 |]);
   check_int "duplicates tolerated" 2 (Mvdict.Recovery.recover_fc [| 1; 1; 2 |]);
+  check_int "zeros count for nothing" 3 (Mvdict.Recovery.recover_fc [| 2; 3; 1; 0; 0 |]);
   check_int "stamps at or below the floor count as present" 7
     (Mvdict.Recovery.recover_fc ~floor:5 [| 2; 7; 6 |]);
   check_int "gap above the floor" 6 (Mvdict.Recovery.recover_fc ~floor:5 [| 3; 6; 8 |]);
@@ -85,47 +86,54 @@ let history_env () =
   let ctx = Mvdict.Version.create () in
   (ctx, Mvdict.Completion.create ctx)
 
+(* [find]'s answer as the (version, value) entry its slot holds; [None]
+   when no entry is visible at or below [version]. *)
+let eh_find h ~ctx ~version =
+  match EH.H.find () h ~ctx ~version with
+  | -1 -> None
+  | slot -> Some (EH.Backend.read_version () (EH.H.segs h) slot, EH.H.value () h slot)
+
 let lazy_tail_basic () =
   let ctx, board = history_env () in
   let h = EH.create () in
-  EH.H.append h ~ctx ~board ~version:1 (Some "a");
-  EH.H.append h ~ctx ~board ~version:3 (Some "b");
-  EH.H.append h ~ctx ~board ~version:5 None;
-  (match EH.H.find h ~ctx ~version:0 with
-  | EH.H.Absent -> ()
+  EH.H.append () h ~ctx ~board ~version:1 (Some "a");
+  EH.H.append () h ~ctx ~board ~version:3 (Some "b");
+  EH.H.append () h ~ctx ~board ~version:5 None;
+  (match eh_find h ~ctx ~version:0 with
+  | None -> ()
   | _ -> Alcotest.fail "version 0 must be absent");
-  (match EH.H.find h ~ctx ~version:1 with
-  | EH.H.Entry (1, Some "a") -> ()
+  (match eh_find h ~ctx ~version:1 with
+  | Some (1, Some "a") -> ()
   | _ -> Alcotest.fail "version 1");
-  (match EH.H.find h ~ctx ~version:2 with
-  | EH.H.Entry (1, Some "a") -> ()
+  (match eh_find h ~ctx ~version:2 with
+  | Some (1, Some "a") -> ()
   | _ -> Alcotest.fail "version 2 sees version 1");
-  (match EH.H.find h ~ctx ~version:4 with
-  | EH.H.Entry (3, Some "b") -> ()
+  (match eh_find h ~ctx ~version:4 with
+  | Some (3, Some "b") -> ()
   | _ -> Alcotest.fail "version 4 sees version 3");
-  (match EH.H.find h ~ctx ~version:100 with
-  | EH.H.Entry (5, None) -> ()
+  (match eh_find h ~ctx ~version:100 with
+  | Some (5, None) -> ()
   | _ -> Alcotest.fail "latest is the removal marker")
 
 let lazy_tail_is_lazy () =
   let ctx, board = history_env () in
   let h = EH.create () in
-  EH.H.append h ~ctx ~board ~version:1 (Some "a");
-  EH.H.append h ~ctx ~board ~version:2 (Some "b");
+  EH.H.append () h ~ctx ~board ~version:1 (Some "a");
+  EH.H.append () h ~ctx ~board ~version:2 (Some "b");
   check_int "tail starts at 0" 0 (EH.H.visible_length h);
-  ignore (EH.H.find h ~ctx ~version:1);
+  ignore (EH.H.find () h ~ctx ~version:1);
   (* Only what the query needed was exposed. *)
   check_int "tail advanced to 1" 1 (EH.H.visible_length h);
-  ignore (EH.H.find h ~ctx ~version:max_int);
+  ignore (EH.H.find () h ~ctx ~version:max_int);
   check_int "tail fully advanced" 2 (EH.H.visible_length h)
 
 let lazy_tail_events () =
   let ctx, board = history_env () in
   let h = EH.create () in
-  EH.H.append h ~ctx ~board ~version:1 (Some "x");
-  EH.H.append h ~ctx ~board ~version:2 None;
-  EH.H.append h ~ctx ~board ~version:3 (Some "y");
-  let evs = EH.H.events h ~ctx in
+  EH.H.append () h ~ctx ~board ~version:1 (Some "x");
+  EH.H.append () h ~ctx ~board ~version:2 None;
+  EH.H.append () h ~ctx ~board ~version:3 (Some "y");
+  let evs = EH.H.events () h ~ctx in
   check_int "three events" 3 (List.length evs);
   check_bool "sequence" true
     (evs = [ (1, Some "x"); (2, None); (3, Some "y") ])
@@ -134,10 +142,10 @@ let lazy_tail_growth () =
   let ctx, board = history_env () in
   let h = EH.create () in
   for v = 1 to 100 do
-    EH.H.append h ~ctx ~board ~version:v (Some (string_of_int v))
+    EH.H.append () h ~ctx ~board ~version:v (Some (string_of_int v))
   done;
-  (match EH.H.find h ~ctx ~version:57 with
-  | EH.H.Entry (57, Some "57") -> ()
+  (match eh_find h ~ctx ~version:57 with
+  | Some (57, Some "57") -> ()
   | _ -> Alcotest.fail "growth must preserve all entries");
   check_int "pending" 100 (EH.H.pending_length h)
 
@@ -149,9 +157,9 @@ let lazy_tail_concurrent_appends () =
     (Concurrent.Parallel.run ~threads (fun _ ->
          for _ = 1 to per do
            let v = Mvdict.Version.stamp ctx in
-           EH.H.append h ~ctx ~board ~version:v (Some "v")
+           EH.H.append () h ~ctx ~board ~version:v (Some "v")
          done));
-  let evs = EH.H.events h ~ctx in
+  let evs = EH.H.events () h ~ctx in
   check_int "all appends visible" (threads * per) (List.length evs);
   (* Versions must be non-decreasing in history order. *)
   let rec non_decreasing = function
@@ -167,12 +175,39 @@ let lazy_tail_fc_gates_visibility () =
   let ctx = Mvdict.Version.create () in
   let board = Mvdict.Completion.create ctx in
   let h = EH.create () in
-  EH.H.append h ~ctx ~board ~version:1 (Some "a");
+  EH.H.append () h ~ctx ~board ~version:1 (Some "a");
   (* fc caught up to 1 via the completion board *)
   check_int "fc advanced" 1 (Mvdict.Version.fc ctx);
-  match EH.H.find h ~ctx ~version:10 with
-  | EH.H.Entry (1, Some "a") -> ()
+  match eh_find h ~ctx ~version:10 with
+  | Some (1, Some "a") -> ()
   | _ -> Alcotest.fail "published entry visible"
+
+(* The completion ring bounds how far published stamps run ahead of fc.
+   One stamp is taken and held while another domain publishes the next
+   4,096: the ring takes them up to a lap past fc (stamps 2 to 4,095)
+   and the publisher then waits, with fc behind the held stamp. Once
+   that stamp is published, fc sweeps the whole run across the wrap. *)
+let completion_ring_wraps () =
+  let ctx, board = history_env () in
+  let held = Mvdict.Version.next_completion ctx in
+  let published = Atomic.make 0 in
+  let publisher =
+    Domain.spawn (fun () ->
+        for _ = 1 to 4096 do
+          Mvdict.Completion.publish board (Mvdict.Version.next_completion ctx);
+          Atomic.incr published
+        done)
+  in
+  while Atomic.get published < 4094 do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.05;
+  check_int "a lap past fc is published, then the publisher waits" 4094
+    (Atomic.get published);
+  check_int "fc stays behind the held stamp" 0 (Mvdict.Version.fc ctx);
+  Mvdict.Completion.publish board held;
+  Domain.join publisher;
+  check_int "fc once the held stamp is published" 4097 (Mvdict.Version.fc ctx)
 
 (* Shared conformance suite over Dict_intf.S *)
 
@@ -655,6 +690,30 @@ let pskiplist_insert_existing_allocation () =
   check_bool
     (Printf.sprintf "%.1f words per insert into an existing key, < 100" per_call)
     true (per_call < 100.0)
+
+(* A find hit reads the history's version and stamp words in place: it
+   allocates the index's [Some] and its own, and no tuple, entry or
+   closure per record read, nor a closure for the store's gate. *)
+let pskiplist_find_allocation () =
+  let t = PStore.create (fresh_heap ()) in
+  let keys = 1_000 in
+  for r = 1 to 4 do
+    for k = 0 to keys - 1 do
+      PStore.insert t k (k + r)
+    done;
+    ignore (PStore.tag t)
+  done;
+  let hits = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to hits do
+    ignore (Sys.opaque_identity (PStore.find t (i mod keys)))
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool
+    (Printf.sprintf "a find hit allocates at most its two options (%.0f words for %d)"
+       (w1 -. w0) hits)
+    true
+    (w1 -. w0 <= (4.0 *. float_of_int hits) +. 64.0)
 
 let crash_heap () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 24) () in
@@ -1202,18 +1261,18 @@ let record_start heap h slot =
 let append_until heap h ~ctx ~board p =
   let next_start () =
     let slot = PH.H.pending_length h in
-    PH.Backend.ensure (PH.H.backend h) (slot + 1);
+    PH.H.grow heap h (slot + 1);
     record_start heap h slot
   in
   while not (p (next_start () mod Pmem.Media.cache_line)) do
-    PH.H.append h ~ctx ~board ~version:1 (int_word heap 1)
+    PH.H.append heap h ~ctx ~board ~version:1 (int_word heap 1)
   done
 
 (* An empty history whose first [n] records are contiguous: one
    segment of [n] records, attached as recovery would. *)
 let one_segment_history heap n =
-  let v = Pmem.Pvector.create heap ~record_words:PH.record_words ~initial_capacity:n in
-  fst (PH.attach_pruned heap (Pmem.Pvector.handle v) ~fc:0)
+  let handle, _ = Pmem.Pvector.create heap ~initial_capacity:n in
+  fst (PH.attach_pruned heap handle ~fc:0)
 
 (* Any 8 consecutive 24-byte records span 3 lines, and 2 of them
    straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). *)
@@ -1224,12 +1283,12 @@ let history_append_cost () =
   let lines, fences =
     cost (Pmem.Pheap.stats heap) (fun () ->
         for v = 1 to 8 do
-          PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+          PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
         done)
   in
   check_int "flushed lines for 8 appends" 10 lines;
   check_int "fences for 8 appends" 10 fences;
-  check_int "all appends visible" 8 (List.length (PH.H.events h ~ctx))
+  check_int "all appends visible" 8 (List.length (PH.H.events heap h ~ctx))
 
 (* Growth links one segment as large as the capacity: on a heap whose
    reservation covers the segment it persists the link word alone, and
@@ -1238,17 +1297,17 @@ let history_growth_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
   let h = PH.create heap in
-  let v = PH.H.backend h in
+  let capacity_now () = Pmem.Pvector.capacity (PH.H.segs h) in
   List.iter
     (fun capacity ->
       while PH.H.pending_length h < capacity do
-        PH.H.append h ~ctx ~board ~version:1 (int_word heap 1)
+        PH.H.append heap h ~ctx ~board ~version:1 (int_word heap 1)
       done;
-      check_int "full" capacity (PH.Backend.capacity v);
+      check_int "full" capacity (capacity_now ());
       let lines, fences =
-        cost (Pmem.Pheap.stats heap) (fun () -> PH.Backend.ensure v (capacity + 1))
+        cost (Pmem.Pheap.stats heap) (fun () -> PH.H.grow heap h (capacity + 1))
       in
-      check_int "doubled" (2 * capacity) (PH.Backend.capacity v);
+      check_int "doubled" (2 * capacity) (capacity_now ());
       check_int (Printf.sprintf "growth at %d: lines: the link" capacity) 1 lines;
       check_int (Printf.sprintf "growth at %d: fences: the link" capacity) 1 fences)
     [ 2; 8; 64 ]
@@ -1263,12 +1322,73 @@ let history_live_bytes () =
   let live0 = Pmem.Pstats.live_bytes stats in
   let h = PH.create heap in
   for v = 1 to 8 do
-    PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+    PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
   check_int "live bytes: header, segments of 2, 2 and 4 records" (16 + 64 + 64 + 128)
     (Pmem.Pstats.live_bytes stats - live0)
 
-let slot_words h slot = PH.Backend.read_entry (PH.H.backend h) slot
+(* A history is one DRAM record: the vector's handle, its segment array
+   and the two cursors. The heap, the clock and the board are the
+   store's, so they are not counted. *)
+let history_footprint () =
+  let heap = fresh_heap () in
+  let ctx, board = history_env () in
+  let h = PH.create heap in
+  for v = 1 to 4 do
+    PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
+  done;
+  let shared = Obj.repr (heap, ctx, board) in
+  let own =
+    Obj.reachable_words (Obj.repr (h, shared)) - Obj.reachable_words shared - 3
+  in
+  check_bool
+    (Printf.sprintf "a 4-entry history keeps %d words of DRAM, at most 13" own)
+    true (own <= 13)
+
+(* Two appends to key 3 finish out of slot order: slot 1 is stamped
+   (stamp 3) and published, slot 0 only written. Key 4's stamp 4 then
+   becomes visible, and the crash comes before slot 0 is stamped. The
+   first open must count stamp 3, or it sets fc to 2 and prunes key 4;
+   it prunes slot 1, which was never visible, and the floor it persists
+   keeps the next open from finding the gap at 3. *)
+let recovery_counts_stamps_behind_an_unstamped_slot () =
+  let media, heap = crash_heap () in
+  let ctx, board = history_env () in
+  let chain = Pmem.Pblockchain.create heap ~block_slots:63 in
+  Pmem.Pheap.root_set heap 0 (Pmem.Pblockchain.handle chain);
+  let history key =
+    let h = PH.create heap in
+    Pmem.Pblockchain.append chain
+      ~key:(Mvdict.Codec.encode (module Mvdict.Codec.Int_key) heap key)
+      ~hist:(PH.handle h);
+    h
+  in
+  let append h v = PH.H.append heap h ~ctx ~board ~version:1 (int_word heap v) in
+  append (history 1) 10;
+  append (history 2) 20;
+  let h3 = history 3 in
+  ignore (PH.H.append_entry heap h3 ~version:1 (int_word heap 30));
+  append h3 31;
+  append (history 4) 40;
+  check_int "key 4 visible" 4 (Mvdict.Version.fc ctx);
+  Pmem.Media.simulate_crash media;
+  let t = PStore.open_existing (Pmem.Pheap.reopen heap) in
+  check_int "first open: fc" 4 (PStore.recovered_fc t);
+  check_bool "first open: key 4" true (PStore.find t 4 = Some 40);
+  check_bool "first open: key 3 holds nothing" true (PStore.find t 3 = None);
+  PStore.insert t 5 50;
+  PStore.insert t 3 32;
+  Pmem.Media.simulate_crash media;
+  let t2 = PStore.open_existing (Pmem.Pheap.reopen (PStore.heap t)) in
+  check_int "second open: fc" 6 (PStore.recovered_fc t2);
+  List.iter
+    (fun (k, v) ->
+      check_bool (Printf.sprintf "second open: key %d" k) true (PStore.find t2 k = Some v))
+    [ (1, 10); (2, 20); (3, 32); (4, 40); (5, 50) ]
+
+let slot_words heap h slot =
+  let word w = Pmem.Pvector.get_word heap (PH.H.segs h) ~record:slot ~word:w in
+  (word 0, word 1, word 2)
 
 (* Reopen [h] from the durable image, as a restart would. *)
 let recover heap h ~ctx =
@@ -1281,10 +1401,10 @@ let crash_unstamped_one_line_record () =
   let ctx, board = history_env () in
   let h = PH.create heap in
   append_until heap h ~ctx ~board (fun start -> start < 48);
-  let slot = PH.H.append_entry h ~version:2 (int_word heap 2) in
+  let slot = PH.H.append_entry heap h ~version:2 (int_word heap 2) in
   Pmem.Media.simulate_crash media;
   let h2, _ = recover heap h ~ctx in
-  check_bool "slot all zero" true (slot_words h2 slot = (0, 0, 0));
+  check_bool "slot all zero" true (slot_words heap h2 slot = (0, 0, 0));
   check_int "stamped prefix kept" slot (PH.H.visible_length h2)
 
 (* A record with a blob value crashed before its stamp persisted. The
@@ -1298,13 +1418,13 @@ let crash_unstamped_blob_record offset () =
   let ctx, board = history_env () in
   let h = PH.create heap in
   append_until heap h ~ctx ~board (( = ) offset);
-  PH.Backend.ensure (PH.H.backend h) (PH.H.pending_length h + 1);
+  PH.H.grow heap h (PH.H.pending_length h + 1);
   let blob = int_word heap (-7) in
   let live0 = Pmem.Pstats.live_bytes stats in
-  let slot = PH.H.append_entry h ~version:2 blob in
+  let slot = PH.H.append_entry heap h ~version:2 blob in
   Pmem.Media.simulate_crash media;
   let h2, _ = recover heap h ~ctx in
-  check_bool "slot pruned" true (slot_words h2 slot = (0, 0, 0));
+  check_bool "slot pruned" true (slot_words heap h2 slot = (0, 0, 0));
   let live = Pmem.Pstats.live_bytes stats in
   check_int "blob freed once" Pmem.Alloc.size_classes.(0) (live0 - live);
   Pmem.Media.simulate_crash media;
@@ -1321,24 +1441,24 @@ let crash_growth_into_reused_block () =
   let ctx, board = history_env () in
   let old = PH.create heap in
   for v = 1 to 16 do
-    PH.H.append old ~ctx ~board ~version:v (int_word heap (-v))
+    PH.H.append heap old ~ctx ~board ~version:v (int_word heap (-v))
   done;
   let buffer h = record_start heap h 8 in
   let old_buffer = buffer old in
   PH.destroy heap old;
   let h = PH.create heap in
   for v = 17 to 25 do
-    PH.H.append h ~ctx ~board ~version:v (int_word heap v)
+    PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
   check_int "grown into the freed buffer" old_buffer (buffer h);
   let live = Pmem.Pstats.live_bytes stats in
   Pmem.Media.simulate_crash media;
   let h2, max_version = recover heap h ~ctx in
-  check_int "capacity" 16 (PH.Backend.capacity (PH.H.backend h2));
+  check_int "capacity" 16 (Pmem.Pvector.capacity (PH.H.segs h2));
   check_int "only this history's records" 9 (PH.H.visible_length h2);
   check_int "highest version" 25 max_version;
   for slot = 9 to 15 do
-    check_bool "tail slot zero" true (slot_words h2 slot = (0, 0, 0))
+    check_bool "tail slot zero" true (slot_words heap h2 slot = (0, 0, 0))
   done;
   check_int "recovery freed nothing" live (Pmem.Pstats.live_bytes stats)
 
@@ -1984,6 +2104,8 @@ let () =
             (find_races_growth (module P) ~writers:1);
           Alcotest.test_case "find racing a growth, PSkipList, 2 writers" `Quick
             (find_races_growth (module P) ~writers:2);
+          Alcotest.test_case "a held stamp stalls the 4,096-cell ring" `Quick
+            completion_ring_wraps;
         ] );
       ("pskiplist-conformance", PC.tests "PSkipList");
       ("eskiplist-conformance", EC.tests "ESkipList");
@@ -2007,6 +2129,9 @@ let () =
           Alcotest.test_case "string keys/values" `Quick pskiplist_string_store;
           Alcotest.test_case "insert into existing key allocation" `Quick
             pskiplist_insert_existing_allocation;
+          Alcotest.test_case "find hit allocation" `Quick pskiplist_find_allocation;
+          Alcotest.test_case "recovery counts stamps behind an unstamped slot" `Quick
+            recovery_counts_stamps_behind_an_unstamped_slot;
         ] );
       ( "compaction",
         [
@@ -2070,6 +2195,8 @@ let () =
             `Quick crash_before_link_frees_segment;
           Alcotest.test_case "a rebuild reports the bytes it frees" `Quick
             rebuild_reports_freed_bytes;
+          Alcotest.test_case "a 4-entry history keeps at most 13 words of DRAM" `Quick
+            history_footprint;
         ] );
       ( "properties",
         [

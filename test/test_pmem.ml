@@ -626,58 +626,61 @@ let blob_free_recycles () =
 
 let pvector_words () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~record_words:3 ~initial_capacity:2 in
-  Pmem.Pvector.set_word v ~record:0 ~word:0 10;
-  Pmem.Pvector.set_word v ~record:0 ~word:1 20;
-  Pmem.Pvector.set_word v ~record:0 ~word:2 30;
-  Pmem.Pvector.set_word v ~record:1 ~word:0 11;
-  check_int "w0" 10 (Pmem.Pvector.get_word v ~record:0 ~word:0);
-  check_int "w1" 20 (Pmem.Pvector.get_word v ~record:0 ~word:1);
-  check_int "w2" 30 (Pmem.Pvector.get_word v ~record:0 ~word:2);
-  let a, b, c = Pmem.Pvector.get_record3 v ~record:0 in
-  check_int "r3 a" 10 a;
-  check_int "r3 b" 20 b;
-  check_int "r3 c" 30 c;
-  check_int "record 1" 11 (Pmem.Pvector.get_word v ~record:1 ~word:0)
+  let _, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  Pmem.Pvector.set_word h v ~record:0 ~word:0 10;
+  Pmem.Pvector.set_word h v ~record:0 ~word:1 20;
+  Pmem.Pvector.set_word h v ~record:0 ~word:2 30;
+  Pmem.Pvector.set_word h v ~record:1 ~word:0 11;
+  check_int "w0" 10 (Pmem.Pvector.get_word h v ~record:0 ~word:0);
+  check_int "w1" 20 (Pmem.Pvector.get_word h v ~record:0 ~word:1);
+  check_int "w2" 30 (Pmem.Pvector.get_word h v ~record:0 ~word:2);
+  (* Record 0's three words where [iter_records] locates it. *)
+  let offs = ref [] in
+  Pmem.Pvector.iter_records v (fun off -> offs := off :: !offs);
+  let r0 = List.hd (List.rev !offs) and media = Pmem.Pheap.media h in
+  check_int "r3 a" 10 (Pmem.Media.get_i64 media r0);
+  check_int "r3 b" 20 (Pmem.Media.get_i64 media (r0 + 8));
+  check_int "r3 c" 30 (Pmem.Media.get_i64 media (r0 + 16));
+  check_int "record 1" 11 (Pmem.Pvector.get_word h v ~record:1 ~word:0)
 
 let pvector_grow_preserves () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~record_words:3 ~initial_capacity:2 in
-  Pmem.Pvector.set_word v ~record:0 ~word:0 1;
-  Pmem.Pvector.set_word v ~record:1 ~word:0 2;
-  Pmem.Pvector.persist_record v ~record:0;
-  Pmem.Pvector.persist_record v ~record:1;
+  let _, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  Pmem.Pvector.set_word h v ~record:0 ~word:0 1;
+  Pmem.Pvector.set_word h v ~record:1 ~word:0 2;
+  Pmem.Pvector.persist_record h v ~record:0;
+  Pmem.Pvector.persist_record h v ~record:1;
   check_int "capacity before" 2 (Pmem.Pvector.capacity v);
-  Pmem.Pvector.grow v 3;
+  let v = Pmem.Pvector.grow h v 3 in
   check_bool "capacity grown" true (Pmem.Pvector.capacity v >= 3);
-  check_int "record 0 preserved" 1 (Pmem.Pvector.get_word v ~record:0 ~word:0);
-  check_int "record 1 preserved" 2 (Pmem.Pvector.get_word v ~record:1 ~word:0);
-  Pmem.Pvector.set_word v ~record:2 ~word:0 3;
-  check_int "new record writable" 3 (Pmem.Pvector.get_word v ~record:2 ~word:0)
+  check_int "record 0 preserved" 1 (Pmem.Pvector.get_word h v ~record:0 ~word:0);
+  check_int "record 1 preserved" 2 (Pmem.Pvector.get_word h v ~record:1 ~word:0);
+  Pmem.Pvector.set_word h v ~record:2 ~word:0 3;
+  check_int "new record writable" 3 (Pmem.Pvector.get_word h v ~record:2 ~word:0)
 
 let pvector_attach () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~record_words:3 ~initial_capacity:4 in
-  Pmem.Pvector.set_word v ~record:2 ~word:1 77;
-  Pmem.Pvector.persist_record v ~record:2;
-  let v2 = Pmem.Pvector.attach h (Pmem.Pvector.handle v) in
-  check_int "word after attach" 77 (Pmem.Pvector.get_word v2 ~record:2 ~word:1);
-  check_int "record_words" 3 (Pmem.Pvector.record_words v2)
+  let handle, v = Pmem.Pvector.create h ~initial_capacity:4 in
+  Pmem.Pvector.set_word h v ~record:2 ~word:1 77;
+  Pmem.Pvector.persist_record h v ~record:2;
+  let v2 = Pmem.Pvector.attach h handle in
+  check_int "word after attach" 77 (Pmem.Pvector.get_word h v2 ~record:2 ~word:1);
+  check_int "record_words" 3 (Pmem.Media.get_i64 (Pmem.Pheap.media h) (handle + 8))
 
 let pvector_grow_crash_safe () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
-  let v = Pmem.Pvector.create h ~record_words:3 ~initial_capacity:2 in
-  Pmem.Pvector.set_word v ~record:0 ~word:0 5;
-  Pmem.Pvector.persist_record v ~record:0;
-  Pmem.Pvector.grow v 8;
+  let handle, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  Pmem.Pvector.set_word h v ~record:0 ~word:0 5;
+  Pmem.Pvector.persist_record h v ~record:0;
+  ignore (Pmem.Pvector.grow h v 8);
   (* Growth persisted everything it changed; a crash right after must
      leave an attachable vector with the data intact. *)
   Pmem.Media.simulate_crash media;
   let h2 = Pmem.Pheap.reopen h in
-  let v2 = Pmem.Pvector.attach h2 (Pmem.Pvector.handle v) in
+  let v2 = Pmem.Pvector.attach h2 handle in
   check_int "data survives crash after grow" 5
-    (Pmem.Pvector.get_word v2 ~record:0 ~word:0);
+    (Pmem.Pvector.get_word h2 v2 ~record:0 ~word:0);
   check_bool "capacity valid" true (Pmem.Pvector.capacity v2 >= 2)
 
 (* Pblockchain *)
