@@ -28,16 +28,16 @@ let measure_local ~n approach =
 let throughput net local ~ranks =
   (* Per query: broadcast, parallel local find, reduce. *)
   let per_query =
-    Distrib.Simnet.bcast_s net ~ranks ~bytes:query_bytes
+    Sim.Simnet.bcast_s net ~ranks ~bytes:query_bytes
     +. (local.find_ns /. 1e9)
-    +. Distrib.Simnet.reduce_s net ~ranks ~bytes:reply_bytes
+    +. Sim.Simnet.reduce_s net ~ranks ~bytes:reply_bytes
   in
   1.0 /. per_query
 
 let run ~n =
   Report.header
     (Printf.sprintf "Figure 6: distributed find throughput, N=%d pairs/rank (modelled wire)" n);
-  let net = Distrib.Simnet.theta_like in
+  let net = Sim.Simnet.theta_like in
   let locals =
     List.map (measure_local ~n) [ Approaches.sqlitereg; Approaches.pskiplist ]
   in

@@ -28,13 +28,13 @@ let measure_local ~n approach =
 let total_time net local ~n ~ranks =
   (* Extractions run in parallel on all ranks; then the gather. *)
   local.extract_s
-  +. Distrib.Simnet.gather_linear_s net ~ranks ~bytes_per_rank:(n * pair_bytes)
+  +. Sim.Simnet.gather_linear_s net ~ranks ~bytes_per_rank:(n * pair_bytes)
 
 let run ~n =
   Report.header
     (Printf.sprintf
        "Figure 7: distributed snapshot gather (no merge), N=%d pairs/rank (modelled wire)" n);
-  let net = Distrib.Simnet.theta_like in
+  let net = Sim.Simnet.theta_like in
   let locals =
     List.map (measure_local ~n) [ Approaches.sqlitereg; Approaches.pskiplist ]
   in

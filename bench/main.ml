@@ -53,7 +53,6 @@ let smoke () =
           "minidb.sqlitereg.insert.ns";
           "minidb.sqlitemem.insert.ns";
           "distrib.merge.k_way.ns";
-          "span.distrib.dstore.snapshot_naive";
           "span.distrib.merge.round";
         ]
   in
@@ -138,43 +137,43 @@ let smoke () =
         else []
   in
   (* The sharded serving layer: a miniature K in {1,2,4,8} sweep over
-     real Unix sockets regenerates BENCH_cluster.json. The gate wants
-     both snapshot modes present with positive latency at every K —
-     a zero or a missing gauge means the router's merge path or the
-     shard servers rotted. *)
+     real Unix sockets regenerates BENCH_cluster.json. At every K the
+     snapshot must take positive time and hold exactly the [n] inserted
+     pairs in ascending key order — a zero, a missing histogram, a lost
+     or duplicated pair or an out-of-order part means the router's
+     gather path or the shard servers rotted. *)
+  let cluster_n = 1_000 in
   let cluster_results = ref [] in
   Metrics.with_report ~fig:"cluster" (fun () ->
-      cluster_results := Fig_cluster.run ~n:1_000);
+      cluster_results := Fig_cluster.run ~n:cluster_n);
   let cluster_problems =
     Metrics.validate ~fig:"cluster"
       ~expect_histograms:
-        [
-          "cluster.insert.ns";
-          "cluster.find_bulk.ns";
-          "cluster.snapshot.naive.ns";
-          "cluster.snapshot.opt.ns";
-        ]
+        [ "cluster.insert.ns"; "cluster.find_bulk.ns"; "cluster.snapshot.ns" ]
   in
   let cluster_problems =
     cluster_problems
     @ List.concat_map
-        (fun (k, ins, _bulk, naive, opt) ->
+        (fun (r : Fig_cluster.row) ->
           List.filter_map
-            (fun (what, v) ->
-              if v <= 0. then
-                Some
-                  (Printf.sprintf "BENCH_cluster.json: k=%d %s not positive (%f)" k
-                     what v)
+            (fun (bad, what) ->
+              if bad then Some (Printf.sprintf "BENCH_cluster.json: k=%d %s" r.shards what)
               else None)
             [
-              ("insert ops/s", ins);
-              ("naive snapshot latency", naive);
-              ("opt snapshot latency", opt);
+              ( r.insert_ops <= 0.,
+                Printf.sprintf "insert ops/s not positive (%f)" r.insert_ops );
+              ( r.snapshot_s <= 0.,
+                Printf.sprintf "snapshot latency not positive (%f)" r.snapshot_s );
+              ( r.snapshot_pairs <> cluster_n,
+                Printf.sprintf "snapshot holds %d pairs, not %d" r.snapshot_pairs
+                  cluster_n );
+              (not r.snapshot_sorted, "snapshot keys not ascending");
             ])
         !cluster_results
   in
   let cluster_problems =
-    if List.map (fun (k, _, _, _, _) -> k) !cluster_results <> [ 1; 2; 4; 8 ] then
+    if List.map (fun (r : Fig_cluster.row) -> r.shards) !cluster_results <> [ 1; 2; 4; 8 ]
+    then
       "BENCH_cluster.json: expected shard counts 1,2,4,8" :: cluster_problems
     else cluster_problems
   in

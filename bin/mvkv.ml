@@ -606,20 +606,6 @@ let move_rounds_arg =
   let doc = "Catch-up round budget before cutover happens regardless." in
   Arg.(value & opt int 16 & info [ "max-rounds" ] ~docv:"N" ~doc)
 
-let mode_arg =
-  let doc =
-    "Distributed snapshot merge: $(b,naive) (one K-way heap merge) or \
-     $(b,opt) (recursive-doubling OptMerge rounds)."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("naive", `Naive); ("opt", `Opt) ]) `Naive
-    & info [ "mode" ] ~docv:"MODE" ~doc)
-
-let merge_threads_arg =
-  let doc = "Threads per pairwise merge in $(b,--mode opt)." in
-  Arg.(value & opt int 2 & info [ "merge-threads" ] ~docv:"T" ~doc)
-
 let load_topology file =
   match Cluster.Topology.of_file file with
   | Ok topo -> topo
@@ -1030,14 +1016,9 @@ let cluster_compact topo timeout_ms retries retain =
             dropped;
           Ok ())
 
-let cluster_snapshot topo timeout_ms retries version mode merge_threads =
+let cluster_snapshot topo timeout_ms retries version =
   with_router topo timeout_ms retries (fun r ->
-      let mode =
-        match mode with
-        | `Naive -> Cluster.Router.Naive
-        | `Opt -> Cluster.Router.Opt { threads = merge_threads }
-      in
-      let* pairs = Cluster.Router.snapshot r ?version ~mode () in
+      let* pairs = Cluster.Router.snapshot r ?version () in
       Array.iter (fun (k, v) -> Printf.printf "%d\t%d\n" k v) pairs;
       Ok ())
 
@@ -1562,10 +1543,10 @@ let () =
                   const cluster_history $ topology_arg $ timeout_ms_arg $ retries_arg
                   $ key_arg);
               cmd_of "snapshot"
-                "Gather and merge a snapshot from every shard (naive or opt)."
+                "Gather every shard's snapshot, in key order."
                 Term.(
                   const cluster_snapshot $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ version_arg $ mode_arg $ merge_threads_arg);
+                  $ retries_arg $ version_arg);
               cmd_of "compact"
                 "Cluster-wide GC: probe shard clocks, compact below the \
                  safe horizon (--retain N)."

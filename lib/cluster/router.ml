@@ -36,8 +36,6 @@ let error_to_string = function
          not catch up"
         shard endpoint epoch
 
-type snapshot_mode = Naive | Opt of { threads : int }
-
 type t = {
   mutable topo : Topology.t;
   timeout_ms : int option;
@@ -61,8 +59,6 @@ let c_requests = Obs.Registry.counter "cluster.requests"
 let c_shard_down = Obs.Registry.counter "cluster.shard_down"
 let c_redials = Obs.Registry.counter "cluster.redials"
 let c_snapshot_pairs = Obs.Registry.counter "cluster.snapshot.pairs"
-let c_merge_rounds = Obs.Registry.counter "cluster.merge.rounds"
-let c_merge_bytes = Obs.Registry.counter "cluster.merge.bytes_moved"
 let h_bulk_keys = Obs.Registry.histogram "cluster.find_bulk.keys"
 let c_read_failovers = Obs.Registry.counter "repl.read_failovers"
 let c_stale_epochs = Obs.Registry.counter "repl.stale_epochs"
@@ -83,8 +79,7 @@ let m_find_bulk = Obs.Instr.op "cluster.find_bulk"
 let m_history = Obs.Instr.op "cluster.history"
 let m_tag = Obs.Instr.op "cluster.tag"
 let m_compact = Obs.Instr.op "cluster.compact"
-let m_snap_naive = Obs.Instr.op "cluster.snapshot.naive"
-let m_snap_opt = Obs.Instr.op "cluster.snapshot.opt"
+let m_snapshot = Obs.Instr.op "cluster.snapshot"
 
 (* ---- connections ---- *)
 
@@ -759,44 +754,22 @@ let clip_to_range t shard pairs =
     Array.of_list
       (List.filter (fun (k, _) -> k >= lo && k < hi) (Array.to_list pairs))
 
-let gather_parts t ?version () =
-  Obs.Span.with_ "cluster.snapshot.gather" (fun () ->
-      Result.map Array.of_list
-        (each_shard t on_read (fun shard c ->
-             clip_to_range t shard (Net.Client.snapshot c ?version ()))))
-
-let snapshot t ?version ~mode () =
-  let merge parts =
-    match mode with
-    | Naive ->
-        (* NaiveMerge: everything converges on the router, one K-way
-           heap merge (the paper's baseline). *)
-        Distrib.Merge.k_way parts
-    | Opt { threads } ->
-        (* OptMerge: the router plays the recursive-doubling schedule —
-           log2 K rounds of pairwise multi-threaded merges; per-round
-           spans come from Distrib.Merge, byte accounting lands in the
-           cluster.* counters. *)
-        Distrib.Merge.recursive_doubling ~threads
-          ~round:(fun ~round:_ ~merges ->
-            Obs.Metric.incr c_merge_rounds;
-            List.iter (fun (_, _, bytes) -> Obs.Metric.add c_merge_bytes bytes) merges)
-          parts
-  in
-  let m, name =
-    match mode with
-    | Naive -> (m_snap_naive, "cluster.snapshot.naive")
-    | Opt _ -> (m_snap_opt, "cluster.snapshot.opt")
-  in
-  traced t m name (fun () ->
+(* Topology ranges are ascending and contiguous, so the clipped parts
+   in shard order already form one sorted array: concatenating them is
+   the whole merge. *)
+let snapshot t ?version () =
+  traced t m_snapshot "cluster.snapshot" (fun () ->
       Result.map
         (fun parts ->
-          let merged = merge parts in
-          Obs.Metric.add c_snapshot_pairs (Array.length merged);
-          merged)
+          let pairs = Array.concat parts in
+          Obs.Metric.add c_snapshot_pairs (Array.length pairs);
+          pairs)
         (* Chased: a reshard mid-gather re-runs the whole fan-out so
            every shard's clip uses one coherent topology. *)
-        (chased t (fun () -> gather_parts t ?version ())))
+        (chased t (fun () ->
+             Obs.Span.with_ "cluster.snapshot.gather" (fun () ->
+                 each_shard t on_read (fun shard c ->
+                     clip_to_range t shard (Net.Client.snapshot c ?version ()))))))
 
 (* ---- fleet aggregation ---- *)
 

@@ -1,7 +1,8 @@
 (** Client-side coordinator for a sharded mvkv cluster (Sec. IV-A /
     V-H made real: the key space is range-partitioned over K shard
-    {e processes} speaking the lib/net wire protocol, and the paper's
-    NaiveMerge / OptMerge snapshot strategies run over real sockets).
+    {e processes} speaking the lib/net wire protocol). This is the
+    repository's one horizontal path: routed ops, cluster-wide tags and
+    distributed snapshots all fan out from here.
 
     One pipelined {!Net.Client} per replica slot, connected lazily and
     re-connected with backoff after a shard bounce. Nothing here
@@ -25,8 +26,7 @@
     {e same} version number on every shard by broadcasting
     [Tag_at (max shard versions + 1)], so a snapshot at a tagged
     version is a consistent cut provided writers pause around [tag]
-    (the same external-coordination contract the in-process
-    [Distrib.Dstore] has). *)
+    (an external-coordination contract, as in the paper's tagging). *)
 
 type error =
   | Shard_down of { shard : int; endpoint : string; reason : string }
@@ -53,13 +53,6 @@ type error =
           the chase budget runs out or no [reload] closure exists. *)
 
 val error_to_string : error -> string
-
-type snapshot_mode =
-  | Naive  (** gather all shards, one K-way heap merge at the router *)
-  | Opt of { threads : int }
-      (** gather, then the recursive-doubling OptMerge schedule run at
-          the router, each pairwise merge via
-          [Distrib.Merge.multi_threaded ~threads] *)
 
 type t
 
@@ -157,12 +150,14 @@ val history : t -> int -> ((int * int Mvdict.Dict_intf.event) list, error) resul
     while a previous owner may keep a stale copy until its own GC, so a
     scatter-gather would double-count. *)
 
-val snapshot :
-  t -> ?version:int -> mode:snapshot_mode -> unit -> ((int * int) array, error) result
-(** Distributed [extract_snapshot]: gather every shard's snapshot of
-    [version] and merge at the router per [mode]. Both modes are
-    spanned ([cluster.snapshot.gather], plus [distrib.merge.round] per
-    OptMerge round) and fill the [cluster.*] counters/histograms. *)
+val snapshot : t -> ?version:int -> unit -> ((int * int) array, error) result
+(** Cluster-wide [extract_snapshot]: gather every shard's snapshot of
+    [version], clip each to the range the shard owns, and concatenate
+    the parts in shard order. Shard order is key order (see
+    {!Topology}), so the result is sorted with no merge step. Timed as
+    the [cluster.snapshot] op, with the fan-out spanned as
+    [cluster.snapshot.gather]; [cluster.snapshot.pairs] counts the
+    pairs returned. *)
 
 (** {2 Fleet aggregation}
 

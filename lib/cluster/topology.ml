@@ -21,12 +21,16 @@ let check_no_duplicates sets =
          else Hashtbl.add seen s ()))
     sets
 
-(* The default placement: the same equal-width split Distrib.Partition
-   computes, so topologies without explicit range directives keep their
-   historical ownership. *)
+(* The default placement: K ranges of ceil(2^key_bits / K) keys each,
+   the last one ending at the key space's end. Topology files without
+   range directives have always been split this way, so changing the
+   arithmetic would move their keys. *)
 let default_ranges ~key_bits k =
-  let part = Distrib.Partition.create ~ranks:k ~key_bits in
-  Array.init k (fun i -> Distrib.Partition.range part i)
+  let space = 1 lsl key_bits in
+  let width = (space + k - 1) / k in
+  Array.init k (fun i ->
+      let lo = i * width in
+      (lo, if i = k - 1 then space else min space (lo + width)))
 
 let check_ranges ~key_bits ~shards ranges =
   if Array.length ranges <> shards then

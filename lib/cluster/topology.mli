@@ -7,12 +7,11 @@
     every promotion or resharding rewrite. Each shard owns an explicit
     key range [[lo, hi)]; the ranges are ascending, contiguous, and
     cover the whole key space, so {e shard order is key order}. When no
-    [range] directives are given, ownership defaults to the same
-    equal-width split {!Distrib.Partition} computes, so the router and
-    the in-process simulation ([Distrib.Dstore]) agree. Requests stamped
-    with an old epoch are rejected by servers that have seen a newer one
-    (typed [Bad_epoch] error), which is how a router discovers its map
-    is stale.
+    [range] directives are given, ownership defaults to an equal-width
+    split: each range holds [ceil(2^key_bits / K)] keys and the last
+    ends at [2^key_bits]. Requests stamped with an old epoch are
+    rejected by servers that have seen a newer one (typed [Bad_epoch]
+    error), which is how a router discovers its map is stale.
 
     The on-disk spec is a small line-oriented text file, one directive
     per line, with [#] comments:

@@ -258,15 +258,11 @@ let seal_conflict t (req : Wire.request) =
          ranges we kept. Without the epoch cut-off, the residual seal
          between topology save and unseal would bounce every retry
          and exhaust the chase for nothing. Clock {e probes}
-         ([Tag_at 0]) mutate nothing and always pass. *)
-      | Wire.Tag | Wire.Compact _ ->
+         ([Tag_at 0]) mutate nothing and never reach this check (see
+         [gated]). *)
+      | Wire.Tag | Wire.Compact _ | Wire.Tag_at _ ->
           let cur = Atomic.get t.epoch in
           List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
-      | Wire.Tag_at { version } ->
-          if version > 0 then
-            let cur = Atomic.get t.epoch in
-            List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
-          else None
       | _ -> None)
 
 let sealed_reject (_, _, epoch, endpoint, _) =
@@ -274,18 +270,15 @@ let sealed_reject (_, _, epoch, endpoint, _) =
   Wire.Error { code = Wire.Moved; message = Wire.moved_message ~epoch ~endpoint }
 
 (* Grace-period drain: observe every connection's in-flight flag at
-   zero once. Flags are raised only around one frame's apply, so each
-   wait is bounded by one store operation, not by traffic. [except]
-   skips the caller's own gate — a drain issued from inside a gated
-   request (the Tag_at 0 publication barrier) must not wait on
-   itself. *)
-let drain_mutations ?except t =
+   zero once. Flags are raised only around one frame's apply, and no
+   flagged apply drains (see [gated]), so each wait is bounded by one
+   store operation, not by traffic. *)
+let drain_mutations t =
   List.iter
     (fun slot ->
-      if match except with Some g -> g != slot | None -> true then
-        while Atomic.get slot > 0 do
-          Domain.cpu_relax ()
-        done)
+      while Atomic.get slot > 0 do
+        Domain.cpu_relax ()
+      done)
     (Atomic.get t.mut_slots)
 
 let set_seal t ~lo ~hi ~epoch ~endpoint =
@@ -340,7 +333,7 @@ let moves_json t =
 
 (* ---- request dispatch ---- *)
 
-let apply t ~gate (req : Wire.request) : Wire.response =
+let apply t (req : Wire.request) : Wire.response =
   match req with
   | Wire.Ping -> Wire.Pong
   | Wire.Insert { key; value } ->
@@ -371,7 +364,7 @@ let apply t ~gate (req : Wire.request) : Wire.response =
            round trust [since = probed clock]: no event at or below
            the watermark can surface after the round's pulls. *)
         let current = S.current_version t.store in
-        drain_mutations ~except:gate t;
+        drain_mutations t;
         Wire.Version current
       end
       else
@@ -516,10 +509,10 @@ let offer t req resp =
    to [on_mutation] (the replication chain) after the local apply, so
    the ack the client sees means "applied here and offered to every
    reachable backup". *)
-let dispatch_core t ~replicated ~gate req =
+let dispatch_core t ~replicated req =
   let t0 = Obs.Instr.start () in
   let resp =
-    match apply t ~gate req with
+    match apply t req with
     | resp -> resp
     | exception e ->
         Obs.Metric.incr c_errors;
@@ -529,14 +522,26 @@ let dispatch_core t ~replicated ~gate req =
   if (not replicated) && Wire.is_mutation req then offer t req resp;
   resp
 
-(* The write-gate shell around [dispatch_core]: client mutations
+(* Which requests pass the write gate: the ones that change state.
+   A clock probe ([Tag_at 0]) changes nothing, and it drains every
+   flag itself. [Wire.is_mutation] still counts it, because that
+   predicate also decides what replicates.
+
+   Invariant: no thread waits on a flag while it holds one. The two
+   drains ([Tag_at 0] and [Range_seal]) therefore run unflagged;
+   otherwise two probes on two connections would each hold their own
+   flag up and spin on the other's forever. *)
+let gated req =
+  Wire.is_mutation req
+  && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
+
+(* The write-gate shell around [dispatch_core]: gated client requests
    raise their connection's in-flight flag, then either bounce off a
    seal covering one of their keys or run. Replicated frames bypass
    the gate — backups are never sealed, and the seal must not recurse
    into the replication path it is draining. *)
 let dispatch_inner t ~replicated ~gate req =
-  if replicated || not (Wire.is_mutation req) then
-    dispatch_core t ~replicated ~gate req
+  if replicated || not (gated req) then dispatch_core t ~replicated req
   else begin
     Atomic.incr gate;
     Fun.protect
@@ -544,7 +549,7 @@ let dispatch_inner t ~replicated ~gate req =
       (fun () ->
         match seal_conflict t req with
         | Some seal -> sealed_reject seal
-        | None -> dispatch_core t ~replicated ~gate req)
+        | None -> dispatch_core t ~replicated req)
   end
 
 let rec dispatch t ~gate req =

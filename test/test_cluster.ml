@@ -1,9 +1,9 @@
 (* Tests for lib/cluster: topology spec parsing, end-to-end routed
    operations against 4 real shard servers on Unix-domain sockets
-   (cluster-wide tags, find_bulk ordering, distributed snapshots in
-   both merge modes), typed Shard_down errors with recovery after a
-   shard bounce, and a qcheck parity property holding the sharded
-   cluster to the same answers as a single PSkipList. *)
+   (cluster-wide tags, find_bulk ordering, distributed snapshots),
+   typed Shard_down errors with recovery after a shard bounce, and a
+   qcheck parity property holding the sharded cluster to the same
+   answers as a single PSkipList. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -253,7 +253,7 @@ let e2e_cluster_tag () =
       let v3 = ok "tag" (Cluster.Router.tag router) in
       check_bool "tag monotonic" true (v3 > v2);
       let at_v1 =
-        ok "snapshot" (Cluster.Router.snapshot router ~version:v1 ~mode:Cluster.Router.Naive ())
+        ok "snapshot" (Cluster.Router.snapshot router ~version:v1 ())
       in
       check_bool "old cut stays" true (at_v1 = [| (10, 1) |]))
 
@@ -332,7 +332,7 @@ let e2e_batch_and_scan () =
           Alcotest.failf "scan with negative lo: %s"
             (Cluster.Router.error_to_string e))
 
-let e2e_snapshot_modes () =
+let e2e_snapshot () =
   with_cluster ~tag:"snap" (fun router _stores ->
       for key = 0 to 255 do
         if key mod 2 = 0 then
@@ -346,17 +346,8 @@ let e2e_snapshot_modes () =
         |> List.map (fun k -> (k, k * 11))
         |> Array.of_list
       in
-      let naive =
-        ok "naive" (Cluster.Router.snapshot router ~mode:Cluster.Router.Naive ())
-      in
-      let opt =
-        ok "opt"
-          (Cluster.Router.snapshot router
-             ~mode:(Cluster.Router.Opt { threads = 2 })
-             ())
-      in
-      check_bool "naive snapshot = expected" true (naive = expect);
-      check_bool "opt snapshot = naive" true (opt = naive))
+      check_bool "snapshot = expected" true
+        (ok "snapshot" (Cluster.Router.snapshot router ()) = expect))
 
 let e2e_cluster_compact () =
   with_cluster ~tag:"gc" (fun router stores ->
@@ -382,7 +373,7 @@ let e2e_cluster_compact () =
       check_bool "current cut intact" true
         (ok "find" (Cluster.Router.find router 128) = Some 3128);
       let at_2 =
-        ok "snapshot" (Cluster.Router.snapshot router ~version:2 ~mode:Cluster.Router.Naive ())
+        ok "snapshot" (Cluster.Router.snapshot router ~version:2 ())
       in
       check_int "retained cut complete" 64 (Array.length at_2);
       check_bool "retained cut values" true
@@ -434,7 +425,7 @@ let e2e_shard_down_and_recover () =
       (match Cluster.Router.tag router with
       | Error (Cluster.Router.Shard_down { shard = 1; _ }) -> ()
       | _ -> Alcotest.fail "expected Shard_down from tag");
-      (match Cluster.Router.snapshot router ~mode:Cluster.Router.Naive () with
+      (match Cluster.Router.snapshot router () with
       | Error (Cluster.Router.Shard_down { shard = 1; _ }) -> ()
       | _ -> Alcotest.fail "expected Shard_down from snapshot");
       (* bring the shard back on the same socket and store: the router
@@ -445,8 +436,7 @@ let e2e_shard_down_and_recover () =
       let v = ok "tag after recovery" (Cluster.Router.tag router) in
       check_bool "tag after recovery" true (v >= 1);
       check_bool "snapshot after recovery" true
-        (ok "snapshot" (Cluster.Router.snapshot router ~mode:Cluster.Router.Naive ())
-        = [| (3, 30); (12, 120) |]))
+        (ok "snapshot" (Cluster.Router.snapshot router ()) = [| (3, 30); (12, 120) |]))
 
 (* ---- qcheck parity: cluster == single PSkipList ---- *)
 
@@ -528,17 +518,18 @@ let parity_property ops =
             QCheck.Test.fail_reportf "history parity: key %d: [%s] vs [%s]" key
               (String.concat "; " local) (String.concat "; " cluster))
         touched;
-      (* snapshots: both merge modes equal the single store's extract *)
-      let local_snap = Store.extract_snapshot reference () in
-      let naive =
-        ok "naive" (Cluster.Router.snapshot router ~mode:Cluster.Router.Naive ())
-      in
-      let opt =
-        ok "opt"
-          (Cluster.Router.snapshot router ~mode:(Cluster.Router.Opt { threads = 2 }) ())
-      in
-      if naive <> local_snap then QCheck.Test.fail_report "snapshot parity (naive)";
-      if opt <> local_snap then QCheck.Test.fail_report "snapshot parity (opt)";
+      (* snapshots: the latest cut and every tagged one equal the
+         single store's extract *)
+      if
+        ok "snapshot" (Cluster.Router.snapshot router ())
+        <> Store.extract_snapshot reference ()
+      then QCheck.Test.fail_report "snapshot parity";
+      for v = 1 to final do
+        if
+          ok "snapshot@v" (Cluster.Router.snapshot router ~version:v ())
+          <> Store.extract_snapshot reference ~version:v ()
+        then QCheck.Test.fail_reportf "snapshot parity at version %d" v
+      done;
       true)
 
 let parity =
@@ -686,7 +677,7 @@ let e2e_connected_trace () =
       | trs -> Alcotest.failf "%d find_bulk traces" (List.length trs))
 
 let () =
-  Alcotest.run "cluster"
+  Watchdog.run "cluster"
     [
       ( "topology",
         [
@@ -706,7 +697,7 @@ let () =
           Alcotest.test_case "batched writes bucket per shard; scan pages in order"
             `Quick e2e_batch_and_scan;
           Alcotest.test_case "snapshot naive = opt = expected" `Quick
-            e2e_snapshot_modes;
+            e2e_snapshot;
           Alcotest.test_case "cluster-wide compaction" `Quick e2e_cluster_compact;
           Alcotest.test_case "one client op yields one connected trace" `Quick
             e2e_connected_trace;

@@ -1,9 +1,9 @@
 (* Tests for lib/cluster/move: live resharding against real shard
    servers on Unix-domain sockets. A single PSkipList twin receives the
    same mutations as the cluster; after every move/split/merge the
-   resharded cluster must answer exactly like the twin — find at every
-   committed version, per-key history with exact version stamps, and
-   both snapshot merge modes. Crash tests kill the coordinator at the
+   resharded cluster must answer exactly like the twin — find and the
+   distributed snapshot at every committed version, and per-key history
+   with exact version stamps. Crash tests kill the coordinator at the
    fault hooks (mid-copy, under the seal, after the topology save) and
    re-run, relying on the skip-count idempotent install. *)
 
@@ -65,8 +65,8 @@ let event_str (v, e) =
   | Mvdict.Dict_intf.Put x -> Printf.sprintf "v%d:put %d" v x
   | Mvdict.Dict_intf.Del -> Printf.sprintf "v%d:del" v
 
-(* Full parity against the twin: every key at every committed version,
-   histories of every touched key, both snapshot modes. *)
+(* Full parity against the twin: every key and the whole snapshot at
+   every committed version, and histories of every touched key. *)
 let check_parity ?(fail = fun m -> Alcotest.fail m) router twin touched =
   let final = Store.current_version twin in
   let keys = Array.init 256 (fun i -> i) in
@@ -110,16 +110,16 @@ let check_parity ?(fail = fun m -> Alcotest.fail m) router twin touched =
              (String.concat "; " local)
              (String.concat "; " cluster)))
     touched;
-  let local_snap = Store.extract_snapshot twin () in
-  let naive =
-    ok "naive" (Cluster.Router.snapshot router ~mode:Cluster.Router.Naive ())
-  in
-  let opt =
-    ok "opt"
-      (Cluster.Router.snapshot router ~mode:(Cluster.Router.Opt { threads = 2 }) ())
-  in
-  if naive <> local_snap then fail "snapshot parity (naive)";
-  if opt <> local_snap then fail "snapshot parity (opt)"
+  if
+    ok "snapshot" (Cluster.Router.snapshot router ())
+    <> Store.extract_snapshot twin ()
+  then fail "snapshot parity";
+  for v = 1 to final do
+    if
+      ok "snapshot@v" (Cluster.Router.snapshot router ~version:v ())
+      <> Store.extract_snapshot twin ~version:v ()
+    then fail (Printf.sprintf "snapshot parity at version %d" v)
+  done
 
 (* Seed writes with per-key history: overwrites, tombstones, tags. *)
 let seed router twin =
@@ -413,7 +413,7 @@ let concurrent =
     arb_ops concurrent_parity
 
 let () =
-  Alcotest.run "move"
+  Watchdog.run "move"
     [
       ( "handoff",
         [

@@ -987,6 +987,33 @@ let e2e_concurrent_clients () =
       Array.iter (fun d -> check_bool "domain saw its writes" true (Domain.join d)) domains;
       check_int "all keys present" (2 * per_domain) (Store.key_count store))
 
+(* Regression: a clock probe ([Tag_at 0]) drains every connection's
+   write flag. Probes used to raise their own flag first, so two
+   probes dispatched by two workers each waited on the other's flag
+   forever. *)
+let e2e_concurrent_probes () =
+  with_server ~workers:2 (fun _store _server addr ->
+      let per_domain = 100_000 in
+      let probes = Atomic.make 0 and finished = Atomic.make 0 in
+      let domains =
+        Array.init 2 (fun _ ->
+            Domain.spawn (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> Atomic.incr finished)
+                  (fun () ->
+                    let client = Net.Client.connect addr in
+                    for _ = 1 to per_domain do
+                      ignore (Net.Client.tag_at client ~version:0);
+                      Atomic.incr probes
+                    done;
+                    Net.Client.close client)))
+      in
+      Watchdog.await_progress ~what:"concurrent clock probes" ~stall_s:5.0
+        ~progress:(fun () -> Atomic.get probes)
+        ~finished:(fun () -> Atomic.get finished = 2);
+      Array.iter Domain.join domains;
+      check_int "every probe answered" (2 * per_domain) (Atomic.get probes))
+
 let e2e_graceful_drain () =
   with_server (fun _store server addr ->
       let fd = raw_connect addr in
@@ -1036,7 +1063,7 @@ let e2e_unix_socket_reconnect () =
   Net.Server.stop !server
 
 let () =
-  Alcotest.run "net"
+  Watchdog.run "net"
     [
       ( "wire-roundtrip",
         [
@@ -1096,6 +1123,8 @@ let () =
           Alcotest.test_case "busy backpressure" `Quick e2e_backpressure_busy;
           Alcotest.test_case "concurrent clients (2 domains)" `Quick
             e2e_concurrent_clients;
+          Alcotest.test_case "concurrent clock probes (2 domains) never deadlock" `Quick
+            e2e_concurrent_probes;
           Alcotest.test_case "graceful shutdown drains in-flight requests" `Quick
             e2e_graceful_drain;
           Alcotest.test_case "unix socket + reconnect with backoff" `Quick

@@ -282,13 +282,13 @@ let check_parity reference router ops =
       then QCheck.Test.fail_reportf "history parity: key %d" key)
     touched;
   if
-    ok "snapshot" (Cluster.Router.snapshot router ~mode:Cluster.Router.Naive ())
+    ok "snapshot" (Cluster.Router.snapshot router ())
     <> Store.extract_snapshot reference ()
   then QCheck.Test.fail_report "snapshot parity";
   for v = 1 to final do
     if
       ok "snapshot@v"
-        (Cluster.Router.snapshot router ~version:v ~mode:Cluster.Router.Naive ())
+        (Cluster.Router.snapshot router ~version:v ())
       <> Store.extract_snapshot reference ~version:v ()
     then QCheck.Test.fail_reportf "snapshot parity at version %d" v
   done
@@ -627,7 +627,7 @@ let crash_promote_rejoin () =
     (Store.find rejoined 12 = Some 12)
 
 let () =
-  Alcotest.run "repl"
+  Watchdog.run "repl"
     [
       ( "chain",
         [

@@ -1,5 +1,5 @@
-(* Tests for lib/sim (cost model, calibration helpers) and lib/distrib
-   (network model, partitioning, merges, distributed store). *)
+(* Tests for lib/sim (cost model, calibration helpers, network model,
+   merges) and the default key-range split of Cluster.Topology. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -56,31 +56,36 @@ let calibrate_measures () =
 (* Simnet *)
 
 let simnet_transfer () =
-  let net = { Distrib.Simnet.latency_s = 1e-6; bandwidth_bps = 1e9 } in
-  check_float "latency only" 1e-6 (Distrib.Simnet.transfer_s net ~bytes:0);
+  let net = { Sim.Simnet.latency_s = 1e-6; bandwidth_bps = 1e9 } in
+  check_float "latency only" 1e-6 (Sim.Simnet.transfer_s net ~bytes:0);
   check_float "latency + payload" (1e-6 +. 1e-3)
-    (Distrib.Simnet.transfer_s net ~bytes:1_000_000)
+    (Sim.Simnet.transfer_s net ~bytes:1_000_000)
 
 let simnet_rounds () =
   List.iter
-    (fun (k, expected) -> check_int (Printf.sprintf "rounds %d" k) expected (Distrib.Simnet.rounds k))
+    (fun (k, expected) -> check_int (Printf.sprintf "rounds %d" k) expected (Sim.Simnet.rounds k))
     [ (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (512, 9) ]
 
 let simnet_collectives_grow_logarithmically () =
-  let net = Distrib.Simnet.theta_like in
-  let b8 = Distrib.Simnet.bcast_s net ~ranks:8 ~bytes:64 in
-  let b64 = Distrib.Simnet.bcast_s net ~ranks:64 ~bytes:64 in
+  let net = Sim.Simnet.theta_like in
+  let b8 = Sim.Simnet.bcast_s net ~ranks:8 ~bytes:64 in
+  let b64 = Sim.Simnet.bcast_s net ~ranks:64 ~bytes:64 in
   check_float "bcast log ratio" 2.0 (b64 /. b8);
-  let g = Distrib.Simnet.gather_linear_s net ~ranks:2 ~bytes_per_rank:1000 in
+  let g = Sim.Simnet.gather_linear_s net ~ranks:2 ~bytes_per_rank:1000 in
   check_bool "gather positive" true (g > 0.0)
 
-(* Partition *)
+(* Partition: a topology without range directives splits the key
+   space into equal-width ranges. *)
+
+let topology ~shards ~key_bits =
+  Cluster.Topology.create ~key_bits
+    (Array.init shards (fun i -> Net.Sockaddr.Unix_sock (Printf.sprintf "s%d.sock" i)))
 
 let partition_covers_space () =
-  let p = Distrib.Partition.create ~ranks:8 ~key_bits:16 in
+  let t = topology ~shards:8 ~key_bits:16 in
   let counts = Array.make 8 0 in
   for key = 0 to (1 lsl 16) - 1 do
-    let r = Distrib.Partition.owner p key in
+    let r = Cluster.Topology.owner t key in
     counts.(r) <- counts.(r) + 1
   done;
   check_bool "all ranks used" true (Array.for_all (fun c -> c > 0) counts);
@@ -88,17 +93,28 @@ let partition_covers_space () =
   (* Ranges and owner agree. *)
   let ok = ref true in
   for r = 0 to 7 do
-    let lo, hi = Distrib.Partition.range p r in
-    if not (Distrib.Partition.owner p lo = r && Distrib.Partition.owner p (hi - 1) = r)
+    let lo, hi = Cluster.Topology.range t r in
+    if not (Cluster.Topology.owner t lo = r && Cluster.Topology.owner t (hi - 1) = r)
     then ok := false
   done;
-  check_bool "range/owner agreement" true !ok
+  check_bool "range/owner agreement" true !ok;
+  (* When K does not divide the key space, every range but the last
+     holds ceil(2^key_bits / K) keys: topology files without range
+     lines keep the ownership they always had. *)
+  let t = topology ~shards:3 ~key_bits:16 in
+  Alcotest.(check (list (pair int int)))
+    "K=3 at 16 bits"
+    [ (0, 21846); (21846, 43692); (43692, 65536) ]
+    (List.init 3 (Cluster.Topology.range t))
 
 let partition_rejects_foreign_keys () =
-  let p = Distrib.Partition.create ~ranks:4 ~key_bits:8 in
+  let t = topology ~shards:4 ~key_bits:8 in
   Alcotest.check_raises "negative key"
-    (Invalid_argument "Partition.owner: key -1 outside key space") (fun () ->
-      ignore (Distrib.Partition.owner p (-1)))
+    (Invalid_argument "Topology.owner: key -1 outside key space") (fun () ->
+      ignore (Cluster.Topology.owner t (-1)));
+  Alcotest.check_raises "key 2^key_bits"
+    (Invalid_argument "Topology.owner: key 256 outside key space") (fun () ->
+      ignore (Cluster.Topology.owner t 256))
 
 (* Merge *)
 
@@ -117,20 +133,20 @@ let merge_two_way () =
   Alcotest.(check (array (pair int int)))
     "interleave"
     [| (1, 10); (2, 20); (3, 30); (4, 40); (5, 50) |]
-    (Distrib.Merge.two_way a b)
+    (Sim.Merge.two_way a b)
 
 let merge_two_way_empty () =
   let a = [| (1, 1) |] in
-  check_bool "right empty" true (Distrib.Merge.two_way a [||] = a);
-  check_bool "left empty" true (Distrib.Merge.two_way [||] a = a)
+  check_bool "right empty" true (Sim.Merge.two_way a [||] = a);
+  check_bool "left empty" true (Sim.Merge.two_way [||] a = a)
 
 let merge_multi_threaded_matches_sequential () =
   let a = sorted_pairs ~seed:1 ~parity:0 ~classes:2 5000 in
   let b = sorted_pairs ~seed:2 ~parity:1 ~classes:2 3000 in
-  let reference = Distrib.Merge.two_way a b in
+  let reference = Sim.Merge.two_way a b in
   List.iter
     (fun threads ->
-      let got = Distrib.Merge.multi_threaded ~threads a b in
+      let got = Sim.Merge.multi_threaded ~threads a b in
       check_bool (Printf.sprintf "threads=%d" threads) true (got = reference))
     [ 1; 2; 4; 7 ]
 
@@ -141,13 +157,13 @@ let merge_multi_threaded_more_threads_than_elements () =
      drives for Fig. 8. *)
   let a = [| (1, 10); (3, 30); (5, 50) |] in
   let b = [| (2, 20); (4, 40); (6, 60); (8, 80) |] in
-  let reference = Distrib.Merge.two_way a b in
+  let reference = Sim.Merge.two_way a b in
   List.iter
     (fun threads ->
       check_bool
         (Printf.sprintf "threads=%d over |a|=3" threads)
         true
-        (Distrib.Merge.multi_threaded ~threads a b = reference))
+        (Sim.Merge.multi_threaded ~threads a b = reference))
     [ 4; 8; 16; 100 ]
 
 let merge_multi_threaded_property =
@@ -158,7 +174,7 @@ let merge_multi_threaded_property =
     (fun (threads, la, lb) ->
       let a = sorted_pairs ~seed:(la + 1) ~parity:0 ~classes:2 la in
       let b = sorted_pairs ~seed:(lb + 101) ~parity:1 ~classes:2 lb in
-      Distrib.Merge.multi_threaded ~threads a b = Distrib.Merge.two_way a b)
+      Sim.Merge.multi_threaded ~threads a b = Sim.Merge.two_way a b)
 
 let merge_k_way_huge_keys () =
   (* Keys >= 2^53 collide once routed through a float; the int-keyed
@@ -173,7 +189,7 @@ let merge_k_way_huge_keys () =
   let expected = Array.init 6 (fun i -> (base + i, i land 1)) in
   Alcotest.(check (array (pair int int)))
     "exact order above 2^53" expected
-    (Distrib.Merge.k_way inputs);
+    (Sim.Merge.k_way inputs);
   check_bool "float would collide (sanity)" true
     (float_of_int base = float_of_int (base + 1))
 
@@ -183,7 +199,7 @@ let merge_k_way_duplicates_stable () =
   Alcotest.(check (array (pair int int)))
     "input-index tie-break"
     [| (5, 100); (5, 200); (5, 300); (6, 301); (7, 101) |]
-    (Distrib.Merge.k_way inputs)
+    (Sim.Merge.k_way inputs)
 
 let merge_k_way_property =
   (* Sorted (possibly duplicate-keyed, possibly huge-keyed) inputs:
@@ -212,7 +228,7 @@ let merge_k_way_property =
         |> List.concat
       in
       let expected = List.stable_sort (fun (k1, i1, _) (k2, i2, _) -> compare (k1, i1) (k2, i2)) tagged in
-      let got = Distrib.Merge.k_way inputs in
+      let got = Sim.Merge.k_way inputs in
       Array.length got = List.length expected
       && List.for_all2
            (fun (k, _, v) (k', v') -> k = k' && v = v')
@@ -226,7 +242,7 @@ let merge_k_way () =
   Alcotest.(check (array (pair int int)))
     "4-way"
     [| (1, 1); (2, 2); (3, 3); (5, 5); (7, 7) |]
-    (Distrib.Merge.k_way inputs)
+    (Sim.Merge.k_way inputs)
 
 let merge_recursive_doubling_matches_k_way () =
   (* Disjoint sorted partitions, like range-partitioned snapshots. *)
@@ -236,16 +252,13 @@ let merge_recursive_doubling_matches_k_way () =
         Array.init per (fun i -> ((i * k) + r, r)))
   in
   Array.iter (fun a -> Array.sort compare a) inputs;
-  let reference = Distrib.Merge.k_way (Array.map Array.copy inputs) in
-  let rounds_seen = ref 0 in
-  let got =
-    Distrib.Merge.recursive_doubling
-      ~round:(fun ~round:_ ~merges:_ -> incr rounds_seen)
-      (Array.map Array.copy inputs)
-  in
+  let reference = Sim.Merge.k_way (Array.map Array.copy inputs) in
+  let rounds = Obs.Registry.counter "distrib.merge.rounds" in
+  let rounds_before = Obs.Metric.value rounds in
+  let got = Sim.Merge.recursive_doubling (Array.map Array.copy inputs) in
   check_bool "same result" true (got = reference);
-  check_int "log2 k rounds" 4 !rounds_seen;
-  check_bool "sorted" true (Distrib.Merge.is_sorted got)
+  check_int "log2 k rounds" 4 (Obs.Metric.value rounds - rounds_before);
+  check_bool "sorted" true (Sim.Merge.is_sorted got)
 
 let merge_property =
   QCheck.Test.make ~name:"recursive doubling equals k-way on random disjoint inputs"
@@ -255,81 +268,12 @@ let merge_property =
       let inputs =
         Array.init k (fun r -> Array.init per (fun i -> ((i * k) + r, r)))
       in
-      let a = Distrib.Merge.k_way (Array.map Array.copy inputs) in
-      let b = Distrib.Merge.recursive_doubling (Array.map Array.copy inputs) in
-      a = b && Distrib.Merge.is_sorted b)
-
-(* Dstore *)
-
-module E = Mvdict.Eskiplist.Make (Int) (Int)
-module DE = Distrib.Dstore.Make (E)
-
-let dstore_make ranks =
-  DE.create ~ranks ~key_bits:20 ~make_local:(fun _ -> E.create ())
-
-let dstore_routing_and_find () =
-  let t = dstore_make 4 in
-  let keys = Array.init 1000 (fun i -> i * 997 mod (1 lsl 20)) in
-  Array.iter (fun k -> DE.insert t k (k + 1)) keys;
-  let missing = ref 0 in
-  Array.iter
-    (fun k -> if DE.find t k <> Some (k + 1) then incr missing)
-    keys;
-  check_int "all routed finds hit" 0 !missing;
-  check_bool "absent key" true (DE.find t 999_983 = None || Array.exists (Int.equal 999_983) keys);
-  (* Keys landed on their owning rank's local store. *)
-  let p = DE.partition t in
-  let ok = ref true in
-  Array.iter
-    (fun k ->
-      if E.find (DE.local t (Distrib.Partition.owner p k)) k <> Some (k + 1) then
-        ok := false)
-    keys;
-  check_bool "owner-local storage" true !ok
-
-let dstore_snapshots_agree () =
-  let t = dstore_make 8 in
-  let keys = Array.init 5000 (fun i -> i * 131 mod (1 lsl 20)) in
-  let distinct = Hashtbl.create 4096 in
-  Array.iter
-    (fun k ->
-      DE.insert t k (k * 2);
-      Hashtbl.replace distinct k ())
-    keys;
-  let naive = DE.snapshot_naive t () in
-  let opt = DE.snapshot_opt t () in
-  let opt_mt = DE.snapshot_opt t ~threads:4 () in
-  check_int "naive size" (Hashtbl.length distinct) (Array.length naive);
-  check_bool "naive sorted" true (Distrib.Merge.is_sorted naive);
-  check_bool "opt = naive" true (opt = naive);
-  check_bool "opt mt = naive" true (opt_mt = naive)
-
-let dstore_find_bulk () =
-  let t = dstore_make 8 in
-  let keys = Array.init 500 (fun i -> i * 7919 mod (1 lsl 20)) in
-  Array.iter (fun k -> DE.insert t k (k + 3)) keys;
-  let queries = Array.append keys [| 999_999; 123_321 |] in
-  let replies = DE.find_bulk t queries in
-  check_int "reply count" (Array.length queries) (Array.length replies);
-  let ok = ref true in
-  Array.iteri
-    (fun i k ->
-      let expected = if i < Array.length keys then Some (k + 3) else DE.find t k in
-      if replies.(i) <> expected then ok := false)
-    queries;
-  check_bool "bulk replies match routed finds" true !ok
-
-let dstore_remove_and_history () =
-  let t = dstore_make 4 in
-  DE.insert t 42 420;
-  DE.remove t 42;
-  check_bool "removed" true (DE.find t 42 = None);
-  match DE.extract_history t 42 with
-  | [ (_, Mvdict.Dict_intf.Put 420); (_, Mvdict.Dict_intf.Del) ] -> ()
-  | _ -> Alcotest.fail "unexpected history"
+      let a = Sim.Merge.k_way (Array.map Array.copy inputs) in
+      let b = Sim.Merge.recursive_doubling (Array.map Array.copy inputs) in
+      a = b && Sim.Merge.is_sorted b)
 
 let () =
-  Alcotest.run "sim+distrib"
+  Alcotest.run "sim"
     [
       ( "cost_model",
         [
@@ -367,12 +311,5 @@ let () =
           QCheck_alcotest.to_alcotest merge_k_way_property;
           Alcotest.test_case "recursive doubling" `Quick merge_recursive_doubling_matches_k_way;
           QCheck_alcotest.to_alcotest merge_property;
-        ] );
-      ( "dstore",
-        [
-          Alcotest.test_case "routing and find" `Quick dstore_routing_and_find;
-          Alcotest.test_case "snapshots agree" `Quick dstore_snapshots_agree;
-          Alcotest.test_case "find_bulk" `Quick dstore_find_bulk;
-          Alcotest.test_case "remove and history" `Quick dstore_remove_and_history;
         ] );
     ]
