@@ -1,36 +1,17 @@
 (* mvkv — command-line front end for the persistent multi-version store.
 
-   The store lives in a file-backed persistent heap; every invocation
-   opens (or creates) the heap, applies one operation, and exits — so
-   the persistence path (including index reconstruction) is exercised on
-   every call.
+   Each data command is defined once, in one table, over the target its
+   connection flags name: an open pool, one server, or a cluster.
 
-     mvkv init     --pool /tmp/pool.mvkv --size 16777216
-     mvkv insert   --pool /tmp/pool.mvkv --key 10 --value 100
-     mvkv tag      --pool /tmp/pool.mvkv
-     mvkv find     --pool /tmp/pool.mvkv --key 10 [--at 3]
-     mvkv history  --pool /tmp/pool.mvkv --key 10
-     mvkv snapshot --pool /tmp/pool.mvkv [--at 3]
-     mvkv stats    --pool /tmp/pool.mvkv
+     mvkv insert                 --pool /tmp/pool.mvkv --key 10 --value 100
+     mvkv client insert          --port 7787 --key 10 --value 100
+     mvkv cluster client insert  --topology topo.txt --key 10 --value 100
 
-   `mvkv serve` instead keeps the heap open and serves the whole dict
-   API over a socket (lib/net wire protocol); `mvkv client <op>` is the
-   matching remote front end:
-
-     mvkv serve                --pool /tmp/pool.mvkv --port 7787
-     mvkv client insert        --port 7787 --key 10 --value 100
-     mvkv client insert-batch  --port 7787 --pairs 1=10,2=20,3=30
-     mvkv client scan          --port 7787 --lo 0 --hi 100 [--at 3]
-     mvkv client find          --port 7787 --key 10 [--at 3]
-     mvkv client stats         --port 7787
-
-   `mvkv cluster` scales that to K shard processes: each shard is a
-   `serve` bound to its slot in a shared topology file, and the client
-   side routes through lib/cluster's coordinator:
-
-     mvkv cluster serve            --topology topo.txt --shard 0 --pool s0.mvkv
-     mvkv cluster client insert    --topology topo.txt --key 10 --value 100
-     mvkv cluster client snapshot  --topology topo.txt --mode opt *)
+   A pool command opens the file-backed heap, applies one operation and
+   exits, so every call runs recovery. `mvkv serve` keeps the heap open
+   behind the lib/net wire protocol; `mvkv cluster serve` serves one
+   replica of a shard in a topology file, and cluster commands route
+   through lib/cluster's router. *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
 open Cmdliner
@@ -45,13 +26,11 @@ let pool_arg =
   let doc = "Path of the persistent heap file." in
   Arg.(required & opt (some string) None & info [ "pool"; "p" ] ~docv:"FILE" ~doc)
 
-let key_arg =
-  let doc = "Key (non-negative integer)." in
-  Arg.(required & opt (some int) None & info [ "key"; "k" ] ~docv:"KEY" ~doc)
+let required_int names ~docv doc =
+  Arg.(required & opt (some int) None & info names ~docv ~doc)
 
-let value_arg =
-  let doc = "Value (integer)." in
-  Arg.(required & opt (some int) None & info [ "value"; "v" ] ~docv:"VALUE" ~doc)
+let key_arg = required_int [ "key"; "k" ] ~docv:"KEY" "Key (non-negative integer)."
+let value_arg = required_int [ "value"; "v" ] ~docv:"VALUE" "Value (integer)."
 
 let version_arg =
   let doc = "Snapshot version to read (defaults to the current state)." in
@@ -65,13 +44,8 @@ let keys_arg =
   let doc = "Comma-separated keys, e.g. $(b,1,2,3)." in
   Arg.(required & opt (some string) None & info [ "keys" ] ~docv:"KEYS" ~doc)
 
-let lo_arg =
-  let doc = "Scan range start (inclusive)." in
-  Arg.(required & opt (some int) None & info [ "lo" ] ~docv:"LO" ~doc)
-
-let hi_arg =
-  let doc = "Scan range end (exclusive)." in
-  Arg.(required & opt (some int) None & info [ "hi" ] ~docv:"HI" ~doc)
+let lo_arg = required_int [ "lo" ] ~docv:"LO" "Scan range start (inclusive)."
+let hi_arg = required_int [ "hi" ] ~docv:"HI" "Scan range end (exclusive)."
 
 let limit_arg =
   let doc = "Pairs per scan page (0 = server-chosen)." in
@@ -141,9 +115,6 @@ let open_store pool threads =
   | exception (Invalid_argument msg | Failure msg) ->
       die "mvkv: pool %s is not a usable mvkv heap: %s" pool msg
 
-(* The tag clock is recovered from persisted versions, so mutating
-   commands tag explicitly to commit their snapshot. *)
-
 let init pool size dump =
   match
     let heap = Pmem.Pheap.create_file ~path:pool ~capacity:size in
@@ -159,54 +130,6 @@ let init pool size dump =
   | exception (Invalid_argument msg | Failure msg) ->
       die "mvkv: cannot create pool %s: %s" pool msg
 
-let insert pool threads key value dump =
-  let store = open_store pool threads in
-  Store.insert store key value;
-  let version = Store.tag store in
-  Printf.printf "inserted %d -> %d at version %d\n" key value version;
-  maybe_stats dump
-
-let remove pool threads key dump =
-  let store = open_store pool threads in
-  Store.remove store key;
-  let version = Store.tag store in
-  Printf.printf "removed %d at version %d\n" key version;
-  maybe_stats dump
-
-let tag pool threads dump =
-  let store = open_store pool threads in
-  Printf.printf "version %d\n" (Store.tag store);
-  maybe_stats dump
-
-let find pool threads key version dump =
-  let store = open_store pool threads in
-  (match Store.find store ?version key with
-  | Some value -> Printf.printf "%d\n" value
-  | None ->
-      maybe_stats dump;
-      prerr_endline "(absent)";
-      exit 1);
-  maybe_stats dump
-
-let history pool threads key dump =
-  let store = open_store pool threads in
-  List.iter
-    (fun (version, event) ->
-      match event with
-      | Mvdict.Dict_intf.Put v -> Printf.printf "v%d\tput\t%d\n" version v
-      | Mvdict.Dict_intf.Del -> Printf.printf "v%d\tdel\n" version)
-    (Store.extract_history store key);
-  maybe_stats dump
-
-let snapshot pool threads version dump =
-  let store = open_store pool threads in
-  let pairs = match version with
-    | Some version -> Store.extract_snapshot store ~version ()
-    | None -> Store.extract_snapshot store ()
-  in
-  Array.iter (fun (k, v) -> Printf.printf "%d\t%d\n" k v) pairs;
-  maybe_stats dump
-
 let before_arg =
   let doc =
     "Compact away history no snapshot at or after version $(docv) \
@@ -218,24 +141,7 @@ let retain_arg =
   let doc = "Compact so the last $(docv) versions stay fully observable." in
   Arg.(value & opt (some int) None & info [ "retain" ] ~docv:"N" ~doc)
 
-let compact pool threads before retain dump =
-  let store = open_store pool threads in
-  let before =
-    match (before, retain) with
-    | Some b, None -> b
-    | None, Some n ->
-        if n < 0 then die "mvkv: --retain must be non-negative";
-        max 0 (Store.current_version store - n)
-    | Some _, Some _ -> die "mvkv: pass either --before or --retain, not both"
-    | None, None -> die "mvkv: compact needs --before or --retain"
-  in
-  if before < 0 then die "mvkv: --before must be non-negative";
-  let dropped = if before > 0 then Store.compact store ~before else 0 in
-  Printf.printf "compacted before version %d: dropped %d entries\n" before dropped;
-  maybe_stats dump
-
 (* ---- serving over the network (lib/net) ---- *)
-
 
 let socket_arg =
   let doc = "Serve/connect on a Unix-domain socket at $(docv) instead of TCP." in
@@ -291,12 +197,10 @@ let slo_arg =
   in
   Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"SPEC" ~doc)
 
-let parse_slo = function
-  | None -> None
-  | Some spec -> (
-      match Obs.Slo.parse spec with
-      | Ok objectives -> Some (Obs.Slo.create objectives)
-      | Error e -> die "mvkv: bad --slo: %s" e)
+let parse_objectives spec =
+  match Obs.Slo.parse spec with
+  | Ok objectives -> objectives
+  | Error e -> die "mvkv: bad --slo: %s" e
 
 let serve_retain_arg =
   let doc =
@@ -340,7 +244,7 @@ let entries_arg =
 let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
     listen workers batch max_conns timeout slowlog_ms trace_cap retain
     gc_interval slo_spec =
-  let slo = parse_slo slo_spec in
+  let slo = Option.map (fun spec -> Obs.Slo.create (parse_objectives spec)) slo_spec in
   (* Install the trace ring before opening the store, so the recovery
      rebuild's spans are already in it when the first `mvkv trace`
      arrives. *)
@@ -422,119 +326,34 @@ let with_client ?timeout_ms ?(retries = 3) socket host port f =
   | client -> (
       match f client with
       | () -> Net.Client.close client
-      | exception Net.Client.Remote_error (code, msg) ->
+      | exception e -> (
           Net.Client.close client;
-          die "mvkv: server error (%s): %s" (Net.Wire.error_code_name code) msg
-      | exception Net.Client.Protocol_error msg ->
-          Net.Client.close client;
-          die "mvkv: protocol error: %s" msg
-      (* EAGAIN/EWOULDBLOCK surface when --timeout-ms expires and the
-         retry budget is spent; name the cause rather than the errno. *)
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-        ->
-          Net.Client.close client;
-          die "mvkv: request timed out after %d retr%s" retries
-            (if retries = 1 then "y" else "ies")
-      | exception Unix.Unix_error (e, _, _) ->
-          Net.Client.close client;
-          die "mvkv: connection lost: %s" (Unix.error_message e)
-      | exception End_of_file ->
-          Net.Client.close client;
-          die "mvkv: server closed the connection")
+          match e with
+          | Net.Client.Remote_error (code, msg) ->
+              die "mvkv: server error (%s): %s" (Net.Wire.error_code_name code) msg
+          | Net.Client.Protocol_error msg -> die "mvkv: protocol error: %s" msg
+          (* EAGAIN/EWOULDBLOCK surface when --timeout-ms expires and the
+             retry budget is spent; name the cause rather than the errno. *)
+          | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
+              die "mvkv: request timed out after %d retr%s" retries
+                (if retries = 1 then "y" else "ies")
+          | Unix.Unix_error (e, _, _) -> die "mvkv: connection lost: %s" (Unix.error_message e)
+          | End_of_file -> die "mvkv: server closed the connection"
+          | e -> raise e))
 
 let client_ping socket host port timeout_ms retries =
   with_client ?timeout_ms ~retries socket host port (fun c ->
       Net.Client.ping c;
       print_endline "pong")
 
-let client_insert socket host port timeout_ms retries key value =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Net.Client.insert c ~key ~value;
-      let version = Net.Client.tag c in
-      Printf.printf "inserted %d -> %d at version %d\n" key value version)
-
-let client_remove socket host port timeout_ms retries key =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Net.Client.remove c ~key;
-      let version = Net.Client.tag c in
-      Printf.printf "removed %d at version %d\n" key version)
-
-let client_insert_batch socket host port timeout_ms retries pairs =
-  let pairs = parse_pairs pairs in
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Net.Client.insert_batch c pairs;
-      let version = Net.Client.tag c in
-      Printf.printf "inserted %d pair(s) at version %d\n" (List.length pairs)
-        version)
-
-let client_remove_batch socket host port timeout_ms retries keys =
-  let keys = parse_keys keys in
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Net.Client.remove_batch c keys;
-      let version = Net.Client.tag c in
-      Printf.printf "removed %d key(s) at version %d\n" (List.length keys) version)
-
-let client_scan socket host port timeout_ms retries lo hi version limit =
-  if hi <= lo then die "mvkv: scan needs --lo < --hi";
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      ignore
-        (Net.Client.scan c ?version ~limit ~lo ~hi (fun k v ->
-             Printf.printf "%d\t%d\n" k v)))
-
-let client_tag socket host port timeout_ms retries =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Printf.printf "version %d\n" (Net.Client.tag c))
-
-let client_find socket host port timeout_ms retries key version =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      match Net.Client.find c ?version key with
-      | Some value -> Printf.printf "%d\n" value
-      | None ->
-          prerr_endline "(absent)";
-          exit 1)
-
-let client_history socket host port timeout_ms retries key =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      List.iter
-        (fun (version, event) ->
-          match event with
-          | Mvdict.Dict_intf.Put v -> Printf.printf "v%d\tput\t%d\n" version v
-          | Mvdict.Dict_intf.Del -> Printf.printf "v%d\tdel\n" version)
-        (Net.Client.history c key))
-
-(* --retain N probes the server's clock with [Tag_at 0] and sends the
-   absolute horizon clock - N, the same shape as `cluster compact`. *)
-let client_compact socket host port timeout_ms retries before retain =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      let before =
-        match (before, retain) with
-        | Some _, Some _ -> die "mvkv: pass either --before or --retain, not both"
-        | Some before, None ->
-            if before < 0 then die "mvkv: --before must be non-negative";
-            before
-        | None, Some keep ->
-            if keep < 0 then die "mvkv: --retain must be non-negative";
-            max 0 (Net.Client.tag_at c ~version:0 - keep)
-        | None, None -> die "mvkv: compact needs --before or --retain"
-      in
-      let dropped = if before > 0 then Net.Client.compact c ~before else 0 in
-      Printf.printf "compacted before version %d: dropped %d entries\n" before
-        dropped)
-
-let client_snapshot socket host port timeout_ms retries version =
-  with_client ?timeout_ms ~retries socket host port (fun c ->
-      Array.iter
-        (fun (k, v) -> Printf.printf "%d\t%d\n" k v)
-        (Net.Client.snapshot c ?version ()))
-
 (* The server's whole lib/obs registry as a mergeable snapshot — the
    one registry export, rendered here as JSON, Prometheus text or the
    top table. A garbled payload exits nonzero instead of echoing junk. *)
+let registry_snap c =
+  Result.bind (Obs.Json.of_string (Net.Client.registry_snap c)) Obs.Snap.of_json
+
 let fetch_snap c =
-  match
-    Result.bind (Obs.Json.of_string (Net.Client.registry_snap c)) Obs.Snap.of_json
-  with
+  match registry_snap c with
   | Ok snap -> snap
   | Error e -> die "mvkv: server returned an invalid registry snapshot: %s" e
 
@@ -567,8 +386,7 @@ let slot_arg =
   Arg.(value & opt int 1 & info [ "slot" ] ~docv:"J" ~doc)
 
 let promote_shard_arg =
-  let doc = "Shard whose primary is being replaced." in
-  Arg.(required & opt (some int) None & info [ "shard" ] ~docv:"I" ~doc)
+  required_int [ "shard" ] ~docv:"I" "Shard whose primary is being replaced."
 
 let promote_to_arg =
   let doc =
@@ -578,8 +396,7 @@ let promote_to_arg =
   Arg.(value & opt (some int) None & info [ "to" ] ~docv:"J" ~doc)
 
 let move_shard_arg =
-  let doc = "Shard whose range is being moved / split / merged." in
-  Arg.(required & opt (some int) None & info [ "shard" ] ~docv:"I" ~doc)
+  required_int [ "shard" ] ~docv:"I" "Shard whose range is being moved / split / merged."
 
 let move_dest_arg =
   let doc =
@@ -589,8 +406,7 @@ let move_dest_arg =
   Arg.(value & opt_all string [] & info [ "dest" ] ~docv:"ENDPOINT" ~doc)
 
 let split_at_arg =
-  let doc = "Split point: the new shard owns keys at or above $(docv)." in
-  Arg.(required & opt (some int) None & info [ "at" ] ~docv:"KEY" ~doc)
+  required_int [ "at" ] ~docv:"KEY" "Split point: the new shard owns keys at or above $(docv)."
 
 let move_page_arg =
   let doc = "Events per migration frame during the copy phase." in
@@ -673,6 +489,18 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
         workers batch max_conns timeout slowlog_ms trace_cap retain gc_interval
         slo
 
+(* One short-lived connection for an inspection: [f]'s answer, or the
+   exception that stopped it. Inspections time out after 2 s by
+   default. *)
+let probe ?epoch ~retries timeout_ms ep f =
+  let timeout_ms = Option.value timeout_ms ~default:2000 in
+  match Net.Client.connect ~retries ~timeout_ms ?epoch ep with
+  | exception e -> Error e
+  | c ->
+      let r = try Ok (f c) with e -> Error e in
+      Net.Client.close c;
+      r
+
 (* `cluster promote`: pick (or validate) the replacement backup, bump
    the epoch, fence every reachable member of the set with the new
    epoch, and atomically rewrite the topology file. Routers learn
@@ -685,19 +513,6 @@ let cluster_promote topo_file timeout_ms retries shard to_slot =
   check_shard_id topo topo_file shard;
   let nslots = Cluster.Topology.replica_count topo shard in
   if nslots < 2 then die "mvkv: shard %d has no backups to promote" shard;
-  let timeout_ms = Some (Option.value timeout_ms ~default:2000) in
-  let probe ep =
-    match Net.Client.connect ~retries ?timeout_ms ep with
-    | exception _ -> None
-    | c ->
-        let r =
-          match Net.Client.epoch_probe c with
-          | epoch, version -> Some (epoch, version)
-          | exception _ -> None
-        in
-        Net.Client.close c;
-        r
-  in
   let slot =
     match to_slot with
     | Some j ->
@@ -708,12 +523,15 @@ let cluster_promote topo_file timeout_ms retries shard to_slot =
         (* The freshest reachable backup loses the least history. *)
         let best = ref None in
         for j = 1 to nslots - 1 do
-          match probe (Cluster.Topology.replica topo shard j) with
-          | Some (_, version) -> (
+          match
+            probe ~retries timeout_ms (Cluster.Topology.replica topo shard j)
+              Net.Client.epoch_probe
+          with
+          | Ok (_, version) -> (
               match !best with
               | Some (_, v) when v >= version -> ()
               | _ -> best := Some (j, version))
-          | None -> ()
+          | Error _ -> ()
         done;
         match !best with
         | Some (j, _) -> j
@@ -725,11 +543,7 @@ let cluster_promote topo_file timeout_ms retries shard to_slot =
   let fenced = ref 0 in
   Array.iter
     (fun ep ->
-      match Net.Client.connect ~retries ?timeout_ms ~epoch ep with
-      | exception _ -> ()
-      | c ->
-          (match Net.Client.ping c with () -> incr fenced | exception _ -> ());
-          Net.Client.close c)
+      if Result.is_ok (probe ~epoch ~retries timeout_ms ep Net.Client.ping) then incr fenced)
     (Cluster.Topology.replicas promoted shard);
   (match Cluster.Topology.save promoted topo_file with
   | Ok () -> ()
@@ -771,48 +585,41 @@ let print_move_outcome verb (o : Cluster.Move.outcome) =
     (float_of_int o.pause_ns /. 1e6)
     o.new_epoch
 
-let cluster_move topo_file timeout_ms retries shard dest page lag max_rounds =
+(* One reshard step on a checked shard of the topology file; a failure
+   exits 2 with one line. *)
+let reshard topo_file shard step =
   let topo = load_topology topo_file in
   check_shard_id topo topo_file shard;
-  if dest = [] then die "mvkv: cluster move needs at least one --dest";
-  match
-    Cluster.Move.move ?timeout_ms ~retries ~page ~lag ~max_rounds
-      ~notify:print_move_progress ~topo_path:topo_file topo ~shard
-      ~dest:(parse_endpoints dest) ()
-  with
-  | Ok o when o.rounds = 0 && o.events_copied = 0 && o.copy_ns = 0 ->
-      Printf.printf
-        "shard %d already lives at the destination (epoch %d); re-fenced\n"
-        shard o.new_epoch
-  | Ok o -> print_move_outcome (Printf.sprintf "moved shard %d" shard) o
+  match step topo with
+  | Ok o -> o
   | Error e -> die "mvkv: %s" (Cluster.Move.error_to_string e)
 
-let cluster_split topo_file timeout_ms retries shard at dest page lag max_rounds
-    =
-  let topo = load_topology topo_file in
-  check_shard_id topo topo_file shard;
-  if dest = [] then die "mvkv: cluster split needs at least one --dest";
-  match
-    Cluster.Move.split ?timeout_ms ~retries ~page ~lag ~max_rounds
-      ~notify:print_move_progress ~topo_path:topo_file topo ~shard ~at
-      ~dest:(parse_endpoints dest) ()
-  with
-  | Ok o ->
-      print_move_outcome (Printf.sprintf "split shard %d at %d" shard at) o
-  | Error e -> die "mvkv: %s" (Cluster.Move.error_to_string e)
+let cluster_move topo_file timeout_ms retries shard dest page lag max_rounds =
+  let o =
+    reshard topo_file shard (fun topo ->
+        if dest = [] then die "mvkv: cluster move needs at least one --dest";
+        Cluster.Move.move ?timeout_ms ~retries ~page ~lag ~max_rounds
+          ~notify:print_move_progress ~topo_path:topo_file topo ~shard
+          ~dest:(parse_endpoints dest) ())
+  in
+  if o.rounds = 0 && o.events_copied = 0 && o.copy_ns = 0 then
+    Printf.printf "shard %d already lives at the destination (epoch %d); re-fenced\n"
+      shard o.new_epoch
+  else print_move_outcome (Printf.sprintf "moved shard %d" shard) o
+
+let cluster_split topo_file timeout_ms retries shard at dest page lag max_rounds =
+  reshard topo_file shard (fun topo ->
+      if dest = [] then die "mvkv: cluster split needs at least one --dest";
+      Cluster.Move.split ?timeout_ms ~retries ~page ~lag ~max_rounds
+        ~notify:print_move_progress ~topo_path:topo_file topo ~shard ~at
+        ~dest:(parse_endpoints dest) ())
+  |> print_move_outcome (Printf.sprintf "split shard %d at %d" shard at)
 
 let cluster_merge topo_file timeout_ms retries shard page lag max_rounds =
-  let topo = load_topology topo_file in
-  check_shard_id topo topo_file shard;
-  match
-    Cluster.Move.merge ?timeout_ms ~retries ~page ~lag ~max_rounds
-      ~notify:print_move_progress ~topo_path:topo_file topo ~shard ()
-  with
-  | Ok o ->
-      print_move_outcome
-        (Printf.sprintf "merged shard %d into shard %d" (shard + 1) shard)
-        o
-  | Error e -> die "mvkv: %s" (Cluster.Move.error_to_string e)
+  reshard topo_file shard (fun topo ->
+      Cluster.Move.merge ?timeout_ms ~retries ~page ~lag ~max_rounds
+        ~notify:print_move_progress ~topo_path:topo_file topo ~shard ())
+  |> print_move_outcome (Printf.sprintf "merged shard %d into shard %d" (shard + 1) shard)
 
 let cluster_moves topo_file timeout_ms retries =
   let topo = load_topology topo_file in
@@ -827,30 +634,21 @@ let cluster_moves topo_file timeout_ms retries =
 
 (* `cluster client status`: one row per replica, probed with
    ping + epoch_probe; exits 1 when any primary is unreachable (the
-   condition that loses writes until someone promotes). *)
+   condition that loses writes until someone promotes). A backup whose
+   clock trails its answering primary's reads `behind N`: it has not
+   caught up, so a failover to it would lose N versions. *)
 let cluster_status topo_file timeout_ms retries slo =
   let topo = load_topology topo_file in
-  let timeout_ms = Some (Option.value timeout_ms ~default:2000) in
   (* --slo find=1ms,...: evaluate the objectives against each node's
      latency histograms (fetched as a registry snapshot) and add a
      column showing the worst-attained objective per node. The nodes
      need not know the objectives — attainment is computed client-side. *)
-  let objectives =
-    match slo with
-    | None -> None
-    | Some spec -> (
-        match Obs.Slo.parse spec with
-        | Ok objectives -> Some objectives
-        | Error e -> die "mvkv: bad --slo: %s" e)
-  in
+  let objectives = Option.map parse_objectives slo in
   let slo_of c =
     match objectives with
     | None -> ""
     | Some objs -> (
-        match
-          let text = Net.Client.registry_snap c in
-          Result.bind (Obs.Json.of_string text) Obs.Snap.of_json
-        with
+        match registry_snap c with
         | Ok snap -> (
             match Obs.Slo.attainment objs snap with
             | Some (op, f) -> Printf.sprintf "  slo %s %.2f%%" op (100. *. f)
@@ -862,42 +660,34 @@ let cluster_status topo_file timeout_ms retries slo =
     "clock" "state";
   let primaries_down = ref 0 in
   for i = 0 to Cluster.Topology.shards topo - 1 do
+    (* stays min_int when the primary does not answer *)
+    let primary_clock = ref min_int in
     for j = 0 to Cluster.Topology.replica_count topo i - 1 do
       let ep = Cluster.Topology.replica topo i j in
       let role = if j = 0 then "primary" else Printf.sprintf "backup%d" j in
       let status =
-        match Net.Client.connect ~retries ?timeout_ms ep with
-        | exception e ->
-            `Down
-              (match e with
-              | Unix.Unix_error (err, _, _) -> Unix.error_message err
-              | _ -> Printexc.to_string e)
-        | c ->
-            let r =
-              match
-                Net.Client.ping c;
-                Net.Client.epoch_probe c
-              with
-              | epoch, version -> `Up (epoch, version, slo_of c)
-              | exception e ->
-                  `Down
-                    (match e with
-                    | Net.Client.Remote_error (code, _) ->
-                        Net.Wire.error_code_name code
-                    | Unix.Unix_error (err, _, _) -> Unix.error_message err
-                    | _ -> Printexc.to_string e)
-            in
-            Net.Client.close c;
-            r
+        probe ~retries timeout_ms ep (fun c ->
+            Net.Client.ping c;
+            let epoch, version = Net.Client.epoch_probe c in
+            (epoch, version, slo_of c))
       in
       match status with
-      | `Up (epoch, version, slo_col) ->
-          Printf.printf "%-5d %-8s %-38s %-7d %-7d up%s\n" i role
-            (Net.Sockaddr.to_string ep) epoch version slo_col
-      | `Down reason ->
+      | Ok (epoch, version, slo_col) ->
+          if j = 0 then primary_clock := version;
+          Printf.printf "%-5d %-8s %-38s %-7d %-7d %s%s\n" i role
+            (Net.Sockaddr.to_string ep) epoch version
+            (if version < !primary_clock then
+               Printf.sprintf "behind %d" (!primary_clock - version)
+             else "up")
+            slo_col
+      | Error e ->
           if j = 0 then incr primaries_down;
           Printf.printf "%-5d %-8s %-38s %-7s %-7s down (%s)\n" i role
-            (Net.Sockaddr.to_string ep) "-" "-" reason
+            (Net.Sockaddr.to_string ep) "-" "-"
+            (match e with
+            | Net.Client.Remote_error (code, _) -> Net.Wire.error_code_name code
+            | Unix.Unix_error (err, _, _) -> Unix.error_message err
+            | e -> Printexc.to_string e)
     done
   done;
   if !primaries_down > 0 then begin
@@ -920,107 +710,232 @@ let with_router topo_file timeout_ms retries f =
   | Ok () -> ()
   | Error e -> die "mvkv: %s" (Cluster.Router.error_to_string e)
 
-let ( let* ) = Result.bind
-
 let cluster_ping topo timeout_ms retries =
   with_router topo timeout_ms retries (fun r ->
-      let* () = Cluster.Router.ping r in
-      print_endline "pong";
-      Ok ())
+      Result.map (fun () -> print_endline "pong") (Cluster.Router.ping r))
 
 let cluster_versions topo timeout_ms retries =
   with_router topo timeout_ms retries (fun r ->
-      let* versions = Cluster.Router.versions r in
-      Array.iteri (fun shard v -> Printf.printf "shard %d\tversion %d\n" shard v)
-        versions;
-      Ok ())
+      Result.map
+        (Array.iteri (fun shard v -> Printf.printf "shard %d\tversion %d\n" shard v))
+        (Cluster.Router.versions r))
 
-let cluster_insert topo timeout_ms retries key value =
-  with_router topo timeout_ms retries (fun r ->
-      let* () = Cluster.Router.insert r ~key ~value in
-      let* version = Cluster.Router.tag r in
-      Printf.printf "inserted %d -> %d at cluster version %d\n" key value version;
-      Ok ())
+(* ---- data commands: one table over a pool, a server or a cluster ---- *)
 
-let cluster_remove topo timeout_ms retries key =
-  with_router topo timeout_ms retries (fun r ->
-      let* () = Cluster.Router.remove r ~key in
-      let* version = Cluster.Router.tag r in
-      Printf.printf "removed %d at cluster version %d\n" key version;
-      Ok ())
+(* The paper's API (Table 1) on whatever store a data command's
+   connection flags name. An operation returns or exits 2 with its
+   target's one-line message; [word] is what the target's messages
+   print before "version". [compact] takes an absolute horizon or a
+   number of versions to keep below the clock, and returns the horizon
+   and the entries dropped. *)
+type target = {
+  word : string;
+  insert : int -> int -> unit;
+  remove : int -> unit;
+  insert_batch : (int * int) list -> unit;
+  remove_batch : int list -> unit;
+  tag : unit -> int;
+  find : ?version:int -> int -> int option;
+  history : int -> (int * int Mvdict.Dict_intf.event) list;
+  snapshot : ?version:int -> unit -> (int * int) array;
+  scan : ?version:int -> limit:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit;
+  compact : [ `Before of int | `Retain of int ] -> int * int;
+}
 
-let cluster_insert_batch topo timeout_ms retries pairs =
-  let pairs = parse_pairs pairs in
-  with_router topo timeout_ms retries (fun r ->
-      let* () = Cluster.Router.insert_batch r pairs in
-      let* version = Cluster.Router.tag r in
-      Printf.printf "inserted %d pair(s) at cluster version %d\n"
-        (List.length pairs) version;
-      Ok ())
+(* A horizon of 0 compacts nothing, so it is not sent. *)
+let compact_below ~clock compact horizon =
+  let before = match horizon with `Before b -> b | `Retain n -> max 0 (clock () - n) in
+  (before, if before > 0 then compact before else 0)
 
-let cluster_remove_batch topo timeout_ms retries keys =
-  let keys = parse_keys keys in
-  with_router topo timeout_ms retries (fun r ->
-      let* () = Cluster.Router.remove_batch r keys in
-      let* version = Cluster.Router.tag r in
-      Printf.printf "removed %d key(s) at cluster version %d\n" (List.length keys)
-        version;
-      Ok ())
+let pool_target store =
+  { word = "";
+    insert = Store.insert store;
+    remove = Store.remove store;
+    insert_batch = Store.insert_batch store;
+    remove_batch = Store.remove_batch store;
+    tag = (fun () -> Store.tag store);
+    find = Store.find store;
+    history = Store.extract_history store;
+    snapshot = Store.extract_snapshot store;
+    scan = (fun ?version ~limit:_ ~lo ~hi f -> Store.iter_range store ?version ~lo ~hi f);
+    compact =
+      compact_below ~clock:(fun () -> Store.current_version store) (fun before ->
+          Store.compact store ~before) }
 
-let cluster_scan topo timeout_ms retries lo hi version limit =
-  if hi <= lo then die "mvkv: scan needs --lo < --hi";
-  with_router topo timeout_ms retries (fun r ->
-      let* _count =
-        Cluster.Router.scan r ?version ~limit ~lo ~hi (fun k v ->
-            Printf.printf "%d\t%d\n" k v)
-      in
-      Ok ())
+(* --retain N probes the server's clock with [Tag_at 0] and sends the
+   absolute horizon clock - N. *)
+let server_target c =
+  { word = "";
+    insert = (fun key value -> Net.Client.insert c ~key ~value);
+    remove = (fun key -> Net.Client.remove c ~key);
+    insert_batch = Net.Client.insert_batch c;
+    remove_batch = Net.Client.remove_batch c;
+    tag = (fun () -> Net.Client.tag c);
+    find = Net.Client.find c;
+    history = Net.Client.history c;
+    snapshot = Net.Client.snapshot c;
+    scan = (fun ?version ~limit ~lo ~hi f -> ignore (Net.Client.scan c ?version ~limit ~lo ~hi f));
+    compact =
+      compact_below ~clock:(fun () -> Net.Client.tag_at c ~version:0) (fun before ->
+          Net.Client.compact c ~before) }
 
-let cluster_tag topo timeout_ms retries =
-  with_router topo timeout_ms retries (fun r ->
-      let* version = Cluster.Router.tag r in
-      Printf.printf "version %d\n" version;
-      Ok ())
+let cluster_target r =
+  let ok = function Ok v -> v | Error e -> die "mvkv: %s" (Cluster.Router.error_to_string e) in
+  { word = "cluster ";
+    insert = (fun key value -> ok (Cluster.Router.insert r ~key ~value));
+    remove = (fun key -> ok (Cluster.Router.remove r ~key));
+    insert_batch = (fun pairs -> ok (Cluster.Router.insert_batch r pairs));
+    remove_batch = (fun keys -> ok (Cluster.Router.remove_batch r keys));
+    tag = (fun () -> ok (Cluster.Router.tag r));
+    find = (fun ?version key -> ok (Cluster.Router.find r ?version key));
+    history = (fun key -> ok (Cluster.Router.history r key));
+    snapshot = (fun ?version () -> ok (Cluster.Router.snapshot r ?version ()));
+    scan =
+      (fun ?version ~limit ~lo ~hi f ->
+        ignore (ok (Cluster.Router.scan r ?version ~limit ~lo ~hi f)));
+    compact =
+      (function
+      | `Retain keep -> ok (Cluster.Router.compact r ~keep)
+      | `Before _ -> invalid_arg "the cluster compacts by --retain only") }
 
-let cluster_find topo timeout_ms retries key version =
-  with_router topo timeout_ms retries (fun r ->
-      let* found = Cluster.Router.find r ?version key in
-      match found with
-      | Some value ->
-          Printf.printf "%d\n" value;
-          Ok ()
-      | None ->
-          prerr_endline "(absent)";
-          exit 1)
+(* Each kind's connection flags, as a term that runs a command body on
+   its target and then closes it. The pool dumps --stats afterwards,
+   also when the body found a key absent. *)
+type kind = Pool | Server | Cluster
 
-let cluster_history topo timeout_ms retries key =
-  with_router topo timeout_ms retries (fun r ->
-      let* events = Cluster.Router.history r key in
-      List.iter
-        (fun (version, event) ->
-          match event with
-          | Mvdict.Dict_intf.Put v -> Printf.printf "v%d\tput\t%d\n" version v
-          | Mvdict.Dict_intf.Del -> Printf.printf "v%d\tdel\n" version)
-        events;
-      Ok ())
+exception Absent
 
-let cluster_compact topo timeout_ms retries retain =
-  with_router topo timeout_ms retries (fun r ->
-      match retain with
-      | None -> die "mvkv: cluster compact needs --retain"
-      | Some keep ->
-          if keep < 0 then die "mvkv: --retain must be non-negative";
-          let* before, dropped = Cluster.Router.compact r ~keep in
-          Printf.printf
-            "compacted cluster before version %d: dropped %d entries\n" before
-            dropped;
-          Ok ())
+let on_pool =
+  Term.(
+    const (fun pool threads dump body ->
+        let store = open_store pool threads in
+        Fun.protect ~finally:(fun () -> maybe_stats dump) (fun () -> body (pool_target store)))
+    $ pool_arg $ threads_arg $ stats_arg)
 
-let cluster_snapshot topo timeout_ms retries version =
-  with_router topo timeout_ms retries (fun r ->
-      let* pairs = Cluster.Router.snapshot r ?version () in
-      Array.iter (fun (k, v) -> Printf.printf "%d\t%d\n" k v) pairs;
-      Ok ())
+let on_server =
+  Term.(
+    const (fun socket host port timeout_ms retries body ->
+        with_client ?timeout_ms ~retries socket host port (fun c -> body (server_target c)))
+    $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg $ retries_arg)
+
+let on_cluster =
+  Term.(
+    const (fun topo timeout_ms retries body ->
+        with_router topo timeout_ms retries (fun r -> Ok (body (cluster_target r))))
+    $ topology_arg $ timeout_ms_arg $ retries_arg)
+
+let print_pair k v = Printf.printf "%d\t%d\n" k v
+
+(* Mutations tag explicitly to commit their snapshot: a pool's clock is
+   recovered from persisted versions. *)
+let committed t fmt =
+  Printf.ksprintf (fun what -> Printf.printf "%s at %sversion %d\n" what t.word (t.tag ())) fmt
+
+(* Every data command, defined once: a command exists for the kinds
+   that have a doc for it. *)
+let data_cmds kind on =
+  let cmd ?pool ~server ~cluster name body =
+    match (match kind with Pool -> pool | Server -> Some server | Cluster -> Some cluster) with
+    | None -> []
+    | Some doc ->
+        let run body on = try on body with Absent -> prerr_endline "(absent)"; exit 1 in
+        [ Cmd.v (Cmd.info name ~doc) Term.(const run $ body $ on) ]
+  in
+  let compact_flags =
+    match kind with
+    | Cluster -> Term.(const (fun retain -> (None, retain, "--retain")) $ retain_arg)
+    | Pool | Server ->
+        Term.(const (fun b r -> (b, r, "--before or --retain")) $ before_arg $ retain_arg)
+  in
+  List.concat
+    [ cmd "insert" ~pool:"Insert or update a key." ~server:"Insert or update a key remotely."
+        ~cluster:"Insert on the owning shard and cut a cluster tag."
+        Term.(
+          const (fun key value t ->
+              t.insert key value;
+              committed t "inserted %d -> %d" key value)
+          $ key_arg $ value_arg);
+      cmd "remove" ~pool:"Remove a key." ~server:"Remove a key remotely."
+        ~cluster:"Remove on the owning shard and cut a cluster tag."
+        Term.(const (fun key t -> t.remove key; committed t "removed %d" key) $ key_arg);
+      cmd "insert-batch" ~server:"Install many pairs in one frame (one version bump server-side)."
+        ~cluster:
+          "Bucket pairs per owning shard, one pipelined batch per shard, then cut a \
+           cluster tag."
+        Term.(
+          const (fun pairs t ->
+              let pairs = parse_pairs pairs in
+              t.insert_batch pairs;
+              committed t "inserted %d pair(s)" (List.length pairs))
+          $ pairs_arg);
+      cmd "remove-batch" ~server:"Remove many keys in one frame (one version bump server-side)."
+        ~cluster:
+          "Bucket keys per owning shard, one pipelined batch per shard, then cut a \
+           cluster tag."
+        Term.(
+          const (fun keys t ->
+              let keys = parse_keys keys in
+              t.remove_batch keys;
+              committed t "removed %d key(s)" (List.length keys))
+          $ keys_arg);
+      cmd "scan" ~server:"Stream the live pairs of [--lo, --hi) in key order, paged."
+        ~cluster:"Stream the live pairs of [--lo, --hi) across shards in key order, paged."
+        Term.(
+          const (fun lo hi version limit t ->
+              if hi <= lo then die "mvkv: scan needs --lo < --hi";
+              t.scan ?version ~limit ~lo ~hi print_pair)
+          $ lo_arg $ hi_arg $ version_arg $ limit_arg);
+      cmd "tag" ~pool:"Commit a snapshot and print its version."
+        ~server:"Commit a snapshot remotely and print its version."
+        ~cluster:"Cut a cluster-wide snapshot version on every shard."
+        Term.(const (fun t -> Printf.printf "version %d\n" (t.tag ())));
+      cmd "find" ~pool:"Look a key up (optionally in a past snapshot)."
+        ~server:"Look a key up remotely (optionally in a past snapshot)."
+        ~cluster:"Route a lookup to the owning shard."
+        Term.(
+          const (fun key version t ->
+              match t.find ?version key with
+              | Some value -> Printf.printf "%d\n" value
+              | None -> raise Absent)
+          $ key_arg $ version_arg);
+      cmd "history" ~pool:"Print the evolution of a key."
+        ~server:"Print the evolution of a key remotely."
+        ~cluster:"Gather a key's history across shards."
+        Term.(
+          const (fun key t ->
+              List.iter
+                (function
+                  | v, Mvdict.Dict_intf.Put x -> Printf.printf "v%d\tput\t%d\n" v x
+                  | v, Mvdict.Dict_intf.Del -> Printf.printf "v%d\tdel\n" v)
+                (t.history key))
+          $ key_arg);
+      cmd "snapshot" ~pool:"Print all live pairs of a snapshot in key order."
+        ~server:"Print all live pairs of a snapshot remotely."
+        ~cluster:"Page every shard's range through Scan, in key order."
+        Term.(
+          const (fun version t -> Array.iter (fun (k, v) -> print_pair k v) (t.snapshot ?version ()))
+          $ version_arg);
+      cmd "compact" ~pool:"Garbage-collect history (offline): --before V or --retain N."
+        ~server:"Garbage-collect the server's history: --before V or --retain N."
+        ~cluster:
+          "Cluster-wide GC: probe shard clocks, compact below the safe horizon (--retain N)."
+        Term.(
+          const (fun (before, retain, needs) t ->
+              let before, dropped =
+                t.compact
+                  (match (before, retain) with
+                  | Some _, Some _ -> die "mvkv: pass either --before or --retain, not both"
+                  | Some b, None ->
+                      if b < 0 then die "mvkv: --before must be non-negative";
+                      `Before b
+                  | None, Some n ->
+                      if n < 0 then die "mvkv: --retain must be non-negative";
+                      `Retain n
+                  | None, None -> die "mvkv: %scompact needs %s" t.word needs)
+              in
+              Printf.printf "compacted %sbefore version %d: dropped %d entries\n" t.word
+                before dropped)
+          $ compact_flags) ]
 
 (* ---- fleet-wide inspection: cluster top / metrics / trace ---- *)
 
@@ -1028,6 +943,24 @@ let warn_skipped skipped =
   List.iter
     (fun (node, reason) -> Printf.eprintf "mvkv: skipped %s: %s\n%!" node reason)
     skipped
+
+(* Print a Chrome trace [json] (whose text is [text]), or write it to
+   [out] and say how many [what] it holds. *)
+let emit_trace ~what out json text =
+  match out with
+  | None -> print_endline text
+  | Some path ->
+      let n =
+        match Obs.Json.member "traceEvents" json with
+        | Some (Obs.Json.List evs) -> List.length evs
+        | _ -> 0
+      in
+      let oc = open_out path in
+      output_string oc text;
+      output_char oc '\n';
+      close_out oc;
+      Printf.printf "wrote %d %s to %s (open in chrome://tracing or ui.perfetto.dev)\n" n
+        what path
 
 (* `mvkv cluster metrics`: every replica's registry as one Prometheus
    page, each node a {shard,replica} label set — point one scrape
@@ -1046,30 +979,19 @@ let cluster_trace topo timeout_ms retries out keep =
   with_router topo timeout_ms retries (fun r ->
       let doc, skipped = Cluster.Router.fleet_trace ~clear:(not keep) r in
       warn_skipped skipped;
-      let n =
-        match Obs.Json.member "traceEvents" doc with
-        | Some (Obs.Json.List evs) -> List.length evs
-        | _ -> 0
-      in
-      let text = Obs.Json.to_string doc in
-      (match out with
-      | None -> print_endline text
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf
-            "wrote %d event(s) to %s (open in chrome://tracing or ui.perfetto.dev)\n"
-            n path);
+      emit_trace ~what:"event(s)" out doc (Obs.Json.to_string doc);
       Ok ())
 
-(* `mvkv cluster top`: one row per replica plus a cluster-wide
-   aggregate, refreshed like `mvkv top`. Rates come from each node's
-   sliding windows (no cross-poll deltas needed), percentiles from the
-   per-node histograms; the aggregate row merges every snapshot first,
-   so its p50/p99 are computed on the summed log-buckets, not averaged
-   per-node percentiles. *)
+(* The dashboards' refresh loop: [count] rounds (default: until
+   interrupted), [interval] seconds apart. *)
+let refresh ~interval ~count f =
+  let rounds = Option.value count ~default:max_int in
+  for i = 1 to rounds do
+    f ();
+    if i < rounds then
+      try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
+
 (* Snapshot queries shared by `mvkv top` and `mvkv cluster top`: a
    window's 10 s rate, and an op's latency percentile ("-" when no
    sample was timed). *)
@@ -1084,12 +1006,15 @@ let pct snap op q =
       Printf.sprintf "%.1fus" (float_of_int (Obs.Snap.hist_percentile h q) /. 1e3)
   | _ -> "-"
 
+(* `mvkv cluster top`: one row per replica plus a cluster-wide
+   aggregate, refreshed like `mvkv top`. Rates come from each node's
+   sliding windows (no cross-poll deltas needed), percentiles from the
+   per-node histograms; the aggregate row merges every snapshot first,
+   so its p50/p99 are computed on the summed log-buckets, not averaged
+   per-node percentiles. *)
 let cluster_top topo_file timeout_ms retries interval count =
   if interval <= 0. then die "mvkv: --interval must be positive";
-  let topo = load_topology topo_file in
-  let reload () = Result.to_option (Cluster.Topology.of_file topo_file) in
-  let router = Cluster.Router.create ?timeout_ms ~retries ~reload topo in
-  Fun.protect ~finally:(fun () -> Cluster.Router.close router) @@ fun () ->
+  with_router topo_file timeout_ms retries @@ fun router ->
   let row label snap =
     Printf.printf "%-12s %10d %8.1f %10s %10s %10s %10s %5d %9s\n" label
       (Obs.Snap.counter snap "net.requests")
@@ -1105,10 +1030,7 @@ let cluster_top topo_file timeout_ms retries interval count =
          Printf.sprintf "%.1fMiB" (float_of_int bytes /. float_of_int (1 lsl 20))
        else Printf.sprintf "%dB" bytes)
   in
-  let rounds = match count with Some n -> n | None -> max_int in
-  let i = ref 0 in
-  while !i < rounds do
-    incr i;
+  Ok (refresh ~interval ~count @@ fun () ->
     let snaps = Cluster.Router.fleet_snaps router in
     print_string "\027[H\027[J";
     let tm = Unix.localtime (Unix.gettimeofday ()) in
@@ -1152,10 +1074,7 @@ let cluster_top topo_file timeout_ms retries interval count =
             sealed installed
             (rate10 m "move.rate.install.events")
             rejects);
-    Printf.printf "%!";
-    if !i < rounds then
-      try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+    Printf.printf "%!")
 
 (* ---- live inspection: metrics / trace / slowlog / top ---- *)
 
@@ -1170,21 +1089,7 @@ let trace socket host port out keep =
          of leaving an unloadable file behind. *)
       match Obs.Json.of_string text with
       | Error e -> die "mvkv: server returned invalid trace JSON: %s" e
-      | Ok json -> (
-          let n =
-            match Obs.Json.member "traceEvents" json with
-            | Some (Obs.Json.List evs) -> List.length evs
-            | _ -> 0
-          in
-          match out with
-          | None -> print_endline text
-          | Some path ->
-              let oc = open_out path in
-              output_string oc text;
-              output_char oc '\n';
-              close_out oc;
-              Printf.printf "wrote %d span(s) to %s (open in chrome://tracing or ui.perfetto.dev)\n"
-                n path))
+      | Ok json -> emit_trace ~what:"span(s)" out json text)
 
 let slowlog socket host port n =
   with_client socket host port (fun c ->
@@ -1296,11 +1201,8 @@ let render_top ~prev ~now snap =
 let top socket host port interval count =
   if interval <= 0. then die "mvkv: --interval must be positive";
   with_client socket host port (fun c ->
-      let rounds = match count with Some n -> n | None -> max_int in
       let prev = ref None in
-      let i = ref 0 in
-      while !i < rounds do
-        incr i;
+      refresh ~interval ~count @@ fun () ->
         let snap = fetch_snap c in
         let now = Unix.gettimeofday () in
         (* A restart zeroes every counter; the previous poll would make
@@ -1312,11 +1214,7 @@ let top socket host port interval count =
             prev := None
         | _ -> ());
         render_top ~prev:!prev ~now snap;
-        prev := Some (now, snap);
-        if !i < rounds then
-          try Unix.sleepf interval
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done)
+        prev := Some (now, snap))
 
 let stats pool threads =
   let store = open_store pool threads in
@@ -1336,25 +1234,8 @@ let () =
     [
       cmd_of "init" "Create and format a pool file."
         Term.(const init $ pool_arg $ size_arg $ stats_arg);
-      cmd_of "insert" "Insert or update a key."
-        Term.(const insert $ pool_arg $ threads_arg $ key_arg $ value_arg $ stats_arg);
-      cmd_of "remove" "Remove a key."
-        Term.(const remove $ pool_arg $ threads_arg $ key_arg $ stats_arg);
-      cmd_of "tag" "Commit a snapshot and print its version."
-        Term.(const tag $ pool_arg $ threads_arg $ stats_arg);
-      cmd_of "find" "Look a key up (optionally in a past snapshot)."
-        Term.(const find $ pool_arg $ threads_arg $ key_arg $ version_arg $ stats_arg);
-      cmd_of "history" "Print the evolution of a key."
-        Term.(const history $ pool_arg $ threads_arg $ key_arg $ stats_arg);
-      cmd_of "snapshot" "Print all live pairs of a snapshot in key order."
-        Term.(const snapshot $ pool_arg $ threads_arg $ version_arg $ stats_arg);
       cmd_of "stats" "Pool statistics."
         Term.(const stats $ pool_arg $ threads_arg);
-      cmd_of "compact"
-        "Garbage-collect history (offline): --before V or --retain N."
-        Term.(
-          const compact $ pool_arg $ threads_arg $ before_arg $ retain_arg
-          $ stats_arg);
       cmd_of "serve"
         "Serve the pool's dict API over a socket until SIGINT/SIGTERM."
         Term.(
@@ -1373,60 +1254,17 @@ let () =
         Term.(const slowlog $ socket_arg $ host_arg $ port_arg $ entries_arg);
       Cmd.group
         (Cmd.info "client" ~doc:"Drive a running mvkv server over the wire protocol.")
-        [
-          cmd_of "ping" "Round-trip liveness check."
-            Term.(
-              const client_ping $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg);
-          cmd_of "insert" "Insert or update a key remotely."
-            Term.(
-              const client_insert $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg $ key_arg $ value_arg);
-          cmd_of "remove" "Remove a key remotely."
-            Term.(
-              const client_remove $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg $ key_arg);
-          cmd_of "insert-batch"
-            "Install many pairs in one frame (one version bump server-side)."
-            Term.(
-              const client_insert_batch $ socket_arg $ host_arg $ port_arg
-              $ timeout_ms_arg $ retries_arg $ pairs_arg);
-          cmd_of "remove-batch"
-            "Remove many keys in one frame (one version bump server-side)."
-            Term.(
-              const client_remove_batch $ socket_arg $ host_arg $ port_arg
-              $ timeout_ms_arg $ retries_arg $ keys_arg);
-          cmd_of "scan"
-            "Stream the live pairs of [--lo, --hi) in key order, paged."
-            Term.(
-              const client_scan $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg $ lo_arg $ hi_arg $ version_arg $ limit_arg);
-          cmd_of "tag" "Commit a snapshot remotely and print its version."
-            Term.(
-              const client_tag $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg);
-          cmd_of "find" "Look a key up remotely (optionally in a past snapshot)."
-            Term.(
-              const client_find $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg $ key_arg $ version_arg);
-          cmd_of "history" "Print the evolution of a key remotely."
-            Term.(
-              const client_history $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg $ key_arg);
-          cmd_of "snapshot" "Print all live pairs of a snapshot remotely."
-            Term.(
-              const client_snapshot $ socket_arg $ host_arg $ port_arg
-              $ timeout_ms_arg $ retries_arg $ version_arg);
-          cmd_of "compact"
-            "Garbage-collect the server's history: --before V or --retain N."
-            Term.(
-              const client_compact $ socket_arg $ host_arg $ port_arg
-              $ timeout_ms_arg $ retries_arg $ before_arg $ retain_arg);
-          cmd_of "stats" "Fetch the server's observability registry as JSON."
-            Term.(
-              const client_stats $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
-              $ retries_arg);
-        ];
+        ([
+           cmd_of "ping" "Round-trip liveness check."
+             Term.(
+               const client_ping $ socket_arg $ host_arg $ port_arg $ timeout_ms_arg
+               $ retries_arg);
+           cmd_of "stats" "Fetch the server's observability registry as JSON."
+             Term.(
+               const client_stats $ socket_arg $ host_arg $ port_arg
+               $ timeout_ms_arg $ retries_arg);
+         ]
+        @ data_cmds Server on_server);
       Cmd.group
         (Cmd.info "cluster"
            ~doc:
@@ -1493,69 +1331,25 @@ let () =
               $ trace_out_arg $ keep_arg);
           Cmd.group
             (Cmd.info "client" ~doc:"Drive a running sharded cluster.")
-            [
-              cmd_of "ping" "Round-trip every shard."
-                Term.(const cluster_ping $ topology_arg $ timeout_ms_arg $ retries_arg);
-              cmd_of "status"
-                "Per-replica health table (role, epoch, clock, up/down, \
-                 optional --slo attainment); exits 1 if any primary is down."
-                Term.(
-                  const cluster_status $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ slo_arg);
-              cmd_of "versions" "Print every shard's current version."
-                Term.(
-                  const cluster_versions $ topology_arg $ timeout_ms_arg
-                  $ retries_arg);
-              cmd_of "insert" "Insert on the owning shard and cut a cluster tag."
-                Term.(
-                  const cluster_insert $ topology_arg $ timeout_ms_arg $ retries_arg
-                  $ key_arg $ value_arg);
-              cmd_of "remove" "Remove on the owning shard and cut a cluster tag."
-                Term.(
-                  const cluster_remove $ topology_arg $ timeout_ms_arg $ retries_arg
-                  $ key_arg);
-              cmd_of "insert-batch"
-                "Bucket pairs per owning shard, one pipelined batch per \
-                 shard, then cut a cluster tag."
-                Term.(
-                  const cluster_insert_batch $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ pairs_arg);
-              cmd_of "remove-batch"
-                "Bucket keys per owning shard, one pipelined batch per \
-                 shard, then cut a cluster tag."
-                Term.(
-                  const cluster_remove_batch $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ keys_arg);
-              cmd_of "scan"
-                "Stream the live pairs of [--lo, --hi) across shards in key \
-                 order, paged."
-                Term.(
-                  const cluster_scan $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ lo_arg $ hi_arg $ version_arg $ limit_arg);
-              cmd_of "tag" "Cut a cluster-wide snapshot version on every shard."
-                Term.(const cluster_tag $ topology_arg $ timeout_ms_arg $ retries_arg);
-              cmd_of "find" "Route a lookup to the owning shard."
-                Term.(
-                  const cluster_find $ topology_arg $ timeout_ms_arg $ retries_arg
-                  $ key_arg $ version_arg);
-              cmd_of "history" "Gather a key's history across shards."
-                Term.(
-                  const cluster_history $ topology_arg $ timeout_ms_arg $ retries_arg
-                  $ key_arg);
-              cmd_of "snapshot"
-                "Gather every shard's snapshot, in key order."
-                Term.(
-                  const cluster_snapshot $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ version_arg);
-              cmd_of "compact"
-                "Cluster-wide GC: probe shard clocks, compact below the \
-                 safe horizon (--retain N)."
-                Term.(
-                  const cluster_compact $ topology_arg $ timeout_ms_arg
-                  $ retries_arg $ retain_arg);
-            ];
+            ([
+               cmd_of "ping" "Round-trip every shard."
+                 Term.(
+                   const cluster_ping $ topology_arg $ timeout_ms_arg $ retries_arg);
+               cmd_of "status"
+                 "Per-replica health table (role, epoch, clock, up/behind/down, \
+                  optional --slo attainment); exits 1 if any primary is down."
+                 Term.(
+                   const cluster_status $ topology_arg $ timeout_ms_arg
+                   $ retries_arg $ slo_arg);
+               cmd_of "versions" "Print every shard's current version."
+                 Term.(
+                   const cluster_versions $ topology_arg $ timeout_ms_arg
+                   $ retries_arg);
+             ]
+            @ data_cmds Cluster on_cluster);
         ];
     ]
+    @ data_cmds Pool on_pool
   in
   let info =
     Cmd.info "mvkv" ~version:"1.0.0"

@@ -388,15 +388,14 @@ let on_read t shard f =
   in
   go ~reloaded:false
 
-(* Left-to-right fan-out, first shard failure wins. [route] picks the
-   per-shard policy: primaries for anything that writes or feeds a
-   write decision, replica-failover for pure reads. *)
-let each_shard t route f =
+(* Left-to-right fan-out over every shard's primary, first shard
+   failure wins. *)
+let each_primary t f =
   let k = Topology.shards t.topo in
   let rec go i acc =
     if i >= k then Ok (List.rev acc)
     else
-      match route t i (f i) with
+      match on_primary t i f with
       | Ok v -> go (i + 1) (v :: acc)
       | Error _ as e -> e
   in
@@ -409,7 +408,7 @@ let each_shard t route f =
    answer (the ops are advance-to/below-horizon absolute). *)
 let broadcast_chased ?(attempts = 4) t f =
   let rec go attempts =
-    match each_shard t on_primary (fun _ c -> f c) with
+    match each_primary t f with
     | Error (Moved { epoch; _ }) when attempts > 0 && chase_moved t ~min_epoch:epoch
       ->
         go (attempts - 1)
@@ -475,10 +474,6 @@ let versions t =
 
 (* ---- find_bulk: per-shard batches, answers in input order ---- *)
 
-(* Keys per Find_bulk frame. 8 KiB of keys per frame keeps frames far
-   below max_frame while still amortising the round trip. *)
-let bulk_chunk = 1024
-
 let find_bulk t ?version keys =
   traced t m_find_bulk "cluster.find_bulk" (fun () ->
       Obs.Histogram.record h_bulk_keys (Array.length keys);
@@ -508,18 +503,12 @@ let find_bulk t ?version keys =
               let positions = Array.of_list (List.rev buckets.(shard)) in
               if Array.length positions = 0 then per_shard (shard + 1)
               else begin
-                (* one pipelined call_batch of <=bulk_chunk-key frames *)
+                (* one pipelined call_batch of <=batch_chunk-key frames *)
                 let n = Array.length positions in
-                let chunks =
-                  List.init
-                    ((n + bulk_chunk - 1) / bulk_chunk)
-                    (fun c ->
-                      let lo = c * bulk_chunk in
-                      let len = min bulk_chunk (n - lo) in
-                      Array.init len (fun j -> keys.(positions.(lo + j))))
-                in
                 let reqs =
-                  List.map (fun chunk -> Net.Wire.Find_bulk { keys = chunk; version }) chunks
+                  List.map
+                    (fun chunk -> Net.Wire.Find_bulk { keys = chunk; version })
+                    (Net.Wire.chunks (Array.map (fun pos -> keys.(pos)) positions))
                 in
                 match
                   on_read t shard (fun c ->
@@ -572,7 +561,7 @@ let bucket_by_shard t items key_of =
   | None -> Ok (Array.map List.rev buckets)
 
 (* One pipelined [call_batch] per shard that owns anything: each shard's
-   bucket goes out as <=bulk_chunk-element batch frames written in one
+   bucket goes out as <=batch_chunk-element batch frames written in one
    buffered send, so a K-shard batch costs K round trips, not one per
    key. Each frame is one store-level batch (one version bump) on its
    shard — cluster batches are per-shard-chunk atomic, not
@@ -582,15 +571,7 @@ let batched_write t m name ~frame items key_of =
   traced t m name (fun () ->
       Obs.Histogram.record h_batch_pairs (List.length items);
       let send_one shard items =
-        let arr = Array.of_list items in
-        let n = Array.length arr in
-        let reqs =
-          List.init
-            ((n + bulk_chunk - 1) / bulk_chunk)
-            (fun c ->
-              let lo = c * bulk_chunk in
-              frame (Array.sub arr lo (min bulk_chunk (n - lo))))
-        in
+        let reqs = List.map frame (Net.Wire.chunks (Array.of_list items)) in
         on_primary t shard (fun c ->
             List.iter
               (function
@@ -656,37 +637,42 @@ let remove_batch t keys =
    renumbered the map mid-scan) chases the topology and resumes from
    the first undelivered position — never from a shard index, which the
    reshard may have re-pointed at a different range. *)
+let scan_range t ?version ?limit ~lo ~hi f =
+  let stop = min hi (1 lsl Topology.key_bits t.topo) in
+  let rec walk ~attempts pos total =
+    if pos >= stop then Ok total
+    else
+      let shard = Topology.owner t.topo pos in
+      let _, shi = Topology.range t.topo shard in
+      let hi' = min stop shi in
+      let buf = ref [] in
+      match
+        on_read t shard (fun c ->
+            buf := [];
+            ignore
+              (Net.Client.scan c ?version ?limit ~lo:pos ~hi:hi'
+                 (fun key value -> buf := (key, value) :: !buf)))
+      with
+      | Ok () ->
+          let pairs = List.rev !buf in
+          List.iter (fun (key, value) -> f key value) pairs;
+          walk ~attempts hi' (total + List.length pairs)
+      | Error (Moved { epoch; _ }) as e when attempts > 0 ->
+          Obs.Metric.incr c_moved_chases;
+          if chase_moved t ~min_epoch:epoch then
+            walk ~attempts:(attempts - 1) pos total
+          else e
+      | Error _ as e -> e
+  in
+  walk ~attempts:4 (max lo 0) 0
+
 let scan t ?version ?limit ~lo ~hi f =
   traced t m_scan "cluster.scan" (fun () ->
-      let stop = min hi (1 lsl Topology.key_bits t.topo) in
-      let rec walk ~attempts pos total =
-        if pos >= stop then Ok total
-        else
-          let shard = Topology.owner t.topo pos in
-          let _, shi = Topology.range t.topo shard in
-          let hi' = min stop shi in
-          let buf = ref [] in
-          match
-            on_read t shard (fun c ->
-                buf := [];
-                ignore
-                  (Net.Client.scan c ?version ?limit ~lo:pos ~hi:hi'
-                     (fun key value -> buf := (key, value) :: !buf)))
-          with
-          | Ok () ->
-              let pairs = List.rev !buf in
-              List.iter (fun (key, value) -> f key value) pairs;
-              let n = List.length pairs in
-              Obs.Metric.add c_scan_pairs n;
-              walk ~attempts hi' (total + n)
-          | Error (Moved { epoch; _ }) as e when attempts > 0 ->
-              Obs.Metric.incr c_moved_chases;
-              if chase_moved t ~min_epoch:epoch then
-                walk ~attempts:(attempts - 1) pos total
-              else e
-          | Error _ as e -> e
-      in
-      walk ~attempts:4 (max lo 0) 0)
+      Result.map
+        (fun n ->
+          Obs.Metric.add c_scan_pairs n;
+          n)
+        (scan_range t ?version ?limit ~lo ~hi f))
 
 (* ---- cluster-wide tag ---- *)
 
@@ -743,33 +729,18 @@ let history t key =
 
 (* ---- distributed extract_snapshot ---- *)
 
-(* Clip a shard's contribution to the range it owns: after a split or
-   merge, the old owner still stores the moved range's pairs (reclaim
-   is its own GC's business), and including them would duplicate — or,
-   after post-reshard writes, contradict — the new owner's answer. *)
-let clip_to_range t shard pairs =
-  let lo, hi = Topology.range t.topo shard in
-  if Array.for_all (fun (k, _) -> k >= lo && k < hi) pairs then pairs
-  else
-    Array.of_list
-      (List.filter (fun (k, _) -> k >= lo && k < hi) (Array.to_list pairs))
-
-(* Topology ranges are ascending and contiguous, so the clipped parts
-   in shard order already form one sorted array: concatenating them is
-   the whole merge. *)
+(* A scan of the whole key space: every shard's range is paged in key
+   order, so no reply has to hold a shard's whole state, and a range a
+   reshard moved is read only from its owner. *)
 let snapshot t ?version () =
   traced t m_snapshot "cluster.snapshot" (fun () ->
+      let acc = ref [] in
       Result.map
-        (fun parts ->
-          let pairs = Array.concat parts in
-          Obs.Metric.add c_snapshot_pairs (Array.length pairs);
-          pairs)
-        (* Chased: a reshard mid-gather re-runs the whole fan-out so
-           every shard's clip uses one coherent topology. *)
-        (chased t (fun () ->
-             Obs.Span.with_ "cluster.snapshot.gather" (fun () ->
-                 each_shard t on_read (fun shard c ->
-                     clip_to_range t shard (Net.Client.snapshot c ?version ()))))))
+        (fun n ->
+          Obs.Metric.add c_snapshot_pairs n;
+          Array.of_list (List.rev !acc))
+        (scan_range t ?version ~lo:0 ~hi:(1 lsl Topology.key_bits t.topo) (fun k v ->
+             acc := (k, v) :: !acc)))
 
 (* ---- fleet aggregation ---- *)
 

@@ -151,13 +151,13 @@ val history : t -> int -> ((int * int Mvdict.Dict_intf.event) list, error) resul
     scatter-gather would double-count. *)
 
 val snapshot : t -> ?version:int -> unit -> ((int * int) array, error) result
-(** Cluster-wide [extract_snapshot]: gather every shard's snapshot of
-    [version], clip each to the range the shard owns, and concatenate
-    the parts in shard order. Shard order is key order (see
-    {!Topology}), so the result is sorted with no merge step. Timed as
-    the [cluster.snapshot] op, with the fan-out spanned as
-    [cluster.snapshot.gather]; [cluster.snapshot.pairs] counts the
-    pairs returned. *)
+(** Cluster-wide [extract_snapshot]: {!scan} over the whole key space
+    [[0, 2{^key_bits})], so each shard's range arrives in [Scan] pages
+    that fit a frame however large the shard, and only from the shard
+    that owns it. Shard order is key order (see {!Topology}), so the
+    result is sorted with no merge step. Timed as the
+    [cluster.snapshot] op; [cluster.snapshot.pairs] counts the pairs
+    returned. *)
 
 (** {2 Fleet aggregation}
 

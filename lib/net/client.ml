@@ -135,6 +135,9 @@ let read_more t fd =
 let rec read_response t fd =
   match Wire.scan t.buf ~off:t.start ~len:(t.fill - t.start) with
   | `Oversize n ->
+      (* The stream cannot be resynchronised past a bogus length: drop
+         the connection so the next call starts on a fresh one. *)
+      disconnect t;
       raise (Protocol_error (Printf.sprintf "server declared a %d-byte frame" n))
   | `Partial ->
       read_more t fd;

@@ -171,11 +171,11 @@ type t = {
           While a range is sealed, mutations touching it are rejected
           with a [Moved] error naming [epoch]/[endpoint] — the
           migration cutover's write gate. *)
-  mut_slots : int Atomic.t list Atomic.t;
-      (** one in-flight-mutation flag per connection; [Range_seal]
-          drains by observing each flag at zero once (a grace period,
-          not a global-zero instant, so traffic on unrelated ranges
-          cannot stall the drain). *)
+  flags : int Atomic.t array;
+      (** one in-flight-mutation flag per worker (a worker applies one
+          frame at a time); [Range_seal] drains by observing each flag
+          at zero once (a grace period, not a global-zero instant, so
+          traffic on unrelated ranges cannot stall the drain). *)
   mutable supervisor : unit Domain.t option;
 }
 
@@ -215,7 +215,7 @@ let check_epoch t stamp =
    A sealed range rejects mutations that touch it with a typed
    [Moved] error carrying the new epoch and owner. The Dekker-style
    handshake with [Range_seal]'s drain: a mutation raises its
-   connection's in-flight flag {e before} reading the seal list; the
+   worker's in-flight flag {e before} reading the seal list; the
    sealer publishes the seal {e before} waiting for every flag to
    read zero once. Either the mutation saw the seal (rejected), or
    the drain saw its flag (waited for it) — no acked write can slip
@@ -269,17 +269,17 @@ let sealed_reject (_, _, epoch, endpoint, _) =
   Obs.Metric.incr c_move_sealed_rejects;
   Wire.Error { code = Wire.Moved; message = Wire.moved_message ~epoch ~endpoint }
 
-(* Grace-period drain: observe every connection's in-flight flag at
-   zero once. Flags are raised only around one frame's apply, and no
-   flagged apply drains (see [gated]), so each wait is bounded by one
-   store operation, not by traffic. *)
+(* Grace-period drain: observe every worker's in-flight flag at zero
+   once. Flags are raised only around one frame's apply, and no flagged
+   apply drains (see [gated]), so each wait is bounded by one store
+   operation, not by traffic. *)
 let drain_mutations t =
-  List.iter
-    (fun slot ->
-      while Atomic.get slot > 0 do
+  Array.iter
+    (fun flag ->
+      while Atomic.get flag > 0 do
         Domain.cpu_relax ()
       done)
-    (Atomic.get t.mut_slots)
+    t.flags
 
 let set_seal t ~lo ~hi ~epoch ~endpoint =
   let rec update () =
@@ -355,7 +355,7 @@ let apply t (req : Wire.request) : Wire.response =
          past the target through us. *)
       if version = 0 then begin
         (* The probe doubles as a publication barrier: read the clock
-           first, then drain every other connection's in-flight flag.
+           first, then drain every other worker's in-flight flag.
            A write that will ever be stamped <= the answer read the
            clock before it reached that value — its flag was already
            up when we started scanning, so the drain waits for its
@@ -529,14 +529,14 @@ let dispatch_core t ~replicated req =
 
    Invariant: no thread waits on a flag while it holds one. The two
    drains ([Tag_at 0] and [Range_seal]) therefore run unflagged;
-   otherwise two probes on two connections would each hold their own
-   flag up and spin on the other's forever. *)
+   otherwise two probes on two workers would each hold their own flag
+   up and spin on the other's forever. *)
 let gated req =
   Wire.is_mutation req
   && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
 
 (* The write-gate shell around [dispatch_core]: gated client requests
-   raise their connection's in-flight flag, then either bounce off a
+   raise their worker's in-flight flag [gate], then either bounce off a
    seal covering one of their keys or run. Replicated frames bypass
    the gate — backups are never sealed, and the seal must not recurse
    into the replication path it is draining. *)
@@ -593,9 +593,6 @@ let rec dispatch t ~gate req =
 
 type conn = {
   fd : Unix.file_descr;
-  inflight : int Atomic.t;
-      (** raised while a mutation from this connection is applying;
-          what [Range_seal]'s drain observes (see the write gate). *)
   mutable buf : Bytes.t;
   mutable start : int;  (** first unconsumed byte *)
   mutable fill : int;  (** end of valid data *)
@@ -658,14 +655,14 @@ let collect t conn =
    one replication hook firing (with the synthesized batch request,
    so backups see the same coalescing) — but one reply per original
    frame, so client semantics are unchanged. *)
-let apply_run t conn ~req ~apply frames =
+let apply_run t ~gate conn ~req ~apply frames =
   let t0 = Obs.Instr.start () in
   (* Same write gate as [dispatch_inner]: the coalesced run is one
      client mutation as far as seals are concerned. *)
   let resp =
-    Atomic.incr conn.inflight;
+    Atomic.incr gate;
     Fun.protect
-      ~finally:(fun () -> Atomic.decr conn.inflight)
+      ~finally:(fun () -> Atomic.decr gate)
       (fun () ->
         match seal_conflict t req with
         | Some seal -> sealed_reject seal
@@ -692,14 +689,14 @@ let apply_run t conn ~req ~apply frames =
    key: all events of one batch share one version, so the canonical
    install would collapse the duplicate — but per-frame semantics
    promise each write its own history event. *)
-let process t conn items =
+let process t ~gate conn items =
   Obs.Histogram.record h_batch (List.length items);
   Obs.Window.add w_requests (List.length items);
   let single item =
     Obs.Metric.incr c_requests;
     let resp =
       match item with
-      | `Req req -> dispatch t ~gate:conn.inflight req
+      | `Req req -> dispatch t ~gate req
       | `Err resp ->
           Obs.Metric.incr c_errors;
           resp
@@ -720,7 +717,7 @@ let process t conn items =
         let n, pairs, rest = take 0 [] l in
         if n >= 2 then begin
           Obs.Metric.add c_coalesced n;
-          apply_run t conn
+          apply_run t ~gate conn
             ~req:(Wire.Insert_batch { pairs = Array.of_list pairs })
             ~apply:(fun () -> S.insert_batch t.store pairs)
             n;
@@ -741,7 +738,7 @@ let process t conn items =
         let n, keys, rest = take 0 [] l in
         if n >= 2 then begin
           Obs.Metric.add c_coalesced n;
-          apply_run t conn
+          apply_run t ~gate conn
             ~req:(Wire.Remove_batch { keys = Array.of_list keys })
             ~apply:(fun () -> S.remove_batch t.store keys)
             n;
@@ -796,11 +793,11 @@ let fatal_close conn code message =
   Obs.Metric.incr c_errors;
   (try flush_out conn with Close_conn -> ())
 
-let serve_conn t fd =
+(* [gate] is the serving worker's in-flight flag. *)
+let serve_conn t ~gate fd =
   let conn =
     {
       fd;
-      inflight = Atomic.make 0;
       buf = Bytes.create recv_chunk;
       start = 0;
       fill = 0;
@@ -809,16 +806,6 @@ let serve_conn t fd =
       eof = false;
     }
   in
-  (* Register the in-flight flag for seal drains. Slots are never
-     unregistered — a closed connection's flag reads zero forever, and
-     the list is bounded by connections accepted over the server's
-     lifetime. *)
-  let rec register () =
-    let cur = Atomic.get t.mut_slots in
-    if not (Atomic.compare_and_set t.mut_slots cur (conn.inflight :: cur)) then
-      register ()
-  in
-  register ();
   let rec loop () =
     match collect t conn with
     | exception Fatal_frame (code, message) -> fatal_close conn code message
@@ -840,7 +827,7 @@ let serve_conn t fd =
           ()
         else loop ()
     | items ->
-        process t conn items;
+        process t ~gate conn items;
         loop ()
   in
   (try loop () with Close_conn -> ());
@@ -878,12 +865,12 @@ let acceptor t =
           end
   done
 
-let worker t =
+let worker t ~gate =
   let rec go () =
     match Handoff.pop t.queue with
     | None -> ()
     | Some fd ->
-        serve_conn t fd;
+        serve_conn t ~gate fd;
         go ()
   in
   go ()
@@ -901,7 +888,7 @@ let run t ~workers =
            (* No more handoffs: workers drain what is queued, then exit. *)
            Handoff.close t.queue
          end
-         else guarded "worker" (fun () -> worker t)))
+         else guarded "worker" (fun () -> worker t ~gate:t.flags.(tid - 1))))
 
 let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
     ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
@@ -938,7 +925,7 @@ let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
       active = Atomic.make 0;
       queue = Handoff.create ();
       seals = Atomic.make [];
-      mut_slots = Atomic.make [];
+      flags = Array.init workers (fun _ -> Atomic.make 0);
       supervisor = None;
     }
   in

@@ -22,10 +22,24 @@
    Compact horizon the caller computes from a probed clock. *)
 let protocol_version = 8
 
-(* Largest accepted body, in bytes. Generous enough for a snapshot of
-   ~500k pairs in one frame; small enough that a garbage length prefix
-   is rejected instead of honoured. *)
+(* Largest accepted body, in bytes: 524,287 pairs, small enough that a
+   garbage length prefix is rejected instead of honoured. A reply that
+   would not fit goes out as a [Too_large] error (see {!add_response});
+   whole-store transfers page through [Scan] and ship batches of at
+   most {!batch_chunk} elements instead. *)
 let max_frame = 8 * 1024 * 1024
+
+(* Elements per batch frame ([Insert_batch], [Remove_batch],
+   [Find_bulk]): 16 KiB of pairs keeps a frame far below {!max_frame}
+   while still amortising the round trip. *)
+let batch_chunk = 1024
+
+(* [a] cut into consecutive pieces of at most {!batch_chunk} elements. *)
+let chunks a =
+  let n = Array.length a in
+  List.init
+    ((n + batch_chunk - 1) / batch_chunk)
+    (fun c -> Array.sub a (c * batch_chunk) (min batch_chunk (n - (c * batch_chunk))))
 
 let header_bytes = 4
 
@@ -516,7 +530,22 @@ let add_frame buf body =
   Buffer.add_string buf body
 
 let add_request buf r = add_frame buf (encode_request_body r)
-let add_response buf r = add_frame buf (encode_response_body r)
+
+(* A reply never outgrows a frame: one that would is answered with a
+   [Too_large] error instead, so the peer reads on in sync. *)
+let add_response buf r =
+  let body = encode_response_body r in
+  add_frame buf
+    (if String.length body <= max_frame then body
+     else
+       encode_response_body
+         (Error
+            {
+              code = Too_large;
+              message =
+                Printf.sprintf "a %d-byte reply exceeds the %d-byte frame limit"
+                  (String.length body) max_frame;
+            }))
 
 (* ---- frame scanning ---- *)
 

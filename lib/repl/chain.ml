@@ -67,6 +67,25 @@ let ensure_conn peer =
       peer.conn <- Some c;
       c
 
+(* The backup's state over [0, max_int), which holds every cluster key
+   space [0, 2^key_bits), read as paged [Scan] frames so no reply
+   outgrows a frame. *)
+let backup_pairs c =
+  let acc = ref [] in
+  ignore (Net.Client.scan c ~lo:0 ~hi:max_int (fun k v -> acc := (k, v) :: !acc));
+  Array.of_list (List.rev !acc)
+
+(* Binary search of the ascending [pairs] for [key]. *)
+let holds pairs key =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let k = fst pairs.(mid) in
+    k = key || if k < key then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length pairs)
+
 (* [replay_removes]: when the catch-up was triggered by removes of keys
    the backup never held, the state diff carries no trace of them —
    replay those removes on top so the backup records the same tombstone
@@ -76,13 +95,15 @@ let catch_up ?replay_removes t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
   let c = ensure_conn peer in
   let epoch = Atomic.get t.epoch in
-  let remote = Net.Client.snapshot c () in
+  let ship req = ignore (Net.Client.replicate c ~epoch req) in
+  let remote = backup_pairs c in
   let changes =
     Mvdict.Snapshot.diff ~compare_key:Int.compare ~equal_value:Int.equal
       ~prev:remote ~next:(t.snapshot ())
   in
-  (* The diff's removes and inserts touch disjoint keys, so the whole
-     state ship collapses into at most two replicated batch frames. *)
+  (* The diff's removes and inserts touch disjoint keys, so the state
+     ships as replicated batch frames of at most [Wire.batch_chunk]
+     keys, all under the one pending version the final tag commits. *)
   let inserts, removes =
     List.partition_map
       (function
@@ -91,33 +112,24 @@ let catch_up ?replay_removes t peer =
         | Removed (key, _) -> Either.Right key)
       changes
   in
-  if removes <> [] then
-    ignore
-      (Net.Client.replicate c ~epoch
-         (Net.Wire.Remove_batch { keys = Array.of_list removes }));
-  if inserts <> [] then
-    ignore
-      (Net.Client.replicate c ~epoch
-         (Net.Wire.Insert_batch { pairs = Array.of_list inserts }));
+  let ship_removes keys =
+    List.iter
+      (fun keys -> ship (Net.Wire.Remove_batch { keys }))
+      (Net.Wire.chunks (Array.of_list keys))
+  in
+  ship_removes removes;
+  List.iter
+    (fun pairs -> ship (Net.Wire.Insert_batch { pairs }))
+    (Net.Wire.chunks (Array.of_list inserts));
   (match replay_removes with
   | Some keys -> (
-      match
-        List.filter
-          (fun key -> not (Array.exists (fun (k, _) -> k = key) remote))
-          keys
-      with
-      | [] -> ()
-      | [ key ] -> ignore (Net.Client.replicate c ~epoch (Net.Wire.Remove { key }))
-      | keys ->
-          ignore
-            (Net.Client.replicate c ~epoch
-               (Net.Wire.Remove_batch { keys = Array.of_list keys })))
+      match List.filter (fun key -> not (holds remote key)) keys with
+      | [ key ] -> ship (Net.Wire.Remove { key })
+      | keys -> ship_removes keys)
   | None -> ());
   (* Align the clock last, so a backup never tags a state it does not
      have yet. *)
-  ignore
-    (Net.Client.replicate c ~epoch
-       (Net.Wire.Tag_at { version = t.current_version () }));
+  ship (Net.Wire.Tag_at { version = t.current_version () });
   Obs.Metric.incr c_catchups;
   Obs.Metric.add c_catchup_pairs (List.length changes);
   peer.lagging <- false;

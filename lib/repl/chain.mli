@@ -13,13 +13,16 @@
 
     Catch-up (anti-entropy): a backup that missed writes — it was down,
     partitioned, or just restarted empty — is brought back by a state
-    diff instead of an op replay: the primary pulls the backup's
-    snapshot, diffs it against its own ({!Mvdict.Snapshot.diff}), ships the
-    difference as [Replicate] removes and inserts, then aligns the
-    version clock with a [Replicate (Tag_at current)]. From the sync
-    point on, the backup answers reads exactly like the primary;
-    history {e below} the sync point is collapsed (the usual anti-
-    entropy contract — convergence forward, not retroactive replay).
+    diff instead of an op replay: the primary reads the backup's state
+    over [[0, max_int)] (every cluster key) in paged [Scan] frames,
+    diffs it against its own ({!Mvdict.Snapshot.diff}), ships the
+    difference as [Replicate] batch frames of at most
+    {!Net.Wire.batch_chunk} elements, then aligns the version clock
+    with a [Replicate (Tag_at current)]. Every frame fits
+    {!Net.Wire.max_frame} however large the store. From the sync point
+    on, the backup answers reads exactly like the primary; history
+    {e below} the sync point is collapsed (the usual anti-entropy
+    contract — convergence forward, not retroactive replay).
     Peers start out of sync, so a fresh pair syncs on first contact
     (a no-op diff when both start empty, preserving exact history
     parity for the lifetime of the pair). *)

@@ -7,7 +7,9 @@
    via topology reload), and fault schedules on the real chain
    (partition then heal, slow replica, crash + promote + rejoin), with
    faults injected from the test side only: a relay thread that delays
-   or severs the chain's bytes, and server stops and restarts. *)
+   or severs the chain's bytes, and server stops and restarts. The
+   frame-limit cases move a store too large for one frame through the
+   router's snapshot, the client and the chain's catch-up. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -481,6 +483,9 @@ let partition_then_heal () =
   for k = 10 to 19 do
     apply_via client reference (Insert (k, k))
   done;
+  (* a key the cut-off backup holds: the heal must read the backup's
+     state to see it go *)
+  apply_via client reference (Remove 3);
   apply_via client reference Tag;
   let peers = Repl.Chain.peers chain in
   check_bool "healthy backup kept up" true
@@ -626,6 +631,77 @@ let crash_promote_rejoin () =
   check_bool "rejoined node serves the full state" true
     (Store.find rejoined 12 = Some 12)
 
+(* ---- whole-store transfers past one frame ---- *)
+
+(* A Pairs reply of 600,000 pairs is 9,600,010 bytes, past the 8 MiB
+   frame limit (524,287 pairs). The store is built once and shared;
+   each case serves it on its own socket. *)
+let big_n = 600_000
+let big_capacity = 1 lsl 26
+
+let big_store =
+  lazy
+    (let store = Store.create (Pmem.Pheap.create_ram ~capacity:big_capacity ()) in
+     for chunk = 0 to (big_n / 1000) - 1 do
+       Store.insert_batch store
+         (List.init 1000 (fun i ->
+              let k = (chunk * 1000) + i in
+              (k, k * 7)))
+     done;
+     ignore (Store.tag store);
+     store)
+
+let with_big_server tag f =
+  let store = Lazy.force big_store in
+  let path = sock_path tag in
+  let server = serve store path in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Server.stop server;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f store (Net.Sockaddr.Unix_sock path))
+
+let router_snapshot_past_a_frame () =
+  with_big_server "big_router" @@ fun store addr ->
+  let router =
+    Cluster.Router.create (Cluster.Topology.create_replicated ~key_bits:20 [| [| addr |] |])
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Router.close router) @@ fun () ->
+  check_bool "router snapshot = extract_snapshot" true
+    (ok "snapshot" (Cluster.Router.snapshot router ()) = Store.extract_snapshot store ())
+
+let oversize_reply_keeps_the_connection () =
+  with_big_server "big_client" @@ fun _ addr ->
+  let c = Net.Client.connect addr in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  (match Net.Client.snapshot c () with
+  | _ -> Alcotest.fail "a 600,000-pair snapshot fit in one frame"
+  | exception Net.Client.Remote_error (Net.Wire.Too_large, _) -> ());
+  check_bool "the same client answers a find" true (Net.Client.find c 12 = Some 84)
+
+let one_tick_fills_an_empty_backup () =
+  let primary = Lazy.force big_store in
+  let path = sock_path "big_backup" in
+  let backup_store = Store.create (Pmem.Pheap.create_ram ~capacity:big_capacity ()) in
+  let backup = serve backup_store path in
+  let chain =
+    Repl.Chain.create ~epoch_cell:(Atomic.make 0)
+      ~snapshot:(fun ?version () -> Store.extract_snapshot primary ?version ())
+      ~current_version:(fun () -> Store.current_version primary)
+      [| Net.Sockaddr.Unix_sock path |]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Repl.Chain.close chain;
+      Net.Server.stop backup;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Repl.Chain.tick chain;
+  check_bool "in sync after one tick" true (Repl.Chain.in_sync chain);
+  check_int "backup holds every key" big_n (Store.key_count backup_store);
+  check_int "backup clock = primary clock" (Store.current_version primary)
+    (Store.current_version backup_store)
+
 let () =
   Watchdog.run "repl"
     [
@@ -650,5 +726,14 @@ let () =
             slow_replica_converges;
           Alcotest.test_case "crash primary, promote, rejoin" `Quick
             crash_promote_rejoin;
+        ] );
+      ( "oversize",
+        [
+          Alcotest.test_case "router snapshot of 600,000 pairs = extract_snapshot"
+            `Quick router_snapshot_past_a_frame;
+          Alcotest.test_case "an oversize reply is Too_large and the client reads on"
+            `Quick oversize_reply_keeps_the_connection;
+          Alcotest.test_case "one tick fills an empty backup of 600,000 keys" `Quick
+            one_tick_fills_an_empty_backup;
         ] );
     ]
