@@ -65,7 +65,8 @@ let run ~n =
   let servers =
     Array.init 3 (fun i ->
         (* router + mutator + the coordinator's copy and fence
-           connections can all be parked on one shard at once *)
+           connections can all be busy on one shard at once; with four
+           workers each gets a worker of its own *)
         Net.Server.start ~store:stores.(i) ~workers:4 ~batch:256
           ~epoch_cell:(Atomic.make 0) ~listen:addrs.(i) ())
   in

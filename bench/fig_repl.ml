@@ -126,9 +126,9 @@ let run_replicated ~n =
         Store.extract_snapshot primary_store ()
         = Store.extract_snapshot backup_store ()
       in
-      (* Release the chain's connection first: the backup serves one
-         connection per worker, and the failover routers below need
-         that slot. *)
+      (* Release the chain's connection first: the primary is about
+         to die, and the failover reads below should be the only
+         traffic on the backup. *)
       Repl.Chain.close chain;
       (* Primary dies; each fresh router pays one read failover. *)
       Net.Server.stop primary;

@@ -168,7 +168,10 @@ let max_conns_arg =
   Arg.(value & opt int 256 & info [ "max-conns" ] ~docv:"N" ~doc)
 
 let timeout_arg =
-  let doc = "Per-request timeout (seconds) for completing a started frame." in
+  let doc =
+    "Per-request timeout (seconds) for completing a started frame, and for a \
+     reply the client leaves unread."
+  in
   Arg.(value & opt float 5.0 & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
 let addr_of socket host port =

@@ -44,16 +44,6 @@ let h_round = Obs.Registry.histogram "move.round_ns"
 let h_pause = Obs.Registry.histogram "move.pause_ns"
 let g_active = Obs.Registry.gauge "move.active"
 
-let describe_exn = function
-  | Net.Client.Remote_error (code, msg) ->
-      Printf.sprintf "error frame %s: %s" (Net.Wire.error_code_name code) msg
-  | Net.Client.Protocol_error msg -> "protocol error: " ^ msg
-  | Unix.Unix_error (e, fn, _) ->
-      if fn = "" then Unix.error_message e
-      else Printf.sprintf "%s: %s" fn (Unix.error_message e)
-  | End_of_file -> "connection closed"
-  | e -> Printexc.to_string e
-
 type ctx = {
   timeout_ms : int option;
   retries : int;
@@ -220,7 +210,7 @@ let wrap f =
   | exception
       (( Net.Client.Remote_error _ | Net.Client.Protocol_error _
        | Unix.Unix_error _ | End_of_file ) as e) ->
-      Error (Shard_error { endpoint = "?"; reason = describe_exn e })
+      Error (Shard_error { endpoint = "?"; reason = Net.Client.describe_exn e })
 
 let default_notify _ = ()
 let default_fault _ = ()
@@ -324,4 +314,4 @@ let status ?timeout_ms ?(retries = 2) topo =
         @@ fun () -> Net.Client.moves_status c
       with
       | json -> (shard, ep, Ok json)
-      | exception e -> (shard, ep, Error (describe_exn e)))
+      | exception e -> (shard, ep, Error (Net.Client.describe_exn e)))

@@ -168,16 +168,6 @@ let reload_topology t =
           true
       | Some _ | None -> false)
 
-(* Human-readable failure cause: "connect: No such file or directory"
-   beats the raw exception constructor in CLI errors and logs. *)
-let describe_exn = function
-  | Unix.Unix_error (e, fn, _) ->
-      if fn = "" then Unix.error_message e
-      else Printf.sprintf "%s: %s" fn (Unix.error_message e)
-  | End_of_file -> "connection closed by shard"
-  | Failure msg -> msg
-  | e -> Printexc.to_string e
-
 let drop_conn t shard slot =
   match t.conns.(shard).(slot) with
   | Some c ->
@@ -205,7 +195,7 @@ let attempt t shard slot f =
             t.dialled.(shard).(slot) <- true;
             t.conns.(shard).(slot) <- Some c;
             Ok c
-        | exception e -> Error (describe_exn e))
+        | exception e -> Error (Net.Client.describe_exn e))
   in
   match conn with
   | Error reason -> `Down reason
@@ -220,15 +210,11 @@ let attempt t shard slot f =
           match Net.Wire.parse_moved msg with
           | Some (epoch, endpoint) -> `Moved (epoch, endpoint)
           | None -> `Moved (Topology.epoch t.topo + 1, msg))
-      | exception Net.Client.Remote_error (code, msg) ->
+      | exception
+          (( Net.Client.Remote_error _ | Net.Client.Protocol_error _
+           | Unix.Unix_error _ | End_of_file | Failure _ ) as e) ->
           drop_conn t shard slot;
-          `Down (Printf.sprintf "error frame %s: %s" (Net.Wire.error_code_name code) msg)
-      | exception Net.Client.Protocol_error msg ->
-          drop_conn t shard slot;
-          `Down (Printf.sprintf "protocol error: %s" msg)
-      | exception ((Unix.Unix_error _ | End_of_file | Failure _) as e) ->
-          drop_conn t shard slot;
-          `Down (describe_exn e))
+          `Down (Net.Client.describe_exn e))
 
 let shard_down t shard slot reason =
   Obs.Metric.incr c_shard_down;

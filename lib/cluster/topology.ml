@@ -7,6 +7,10 @@ type t = {
           covering [0, 2^key_bits) — shard order IS key order *)
 }
 
+(* The key space [0, 2^key_bits) must be representable: [1 lsl 62] is
+   [min_int] on 63-bit ints, which would leave it empty. *)
+let max_key_bits = 61
+
 (* Endpoints are compared textually: two spellings of the same address
    (e.g. tcp://localhost vs tcp://127.0.0.1) are operator aliases we
    cannot see through, but a literal repeat is always a mistake — one
@@ -59,7 +63,8 @@ let check_ranges ~key_bits ~shards ranges =
 let create_replicated ~key_bits ?(epoch = 0) ?ranges sets =
   if Array.length sets = 0 then invalid_arg "Topology.create: no shards";
   if epoch < 0 then invalid_arg "Topology.create: negative epoch";
-  if key_bits < 1 || key_bits > 62 then invalid_arg "Topology.create: key_bits";
+  if key_bits < 1 || key_bits > max_key_bits then
+    invalid_arg "Topology.create: key_bits";
   Array.iteri
     (fun i set ->
       if Array.length set = 0 then
@@ -313,9 +318,11 @@ let of_string text =
         | [ "key_bits"; n ] -> (
             match (key_bits, int_of_string_opt n) with
             | Some _, _ -> err lineno "duplicate key_bits directive"
-            | None, Some n when n >= 1 && n <= 62 ->
+            | None, Some n when n >= 1 && n <= max_key_bits ->
                 scan (lineno + 1) rest (Some n) epoch shards extras ranges
-            | None, _ -> err lineno (Printf.sprintf "bad key_bits %S (want 1..62)" n))
+            | None, _ ->
+                err lineno
+                  (Printf.sprintf "bad key_bits %S (want 1..%d)" n max_key_bits))
         | [ "epoch"; n ] -> (
             match (epoch, int_of_string_opt n) with
             | Some _, _ -> err lineno "duplicate epoch directive"

@@ -45,7 +45,7 @@ val create : key_bits:int -> Net.Sockaddr.t array -> t
 (** [create ~key_bits endpoints] — the unreplicated form: endpoint at
     index [i] is the sole replica of range [i], epoch 0. Raises
     [Invalid_argument] on an empty endpoint list, a duplicate endpoint,
-    or a [key_bits] outside [1, 62]. *)
+    or a [key_bits] outside [1, 61]. *)
 
 val create_replicated :
   key_bits:int -> ?epoch:int -> ?ranges:(int * int) array -> Net.Sockaddr.t array array -> t

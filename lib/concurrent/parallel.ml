@@ -21,6 +21,9 @@ let iter_chunks ~threads a f =
          let len = base + if tid < extra then 1 else 0 in
          f tid (Array.sub a (start_of tid) len)))
 
+(* A waiter spins until the last of [parties] arrives; it waits on
+   nothing else, so the bound is the slowest party's arrival, provided
+   every party calls [await] the same number of times. *)
 let make_barrier ~parties =
   if parties < 1 then invalid_arg "Parallel.make_barrier";
   let arrived = Atomic.make 0 in

@@ -22,7 +22,12 @@ let advance t =
 
 let publish t s =
   (* Backpressure: never overwrite a cell whose previous-lap stamp has
-     not been consumed by fc yet. *)
+     not been consumed by fc yet. The spin waits for every stamp up to
+     [s - ring] to be published, which happens only when more than
+     [ring] stamps are drawn and unpublished at once. Every holder
+     publishes its stamps in ascending order, so a holder waiting here
+     waits only on stamps below its own: the chain of waits descends
+     to the lowest unpublished stamp, whose holder waits on none. *)
   while s - Version.fc t.ctx >= ring do
     advance t;
     Domain.cpu_relax ()

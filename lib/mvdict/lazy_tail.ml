@@ -33,7 +33,9 @@ module Make (B : BACKEND) = struct
 
   (* The segment array once it covers [n] slots. A slot becomes visible
      only after a segment array covering it was published, so this
-     returns at once unless this domain has yet to see that array. *)
+     returns at once unless this domain has yet to see that array: the
+     spin waits on memory visibility of a store already made, not on
+     any other domain's progress. *)
   let rec covering t n =
     let segs = t.segs in
     if B.capacity segs >= n then segs
@@ -47,7 +49,9 @@ module Make (B : BACKEND) = struct
      many slots are claimed at once). The capacity changes only when a
      growth ends, so the next grower starts after it: growths never
      overlap. They move no entry, so writers of covered slots never wait
-     for one. *)
+     for one. A waiter's spin lasts one growth (allocate and link one
+     durably zero segment) per doubling between the capacity and its
+     slot; a grower waits on no slot above its own. *)
   let rec ensure_capacity store t slot =
     let cap = B.capacity t.segs in
     if slot >= cap then begin
@@ -56,7 +60,10 @@ module Make (B : BACKEND) = struct
     end
 
   (* Non-decreasing versions per history: wait for the predecessor's
-     version word and take the max (see interface). *)
+     version word and take the max (see interface). Slot [slot - 1]'s
+     appender writes that word right after its own capacity and
+     predecessor waits, which look only at lower slots, so the chain of
+     waits descends to slot 0, which waits on nothing. *)
   let rec prev_version store t slot =
     let v = B.read_version store t.segs (slot - 1) in
     if v = 0 then begin

@@ -59,7 +59,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     }
 
   (* Register, then re-check the flag and back out if compaction closed
-     the gate in between — compaction's drain loop then cannot miss us. *)
+     the gate in between — compaction's drain loop then cannot miss us.
+     The spin waits out one compaction pass: the compactor opens the
+     gate when its pass ends, and it never waits on this caller, which
+     is not registered while it spins. Gated sections never nest, so no
+     caller spins here while registered in an outer op. *)
   let rec op_enter t =
     while Atomic.get t.gate_closed do
       Domain.cpu_relax ()
@@ -532,6 +536,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       (fun () ->
         let pause0 = Obs.Clock.now_ns () in
         Atomic.set t.gate_closed true;
+        (* Waits for the ops registered before the gate closed to
+           finish. A registered op never waits on the compactor: it
+           checks the gate only at entry, and its own waits (stamp
+           backpressure, growths, key-chain blocks) are on other
+           registered ops. *)
         while Atomic.get t.gate_inflight > 0 do
           Domain.cpu_relax ()
         done;

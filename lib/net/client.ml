@@ -25,6 +25,20 @@ let () =
     | Protocol_error msg -> Some (Printf.sprintf "Net.Client.Protocol_error(%s)" msg)
     | _ -> None)
 
+(* Human-readable cause of a failed connect or call, for CLI errors,
+   logs and a peer's last error: "connect: No such file or directory"
+   beats the raw exception constructor. *)
+let describe_exn = function
+  | Remote_error (code, msg) ->
+      Printf.sprintf "error frame %s: %s" (Wire.error_code_name code) msg
+  | Protocol_error msg -> "protocol error: " ^ msg
+  | Unix.Unix_error (e, fn, _) ->
+      if fn = "" then Unix.error_message e
+      else Printf.sprintf "%s: %s" fn (Unix.error_message e)
+  | End_of_file -> "connection closed by peer"
+  | Failure msg -> msg
+  | e -> Printexc.to_string e
+
 type t = {
   addr : Sockaddr.t;
   retries : int;

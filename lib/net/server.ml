@@ -1,12 +1,12 @@
 (* Concurrent socket server dispatching the wire protocol onto the
    int/int PSkipList store.
 
-   Topology: one acceptor plus a pool of worker domains (fork-join via
-   [Concurrent.Parallel]), all supervised by a single spawned domain so
-   [start] returns immediately and [stop] has one thing to join.
-   Accepted connections flow through a bounded handoff queue; each
-   worker owns one connection at a time and runs its whole read →
-   decode → apply → reply loop.
+   Topology: [workers] domains, each running one [Unix.select] loop
+   over the connections it owns plus, while no other watching worker
+   owns fewer, the non-blocking listening socket. A worker keeps every
+   connection it accepts and serves each ready one with the whole
+   read → decode → apply → reply step, so no accepted connection waits
+   for another to hang up.
 
    Batching: a worker drains up to [batch] complete frames from the
    connection buffer before touching the store, applies them back to
@@ -20,11 +20,12 @@
    error frame and the connection stays usable (the length prefix
    keeps the stream in sync). An oversize length prefix or a stalled
    partial frame ([request_timeout]) is fatal for that connection
-   only. When the configured connection limit is reached, new
+   only, and so is a reply left unread for [request_timeout], which
+   bounds how long one stalled reader holds up its worker. Past the
+   connection limit, or on a descriptor [select] cannot watch, new
    connections are refused with a [Busy] error frame. [stop] performs
-   a graceful drain: the acceptor quits, workers keep serving while
-   requests keep arriving, then flush and close when their connection
-   goes idle.
+   a graceful drain: workers stop accepting, keep serving while
+   requests keep arriving, then close each connection once it idles.
 
    Live inspection: the server answers [Registry_snap] (the whole
    registry as a mergeable snapshot, rendered as JSON, Prometheus text
@@ -84,54 +85,6 @@ let op_metrics =
     (function "" -> None | label -> Some (Obs.Instr.op ("net." ^ label)))
     Wire.opcode_labels
 
-(* ---- bounded connection handoff queue ---- *)
-
-module Handoff = struct
-  type t = {
-    m : Mutex.t;
-    nonempty : Condition.t;
-    items : Unix.file_descr Queue.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      items = Queue.create ();
-      closed = false;
-    }
-
-  let push t fd =
-    Mutex.lock t.m;
-    Queue.push fd t.items;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m
-
-  (* [None] once closed and drained — the worker's signal to exit. *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.items with
-      | Some fd -> Some fd
-      | None ->
-          if t.closed then None
-          else begin
-            Condition.wait t.nonempty t.m;
-            wait ()
-          end
-    in
-    let r = wait () in
-    Mutex.unlock t.m;
-    r
-
-  let close t =
-    Mutex.lock t.m;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.m
-end
-
 let recv_chunk = 65536
 
 (* Upper bound on pairs in one [Scan] reply page: 16 bytes each keeps
@@ -139,9 +92,11 @@ let recv_chunk = 65536
    longer ranges by re-issuing from the last key of a full page. *)
 let scan_chunk = 65536
 
-(* How often blocked acceptor/worker loops wake up to look at the stop
-   flag; bounds shutdown latency without any cross-domain signalling. *)
+(* How often an idle worker's select wakes up to look at the stop flag,
+   partial-frame deadlines and the listening socket; bounds shutdown
+   latency without any cross-domain signalling. *)
 let poll_interval = 0.05
+let poll_ns = int_of_float (poll_interval *. 1e9)
 
 type t = {
   store : S.t;
@@ -165,7 +120,6 @@ type t = {
           [Replicate] frames, so forwarding is one hop deep. *)
   stop_flag : bool Atomic.t;
   active : int Atomic.t;
-  queue : Handoff.t;
   seals : (int * int * int * string * int) list Atomic.t;
       (** sealed key ranges: [(lo, hi, epoch, endpoint, sealed_at_ns)].
           While a range is sealed, mutations touching it are rejected
@@ -176,14 +130,13 @@ type t = {
           frame at a time); [Range_seal] drains by observing each flag
           at zero once (a grace period, not a global-zero instant, so
           traffic on unrelated ranges cannot stall the drain). *)
-  mutable supervisor : unit Domain.t option;
+  loads : int Atomic.t array;
+      (** connections each worker owns while its select watches the
+          listening socket; [max_int] while it does not *)
+  mutable domains : unit Domain.t array;
 }
 
 let addr t = t.addr
-let is_stopping t = Atomic.get t.stop_flag
-let slowlog t = t.slow
-let tracebuf t = t.trace
-let epoch t = Atomic.get t.epoch
 
 (* ---- epoch fencing ----
 
@@ -270,9 +223,14 @@ let sealed_reject (_, _, epoch, endpoint, _) =
   Wire.Error { code = Wire.Moved; message = Wire.moved_message ~epoch ~endpoint }
 
 (* Grace-period drain: observe every worker's in-flight flag at zero
-   once. Flags are raised only around one frame's apply, and no flagged
-   apply drains (see [gated]), so each wait is bounded by one store
-   operation, not by traffic. *)
+   once. A flag is up for one frame's apply and its synchronous
+   replication forward ([offer] runs inside the gate), so each wait is
+   bounded by one store operation plus, on a primary, one forward to
+   each backup: up to the chain's 2,000 ms client timeout per backup,
+   or a whole catch-up. Not by traffic, since each flag is observed at
+   zero only once. The flagged worker never waits on the drainer: no
+   flagged apply drains (see [gated]), and a forward waits only on its
+   backups and the chain's mutex, never on a flag. *)
 let drain_mutations t =
   Array.iter
     (fun flag ->
@@ -535,22 +493,23 @@ let gated req =
   Wire.is_mutation req
   && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
 
-(* The write-gate shell around [dispatch_core]: gated client requests
-   raise their worker's in-flight flag [gate], then either bounce off a
-   seal covering one of their keys or run. Replicated frames bypass
-   the gate — backups are never sealed, and the seal must not recurse
-   into the replication path it is draining. *)
+(* The write gate: raise the worker's in-flight flag [gate], then either
+   bounce off a seal covering one of [req]'s keys or run [f]. *)
+let through_gate t ~gate req f =
+  Atomic.incr gate;
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr gate)
+    (fun () ->
+      match seal_conflict t req with
+      | Some seal -> sealed_reject seal
+      | None -> f ())
+
+(* Gated client requests pass the write gate around [dispatch_core].
+   Replicated frames bypass it — backups are never sealed, and the seal
+   must not recurse into the replication path it is draining. *)
 let dispatch_inner t ~replicated ~gate req =
   if replicated || not (gated req) then dispatch_core t ~replicated req
-  else begin
-    Atomic.incr gate;
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr gate)
-      (fun () ->
-        match seal_conflict t req with
-        | Some seal -> sealed_reject seal
-        | None -> dispatch_core t ~replicated req)
-  end
+  else through_gate t ~gate req (fun () -> dispatch_core t ~replicated req)
 
 let rec dispatch t ~gate req =
   match req with
@@ -573,20 +532,15 @@ let rec dispatch t ~gate req =
             Obs.Span.with_ ("srv." ^ Wire.request_label req) (fun () ->
                 dispatch t ~gate req))
       else dispatch t ~gate req
-  | Wire.Stamped { epoch; req } -> (
-      match check_epoch t epoch with
-      | Error resp ->
-          Obs.Metric.incr c_bad_epoch;
-          resp
-      | Ok () -> dispatch_inner t ~replicated:false ~gate req)
-  | Wire.Replicate { epoch; req } -> (
+  | (Wire.Stamped { epoch; req } | Wire.Replicate { epoch; req }) as frame -> (
       match check_epoch t epoch with
       | Error resp ->
           Obs.Metric.incr c_bad_epoch;
           resp
       | Ok () ->
-          Obs.Metric.incr c_replicated;
-          dispatch_inner t ~replicated:true ~gate req)
+          let replicated = match frame with Wire.Replicate _ -> true | _ -> false in
+          if replicated then Obs.Metric.incr c_replicated;
+          dispatch_inner t ~replicated ~gate req)
   | req -> dispatch_inner t ~replicated:false ~gate req
 
 (* ---- per-connection state ---- *)
@@ -602,6 +556,9 @@ type conn = {
           seen; -1 = none. Monotonic (when a monotonic source is
           installed), never wall clock — an NTP step must not fire or
           suppress request timeouts. *)
+  mutable seen_ns : int;
+      (** Obs.Clock ns of the last round that found it readable; after
+          [stop] it closes once idle for [poll_interval] *)
   mutable eof : bool;
 }
 
@@ -616,8 +573,9 @@ let flush_out conn =
     | () ->
         Obs.Metric.add c_bytes_out (String.length payload);
         Obs.Window.add w_bytes_out (String.length payload)
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        raise Close_conn
+    (* EAGAIN is the accepted socket's send timeout: the peer left a
+       reply unread for [request_timeout]. *)
+    | exception Unix.Unix_error _ -> raise Close_conn
   end
 
 (* Drain up to [batch] complete frames; decode failures become
@@ -660,19 +618,12 @@ let apply_run t ~gate conn ~req ~apply frames =
   (* Same write gate as [dispatch_inner]: the coalesced run is one
      client mutation as far as seals are concerned. *)
   let resp =
-    Atomic.incr gate;
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr gate)
-      (fun () ->
-        match seal_conflict t req with
-        | Some seal -> sealed_reject seal
-        | None -> (
-            match apply () with
-            | () -> Wire.Ack
-            | exception e ->
-                Obs.Metric.incr c_errors;
-                Wire.Error
-                  { code = Wire.Server_error; message = Printexc.to_string e }))
+    through_gate t ~gate req (fun () ->
+        match apply () with
+        | () -> Wire.Ack
+        | exception e ->
+            Obs.Metric.incr c_errors;
+            Wire.Error { code = Wire.Server_error; message = Printexc.to_string e })
   in
   finish_op t req t0;
   offer t req resp;
@@ -779,116 +730,138 @@ let read_more conn =
       Obs.Window.add w_bytes_in n;
       conn.fill <- conn.fill + n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      conn.eof <- true
-
-let readable fd timeout =
-  match Unix.select [ fd ] [] [] timeout with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  | exception Unix.Unix_error _ -> conn.eof <- true
 
 let fatal_close conn code message =
   Wire.add_response conn.out (Wire.Error { code; message });
   Obs.Metric.incr c_errors;
   (try flush_out conn with Close_conn -> ())
 
-(* [gate] is the serving worker's in-flight flag. *)
-let serve_conn t ~gate fd =
-  let conn =
-    {
-      fd;
-      buf = Bytes.create recv_chunk;
-      start = 0;
-      fill = 0;
-      out = Buffer.create recv_chunk;
-      partial_since = -1;
-      eof = false;
-    }
-  in
-  let rec loop () =
+(* ---- workers ---- *)
+
+(* One readiness round of [conn]: read if [ready], answer every
+   complete frame buffered, then say whether the connection stays
+   open. [gate] is the serving worker's in-flight flag. *)
+let serve_conn t ~gate conn ~ready =
+  if ready then read_more conn;
+  let rec answer () =
     match collect t conn with
-    | exception Fatal_frame (code, message) -> fatal_close conn code message
-    | [] ->
-        if conn.eof then ()
-        else if
-          conn.partial_since >= 0
-          && Obs.Clock.now_ns () - conn.partial_since > t.timeout_ns
-        then
-          fatal_close conn Wire.Timeout
-            (Printf.sprintf "gave up waiting for the rest of a frame after %.1fs"
-               t.request_timeout)
-        else if readable conn.fd poll_interval then begin
-          read_more conn;
-          loop ()
-        end
-        else if Atomic.get t.stop_flag then
-          (* Stopping and the connection is idle: drain is complete. *)
-          ()
-        else loop ()
+    | [] -> ()
     | items ->
         process t ~gate conn items;
-        loop ()
+        answer ()
   in
-  (try loop () with Close_conn -> ());
-  (try Unix.close fd with _ -> ());
+  match answer () with
+  | exception Fatal_frame (code, message) ->
+      fatal_close conn code message;
+      false
+  | exception Close_conn -> false
+  | () ->
+      let now = Obs.Clock.now_ns () in
+      if ready then conn.seen_ns <- now;
+      if conn.eof then false
+      else if conn.partial_since >= 0 && now - conn.partial_since > t.timeout_ns
+      then begin
+        fatal_close conn Wire.Timeout
+          (Printf.sprintf "gave up waiting for the rest of a frame after %.1fs"
+             t.request_timeout);
+        false
+      end
+      else
+        (* Stopping and the connection is idle: drain is complete. *)
+        not (Atomic.get t.stop_flag && now - conn.seen_ns > poll_ns)
+
+let close_conn t conn =
+  (try Unix.close conn.fd with _ -> ());
   Atomic.decr t.active;
   Obs.Metric.set g_active (Atomic.get t.active)
 
-(* ---- acceptor / workers ---- *)
-
-let reject fd =
+let reject fd message =
   Obs.Metric.incr c_rejected;
   let out = Buffer.create 64 in
-  Wire.add_response out
-    (Wire.Error { code = Wire.Busy; message = "server at connection limit" });
+  Wire.add_response out (Wire.Error { code = Wire.Busy; message });
   (try Sockaddr.write_string fd (Buffer.contents out) with _ -> ());
   try Unix.close fd with _ -> ()
 
-let acceptor t =
-  while not (Atomic.get t.stop_flag) do
-    if readable t.listen_fd poll_interval then
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop_flag true
-      | fd, _peer ->
-          Obs.Metric.incr c_connections;
-          Sockaddr.nodelay fd;
-          if Atomic.get t.stop_flag then (try Unix.close fd with _ -> ())
-          else if Atomic.fetch_and_add t.active 1 >= t.max_conns then begin
-            Atomic.decr t.active;
-            reject fd
-          end
-          else begin
-            Obs.Metric.set g_active (Atomic.get t.active);
-            Handoff.push t.queue fd
-          end
-  done
+(* [Unix.select] fails with EINVAL on a descriptor at or past
+   FD_SETSIZE, so no worker could watch it. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
 
-let worker t ~gate =
-  let rec go () =
-    match Handoff.pop t.queue with
-    | None -> ()
-    | Some fd ->
-        serve_conn t ~gate fd;
-        go ()
+(* Take one pending connection into [conns], unless another worker won
+   the race for it (the listening socket is non-blocking). *)
+let accept t conns =
+  match Unix.accept t.listen_fd with
+  | exception Unix.Unix_error (Unix.(EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _)
+    -> ()
+  | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true
+  | fd, _peer ->
+      Obs.Metric.incr c_connections;
+      Sockaddr.nodelay fd;
+      if not (selectable fd) then reject fd "server at descriptor limit"
+      else if Atomic.fetch_and_add t.active 1 >= t.max_conns then begin
+        Atomic.decr t.active;
+        reject fd "server at connection limit"
+      end
+      else begin
+        Obs.Metric.set g_active (Atomic.get t.active);
+        (* Replies are blocking writes bounded by the send timeout (some
+           systems pass the listener's O_NONBLOCK on to [fd]). *)
+        Unix.clear_nonblock fd;
+        (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.request_timeout
+         with Unix.Unix_error _ -> ());
+        let buf = Bytes.create recv_chunk and out = Buffer.create recv_chunk in
+        let seen_ns = Obs.Clock.now_ns () in
+        conns :=
+          { fd; buf; start = 0; fill = 0; out; partial_since = -1; seen_ns; eof = false }
+          :: !conns
+      end
+
+(* A worker owning [n] connections watches the listening socket only
+   while no other watching worker owns fewer, so up to [workers]
+   concurrent clients get a worker each. Workers asleep in select
+   without the listener do not count: they would leave it unwatched. *)
+let least_loaded t n = Array.for_all (fun load -> Atomic.get load >= n) t.loads
+
+let worker t i =
+  let gate = t.flags.(i) and load = t.loads.(i) in
+  let conns = ref [] in
+  let publish n = if Atomic.get load <> n then Atomic.set load n in
+  let round () =
+    let n = List.length !conns in
+    let watch = (not (Atomic.get t.stop_flag)) && least_loaded t n in
+    publish (if watch then n else max_int);
+    let fds = List.map (fun conn -> conn.fd) !conns in
+    let fds = if watch then t.listen_fd :: fds else fds in
+    let ready =
+      match Unix.select fds [] [] poll_interval with
+      | ready, _, _ -> ready
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    let keep, gone =
+      List.partition
+        (fun conn -> serve_conn t ~gate conn ~ready:(List.mem conn.fd ready))
+        !conns
+    in
+    List.iter (close_conn t) gone;
+    conns := keep;
+    if watch && List.mem t.listen_fd ready && least_loaded t (List.length !conns)
+    then begin
+      accept t conns;
+      publish (List.length !conns)
+    end
   in
-  go ()
-
-let guarded name f =
-  try f ()
+  try
+    while not (Atomic.get t.stop_flag && !conns = []) do
+      round ()
+    done
   with e ->
-    Printf.eprintf "net.server: %s died: %s\n%!" name (Printexc.to_string e)
-
-let run t ~workers =
-  ignore
-    (Concurrent.Parallel.run ~threads:(workers + 1) (fun tid ->
-         if tid = 0 then begin
-           guarded "acceptor" (fun () -> acceptor t);
-           (* No more handoffs: workers drain what is queued, then exit. *)
-           Handoff.close t.queue
-         end
-         else guarded "worker" (fun () -> worker t ~gate:t.flags.(tid - 1))))
+    Atomic.set load max_int;
+    List.iter (close_conn t) !conns;
+    Printf.eprintf "net.server: worker died: %s\n%!" (Printexc.to_string e)
 
 let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
     ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
@@ -896,6 +869,7 @@ let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
   if workers < 1 then invalid_arg "Server.start: need at least one worker";
   if batch < 1 then invalid_arg "Server.start: batch must be positive";
   let listen_fd = Sockaddr.listen listen in
+  Unix.set_nonblock listen_fd;
   let trace =
     (* Callers that already own a ring (e.g. one installed before
        recovery so the rebuild spans are captured) pass it in;
@@ -923,24 +897,20 @@ let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
       on_mutation;
       stop_flag = Atomic.make false;
       active = Atomic.make 0;
-      queue = Handoff.create ();
       seals = Atomic.make [];
       flags = Array.init workers (fun _ -> Atomic.make 0);
-      supervisor = None;
+      loads = Array.init workers (fun _ -> Atomic.make 0);
+      domains = [||];
     }
   in
-  t.supervisor <- Some (Domain.spawn (fun () -> run t ~workers));
+  t.domains <- Array.init workers (fun i -> Domain.spawn (fun () -> worker t i));
   t
 
 (* Graceful: stop accepting, let workers drain in-flight requests,
    join everything. Safe to call more than once. *)
 let stop t =
   Atomic.set t.stop_flag true;
-  (match t.supervisor with
-  | Some d ->
-      t.supervisor <- None;
-      Domain.join d
-  | None -> ());
+  Array.iter Domain.join t.domains;
   (try Unix.close t.listen_fd with _ -> ());
   match t.addr with
   | Sockaddr.Unix_sock path -> ( try Sys.remove path with _ -> ())

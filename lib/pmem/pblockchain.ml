@@ -113,7 +113,11 @@ let published t index =
   let table = Atomic.get t.blocks in
   if index < Array.length table then Atomic.get table.(index) else Pptr.null
 
-(* Find (allocating and linking if we own slot 0) the block [index]. *)
+(* Find (allocating and linking if we own slot 0) the block [index].
+   A non-owner spins until the owner publishes block [index]; the owner
+   spins until block [index - 1] is published. Owners allocate, persist
+   and publish without waiting on any later block, so the chain of
+   waits descends to block 0, which exists from creation. *)
 let rec obtain_block t index ~owner =
   let off = published t index in
   if not (Pptr.is_null off) then off

@@ -135,21 +135,11 @@ let catch_up ?replay_removes t peer =
   peer.lagging <- false;
   peer.last_error <- None
 
-let describe_exn = function
-  | Net.Client.Remote_error (code, msg) ->
-      Printf.sprintf "error frame %s: %s" (Net.Wire.error_code_name code) msg
-  | Net.Client.Protocol_error msg -> Printf.sprintf "protocol error: %s" msg
-  | Unix.Unix_error (e, fn, _) ->
-      if fn = "" then Unix.error_message e
-      else Printf.sprintf "%s: %s" fn (Unix.error_message e)
-  | End_of_file -> "connection closed by backup"
-  | e -> Printexc.to_string e
-
 let mark_failed peer e =
   Obs.Metric.incr c_forward_errors;
   drop_conn peer;
   peer.lagging <- true;
-  peer.last_error <- Some (describe_exn e)
+  peer.last_error <- Some (Net.Client.describe_exn e)
 
 (* Canonical form of an applied mutation, derived from the primary's
    response: backups must replay the *outcome*, not re-run a relative

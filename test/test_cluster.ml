@@ -70,6 +70,7 @@ let topo_errors () =
   bad "bad endpoint" "key_bits 8\nshard 0 carrier-pigeon://h\n";
   bad "bad port" "key_bits 8\nshard 0 tcp://h:99999\n";
   bad "key_bits zero" "key_bits 0\nshard 0 tcp://h:1\n";
+  bad "key_bits 62" "key_bits 62\nshard 0 tcp://h:1\n";
   bad "unknown directive" "key_bits 8\nwidget 0 tcp://h:1\n";
   (* replicated specs *)
   bad "replica without shards" "key_bits 8\nreplica 0 tcp://h:1\n";
@@ -349,6 +350,33 @@ let e2e_snapshot () =
       check_bool "snapshot = expected" true
         (ok "snapshot" (Cluster.Router.snapshot router ()) = expect))
 
+(* The widest key space: [1 lsl 62] is [min_int] on 63-bit ints, so
+   key_bits 62 is refused, and key_bits 61 reaches its last key. *)
+let e2e_widest_key_space () =
+  (match
+     Cluster.Topology.create_replicated ~key_bits:62
+       [| [| Net.Sockaddr.Tcp ("h", 1) |] |]
+   with
+  | _ -> Alcotest.fail "key_bits 62 accepted"
+  | exception Invalid_argument _ -> ());
+  with_cluster ~k:2 ~key_bits:61 ~tag:"wide" (fun router stores ->
+      let last = (1 lsl 61) - 1 in
+      ok "insert" (Cluster.Router.insert router ~key:0 ~value:3);
+      ok "insert" (Cluster.Router.insert router ~key:last ~value:7);
+      check_int "the last key lands on the last shard" 1
+        (Store.key_count stores.(1));
+      check_bool "find the last key" true
+        (ok "find" (Cluster.Router.find router last) = Some 7);
+      let acc = ref [] in
+      ignore
+        (ok "scan"
+           (Cluster.Router.scan router ~lo:0 ~hi:(last + 1) (fun k v ->
+                acc := (k, v) :: !acc)));
+      check_bool "scan reaches the last key" true
+        (List.rev !acc = [ (0, 3); (last, 7) ]);
+      check_bool "snapshot reaches the last key" true
+        (ok "snapshot" (Cluster.Router.snapshot router ()) = [| (0, 3); (last, 7) |]))
+
 let e2e_cluster_compact () =
   with_cluster ~tag:"gc" (fun router stores ->
       (* Three waves of overwrites across all shards, a cluster tag per
@@ -552,10 +580,8 @@ let e2e_connected_trace () =
   let backup_store = fresh_store () in
   let ring = Obs.Tracebuf.create ~capacity:8192 in
   Obs.Tracebuf.install ring;
-  (* two workers: the chain parks a long-lived connection on the
-     backup, and the router dials a second one to scrape it *)
   let backup =
-    Net.Server.start ~store:backup_store ~workers:2 ~trace:ring
+    Net.Server.start ~store:backup_store ~workers:1 ~trace:ring
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
@@ -699,6 +725,8 @@ let () =
           Alcotest.test_case "snapshot naive = opt = expected" `Quick
             e2e_snapshot;
           Alcotest.test_case "cluster-wide compaction" `Quick e2e_cluster_compact;
+          Alcotest.test_case "key_bits 61 reaches its last key; 62 is refused"
+            `Quick e2e_widest_key_space;
           Alcotest.test_case "one client op yields one connected trace" `Quick
             e2e_connected_trace;
         ] );

@@ -35,9 +35,7 @@ let with_fleet ?(k = 3) ?(spares = 2) ?(key_bits = 8) ~tag f =
   let stores = Array.init n (fun _ -> fresh_store ()) in
   let servers =
     Array.init n (fun i ->
-        (* enough workers for the router's parked connection plus the
-           coordinator's migration + fence connections at once *)
-        Net.Server.start ~store:stores.(i) ~workers:4
+        Net.Server.start ~store:stores.(i) ~workers:1
           ~epoch_cell:(Atomic.make 0) ~listen:addrs.(i) ())
   in
   let topo = Cluster.Topology.create ~key_bits (Array.sub addrs 0 k) in

@@ -1046,6 +1046,98 @@ let e2e_graceful_drain () =
             Net.Client.close c;
             false))
 
+(* One worker owns every connection it accepts and serves whichever is
+   ready: three persistent clients of a one-worker server are all
+   answered, round after round. The client timeouts turn a stranded
+   connection into a failure instead of a hang. *)
+let e2e_clients_share_a_worker () =
+  with_server ~workers:1 (fun _store _server addr ->
+      let clients =
+        Array.init 3 (fun _ -> Net.Client.connect ~retries:0 ~timeout_ms:2000 addr)
+      in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Net.Client.close clients)
+        (fun () ->
+          for round = 1 to 100 do
+            Array.iteri
+              (fun i client ->
+                let key = (3 * round) + i in
+                Net.Client.insert client ~key ~value:(key * 10);
+                check_bool "find answered" true
+                  (Net.Client.find client key = Some (key * 10));
+                ignore (Net.Client.tag client))
+              clients
+          done))
+
+(* A peer that pipelines large replies and never reads them fills the
+   socket buffers; the reply write then times out after
+   [request_timeout] and the server drops that peer, so the other
+   connections of its one worker are served again. *)
+let e2e_stalled_reader_dropped () =
+  let path = Printf.sprintf "test_net_stalled_%d.sock" (Unix.getpid ()) in
+  with_server ~workers:1 ~request_timeout:0.5
+    ~listen:(Net.Sockaddr.Unix_sock path) (fun store _server addr ->
+      Store.insert_batch store (List.init 65_536 (fun k -> (k, k)));
+      let raw = raw_connect addr in
+      Unix.setsockopt_float raw.fd Unix.SO_RCVTIMEO 5.0;
+      Fun.protect
+        ~finally:(fun () -> raw_close raw)
+        (fun () ->
+          (* each reply is a whole-range page of 65,536 pairs, ~1 MiB *)
+          let buf = Buffer.create 1024 in
+          for _ = 1 to 16 do
+            Net.Wire.add_request buf
+              (Net.Wire.Scan { lo = 0; hi = max_int; version = None; limit = 0 })
+          done;
+          raw_write raw (Buffer.contents buf);
+          let client = Net.Client.connect ~retries:0 ~timeout_ms:5000 addr in
+          Fun.protect
+            ~finally:(fun () -> Net.Client.close client)
+            (fun () ->
+              check_bool "find answered beside a stalled reader" true
+                (Net.Client.find client 7 = Some 7));
+          (* what the server wrote before it gave up, then EOF or reset *)
+          let chunk = Bytes.create 65_536 in
+          let rec drain () =
+            match Unix.read raw.fd chunk 0 (Bytes.length chunk) with
+            | 0 -> true
+            | _ -> drain ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+          in
+          check_bool "stalled peer dropped" true (drain ())))
+
+(* [Unix.select] cannot watch a descriptor at or past FD_SETSIZE
+   (1,024): the server refuses such a connection with [Busy] instead of
+   handing it to a worker, and keeps serving. *)
+let e2e_fd_past_setsize_busy () =
+  with_server (fun _store _server addr ->
+      let held = ref [] in
+      let release () =
+        List.iter Unix.close !held;
+        held := []
+      in
+      Fun.protect ~finally:release (fun () ->
+          (match
+             for _ = 1 to 1_100 do
+               held := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !held
+             done
+           with
+          | () -> ()
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+              release ();
+              Alcotest.skip ());
+          let raw = raw_connect addr in
+          Unix.setsockopt_float raw.fd Unix.SO_RCVTIMEO 5.0;
+          Fun.protect
+            ~finally:(fun () -> raw_close raw)
+            (fun () ->
+              expect_error "descriptor past FD_SETSIZE" Net.Wire.Busy
+                (raw_read_response raw)));
+      let client = Net.Client.connect ~retries:0 ~timeout_ms:5000 addr in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close client)
+        (fun () -> Net.Client.ping client))
+
 let e2e_unix_socket_reconnect () =
   let path = "test_net_reconnect.sock" in
   let listen = Net.Sockaddr.Unix_sock path in
@@ -1129,5 +1221,11 @@ let () =
             e2e_graceful_drain;
           Alcotest.test_case "unix socket + reconnect with backoff" `Quick
             e2e_unix_socket_reconnect;
+          Alcotest.test_case "three persistent clients share one worker" `Quick
+            e2e_clients_share_a_worker;
+          Alcotest.test_case "a peer that stops reading is dropped" `Quick
+            e2e_stalled_reader_dropped;
+          Alcotest.test_case "a socket past FD_SETSIZE gets Busy" `Quick
+            e2e_fd_past_setsize_busy;
         ] );
     ]
