@@ -53,7 +53,7 @@ let smoke () =
           "minidb.sqlitereg.insert.ns";
           "minidb.sqlitemem.insert.ns";
           "distrib.merge.k_way.ns";
-          "span.distrib.merge.round";
+          "distrib.merge.round.ns";
         ]
   in
   (* The serving layer: a tiny loopback sweep regenerates BENCH_net.json

@@ -193,10 +193,9 @@ let trace_cap_arg =
 let slo_arg =
   let doc =
     "Per-op latency objectives, e.g. $(b,find=1ms,insert=5ms) (suffixes \
-     ns/us/ms/s). The server classifies every timed request against its \
-     objective, maintaining $(b,slo.<op>.ok)/$(b,slo.<op>.violations) \
-     counters and a violations-per-second burn window scrapers can alert \
-     on."
+     ns/us/ms/s), evaluated against each node's $(b,net.<op>.ns) \
+     latency histogram: a column shows the worst-attained objective per \
+     node, conservative by at most one log bucket (1/16 relative)."
   in
   Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"SPEC" ~doc)
 
@@ -246,8 +245,7 @@ let entries_arg =
    chain's catch-up tick) once the store is open. *)
 let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
     listen workers batch max_conns timeout slowlog_ms trace_cap retain
-    gc_interval slo_spec =
-  let slo = Option.map (fun spec -> Obs.Slo.create (parse_objectives spec)) slo_spec in
+    gc_interval =
   (* Install the trace ring before opening the store, so the recovery
      rebuild's spans are already in it when the first `mvkv trace`
      arrives. *)
@@ -270,20 +268,17 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
     match
       Net.Server.start ~store ~workers ~batch ~max_conns ~request_timeout:timeout
         ~slowlog_threshold_ns:(int_of_float (slowlog_ms *. 1e6))
-        ~trace ?slo ?epoch_cell ?on_mutation ~listen ()
+        ~trace ?epoch_cell ?on_mutation ~listen ()
     with
     | server -> server
     | exception Unix.Unix_error (e, _, _) ->
         die "mvkv: cannot listen on %s: %s" (Net.Sockaddr.to_string listen)
           (Unix.error_message e)
   in
-  Format.printf "mvkv: serving %s%s on %a (workers=%d, batch=%d, max-conns=%d%s%s)@."
+  Format.printf "mvkv: serving %s%s on %a (workers=%d, batch=%d, max-conns=%d%s)@."
     pool banner Net.Sockaddr.pp (Net.Server.addr server) workers batch max_conns
     (match retain with
     | Some keep -> Printf.sprintf ", retain=%d" keep
-    | None -> "")
-    (match slo with
-    | Some slo -> ", slo=" ^ Obs.Slo.to_string (Obs.Slo.objectives slo)
     | None -> "");
   let stop = ref false in
   let handler = Sys.Signal_handle (fun _ -> stop := true) in
@@ -304,9 +299,9 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
   Net.Server.stop server
 
 let serve pool threads socket host port workers batch max_conns timeout slowlog_ms
-    trace_cap retain gc_interval slo =
+    trace_cap retain gc_interval =
   run_server ~banner:"" pool threads (addr_of socket host port) workers batch
-    max_conns timeout slowlog_ms trace_cap retain gc_interval slo
+    max_conns timeout slowlog_ms trace_cap retain gc_interval
 
 let timeout_ms_arg =
   let doc =
@@ -437,7 +432,7 @@ let check_shard_id topo topo_file shard =
       (Cluster.Topology.shards topo)
 
 let cluster_serve topo_file shard replica_of slot pool threads workers batch
-    max_conns timeout slowlog_ms trace_cap retain gc_interval slo =
+    max_conns timeout slowlog_ms trace_cap retain gc_interval =
   let topo = load_topology topo_file in
   (* Both roles share the topology's epoch as the server's fencing
      floor; the primary additionally owns a replication chain feeding
@@ -473,7 +468,6 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
         ~epoch_cell ~hooks pool threads
         (Cluster.Topology.primary topo shard)
         workers batch max_conns timeout slowlog_ms trace_cap retain gc_interval
-        slo
   | None, Some shard ->
       check_shard_id topo topo_file shard;
       let nslots = Cluster.Topology.replica_count topo shard in
@@ -490,7 +484,6 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
         ~epoch_cell pool threads
         (Cluster.Topology.replica topo shard slot)
         workers batch max_conns timeout slowlog_ms trace_cap retain gc_interval
-        slo
 
 (* One short-lived connection for an inspection: [f]'s answer, or the
    exception that stopped it. Inspections time out after 2 s by
@@ -995,13 +988,20 @@ let refresh ~interval ~count f =
       try Unix.sleepf interval with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* Snapshot queries shared by `mvkv top` and `mvkv cluster top`: a
-   window's 10 s rate, and an op's latency percentile ("-" when no
-   sample was timed). *)
-let rate10 snap name =
-  match Obs.Snap.window_sums snap name with
-  | Some (_, s10, _) -> float_of_int s10 /. 10.
-  | None -> 0.
+(* Snapshot queries shared by `mvkv top` and `mvkv cluster top`. A
+   rate is a counter's delta per second since the previous poll
+   [prev = (time, snapshot)], "-" until there is one. Counters only
+   move forward on a live server, so a negative delta means the server
+   restarted between polls (fresh registry): clamp it, so a rate can be
+   stale for one refresh, never negative. A percentile reads "-" when
+   no sample was timed. *)
+let rate ~prev ~now snap name =
+  match prev with
+  | Some (t0, s0) when now > t0 ->
+      Printf.sprintf "%.1f"
+        (float_of_int (max 0 (Obs.Snap.counter snap name - Obs.Snap.counter s0 name))
+        /. (now -. t0))
+  | _ -> "-"
 
 let pct snap op q =
   match Obs.Snap.find_hist snap (Printf.sprintf "net.%s.ns" op) with
@@ -1010,18 +1010,22 @@ let pct snap op q =
   | _ -> "-"
 
 (* `mvkv cluster top`: one row per replica plus a cluster-wide
-   aggregate, refreshed like `mvkv top`. Rates come from each node's
-   sliding windows (no cross-poll deltas needed), percentiles from the
-   per-node histograms; the aggregate row merges every snapshot first,
-   so its p50/p99 are computed on the summed log-buckets, not averaged
+   aggregate, refreshed like `mvkv top`. Rates are counter deltas
+   against each row's previous poll, percentiles come from the per-node
+   histograms; the aggregate row merges every snapshot first, so its
+   p50/p99 are computed on the summed log-buckets, not averaged
    per-node percentiles. *)
 let cluster_top topo_file timeout_ms retries interval count =
   if interval <= 0. then die "mvkv: --interval must be positive";
   with_router topo_file timeout_ms retries @@ fun router ->
-  let row label snap =
-    Printf.printf "%-12s %10d %8.1f %10s %10s %10s %10s %5d %9s\n" label
+  let prevs = Hashtbl.create 8 in
+  let row_rate ~now label snap name =
+    rate ~prev:(Hashtbl.find_opt prevs label) ~now snap name
+  in
+  let row ~now label snap =
+    Printf.printf "%-12s %10d %8s %10s %10s %10s %10s %5d %9s\n" label
       (Obs.Snap.counter snap "net.requests")
-      (rate10 snap "net.rate.requests")
+      (row_rate ~now label snap "net.requests")
       (pct snap "find" 0.5) (pct snap "find" 0.99) (pct snap "insert" 0.5)
       (pct snap "insert" 0.99)
       (Obs.Snap.gauge snap "repl.lagging_backups")
@@ -1035,8 +1039,9 @@ let cluster_top topo_file timeout_ms retries interval count =
   in
   Ok (refresh ~interval ~count @@ fun () ->
     let snaps = Cluster.Router.fleet_snaps router in
+    let now = Unix.gettimeofday () in
     print_string "\027[H\027[J";
-    let tm = Unix.localtime (Unix.gettimeofday ()) in
+    let tm = Unix.localtime now in
     Printf.printf "mvkv cluster top — %02d:%02d:%02d\n\n" tm.Unix.tm_hour
       tm.Unix.tm_min tm.Unix.tm_sec;
     Printf.printf "%-12s %10s %8s %10s %10s %10s %10s %5s %9s\n" "node" "reqs"
@@ -1050,33 +1055,35 @@ let cluster_top topo_file timeout_ms retries interval count =
         in
         match snap with
         | Ok snap ->
-            up := snap :: !up;
-            row label snap
+            up := (label, snap) :: !up;
+            row ~now label snap
         | Error reason -> Printf.printf "%-12s down (%s)\n" label reason)
       snaps;
     (match List.rev !up with
     | [] -> Printf.printf "\n(no node reachable)\n"
-    | [ _ ] -> ()
-    | snaps ->
-        print_newline ();
-        row "cluster" (Obs.Snap.merge_all snaps));
-    (* Fleet-wide migration line: live seals and copy traffic show a
-       reshard in flight; sealed rejects count writers bouncing off a
-       Moved answer (each one a router chase, not a failure). *)
-    (match List.rev !up with
-    | [] -> ()
-    | snaps ->
-        let m = Obs.Snap.merge_all snaps in
+    | up ->
+        let m = Obs.Snap.merge_all (List.map snd up) in
+        if List.length up > 1 then begin
+          print_newline ();
+          row ~now "cluster" m
+        end;
+        (* Fleet-wide migration line: live seals and copy traffic show a
+           reshard in flight; sealed rejects count writers bouncing off a
+           Moved answer (each one a router chase, not a failure). *)
         let installed = Obs.Snap.counter m "move.install.events" in
         let sealed = Obs.Snap.gauge m "move.sealed_ranges" in
         let rejects = Obs.Snap.counter m "move.sealed_rejects" in
         if installed > 0 || sealed > 0 || rejects > 0 then
           Printf.printf
-            "\nmove: %d sealed range(s)   installed %d event(s) (%.1f/s 10s)  \
+            "\nmove: %d sealed range(s)   installed %d event(s) (%s/s)  \
              sealed rejects %d\n"
             sealed installed
-            (rate10 m "move.rate.install.events")
-            rejects);
+            (row_rate ~now "cluster" m "move.install.events")
+            rejects;
+        (* Each row's rates need its previous poll. *)
+        List.iter
+          (fun (label, snap) -> Hashtbl.replace prevs label (now, snap))
+          (("cluster", m) :: up));
     Printf.printf "%!")
 
 (* ---- live inspection: metrics / trace / slowlog / top ---- *)
@@ -1132,68 +1139,56 @@ let slowlog socket host port n =
       | Ok _ -> die "mvkv: server returned a non-list slowlog payload")
 
 (* `mvkv top`: poll the registry snapshot and render a refreshing
-   per-operation table — rates from counter deltas between polls,
-   percentiles from the live histograms, plus the server-side sliding
-   windows and pmem flush/fence deltas. *)
+   per-operation table — every rate a counter delta between polls,
+   percentiles from the live histograms. *)
 let render_top ~prev ~now snap =
   let counter = Obs.Snap.counter snap and gauge = Obs.Snap.gauge snap in
+  let rate = rate ~prev ~now snap in
   (* Home the cursor and clear to the end of the screen: a flicker-free
      refresh for a table of constant height. *)
   print_string "\027[H\027[J";
   let tm = Unix.localtime now in
-  Printf.printf "mvkv top — %02d:%02d:%02d   active conns %d   reqs/s %.1f (10s)   in %.0f B/s   out %.0f B/s\n"
+  Printf.printf "mvkv top — %02d:%02d:%02d   active conns %d   reqs/s %s   in %s B/s   out %s B/s\n"
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
     (gauge "net.active_connections")
-    (rate10 snap "net.rate.requests")
-    (rate10 snap "net.rate.bytes_in")
-    (rate10 snap "net.rate.bytes_out");
+    (rate "net.requests") (rate "net.bytes_in") (rate "net.bytes_out");
   Printf.printf "\n%-13s %12s %10s %12s %12s\n" "op" "total" "ops/s" "p50" "p99";
-  let dt = match prev with Some (t0, _) when now > t0 -> now -. t0 | _ -> 0. in
-  (* Counters only move forward on a live server, so a negative delta
-     means the server restarted between polls (fresh registry). Clamp:
-     a rate can be stale for one refresh, never negative. *)
-  let delta name =
-    match prev with
-    | Some (_, s0) when dt > 0. ->
-        float_of_int (max 0 (counter name - Obs.Snap.counter s0 name)) /. dt
-    | _ -> 0.
-  in
   List.iter
     (fun op ->
       let ops = Printf.sprintf "net.%s.ops" op in
       if counter ops > 0 then
-        Printf.printf "%-13s %12d %10.1f %12s %12s\n" op (counter ops) (delta ops)
+        Printf.printf "%-13s %12d %10s %12s %12s\n" op (counter ops) (rate ops)
           (pct snap op 0.5) (pct snap op 0.99))
     Net.Wire.request_labels;
-  Printf.printf "\npmem: %d lines flushed (%.0f/s)   %d fences (%.0f/s)\n"
+  Printf.printf "\npmem: %d lines flushed (%s/s)   %d fences (%s/s)\n"
     (counter "pmem.flushed_lines")
-    (delta "pmem.flushed_lines")
+    (rate "pmem.flushed_lines")
     (counter "pmem.fences")
-    (delta "pmem.fences");
+    (rate "pmem.fences");
   (* Batching effectiveness: how much durability work batch scopes
      coalesced away, and how hard the server is batching/coalescing its
      request stream. *)
   Printf.printf
-    "      saved by batching: %d lines (%.0f/s)   %d fences (%.0f/s)\n"
+    "      saved by batching: %d lines (%s/s)   %d fences (%s/s)\n"
     (counter "pmem.flushes_saved")
-    (delta "pmem.flushes_saved")
+    (rate "pmem.flushes_saved")
     (counter "pmem.fences_saved")
-    (delta "pmem.fences_saved");
-  Printf.printf "net:  batch p50 %s frames   coalesced %d frames (%.0f/s)\n"
+    (rate "pmem.fences_saved");
+  Printf.printf "net:  batch p50 %s frames   coalesced %d frames (%s/s)\n"
     (match Obs.Snap.find_hist snap "net.batch_size" with
     | Some h when h.Obs.Snap.hcount > 0 ->
         string_of_int (Obs.Snap.hist_percentile h 0.5)
     | _ -> "-")
     (counter "net.coalesced_frames")
-    (delta "net.coalesced_frames");
+    (rate "net.coalesced_frames");
   (* Replication health: forwarding/catch-up are primary-side, the
      redial and read-failover counters appear when the polled process
      also runs a router (and stay 0 on a plain shard). *)
   Printf.printf
-    "repl: forwarded %d (%.1f/s 10s)   catchups %d   lagging backups %d   \
+    "repl: forwarded %d (%s/s)   catchups %d   lagging backups %d   \
      redials %d   read failovers %d   bad epochs %d\n"
     (counter "repl.forwarded")
-    (rate10 snap "repl.rate.forwarded")
+    (rate "repl.forwarded")
     (counter "repl.catchups")
     (gauge "repl.lagging_backups")
     (counter "cluster.redials")
@@ -1244,7 +1239,7 @@ let () =
         Term.(
           const serve $ pool_arg $ threads_arg $ socket_arg $ host_arg $ port_arg
           $ workers_arg $ batch_arg $ max_conns_arg $ timeout_arg $ slowlog_ms_arg
-          $ trace_cap_arg $ serve_retain_arg $ gc_interval_arg $ slo_arg);
+          $ trace_cap_arg $ serve_retain_arg $ gc_interval_arg);
       cmd_of "top" "Live per-operation dashboard for a running server."
         Term.(const top $ socket_arg $ host_arg $ port_arg $ interval_arg $ count_arg);
       cmd_of "metrics" "Dump a running server's metrics in Prometheus text format."
@@ -1281,7 +1276,7 @@ let () =
               const cluster_serve $ topology_arg $ shard_arg $ replica_of_arg
               $ slot_arg $ pool_arg $ threads_arg $ workers_arg $ batch_arg
               $ max_conns_arg $ timeout_arg $ slowlog_ms_arg $ trace_cap_arg
-              $ serve_retain_arg $ gc_interval_arg $ slo_arg);
+              $ serve_retain_arg $ gc_interval_arg);
           cmd_of "promote"
             "Promote a backup to primary: bump the epoch, fence the replica \
              set, rewrite the topology file."

@@ -38,7 +38,6 @@ let c_rounds = Obs.Registry.counter "move.rounds"
 let c_keys = Obs.Registry.counter "move.keys_copied"
 let c_events = Obs.Registry.counter "move.events_copied"
 let c_resumed = Obs.Registry.counter "move.resumed"
-let w_events = Obs.Registry.window "move.rate.copy.events"
 let h_copy = Obs.Registry.histogram "move.copy_ns"
 let h_round = Obs.Registry.histogram "move.round_ns"
 let h_pause = Obs.Registry.histogram "move.pause_ns"
@@ -86,8 +85,6 @@ let copy_span ctx ~src ~dst ~lo ~hi ~since =
           incr keys;
           events := !events + List.length evs)
         chains;
-      Obs.Window.add w_events
-        (Array.fold_left (fun n (_, evs) -> n + List.length evs) 0 chains);
       let last, _ = chains.(Array.length chains - 1) in
       if last >= hi - 1 then continue := false else cursor := last + 1
     end

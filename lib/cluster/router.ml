@@ -65,7 +65,6 @@ let c_stale_epochs = Obs.Registry.counter "repl.stale_epochs"
 let c_topo_reloads = Obs.Registry.counter "repl.topology_reloads"
 let c_moved_chases = Obs.Registry.counter "cluster.moved_chases"
 let c_conns_kept = Obs.Registry.counter "cluster.conns_kept"
-let w_failovers = Obs.Registry.window "repl.rate.read_failovers"
 let h_failover_ns = Obs.Registry.histogram "repl.failover_latency_ns"
 let m_insert = Obs.Instr.op "cluster.insert"
 let m_remove = Obs.Instr.op "cluster.remove"
@@ -342,7 +341,6 @@ let on_read t shard f =
         | `Ok v ->
             if i > 0 then begin
               Obs.Metric.incr c_read_failovers;
-              Obs.Window.add w_failovers 1;
               Obs.Histogram.record h_failover_ns (Obs.Clock.now_ns () - t0);
               t.preferred.(shard) <- slot
             end;

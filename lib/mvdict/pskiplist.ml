@@ -35,6 +35,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   let m_find = Obs.Instr.op "mvdict.pskiplist.find"
   let m_history = Obs.Instr.op "mvdict.pskiplist.history"
   let m_snapshot = Obs.Instr.op "mvdict.pskiplist.snapshot"
+  let m_recover = Obs.Instr.op "mvdict.pskiplist.recover"
   let g_recovered_fc = Obs.Registry.gauge "mvdict.pskiplist.recovered_fc"
   let c_gc_runs = Obs.Registry.counter "gc.runs"
   let c_gc_dropped = Obs.Registry.counter "gc.entries_dropped"
@@ -385,6 +386,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let open_existing ?(threads = 1) heap =
     Obs.Span.with_ "mvdict.pskiplist.recover" @@ fun () ->
+    let t0 = Obs.Instr.start () in
     let chain_handle = Pmem.Pheap.root_get heap chain_root_slot in
     if Pmem.Pptr.is_null chain_handle then
       invalid_arg "Pskiplist.open_existing: heap holds no store";
@@ -456,7 +458,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           !highest)
     in
     let clock = Array.fold_left max 0 max_versions in
-    make_store heap chain index (Version.restore ~clock ~fc) fc
+    let t = make_store heap chain index (Version.restore ~clock ~fc) fc in
+    Obs.Instr.finish m_recover t0;
+    t
 
   let heap t = t.heap
 

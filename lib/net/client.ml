@@ -291,11 +291,6 @@ let history t key =
   | Wire.Events evs -> evs
   | r -> unexpected "history" r
 
-let snapshot t ?version () =
-  match call t (Wire.Snapshot { version }) with
-  | Wire.Pairs pairs -> pairs
-  | r -> unexpected "snapshot" r
-
 (* Stream a whole range page by page: each [Scan] is bounded by the
    server's chunk cap, and a full page means the range may continue —
    re-issue from just past the last key seen. [limit] bounds one page
@@ -321,6 +316,17 @@ let scan t ?version ?(limit = 0) ~lo ~hi f =
       | r -> unexpected "scan" r
   in
   page lo 0
+
+(* The whole store, ascending, paged like [scan] (so an unpinned
+   snapshot reads each page at the then-current state). A half-open
+   range cannot name [max_int], so one [find] adds it. *)
+let snapshot t ?version () =
+  let acc = ref [] in
+  ignore (scan t ?version ~lo:min_int ~hi:max_int (fun k v -> acc := (k, v) :: !acc));
+  (match find t ?version max_int with
+  | Some v -> acc := (max_int, v) :: !acc
+  | None -> ());
+  Array.of_list (List.rev !acc)
 
 let epoch_probe t =
   match call t Wire.Epoch_probe with

@@ -29,8 +29,9 @@
 
    Live inspection: the server answers [Registry_snap] (the whole
    registry as a mergeable snapshot, rendered as JSON, Prometheus text
-   or a top table by the client), [Trace_dump] (the span ring as Chrome
-   trace JSON, drained on read) and [Slowlog] (the newest
+   or a top table by the client, which also derives every rate from two
+   of them), [Trace_dump] (the span ring as Chrome trace JSON, drained
+   on read) and [Slowlog] (the newest
    threshold-gated slow operations). Per-server state for the latter
    two lives in [t.trace] / [t.slow]; the trace ring doubles as the
    process-wide span sink. *)
@@ -51,13 +52,6 @@ let c_bytes_out = Obs.Registry.counter "net.bytes_out"
 let g_active = Obs.Registry.gauge "net.active_connections"
 let h_batch = Obs.Registry.histogram "net.batch_size"
 
-(* Sliding-window rates maintained server-side, so ops/s and bytes/s
-   are readable straight off one stats/metrics fetch instead of being
-   re-derived from counter deltas by every scraper. *)
-let w_requests = Obs.Registry.window "net.rate.requests"
-let w_bytes_in = Obs.Registry.window "net.rate.bytes_in"
-let w_bytes_out = Obs.Registry.window "net.rate.bytes_out"
-
 (* Migration metrics: what a shard sees of a live move. Pull/install
    sides are distinct — the old owner pulls, the new owner installs —
    so one server usually moves only one set of these. *)
@@ -67,7 +61,6 @@ let c_move_install_keys = Obs.Registry.counter "move.install.keys"
 let c_move_install_events = Obs.Registry.counter "move.install.events"
 let c_move_install_bytes = Obs.Registry.counter "move.install.bytes"
 let c_move_sealed_rejects = Obs.Registry.counter "move.sealed_rejects"
-let w_move_install = Obs.Registry.window "move.rate.install.events"
 let g_move_sealed = Obs.Registry.gauge "move.sealed_ranges"
 
 let h_move_drain = Obs.Registry.histogram "move.drain_ns"
@@ -79,11 +72,14 @@ let h_move_pause = Obs.Registry.histogram "move.cutover_pause_ns"
 
 (* Per-op instruments indexed by request opcode, so dispatch finds its
    counter/histogram pair with one array load. Wrapper and unused
-   opcodes have none: dispatch unwraps wrappers before the lookup. *)
+   opcodes have none: dispatch unwraps wrappers before the lookup. A
+   traced request's span name comes from the same kind of array. *)
 let op_metrics =
   Array.map
     (function "" -> None | label -> Some (Obs.Instr.op ("net." ^ label)))
     Wire.opcode_labels
+
+let op_spans = Array.map (fun label -> "srv." ^ label) Wire.opcode_labels
 
 let recv_chunk = 65536
 
@@ -107,7 +103,6 @@ type t = {
   request_timeout : float;
   timeout_ns : int;  (** request_timeout on the Obs.Clock scale *)
   slow : Obs.Slowlog.t;
-  slo : Obs.Slo.t option;
   trace : Obs.Tracebuf.t;
   epoch : int Atomic.t;
       (** newest topology epoch this server has seen; older stamps
@@ -336,26 +331,19 @@ let apply t (req : Wire.request) : Wire.response =
         in
         Wire.Version (bump ())
   | Wire.History { key } -> Wire.Events (S.extract_history t.store key)
-  | Wire.Snapshot { version } ->
-      (* The one request that walks the whole store: span it so a
-         snapshot round-trip shows up in the trace ring. *)
-      Obs.Span.with_ "net.snapshot" (fun () ->
-          Wire.Pairs
-            (match version with
-            | Some version -> S.extract_snapshot t.store ~version ()
-            | None -> S.extract_snapshot t.store ()))
   | Wire.Registry_snap ->
       Wire.Snap_json
         (Obs.Json.to_string (Obs.Snap.to_json (Obs.Snap.of_registry ())))
   | Wire.Trace_dump { clear } ->
-      (* Dump-and-clear by default, so each fetch is a fresh window
-         and a monitoring loop never re-reports the same spans.
-         [clear = false] lets concurrent collectors peek without
-         stealing each other's spans. The dump is stamped with this
-         node's clock so a fleet merger can rebase rings recorded on
-         different monotonic clocks onto one timeline. *)
-      let events = Obs.Tracebuf.dump t.trace in
-      if clear then Obs.Tracebuf.clear t.trace;
+      (* Drain by default, so each fetch reports every span recorded
+         since the last one exactly once, spans recorded during the
+         fetch included. [clear = false] lets concurrent collectors
+         peek without stealing each other's spans. The dump is stamped
+         with this node's clock so a fleet merger can rebase rings
+         recorded on different monotonic clocks onto one timeline. *)
+      let events =
+        if clear then Obs.Tracebuf.drain t.trace else Obs.Tracebuf.dump t.trace
+      in
       Wire.Trace_json
         (Obs.Json.to_string
            (Obs.Tracebuf.chrome_json ~clock_ns:(Obs.Clock.now_ns ()) events))
@@ -411,7 +399,6 @@ let apply t (req : Wire.request) : Wire.response =
          event — close enough to the bytes that actually moved. *)
       Obs.Metric.add c_move_install_bytes
         ((16 * Array.length chains) + (17 * events));
-      Obs.Window.add w_move_install events;
       Wire.Ack
   | Wire.Range_seal { lo; hi; epoch; endpoint } ->
       let t0 = Obs.Clock.now_ns () in
@@ -434,20 +421,15 @@ let apply t (req : Wire.request) : Wire.response =
       Wire.Error { code = Wire.Malformed; message = "nested traced wrapper" }
 
 (* Close [req]'s op timing started at [t0], noting a timed request in
-   the slowlog and the SLO counters. *)
+   the slowlog. *)
 let finish_op t req t0 =
   match op_metrics.(Wire.request_opcode req) with
   | None -> ()
   | Some metrics ->
       let elapsed = Obs.Instr.finish_elapsed metrics t0 in
-      if elapsed > 0 then begin
-        let op = Wire.request_label req in
-        Obs.Slowlog.note t.slow ~op ?key:(Wire.request_key req)
-          ~latency_ns:elapsed ();
-        match t.slo with
-        | None -> ()
-        | Some slo -> Obs.Slo.note slo ~op ~latency_ns:elapsed
-      end
+      if elapsed > 0 then
+        Obs.Slowlog.note t.slow ~op:(Wire.request_label req)
+          ?key:(Wire.request_key req) ~latency_ns:elapsed ()
 
 (* Hand a successfully applied mutation to the replication hook. A
    replication failure must not poison the client connection; the
@@ -529,7 +511,7 @@ let rec dispatch t ~gate req =
                sampled = true;
              })
           (fun () ->
-            Obs.Span.with_ ("srv." ^ Wire.request_label req) (fun () ->
+            Obs.Span.with_ op_spans.(Wire.label_opcode req) (fun () ->
                 dispatch t ~gate req))
       else dispatch t ~gate req
   | (Wire.Stamped { epoch; req } | Wire.Replicate { epoch; req }) as frame -> (
@@ -570,9 +552,7 @@ let flush_out conn =
     let payload = Buffer.contents conn.out in
     Buffer.clear conn.out;
     match Sockaddr.write_string conn.fd payload with
-    | () ->
-        Obs.Metric.add c_bytes_out (String.length payload);
-        Obs.Window.add w_bytes_out (String.length payload)
+    | () -> Obs.Metric.add c_bytes_out (String.length payload)
     (* EAGAIN is the accepted socket's send timeout: the peer left a
        reply unread for [request_timeout]. *)
     | exception Unix.Unix_error _ -> raise Close_conn
@@ -642,7 +622,6 @@ let apply_run t ~gate conn ~req ~apply frames =
    promise each write its own history event. *)
 let process t ~gate conn items =
   Obs.Histogram.record h_batch (List.length items);
-  Obs.Window.add w_requests (List.length items);
   let single item =
     Obs.Metric.incr c_requests;
     let resp =
@@ -727,7 +706,6 @@ let read_more conn =
   | 0 -> conn.eof <- true
   | n ->
       Obs.Metric.add c_bytes_in n;
-      Obs.Window.add w_bytes_in n;
       conn.fill <- conn.fill + n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> conn.eof <- true
@@ -865,7 +843,7 @@ let worker t i =
 
 let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
     ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
-    ?(trace_capacity = 4096) ?trace ?slo ?epoch_cell ?on_mutation ~listen () =
+    ?(trace_capacity = 4096) ?trace ?epoch_cell ?on_mutation ~listen () =
   if workers < 1 then invalid_arg "Server.start: need at least one worker";
   if batch < 1 then invalid_arg "Server.start: batch must be positive";
   let listen_fd = Sockaddr.listen listen in
@@ -891,7 +869,6 @@ let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
       request_timeout;
       timeout_ns = int_of_float (request_timeout *. 1e9);
       slow = Obs.Slowlog.create ~threshold_ns:slowlog_threshold_ns ();
-      slo;
       trace;
       epoch = (match epoch_cell with Some c -> c | None -> Atomic.make 0);
       on_mutation;

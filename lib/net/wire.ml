@@ -16,11 +16,12 @@
    from the length prefix. *)
 
 (* The only accepted version: a frame carrying any other version byte
-   is answered with a Bad_version error frame. Request opcodes 8, 9 and
-   15 are retired and decode as unknown: the registry travels only as a
-   Registry_snap that clients render, and a retention window is a
-   Compact horizon the caller computes from a probed clock. *)
-let protocol_version = 8
+   is answered with a Bad_version error frame. Request opcodes 7, 8, 9
+   and 15 are retired and decode as unknown: a whole-store snapshot
+   pages through Scan, the registry travels only as a Registry_snap
+   that clients render, and a retention window is a Compact horizon the
+   caller computes from a probed clock. *)
+let protocol_version = 9
 
 (* Largest accepted body, in bytes: 524,287 pairs, small enough that a
    garbage length prefix is rejected instead of honoured. A reply that
@@ -68,7 +69,6 @@ type request =
   | Find of { key : int; version : int option }
   | Tag
   | History of { key : int }
-  | Snapshot of { version : int option }
   | Trace_dump of { clear : bool }
       (** Dump the span ring as Chrome trace JSON. [clear] also drains
           the ring — a second concurrent collector passes [false] so
@@ -120,7 +120,7 @@ type request =
           join the sender's trace. *)
   | Registry_snap
       (** Answered with {!Snap_json}: the node's full registry as a
-          mergeable snapshot (raw histogram buckets, window sums). The
+          mergeable snapshot (counters, gauges, raw histogram buckets). The
           one registry export: clients render it as JSON, Prometheus
           text or a [top] table, and the router merges it across every
           shard and replica for [mvkv cluster top]/[cluster metrics]. *)
@@ -180,7 +180,7 @@ type response =
   | Value of int option  (** find result *)
   | Values of int option array  (** find_bulk result, in request key order *)
   | Events of (int * int Mvdict.Dict_intf.event) list  (** history result *)
-  | Pairs of (int * int) array  (** snapshot result *)
+  | Pairs of (int * int) array  (** scan page *)
   | Trace_json of string  (** Chrome trace_event JSON text *)
   | Slowlog_json of string  (** slow-op log entries as JSON text *)
   | Gc_done of { dropped : int }  (** compact result: entries dropped *)
@@ -256,7 +256,6 @@ let request_opcode = function
   | Find _ -> 4
   | Tag -> 5
   | History _ -> 6
-  | Snapshot _ -> 7
   | Trace_dump _ -> 10
   | Slowlog _ -> 11
   | Tag_at _ -> 12
@@ -281,16 +280,20 @@ let request_opcode = function
    (Stamped/Traced), whose label is its inner request's. *)
 let opcode_labels =
   [|
-    ""; "ping"; "insert"; "remove"; "find"; "tag"; "history"; "snapshot"; "";
+    ""; "ping"; "insert"; "remove"; "find"; "tag"; "history"; ""; "";
     ""; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; ""; "";
     "replicate"; "epoch_probe"; ""; "registry_snap"; "insert_batch";
     "remove_batch"; "scan"; "migrate_pull"; "history_batch"; "range_seal";
     "range_unseal"; "moves_status";
   |]
 
-let rec request_label = function
-  | Stamped { req; _ } | Traced { req; _ } -> request_label req
-  | r -> opcode_labels.(request_opcode r)
+(* The opcode a request is labelled by: a Stamped or Traced wrapper's
+   is its inner request's. *)
+let rec label_opcode = function
+  | Stamped { req; _ } | Traced { req; _ } -> label_opcode req
+  | r -> request_opcode r
+
+let request_label r = opcode_labels.(label_opcode r)
 
 let request_labels = List.filter (fun l -> l <> "") (Array.to_list opcode_labels)
 
@@ -301,7 +304,7 @@ let rec request_key = function
       Some key
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       request_key req
-  | Ping | Tag | Snapshot _ | Trace_dump _ | Slowlog _ | Tag_at _ | Find_bulk _
+  | Ping | Tag | Trace_dump _ | Slowlog _ | Tag_at _ | Find_bulk _
   | Compact _ | Epoch_probe | Registry_snap | Insert_batch _ | Remove_batch _
   | Scan _ | Migrate_pull _ | History_batch _ | Range_seal _ | Range_unseal _
   | Moves_status ->
@@ -319,7 +322,7 @@ let rec is_mutation = function
       true
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       is_mutation req
-  | Ping | Find _ | Find_bulk _ | History _ | Snapshot _ | Trace_dump _
+  | Ping | Find _ | Find_bulk _ | History _ | Trace_dump _
   | Slowlog _ | Epoch_probe | Registry_snap | Scan _ | Migrate_pull _
   | Range_seal _ | Range_unseal _ | Moves_status ->
       false
@@ -410,7 +413,6 @@ let rec encode_request_body (r : request) =
   | Find { key; version } ->
       put_int buf key;
       put_opt_int buf version
-  | Snapshot { version } -> put_opt_int buf version
   | Slowlog { n } -> put_int buf n
   | Tag_at { version } -> put_int buf version
   | Find_bulk { keys; version } ->
@@ -671,7 +673,6 @@ let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
         finish c (Find { key; version })
     | 5 -> finish c Tag
     | 6 -> finish c (History { key = get_int c "history.key" })
-    | 7 -> finish c (Snapshot { version = get_opt_int c "snapshot.version" })
     | 10 ->
         let clear =
           match get_u8 c "trace.clear" with

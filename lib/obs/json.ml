@@ -246,5 +246,3 @@ let of_string s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let keys = function Obj fields -> List.map fst fields | _ -> []

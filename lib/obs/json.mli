@@ -20,6 +20,3 @@ val of_string : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)
-
-val keys : t -> string list
-(** Field names of an [Obj], in order; [[]] otherwise. *)

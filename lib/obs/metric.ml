@@ -3,18 +3,16 @@
    pay unconditionally, and it keeps op counts trustworthy even when
    latency tracking is off). *)
 
-type counter = { name : string; cell : int Atomic.t }
-type gauge = { gname : string; gcell : int Atomic.t }
+type counter = int Atomic.t
+type gauge = int Atomic.t
 
-let make_counter name = { name; cell = Atomic.make 0 }
-let counter_name c = c.name
-let incr c = ignore (Atomic.fetch_and_add c.cell 1)
-let add c n = ignore (Atomic.fetch_and_add c.cell n)
-let value c = Atomic.get c.cell
-let reset_counter c = Atomic.set c.cell 0
+let make_counter () = Atomic.make 0
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = ignore (Atomic.fetch_and_add c n)
+let value c = Atomic.get c
+let reset_counter c = Atomic.set c 0
 
-let make_gauge name = { gname = name; gcell = Atomic.make 0 }
-let gauge_name g = g.gname
-let set g v = Atomic.set g.gcell v
-let gauge_value g = Atomic.get g.gcell
-let reset_gauge g = Atomic.set g.gcell 0
+let make_gauge () = Atomic.make 0
+let set g v = Atomic.set g v
+let gauge_value g = Atomic.get g
+let reset_gauge g = Atomic.set g 0

@@ -9,15 +9,13 @@
 type counter
 type gauge
 
-val make_counter : string -> counter
-val counter_name : counter -> string
+val make_counter : unit -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 val reset_counter : counter -> unit
 
-val make_gauge : string -> gauge
-val gauge_name : gauge -> string
+val make_gauge : unit -> gauge
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 val reset_gauge : gauge -> unit

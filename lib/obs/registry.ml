@@ -7,7 +7,6 @@ type entry =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
   | Histogram of Histogram.t
-  | Window of Window.t
 
 let lock = Mutex.create ()
 let table : (string, entry) Hashtbl.t = Hashtbl.create 64
@@ -40,30 +39,23 @@ let get_or_add name ~kind ~make ~cast =
 let counter name =
   get_or_add name ~kind:"counter"
     ~make:(fun () ->
-      let c = Metric.make_counter name in
+      let c = Metric.make_counter () in
       (Counter c, c))
     ~cast:(function Counter c -> Some c | _ -> None)
 
 let gauge name =
   get_or_add name ~kind:"gauge"
     ~make:(fun () ->
-      let g = Metric.make_gauge name in
+      let g = Metric.make_gauge () in
       (Gauge g, g))
     ~cast:(function Gauge g -> Some g | _ -> None)
 
 let histogram name =
   get_or_add name ~kind:"histogram"
     ~make:(fun () ->
-      let h = Histogram.create name in
+      let h = Histogram.create () in
       (Histogram h, h))
     ~cast:(function Histogram h -> Some h | _ -> None)
-
-let window name =
-  get_or_add name ~kind:"window"
-    ~make:(fun () ->
-      let w = Window.create name in
-      (Window w, w))
-    ~cast:(function Window w -> Some w | _ -> None)
 
 let snapshot () =
   let entries = locked (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []) in
@@ -75,6 +67,5 @@ let reset () =
       match entry with
       | Counter c -> Metric.reset_counter c
       | Gauge g -> Metric.reset_gauge g
-      | Histogram h -> Histogram.reset h
-      | Window w -> Window.reset w)
+      | Histogram h -> Histogram.reset h)
     (snapshot ())

@@ -10,13 +10,11 @@
 val counter : string -> Metric.counter
 val gauge : string -> Metric.gauge
 val histogram : string -> Histogram.t
-val window : string -> Window.t
 
 type entry =
   | Counter of Metric.counter
   | Gauge of Metric.gauge
   | Histogram of Histogram.t
-  | Window of Window.t
 
 val snapshot : unit -> (string * entry) list
 (** Every registered metric, sorted by name — what {!Snap} iterates;

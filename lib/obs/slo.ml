@@ -1,26 +1,12 @@
-(* Per-op latency objectives ("find completes within 1ms") with
-   burn-rate accounting over the existing sliding windows.
-
-   An objective is parsed from the CLI spec `find=1ms,insert=5ms` and
-   attached to a server; the server feeds every timed request latency
-   into [note], which maintains per-op `slo.<op>.ok` / `slo.<op>.violations`
-   counters and a `slo.<op>.rate.violations` window — the burn rate a
-   scraper reads as violations-per-second over the trailing 1/10/60 s.
-   Attainment (fraction of requests meeting the objective) is computed
-   fleet-side from the per-op latency histograms via
-   {!Snap.hist_le_fraction}, so `cluster client status` can evaluate
-   objectives against any node without the node knowing them. *)
+(* Per-op latency objectives ("find completes within 1ms"), parsed
+   from the CLI spec `find=1ms,insert=5ms`. Attainment (the fraction of
+   requests meeting the objective) is computed client-side from the
+   per-op latency histograms via {!Snap.hist_le_fraction}, so
+   `cluster client status` can hold any node to an objective the node
+   never heard of, and the server keeps no second count of its
+   latencies. *)
 
 type objective = { op : string; threshold_ns : int }
-
-type tracked = {
-  threshold_ns : int;
-  ok : Metric.counter;
-  violations : Metric.counter;
-  burn : Window.t;
-}
-
-type t = { objectives : objective list; by_op : (string * tracked) list }
 
 (* Accepted duration suffixes, most specific first. *)
 let units = [ ("ns", 1); ("us", 1_000); ("ms", 1_000_000); ("s", 1_000_000_000) ]
@@ -67,34 +53,6 @@ let parse spec =
     in
     go [] parts
 
-let create objectives =
-  {
-    objectives;
-    by_op =
-      List.map
-        (fun { op; threshold_ns } ->
-          ( op,
-            {
-              threshold_ns;
-              ok = Registry.counter (Printf.sprintf "slo.%s.ok" op);
-              violations = Registry.counter (Printf.sprintf "slo.%s.violations" op);
-              burn = Registry.window (Printf.sprintf "slo.%s.rate.violations" op);
-            } ))
-        objectives;
-  }
-
-let objectives t = t.objectives
-
-let note t ~op ~latency_ns =
-  match List.assoc_opt op t.by_op with
-  | None -> ()
-  | Some tracked ->
-      if latency_ns <= tracked.threshold_ns then Metric.incr tracked.ok
-      else begin
-        Metric.incr tracked.violations;
-        Window.incr tracked.burn
-      end
-
 (* Attainment of [objectives] against one node's snapshot, evaluated on
    the server-side per-op latency histograms (net.<op>.ns). Returns the
    worst (op, attainment) pair, or [None] when no objective op has
@@ -115,14 +73,3 @@ let attainment (objectives : objective list) (snap : Snap.t) =
            (fun ((_, worst) as acc) ((_, f) as cand) ->
              if f < worst then cand else acc)
            (List.hd per_op) (List.tl per_op))
-
-let to_string objectives =
-  String.concat ","
-    (List.map
-       (fun { op; threshold_ns } ->
-         if threshold_ns mod 1_000_000 = 0 then
-           Printf.sprintf "%s=%dms" op (threshold_ns / 1_000_000)
-         else if threshold_ns mod 1_000 = 0 then
-           Printf.sprintf "%s=%dus" op (threshold_ns / 1_000)
-         else Printf.sprintf "%s=%dns" op threshold_ns)
-       objectives)

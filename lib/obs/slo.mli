@@ -1,34 +1,18 @@
-(** Per-op latency objectives with burn-rate counters.
+(** Per-op latency objectives, evaluated client-side.
 
-    Parsed from CLI specs like ["find=1ms,insert=5ms"]; a server feeds
-    request latencies into {!note}, which maintains
-    [slo.<op>.ok]/[slo.<op>.violations] counters plus a
-    [slo.<op>.rate.violations] window (the burn rate: violations per
-    second over the trailing 1/10/60 s). Attainment is evaluated
-    fleet-side from latency histograms via {!attainment}, so clients
-    can hold any node to an objective the node never heard of. *)
+    Parsed from CLI specs like ["find=1ms,insert=5ms"]; {!attainment}
+    evaluates them on a node's registry snapshot, so clients can hold
+    any node to an objective the node never heard of. *)
 
 type objective = { op : string; threshold_ns : int }
-
-type t
 
 val parse : string -> (objective list, string) result
 (** ["op=duration,..."] with ns/us/ms/s suffixes, e.g.
     ["find=1ms,insert=500us"]. Rejects empty specs, bad durations, and
     duplicate ops. *)
 
-val create : objective list -> t
-(** Registers the per-op burn counters/windows. *)
-
-val objectives : t -> objective list
-
-val note : t -> op:string -> latency_ns:int -> unit
-(** Count one request against the op's objective (no-op for ops
-    without one). *)
-
 val attainment : objective list -> Snap.t -> (string * float) option
 (** Worst attainment across the objectives, evaluated on the
     snapshot's [net.<op>.ns] histograms: [(op, fraction meeting the
-    objective)]. [None] when no objective op has samples. *)
-
-val to_string : objective list -> string
+    objective)], conservative by at most one log bucket (1/16
+    relative). [None] when no objective op has samples. *)

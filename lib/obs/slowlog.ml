@@ -24,9 +24,7 @@ let create ?(capacity = 128) ~threshold_ns () =
     ticket = Atomic.make 0;
   }
 
-let threshold_ns t = Atomic.get t.threshold_ns
 let set_threshold t ns = Atomic.set t.threshold_ns ns
-let capacity t = Array.length t.slots
 let total t = Atomic.get t.ticket
 
 let note t ~op ?key ~latency_ns () =
@@ -43,10 +41,6 @@ let note t ~op ?key ~latency_ns () =
     let k = Atomic.fetch_and_add t.ticket 1 in
     Atomic.set t.slots.(k mod Array.length t.slots) (Some e)
   end
-
-let clear t =
-  Array.iter (fun slot -> Atomic.set slot None) t.slots;
-  Atomic.set t.ticket 0
 
 (* Up to [n] most recent entries, newest first. *)
 let newest t ~n =

@@ -14,9 +14,7 @@ val create : ?capacity:int -> threshold_ns:int -> unit -> t
 (** Default capacity 128. Raises [Invalid_argument] when
     [capacity < 1]. *)
 
-val threshold_ns : t -> int
 val set_threshold : t -> int -> unit
-val capacity : t -> int
 
 val total : t -> int
 (** Entries ever logged, including overwritten ones. *)
@@ -25,8 +23,6 @@ val note : t -> op:string -> ?key:int -> latency_ns:int -> unit -> unit
 
 val newest : t -> n:int -> entry list
 (** Up to [n] most recent entries, newest first. *)
-
-val clear : t -> unit
 
 val to_json : entry list -> Json.t
 (** A list of [{op, key, latency_ns, wall_ts}] objects ([wall_ts] in

@@ -2,10 +2,10 @@
    aggregation. [of_registry] captures every registered metric in a
    plain-data form that serialises to JSON and back (the Registry_snap
    wire opcode), [merge] combines snapshots from many nodes (counter
-   and gauge sums, exact log-bucket histogram addition, window trailing
-   sums), and [prometheus] renders a set of labelled snapshots as one
-   exposition page — how `mvkv cluster metrics` shows every shard and
-   replica under `shard`/`replica` labels. *)
+   and gauge sums, exact log-bucket histogram addition), and
+   [prometheus] renders a set of labelled snapshots as one exposition
+   page — how `mvkv cluster metrics` shows every shard and replica
+   under `shard`/`replica` labels. *)
 
 type hist = {
   hcount : int;
@@ -18,7 +18,6 @@ type entry =
   | Counter of int
   | Gauge of int
   | Hist of hist
-  | Win of { s1 : int; s10 : int; s60 : int }
 
 type t = (string * entry) list
 
@@ -36,13 +35,6 @@ let of_registry () =
                 hsum = Histogram.sum h;
                 hmax = Histogram.max_value h;
                 buckets = Histogram.nonzero_buckets h;
-              }
-        | Registry.Window w ->
-            Win
-              {
-                s1 = Window.sum w ~window_s:1;
-                s10 = Window.sum w ~window_s:10;
-                s60 = Window.sum w ~window_s:60;
               } ))
     (Registry.snapshot ())
 
@@ -56,13 +48,8 @@ let gauge t name = match List.assoc_opt name t with Some (Gauge v) -> v | _ -> 0
 let find_hist t name =
   match List.assoc_opt name t with Some (Hist h) -> Some h | _ -> None
 
-let window_sums t name =
-  match List.assoc_opt name t with
-  | Some (Win { s1; s10; s60 }) -> Some (s1, s10, s60)
-  | _ -> None
-
-(* Same midpoint-of-bucket convention as {!Histogram.percentile}, over
-   the sparse bucket list. *)
+(* Smallest bucket whose cumulative count reaches [q * count], reported
+   as the bucket midpoint (clamped to the observed max). *)
 let hist_percentile h q =
   if h.hcount = 0 then 0
   else begin
@@ -120,7 +107,6 @@ let merge_entry a b =
           hmax = max x.hmax y.hmax;
           buckets = merge_buckets x.buckets y.buckets;
         }
-  | Win x, Win y -> Win { s1 = x.s1 + y.s1; s10 = x.s10 + y.s10; s60 = x.s60 + y.s60 }
   (* Kind clash across nodes (version skew): keep the left entry. *)
   | a, _ -> a
 
@@ -141,7 +127,7 @@ let merge_all = function [] -> [] | s :: rest -> List.fold_left merge s rest
 (* ---- JSON (the Registry_snap wire payload) ---- *)
 
 let to_json (t : t) =
-  let counters = ref [] and gauges = ref [] and hists = ref [] and wins = ref [] in
+  let counters = ref [] and gauges = ref [] and hists = ref [] in
   List.iter
     (fun (name, entry) ->
       match entry with
@@ -161,21 +147,13 @@ let to_json (t : t) =
                          (fun (i, n) -> Json.List [ Json.Int i; Json.Int n ])
                          h.buckets) );
                 ] )
-            :: !hists
-      | Win { s1; s10; s60 } ->
-          wins :=
-            ( name,
-              Json.Obj
-                [ ("s1", Json.Int s1); ("s10", Json.Int s10); ("s60", Json.Int s60) ]
-            )
-            :: !wins)
+            :: !hists)
     t;
   Json.Obj
     [
       ("counters", Json.Obj (List.rev !counters));
       ("gauges", Json.Obj (List.rev !gauges));
       ("histograms", Json.Obj (List.rev !hists));
-      ("windows", Json.Obj (List.rev !wins));
     ]
 
 let of_json (j : Json.t) : (t, string) result =
@@ -194,7 +172,6 @@ let of_json (j : Json.t) : (t, string) result =
   let* counters = section "counters" in
   let* gauges = section "gauges" in
   let* hists = section "histograms" in
-  let* wins = section "windows" in
   let parse_simple make (name, v) =
     match v with Json.Int v -> Ok (name, make v) | _ -> fail name
   in
@@ -216,11 +193,6 @@ let of_json (j : Json.t) : (t, string) result =
         | _ -> fail (name ^ ".buckets"))
     | _ -> fail name
   in
-  let parse_win (name, v) =
-    match (int_field "s1" v, int_field "s10" v, int_field "s60" v) with
-    | Some s1, Some s10, Some s60 -> Ok (name, Win { s1; s10; s60 })
-    | _ -> fail name
-  in
   let rec map_m f acc = function
     | [] -> Ok (List.rev acc)
     | x :: rest -> (
@@ -229,11 +201,10 @@ let of_json (j : Json.t) : (t, string) result =
   let* counters = map_m (parse_simple (fun v -> Counter v)) [] counters in
   let* gauges = map_m (parse_simple (fun v -> Gauge v)) [] gauges in
   let* hists = map_m parse_hist [] hists in
-  let* wins = map_m parse_win [] wins in
   Ok
     (List.sort
        (fun (a, _) (b, _) -> String.compare a b)
-       (counters @ gauges @ hists @ wins))
+       (counters @ gauges @ hists))
 
 (* ---- labelled Prometheus page (mvkv cluster metrics) ---- *)
 
@@ -278,7 +249,6 @@ let prometheus (parts : ((string * string) list * t) list) =
       (List.concat_map (fun (_, snap) -> List.map fst snap) parts)
   in
   let int_value = string_of_int in
-  let float_value v = if Float.is_finite v then Printf.sprintf "%.9g" v else "0" in
   let preamble name ~orig ~kind =
     Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name orig);
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
@@ -294,7 +264,6 @@ let prometheus (parts : ((string * string) list * t) list) =
       | Some (Counter _) -> preamble name ~orig ~kind:"counter"
       | Some (Gauge _) -> preamble name ~orig ~kind:"gauge"
       | Some (Hist _) -> preamble name ~orig ~kind:"histogram"
-      | Some (Win _) -> preamble (name ^ "_per_sec") ~orig ~kind:"gauge"
       | None -> ());
       List.iter
         (fun (labels, snap) ->
@@ -315,14 +284,7 @@ let prometheus (parts : ((string * string) list * t) list) =
                 ~labels:(labels @ [ ("le", "+Inf") ])
                 (int_value h.hcount);
               series buf (name ^ "_sum") ~labels (int_value h.hsum);
-              series buf (name ^ "_count") ~labels (int_value h.hcount)
-          | Some (Win { s1; s10; s60 }) ->
-              List.iter
-                (fun (window_s, total) ->
-                  series buf (name ^ "_per_sec")
-                    ~labels:(labels @ [ ("window_s", int_value window_s) ])
-                    (float_value (float_of_int total /. float_of_int window_s)))
-                [ (1, s1); (10, s10); (60, s60) ])
+              series buf (name ^ "_count") ~labels (int_value h.hcount))
         parts)
     names;
   Buffer.contents buf

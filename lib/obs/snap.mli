@@ -3,11 +3,12 @@
 
     A snapshot captures every registered metric as plain data:
     counters and gauges as values, histograms with their raw log-bucket
-    counts (so merged percentiles are exact up to bucket resolution),
-    windows as trailing 1/10/60 s sums. Snapshots serialise to JSON
-    (the [Registry_snap] wire opcode), merge associatively
-    ({!Histogram.merge} semantics for histograms, sums for the rest),
-    and render as one labelled Prometheus page. *)
+    counts (so merged percentiles are exact up to bucket resolution).
+    Snapshots serialise to JSON (the [Registry_snap] wire opcode),
+    merge associatively (bucket-wise for histograms, sums for the
+    rest), and render as one labelled Prometheus page. Every rate,
+    percentile, SLO attainment and fleet merge is a read over
+    snapshots: a rate is the delta of a counter between two of them. *)
 
 type hist = {
   hcount : int;
@@ -20,8 +21,6 @@ type entry =
   | Counter of int
   | Gauge of int
   | Hist of hist
-  | Win of { s1 : int; s10 : int; s60 : int }
-      (** trailing window sums over 1/10/60 seconds *)
 
 type t = (string * entry) list
 (** Sorted by name. *)
@@ -36,10 +35,11 @@ val gauge : t -> string -> int
 (** 0 when absent. *)
 
 val find_hist : t -> string -> hist option
-val window_sums : t -> string -> (int * int * int) option
 
 val hist_percentile : hist -> float -> int
-(** Same bucket-midpoint convention as {!Histogram.percentile}. *)
+(** [hist_percentile h q] for [q] in [0,1]: the midpoint of the
+    smallest bucket whose cumulative count reaches [q * count], clamped
+    to the observed maximum. 0 when empty. *)
 
 val hist_le_fraction : hist -> le:int -> float option
 (** Fraction of samples certainly [<= le] (whole log-buckets only, so
@@ -47,8 +47,9 @@ val hist_le_fraction : hist -> le:int -> float option
     attainment primitive. *)
 
 val merge : t -> t -> t
-(** Counters/gauges/window sums add; histograms merge bucket-wise
-    (count/sum exactly additive, max of max). *)
+(** Counters and gauges add; histograms merge bucket-wise (count/sum
+    exactly additive, max of max, and every percentile of the merge
+    lies between the inputs' at bucket granularity). *)
 
 val merge_all : t list -> t
 (** [[]] for the empty list. *)

@@ -1,8 +1,10 @@
 (* Lightweight span tracing: [enter] returns the start timestamp as the
-   token (no allocation), [exit] records the duration into a
-   ["span.<name>"] histogram and reports the event to the pluggable
-   sink. Nesting depth is tracked per domain. When Control is disabled
-   the token is 0 and both calls are no-ops.
+   token (no allocation), [exit] reports the event to the pluggable
+   sink and records nothing else, so with no sink installed a span
+   allocates nothing: a site that wants a latency histogram times
+   itself with an {!Instr} op or a plain histogram. Nesting depth is
+   tracked per domain. When Control is disabled the token is 0 and
+   both calls are no-ops.
 
    Remote contexts: a per-domain current {!context} (trace id, parent
    span id, sampling flag) links local spans into a cluster-wide trace.
@@ -33,7 +35,6 @@ let context_key : context option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let get_context () = !(Domain.DLS.get context_key)
-let set_context c = Domain.DLS.get context_key := c
 
 let with_context c f =
   let cell = Domain.DLS.get context_key in
@@ -64,7 +65,6 @@ let exit_ids name token ids =
     let d = Domain.DLS.get depth_key in
     let depth = !d in
     if depth > 0 then decr d;
-    Histogram.record (Registry.histogram ("span." ^ name)) (stop - token);
     match !sink with
     | None -> ()
     | Some f ->

@@ -1,11 +1,11 @@
 (** Lightweight span tracing with optional cross-node trace contexts.
 
     [enter name] reads the monotonic clock and returns it as the span
-    token (an [int] — no allocation); [exit name token] records the
-    elapsed time into the ["span." ^ name] histogram and notifies the
-    sink, if any, with the nesting depth (1 = outermost). Depth is
-    tracked per domain. With {!Control} disabled, [enter] returns 0 and
-    [exit] ignores it.
+    token (an [int] — no allocation); [exit name token] notifies the
+    sink, if any, with the nesting depth (1 = outermost). A span records
+    no histogram, so with no sink installed it allocates nothing. Depth
+    is tracked per domain. With {!Control} disabled, [enter] returns 0
+    and [exit] ignores it.
 
     A per-domain {!context} (set by servers when dispatching a traced
     request, or by a router when originating one) links local spans
@@ -37,7 +37,6 @@ val set_sink : (event -> unit) option -> unit
     keep it cheap. *)
 
 val get_context : unit -> context option
-val set_context : context option -> unit
 
 val with_context : context option -> (unit -> 'a) -> 'a
 (** Install [c] for the duration of the body (also on exception),

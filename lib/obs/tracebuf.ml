@@ -3,44 +3,71 @@
    memory, the last [capacity] spans are available for dumping at any
    moment.
 
-   Writers claim a slot with one fetch-and-add on a monotone ticket and
-   store the (immutable) event into it; the ring position is the ticket
-   modulo capacity, so the oldest event is overwritten once the ring is
-   full. [dump] is a best-effort snapshot: a writer racing it can
-   replace an old event with a newer one mid-read, which skews the
-   window by at most the number of in-flight writers — never tears an
-   event. *)
+   Writers claim a ticket with one fetch-and-add and store the
+   (immutable) event, tagged with its ticket, into slot ticket mod
+   capacity, so the oldest event is overwritten once the ring is full.
+   Readers report tickets [max(drained, ticket - capacity), ticket).
+   The slot's tag tells them what it holds: an older ticket means the
+   writer has claimed but not yet stored, so the read stops there and
+   the next drain starts at that ticket; a newer one means the event
+   was overwritten and is gone. A drain advances [drained] by one CAS
+   and reads again if another drain moved it first, so every event is
+   reported by exactly one drain unless the ring overwrites it first. *)
 
-type t = { slots : Span.event option Atomic.t array; ticket : int Atomic.t }
+type t = {
+  slots : (int * Span.event) option Atomic.t array;  (** (ticket, event) *)
+  ticket : int Atomic.t;
+  drained : int Atomic.t;
+}
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Obs.Tracebuf.create: capacity must be positive";
-  { slots = Array.init capacity (fun _ -> Atomic.make None); ticket = Atomic.make 0 }
-
-let capacity t = Array.length t.slots
+  {
+    slots = Array.init capacity (fun _ -> Atomic.make None);
+    ticket = Atomic.make 0;
+    drained = Atomic.make 0;
+  }
 
 (* Events ever recorded (not clamped to capacity). *)
 let total t = Atomic.get t.ticket
-let length t = min (total t) (capacity t)
 
-let record t (e : Span.event) =
+(* A writer that stalled for a whole lap of the ring stores nothing:
+   its slot already holds a newer event. *)
+let record t (event : Span.event) =
   let k = Atomic.fetch_and_add t.ticket 1 in
-  Atomic.set t.slots.(k mod Array.length t.slots) (Some e)
+  let cell = t.slots.(k mod Array.length t.slots) in
+  let entry = Some (k, event) in
+  let rec store () =
+    let cur = Atomic.get cell in
+    let newer = match cur with Some (j, _) -> j > k | None -> false in
+    if (not newer) && not (Atomic.compare_and_set cell cur entry) then store ()
+  in
+  store ()
 
 let install t = Span.set_sink (Some (record t))
 
-let clear t =
-  Array.iter (fun slot -> Atomic.set slot None) t.slots;
-  Atomic.set t.ticket 0
-
-(* Oldest-first snapshot of the current window. *)
-let dump t =
+(* The undrained events still held, oldest-first, and the ticket the
+   next drain starts at. *)
+let read t drained =
   let n = Atomic.get t.ticket in
   let cap = Array.length t.slots in
-  let first = max 0 (n - cap) in
-  List.filter_map
-    (fun k -> Atomic.get t.slots.(k mod cap))
-    (List.init (n - first) (fun j -> first + j))
+  let rec go k acc =
+    if k >= n then (List.rev acc, n)
+    else
+      match Atomic.get t.slots.(k mod cap) with
+      | Some (j, e) when j = k -> go (k + 1) (e :: acc)
+      | Some (j, _) when j > k -> go (k + 1) acc
+      | _ -> (List.rev acc, k)
+  in
+  go (max drained (n - cap)) []
+
+let dump t = fst (read t (Atomic.get t.drained))
+let length t = List.length (dump t)
+
+let rec drain t =
+  let d = Atomic.get t.drained in
+  let events, next = read t d in
+  if Atomic.compare_and_set t.drained d next then events else drain t
 
 (* Chrome trace_event JSON (the "X" complete-event form), loadable
    directly by chrome://tracing and Perfetto. Timestamps are in

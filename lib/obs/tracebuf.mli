@@ -2,12 +2,12 @@
     [trace_event] JSON exporters — per-node and cluster-merged.
 
     Install one as the span sink with {!install} and the last
-    [capacity] spans are always available: [dump] snapshots them
-    oldest-first, [to_chrome_json] renders a document that opens
-    directly in [chrome://tracing] / Perfetto (one lane per domain,
-    span depth in [args], trace context in [args] when present).
-    Recording is one fetch-and-add plus one atomic store; safe under
-    concurrent [Domain]s.
+    [capacity] spans are always available: [drain] hands them out
+    oldest-first, each exactly once, [to_chrome_json] renders a
+    document that opens directly in [chrome://tracing] / Perfetto (one
+    lane per domain, span depth in [args], trace context in [args] when
+    present). Recording is one fetch-and-add plus one compare-and-set;
+    safe under concurrent [Domain]s.
 
     {!merge_chrome} assembles the rings of many nodes into one causal
     document: one Chrome process lane per node, timestamps rebased by
@@ -18,23 +18,26 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : t -> int
-
 val total : t -> int
 (** Events ever recorded, including overwritten ones. *)
 
 val length : t -> int
-(** Events currently held: [min total capacity]. *)
+(** Events [dump] would report now. *)
 
 val record : t -> Span.event -> unit
 
 val install : t -> unit
 (** [Span.set_sink] this buffer's [record]. *)
 
-val clear : t -> unit
-
 val dump : t -> Span.event list
-(** Best-effort snapshot of the current window, oldest-first. *)
+(** The events recorded since the last {!drain} that the ring still
+    holds, oldest-first, up to the first one whose writer has not yet
+    stored it. Drains nothing. *)
+
+val drain : t -> Span.event list
+(** As {!dump}, and marks those events drained: a drain racing writers
+    or other drains reports each recorded event exactly once, unless
+    the ring overwrote it first. *)
 
 val chrome_json : ?clock_ns:int -> Span.event list -> Json.t
 (** [clock_ns] (the emitting node's monotonic clock at dump time)

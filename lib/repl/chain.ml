@@ -29,7 +29,7 @@ let c_forwarded = Obs.Registry.counter "repl.forwarded"
 let c_forward_errors = Obs.Registry.counter "repl.forward_errors"
 let c_catchups = Obs.Registry.counter "repl.catchups"
 let c_catchup_pairs = Obs.Registry.counter "repl.catchup_pairs"
-let w_forwarded = Obs.Registry.window "repl.rate.forwarded"
+let h_catch_up = Obs.Registry.histogram "repl.catch_up.ns"
 let h_forward_ns = Obs.Registry.histogram "repl.forward_latency_ns"
 let g_lagging = Obs.Registry.gauge "repl.lagging_backups"
 
@@ -93,6 +93,7 @@ let holds pairs key =
    diff's own remove already records it.) *)
 let catch_up ?replay_removes t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
+  let t0 = Obs.Instr.start () in
   let c = ensure_conn peer in
   let epoch = Atomic.get t.epoch in
   let ship req = ignore (Net.Client.replicate c ~epoch req) in
@@ -131,6 +132,7 @@ let catch_up ?replay_removes t peer =
      have yet. *)
   ship (Net.Wire.Tag_at { version = t.current_version () });
   Obs.Metric.incr c_catchups;
+  if t0 <> 0 then Obs.Histogram.record h_catch_up (Obs.Clock.now_ns () - t0);
   Obs.Metric.add c_catchup_pairs (List.length changes);
   peer.lagging <- false;
   peer.last_error <- None
@@ -202,8 +204,7 @@ let forward_to t peer op =
          — the replica lane of the cluster-wide trace. *)
       Obs.Span.with_ "repl.forward" (fun () ->
           ignore (Net.Client.replicate c ~epoch:(Atomic.get t.epoch) op));
-      Obs.Metric.incr c_forwarded;
-      Obs.Window.add w_forwarded 1
+      Obs.Metric.incr c_forwarded
     end
   with e -> mark_failed peer e
 

@@ -14,6 +14,7 @@ let m_k_way = Obs.Instr.op "distrib.merge.k_way"
 let c_elements = Obs.Registry.counter "distrib.merge.elements"
 let c_rounds = Obs.Registry.counter "distrib.merge.rounds"
 let c_bytes_moved = Obs.Registry.counter "distrib.merge.bytes_moved"
+let h_round = Obs.Registry.histogram "distrib.merge.round.ns"
 
 let merge_into a alo ahi b blo bhi out olo =
   (* Merge a[alo,ahi) with b[blo,bhi) into out starting at olo. *)
@@ -214,6 +215,7 @@ let recursive_doubling ?(threads = 1) inputs =
         Obs.Metric.incr c_rounds;
         Obs.Metric.add c_bytes_moved !round_bytes;
         Obs.Span.exit "distrib.merge.round" token;
+        if token <> 0 then Obs.Histogram.record h_round (Obs.Clock.now_ns () - token);
         run (Array.of_list (List.rev !survivors))
       end
     in

@@ -24,7 +24,6 @@ let gen_plain_request =
           (opt small_nat);
         return Net.Wire.Tag;
         map (fun key -> Net.Wire.History { key }) gen_key_value;
-        map (fun version -> Net.Wire.Snapshot { version }) (opt small_nat);
         map (fun clear -> Net.Wire.Trace_dump { clear }) bool;
         return Net.Wire.Registry_snap;
         map (fun n -> Net.Wire.Slowlog { n }) small_nat;
@@ -233,14 +232,15 @@ let decode_bad_version () =
 
 (* Request opcodes 8, 9 and 15 (registry JSON, registry Prometheus
    text, server-relative retention) and response opcodes 7 and 9 were
-   removed in version 8: they now decode like any unknown opcode. *)
+   removed in version 8, request opcode 7 (one-frame snapshot) in
+   version 9: they now decode like any unknown opcode. *)
 let decode_bad_opcode () =
   List.iter
     (fun op ->
       let b, len = body_of_string (ver ^ String.make 1 (Char.chr op)) in
       check_string "bad opcode" "bad_opcode"
         (explain (Net.Wire.decode_request b ~off:0 ~len)))
-    [ 0x63; 8; 9; 15 ];
+    [ 0x63; 7; 8; 9; 15 ];
   List.iter
     (fun op ->
       let b, len = body_of_string (ver ^ String.make 1 (Char.chr op)) in
@@ -456,6 +456,28 @@ let e2e_full_api () =
            (Array.sub snap2 1 (Array.length snap2 - 1)));
       (* the server really is backed by the same store *)
       check_int "server store key count" 20 (Store.key_count store);
+      Net.Client.close client)
+
+(* A client snapshot pages Scan over [min_int, max_int) and finds
+   max_int, which a half-open range cannot name, on its own: the keys at
+   both ends read back as the local snapshot has them, now and at an
+   older version. *)
+let e2e_snapshot_key_extremes () =
+  with_server (fun store _server addr ->
+      let client = Net.Client.connect addr in
+      List.iteri
+        (fun i key -> Net.Client.insert client ~key ~value:(i + 1))
+        [ min_int; -1; 0; max_int ];
+      let v1 = Net.Client.tag client in
+      Net.Client.insert client ~key:max_int ~value:5;
+      Net.Client.remove client ~key:min_int;
+      check_bool "current snapshot" true
+        (Net.Client.snapshot client () = Store.extract_snapshot store ());
+      check_bool "snapshot at an older version" true
+        (Net.Client.snapshot client ~version:v1 ()
+        = Store.extract_snapshot store ~version:v1 ());
+      check_int "both ends held at the older version" 4
+        (Array.length (Net.Client.snapshot client ~version:v1 ()));
       Net.Client.close client)
 
 let e2e_pipelined_batch () =
@@ -769,12 +791,12 @@ let e2e_error_frames_keep_connection () =
       (* 3. garbled payload *)
       raw_write fd (frame_of_body (ver ^ "\x02AB"));
       expect_error "malformed" Net.Wire.Malformed (raw_read_response fd);
-      (* 4. the opcodes removed in version 8 *)
+      (* 4. the opcodes removed in versions 8 and 9 *)
       List.iter
         (fun op ->
           raw_write fd (frame_of_body (ver ^ String.make 1 (Char.chr op)));
           expect_error "removed opcode" Net.Wire.Bad_opcode (raw_read_response fd))
-        [ 8; 9; 15 ];
+        [ 7; 8; 9; 15 ];
       (* ... and the connection is still perfectly usable *)
       raw_write fd
         (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
@@ -1190,6 +1212,8 @@ let () =
       ( "server-e2e",
         [
           Alcotest.test_case "full dict API over loopback" `Quick e2e_full_api;
+          Alcotest.test_case "snapshot of min_int, -1, 0, max_int = local" `Quick
+            e2e_snapshot_key_extremes;
           Alcotest.test_case "pipelined batch" `Quick e2e_pipelined_batch;
           Alcotest.test_case "stats returns registry JSON" `Quick e2e_stats_json;
           Alcotest.test_case "metrics returns Prometheus text" `Quick

@@ -1,9 +1,22 @@
 (* Tests for lib/obs: counters/gauges under concurrent domains,
-   histogram bucketing and percentiles, span nesting, registry JSON
-   round-trip, and the disabled-path zero-allocation guarantee. *)
+   histogram bucketing and snapshot percentiles, span nesting, registry
+   JSON round-trip, the trace ring's drains, and the zero-allocation
+   guarantees of the disabled path and of a span with no sink. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* The snapshot form of a histogram holding [samples]: what percentiles
+   and merges are computed on. *)
+let snap_hist samples =
+  let h = Obs.Histogram.create () in
+  List.iter (Obs.Histogram.record h) samples;
+  {
+    Obs.Snap.hcount = Obs.Histogram.count h;
+    hsum = Obs.Histogram.sum h;
+    hmax = Obs.Histogram.max_value h;
+    buckets = Obs.Histogram.nonzero_buckets h;
+  }
 
 (* Counters / gauges *)
 
@@ -66,9 +79,14 @@ let histogram_percentiles () =
   done;
   check_int "count" 1000 (Obs.Histogram.count h);
   check_int "max exact" 1000 (Obs.Histogram.max_value h);
-  Alcotest.(check (float 0.5)) "mean" 500.5 (Obs.Histogram.mean h);
+  let s =
+    match Obs.Snap.find_hist (Obs.Snap.of_registry ()) "test.histogram.percentiles" with
+    | Some s -> s
+    | None -> Alcotest.fail "histogram missing from snapshot"
+  in
+  check_int "sum exact" 500_500 s.Obs.Snap.hsum;
   let within q lo hi =
-    let p = Obs.Histogram.percentile h q in
+    let p = Obs.Snap.hist_percentile s q in
     check_bool
       (Printf.sprintf "p%.0f=%d in [%d,%d]" (q *. 100.0) p lo hi)
       true
@@ -78,8 +96,7 @@ let histogram_percentiles () =
   within 0.50 450 560;
   within 0.90 830 990;
   within 0.99 900 1000;
-  check_int "empty percentile" 0
-    (Obs.Histogram.percentile (Obs.Histogram.create "test.histogram.empty") 0.5)
+  check_int "empty percentile" 0 (Obs.Snap.hist_percentile (snap_hist []) 0.5)
 
 let histogram_concurrent_domains () =
   let h = Obs.Registry.histogram "test.histogram.concurrent" in
@@ -113,8 +130,8 @@ let span_nesting_and_sink () =
       check_bool "inner nested in outer" true
         (inner.Obs.Span.start_ns >= outer.Obs.Span.start_ns
         && inner.Obs.Span.stop_ns <= outer.Obs.Span.stop_ns);
-      check_bool "histogram recorded" true
-        (Obs.Histogram.count (Obs.Registry.histogram "span.test.outer") >= 1)
+      check_bool "a span records no histogram" false
+        (List.mem_assoc "span.test.outer" (Obs.Snap.of_registry ()))
   | events -> Alcotest.failf "expected 2 span events, got %d" (List.length events)
 
 let span_disabled_is_noop () =
@@ -145,6 +162,19 @@ let disabled_path_allocates_nothing () =
       check_bool "no per-op allocation" true (w1 -. w0 < 64.0));
   check_int "counter still counts when disabled" iterations (Obs.Metric.value c);
   check_int "histogram untouched when disabled" 0 (Obs.Histogram.count h)
+
+(* Enabled, with no sink: a span reads the clock twice and moves the
+   per-domain depth, nothing else. *)
+let enabled_span_allocates_nothing () =
+  Obs.Span.set_sink None;
+  Obs.Control.enable ();
+  let iterations = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iterations do
+    Obs.Span.exit "test.enabled.span" (Obs.Span.enter "test.enabled.span")
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool "no per-span allocation" true (w1 -. w0 < 64.0)
 
 let enabled_path_records () =
   let op = Obs.Instr.op "test.enabled.op" in
@@ -237,31 +267,32 @@ let registry_json_shape () =
           check_bool "max and percentiles computable from the buckets" true
             (hist.hmax = 1234
             && List.for_all
-                 (fun q -> Obs.Snap.hist_percentile hist q = Obs.Histogram.percentile h q)
+                 (fun q ->
+                   Obs.Histogram.index_of (Obs.Snap.hist_percentile hist q)
+                   = Obs.Histogram.index_of 1234)
                  [ 0.50; 0.90; 0.99 ])
       | None -> Alcotest.fail "histogram missing from JSON");
       check_bool "pmem counters folded into the same registry" true
         (List.mem_assoc "pmem.flushed_lines" snap)
 
-(* Histogram percentile laws, property-checked. *)
+(* Snapshot percentile laws, property-checked. *)
 
 let percentile_properties =
   QCheck.Test.make ~name:"percentile monotone in q and bounded by max" ~count:200
     QCheck.(make Gen.(list_size (int_range 1 200) (int_range 0 (1 lsl 40))))
     (fun samples ->
-      let h = Obs.Histogram.create "test.histogram.qcheck" in
-      List.iter (fun v -> Obs.Histogram.record h v) samples;
+      let h = snap_hist samples in
       let qs = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
-      let ps = List.map (fun q -> Obs.Histogram.percentile h q) qs in
+      let ps = List.map (Obs.Snap.hist_percentile h) qs in
       let rec monotone = function
         | a :: (b :: _ as rest) -> a <= b && monotone rest
         | _ -> true
       in
       monotone ps
-      && List.for_all (fun p -> p <= Obs.Histogram.max_value h) ps
-      && Obs.Histogram.count h = List.length samples)
+      && List.for_all (fun p -> p <= h.Obs.Snap.hmax) ps
+      && h.Obs.Snap.hcount = List.length samples)
 
-(* Histogram merge: count/sum exactly additive, max of max, and the
+(* Snapshot merge: count/sum exactly additive, max of max, and the
    merged percentiles bracket the inputs' — the law that makes fleet
    p99 aggregation honest. *)
 
@@ -278,16 +309,16 @@ let histogram_merge_properties =
             (list_size (int_range 1 100) (int_range 0 (1 lsl 40)))
             (list_size (int_range 1 100) (int_range 0 (1 lsl 40)))))
     (fun (xs, ys) ->
-      let a = Obs.Histogram.create "test.merge.a"
-      and b = Obs.Histogram.create "test.merge.b" in
-      List.iter (Obs.Histogram.record a) xs;
-      List.iter (Obs.Histogram.record b) ys;
-      let m = Obs.Histogram.merge a b in
+      let a = snap_hist xs and b = snap_hist ys in
+      let m =
+        match Obs.Snap.merge [ ("h", Obs.Snap.Hist a) ] [ ("h", Obs.Snap.Hist b) ] with
+        | [ ("h", Obs.Snap.Hist m) ] -> m
+        | _ -> failwith "merge lost the histogram"
+      in
       let exact =
-        Obs.Histogram.count m = List.length xs + List.length ys
-        && Obs.Histogram.sum m = Obs.Histogram.sum a + Obs.Histogram.sum b
-        && Obs.Histogram.max_value m
-           = max (Obs.Histogram.max_value a) (Obs.Histogram.max_value b)
+        m.Obs.Snap.hcount = List.length xs + List.length ys
+        && m.hsum = a.hsum + b.hsum
+        && m.hmax = max a.hmax b.hmax
       in
       (* Bracketing holds at bucket granularity: percentiles are bucket
          midpoints whose exact value depends on the histogram's own max
@@ -295,7 +326,7 @@ let histogram_merge_properties =
       let bracketed =
         List.for_all
           (fun q ->
-            let bucket h = Obs.Histogram.index_of (Obs.Histogram.percentile h q) in
+            let bucket h = Obs.Histogram.index_of (Obs.Snap.hist_percentile h q) in
             let bm = bucket m and ba = bucket a and bb = bucket b in
             bm >= min ba bb && bm <= max ba bb)
           [ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ]
@@ -422,8 +453,7 @@ let snap_percentile_and_le_fraction () =
   match Obs.Snap.find_hist s "test.snap.le" with
   | None -> Alcotest.fail "histogram missing from snapshot"
   | Some hh ->
-      check_int "snapshot p50 matches live histogram"
-        (Obs.Histogram.percentile h 0.5)
+      check_int "snapshot p50 is the exact small bucket" 10
         (Obs.Snap.hist_percentile hh 0.5);
       (match Obs.Snap.hist_le_fraction hh ~le:100_000 with
       | Some f -> Alcotest.(check (float 0.001)) "9 of 10 under the bar" 0.9 f
@@ -470,25 +500,7 @@ let slo_parse_and_burn () =
     (fun spec ->
       check_bool ("rejects " ^ spec) true
         (match Obs.Slo.parse spec with Error _ -> true | Ok _ -> false))
-    [ ""; "find"; "=1ms"; "find=1"; "find=0ms"; "find=1ms,find=2ms" ];
-  let t = Obs.Slo.create [ { Obs.Slo.op = "testburn"; threshold_ns = 1000 } ] in
-  Obs.Slo.note t ~op:"testburn" ~latency_ns:500;
-  Obs.Slo.note t ~op:"testburn" ~latency_ns:1000;
-  Obs.Slo.note t ~op:"testburn" ~latency_ns:5000;
-  Obs.Slo.note t ~op:"unknown" ~latency_ns:1;
-  check_int "ok counter" 2 (Obs.Metric.value (Obs.Registry.counter "slo.testburn.ok"));
-  check_int "violation counter" 1
-    (Obs.Metric.value (Obs.Registry.counter "slo.testburn.violations"));
-  check_bool "burn window counts the violation" true
-    (Obs.Window.sum (Obs.Registry.window "slo.testburn.rate.violations") ~window_s:60
-    >= 1);
-  Alcotest.(check string)
-    "objectives render back" "find=1ms,insert=500us"
-    (Obs.Slo.to_string
-       [
-         { Obs.Slo.op = "find"; threshold_ns = 1_000_000 };
-         { Obs.Slo.op = "insert"; threshold_ns = 500_000 };
-       ])
+    [ ""; "find"; "=1ms"; "find=1"; "find=0ms"; "find=1ms,find=2ms" ]
 
 let slo_attainment () =
   let h = Obs.Registry.histogram "net.testslo.ns" in
@@ -574,66 +586,6 @@ let merge_chrome_rebases_and_dedups () =
       check_int "two pid lanes" 2 (List.length pids)
   | _ -> Alcotest.fail "no traceEvents list"
 
-(* Sliding windows, on a fake clock so seconds advance on demand. *)
-
-let with_fake_clock f =
-  let now = ref 1_000_000_000_000 in
-  Obs.Clock.set_source (fun () -> !now);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Clock.set_source (fun () -> int_of_float (Unix.gettimeofday () *. 1e9)))
-    (fun () -> f (fun s -> now := !now + (s * 1_000_000_000)))
-
-let window_rates () =
-  with_fake_clock (fun advance ->
-      let w = Obs.Window.create "test.window.rates" in
-      Obs.Window.add w 10;
-      check_int "running second counts" 10 (Obs.Window.sum w ~window_s:1);
-      advance 1;
-      Obs.Window.add w 20;
-      check_int "two-second sum" 30 (Obs.Window.sum w ~window_s:2);
-      check_int "one-second sum sees only the running second" 20
-        (Obs.Window.sum w ~window_s:1);
-      Alcotest.(check (float 0.001)) "rate averages over the window" 15.0
-        (Obs.Window.rate w ~window_s:2);
-      (* Old seconds fall out of the window. *)
-      advance 60;
-      check_int "stale buckets expire" 0 (Obs.Window.sum w ~window_s:10);
-      check_bool "bad window rejected" true
-        (match Obs.Window.sum w ~window_s:0 with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-
-let window_clock_swap () =
-  (* A window created under one clock source must keep working after
-     the source is swapped to one that reads *behind* the creation
-     anchor — the CLI installs a monotonic source at startup, after
-     module-init windows were created under the wall clock. *)
-  let now = ref 4_000_000_000_000_000_000 in
-  Obs.Clock.set_source (fun () -> !now);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Clock.set_source (fun () -> int_of_float (Unix.gettimeofday () *. 1e9)))
-    (fun () ->
-      let w = Obs.Window.create "test.window.clockswap" in
-      now := 1_000_000_000_000;
-      Obs.Window.add w 7;
-      check_int "events visible after the clock runs behind the anchor" 7
-        (Obs.Window.sum w ~window_s:10))
-
-let window_concurrent () =
-  let w = Obs.Window.create "test.window.concurrent" in
-  let per_domain = 20_000 and domains = 4 in
-  ignore
-    (Concurrent.Parallel.run ~threads:domains (fun _ ->
-         for _ = 1 to per_domain do
-           Obs.Window.incr w
-         done));
-  (* The whole run takes well under the max window; every event must be
-     in the trailing-120s sum. *)
-  check_int "no lost events under domains" (per_domain * domains)
-    (Obs.Window.sum w ~window_s:120)
-
 (* Trace ring *)
 
 let mkspan ?(dom = 0) ?(trace = Obs.Traceid.null) ?(span_id = 0) ?(parent = 0)
@@ -663,9 +615,12 @@ let tracebuf_overwrites_oldest () =
       check_int "then 9" 900 c.Obs.Span.start_ns;
       check_int "newest last" 1000 d.Obs.Span.start_ns
   | l -> Alcotest.failf "expected 4 spans, got %d" (List.length l));
-  Obs.Tracebuf.clear t;
-  check_int "clear empties" 0 (Obs.Tracebuf.length t);
-  check_bool "dump after clear" true (Obs.Tracebuf.dump t = [])
+  check_int "a drain reports the held window" 4 (List.length (Obs.Tracebuf.drain t));
+  check_int "drain empties" 0 (Obs.Tracebuf.length t);
+  check_bool "dump after drain" true (Obs.Tracebuf.dump t = []);
+  Obs.Tracebuf.record t (mkspan "s" 11);
+  check_bool "the next drain starts after the last" true
+    (List.map (fun e -> e.Obs.Span.start_ns) (Obs.Tracebuf.drain t) = [ 1100 ])
 
 let tracebuf_as_sink () =
   let t = Obs.Tracebuf.create ~capacity:16 in
@@ -711,6 +666,40 @@ let tracebuf_concurrent () =
   check_int "every record counted" (per_domain * domains) (Obs.Tracebuf.total t);
   check_int "ring stays full" 64 (Obs.Tracebuf.length t);
   check_int "dump returns a full window" 64 (List.length (Obs.Tracebuf.dump t))
+
+(* One domain records events 1..n while another drains in a loop: the
+   drains and one final drain report every event exactly once. *)
+let tracebuf_concurrent_drains () =
+  let n = 100_000 in
+  let t = Obs.Tracebuf.create ~capacity:(1 lsl 17) in
+  let seen = Array.make (n + 1) 0 in
+  let note =
+    List.iter (fun e ->
+        let i = e.Obs.Span.start_ns in
+        seen.(i) <- seen.(i) + 1)
+  in
+  let writing = Atomic.make true in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 1 to n do
+          Obs.Tracebuf.record t { (mkspan "s" 0) with Obs.Span.start_ns = i }
+        done;
+        Atomic.set writing false)
+  in
+  while Atomic.get writing do
+    note (Obs.Tracebuf.drain t)
+  done;
+  Domain.join writer;
+  note (Obs.Tracebuf.drain t);
+  let wrong = ref [] in
+  for i = n downto 1 do
+    if seen.(i) <> 1 then wrong := (i, seen.(i)) :: !wrong
+  done;
+  match !wrong with
+  | [] -> ()
+  | (i, k) :: _ ->
+      Alcotest.failf "%d of %d events not reported exactly once (event %d: %d times)"
+        (List.length !wrong) n i k
 
 (* Slowlog *)
 
@@ -802,7 +791,6 @@ let expo_line_format () =
   Obs.Metric.set (Obs.Registry.gauge "test.expo.gauge") (-4);
   let h = Obs.Registry.histogram "test.expo.hist" in
   List.iter (fun v -> Obs.Histogram.record h v) [ 5; 50; 500; 5_000; 50_000 ];
-  Obs.Window.add (Obs.Registry.window "test.expo.window") 9;
   let text = Obs.Snap.prometheus [ ([], Obs.Snap.of_registry ()) ] in
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
   check_bool "non-empty exposition" true (lines <> []);
@@ -916,18 +904,14 @@ let () =
           Alcotest.test_case "parse and burn counters" `Quick slo_parse_and_burn;
           Alcotest.test_case "attainment from snapshot" `Quick slo_attainment;
         ] );
-      ( "window",
-        [
-          Alcotest.test_case "rates over fake clock" `Quick window_rates;
-          Alcotest.test_case "survives a clock source swap" `Quick window_clock_swap;
-          Alcotest.test_case "under domains" `Quick window_concurrent;
-        ] );
       ( "tracebuf",
         [
           Alcotest.test_case "overwrites oldest" `Quick tracebuf_overwrites_oldest;
           Alcotest.test_case "as span sink" `Quick tracebuf_as_sink;
           Alcotest.test_case "chrome trace shape" `Quick tracebuf_chrome_json;
           Alcotest.test_case "under domains" `Quick tracebuf_concurrent;
+          Alcotest.test_case "concurrent drains report each span once" `Quick
+            tracebuf_concurrent_drains;
         ] );
       ( "slowlog",
         [
@@ -954,6 +938,8 @@ let () =
         [
           Alcotest.test_case "disabled path allocates nothing" `Quick
             disabled_path_allocates_nothing;
+          Alcotest.test_case "an enabled span with no sink allocates nothing" `Quick
+            enabled_span_allocates_nothing;
           Alcotest.test_case "enabled path records" `Quick enabled_path_records;
         ] );
       ( "json",

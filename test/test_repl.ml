@@ -634,8 +634,9 @@ let crash_promote_rejoin () =
 (* ---- whole-store transfers past one frame ---- *)
 
 (* A Pairs reply of 600,000 pairs is 9,600,010 bytes, past the 8 MiB
-   frame limit (524,287 pairs). The store is built once and shared;
-   each case serves it on its own socket. *)
+   frame limit (524,287 pairs), so every whole-store transfer must page.
+   The store is built once and shared; each case serves it on its own
+   socket. *)
 let big_n = 600_000
 let big_capacity = 1 lsl 26
 
@@ -670,12 +671,21 @@ let router_snapshot_past_a_frame () =
   check_bool "router snapshot = extract_snapshot" true
     (ok "snapshot" (Cluster.Router.snapshot router ()) = Store.extract_snapshot store ())
 
+let client_snapshot_past_a_frame () =
+  with_big_server "big_snapshot" @@ fun store addr ->
+  let c = Net.Client.connect addr in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  check_bool "client snapshot = extract_snapshot" true
+    (Net.Client.snapshot c () = Store.extract_snapshot store ())
+
+(* 940,000 keys cycling the store make a 7.5 MB request, inside a frame,
+   whose 940,000 values answer 8.46 MB, past it. *)
 let oversize_reply_keeps_the_connection () =
   with_big_server "big_client" @@ fun _ addr ->
   let c = Net.Client.connect addr in
   Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
-  (match Net.Client.snapshot c () with
-  | _ -> Alcotest.fail "a 600,000-pair snapshot fit in one frame"
+  (match Net.Client.find_bulk c (Array.init 940_000 (fun i -> i mod big_n)) with
+  | _ -> Alcotest.fail "a 940,000-value reply fit in one frame"
   | exception Net.Client.Remote_error (Net.Wire.Too_large, _) -> ());
   check_bool "the same client answers a find" true (Net.Client.find c 12 = Some 84)
 
@@ -731,6 +741,8 @@ let () =
         [
           Alcotest.test_case "router snapshot of 600,000 pairs = extract_snapshot"
             `Quick router_snapshot_past_a_frame;
+          Alcotest.test_case "client snapshot of 600,000 pairs = extract_snapshot"
+            `Quick client_snapshot_past_a_frame;
           Alcotest.test_case "an oversize reply is Too_large and the client reads on"
             `Quick oversize_reply_keeps_the_connection;
           Alcotest.test_case "one tick fills an empty backup of 600,000 keys" `Quick
