@@ -87,7 +87,7 @@ let smoke () =
      — both counted, so an inversion or a zero means the batch scope
      rotted; and B >= 64 issues at most [max_batched_fences] fences per
      key: the allocator persists nothing per block, so a batch of new
-     keys pays its two barriers per chunk of 64, a link per new
+     keys pays its three barriers per chunk of 64, a link per new
      key-chain block and a reservation word per 64 KiB cut. Over
      loopback, where a batch frame saves B - 1 round trips, batched
      installs strictly out-run the unbatched baseline. Local wall time

@@ -1166,21 +1166,19 @@ let render_top ~prev ~now snap =
     (counter "pmem.fences")
     (rate "pmem.fences");
   (* Batching effectiveness: how much durability work batch scopes
-     coalesced away, and how hard the server is batching/coalescing its
-     request stream. *)
+     coalesced away, and how many frames the server drains per
+     wakeup. *)
   Printf.printf
     "      saved by batching: %d lines (%s/s)   %d fences (%s/s)\n"
     (counter "pmem.flushes_saved")
     (rate "pmem.flushes_saved")
     (counter "pmem.fences_saved")
     (rate "pmem.fences_saved");
-  Printf.printf "net:  batch p50 %s frames   coalesced %d frames (%s/s)\n"
+  Printf.printf "net:  batch p50 %s frames\n"
     (match Obs.Snap.find_hist snap "net.batch_size" with
     | Some h when h.Obs.Snap.hcount > 0 ->
         string_of_int (Obs.Snap.hist_percentile h 0.5)
-    | _ -> "-")
-    (counter "net.coalesced_frames")
-    (rate "net.coalesced_frames");
+    | _ -> "-");
   (* Replication health: forwarding/catch-up are primary-side, the
      redial and read-failover counters appear when the polled process
      also runs a router (and stay 0 on a plain shard). *)

@@ -1,7 +1,7 @@
 (* Serving the store over a socket: an in-process tour of lib/net.
 
    One PSkipList-backed server on a Unix-domain socket, two client
-   domains hammering it with pipelined batches, then a point-in-time
+   domains hammering it with batch frames, then a point-in-time
    read of an old snapshot over the wire — the serving-layer version of
    the quickstart. Run with:
 
@@ -18,18 +18,16 @@ let () =
   in
   Format.printf "serving on %a@." Net.Sockaddr.pp (Net.Server.addr server);
 
-  (* Two writers, disjoint key ranges, pipelined batches of 32. *)
+  (* Two writers, disjoint key ranges, each 32-key group one
+     Insert_batch frame. *)
   let writers =
     Array.init 2 (fun d ->
         Domain.spawn (fun () ->
             let client = Net.Client.connect (Net.Sockaddr.Unix_sock sock) in
             for batch = 0 to 9 do
               let base = (d * 1000) + (batch * 32) in
-              let reqs =
-                List.init 32 (fun i ->
-                    Net.Wire.Insert { key = base + i; value = base + i })
-              in
-              ignore (Net.Client.call_batch client reqs)
+              Net.Client.insert_batch client
+                (List.init 32 (fun i -> (base + i, base + i)))
             done;
             Net.Client.close client))
   in

@@ -101,11 +101,9 @@ let replica_count t i =
   check_shard t "replica_count" i;
   Array.length t.sets.(i)
 
-let endpoint t i =
-  check_shard t "endpoint" i;
+let primary t i =
+  check_shard t "primary" i;
   t.sets.(i).(0)
-
-let primary = endpoint
 
 let backups t i =
   check_shard t "backups" i;

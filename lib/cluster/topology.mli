@@ -78,11 +78,8 @@ val epoch : t -> int
 (** Topology generation. Routers stamp every request with it; servers
     reject stamps older than the newest epoch they have seen. *)
 
-val endpoint : t -> int -> Net.Sockaddr.t
-(** Range [i]'s primary (alias {!primary}; kept for pre-replication
-    callers). *)
-
 val primary : t -> int -> Net.Sockaddr.t
+(** Range [i]'s primary. *)
 
 val replicas : t -> int -> Net.Sockaddr.t array
 (** Range [i]'s full replica set, primary first. *)

@@ -234,6 +234,8 @@ let seek c key =
   | Node s as cur when t.compare s.key key = 0 -> cur
   | Node _ | Nil -> Nil
 
+let find_at c key = match seek c key with Node n -> Some n.value | Nil -> None
+
 let find_or_insert_at c key ~make =
   insert_with c.list ~search:(fun () -> seek c key) key ~make c.c_preds
     c.c_succs

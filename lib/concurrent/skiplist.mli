@@ -57,6 +57,10 @@ type ('k, 'v) cursor
 val cursor : ('k, 'v) t -> ('k, 'v) cursor
 (** Fresh cursor positioned at the head. *)
 
+val find_at : ('k, 'v) cursor -> 'k -> 'v option
+(** As {!find}, searching from the cursor's fingers and leaving them at
+    the key for the next (ascending) call. *)
+
 val find_or_insert_at :
   ('k, 'v) cursor -> 'k -> make:(unit -> 'v) -> 'v insert_outcome
 (** As {!find_or_insert}, searching from the cursor's fingers and

@@ -8,17 +8,14 @@ type t = { ctx : Version.t; cells : int Atomic.t array }
 
 let create ctx = { ctx; cells = Array.init ring (fun _ -> Atomic.make 0) }
 
-let advance t =
-  let rec loop () =
-    let fc = Version.fc t.ctx in
-    let next = fc + 1 in
-    if Atomic.get t.cells.(next mod ring) = next then begin
-      (* Success or interference both mean progress; keep going. *)
-      ignore (Version.try_advance_fc t.ctx ~expected:fc);
-      loop ()
-    end
-  in
-  loop ()
+let rec advance t =
+  let fc = Version.fc t.ctx in
+  let next = fc + 1 in
+  if Atomic.get t.cells.(next mod ring) = next then begin
+    (* Success or interference both mean progress; keep going. *)
+    ignore (Version.try_advance_fc t.ctx ~expected:fc);
+    advance t
+  end
 
 let publish t s =
   (* Backpressure: never overwrite a cell whose previous-lap stamp has

@@ -11,11 +11,12 @@
     is known to be complete, and that append may live in {e any} key's
     history. The board is the ephemeral rendezvous making that knowledge
     global: a ring where the appender of stamp [s] publishes [s] at slot
-    [s mod ring]; anyone can then advance [fc] over contiguous published
-    stamps. Appenders publish-and-advance (so [fc] keeps up even when no
-    queries run) and readers help advance (the lazy tail). The board is
-    volatile — after a restart, [fc] is recovered from the persisted
-    stamps instead ({!Recovery}). *)
+    [s mod ring]; a publisher then advances [fc] over contiguous
+    published stamps. The board is [fc]'s one writer, and an appender
+    publishes a stamp only once the barrier that makes it durable has
+    passed: a reader, which may see a stamp before that barrier, never
+    moves [fc]. The board is volatile — after a restart, [fc] is
+    recovered from the persisted stamps instead ({!Recovery}). *)
 
 type t
 
@@ -27,11 +28,11 @@ val create : Version.t -> t
     4,096 stamps are about 100 ms of writes. *)
 
 val publish : t -> int -> unit
-(** Announce that the append stamped [s] has fully persisted, then
+(** Announce that the append stamped [s] is durable, then
     advance [fc] over every contiguous published stamp. Blocks (spins)
     while [s] is a full ring ahead of [fc], i.e. until the stamps it
     would lap are published. *)
 
 val help_advance : t -> unit
-(** Advance [fc] over contiguous published stamps, if any (reader-side
-    helping). *)
+(** Advance [fc] over contiguous published stamps, if any (compaction
+    settles [fc] with it once it has drained the store). *)

@@ -100,26 +100,18 @@ module Make (B : BACKEND) = struct
     Completion.publish board (finish_entry store t ~ctx ~slot)
 
   (* Algorithm 1, find: walk the tail forward while the next entry is
-     finished, globally acknowledged (helping fc along), and its version
-     is still below the requested one. The stamp is read first: it is
-     written last. *)
+     finished, globally acknowledged, and its version is still below
+     the requested one. The stamp is read first: it is written last.
+     The walk never moves fc: a stamp is written before its barrier,
+     and only [Completion.publish], after the barrier, may count it. *)
   let rec walk store segs ctx version limit cursor =
     if cursor >= limit then cursor
     else begin
       let stamp = B.read_stamp store segs cursor in
-      if stamp = 0 then cursor
-      else begin
-        let fc = Version.fc ctx in
-        if stamp <= fc then
-          if B.read_version store segs cursor <= version then
-            walk store segs ctx version limit (cursor + 1)
-          else cursor
-        else if stamp = fc + 1 then begin
-          ignore (Version.try_advance_fc ctx ~expected:fc);
-          walk store segs ctx version limit cursor
-        end
-        else cursor
-      end
+      if stamp = 0 || stamp > Version.fc ctx then cursor
+      else if B.read_version store segs cursor <= version then
+        walk store segs ctx version limit (cursor + 1)
+      else cursor
     end
 
   let rec publish tail cursor =

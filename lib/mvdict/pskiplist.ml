@@ -95,144 +95,197 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     Pmem.Pheap.root_set heap chain_root_slot (Pmem.Pblockchain.handle chain);
     make_store heap chain (new_index ()) (Version.create ()) 0
 
-  (* Index lookup with insert-if-absent. A freshly won history is
-     registered in the persistent key chain; a raced speculative one is
-     recycled (the paper: "the slower thread needs to detect this
-     situation and clean up accordingly, then reuse the pointer of the
-     faster thread"). The read-only [find] goes first: a write to an
-     existing key then skips the insert's tower-recording arrays. *)
-  let history_of t key =
-    match Concurrent.Skiplist.find t.index key with
-    | Some h -> h
-    | None -> (
-        match
-          Concurrent.Skiplist.find_or_insert t.index key ~make:(fun () ->
-              Phistory.create t.heap)
-        with
-        | Concurrent.Skiplist.Found h -> h
-        | Concurrent.Skiplist.Added h ->
-            Pmem.Pblockchain.append t.chain
-              ~key:(Codec.encode (module K) t.heap key)
-              ~hist:(Phistory.handle h);
-            h
-        | Concurrent.Skiplist.Raced { made; existing } ->
-            Phistory.destroy t.heap made;
-            existing)
+  (* ---- the write path ----
 
-  let append t key value_word =
-    let version = Version.stamp t.ctx in
-    Phistory.H.append t.heap (history_of t key) ~ctx:t.ctx ~board:t.board ~version
-      value_word
-
-  let insert t key value =
-    let t0 = Obs.Instr.start () in
-    gated t (fun () -> append t key (Codec.encode (module V) t.heap value));
-    Obs.Instr.finish m_insert t0
-
-  let remove t key =
-    let t0 = Obs.Instr.start () in
-    gated t (fun () -> append t key Codec.marker_word);
-    Obs.Instr.finish m_remove t0
-
-  (* [history_of] along a finger cursor: the batch's ascending walk
-     resumes each index search from the previous key's towers. Same
-     Added/Raced contract as above, except that a key new to the store
-     comes back with its encoded key word (the marker word otherwise),
-     for the caller to link into the key chain. *)
-  let resolve_at t cur key =
-    match
-      Concurrent.Skiplist.find_or_insert_at cur key ~make:(fun () ->
-          Phistory.create t.heap)
-    with
-    | Concurrent.Skiplist.Found h -> (h, Codec.marker_word)
-    | Concurrent.Skiplist.Added h -> (h, Codec.encode (module K) t.heap key)
-    | Concurrent.Skiplist.Raced { made; existing } ->
-        Phistory.destroy t.heap made;
-        (existing, Codec.marker_word)
-
-  let link_key t h key_word =
-    if key_word <> Codec.marker_word then
-      Pmem.Pblockchain.append t.chain ~key:key_word ~hist:(Phistory.handle h)
-
-  let history_of_at t cur key =
-    let h, key_word = resolve_at t cur key in
-    link_key t h key_word;
-    h
-
-  (* The Jiffy-style batch install. Under one gate pass: stamp one
-     version for the whole batch, resolve every history along a single
-     ascending finger walk, write all payloads, then link the new keys
-     into the key chain and stamp all entries — with [Media.with_batch]
-     coalescing the persistence epilogue into two barriers (no payload
-     durable after its stamp; stamps durable before any publication).
-     A barrier makes its lines durable in no particular order, so a
-     new key's chain slot waits for the second barrier: the first makes
-     the history and key blob it points to durable. Completion stamps
-     are published last and still inside the gated section:
-     compaction's drain assumes a drained store has published every
-     claimed slot.
-
-     Very large batches are installed as chunks of [install_chunk] keys
-     (still one gate pass, one version and one cursor — the canonical
-     ascending order spans chunks, so the fingers keep paying off):
-     beyond a few dozen keys the two-phase walk stops fitting in cache
-     and the dirty-range log outgrows its merge window, so per-chunk
-     epilogues are strictly faster and still collapse [install_chunk]
-     fences into one. Crash-safety is unchanged — each entry is durable
-     at its chunk's barrier, before anything makes it visible. *)
+     Every write is one [install], under one gate pass: a single insert
+     or remove is a chunk of one key, a batch is chunks of up to
+     [install_chunk] keys (the dirty-range log's merge window) under
+     one version, and [install_chains] is chunks whose keys carry
+     several entries. A chunk looks its keys up, then persists in one
+     order, with a barrier after each step (DESIGN §5c): (0) the
+     values, so a blob is durable before a record points at it;
+     (1) new keys' histories and chain key words, and every payload;
+     (2) new keys' chain commit words; (3) new keys' index publication,
+     then every stamp. The stamps are published after the last barrier,
+     still gated (compaction's drain relies on it), so an entry is
+     visible only once durable, and a writer finds only keys a restart
+     reaches. Where another writer published one of its new keys first
+     (Algorithm 2: "the slower thread needs to detect this situation
+     and clean up accordingly, then reuse the pointer of the faster
+     thread"), a chunk clears its own chain slot, and only once a
+     barrier has made the clear durable appends that key's entries to
+     the winner's history (no blob is ever reachable from two records)
+     and frees its own; [open_existing] releases the unstamped history
+     a crash before that barrier leaves. *)
   let install_chunk = 64
 
-  let install_one_chunk t ~version ~cur ~word_of items lo hi =
-    let k = hi - lo in
-    let stamps = Array.make k 0 in
-    Pmem.Media.with_batch (fun () ->
-        let slots =
-          Array.init k (fun i ->
-              let key, x = items.(lo + i) in
-              let h, key_word = resolve_at t cur key in
-              (h, key_word, Phistory.H.append_entry t.heap h ~version (word_of x)))
-        in
-        Pmem.Media.batch_barrier ();
-        Array.iteri
-          (fun i (h, key_word, slot) ->
-            link_key t h key_word;
-            stamps.(i) <- Phistory.H.finish_entry t.heap h ~ctx:t.ctx ~slot)
-          slots);
-    (* Scope exit above was the stamps' barrier; entries become visible
-       only now, so visible still implies durable. *)
-    Array.iter (fun s -> Completion.publish t.board s) stamps
+  (* One key descends from the head; more walk two ascending finger
+     cursors, one to look keys up and one to publish new ones. *)
+  type walk = Head | Fingers of cursor * cursor
+  and cursor = (K.t, Phistory.t) Concurrent.Skiplist.cursor
 
-  let install_batch t items ~word_of =
+  let lookup t walk key =
+    match walk with
+    | Head -> Concurrent.Skiplist.find t.index key
+    | Fingers (seek, _) -> Concurrent.Skiplist.find_at seek key
+
+  let publish t walk key h =
+    let make () = h in
+    match walk with
+    | Head -> Concurrent.Skiplist.find_or_insert t.index key ~make
+    | Fingers (_, cur) -> Concurrent.Skiplist.find_or_insert_at cur key ~make
+
+  let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
+
+  (* Flatten entries into the chunk's arrays from index [j], encoding
+     each value; true once one is a blob. *)
+  let rec fill t versions words ~word_of j blob = function
+    | [] -> blob
+    | (version, x) :: rest ->
+        let word = word_of t.heap x in
+        versions.(j) <- version;
+        words.(j) <- word;
+        fill t versions words ~word_of (j + 1) (blob || Codec.is_blob word) rest
+
+  (* [Array.make] is a C call, an order of magnitude dearer than an inline
+     allocation: a one-key write makes its arrays, of one or two cells,
+     inline. *)
+  let ints n (x : int) = match n with 1 -> [| x |] | 2 -> [| x; x |] | _ -> Array.make n x
+
+  let append_entries t h versions words slots lo hi =
+    for j = lo to hi - 1 do
+      slots.(j) <- Phistory.H.append_entry t.heap h ~version:versions.(j) words.(j)
+    done
+
+  (* Keys [lo, hi) of [keys] (ascending) with their [events] (oldest
+     first), an existing key's less the first [cut.(i)], as [skip] of
+     its history says. found.(i) is key i's history once step 1 has
+     made a new key's; chain.(i) the chain slot a new key claimed, else
+     -1; key i's entries are [first.(i), first.(i + 1)) of the flat
+     arrays. *)
+  let install_chunk_at t walk ~skip ~word_of keys events lo hi =
+    let k = hi - lo in
+    let found = if k = 1 then [| None |] else Array.make k None and cut = ints k 0 in
+    let first = ints (k + 1) 0 and chain = ints k (-1) in
+    for i = 0 to k - 1 do
+      let h = lookup t walk keys.(lo + i) in
+      found.(i) <- h;
+      (match h with Some h -> cut.(i) <- skip h | None -> ());
+      first.(i + 1) <- first.(i) + List.length (drop cut.(i) events.(lo + i))
+    done;
+    let m = first.(k) in
+    let versions = ints m 0 and words = ints m 0 in
+    let slots = ints m 0 and stamps = ints m 0 in
+    let losers =
+      Pmem.Media.with_batch (fun () ->
+          let blob = ref false and fresh = ref false and losers = ref [] in
+          for i = 0 to k - 1 do
+            blob :=
+              fill t versions words ~word_of first.(i) !blob (drop cut.(i) events.(lo + i))
+          done;
+          if !blob then Pmem.Media.batch_barrier ();
+          for i = 0 to k - 1 do
+            if Option.is_none found.(i) then begin
+              let key = Codec.encode (module K) t.heap keys.(lo + i) in
+              chain.(i) <- Pmem.Pblockchain.claim t.chain ~key;
+              found.(i) <- Some (Phistory.create t.heap);
+              fresh := true
+            end;
+            append_entries t (Option.get found.(i)) versions words slots first.(i)
+              first.(i + 1)
+          done;
+          Pmem.Media.batch_barrier ();
+          if !fresh then begin
+            for i = 0 to k - 1 do
+              if chain.(i) >= 0 then
+                Pmem.Pblockchain.commit t.chain chain.(i)
+                  ~hist:(Phistory.handle (Option.get found.(i)))
+            done;
+            Pmem.Media.batch_barrier ();
+            for i = 0 to k - 1 do
+              if chain.(i) >= 0 then
+                let h = Option.get found.(i) in
+                match publish t walk keys.(lo + i) h with
+                | Concurrent.Skiplist.Added _ -> ()
+                | Found winner | Raced { existing = winner; _ } ->
+                    losers := (i, h, Pmem.Pblockchain.clear t.chain chain.(i)) :: !losers;
+                    found.(i) <- Some winner
+            done;
+            if not (List.is_empty !losers) then begin
+              Pmem.Media.batch_barrier ();
+              List.iter
+                (fun (i, _, _) ->
+                  append_entries t (Option.get found.(i)) versions words slots first.(i)
+                    first.(i + 1))
+                !losers;
+              Pmem.Media.batch_barrier ()
+            end
+          end;
+          for i = 0 to k - 1 do
+            let h = Option.get found.(i) in
+            for j = first.(i) to first.(i + 1) - 1 do
+              stamps.(j) <- Phistory.H.finish_entry t.heap h ~ctx:t.ctx ~slot:slots.(j)
+            done
+          done;
+          Pmem.Media.batch_barrier ();
+          !losers)
+    in
+    if not (List.is_empty losers) then
+      List.iter
+        (fun (_, h, key) ->
+          Phistory.destroy t.heap h;
+          Codec.free_word t.heap key)
+        losers;
+    for j = 0 to m - 1 do
+      Completion.publish t.board stamps.(j)
+    done
+
+  let install t keys events ~skip ~word_of =
+    let n = Array.length keys in
+    let walk =
+      if n = 1 then Head
+      else Fingers (Concurrent.Skiplist.cursor t.index, Concurrent.Skiplist.cursor t.index)
+    in
+    let lo = ref 0 in
+    while !lo < n do
+      let hi = min n (!lo + install_chunk) in
+      install_chunk_at t walk ~skip ~word_of keys events !lo hi;
+      lo := hi
+    done
+
+  let no_skip _ = 0
+  let value_word heap v = Codec.encode (module V) heap v
+  let marker_word _ () = Codec.marker_word
+
+  let write t op key x ~word_of =
+    let t0 = Obs.Instr.start () in
+    gated t (fun () ->
+        install t [| key |] [| [ (Version.stamp t.ctx, x) ] |] ~skip:no_skip ~word_of);
+    Obs.Instr.finish op t0
+
+  let insert t key value = write t m_insert key value ~word_of:value_word
+  let remove t key = write t m_remove key () ~word_of:marker_word
+
+  let write_batch t op items ~word_of =
+    let t0 = Obs.Instr.start () in
     let items = Array.of_list items in
     gated t (fun () ->
         let version = Version.stamp t.ctx in
-        let cur = Concurrent.Skiplist.cursor t.index in
-        let n = Array.length items in
-        let i = ref 0 in
-        while !i < n do
-          let hi = min n (!i + install_chunk) in
-          install_one_chunk t ~version ~cur ~word_of items !i hi;
-          i := hi
-        done)
+        install t (Array.map fst items)
+          (Array.map (fun (_, x) -> [ (version, x) ]) items)
+          ~skip:no_skip ~word_of);
+    Obs.Instr.finish op t0
 
   let insert_batch t pairs =
     match Dict_intf.canonical_pairs ~compare:K.compare pairs with
     | [] -> ()
-    | items ->
-        let t0 = Obs.Instr.start () in
-        install_batch t items ~word_of:(fun v ->
-            Codec.encode (module V) t.heap v);
-        Obs.Instr.finish m_insert_batch t0
+    | items -> write_batch t m_insert_batch items ~word_of:value_word
 
   let remove_batch t keys =
     match Dict_intf.canonical_keys ~compare:K.compare keys with
     | [] -> ()
     | keys ->
-        let t0 = Obs.Instr.start () in
-        install_batch t
-          (List.map (fun k -> (k, ())) keys)
-          ~word_of:(fun () -> Codec.marker_word);
-        Obs.Instr.finish m_remove_batch t0
+        write_batch t m_remove_batch (List.map (fun k -> (k, ())) keys) ~word_of:marker_word
 
   let tag t = Version.tag t.ctx
   let current_version t = Version.current t.ctx
@@ -360,29 +413,25 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      clock only advances on tags, so two successive events of one key
      can share a version and a replay must not drop the second.) *)
   let install_chains t ~since chains =
-    let chains = List.sort (fun (a, _) (b, _) -> K.compare a b) chains in
+    let chains =
+      List.sort
+        (fun (a, _) (b, _) -> K.compare a b)
+        (List.filter (fun (_, events) -> events <> []) chains)
+    in
+    let skip h =
+      List.fold_left
+        (fun n (version, _) -> if version > since then n + 1 else n)
+        0
+        (Phistory.H.events t.heap h ~ctx:t.ctx)
+    in
     gated t (fun () ->
-        let cur = Concurrent.Skiplist.cursor t.index in
-        List.iter
-          (fun (key, events) ->
-            let h = history_of_at t cur key in
-            let skip =
-              List.fold_left
-                (fun n (version, _) -> if version > since then n + 1 else n)
-                0
-                (Phistory.H.events t.heap h ~ctx:t.ctx)
-            in
-            List.iteri
-              (fun i (version, event) ->
-                if i >= skip then
-                  let word =
-                    match event with
-                    | Dict_intf.Del -> Codec.marker_word
-                    | Dict_intf.Put v -> Codec.encode (module V) t.heap v
-                  in
-                  Phistory.H.append t.heap h ~ctx:t.ctx ~board:t.board ~version word)
-              events)
-          chains)
+        install t
+          (Array.of_list (List.map fst chains))
+          (Array.of_list (List.map snd chains))
+          ~skip
+          ~word_of:(fun heap -> function
+            | Dict_intf.Del -> Codec.marker_word
+            | Dict_intf.Put v -> value_word heap v))
 
   let open_existing ?(threads = 1) heap =
     Obs.Span.with_ "mvdict.pskiplist.recover" @@ fun () ->
@@ -445,14 +494,24 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                 match Pmem.Pblockchain.read_slot chain blocks.(bi) s with
                 | None -> ()
                 | Some (key_word, hist_handle) ->
-                    let key = Codec.decode (module K) media key_word in
                     let h, maxv = Phistory.attach_pruned heap hist_handle ~fc in
-                    if maxv > !highest then highest := maxv;
-                    (match
-                       Concurrent.Skiplist.find_or_insert index key
-                         ~make:(fun () -> h)
-                     with
-                    | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ())
+                    if Phistory.H.visible_length h = 0 then begin
+                      (* Nothing of it was visible: a new key whose first
+                         stamp, or a lost publication race whose clear, a
+                         crash cut off. Release it, the slot first. *)
+                      Codec.free_word heap
+                        (Pmem.Pblockchain.clear chain ((bi * slots) + s));
+                      Phistory.destroy heap h
+                    end
+                    else begin
+                      if maxv > !highest then highest := maxv;
+                      let key = Codec.decode (module K) media key_word in
+                      match
+                        Concurrent.Skiplist.find_or_insert index key
+                          ~make:(fun () -> h)
+                      with
+                      | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ()
+                    end
               done)
             (Recovery.plan_blocks ~blocks:(Array.length blocks) ~threads ~tid);
           !highest)

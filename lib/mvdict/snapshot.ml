@@ -23,18 +23,3 @@ let diff ~compare_key ~equal_value ~prev ~next =
     end
   in
   walk 0 0 []
-
-let common_prefix ~compare_key ~equal_value a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i =
-    if i >= n then i
-    else begin
-      let ka, va = a.(i) and kb, vb = b.(i) in
-      if compare_key ka kb = 0 && equal_value va vb then go (i + 1) else i
-    end
-  in
-  go 0
-
-let equal ~compare_key ~equal_value a b =
-  Array.length a = Array.length b
-  && common_prefix ~compare_key ~equal_value a b = Array.length a

@@ -1,4 +1,4 @@
-(** Snapshot utilities: comparison and diffing of extracted snapshots.
+(** Snapshot utilities: diffing extracted snapshots.
 
     An extracted snapshot is a key-sorted [(key, value)] array (the
     result of [extract_snapshot]). Diffing two snapshots in one merge
@@ -18,19 +18,3 @@ val diff :
   ('k, 'v) change list
 (** Changes turning [prev] into [next], ascending key order. O(|prev| +
     |next|). Both inputs must be sorted by key with distinct keys. *)
-
-val common_prefix :
-  compare_key:('k -> 'k -> int) ->
-  equal_value:('v -> 'v -> bool) ->
-  ('k * 'v) array ->
-  ('k * 'v) array ->
-  int
-(** Length of the longest common prefix of two snapshots — the shared
-    trunk used by the transfer-learning scenario of Sec. I. *)
-
-val equal :
-  compare_key:('k -> 'k -> int) ->
-  equal_value:('v -> 'v -> bool) ->
-  ('k * 'v) array ->
-  ('k * 'v) array ->
-  bool

@@ -8,9 +8,9 @@
     - [pc] — the global completion sequence: every finished append takes
       the next value as its [finished] stamp.
     - [fc] — the global finished counter: the largest [G] such that every
-      append stamped [1..G] has completed. An entry is visible to queries
-      iff its stamp is [<= fc]; readers advance [fc] lazily (the "lazy
-      tail").
+      append stamped [1..G] has completed and is durable. An entry is
+      visible to queries iff its stamp is [<= fc]; only the completion
+      board ({!Completion}) advances it.
 
     All three are ephemeral: after a restart they are recovered by
     scanning the persisted histories ({!Recovery}). *)
@@ -37,5 +37,6 @@ val next_completion : t -> int
 val fc : t -> int
 
 val try_advance_fc : t -> expected:int -> bool
-(** CAS [fc] from [expected] to [expected + 1]; true on success. Readers
-    use it to acknowledge the next globally contiguous completion. *)
+(** CAS [fc] from [expected] to [expected + 1]; true on success. The
+    completion board's one move, over the next globally contiguous
+    published stamp. *)

@@ -42,7 +42,6 @@ module S = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
 
 let c_requests = Obs.Registry.counter "net.requests"
 let c_errors = Obs.Registry.counter "net.errors"
-let c_coalesced = Obs.Registry.counter "net.coalesced_frames"
 let c_bad_epoch = Obs.Registry.counter "net.bad_epoch"
 let c_replicated = Obs.Registry.counter "net.replicated"
 let c_connections = Obs.Registry.counter "net.connections"
@@ -475,23 +474,22 @@ let gated req =
   Wire.is_mutation req
   && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
 
-(* The write gate: raise the worker's in-flight flag [gate], then either
-   bounce off a seal covering one of [req]'s keys or run [f]. *)
-let through_gate t ~gate req f =
-  Atomic.incr gate;
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr gate)
-    (fun () ->
-      match seal_conflict t req with
-      | Some seal -> sealed_reject seal
-      | None -> f ())
-
-(* Gated client requests pass the write gate around [dispatch_core].
-   Replicated frames bypass it — backups are never sealed, and the seal
-   must not recurse into the replication path it is draining. *)
+(* Gated client requests pass the write gate around [dispatch_core]:
+   raise the worker's in-flight flag [gate], then either bounce off a
+   seal covering one of [req]'s keys or apply it. Replicated frames
+   bypass it — backups are never sealed, and the seal must not recurse
+   into the replication path it is draining. *)
 let dispatch_inner t ~replicated ~gate req =
   if replicated || not (gated req) then dispatch_core t ~replicated req
-  else through_gate t ~gate req (fun () -> dispatch_core t ~replicated req)
+  else begin
+    Atomic.incr gate;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr gate)
+      (fun () ->
+        match seal_conflict t req with
+        | Some seal -> sealed_reject seal
+        | None -> dispatch_core t ~replicated req)
+  end
 
 let rec dispatch t ~gate req =
   match req with
@@ -588,101 +586,21 @@ let collect t conn =
   done;
   List.rev !items
 
-(* Apply one coalesced run of same-kind mutations as a single store
-   batch. Mirrors [dispatch_inner]: one op-metric/slowlog sample and
-   one replication hook firing (with the synthesized batch request,
-   so backups see the same coalescing) — but one reply per original
-   frame, so client semantics are unchanged. *)
-let apply_run t ~gate conn ~req ~apply frames =
-  let t0 = Obs.Instr.start () in
-  (* Same write gate as [dispatch_inner]: the coalesced run is one
-     client mutation as far as seals are concerned. *)
-  let resp =
-    through_gate t ~gate req (fun () ->
-        match apply () with
-        | () -> Wire.Ack
-        | exception e ->
-            Obs.Metric.incr c_errors;
-            Wire.Error { code = Wire.Server_error; message = Printexc.to_string e })
-  in
-  finish_op t req t0;
-  offer t req resp;
-  for _ = 1 to frames do
-    Obs.Metric.incr c_requests;
-    Wire.add_response conn.out resp
-  done
-
-(* Same-connection write coalescing: within one drained batch, a
-   maximal run of consecutive top-level plain [Insert] (or [Remove])
-   frames with pairwise-distinct keys is applied as one store-level
-   batch. Wrapped frames ([Stamped]/[Traced]/[Replicate]) need their
-   own dispatch and never coalesce. A run also stops at a repeated
-   key: all events of one batch share one version, so the canonical
-   install would collapse the duplicate — but per-frame semantics
-   promise each write its own history event. *)
+(* Each frame is applied as sent: one dispatch and one reply. *)
 let process t ~gate conn items =
   Obs.Histogram.record h_batch (List.length items);
-  let single item =
-    Obs.Metric.incr c_requests;
-    let resp =
-      match item with
-      | `Req req -> dispatch t ~gate req
-      | `Err resp ->
-          Obs.Metric.incr c_errors;
-          resp
-    in
-    Wire.add_response conn.out resp
-  in
-  let rec go = function
-    | [] -> ()
-    | `Req (Wire.Insert _) :: _ as l ->
-        let seen = Hashtbl.create 16 in
-        let rec take n pairs = function
-          | `Req (Wire.Insert { key; value }) :: rest
-            when not (Hashtbl.mem seen key) ->
-              Hashtbl.add seen key ();
-              take (n + 1) ((key, value) :: pairs) rest
-          | rest -> (n, List.rev pairs, rest)
-        in
-        let n, pairs, rest = take 0 [] l in
-        if n >= 2 then begin
-          Obs.Metric.add c_coalesced n;
-          apply_run t ~gate conn
-            ~req:(Wire.Insert_batch { pairs = Array.of_list pairs })
-            ~apply:(fun () -> S.insert_batch t.store pairs)
-            n;
-          go rest
-        end
-        else begin
-          single (List.hd l);
-          go (List.tl l)
-        end
-    | `Req (Wire.Remove _) :: _ as l ->
-        let seen = Hashtbl.create 16 in
-        let rec take n keys = function
-          | `Req (Wire.Remove { key }) :: rest when not (Hashtbl.mem seen key) ->
-              Hashtbl.add seen key ();
-              take (n + 1) (key :: keys) rest
-          | rest -> (n, List.rev keys, rest)
-        in
-        let n, keys, rest = take 0 [] l in
-        if n >= 2 then begin
-          Obs.Metric.add c_coalesced n;
-          apply_run t ~gate conn
-            ~req:(Wire.Remove_batch { keys = Array.of_list keys })
-            ~apply:(fun () -> S.remove_batch t.store keys)
-            n;
-          go rest
-        end
-        else begin
-          single (List.hd l);
-          go (List.tl l)
-        end
-    | it :: rest ->
-        single it;
-        go rest
-  in
-  go items;
+  List.iter
+    (fun item ->
+      Obs.Metric.incr c_requests;
+      let resp =
+        match item with
+        | `Req req -> dispatch t ~gate req
+        | `Err resp ->
+            Obs.Metric.incr c_errors;
+            resp
+      in
+      Wire.add_response conn.out resp)
+    items;
   flush_out conn
 
 let read_more conn =

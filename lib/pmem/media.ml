@@ -206,76 +206,83 @@ let flush_lines t first last =
    as real pmem would. The scope is per-domain (DLS), so concurrent
    domains outside the batch are unaffected. *)
 
+(* One entry per media a scope touched. Entries are kept in the
+   domain's scope record and reused by later scopes, so a scope in
+   steady state allocates nothing; between scopes an entry points at
+   [nowhere], so no media is kept alive by a domain that once batched
+   it. *)
 type scope_entry = {
-  media : t;
+  mutable media : t;
   mutable firsts : int array;
   mutable lasts : int array;
       (* parallel arrays: [firsts.(i), lasts.(i)] is the i-th recorded
-         dirty line range, in request order *)
+         dirty line range, in request order; the drain packs each range
+         into [firsts.(i)] *)
   mutable nranges : int;
   mutable asked_lines : int;
   mutable asked_fences : int;
 }
 
+(* [entries.(0 .. used - 1)] belong to the open scope, if [active]. *)
 type scope = {
-  mutable entries : scope_entry list;
-  mutable pool : (int array * int array) list;
-      (* retired range-log arrays, reused by the next scope on this
-         domain so short batches don't pay a fresh allocation each *)
+  mutable active : bool;
+  mutable entries : scope_entry array;
+  mutable used : int;
 }
 
-(* [active] is the open batch scope, if any; [cached] keeps the scope
-   value (and its array pool) alive between batches so back-to-back
-   batches allocate nothing. *)
-type slot = { mutable active : scope option; cached : scope }
+let nowhere =
+  { buf = Ram_buf Bytes.empty; capacity = 0; backing = Ram { shadow = None };
+    stats = Pstats.create (); closed = true }
 
-let scope_key : slot Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { active = None; cached = { entries = []; pool = [] } })
+let scope_key : scope Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { active = false; entries = [||]; used = 0 })
 
-let rec find_entry media = function
-  | [] -> None
-  | e :: rest -> if e.media == media then Some e else find_entry media rest
+(* Bind the next spare entry to [media]; a crash may have left its
+   counts set. *)
+let bind_entry scope media =
+  let n = scope.used in
+  if n = Array.length scope.entries then begin
+    let bigger =
+      Array.init (max 1 (2 * n)) (fun _ ->
+          { media = nowhere; firsts = Array.make 64 0; lasts = Array.make 64 0;
+            nranges = 0; asked_lines = 0; asked_fences = 0 })
+    in
+    Array.blit scope.entries 0 bigger 0 n;
+    scope.entries <- bigger
+  end;
+  let e = scope.entries.(n) in
+  e.media <- media;
+  e.nranges <- 0;
+  e.asked_lines <- 0;
+  e.asked_fences <- 0;
+  scope.used <- n + 1;
+  e
 
-let scope_entry scope media =
-  (* one media per scope is the overwhelmingly common case *)
-  match scope.entries with
-  | e :: _ when e.media == media -> e
-  | entries -> (
-      match find_entry media entries with
-      | Some e -> e
-      | None ->
-          let firsts, lasts =
-            match scope.pool with
-            | arrays :: rest ->
-                scope.pool <- rest;
-                arrays
-            | [] -> (Array.make 64 0, Array.make 64 0)
-          in
-          let e =
-            { media; firsts; lasts; nranges = 0; asked_lines = 0;
-              asked_fences = 0 }
-          in
-          scope.entries <- e :: scope.entries;
-          e)
+let rec find_entry scope media i =
+  if i = scope.used then bind_entry scope media
+  else
+    let e = scope.entries.(i) in
+    if e.media == media then e else find_entry scope media (i + 1)
+
+let scope_entry scope media = find_entry scope media 0
+
+(* A batch's writes alternate between a few regions (entry payloads,
+   history headers, the key chain), so a range adjacent to any of the
+   last few recorded ones merges in place; only genuinely scattered
+   ranges grow the log and wait for the drain's sort. *)
+let rec try_merge e first last n i =
+  if i < 0 || i < n - 4 then false
+  else if first <= e.lasts.(i) + 1 && last + 1 >= e.firsts.(i) then begin
+    if first < e.firsts.(i) then e.firsts.(i) <- first;
+    if last > e.lasts.(i) then e.lasts.(i) <- last;
+    true
+  end
+  else try_merge e first last n (i - 1)
 
 let record_range e first last =
   e.asked_lines <- e.asked_lines + (last - first + 1);
-  (* A batch's writes alternate between a few regions (entry payloads,
-     history headers, the key chain), so ranges adjacent to any of the
-     last few recorded ones merge in place; only genuinely scattered
-     ranges grow the log and wait for the drain's sort. *)
   let n = e.nranges in
-  let rec try_merge i =
-    if i < 0 || i < n - 4 then false
-    else if first <= e.lasts.(i) + 1 && last + 1 >= e.firsts.(i) then begin
-      if first < e.firsts.(i) then e.firsts.(i) <- first;
-      if last > e.lasts.(i) then e.lasts.(i) <- last;
-      true
-    end
-    else try_merge (i - 1)
-  in
-  if not (try_merge (n - 1)) then begin
+  if not (try_merge e first last n (n - 1)) then begin
     if n = Array.length e.firsts then begin
       let cap = 2 * n in
       let firsts = Array.make cap 0 and lasts = Array.make cap 0 in
@@ -292,40 +299,51 @@ let record_range e first last =
 (* Lines fit in 31 bits (capacity / 64), so a range packs into one
    immediate int and the drain sorts monomorphically. *)
 let range_bits = 31
+let range_mask = (1 lsl range_bits) - 1
+
+(* Blit the sorted packed ranges [i, n) as maximal runs of lines,
+   starting with the run [first, last]; returns the lines blitted. *)
+let rec blit_runs media packed n i first last lines =
+  if i = n then begin
+    blit_lines media first last;
+    lines + (last - first + 1)
+  end
+  else
+    let f = packed.(i) lsr range_bits and l = packed.(i) land range_mask in
+    if f > last + 1 then begin
+      blit_lines media first last;
+      blit_runs media packed n (i + 1) f l (lines + (last - first + 1))
+    end
+    else blit_runs media packed n (i + 1) first (max l last) lines
 
 let drain_entry e =
-  let actual = ref 0 in
-  if e.nranges > 0 then begin
-    let n = e.nranges in
-    let packed = Array.make n 0 in
-    let sorted = ref true in
-    for i = 0 to n - 1 do
-      let p = (e.firsts.(i) lsl range_bits) lor e.lasts.(i) in
-      packed.(i) <- p;
-      if i > 0 && p < packed.(i - 1) then sorted := false
-    done;
-    if not !sorted then Array.sort (fun (a : int) b -> Stdlib.compare a b) packed;
-    let flush_run first last =
-      actual := !actual + (last - first + 1);
-      blit_lines e.media first last
-    in
-    let mask = (1 lsl range_bits) - 1 in
-    let cur_first = ref (packed.(0) lsr range_bits)
-    and cur_last = ref (packed.(0) land mask) in
-    for i = 1 to n - 1 do
-      let f = packed.(i) lsr range_bits and l = packed.(i) land mask in
-      if f > !cur_last + 1 then begin
-        flush_run !cur_first !cur_last;
-        cur_first := f;
-        cur_last := l
-      end
-      else if l > !cur_last then cur_last := l
-    done;
-    flush_run !cur_first !cur_last;
-    Pstats.record_flush e.media.stats ~lines:!actual;
-    e.nranges <- 0
-  end;
-  Pstats.record_flush_saved e.media.stats ~lines:(e.asked_lines - !actual);
+  let actual =
+    if e.nranges = 0 then 0
+    else begin
+      let n = e.nranges in
+      let packed = e.firsts in
+      let sorted = ref true in
+      for i = 0 to n - 1 do
+        let p = (e.firsts.(i) lsl range_bits) lor e.lasts.(i) in
+        packed.(i) <- p;
+        if i > 0 && p < packed.(i - 1) then sorted := false
+      done;
+      e.nranges <- 0;
+      (* Only scattered ranges pay for a copy to sort. *)
+      let packed =
+        if !sorted then packed
+        else begin
+          let a = Array.sub packed 0 n in
+          Array.sort Int.compare a;
+          a
+        end
+      in
+      blit_runs e.media packed n 1 (packed.(0) lsr range_bits)
+        (packed.(0) land range_mask) 0
+    end
+  in
+  if actual > 0 then Pstats.record_flush e.media.stats ~lines:actual;
+  Pstats.record_flush_saved e.media.stats ~lines:(e.asked_lines - actual);
   if e.asked_fences > 0 then begin
     Pstats.record_fence e.media.stats;
     Pstats.record_fence_saved e.media.stats ~count:(e.asked_fences - 1)
@@ -334,54 +352,56 @@ let drain_entry e =
   e.asked_fences <- 0
 
 let batch_barrier () =
-  match (Domain.DLS.get scope_key).active with
-  | None -> ()
-  | Some scope -> List.iter drain_entry scope.entries
+  let scope = Domain.DLS.get scope_key in
+  if scope.active then
+    for i = 0 to scope.used - 1 do
+      drain_entry scope.entries.(i)
+    done
+
+(* Close the scope before draining it, so a {!Crash} raised by a drain
+   leaves this domain outside any scope. Each entry lets go of its
+   media once drained (or when a crash cuts its drain short, at its
+   next binding). *)
+let close_scope scope =
+  let n = scope.used in
+  scope.active <- false;
+  scope.used <- 0;
+  for i = 0 to n - 1 do
+    let e = scope.entries.(i) in
+    drain_entry e;
+    e.media <- nowhere
+  done
 
 let with_batch f =
-  let slot = Domain.DLS.get scope_key in
-  match slot.active with
-  | Some _ -> f () (* nested: the outer scope's barriers cover us *)
-  | None -> (
-      let scope = slot.cached in
-      slot.active <- Some scope;
-      (* Close the scope before draining it, so a {!Crash} raised by a
-         drain leaves this domain outside any scope. The entries are
-         retired (no media refs survive the scope) but their arrays are
-         kept for the next batch on this domain. *)
-      let close () =
-        let entries = scope.entries in
-        scope.entries <- [];
-        slot.active <- None;
-        List.iter
-          (fun e ->
-            scope.pool <- (e.firsts, e.lasts) :: scope.pool;
-            drain_entry e)
-          entries
-      in
-      match f () with
-      | result ->
-          close ();
-          result
-      | exception e ->
-          close ();
-          raise e)
+  let scope = Domain.DLS.get scope_key in
+  if scope.active then f () (* nested: the outer scope's barriers cover us *)
+  else begin
+    scope.active <- true;
+    match f () with
+    | result ->
+        close_scope scope;
+        result
+    | exception e ->
+        close_scope scope;
+        raise e
+  end
 
 let flush t off len =
   check_range t off len;
   if len > 0 then begin
     let first = off / cache_line and last = (off + len - 1) / cache_line in
-    match (Domain.DLS.get scope_key).active with
-    | Some scope -> record_range (scope_entry scope t) first last
-    | None -> flush_lines t first last
+    let scope = Domain.DLS.get scope_key in
+    if scope.active then record_range (scope_entry scope t) first last
+    else flush_lines t first last
   end
 
 let fence t =
-  match (Domain.DLS.get scope_key).active with
-  | Some scope ->
-      let e = scope_entry scope t in
-      e.asked_fences <- e.asked_fences + 1
-  | None -> Pstats.record_fence t.stats
+  let scope = Domain.DLS.get scope_key in
+  if scope.active then begin
+    let e = scope_entry scope t in
+    e.asked_fences <- e.asked_fences + 1
+  end
+  else Pstats.record_fence t.stats
 
 let persist_now t off len =
   check_range t off len;
@@ -391,14 +411,15 @@ let persist_now t off len =
 (* One DLS lookup for the flush + fence pair (persist is the hot call
    on every entry write). *)
 let persist t off len =
-  match (Domain.DLS.get scope_key).active with
-  | Some scope ->
-      check_range t off len;
-      let e = scope_entry scope t in
-      if len > 0 then
-        record_range e (off / cache_line) ((off + len - 1) / cache_line);
-      e.asked_fences <- e.asked_fences + 1
-  | None -> persist_now t off len
+  let scope = Domain.DLS.get scope_key in
+  if scope.active then begin
+    check_range t off len;
+    let e = scope_entry scope t in
+    if len > 0 then
+      record_range e (off / cache_line) ((off + len - 1) / cache_line);
+    e.asked_fences <- e.asked_fences + 1
+  end
+  else persist_now t off len
 
 let persist_before t off ~commit =
   let commit_line = commit / cache_line in

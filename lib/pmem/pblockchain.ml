@@ -1,15 +1,16 @@
 (* On-media layout:
      header: { head_block : i64; block_slots : i64 }
      block:  { next : i64; slots : block_slots * (key : i64, hist : i64) }
-   Slot validity: hist <> 0, written after the key word and persisted
-   no earlier than it.
+   Slot validity: hist <> 0. The history word is the slot's commit
+   word: it is written after the key word, and the key word is durable
+   no later than it.
 
    Ephemeral state rebuilt on attach:
      claim  — global monotonic slot counter (fetch-add to claim),
      blocks — published block offsets (atomic cells so that spinning
               domains are guaranteed to observe publication),
-     free   — released/holed slots below the claim point, reused by
-              [append] before claiming fresh ones. *)
+     free   — released/holed slots below the claim point, reused
+              by [claim] before claiming fresh ones. *)
 
 type t = {
   heap : Pheap.t;
@@ -154,22 +155,43 @@ let take_free_slot t =
   Mutex.unlock t.free_lock;
   g
 
-let append t ~key ~hist =
-  if Pptr.is_null hist then invalid_arg "Pblockchain.append: null history";
+(* A claimed slot's block is published. *)
+let slot_of t g = slot_off (published t (g / t.block_slots)) (g mod t.block_slots)
+
+(* The key word needs a persist of its own only when it lies on an
+   earlier line than the commit word; otherwise it becomes durable with
+   the commit word's line. *)
+let claim t ~key =
   let g =
     match take_free_slot t with
     | Some g -> g
     | None -> Atomic.fetch_and_add t.claim 1
   in
   let index = g / t.block_slots and slot = g mod t.block_slots in
-  let block = obtain_block t index ~owner:(slot = 0 && index > 0) in
-  let off = slot_off block slot in
-  (* The history word is the slot's commit word: the key word needs a
-     persist of its own only when it lies on an earlier line. *)
+  let off = slot_off (obtain_block t index ~owner:(slot = 0 && index > 0)) slot in
   Media.set_i64 t.media off key;
   Media.persist_before t.media off ~commit:(off + 8);
+  g
+
+let set_hist t off hist =
   Media.set_i64 t.media (off + 8) hist;
   Media.persist t.media (off + 8) 8
+
+let commit t g ~hist =
+  if Pptr.is_null hist then invalid_arg "Pblockchain.commit: null history";
+  set_hist t (slot_of t g) hist
+
+let free_slots t gs =
+  Mutex.lock t.free_lock;
+  t.free <- List.rev_append gs t.free;
+  Mutex.unlock t.free_lock
+
+let clear t g =
+  let off = slot_of t g in
+  let key = Media.get_i64 t.media off in
+  set_hist t off Pptr.null;
+  free_slots t [ g ];
+  key
 
 let block_count t =
   let c = claimed t in
@@ -206,7 +228,7 @@ let iter_slots t f =
    slot into an ordinary hole — a crash part-way through leaves holes and
    orphaned key/history blocks (freed by the next open's rebuild), never
    dangling pointers.
-   The caller must hold off concurrent appends and readers (the store
+   The caller must hold off concurrent claims and readers (the store
    quiesces around compaction). *)
 let release_slots t ~dead ~on_release =
   let blocks = block_offsets t in
@@ -217,8 +239,7 @@ let release_slots t ~dead ~on_release =
         match read_slot t block s with
         | Some (key, hist) when dead ~hist ->
             let off = slot_off block s in
-            Media.set_i64 t.media (off + 8) Pptr.null;
-            Media.persist t.media (off + 8) 8;
+            set_hist t off Pptr.null;
             on_release ~key ~hist;
             Media.set_i64 t.media off 0;
             Media.persist t.media off 8;
@@ -226,13 +247,8 @@ let release_slots t ~dead ~on_release =
         | _ -> ()
       done)
     blocks;
-  let n = List.length !released in
-  if n > 0 then begin
-    Mutex.lock t.free_lock;
-    t.free <- List.rev_append !released t.free;
-    Mutex.unlock t.free_lock
-  end;
-  n
+  free_slots t !released;
+  List.length !released
 
 let free_slot_count t =
   Mutex.lock t.free_lock;

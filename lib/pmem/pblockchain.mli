@@ -6,16 +6,18 @@
     threads: thread [tid] of [T] claims every block [i] with
     [i mod T = tid] and bulk-inserts its slots into the ephemeral index.
 
-    Append protocol: a global slot is claimed with an atomic fetch-add;
-    the key word is written first, then the history pointer, the slot's
-    commit word, which persists last and alone
-    ({!Media.persist_before}): one line and one fence when both words
-    share a cache line, two of each when the slot straddles two. A slot
-    is valid if and only if its history word is non-null, so a
-    crash mid-append leaves a hole that iteration skips (the insert that
-    died was not yet visible anyway, matching the paper's recovery
-    argument). The thread that claims the first slot of a fresh block
-    allocates and links it; peers spin briefly until it is published.
+    Registering a key takes two steps, so that a store can order other
+    persists between them: {!claim} takes a slot (a released one
+    first, else a fresh one by an atomic fetch-add) and writes its key
+    word, persisted only when it lies on an earlier line than the
+    history word ({!Media.persist_before}); {!commit} writes and
+    persists the history pointer, the slot's commit word. One line and
+    one fence when both words share a cache line, two of each when the
+    slot straddles two. A slot is valid if and only if its history
+    word is non-null, so a crash before the commit leaves a hole that
+    iteration skips. The thread that claims the first slot of a fresh
+    block allocates and links it; peers spin briefly until it is
+    published.
 
     The [key] word of a slot is either an inline integer key or a
     {!Pblob} pointer — the store above decides; the chain does not
@@ -33,21 +35,31 @@ val attach : Pheap.t -> Pptr.t -> t
 val handle : t -> Pptr.t
 val block_slots : t -> int
 
-val append : t -> key:int -> hist:Pptr.t -> unit
-(** Register a key. [hist] must be non-null. Reuses a released slot when
-    one is available, otherwise claims a fresh one; lock-free except for
-    the free-list pop and when a new block must be allocated. *)
+val claim : t -> key:int -> int
+(** [claim t ~key] takes a slot, reusing a released one when one is
+    available, writes [key] into it and returns the slot's number. The
+    slot stays a hole until {!commit}. Lock-free except for the
+    free-list pop and when a new block must be allocated. *)
+
+val commit : t -> int -> hist:Pptr.t -> unit
+(** [commit t slot ~hist] writes and persists the history word of a
+    claimed slot, which makes it valid. [hist] must be non-null. *)
+
+val clear : t -> int -> int
+(** [clear t slot] nulls and persists a slot's history word, making it
+    a hole again, frees the slot for reuse and returns its key word.
+    What the slot pointed at may be freed once the clear is durable. *)
 
 val claimed : t -> int
 (** Number of slots claimed so far (upper bound on live slots). Slot
-    reuse via {!release_slots} does not grow this. *)
+    reuse via {!release_slots} and {!clear} does not grow this. *)
 
 val release_slots :
   t -> dead:(hist:Pptr.t -> bool) -> on_release:(key:int -> hist:Pptr.t -> unit) -> int
 (** [release_slots t ~dead ~on_release] clears every valid slot whose
     history pointer satisfies [dead], calling [on_release] (e.g. to free
     a key blob) after the slot's history word has been persisted null.
-    Cleared slots become holes that later {!append}s reuse. Returns the
+    Cleared slots become holes that later {!claim}s reuse. Returns the
     number of slots released. NOT safe concurrently with appends or
     readers — the caller must quiesce the store first. *)
 

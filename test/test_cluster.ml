@@ -34,9 +34,9 @@ let topo_parse () =
       check_int "key_bits" 12 (Cluster.Topology.key_bits t);
       check_int "shards" 3 (Cluster.Topology.shards t);
       check_string "shard 0" "unix:///tmp/s0.sock"
-        (Net.Sockaddr.to_string (Cluster.Topology.endpoint t 0));
+        (Net.Sockaddr.to_string (Cluster.Topology.primary t 0));
       check_string "shard 1" "tcp://localhost:7800"
-        (Net.Sockaddr.to_string (Cluster.Topology.endpoint t 1));
+        (Net.Sockaddr.to_string (Cluster.Topology.primary t 1));
       (* ranges split 4096 keys over 3 shards: width 1366 *)
       check_int "key 0 owner" 0 (Cluster.Topology.owner t 0);
       check_int "key 1365 owner" 0 (Cluster.Topology.owner t 1365);

@@ -862,26 +862,6 @@ let e2e_batch_and_scan () =
              acc := (k, v) :: !acc));
       check_bool "pinned scan sees pre-batch state" true
         (List.rev !acc = [ (0, 0); (1, 10); (2, 20); (3, 30); (4, 40) ]);
-      (* a pipelined run of plain Insert frames coalesces server-side
-         into one store-level batch — while still acking every frame.
-         The run only forms when the frames drain in one wakeup, so
-         allow a few attempts before declaring coalescing broken. *)
-      let coalesced = Obs.Registry.counter "net.coalesced_frames" in
-      let rec attempt tries base =
-        let before = Obs.Metric.value coalesced in
-        let reqs =
-          List.init 16 (fun i -> Net.Wire.Insert { key = base + i; value = i })
-        in
-        let resps = Net.Client.call_batch client reqs in
-        check_bool "coalesced run still acks each frame" true
-          (List.for_all (fun r -> r = Net.Wire.Ack) resps);
-        if Obs.Metric.value coalesced > before then ()
-        else if tries > 1 then attempt (tries - 1) (base + 16)
-        else Alcotest.fail "pipelined mutation run never coalesced"
-      in
-      attempt 5 1000;
-      check_bool "coalesced writes landed" true
-        (Net.Client.find client 1008 = Some 8);
       Net.Client.close client)
 
 let e2e_tag_at_find_bulk () =

@@ -134,6 +134,24 @@ let media_crash_after () =
     (Invalid_argument "Media.crash_after: media created without crash_sim")
     (fun () -> Pmem.Media.crash_after (small_media ()) ~flushes:1)
 
+(* A batch scope keeps its entry and range log per domain and reuses
+   them, so a scope in steady state allocates nothing: 10,000 scopes
+   around one persist each, after a warm-up. *)
+let media_batch_scope_allocates_nothing () =
+  let m = small_media () in
+  let body () = Pmem.Media.persist m 64 8 in
+  for _ = 1 to 100 do
+    Pmem.Media.with_batch body
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Pmem.Media.with_batch body
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "10,000 scopes allocate %.0f minor words, at most 100" words)
+    true (words <= 100.)
+
 let media_file_backed_persists () =
   let path = Filename.temp_file "mvkv" ".pm" in
   let m = Pmem.Media.create_file ~path ~capacity:4096 in
@@ -685,11 +703,14 @@ let pvector_grow_crash_safe () =
 
 (* Pblockchain *)
 
+(* Register a key in one go: claim a slot, then commit it. *)
+let register c ~key ~hist = Pmem.Pblockchain.commit c (Pmem.Pblockchain.claim c ~key) ~hist
+
 let chain_append_iterate () =
   let h = small_heap () in
   let c = Pmem.Pblockchain.create h ~block_slots:4 in
   for i = 1 to 10 do
-    Pmem.Pblockchain.append c ~key:(i * 100) ~hist:(i * 8)
+    register c ~key:(i * 100) ~hist:(i * 8)
   done;
   check_int "claimed" 10 (Pmem.Pblockchain.claimed c);
   check_int "blocks" 3 (Pmem.Pblockchain.block_count c);
@@ -707,11 +728,11 @@ let chain_attach_resumes () =
   let h = small_heap () in
   let c = Pmem.Pblockchain.create h ~block_slots:4 in
   for i = 1 to 6 do
-    Pmem.Pblockchain.append c ~key:i ~hist:(i * 8)
+    register c ~key:i ~hist:(i * 8)
   done;
   let c2 = Pmem.Pblockchain.attach h (Pmem.Pblockchain.handle c) in
   check_int "claimed recovered" 6 (Pmem.Pblockchain.claimed c2);
-  Pmem.Pblockchain.append c2 ~key:7 ~hist:56;
+  register c2 ~key:7 ~hist:56;
   let count = ref 0 in
   Pmem.Pblockchain.iter_slots c2 (fun ~key:_ ~hist:_ -> incr count);
   check_int "all entries visible" 7 !count
@@ -723,7 +744,7 @@ let chain_concurrent_appends () =
   ignore
     (Concurrent.Parallel.run ~threads:4 (fun tid ->
          for i = 0 to per_domain - 1 do
-           Pmem.Pblockchain.append c ~key:((tid * per_domain) + i) ~hist:8
+           register c ~key:((tid * per_domain) + i) ~hist:8
          done));
   check_int "all claimed" (4 * per_domain) (Pmem.Pblockchain.claimed c);
   let seen = Hashtbl.create 1024 in
@@ -751,7 +772,7 @@ let chain_append_cost () =
       else 2
     in
     let (), lines, fences =
-      persist_cost stats (fun () -> Pmem.Pblockchain.append c ~key:slot ~hist:8)
+      persist_cost stats (fun () -> register c ~key:slot ~hist:8)
     in
     check_int "flushed lines" expect lines;
     check_int "fences" expect fences
@@ -762,8 +783,8 @@ let chain_crash_hole_skipped () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
   let c = Pmem.Pblockchain.create h ~block_slots:4 in
-  Pmem.Pblockchain.append c ~key:1 ~hist:8;
-  Pmem.Pblockchain.append c ~key:2 ~hist:16;
+  register c ~key:1 ~hist:8;
+  register c ~key:2 ~hist:16;
   (* Fabricate a torn append: key word persisted, history word not. *)
   Pmem.Media.simulate_crash media;
   let h2 = Pmem.Pheap.reopen h in
@@ -773,6 +794,25 @@ let chain_crash_hole_skipped () =
   (* Both appends fully persisted each word, so both survive. *)
   Alcotest.(check (list int)) "persisted appends survive" [ 2; 1 ] !keys
 
+(* A cleared slot is a hole, durably: iteration after a crash and a
+   reattach skips it, and the next claim takes it again rather than a
+   fresh slot. *)
+let chain_clear_frees_slot () =
+  let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+  let h = Pmem.Pheap.create media in
+  let c = Pmem.Pblockchain.create h ~block_slots:4 in
+  let slot = Pmem.Pblockchain.claim c ~key:1 in
+  Pmem.Pblockchain.commit c slot ~hist:8;
+  register c ~key:2 ~hist:16;
+  check_int "clear returns the key word" 1 (Pmem.Pblockchain.clear c slot);
+  Pmem.Media.simulate_crash media;
+  let c2 = Pmem.Pblockchain.attach (Pmem.Pheap.reopen h) (Pmem.Pblockchain.handle c) in
+  let keys = ref [] in
+  Pmem.Pblockchain.iter_slots c2 (fun ~key ~hist:_ -> keys := key :: !keys);
+  Alcotest.(check (list int)) "the cleared slot is a hole" [ 2 ] !keys;
+  check_int "the next claim takes it" slot (Pmem.Pblockchain.claim c ~key:3);
+  check_int "claimed slots" 2 (Pmem.Pblockchain.claimed c)
+
 (* A block linked inside a batch scope is published at once, and
    another domain's append there persists at once; so the link must be
    durable before the scope's barrier, or a crash before it loses that
@@ -781,11 +821,11 @@ let chain_block_linked_in_batch_survives_crash () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
   let c = Pmem.Pblockchain.create h ~block_slots:2 in
-  Pmem.Pblockchain.append c ~key:1 ~hist:8;
-  Pmem.Pblockchain.append c ~key:2 ~hist:16;
+  register c ~key:1 ~hist:8;
+  register c ~key:2 ~hist:16;
   Pmem.Media.with_batch (fun () ->
-      Pmem.Pblockchain.append c ~key:3 ~hist:24;
-      Domain.join (Domain.spawn (fun () -> Pmem.Pblockchain.append c ~key:4 ~hist:32));
+      register c ~key:3 ~hist:24;
+      Domain.join (Domain.spawn (fun () -> register c ~key:4 ~hist:32));
       Pmem.Media.simulate_crash media);
   let c2 = Pmem.Pblockchain.attach (Pmem.Pheap.reopen h) (Pmem.Pblockchain.handle c) in
   let keys = ref [] in
@@ -839,7 +879,7 @@ let qcheck_chain_reattach =
         (fun batch ->
           for _ = 1 to batch do
             incr counter;
-            Pmem.Pblockchain.append !chain ~key:!counter ~hist:(8 * !counter);
+            register !chain ~key:!counter ~hist:(8 * !counter);
             appended := !counter :: !appended
           done;
           (* Reattach between batches, as a restart would. *)
@@ -866,6 +906,8 @@ let () =
             media_persist_before;
           Alcotest.test_case "crash requires mode" `Quick media_crash_requires_mode;
           Alcotest.test_case "crash_after stops the k-th flush" `Quick media_crash_after;
+          Alcotest.test_case "a batch scope allocates nothing in steady state" `Quick
+            media_batch_scope_allocates_nothing;
           Alcotest.test_case "concurrent line flushes keep every word" `Quick
             media_concurrent_line_flushes;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
@@ -942,6 +984,8 @@ let () =
           Alcotest.test_case "attach resumes" `Quick chain_attach_resumes;
           Alcotest.test_case "concurrent appends" `Quick chain_concurrent_appends;
           Alcotest.test_case "crash holes" `Quick chain_crash_hole_skipped;
+          Alcotest.test_case "a cleared slot is a hole the next claim takes" `Quick
+            chain_clear_frees_slot;
           Alcotest.test_case "a block linked in a batch survives a crash" `Quick
             chain_block_linked_in_batch_survives_crash;
           Alcotest.test_case "append costs one line and fence" `Quick chain_append_cost;
