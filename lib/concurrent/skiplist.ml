@@ -1,11 +1,15 @@
+(* A tower ([next], [head]) is a plain array with one cell per level,
+   CASed in place (Atomic_field) and read with plain loads: a node is
+   its 4-word block plus a tower of 1 + levels words, 7 words at the 2
+   levels expected. *)
 type ('k, 'v) node =
   | Nil
-  | Node of { key : 'k; value : 'v; next : ('k, 'v) node Atomic.t array }
+  | Node of { key : 'k; value : 'v; next : ('k, 'v) node array }
       (* [next]: one cell per level the node drew *)
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
-  head : ('k, 'v) node Atomic.t array;
+  head : ('k, 'v) node array;
   count : int Atomic.t;
   top : int Atomic.t;
   level_seed : int Atomic.t;
@@ -21,7 +25,7 @@ let max_level = 24
 let create ~compare () =
   {
     compare;
-    head = Array.init max_level (fun _ -> Atomic.make Nil);
+    head = Array.make max_level Nil;
     count = Atomic.make 0;
     top = Atomic.make 1;
     level_seed = Atomic.make 0x9e3779b9;
@@ -58,7 +62,7 @@ let random_level t =
    insert whose upper levels were recorded from a stale start fails its
    CAS there and re-descends from the new [top]. *)
 let rec descend t key preds succs level pred_next =
-  match Atomic.get pred_next.(level) with
+  match pred_next.(level) with
   | Node n when t.compare n.key key < 0 -> descend t key preds succs level n.next
   | cur ->
       if Array.length preds > 0 then begin
@@ -102,9 +106,9 @@ let insert_with t ~search key ~make preds succs =
     | Nil ->
         let value = match made with Some v -> v | None -> make () in
         let level = random_level t in
-        let next = Array.init level (fun i -> Atomic.make succs.(i)) in
+        let next = Array.sub succs 0 level in
         let node = Node { key; value; next } in
-        if not (Atomic.compare_and_set preds.(0).(0) succs.(0) node) then begin
+        if not (Atomic_field.compare_and_set preds.(0) 0 succs.(0) node) then begin
           Backoff.once backoff;
           attempt (Some value)
         end
@@ -115,13 +119,14 @@ let insert_with t ~search key ~make preds succs =
           bump_top t level;
           for lvl = 1 to level - 1 do
             let rec link () =
-              if not (Atomic.compare_and_set preds.(lvl).(lvl) succs.(lvl) node)
+              if not (Atomic_field.compare_and_set preds.(lvl) lvl succs.(lvl) node)
               then begin
                 Backoff.once backoff;
                 ignore (search ());
                 (* Our node is not yet visible at [lvl], so the re-search
-                   gives a fresh successor to adopt. *)
-                Atomic.set next.(lvl) succs.(lvl);
+                   gives a fresh successor to adopt, and no reader loads
+                   this cell before the CAS that links it. *)
+                next.(lvl) <- succs.(lvl);
                 link ()
               end
             in
@@ -153,7 +158,7 @@ let find_or_insert t key ~make =
    span. *)
 type ('k, 'v) cursor = {
   list : ('k, 'v) t;
-  c_preds : ('k, 'v) node Atomic.t array array;
+  c_preds : ('k, 'v) node array array;
   c_pred_nodes : ('k, 'v) node array;
       (* the node whose next-array c_preds.(l) is; Nil = head *)
   c_succs : ('k, 'v) node array;
@@ -176,7 +181,7 @@ let cursor t =
    the straddle in the cursor — a top-level recursion, so it allocates
    nothing. *)
 let rec advance_at c key level pred pred_next =
-  match Atomic.get pred_next.(level) with
+  match pred_next.(level) with
   | Node n as cur when c.list.compare n.key key < 0 ->
       advance_at c key level cur n.next
   | cur ->
@@ -185,7 +190,7 @@ let rec advance_at c key level pred pred_next =
       c.c_succs.(level) <- cur
 
 (* The fast path that makes the fingers pay: a level whose recorded
-   predecessor still points at its recorded successor (one atomic load)
+   predecessor still points at its recorded successor (one load)
    with that successor >= [key] is untouched — adopt it without
    walking. Ascending seeks skip almost every level this way and only
    walk the few whose window actually moved. The skip is safe exactly
@@ -220,7 +225,7 @@ let seek c key =
     let skip =
       (not retry)
       && start == finger
-      && Atomic.get c.c_preds.(level).(level) == c.c_succs.(level)
+      && c.c_preds.(level).(level) == c.c_succs.(level)
       && match c.c_succs.(level) with
          | Nil -> true
          | Node s -> t.compare s.key key >= 0
@@ -245,32 +250,32 @@ let rec walk f = function
   | Nil -> ()
   | Node n ->
       f n.key n.value;
-      walk f (Atomic.get n.next.(0))
+      walk f n.next.(0)
 
 let rec walk_below t hi f = function
   | Node n when t.compare n.key hi < 0 ->
       f n.key n.value;
-      walk_below t hi f (Atomic.get n.next.(0))
+      walk_below t hi f n.next.(0)
   | Node _ | Nil -> ()
 
-let iter t f = walk f (Atomic.get t.head.(0))
+let iter t f = walk f t.head.(0)
 let iter_from t key f = walk f (lower_bound t key)
 let iter_range t ~lo ~hi f = walk_below t hi f (lower_bound t lo)
 
 (* Physically unlink every node matching [dead] at all levels, the
    vordered-kv scrub idiom: per level, walk the pred's next-cell and
-   skip-link over dead nodes. Plain [Atomic.set] is enough because the
+   skip-link over dead nodes. A plain store is enough because the
    caller guarantees exclusive access (the store quiesces around GC) —
    this structure has no concurrent removal protocol. *)
 let scrub t ~dead =
   let removed = ref 0 in
   for level = max_level - 1 downto 0 do
     let rec sweep pred_next =
-      match Atomic.get pred_next.(level) with
+      match pred_next.(level) with
       | Nil -> ()
       | Node n ->
           if dead n.key n.value then begin
-            Atomic.set pred_next.(level) (Atomic.get n.next.(level));
+            pred_next.(level) <- n.next.(level);
             if level = 0 then incr removed;
             sweep pred_next
           end

@@ -6,7 +6,10 @@
     compare-and-swap on next pointers, exactly the simplification the
     paper exploits ("since there is no need to support removal from the
     skip list itself, the implementation can be simplified to use raw
-    pointers in compare-and-exchange operations").
+    pointers in compare-and-exchange operations"). A node's tower, like
+    the head's, is a plain array of next pointers, one cell per level,
+    CASed in place ({!Atomic_field}) and read with plain loads, so a key
+    costs about 7 words of index (its node and a 2-level tower).
 
     Values are immutable once inserted (the store mutates the history the
     value points at, not the index entry). Iteration over level 0 yields

@@ -14,18 +14,23 @@ module type BACKEND = sig
 end
 
 module Make (B : BACKEND) = struct
-  (* The one DRAM record of a history. [segs] is replaced, never
-     modified in place, so a plain field publishes it: a reader holding
-     an older array still finds every slot that array covers. *)
+  (* The one DRAM record of a history, 5 words. [segs] is replaced,
+     never modified in place, so a plain field publishes it: a reader
+     holding an older array still finds every slot that array covers.
+     [pending] and [tail] are plain int fields, read with plain loads and
+     changed only by fetch-and-add and CAS on their positions
+     ([Atomic_field]): keep [pending_field] and [tail_field] equal to
+     their declaration order. *)
   type t = {
     handle : B.handle;
     mutable segs : B.segs;
-    pending : int Atomic.t;
-    tail : int Atomic.t;
+    mutable pending : int;
+    mutable tail : int;
   }
 
-  let wrap handle segs ~length =
-    { handle; segs; pending = Atomic.make length; tail = Atomic.make length }
+  let pending_field = 2
+  let tail_field = 3
+  let wrap handle segs ~length = { handle; segs; pending = length; tail = length }
 
   let handle t = t.handle
   let segs t = t.segs
@@ -82,7 +87,7 @@ module Make (B : BACKEND) = struct
      durable). *)
   let append_entry store t ~version value =
     if version < 1 then invalid_arg "Lazy_tail.append_entry: version must be >= 1";
-    let slot = Atomic.fetch_and_add t.pending 1 in
+    let slot = Concurrent.Atomic_field.fetch_and_add_field t pending_field 1 in
     ensure_capacity store t slot;
     let version = if slot = 0 then version else max version (prev_version store t slot) in
     B.write_entry store t.segs slot ~version value;
@@ -114,21 +119,23 @@ module Make (B : BACKEND) = struct
       else cursor
     end
 
-  let rec publish tail cursor =
-    let seen = Atomic.get tail in
-    if cursor > seen && not (Atomic.compare_and_set tail seen cursor) then
-      publish tail cursor
+  let rec publish t cursor =
+    let seen = t.tail in
+    if
+      cursor > seen
+      && not (Concurrent.Atomic_field.compare_and_set_field t tail_field seen cursor)
+    then publish t cursor
 
   (* Claimed slots past the capacity may belong to an appender still
      growing the history, so the walk stops at the capacity of the array
      it reads; every slot below it stays readable, since growth never
      moves one. Returns the new tail. *)
   let extend_tail store t ~ctx ~version =
-    let start = Atomic.get t.tail in
+    let start = t.tail in
     let segs = t.segs in
-    let limit = min (Atomic.get t.pending) (B.capacity segs) in
+    let limit = min t.pending (B.capacity segs) in
     let cursor = walk store segs ctx version limit start in
-    publish t.tail cursor;
+    publish t cursor;
     cursor
 
   (* Rightmost slot in [lo, hi] whose version is <= [version], else
@@ -161,9 +168,9 @@ module Make (B : BACKEND) = struct
 
   let reset_offline t segs ~length =
     t.segs <- segs;
-    Atomic.set t.pending length;
-    Atomic.set t.tail length
+    t.pending <- length;
+    t.tail <- length
 
-  let visible_length t = Atomic.get t.tail
-  let pending_length t = Atomic.get t.pending
+  let visible_length t = t.tail
+  let pending_length t = t.pending
 end

@@ -20,9 +20,12 @@
     max), which keeps the binary search of queries correct under every
     interleaving.
 
-    A history is one DRAM record: the backend's handle, its segment
-    array (an immutable value locating every slot below its capacity),
-    and the [pending] and [tail] atomics. Every operation that reads or
+    A history is one 5-word DRAM record: the backend's handle, its
+    segment array (an immutable value locating every slot below its
+    capacity), and the [pending] and [tail] counters as plain int
+    fields, read with plain loads and moved only by fetch-and-add and
+    CAS on the field itself ({!Concurrent.Atomic_field}), so no
+    [Atomic] box sits behind either. Every operation that reads or
     writes entries takes the backend's [store] (the persistent heap,
     shared by every history of a store) as its first argument, so no
     history holds it.

@@ -447,32 +447,26 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
        of the heap is free, and the allocator takes it back before pass
        2 frees the pruned records' blobs. A stamp behind an unstamped
        slot counts too: it may have been visible, and later stamps with
-       it (see [Phistory]). The stamps go into one int array rather than
-       a list, and the store (with its 4,096-cell completion board) is
+       it (see [Phistory]). The stamps go into one bit each above the
+       floor, and the store (with its 4,096-cell completion board) is
        built once, after pass 2: the peak heap of an open is a served
        pool's peak resident set. *)
     let alloc = Pmem.Pheap.allocator heap in
     let marks = Pmem.Alloc.marks alloc in
     Pmem.Pblockchain.mark chain marks;
-    let stamps = ref (Array.make 1024 0) and count = ref 0 in
-    let add stamp =
-      if !count = Array.length !stamps then begin
-        let bigger = Array.make (2 * !count) 0 in
-        Array.blit !stamps 0 bigger 0 !count;
-        stamps := bigger
-      end;
-      !stamps.(!count) <- stamp;
-      incr count
+    let floor = Pmem.Pheap.root_get heap floor_root_slot in
+    (* Every stamp is a word of the pool, so its words bound the count. *)
+    let stamps =
+      Recovery.stamps ~floor
+        ~bound:(Pmem.Media.capacity (Pmem.Pheap.media heap) / 8)
+        ()
     in
+    let add = Recovery.add stamps in
     Pmem.Pblockchain.iter_slots chain (fun ~key ~hist ->
         Codec.mark_word heap marks key;
         Phistory.mark_persisted heap hist marks ~stamp:add);
     Pmem.Alloc.rebuild alloc marks;
-    let floor = Pmem.Pheap.root_get heap floor_root_slot in
-    (* The array as grown: its unused tail of zeros counts for nothing,
-       and a copy of the used part was the open's peak allocation on a
-       pool of 65,536 keys x 8 stamps, and so its resident set. *)
-    let fc = Recovery.recover_fc ~floor !stamps in
+    let fc = Recovery.recover_fc stamps in
     Obs.Metric.set g_recovered_fc fc;
     (* Pass 2 prunes the records behind an unstamped slot, stamps <= fc
        among them, so the floor moves up to fc first: the next open must

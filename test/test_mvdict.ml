@@ -51,19 +51,33 @@ let codec_marker_distinct () =
 
 (* Recovery (pure) *)
 
+(* fc of the given stamps, added to a set bounded by their count. *)
+let recover_fc ?floor stamps =
+  let set = Mvdict.Recovery.stamps ?floor ~bound:(Array.length stamps) () in
+  Array.iter (Mvdict.Recovery.add set) stamps;
+  Mvdict.Recovery.recover_fc set
+
 let recover_fc_cases () =
-  check_int "empty" 0 (Mvdict.Recovery.recover_fc [||]);
-  check_int "complete" 4 (Mvdict.Recovery.recover_fc [| 3; 1; 4; 2 |]);
-  check_int "gap at 3" 2 (Mvdict.Recovery.recover_fc [| 1; 2; 4; 5 |]);
-  check_int "missing 1" 0 (Mvdict.Recovery.recover_fc [| 2; 3 |]);
-  check_int "duplicates tolerated" 2 (Mvdict.Recovery.recover_fc [| 1; 1; 2 |]);
-  check_int "zeros count for nothing" 3 (Mvdict.Recovery.recover_fc [| 2; 3; 1; 0; 0 |]);
+  check_int "empty" 0 (recover_fc [||]);
+  check_int "complete" 4 (recover_fc [| 3; 1; 4; 2 |]);
+  check_int "gap at 3" 2 (recover_fc [| 1; 2; 4; 5 |]);
+  check_int "missing 1" 0 (recover_fc [| 2; 3 |]);
+  check_int "duplicates tolerated" 2 (recover_fc [| 1; 1; 2 |]);
+  check_int "zeros count for nothing" 3 (recover_fc [| 2; 3; 1; 0; 0 |]);
   check_int "stamps at or below the floor count as present" 7
-    (Mvdict.Recovery.recover_fc ~floor:5 [| 2; 7; 6 |]);
-  check_int "gap above the floor" 6 (Mvdict.Recovery.recover_fc ~floor:5 [| 3; 6; 8 |]);
-  check_int "floor with no stamps above it" 5
-    (Mvdict.Recovery.recover_fc ~floor:5 [| 1; 4 |]);
-  check_int "floor alone" 5 (Mvdict.Recovery.recover_fc ~floor:5 [||])
+    (recover_fc ~floor:5 [| 2; 7; 6 |]);
+  check_int "gap above the floor" 6 (recover_fc ~floor:5 [| 3; 6; 8 |]);
+  check_int "floor with no stamps above it" 5 (recover_fc ~floor:5 [| 1; 4 |]);
+  check_int "floor alone" 5 (recover_fc ~floor:5 [||]);
+  (* Descending stamps grow the bitmap at once to the highest; a gap
+     past its first byte still ends the run. *)
+  check_int "a run of 5,000 above the floor" 5_003
+    (recover_fc ~floor:3 (Array.init 5_000 (fun i -> 5_003 - i)));
+  check_int "gap at 4,100" 4_099
+    (recover_fc (Array.init 5_000 (fun i -> if 5_000 - i = 4_100 then 0 else 5_000 - i)));
+  let set = Mvdict.Recovery.stamps ~bound:2 () in
+  List.iter (Mvdict.Recovery.add set) [ 1; 2; max_int ];
+  check_int "a stamp past the bound is not kept" 2 (Mvdict.Recovery.recover_fc set)
 
 let plan_blocks_partition () =
   (* Every block claimed exactly once across threads. *)
@@ -1337,7 +1351,9 @@ let history_live_bytes () =
     (Pmem.Pstats.live_bytes stats - live0)
 
 (* A history is one DRAM record: the vector's handle, its segment array
-   and the two cursors. The heap, the clock and the board are the
+   and the two cursors as plain int fields (5 words), plus the segment
+   array (4 words at 2 segments); an Atomic box per cursor (2 words
+   each) fails the bound. The heap, the clock and the board are the
    store's, so they are not counted. *)
 let history_footprint () =
   let heap = fresh_heap () in
@@ -1351,8 +1367,8 @@ let history_footprint () =
     Obj.reachable_words (Obj.repr (h, shared)) - Obj.reachable_words shared - 3
   in
   check_bool
-    (Printf.sprintf "a 4-entry history keeps %d words of DRAM, at most 13" own)
-    true (own <= 13)
+    (Printf.sprintf "a 4-entry history keeps %d words of DRAM, at most 9" own)
+    true (own <= 9)
 
 (* Two appends to key 3 finish out of slot order: slot 1 is stamped
    (stamp 3) and published, slot 0 only written. Key 4's stamp 4 then
@@ -2549,7 +2565,7 @@ let () =
             `Quick crash_before_link_frees_segment;
           Alcotest.test_case "a rebuild reports the bytes it frees" `Quick
             rebuild_reports_freed_bytes;
-          Alcotest.test_case "a 4-entry history keeps at most 13 words of DRAM" `Quick
+          Alcotest.test_case "a 4-entry history keeps at most 9 words of DRAM" `Quick
             history_footprint;
         ] );
       ( "new-keys",
