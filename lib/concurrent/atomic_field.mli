@@ -1,6 +1,6 @@
-(** Compare-and-set and fetch-and-add on one field of a block: a cell of
-    an array or a field of a record, in place, with no [Atomic.t] box
-    around it.
+(** Compare-and-set, fetch-and-add, and sequentially consistent loads
+    and stores of ints, on one field of a block: a cell of an array or a
+    field of a record, in place, with no [Atomic.t] box around it.
 
     OCaml 5.1's [Atomic] acts only on its own one-field box, so a tower
     of [n] atomic cells costs [n] boxes of 2 words each and one more
@@ -12,10 +12,15 @@
     consistent. (OCaml 5.4's [Atomic.Loc] offers the same without a
     stub.)
 
-    Reads stay plain loads ([a.(i)], [r.field]): a field is a single
-    word that a CAS replaces whole, and a reader that loads a pointer a
-    CAS published and then reads through it sees the block as it was
-    initialised, as for any other racy read of an OCaml field.
+    Reads are plain loads ([a.(i)], [r.field]) unless their order
+    matters: a field is a single word that a CAS replaces whole, and a
+    reader that loads a pointer a CAS published and then reads through
+    it sees the block as it was initialised, as for any other racy read
+    of an OCaml field. Where a domain stores to one field and then
+    loads another that a second domain stores to, plain accesses let
+    both loads miss the other's store; {!store_int_field} and
+    {!load_int_field} are sequentially consistent, as [Atomic.set] and
+    [Atomic.get] are, and rule that out.
 
     The caller names the field by its position. A record field's
     position is its declaration order from 0, so a record that uses
@@ -39,3 +44,13 @@ external fetch_and_add_field : 'r -> int -> int -> int
   [@@noalloc]
 (** [fetch_and_add_field r i n] adds [n] to the int in field [i] of
     block [r] and returns the int it held before. Unchecked. *)
+
+external load_int_field : 'r -> int -> int = "mvkv_atomic_load_int_field" [@@noalloc]
+(** [load_int_field r i] loads the int in field [i] of block [r],
+    sequentially consistently. Unchecked. *)
+
+external store_int_field : 'r -> int -> int -> unit = "mvkv_atomic_store_int_field"
+  [@@noalloc]
+(** [store_int_field r i n] stores the int [n] into field [i] of block
+    [r], sequentially consistently. An int needs no write barrier.
+    Unchecked. *)

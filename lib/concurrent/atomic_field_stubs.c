@@ -22,3 +22,17 @@ value mvkv_atomic_fetch_add_field(value obj, value field, value incr)
   atomic_value *p = &Op_atomic_val(obj)[Long_val(field)];
   return atomic_fetch_add(p, 2 * Long_val(incr));
 }
+
+/* Sequentially consistent, as Atomic.get and Atomic.set are: a store
+   then a load of another cell by each of two domains cannot both miss
+   the other's store. An immediate int needs no write barrier. */
+value mvkv_atomic_load_int_field(value obj, value field)
+{
+  return atomic_load(&Op_atomic_val(obj)[Long_val(field)]);
+}
+
+value mvkv_atomic_store_int_field(value obj, value field, value v)
+{
+  atomic_store(&Op_atomic_val(obj)[Long_val(field)], v);
+  return Val_unit;
+}

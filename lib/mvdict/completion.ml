@@ -1,17 +1,24 @@
 (* Ring cells hold the stamp itself (not a flag): cell [s mod ring] = s
    means "stamp s completed". Stale values from earlier laps can never be
-   mistaken for the stamp being awaited, so cells never need clearing. *)
+   mistaken for the stamp being awaited, so cells never need clearing.
+   The cells are one int array, stored and loaded in place and
+   sequentially consistently ([Atomic_field]): a publisher stores its
+   cell and then loads the next one, so with plain accesses two
+   publishers could each miss the other's cell and leave fc behind a
+   published stamp until the next publish. Stamps are positive, so
+   [s mod ring] is always a cell. *)
 
 let ring = 4096
 
-type t = { ctx : Version.t; cells : int Atomic.t array }
+type t = { ctx : Version.t; cells : int array }
 
-let create ctx = { ctx; cells = Array.init ring (fun _ -> Atomic.make 0) }
+let create ctx = { ctx; cells = Array.make ring 0 }
+let cell t s = Concurrent.Atomic_field.load_int_field t.cells (s mod ring)
 
 let rec advance t =
   let fc = Version.fc t.ctx in
   let next = fc + 1 in
-  if Atomic.get t.cells.(next mod ring) = next then begin
+  if cell t next = next then begin
     (* Success or interference both mean progress; keep going. *)
     ignore (Version.try_advance_fc t.ctx ~expected:fc);
     advance t
@@ -29,7 +36,7 @@ let publish t s =
     advance t;
     Domain.cpu_relax ()
   done;
-  Atomic.set t.cells.(s mod ring) s;
+  Concurrent.Atomic_field.store_int_field t.cells (s mod ring) s;
   advance t
 
 let help_advance = advance

@@ -21,11 +21,11 @@
 type t
 
 val create : Version.t -> t
-(** The ring holds 4,096 cells (12,292 words of DRAM with its record), which bounds
-    how far published stamps may run ahead of [fc], i.e. how many
-    stamps may be taken but not yet published. A domain holds at most
-    one 64-key install chunk of those, and at 40,000 writes a second
-    4,096 stamps are about 100 ms of writes. *)
+(** The ring is one int array of 4,096 cells (4,097 words of DRAM, no
+    box per cell), which bounds how far published stamps may run ahead
+    of [fc], i.e. how many stamps may be taken but not yet published. A
+    domain holds at most one 64-key install chunk of those, and at
+    40,000 writes a second 4,096 stamps are about 100 ms of writes. *)
 
 val publish : t -> int -> unit
 (** Announce that the append stamped [s] is durable, then

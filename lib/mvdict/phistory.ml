@@ -33,12 +33,12 @@ module H = Lazy_tail.Make (Backend)
 
 type t = H.t
 
-let create heap =
-  let handle, segs = Pmem.Pvector.create heap ~initial_capacity in
-  H.wrap handle segs ~length:0
+let create heap ~chain_slot =
+  H.wrap chain_slot (Pmem.Pvector.create heap ~initial_capacity) ~length:0
 
-let handle = H.handle
-let destroy heap t = Pmem.Pvector.free heap (H.handle t) (H.segs t)
+let chain_slot = H.handle
+let root t = Pmem.Pvector.root (H.segs t)
+let destroy heap t = Pmem.Pvector.free heap (H.segs t)
 
 let scan_persisted heap t =
   let s = H.segs t in
@@ -51,10 +51,10 @@ let scan_persisted heap t =
   in
   collect 0 []
 
-let mark_persisted heap hist_handle marks ~stamp =
+let mark_persisted heap root marks ~stamp =
   let media = Pmem.Pheap.media heap in
-  let s = Pmem.Pvector.attach heap hist_handle in
-  Pmem.Pvector.mark hist_handle s marks;
+  let s = Pmem.Pvector.attach heap root in
+  Pmem.Pvector.mark s marks;
   Pmem.Pvector.iter_records s (fun off ->
       let st = Pmem.Media.get_i64 media (off + 16) in
       if st <> 0 then stamp st;
@@ -72,11 +72,13 @@ let drop_prefix heap t ~first =
   let capacity = right_size keep in
   if first > 0 || capacity < Pmem.Pvector.capacity s then
     H.reset_offline t
-      (Pmem.Pvector.shrink_offline heap (H.handle t) s ~capacity ~first ~keep)
+      (Pmem.Pvector.shrink_offline heap
+         ~root_word:(Pmem.Pblockchain.history_word (H.handle t))
+         s ~capacity ~first ~keep)
       ~length:keep
 
-let attach_pruned heap hist_handle ~fc =
-  let s = Pmem.Pvector.attach heap hist_handle in
+let attach_pruned heap ~chain_slot root ~fc =
+  let s = Pmem.Pvector.attach heap root in
   let word slot w = Pmem.Pvector.get_word heap s ~record:slot ~word:w in
   let cap = Pmem.Pvector.capacity s in
   (* Keep the longest prefix of slots whose stamps are contiguous,
@@ -105,4 +107,4 @@ let attach_pruned heap hist_handle ~fc =
       Pmem.Pvector.persist_record heap s ~record:slot
     end
   done;
-  (H.wrap hist_handle s ~length:keep, !max_version)
+  (H.wrap chain_slot s ~length:keep, !max_version)

@@ -4,9 +4,11 @@
     Values are {!Codec} words (inline payloads or blob pointers; 0 is the
     removal marker), so a history entry costs 24 bytes of persistent
     memory and — for inline values — zero allocations on the append path.
-    In DRAM a history is one {!Lazy_tail} record holding the vector's
-    header offset, its segment array and the two cursors; the heap is
-    the store's, passed to every operation.
+    The vector has no header: the history word of the key's chain slot
+    ({!Pmem.Pblockchain}) points straight at its first segment. In DRAM
+    a history is one {!Lazy_tail} record holding that chain slot's
+    offset, its segment array and the two cursors; the heap is the
+    store's, passed to every operation.
 
     Persist ordering per entry: the stamp is the record's commit word
     and persists last and alone. For an inline value or a removal
@@ -47,11 +49,17 @@ module H : module type of Lazy_tail.Make (Backend)
 
 type t = H.t
 
-val create : Pmem.Pheap.t -> t
-(** Fresh empty history (initial capacity 2 records). *)
+val create : Pmem.Pheap.t -> chain_slot:Pmem.Pptr.t -> t
+(** [create heap ~chain_slot] is a fresh empty history (initial
+    capacity 2 records) rooted at a claimed chain slot. Its first
+    segment's capacity word is persisted; the history is reachable once
+    the slot is committed with {!root}. *)
 
-val handle : t -> Pmem.Pptr.t
-(** Persistent handle for the key block chain. *)
+val chain_slot : t -> Pmem.Pptr.t
+(** The chain slot that roots the history: its DRAM handle. *)
+
+val root : t -> Pmem.Pptr.t
+(** The first segment's offset: what the slot's history word holds. *)
 
 val destroy : Pmem.Pheap.t -> t -> unit
 (** Recycle an unregistered history (the loser of an index insert race).
@@ -64,28 +72,31 @@ val scan_persisted : Pmem.Pheap.t -> t -> (int * int * int) array
 
 val mark_persisted :
   Pmem.Pheap.t -> Pmem.Pptr.t -> Pmem.Alloc.marks -> stamp:(int -> unit) -> unit
-(** [mark_persisted heap handle marks ~stamp] is recovery's first pass
-    over one history: it marks the history's header and segments and
-    the blob behind every non-zero value word in them, kept or about to
-    be pruned ({!attach_pruned} frees the pruned ones), and calls
-    [stamp] on every non-zero stamp, in slot order: those of the
-    stamped prefix and those behind an unstamped slot alike (the input
-    to {!Recovery.recover_fc}). *)
+(** [mark_persisted heap root marks ~stamp] is recovery's first pass
+    over one history, from the root its chain slot holds: it marks the
+    history's segments and the blob behind every non-zero value word in
+    them, kept or about to be pruned ({!attach_pruned} frees the pruned
+    ones), and calls [stamp] on every non-zero stamp, in slot order:
+    those of the stamped prefix and those behind an unstamped slot
+    alike (the input to {!Recovery.recover_fc}). *)
 
 val drop_prefix : Pmem.Pheap.t -> t -> first:int -> unit
 (** [drop_prefix heap t ~first] drops the first [first] records and
     keeps the rest, stamps untouched, in one segment of the capacity
-    growth would give them, published by one header swap
-    ({!Pmem.Pvector.shrink_offline}); then it resets the ephemeral
-    cursors. Nothing is written unless [first > 0] or the history's
-    capacity is larger than that. The dropped records' value blobs are
-    the caller's to free, once this returns and the swap is durable.
-    Offline only (compaction); [first] must leave at least one
-    record. *)
+    growth would give them, published by one root swap, of the history
+    word of its chain slot ({!Pmem.Pvector.shrink_offline}); then it
+    resets the ephemeral cursors. Nothing is written unless [first > 0]
+    or the history's capacity is larger than that. The dropped records'
+    value blobs are the caller's to free, once this returns and the
+    swap is durable. Offline only (compaction); [first] must leave at
+    least one record. *)
 
-val attach_pruned : Pmem.Pheap.t -> Pmem.Pptr.t -> fc:int -> t * int
-(** Re-attach after restart: truncate the persisted history to the
-    longest prefix whose stamps are all non-zero and [<= fc] (zeroing
-    any entries beyond it, as the paper prescribes, a stamp behind an
-    unstamped slot included), and return the wrapped history plus the
-    highest retained version (for clock recovery). *)
+val attach_pruned :
+  Pmem.Pheap.t -> chain_slot:Pmem.Pptr.t -> Pmem.Pptr.t -> fc:int -> t * int
+(** [attach_pruned heap ~chain_slot root ~fc] re-attaches, after a
+    restart, the history a chain slot roots at [root]: it truncates
+    the persisted history to the longest prefix whose stamps are all
+    non-zero and [<= fc] (zeroing any entries beyond it, as the paper
+    prescribes, a stamp behind an unstamped slot included), and returns
+    the wrapped history plus the highest retained version (for clock
+    recovery). *)

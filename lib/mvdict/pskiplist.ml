@@ -188,7 +188,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
             if Option.is_none found.(i) then begin
               let key = Codec.encode (module K) t.heap keys.(lo + i) in
               chain.(i) <- Pmem.Pblockchain.claim t.chain ~key;
-              found.(i) <- Some (Phistory.create t.heap);
+              found.(i) <- Some (Phistory.create t.heap ~chain_slot:chain.(i));
               fresh := true
             end;
             append_entries t (Option.get found.(i)) versions words slots first.(i)
@@ -199,7 +199,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
             for i = 0 to k - 1 do
               if chain.(i) >= 0 then
                 Pmem.Pblockchain.commit t.chain chain.(i)
-                  ~hist:(Phistory.handle (Option.get found.(i)))
+                  ~hist:(Phistory.root (Option.get found.(i)))
             done;
             Pmem.Media.batch_barrier ();
             for i = 0 to k - 1 do
@@ -478,35 +478,28 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     let index = new_index () in
     let media = Pmem.Pheap.media heap in
     let blocks = Pmem.Pblockchain.block_offsets chain in
-    let slots = Pmem.Pblockchain.block_slots chain in
     let max_versions =
       Concurrent.Parallel.run ~threads (fun tid ->
           let highest = ref 0 in
           List.iter
             (fun bi ->
-              for s = 0 to slots - 1 do
-                match Pmem.Pblockchain.read_slot chain blocks.(bi) s with
-                | None -> ()
-                | Some (key_word, hist_handle) ->
-                    let h, maxv = Phistory.attach_pruned heap hist_handle ~fc in
-                    if Phistory.H.visible_length h = 0 then begin
-                      (* Nothing of it was visible: a new key whose first
-                         stamp, or a lost publication race whose clear, a
-                         crash cut off. Release it, the slot first. *)
-                      Codec.free_word heap
-                        (Pmem.Pblockchain.clear chain ((bi * slots) + s));
-                      Phistory.destroy heap h
-                    end
-                    else begin
-                      if maxv > !highest then highest := maxv;
-                      let key = Codec.decode (module K) media key_word in
-                      match
-                        Concurrent.Skiplist.find_or_insert index key
-                          ~make:(fun () -> h)
-                      with
-                      | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ()
-                    end
-              done)
+              Pmem.Pblockchain.iter_block chain blocks.(bi) (fun ~slot ~key:key_word ~hist ->
+                  let h, maxv = Phistory.attach_pruned heap ~chain_slot:slot hist ~fc in
+                  if Phistory.H.visible_length h = 0 then begin
+                    (* Nothing of it was visible: a new key whose first
+                       stamp, or a lost publication race whose clear, a
+                       crash cut off. Release it, the slot first. *)
+                    Codec.free_word heap (Pmem.Pblockchain.clear chain slot);
+                    Phistory.destroy heap h
+                  end
+                  else begin
+                    if maxv > !highest then highest := maxv;
+                    let key = Codec.decode (module K) media key_word in
+                    match
+                      Concurrent.Skiplist.find_or_insert index key ~make:(fun () -> h)
+                    with
+                    | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ()
+                  end))
             (Recovery.plan_blocks ~blocks:(Array.length blocks) ~threads ~tid);
           !highest)
     in
@@ -524,13 +517,14 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      stamps; (2) per history that drops records (a prefix: everything
      before the newest entry at or below [before], and that entry too
      when it is a removal marker) or is larger than its right size,
-     one header swap ([Phistory.drop_prefix]); (3) only after the swap,
-     the dropped value blobs are freed. Keys whose history empties out
-     are scrubbed: their chain slot is cleared (persisted) first, and
-     only then are the key blob, value blobs and history storage freed
-     and the index node unlinked. A crash between any two steps strands
-     blocks at worst, which the next open's rebuild frees, and never
-     leaves a record pointing at freed storage. *)
+     one root swap of its chain slot's history word
+     ([Phistory.drop_prefix]); (3) only after the swap, the dropped
+     value blobs are freed. Keys whose history empties out are scrubbed:
+     their chain slots, the histories' handles, are cleared (persisted)
+     first, and only then are the key blob, value blobs and history
+     storage freed and the index node unlinked. A crash between any two
+     steps strands blocks at worst, which the next open's rebuild frees,
+     and never leaves a record pointing at freed storage. *)
   let compact_quiesced t ~before =
     Pmem.Pheap.root_set t.heap floor_root_slot (Version.fc t.ctx);
     let free_values raw ~upto =
@@ -556,16 +550,15 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
             if Codec.is_marker word then !floor_idx + 1 else !floor_idx
         in
         dropped := !dropped + first;
-        if first = n then Hashtbl.replace dead (Phistory.handle h) (h, raw)
+        if first = n then Hashtbl.replace dead (Phistory.chain_slot h) (h, raw)
         else begin
           Phistory.drop_prefix t.heap h ~first;
           free_values raw ~upto:first
         end);
     if Hashtbl.length dead > 0 then begin
-      ignore
-        (Pmem.Pblockchain.release_slots t.chain
-           ~dead:(fun ~hist -> Hashtbl.mem dead hist)
-           ~on_release:(fun ~key ~hist:_ -> Codec.free_word t.heap key));
+      Pmem.Pblockchain.release_slots t.chain
+        (List.of_seq (Hashtbl.to_seq_keys dead))
+        ~on_release:(fun ~key -> Codec.free_word t.heap key);
       Hashtbl.iter
         (fun _ (h, raw) ->
           free_values raw ~upto:(Array.length raw);
@@ -573,7 +566,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         dead;
       let scrubbed =
         Concurrent.Skiplist.scrub t.index ~dead:(fun _ h ->
-            Hashtbl.mem dead (Phistory.handle h))
+            Hashtbl.mem dead (Phistory.chain_slot h))
       in
       Obs.Metric.add c_gc_scrubbed scrubbed
     end;

@@ -10,8 +10,13 @@
    an allocation only when it cuts a block past R - 16, which moves R
    a chunk past the cursor with one persisted word first. *)
 
+(* Beside the powers of two and their halfway points, a class for every
+   history segment past the first ({!Pvector}): segment k >= 1 of a
+   history of c = 2 takes 8 + 24 * 2^k bytes, 56 to 3080, so none
+   rounds up. *)
 let size_classes =
-  [| 16; 24; 32; 48; 64; 96; 128; 192; 256; 384; 512; 1024; 2048; 4096 |]
+  [| 16; 24; 32; 48; 56; 64; 96; 104; 128; 192; 200; 256; 384; 392; 512; 776; 1024;
+     1544; 2048; 3080; 4096 |]
 
 let num_classes = Array.length size_classes
 let max_class_size = size_classes.(num_classes - 1)

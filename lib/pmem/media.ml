@@ -267,9 +267,9 @@ let rec find_entry scope media i =
 let scope_entry scope media = find_entry scope media 0
 
 (* A batch's writes alternate between a few regions (entry payloads,
-   history headers, the key chain), so a range adjacent to any of the
-   last few recorded ones merges in place; only genuinely scattered
-   ranges grow the log and wait for the drain's sort. *)
+   new segments' capacity words, the key chain), so a range adjacent
+   to any of the last few recorded ones merges in place; only genuinely
+   scattered ranges grow the log and wait for the drain's sort. *)
 let rec try_merge e first last n i =
   if i < 0 || i < n - 4 then false
   else if first <= e.lasts.(i) + 1 && last + 1 >= e.firsts.(i) then begin

@@ -9,8 +9,10 @@
      claim  — global monotonic slot counter (fetch-add to claim),
      blocks — published block offsets (atomic cells so that spinning
               domains are guaranteed to observe publication),
-     free   — released/holed slots below the claim point, reused
-              by [claim] before claiming fresh ones. *)
+     free   — the offsets of released/holed slots below the claim
+              point, reused by [claim] before claiming fresh ones.
+   A slot is named by its offset, which is also how a history names
+   the slot that roots it. *)
 
 type t = {
   heap : Pheap.t;
@@ -100,8 +102,8 @@ let attach heap header_off =
   let holes = ref [] in
   for g = 0 to claimed - 1 do
     let block = Atomic.get (Atomic.get t.blocks).(g / block_slots) in
-    if Media.get_i64 media (slot_off block (g mod block_slots) + 8) = Pptr.null
-    then holes := g :: !holes
+    let off = slot_off block (g mod block_slots) in
+    if Media.get_i64 media (off + 8) = Pptr.null then holes := off :: !holes
   done;
   t.free <- !holes;
   t
@@ -145,52 +147,51 @@ let rec obtain_block t index ~owner =
 
 let take_free_slot t =
   Mutex.lock t.free_lock;
-  let g =
+  let off =
     match t.free with
     | [] -> None
-    | g :: rest ->
+    | off :: rest ->
         t.free <- rest;
-        Some g
+        Some off
   in
   Mutex.unlock t.free_lock;
-  g
+  off
 
-(* A claimed slot's block is published. *)
-let slot_of t g = slot_off (published t (g / t.block_slots)) (g mod t.block_slots)
+(* A fresh slot: the next one of the claim counter, in a block this
+   claim may have to allocate and link. *)
+let fresh_slot t =
+  let g = Atomic.fetch_and_add t.claim 1 in
+  let index = g / t.block_slots and slot = g mod t.block_slots in
+  slot_off (obtain_block t index ~owner:(slot = 0 && index > 0)) slot
 
 (* The key word needs a persist of its own only when it lies on an
    earlier line than the commit word; otherwise it becomes durable with
    the commit word's line. *)
 let claim t ~key =
-  let g =
-    match take_free_slot t with
-    | Some g -> g
-    | None -> Atomic.fetch_and_add t.claim 1
-  in
-  let index = g / t.block_slots and slot = g mod t.block_slots in
-  let off = slot_off (obtain_block t index ~owner:(slot = 0 && index > 0)) slot in
+  let off = match take_free_slot t with Some off -> off | None -> fresh_slot t in
   Media.set_i64 t.media off key;
   Media.persist_before t.media off ~commit:(off + 8);
-  g
+  off
+
+let history_word slot = slot + 8
 
 let set_hist t off hist =
-  Media.set_i64 t.media (off + 8) hist;
-  Media.persist t.media (off + 8) 8
+  Media.set_i64 t.media (history_word off) hist;
+  Media.persist t.media (history_word off) 8
 
-let commit t g ~hist =
+let commit t off ~hist =
   if Pptr.is_null hist then invalid_arg "Pblockchain.commit: null history";
-  set_hist t (slot_of t g) hist
+  set_hist t off hist
 
-let free_slots t gs =
+let free_slots t offs =
   Mutex.lock t.free_lock;
-  t.free <- List.rev_append gs t.free;
+  t.free <- List.rev_append offs t.free;
   Mutex.unlock t.free_lock
 
-let clear t g =
-  let off = slot_of t g in
+let clear t off =
   let key = Media.get_i64 t.media off in
   set_hist t off Pptr.null;
-  free_slots t [ g ];
+  free_slots t [ off ];
   key
 
 let block_count t =
@@ -208,21 +209,17 @@ let mark t marks =
   Alloc.mark marks t.header_off header_size;
   Array.iter (fun b -> Alloc.mark marks b (block_size t.block_slots)) (block_offsets t)
 
-let read_slot t block slot =
-  let off = slot_off block slot in
-  let hist = Media.get_i64 t.media (off + 8) in
-  if Pptr.is_null hist then None else Some (Media.get_i64 t.media off, hist)
+let iter_block t block f =
+  for s = 0 to t.block_slots - 1 do
+    let slot = slot_off block s in
+    let hist = Media.get_i64 t.media (history_word slot) in
+    if not (Pptr.is_null hist) then f ~slot ~key:(Media.get_i64 t.media slot) ~hist
+  done
 
 let iter_slots t f =
-  let blocks = block_offsets t in
   Array.iter
-    (fun block ->
-      for s = 0 to t.block_slots - 1 do
-        match read_slot t block s with
-        | Some (key, hist) -> f ~key ~hist
-        | None -> ()
-      done)
-    blocks
+    (fun block -> iter_block t block (fun ~slot:_ ~key ~hist -> f ~key ~hist))
+    (block_offsets t)
 
 (* GC entry point. Nulling the (persisted) history word first turns the
    slot into an ordinary hole — a crash part-way through leaves holes and
@@ -230,25 +227,13 @@ let iter_slots t f =
    dangling pointers.
    The caller must hold off concurrent claims and readers (the store
    quiesces around compaction). *)
-let release_slots t ~dead ~on_release =
-  let blocks = block_offsets t in
-  let released = ref [] in
-  Array.iteri
-    (fun bi block ->
-      for s = 0 to t.block_slots - 1 do
-        match read_slot t block s with
-        | Some (key, hist) when dead ~hist ->
-            let off = slot_off block s in
-            set_hist t off Pptr.null;
-            on_release ~key ~hist;
-            Media.set_i64 t.media off 0;
-            Media.persist t.media off 8;
-            released := ((bi * t.block_slots) + s) :: !released
-        | _ -> ()
-      done)
-    blocks;
-  free_slots t !released;
-  List.length !released
+let release_slots t slots ~on_release =
+  List.iter
+    (fun off ->
+      on_release ~key:(clear t off);
+      Media.set_i64 t.media off 0;
+      Media.persist t.media off 8)
+    slots
 
 let free_slot_count t =
   Mutex.lock t.free_lock;

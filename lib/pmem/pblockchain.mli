@@ -19,6 +19,12 @@
     block allocates and links it; peers spin briefly until it is
     published.
 
+    A slot is named by its media offset. The history word roots the
+    key's history: it points straight at the history's first segment
+    ({!Pvector.root}), and the store names a history by its slot, so a
+    compaction swaps the slot's {!history_word} and a GC pass releases
+    an emptied key's slot by name.
+
     The [key] word of a slot is either an inline integer key or a
     {!Pblob} pointer — the store above decides; the chain does not
     interpret it. *)
@@ -35,17 +41,20 @@ val attach : Pheap.t -> Pptr.t -> t
 val handle : t -> Pptr.t
 val block_slots : t -> int
 
-val claim : t -> key:int -> int
+val claim : t -> key:int -> Pptr.t
 (** [claim t ~key] takes a slot, reusing a released one when one is
-    available, writes [key] into it and returns the slot's number. The
+    available, writes [key] into it and returns the slot's offset. The
     slot stays a hole until {!commit}. Lock-free except for the
     free-list pop and when a new block must be allocated. *)
 
-val commit : t -> int -> hist:Pptr.t -> unit
+val commit : t -> Pptr.t -> hist:Pptr.t -> unit
 (** [commit t slot ~hist] writes and persists the history word of a
     claimed slot, which makes it valid. [hist] must be non-null. *)
 
-val clear : t -> int -> int
+val history_word : Pptr.t -> Pptr.t
+(** The offset of a slot's history word, its commit word. *)
+
+val clear : t -> Pptr.t -> int
 (** [clear t slot] nulls and persists a slot's history word, making it
     a hole again, frees the slot for reuse and returns its key word.
     What the slot pointed at may be freed once the clear is durable. *)
@@ -54,14 +63,12 @@ val claimed : t -> int
 (** Number of slots claimed so far (upper bound on live slots). Slot
     reuse via {!release_slots} and {!clear} does not grow this. *)
 
-val release_slots :
-  t -> dead:(hist:Pptr.t -> bool) -> on_release:(key:int -> hist:Pptr.t -> unit) -> int
-(** [release_slots t ~dead ~on_release] clears every valid slot whose
-    history pointer satisfies [dead], calling [on_release] (e.g. to free
-    a key blob) after the slot's history word has been persisted null.
-    Cleared slots become holes that later {!claim}s reuse. Returns the
-    number of slots released. NOT safe concurrently with appends or
-    readers — the caller must quiesce the store first. *)
+val release_slots : t -> Pptr.t list -> on_release:(key:int -> unit) -> unit
+(** [release_slots t slots ~on_release] releases each of [slots], in
+    order: it {!clear}s the slot, calls [on_release] on its key word
+    (e.g. to free a key blob), then zeroes and persists the key word.
+    NOT safe concurrently with appends or readers — the caller must
+    quiesce the store first. *)
 
 val free_slot_count : t -> int
 (** Released/holed slots currently available for reuse (test hook). *)
@@ -75,9 +82,9 @@ val block_offsets : t -> Pptr.t array
 val mark : t -> Alloc.marks -> unit
 (** Mark the header and every block as live, for {!Alloc.rebuild}. *)
 
-val read_slot : t -> Pptr.t -> int -> (int * Pptr.t) option
-(** [read_slot t block slot] is [Some (key, hist)] if the slot is valid,
-    [None] for a hole or a never-claimed slot. *)
+val iter_block : t -> Pptr.t -> (slot:Pptr.t -> key:int -> hist:Pptr.t -> unit) -> unit
+(** [iter_block t block f] calls [f] on every valid slot of one block,
+    in slot order, skipping holes and never-claimed slots. *)
 
 val iter_slots : t -> (key:int -> hist:Pptr.t -> unit) -> unit
 (** Sequential iteration over all valid slots, chain order. *)

@@ -15,8 +15,10 @@ let magic = 0x4d564b565f504d00 land max_int (* "MVKV_PM" *)
    its capacity. Version 4 persists no free lists ({!Alloc}): its
    allocator header is a reservation and the heap's end, and a pool's
    free space is rebuilt from its roots at open; a version-3 pool keeps
-   a bump pointer and persisted free-list heads there. *)
-let layout_version = 4
+   a bump pointer and persisted free-list heads there. Version 5 roots a
+   history at its key-chain slot, whose history word points at the first
+   segment; a version-4 slot points at a header that points at it. *)
+let layout_version = 5
 let root_slots = 16
 let roots_off = 24
 let alloc_base = 192

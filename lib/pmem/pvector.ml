@@ -1,10 +1,11 @@
-(* Header: { first : i64; record_words : i64 }
-   First segment: { link : i64; capacity c : i64; records [c]... }
+(* First segment: { link : i64; capacity c : i64; records [c]... }
    Segment k >= 1: { link : i64; records [c * 2^(k-1)]... }
    Segment k >= 1 holds records [c * 2^(k-1), c * 2^k), so a vector of
    n segments holds c * 2^(n-1) records. A link word reads 0 until the
-   next segment is linked. The header word is the only word a rewrite
-   swaps; growth writes only the last link word. *)
+   next segment is linked. The vector's root is its first segment's
+   offset, held in a word of its owner's (a key-chain slot's history
+   word): the only word a rewrite swaps; growth writes only the last
+   link word. *)
 
 (* [| c; segment 0; segment 1; ... |]: the first segment's capacity,
    then every segment's offset. Never modified in place: growth and
@@ -14,13 +15,13 @@ type t = int array
 
 let record_words = 3
 let record_bytes = 8 * record_words
-let header_size = 16
 let first_words = 2
 
 let segment_bytes ~k ~records =
   (8 * if k = 0 then first_words else 1) + (record_bytes * records)
 
 let capacity s = s.(0) lsl (Array.length s - 2)
+let root s = s.(1)
 
 (* Records of segment [k] of a segment array. *)
 let segment_records s k = if k = 0 then s.(0) else s.(0) lsl (k - 1)
@@ -38,34 +39,29 @@ let record_off s record =
   else seek s record 1 c
 
 (* The first segment comes durably zero from [Alloc.alloc_zeroed], so
-   only its capacity word and the header are written. Both are flushed
-   under one fence: nothing can reach the vector before its owner
-   persists a link to the header, which the fence orders after them. *)
+   only its capacity word is written and persisted: nothing can reach
+   the vector before its owner persists the root word, which the fence
+   orders after it. *)
 let create heap ~initial_capacity =
   if initial_capacity <= 0 then invalid_arg "Pvector.create: initial_capacity";
   let media = Pheap.media heap in
-  let alloc = Pheap.allocator heap in
-  let header = Alloc.alloc alloc header_size in
-  let first = Alloc.alloc_zeroed alloc (segment_bytes ~k:0 ~records:initial_capacity) in
+  let first =
+    Alloc.alloc_zeroed (Pheap.allocator heap) (segment_bytes ~k:0 ~records:initial_capacity)
+  in
   Media.set_i64 media (first + 8) initial_capacity;
-  Media.flush media (first + 8) 8;
-  Media.set_i64 media header first;
-  Media.set_i64 media (header + 8) record_words;
-  Media.flush media header header_size;
-  Media.fence media;
-  (header, [| initial_capacity; first |])
+  Media.persist media (first + 8) 8;
+  [| initial_capacity; first |]
 
-let attach heap header =
-  if Pptr.is_null header then invalid_arg "Pvector.attach: null handle";
+let attach heap first =
+  if Pptr.is_null first then invalid_arg "Pvector.attach: null root";
   let media = Pheap.media heap in
-  if Media.get_i64 media (header + 8) <> record_words then
-    invalid_arg "Pvector.attach: corrupt header";
-  let first = Media.get_i64 media header in
+  let c = Media.get_i64 media (first + 8) in
+  if c <= 0 then invalid_arg "Pvector.attach: corrupt first segment";
   let rec chain seg acc =
     let next = Media.get_i64 media seg in
     if Pptr.is_null next then List.rev acc else chain next (next :: acc)
   in
-  Array.of_list (Media.get_i64 media (first + 8) :: chain first [ first ])
+  Array.of_list (c :: chain first [ first ])
 
 (* Link one segment as large as the current capacity, doubling it: the
    segment comes durably zero from [Alloc.alloc_zeroed] and the link
@@ -88,7 +84,7 @@ let rec grow heap s wanted =
     grow heap s' wanted
   end
 
-let free_segments heap s =
+let free heap s =
   let alloc = Pheap.allocator heap in
   for k = 0 to Array.length s - 2 do
     Alloc.free alloc s.(k + 1) (segment_bytes ~k ~records:(segment_records s k))
@@ -98,7 +94,7 @@ let free_segments heap s =
    is durable zero, so only its capacity word and the kept records need
    it; a recycled one also gets its link word and the slots past the
    kept records zeroed, and is persisted whole. *)
-let shrink_offline heap header s ~capacity:c ~first ~keep =
+let shrink_offline heap ~root_word s ~capacity:c ~first ~keep =
   if c < 1 || first < 0 || keep < 0 || keep > c || first + keep > capacity s then
     invalid_arg "Pvector.shrink_offline";
   let media = Pheap.media heap in
@@ -116,9 +112,9 @@ let shrink_offline heap header s ~capacity:c ~first ~keep =
     Media.persist media seg bytes
   end
   else Media.persist media (seg + 8) (8 + (record_bytes * keep));
-  Media.set_i64 media header seg;
-  Media.persist media header 8;
-  free_segments heap s;
+  Media.set_i64 media root_word seg;
+  Media.persist media root_word 8;
+  free heap s;
   [| c; seg |]
 
 let get_word heap s ~record ~word =
@@ -137,8 +133,7 @@ let persist_before_word heap s ~record ~word =
   let off = record_off s record in
   Media.persist_before (Pheap.media heap) off ~commit:(off + (8 * word))
 
-let mark header s marks =
-  Alloc.mark marks header header_size;
+let mark s marks =
   for k = 0 to Array.length s - 2 do
     Alloc.mark marks s.(k + 1) (segment_bytes ~k ~records:(segment_records s k))
   done
@@ -150,7 +145,3 @@ let iter_records s f =
       f (base + (record_bytes * i))
     done
   done
-
-let free heap header s =
-  free_segments heap s;
-  Alloc.free (Pheap.allocator heap) header header_size

@@ -565,6 +565,25 @@ let atomic_field_fetch_and_add () =
          done));
   check_int "2 domains x 100,000 adds sum exactly" (3 + (2 * adds)) c.hits
 
+(* Sequentially consistent int stores and loads, on array cells and a
+   record field alike: a store lands in its field alone, and a load
+   reads what the last store left. *)
+let atomic_field_int_store_load () =
+  let a = Array.make 4 0 in
+  Concurrent.Atomic_field.store_int_field a 2 7;
+  check_bool "a store sets its cell alone" true (a = [| 0; 0; 7; 0 |]);
+  check_int "a load reads it back" 7 (Concurrent.Atomic_field.load_int_field a 2);
+  let c = { label = "c"; hits = 0 } in
+  Concurrent.Atomic_field.store_int_field c 1 (-5);
+  check_int "a record field too" (-5) (Concurrent.Atomic_field.load_int_field c 1);
+  check_bool "other fields untouched" true (c.label = "c");
+  ignore
+    (Concurrent.Parallel.run ~threads:2 (fun tid ->
+         for i = 1 to 10_000 do
+           Concurrent.Atomic_field.store_int_field a tid i
+         done));
+  check_bool "each domain's last store stays" true (a.(0) = 10_000 && a.(1) = 10_000)
+
 (* The write barrier: a CAS stores fresh (minor-heap) blocks into a
    promoted array, and nothing else refers to them once [fill]
    returns. Only the remembered set keeps them alive and updates the
@@ -657,5 +676,7 @@ let () =
             atomic_field_fetch_and_add;
           Alcotest.test_case "write barrier: CASed young blocks survive Gc.minor"
             `Quick atomic_field_write_barrier;
+          Alcotest.test_case "an int stored in place loads back" `Quick
+            atomic_field_int_store_load;
         ] );
     ]

@@ -223,6 +223,16 @@ let completion_ring_wraps () =
   Domain.join publisher;
   check_int "fc once the held stamp is published" 4097 (Mvdict.Version.fc ctx)
 
+(* The board is one int array of 4,096 cells beside its two-field
+   record, 4,100 words besides the clock it shares with the store; an
+   Atomic box per cell made it 12,292. *)
+let completion_footprint () =
+  let ctx, board = history_env () in
+  let own = Obj.reachable_words (Obj.repr board) - Obj.reachable_words (Obj.repr ctx) in
+  check_bool
+    (Printf.sprintf "the board keeps %d words besides its clock, at most 4,100" own)
+    true (own <= 4100)
+
 (* Shared conformance suite over Dict_intf.S *)
 
 module type DICT = sig
@@ -1262,13 +1272,14 @@ let cost stats f =
 
 let int_word heap v = Mvdict.Codec.encode (module Mvdict.Codec.Int_value) heap v
 
-(* Media offset of a history record, found through the vector header
-   and the segment links: the first segment's records follow its link
-   and capacity (c) words, and segment k >= 1, linked from segment
-   k - 1, holds records [c * 2^(k-1), c * 2^k) after its link word. *)
-let record_at heap hist slot =
+(* Media offset of a history record, found as recovery finds it: the
+   history word of its chain slot points at the first segment, whose
+   records follow its link and capacity (c) words, and segment k >= 1,
+   linked from segment k - 1, holds records [c * 2^(k-1), c * 2^k)
+   after its link word. *)
+let record_at heap chain_slot slot =
   let media = Pmem.Pheap.media heap in
-  let first = Pmem.Media.get_i64 media hist in
+  let first = Pmem.Media.get_i64 media (Pmem.Pblockchain.history_word chain_slot) in
   let c = Pmem.Media.get_i64 media (first + 8) in
   let rec seek seg start =
     let next = Pmem.Media.get_i64 media seg in
@@ -1276,7 +1287,27 @@ let record_at heap hist slot =
   in
   if slot < c then first + 16 + (24 * slot) else seek first c
 
-let record_start heap h slot = record_at heap (PH.handle h) slot
+let record_start heap h slot = record_at heap (PH.chain_slot h) slot
+
+(* A store's key chain in heap root 0, and a key's history registered
+   in it by hand, as the store would: a claimed chain slot roots the
+   history, and its commit makes it reachable. *)
+let key_chain heap =
+  let chain = Pmem.Pblockchain.create heap ~block_slots:63 in
+  Pmem.Pheap.root_set heap 0 (Pmem.Pblockchain.handle chain);
+  chain
+
+let registered_history heap chain key =
+  let chain_slot =
+    Pmem.Pblockchain.claim chain
+      ~key:(Mvdict.Codec.encode (module Mvdict.Codec.Int_key) heap key)
+  in
+  let h = PH.create heap ~chain_slot in
+  Pmem.Pblockchain.commit chain chain_slot ~hist:(PH.root h);
+  h
+
+(* A fresh history in a key chain of its own. *)
+let new_history heap = registered_history heap (key_chain heap) 0
 
 (* Append stamped filler entries until the next slot's record starts at
    a line offset satisfying [p]. The next slot's segment is linked
@@ -1292,10 +1323,14 @@ let append_until heap h ~ctx ~board p =
   done
 
 (* An empty history whose first [n] records are contiguous: one
-   segment of [n] records, attached as recovery would. *)
+   segment of [n] records in a committed chain slot, attached as
+   recovery would. *)
 let one_segment_history heap n =
-  let handle, _ = Pmem.Pvector.create heap ~initial_capacity:n in
-  fst (PH.attach_pruned heap handle ~fc:0)
+  let chain = key_chain heap in
+  let chain_slot = Pmem.Pblockchain.claim chain ~key:0 in
+  let root = Pmem.Pvector.root (Pmem.Pvector.create heap ~initial_capacity:n) in
+  Pmem.Pblockchain.commit chain chain_slot ~hist:root;
+  fst (PH.attach_pruned heap ~chain_slot root ~fc:0)
 
 (* Any 8 consecutive 24-byte records span 3 lines, and 2 of them
    straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). *)
@@ -1319,7 +1354,7 @@ let history_append_cost () =
 let history_growth_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
-  let h = PH.create heap in
+  let h = new_history heap in
   let capacity_now () = Pmem.Pvector.capacity (PH.H.segs h) in
   List.iter
     (fun capacity ->
@@ -1336,21 +1371,54 @@ let history_growth_cost () =
     [ 2; 8; 64 ]
 
 (* Eight entries fill the first three segments (2, 2 and 4 records),
-   and the two growths retire nothing: the header and those segments
-   are all the history holds. *)
+   and the two growths retire nothing: those segments are all the
+   history holds besides its chain slot, and each fills a size class
+   of its own (64, 56 and 104 bytes). *)
 let history_live_bytes () =
   let heap = fresh_heap () in
   let stats = Pmem.Pheap.stats heap in
   let ctx, board = history_env () in
+  let chain = key_chain heap in
   let live0 = Pmem.Pstats.live_bytes stats in
-  let h = PH.create heap in
+  let h = registered_history heap chain 1 in
   for v = 1 to 8 do
     PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
-  check_int "live bytes: header, segments of 2, 2 and 4 records" (16 + 64 + 64 + 128)
+  check_int "live bytes: segments of 2, 2 and 4 records" (64 + 56 + 104)
     (Pmem.Pstats.live_bytes stats - live0)
 
-(* A history is one DRAM record: the vector's handle, its segment array
+(* Pmem bytes per key, exactly: 126 keys, two full chain blocks,
+   written with 1, 2, 4 and 8 entries each, by single inserts, by insert
+   batches and by remove batches, hold the chain (its 16-byte header and
+   two blocks of 63 slots, 1,016 bytes each in the 1,024-byte class) and
+   history segments of 64, 64, 64 + 56 and 64 + 56 + 104 bytes a key:
+   with a slot's 16 bytes, 136 at 4 entries and 240 at 8. *)
+let bytes_per_key () =
+  let keys = List.init 126 Fun.id in
+  let paths =
+    [
+      ("insert", fun t v -> List.iter (fun k -> PStore.insert t k v) keys);
+      ("insert_batch", fun t v -> PStore.insert_batch t (List.map (fun k -> (k, v)) keys));
+      ("remove_batch", fun t _ -> PStore.remove_batch t keys);
+    ]
+  in
+  List.iter
+    (fun (path, write) ->
+      List.iter
+        (fun (entries, segments) ->
+          let heap = fresh_heap () in
+          let t = PStore.create heap in
+          for v = 1 to entries do
+            write t v
+          done;
+          check_int
+            (Printf.sprintf "%s, %d entries a key: live bytes" path entries)
+            (16 + (2 * 1024) + (126 * segments))
+            (Pmem.Pstats.live_bytes (Pmem.Pheap.stats heap)))
+        [ (1, 64); (2, 64); (4, 64 + 56); (8, 64 + 56 + 104) ])
+    paths
+
+(* A history is one DRAM record: its chain slot, its segment array
    and the two cursors as plain int fields (5 words), plus the segment
    array (4 words at 2 segments); an Atomic box per cursor (2 words
    each) fails the bound. The heap, the clock and the board are the
@@ -1358,7 +1426,7 @@ let history_live_bytes () =
 let history_footprint () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
-  let h = PH.create heap in
+  let h = new_history heap in
   for v = 1 to 4 do
     PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
@@ -1376,21 +1444,6 @@ let history_footprint () =
    first open must count stamp 3, or it sets fc to 2 and prunes key 4;
    it prunes slot 1, which was never visible, and the floor it persists
    keeps the next open from finding the gap at 3. *)
-(* A store's key chain in heap root 0, and a key's history registered
-   in it by hand, as the store would. *)
-let key_chain heap =
-  let chain = Pmem.Pblockchain.create heap ~block_slots:63 in
-  Pmem.Pheap.root_set heap 0 (Pmem.Pblockchain.handle chain);
-  chain
-
-let registered_history heap chain key =
-  let h = PH.create heap in
-  Pmem.Pblockchain.commit chain
-    (Pmem.Pblockchain.claim chain
-       ~key:(Mvdict.Codec.encode (module Mvdict.Codec.Int_key) heap key))
-    ~hist:(PH.handle h);
-  h
-
 let recovery_counts_stamps_behind_an_unstamped_slot () =
   let media, heap = crash_heap () in
   let ctx, board = history_env () in
@@ -1423,16 +1476,21 @@ let slot_words heap h slot =
   let word w = Pmem.Pvector.get_word heap (PH.H.segs h) ~record:slot ~word:w in
   (word 0, word 1, word 2)
 
-(* Reopen [h] from the durable image, as a restart would. *)
+(* Reopen [h] from the durable image, as a restart would: through the
+   root its chain slot holds. *)
 let recover heap h ~ctx =
-  PH.attach_pruned (Pmem.Pheap.reopen heap) (PH.handle h) ~fc:(Mvdict.Version.fc ctx)
+  let chain_slot = PH.chain_slot h in
+  let root =
+    Pmem.Media.get_i64 (Pmem.Pheap.media heap) (Pmem.Pblockchain.history_word chain_slot)
+  in
+  PH.attach_pruned (Pmem.Pheap.reopen heap) ~chain_slot root ~fc:(Mvdict.Version.fc ctx)
 
 (* A record inside one line is written but not stamped: nothing of it
    was persisted, so the slot reads all zero after the crash. *)
 let crash_unstamped_one_line_record () =
   let media, heap = crash_heap () in
   let ctx, board = history_env () in
-  let h = PH.create heap in
+  let h = new_history heap in
   append_until heap h ~ctx ~board (fun start -> start < 48);
   let slot = PH.H.append_entry heap h ~version:2 (int_word heap 2) in
   Pmem.Media.simulate_crash media;
@@ -1449,7 +1507,7 @@ let crash_unstamped_blob_record offset () =
   let media, heap = crash_heap () in
   let stats = Pmem.Pheap.stats heap in
   let ctx, board = history_env () in
-  let h = PH.create heap in
+  let h = new_history heap in
   append_until heap h ~ctx ~board (( = ) offset);
   PH.H.grow heap h (PH.H.pending_length h + 1);
   let blob = int_word heap (-7) in
@@ -1467,19 +1525,19 @@ let crash_unstamped_blob_record offset () =
 (* Growth into a block recycled from a free list: the block still holds
    another history's stamped records, which must not resurface past
    this history's own records after a crash, nor be freed by recovery.
-   Both histories' segment for records 8-15 is the only 256-byte block. *)
+   Both histories' segment for records 8-15 is the only 200-byte block. *)
 let crash_growth_into_reused_block () =
   let media, heap = crash_heap () in
   let stats = Pmem.Pheap.stats heap in
   let ctx, board = history_env () in
-  let old = PH.create heap in
+  let old = new_history heap in
   for v = 1 to 16 do
     PH.H.append heap old ~ctx ~board ~version:v (int_word heap (-v))
   done;
   let buffer h = record_start heap h 8 in
   let old_buffer = buffer old in
   PH.destroy heap old;
-  let h = PH.create heap in
+  let h = new_history heap in
   for v = 17 to 25 do
     PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
@@ -1544,7 +1602,7 @@ let crash_after_concurrent_inserts () =
    floor word whatever the key count, and one that drops records costs
    in proportion to the keys that drop them. A dropping key here keeps
    one record: its new segment is persisted once (its capacity word and
-   the record, 1 or 2 lines) and its header swap once (1 line), and the
+   the record, 1 or 2 lines) and its root swap once (1 line), and the
    frees of its old segments and blobs write nothing. *)
 let compaction_pass_cost () =
   let pass ~keys ~dropping =
@@ -1727,8 +1785,8 @@ let compaction_crash_points () =
      last flush. *)
   let flushes = crash_at 1 - 1 in
   check_int
-    "the pass's flushes: the floor, a segment and a header swap for each of keys 1, 2 \
-     and 4, and key 3's history and key words"
+    "the pass's flushes: the floor, a segment and a root swap for each of keys 1, 2 \
+     and 4, and key 3's slot and key words"
     9 flushes
 
 (* A growing history: counted crash points. *)
@@ -1792,45 +1850,42 @@ let growth_crash_points ~batch () =
 
 (* Allocator state rebuilt at open: counted costs and crash points. *)
 
-(* A key's chain slot offset and history handle, found through the key
-   chain. *)
+(* A key's chain slot offset and the first segment of its history, which
+   the slot's history word points at, found through the key chain. *)
 let chain_slot heap key =
   let chain = Pmem.Pblockchain.attach heap (Pmem.Pheap.root_get heap 0) in
   let media = Pmem.Pheap.media heap in
   let found = ref None in
   Array.iter
     (fun block ->
-      for slot = 0 to Pmem.Pblockchain.block_slots chain - 1 do
-        match Pmem.Pblockchain.read_slot chain block slot with
-        | Some (word, hist)
-          when Mvdict.Codec.decode (module Mvdict.Codec.Int_key) media word = key ->
-            found := Some (block + 8 + (16 * slot), hist)
-        | _ -> ()
-      done)
+      Pmem.Pblockchain.iter_block chain block (fun ~slot ~key:word ~hist ->
+          if Mvdict.Codec.decode (module Mvdict.Codec.Int_key) media word = key then
+            found := Some (slot, hist)))
     (Pmem.Pblockchain.block_offsets chain);
   Option.get !found
 
 let line off = off / Pmem.Media.cache_line
 
 (* A new key's first insert on a heap whose reservation is warm takes
-   three barriers: the history's capacity word and header (one line
-   when they share it), then the chain slot (its commit word), then
-   the record's stamp. The allocator persists nothing. Key 3's chain
-   slot and first record each lie within one line. *)
+   three barriers: the first segment's capacity word, with the lines of
+   the first record that lie before its stamp's line, then the chain
+   slot (its commit word, which points at that segment), then the
+   record's stamp. The allocator persists nothing. Key 3's chain slot
+   lies within one line. *)
 let new_key_insert_cost () =
   let heap = fresh_heap () in
   let t = PStore.create heap in
   PStore.insert t 1 1;
   PStore.insert t 2 2;
   let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PStore.insert t 3 3) in
-  let slot, hist = chain_slot heap 3 in
-  let first = Pmem.Media.get_i64 (Pmem.Pheap.media heap) hist in
+  let slot, first = chain_slot heap 3 in
+  let stamp = first + 16 + 16 in
+  let payload = List.filter (fun l -> l < line stamp) [ line (first + 16); line (first + 24) ] in
+  let first_barrier = List.sort_uniq compare (line (first + 8) :: payload) in
   check_bool "the chain slot lies within one line" true (line slot = line (slot + 15));
-  check_bool "the first record lies within one line" true (line (first + 16) = line (first + 39));
-  let history = List.sort_uniq compare [ line (first + 8); line hist; line (hist + 15) ] in
-  check_int "fences: history, chain slot, record" 3 fences;
-  check_int "lines: capacity word and header, chain slot, record"
-    (List.length history + 2) lines
+  check_int "fences: capacity word, chain slot, record" 3 fences;
+  check_int "lines: capacity word and payload, chain slot, stamp"
+    (List.length first_barrier + 2) lines
 
 (* New keys: publication, crash points and the insert race. *)
 
@@ -2101,8 +2156,8 @@ let publication_oracle () =
 
 (* A record's persist cost: 1 line and 1 fence inside one line, 2 of
    each when it straddles two. *)
-let record_cost heap hist slot =
-  let start = record_at heap hist slot in
+let record_cost heap chain_slot slot =
+  let start = record_at heap chain_slot slot in
   if line start = line (start + 23) then 1 else 2
 
 (* A write to an existing key is a chunk of one key with no new key:
@@ -2114,11 +2169,11 @@ let existing_key_insert_cost () =
   let heap = fresh_heap () in
   let t = PStore.create heap in
   PStore.insert t 1 0;
-  let _, hist = chain_slot heap 1 in
+  let key_slot, _ = chain_slot heap 1 in
   let one_line = ref 0 in
   for slot = 1 to 16 do
     let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PStore.insert t 1 slot) in
-    let record = record_cost heap hist slot in
+    let record = record_cost heap key_slot slot in
     if record = 1 then incr one_line;
     let growth = if slot land (slot - 1) = 0 && slot >= 2 then 1 else 0 in
     check_int (Printf.sprintf "slot %d: lines" slot) (record + growth) lines;
@@ -2131,21 +2186,27 @@ let existing_key_insert_cost () =
 
 (* A 64-key batch of existing keys with no growth costs 2 fences,
    0.031 per key: its payload barrier (the lines before the stamps of
-   records that straddle two) and its stamps' barrier. *)
+   records that straddle two) and its stamps' barrier. The batch writes
+   each key's fourth record, into the 56-byte segments that the third
+   batch linked one after another, so that some of them straddle (every
+   64-byte first segment starts at the same line offset, and each of
+   their second records fits one line). *)
 let existing_keys_batch_cost () =
   let heap = fresh_heap () in
   let t = PStore.create heap in
   let keys = List.init 64 (fun k -> 100 + k) in
-  PStore.insert_batch t (List.map (fun k -> (k, 0)) keys);
+  for v = 0 to 2 do
+    PStore.insert_batch t (List.map (fun k -> (k, v)) keys)
+  done;
   let straddling =
     List.length
-      (List.filter (fun k -> record_cost heap (snd (chain_slot heap k)) 1 = 2) keys)
+      (List.filter (fun k -> record_cost heap (fst (chain_slot heap k)) 3 = 2) keys)
   in
   let _, fences =
     cost (Pmem.Pheap.stats heap) (fun () ->
-        PStore.insert_batch t (List.map (fun k -> (k, 1)) keys))
+        PStore.insert_batch t (List.map (fun k -> (k, 3)) keys))
   in
-  check_bool "some second records straddle two lines" true (straddling > 0);
+  check_bool "some fourth records straddle two lines" true (straddling > 0);
   check_int "fences: payloads, stamps" 2 fences
 
 (* A 64-key batch of new keys costs its chunk's three barriers
@@ -2184,8 +2245,7 @@ let crash_before_link_frees_segment () =
     PStore.insert t 1 10;
     PStore.insert t 1 11;
     ignore (PStore.tag t);
-    let _, hist = chain_slot heap 1 in
-    let first = Pmem.Media.get_i64 media hist in
+    let _, first = chain_slot heap 1 in
     Pmem.Media.crash_after media ~flushes:k;
     (match PStore.insert t 1 12 with
     | () -> Alcotest.fail "the growing append did not crash"
@@ -2256,8 +2316,8 @@ let rebuild_reports_freed_bytes () =
 
 (* Every block the store can reach from heap root 0, with its allocated
    size, found by walking the media: the key chain and its blocks, and
-   per slot its key blob, its history header, segments and the blobs
-   its records point to. *)
+   per slot its key blob, the segments of the history whose first one
+   the slot points at, and the blobs its records point to. *)
 let rounded_size size =
   match Array.find_opt (fun c -> c >= size) Pmem.Alloc.size_classes with
   | Some c -> c
@@ -2277,15 +2337,13 @@ let reachable_blocks heap =
   Array.iter
     (fun block -> add block (8 + (16 * Pmem.Pblockchain.block_slots chain)))
     (Pmem.Pblockchain.block_offsets chain);
-  Pmem.Pblockchain.iter_slots chain (fun ~key ~hist ->
+  Pmem.Pblockchain.iter_slots chain (fun ~key ~hist:first ->
       blob key;
-      add hist 16;
       let values seg base n =
         for i = 0 to n - 1 do
           blob (Pmem.Media.get_i64 media (seg + base + (24 * i) + 8))
         done
       in
-      let first = Pmem.Media.get_i64 media hist in
       let c = Pmem.Media.get_i64 media (first + 8) in
       add first (16 + (24 * c));
       values first 16 c;
@@ -2471,6 +2529,8 @@ let () =
             (find_races_growth (module P) ~writers:2);
           Alcotest.test_case "a held stamp stalls the 4,096-cell ring" `Quick
             completion_ring_wraps;
+          Alcotest.test_case "the completion ring keeps one word per cell" `Quick
+            completion_footprint;
         ] );
       ("pskiplist-conformance", PC.tests "PSkipList");
       ("eskiplist-conformance", EC.tests "ESkipList");
@@ -2535,7 +2595,9 @@ let () =
           Alcotest.test_case "8 appends cost 10 lines and 10 fences" `Quick
             history_append_cost;
           Alcotest.test_case "growth persists no zeros" `Quick history_growth_cost;
-          Alcotest.test_case "8 appends hold 272 live bytes" `Quick history_live_bytes;
+          Alcotest.test_case "8 appends hold 224 live bytes" `Quick history_live_bytes;
+          Alcotest.test_case "keys of 1, 2, 4 and 8 entries hold 64, 64, 120 and 224 bytes"
+            `Quick bytes_per_key;
           Alcotest.test_case "crash before the stamp leaves a zero slot" `Quick
             crash_unstamped_one_line_record;
           Alcotest.test_case "crash mid straddling record at 48" `Quick

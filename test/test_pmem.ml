@@ -522,7 +522,8 @@ let pheap_rejects_bad_magic () =
    history in one buffer, whose first word is its capacity; version 3
    and later read that word as a segment link. Version-3 pools persist
    a bump pointer and free-list heads where version 4 keeps its
-   reservation. *)
+   reservation. A version-4 key-chain slot points at a history header,
+   where version 5 reads the history's first segment. *)
 let old_layout_pool version =
   let path = Filename.temp_file "mvkv" ".pool" in
   let heap = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
@@ -644,7 +645,7 @@ let blob_free_recycles () =
 
 let pvector_words () =
   let h = small_heap () in
-  let _, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h ~initial_capacity:2 in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 10;
   Pmem.Pvector.set_word h v ~record:0 ~word:1 20;
   Pmem.Pvector.set_word h v ~record:0 ~word:2 30;
@@ -663,7 +664,7 @@ let pvector_words () =
 
 let pvector_grow_preserves () =
   let h = small_heap () in
-  let _, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h ~initial_capacity:2 in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 1;
   Pmem.Pvector.set_word h v ~record:1 ~word:0 2;
   Pmem.Pvector.persist_record h v ~record:0;
@@ -676,19 +677,24 @@ let pvector_grow_preserves () =
   Pmem.Pvector.set_word h v ~record:2 ~word:0 3;
   check_int "new record writable" 3 (Pmem.Pvector.get_word h v ~record:2 ~word:0)
 
+(* A vector has no header: its root is its first segment, whose link
+   and capacity words lead its records. *)
 let pvector_attach () =
   let h = small_heap () in
-  let handle, v = Pmem.Pvector.create h ~initial_capacity:4 in
+  let v = Pmem.Pvector.create h ~initial_capacity:4 in
   Pmem.Pvector.set_word h v ~record:2 ~word:1 77;
   Pmem.Pvector.persist_record h v ~record:2;
-  let v2 = Pmem.Pvector.attach h handle in
+  let root = Pmem.Pvector.root v in
+  let v2 = Pmem.Pvector.attach h root in
   check_int "word after attach" 77 (Pmem.Pvector.get_word h v2 ~record:2 ~word:1);
-  check_int "record_words" 3 (Pmem.Media.get_i64 (Pmem.Pheap.media h) (handle + 8))
+  check_int "capacity word" 4 (Pmem.Media.get_i64 (Pmem.Pheap.media h) (root + 8));
+  Alcotest.check_raises "null root" (Invalid_argument "Pvector.attach: null root")
+    (fun () -> ignore (Pmem.Pvector.attach h Pmem.Pptr.null))
 
 let pvector_grow_crash_safe () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
-  let handle, v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h ~initial_capacity:2 in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 5;
   Pmem.Pvector.persist_record h v ~record:0;
   ignore (Pmem.Pvector.grow h v 8);
@@ -696,7 +702,7 @@ let pvector_grow_crash_safe () =
      leave an attachable vector with the data intact. *)
   Pmem.Media.simulate_crash media;
   let h2 = Pmem.Pheap.reopen h in
-  let v2 = Pmem.Pvector.attach h2 handle in
+  let v2 = Pmem.Pvector.attach h2 (Pmem.Pvector.root v) in
   check_int "data survives crash after grow" 5
     (Pmem.Pvector.get_word h2 v2 ~record:0 ~word:0);
   check_bool "capacity valid" true (Pmem.Pvector.capacity v2 >= 2)
@@ -954,6 +960,9 @@ let () =
           Alcotest.test_case "refuses a layout-3 pool" `Quick (pheap_rejects_layout 3);
           Alcotest.test_case "mvkv find on a layout-3 pool exits 2 with one line" `Quick
             (mvkv_rejects_layout 3);
+          Alcotest.test_case "refuses a layout-4 pool" `Quick (pheap_rejects_layout 4);
+          Alcotest.test_case "mvkv find on a layout-4 pool exits 2 with one line" `Quick
+            (mvkv_rejects_layout 4);
           Alcotest.test_case "mvkv find on a pool a server holds exits 2 with one line"
             `Quick mvkv_refuses_a_held_pool;
           Alcotest.test_case "reopen retires the replaced allocator" `Quick
