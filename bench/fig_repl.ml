@@ -86,10 +86,7 @@ let run_replicated ~n =
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
   let chain =
-    Repl.Chain.create ~epoch_cell
-      ~snapshot:(fun ?version () ->
-        Store.extract_snapshot primary_store ?version ())
-      ~current_version:(fun () -> Store.current_version primary_store)
+    Repl.Chain.create ~epoch_cell ~store:primary_store
       [| Net.Sockaddr.Unix_sock b_path |]
   in
   let primary =

@@ -449,10 +449,7 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
         if Array.length backups = 0 then (None, None)
         else begin
           let chain =
-            Repl.Chain.create ~epoch_cell
-              ~snapshot:(fun ?version () -> Store.extract_snapshot store ?version ())
-              ~current_version:(fun () -> Store.current_version store)
-              backups
+            Repl.Chain.create ~epoch_cell ~store backups
           in
           ( Some (Repl.Chain.on_mutation chain),
             Some (fun () -> Repl.Chain.tick chain) )

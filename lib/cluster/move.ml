@@ -70,26 +70,9 @@ let clock_of c = Net.Client.tag_at c ~version:0
    so the destination's skip-count install stays idempotent even when a
    page is replayed after a coordinator crash. *)
 let copy_span ctx ~src ~dst ~lo ~hi ~since =
-  let keys = ref 0 and events = ref 0 in
-  let cursor = ref lo in
-  let continue = ref true in
-  while !continue do
-    let chains =
-      Net.Client.migrate_pull src ~lo:!cursor ~hi ~since ~limit:ctx.page
-    in
-    if Array.length chains = 0 then continue := false
-    else begin
-      Net.Client.history_batch dst ~since chains;
-      Array.iter
-        (fun (_, evs) ->
-          incr keys;
-          events := !events + List.length evs)
-        chains;
-      let last, _ = chains.(Array.length chains - 1) in
-      if last >= hi - 1 then continue := false else cursor := last + 1
-    end
-  done;
-  (!keys, !events)
+  Net.Client.page_chains ~lo ~hi
+    ~pull:(fun ~lo -> Net.Client.migrate_pull src ~lo ~hi ~since ~limit:ctx.page)
+    ~ship:(Net.Client.history_batch dst ~since)
 
 (* The shared three-phase handoff engine. [rewrite] turns the current
    topology into the post-move one (set swap, split, or merge) — it runs

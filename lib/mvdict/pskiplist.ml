@@ -10,6 +10,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     ctx : Version.t;
     board : Completion.t;
     recovered_fc : int;
+    horizon : int Atomic.t;
     (* GC gate: ordinary operations pass through [gated]; compaction
        closes the gate, drains in-flight operations and then has the
        store to itself (a bounded stop-the-world pause). *)
@@ -25,6 +26,15 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      stamp <= F counts as present on recovery, so compaction may drop
      records and the ones it keeps keep their stamps. *)
   let floor_root_slot = 1
+
+  (* The compaction horizon h, the highest [before] any pass used: an
+     event above h is never dropped. Root slot 2 holds h + 1 once
+     recorded (0: none), beside the floor in one line, and both persist
+     with one flush before a pass drops anything. *)
+  let horizon_root_slot = 2
+
+  let set_floor heap ~floor ~horizon =
+    Pmem.Pheap.roots_set heap floor_root_slot [ floor; horizon + 1 ]
 
   (* Hot-path op metrics (lib/obs). Registry handles are get-or-create
      by name, so every functor instantiation shares them. *)
@@ -45,7 +55,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let new_index () = Concurrent.Skiplist.create ~compare:K.compare ()
 
-  let make_store heap chain index ctx recovered_fc =
+  let make_store heap chain index ctx recovered_fc ~horizon =
     {
       heap;
       media = Pmem.Pheap.media heap;
@@ -54,6 +64,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       ctx;
       board = Completion.create ctx;
       recovered_fc;
+      horizon = Atomic.make horizon;
       gate_closed = Atomic.make false;
       gate_inflight = Atomic.make 0;
       gc_lock = Mutex.create ();
@@ -93,7 +104,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
       invalid_arg "Pskiplist.create: heap already holds a store (use open_existing)";
     let chain = Pmem.Pblockchain.create heap ~block_slots in
     Pmem.Pheap.root_set heap chain_root_slot (Pmem.Pblockchain.handle chain);
-    make_store heap chain (new_index ()) (Version.create ()) 0
+    make_store heap chain (new_index ()) (Version.create ()) 0 ~horizon:0
 
   (* ---- the write path ----
 
@@ -455,6 +466,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     let marks = Pmem.Alloc.marks alloc in
     Pmem.Pblockchain.mark chain marks;
     let floor = Pmem.Pheap.root_get heap floor_root_slot in
+    (* A floor with no horizon beside it: a build that recorded none
+       compacted or reopened this pool, so any version up to its clock
+       may be gone. *)
+    let recorded = Pmem.Pheap.root_get heap horizon_root_slot - 1 in
+    let unknown = recorded < 0 && floor > 0 in
     (* Every stamp is a word of the pool, so its words bound the count. *)
     let stamps =
       Recovery.stamps ~floor
@@ -471,7 +487,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     (* Pass 2 prunes the records behind an unstamped slot, stamps <= fc
        among them, so the floor moves up to fc first: the next open must
        not find a gap there and prune below fc. *)
-    if fc > floor then Pmem.Pheap.root_set heap floor_root_slot fc;
+    if fc > floor then
+      if unknown then Pmem.Pheap.root_set heap floor_root_slot fc
+      else set_floor heap ~floor:fc ~horizon:(max recorded 0);
     (* Pass 2 — prune beyond [fc] and rebuild the index in parallel:
        thread [tid] claims the chain blocks with index = tid mod threads
        and bulk-inserts their keys. *)
@@ -504,7 +522,8 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           !highest)
     in
     let clock = Array.fold_left max 0 max_versions in
-    let t = make_store heap chain index (Version.restore ~clock ~fc) fc in
+    let horizon = if unknown then clock else max recorded 0 in
+    let t = make_store heap chain index (Version.restore ~clock ~fc) fc ~horizon in
     Obs.Instr.finish m_recover t0;
     t
 
@@ -512,12 +531,12 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   (* The GC core; runs with the store quiesced (gate closed, in-flight
      drained, fc settled). Persist order is the crash-safety argument:
-     (1) the floor F = fc, before anything is dropped, so recovery
-     counts every dropped stamp as present and kept records keep their
-     stamps; (2) per history that drops records (a prefix: everything
-     before the newest entry at or below [before], and that entry too
-     when it is a removal marker) or is larger than its right size,
-     one root swap of its chain slot's history word
+     (1) the floor F = fc and the horizon, before anything is dropped,
+     so recovery counts every dropped stamp as present and kept records
+     keep their stamps; (2) per history that drops records (a prefix:
+     everything before the newest entry at or below [before], and that
+     entry too when it is a removal marker) or is larger than its right
+     size, one root swap of its chain slot's history word
      ([Phistory.drop_prefix]); (3) only after the swap, the dropped
      value blobs are freed. Keys whose history empties out are scrubbed:
      their chain slots, the histories' handles, are cleared (persisted)
@@ -526,7 +545,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
      steps strands blocks at worst, which the next open's rebuild frees,
      and never leaves a record pointing at freed storage. *)
   let compact_quiesced t ~before =
-    Pmem.Pheap.root_set t.heap floor_root_slot (Version.fc t.ctx);
+    let horizon = max (Atomic.get t.horizon) before in
+    set_floor t.heap ~floor:(Version.fc t.ctx) ~horizon;
+    Atomic.set t.horizon horizon;
     let free_values raw ~upto =
       for i = 0 to upto - 1 do
         let _, word, _ = raw.(i) in
@@ -643,6 +664,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         | None -> [||]
         | Some h -> Phistory.scan_persisted t.heap h)
 
+  let horizon t = Atomic.get t.horizon
   let recovered_fc t = t.recovered_fc
   let chain_claimed t = Pmem.Pblockchain.claimed t.chain
   let chain_free_slots t = Pmem.Pblockchain.free_slot_count t.chain

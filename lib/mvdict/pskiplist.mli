@@ -20,7 +20,8 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
 
   val create : ?block_slots:int -> Pmem.Pheap.t -> t
   (** Format a store in a fresh heap (root slot 0; {!compact} and
-      {!open_existing} write the stamp floor in root slot 1). [block_slots] is the key-chain block size (default
+      {!open_existing} write the stamp floor and the {!horizon} in root
+      slots 1 and 2). [block_slots] is the key-chain block size (default
       63: a block is [8 + 16 * slots] bytes, and 63 slots fill the
       1024-byte size class). *)
 
@@ -73,6 +74,14 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
 
   val gc_stop : gc -> unit
   (** Signal the GC domain to stop and join it. *)
+
+  val horizon : t -> int
+  (** The compaction horizon: the highest [before] any {!compact} of
+      this pool used (0 if none), persisted before the pass drops
+      anything. No event above it was ever dropped; one at or below it
+      may have been. A pool with a stamp floor but no recorded horizon
+      (compacted or reopened by a build that kept none) reads its clock
+      at open. *)
 
   val pull_chains :
     t ->

@@ -345,6 +345,24 @@ let history_batch t ~since chains =
   | Wire.Ack -> ()
   | r -> unexpected "history_batch" r
 
+(* Stream the version chains of [lo, hi) page by page from [pull] (the
+   page starting at a low key) to [ship]. A page ends on a whole chain,
+   so the next starts past its last key, and an empty page ends the
+   range. Returns the keys and events shipped. A shard move pulls from
+   the source over the wire, a replication catch-up from its own store. *)
+let page_chains ~pull ~ship ~lo ~hi =
+  let rec page lo keys events =
+    match pull ~lo with
+    | [||] -> (keys, events)
+    | chains ->
+        ship chains;
+        let keys = keys + Array.length chains in
+        let events = Array.fold_left (fun n (_, evs) -> n + List.length evs) events chains in
+        let last, _ = chains.(Array.length chains - 1) in
+        if last >= hi - 1 then (keys, events) else page (last + 1) keys events
+  in
+  page lo 0 0
+
 let range_seal t ~lo ~hi ~epoch ~endpoint =
   match call t (Wire.Range_seal { lo; hi; epoch; endpoint }) with
   | Wire.Ack -> ()

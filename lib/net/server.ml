@@ -108,9 +108,10 @@ type t = {
           are rejected with [Bad_epoch]. Shared with the replication
           chain (when one is attached) so forwarded frames always
           carry the epoch the server is fencing at. *)
-  on_mutation : (Wire.request -> Wire.response -> unit) option;
-      (** called after a client mutation applied successfully —
-          the primary-side replication hook. Never called for
+  on_mutation : (Wire.request -> (unit -> Wire.response) -> Wire.response) option;
+      (** the primary-side replication hook: handed each gated client
+          mutation and the thunk that applies it locally, it runs the
+          thunk once and returns its response. Never called for
           [Replicate] frames, so forwarding is one hop deep. *)
   stop_flag : bool Atomic.t;
   active : int Atomic.t;
@@ -218,13 +219,14 @@ let sealed_reject (_, _, epoch, endpoint, _) =
 
 (* Grace-period drain: observe every worker's in-flight flag at zero
    once. A flag is up for one frame's apply and its synchronous
-   replication forward ([offer] runs inside the gate), so each wait is
-   bounded by one store operation plus, on a primary, one forward to
-   each backup: up to the chain's 2,000 ms client timeout per backup,
-   or a whole catch-up. Not by traffic, since each flag is observed at
-   zero only once. The flagged worker never waits on the drainer: no
-   flagged apply drains (see [gated]), and a forward waits only on its
-   backups and the chain's mutex, never on a flag. *)
+   replication forward (the hook wraps the apply inside the gate), so
+   each wait is bounded by one store operation plus, on a primary, the
+   chain's mutex and one forward to each backup: up to the chain's
+   2,000 ms client timeout per backup, or a whole catch-up. Not by
+   traffic, since each flag is observed at zero only once. The flagged
+   worker never waits on the drainer: no flagged apply drains (see
+   [gated]), and the chain's mutex is held only by forwards and
+   catch-ups, which wait on backups, never on a flag. *)
 let drain_mutations t =
   Array.iter
     (fun flag ->
@@ -430,41 +432,9 @@ let finish_op t req t0 =
         Obs.Slowlog.note t.slow ~op:(Wire.request_label req)
           ?key:(Wire.request_key req) ~latency_ns:elapsed ()
 
-(* Hand a successfully applied mutation to the replication hook. A
-   replication failure must not poison the client connection; the
-   chain records the lag and catches the backup up later. *)
-let offer t req resp =
-  match (resp, t.on_mutation) with
-  | Wire.Error _, _ | _, None -> ()
-  | resp, Some hook -> (
-      try hook req resp
-      with e ->
-        Printf.eprintf "net.server: replication hook failed: %s\n%!"
-          (Printexc.to_string e))
-
-(* [replicated] marks a frame forwarded by another primary: it must be
-   applied but never re-forwarded, which keeps the chain one hop deep
-   and loop-free. Everything else that mutates and succeeds is handed
-   to [on_mutation] (the replication chain) after the local apply, so
-   the ack the client sees means "applied here and offered to every
-   reachable backup". *)
-let dispatch_core t ~replicated req =
-  let t0 = Obs.Instr.start () in
-  let resp =
-    match apply t req with
-    | resp -> resp
-    | exception e ->
-        Obs.Metric.incr c_errors;
-        Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
-  in
-  finish_op t req t0;
-  if (not replicated) && Wire.is_mutation req then offer t req resp;
-  resp
-
-(* Which requests pass the write gate: the ones that change state.
-   A clock probe ([Tag_at 0]) changes nothing, and it drains every
-   flag itself. [Wire.is_mutation] still counts it, because that
-   predicate also decides what replicates.
+(* Which requests pass the write gate and the replication hook: the
+   ones that change state. A clock probe ([Tag_at 0]) changes nothing,
+   and it drains every flag itself.
 
    Invariant: no thread waits on a flag while it holds one. The two
    drains ([Tag_at 0] and [Range_seal]) therefore run unflagged;
@@ -473,6 +443,28 @@ let dispatch_core t ~replicated req =
 let gated req =
   Wire.is_mutation req
   && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
+
+(* [replicated] marks a frame forwarded by another primary: it must be
+   applied but never re-forwarded, which keeps the chain one hop deep
+   and loop-free. Every other gated request is applied through
+   [on_mutation] (the replication chain), which forwards it in the
+   order of the local applies, so the ack the client sees means
+   "applied here and offered to every reachable backup". *)
+let dispatch_core t ~replicated req =
+  let t0 = Obs.Instr.start () in
+  let resp =
+    match
+      match t.on_mutation with
+      | Some hook when (not replicated) && gated req -> hook req (fun () -> apply t req)
+      | _ -> apply t req
+    with
+    | resp -> resp
+    | exception e ->
+        Obs.Metric.incr c_errors;
+        Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
+  in
+  finish_op t req t0;
+  resp
 
 (* Gated client requests pass the write gate around [dispatch_core]:
    raise the worker's in-flight flag [gate], then either bounce off a

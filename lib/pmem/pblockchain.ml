@@ -221,19 +221,15 @@ let iter_slots t f =
     (fun block -> iter_block t block (fun ~slot:_ ~key ~hist -> f ~key ~hist))
     (block_offsets t)
 
-(* GC entry point. Nulling the (persisted) history word first turns the
-   slot into an ordinary hole — a crash part-way through leaves holes and
+(* GC entry point. Nulling the (persisted) history word turns the slot
+   into an ordinary hole — a crash part-way through leaves holes and
    orphaned key/history blocks (freed by the next open's rebuild), never
-   dangling pointers.
+   dangling pointers. A hole's key word is left as it was: every reader
+   tests the history word first, and [claim] rewrites the key word.
    The caller must hold off concurrent claims and readers (the store
    quiesces around compaction). *)
 let release_slots t slots ~on_release =
-  List.iter
-    (fun off ->
-      on_release ~key:(clear t off);
-      Media.set_i64 t.media off 0;
-      Media.persist t.media off 8)
-    slots
+  List.iter (fun off -> on_release ~key:(clear t off)) slots
 
 let free_slot_count t =
   Mutex.lock t.free_lock;

@@ -65,8 +65,9 @@ val claimed : t -> int
 
 val release_slots : t -> Pptr.t list -> on_release:(key:int -> unit) -> unit
 (** [release_slots t slots ~on_release] releases each of [slots], in
-    order: it {!clear}s the slot, calls [on_release] on its key word
-    (e.g. to free a key blob), then zeroes and persists the key word.
+    order: it {!clear}s the slot, then calls [on_release] on its key
+    word (e.g. to free a key blob). The key word stays as it was: no
+    reader looks past a hole's null history word.
     NOT safe concurrently with appends or readers — the caller must
     quiesce the store first. *)
 

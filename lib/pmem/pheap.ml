@@ -69,9 +69,14 @@ let root_get t i =
   check_slot i;
   Media.get_i64 t.media (roots_off + (8 * i))
 
-let root_set t i ptr =
-  check_slot i;
-  Media.set_i64 t.media (roots_off + (8 * i)) ptr;
-  Media.persist t.media (roots_off + (8 * i)) 8
+let roots_set t i ptrs =
+  List.iteri
+    (fun j ptr ->
+      check_slot (i + j);
+      Media.set_i64 t.media (roots_off + (8 * (i + j))) ptr)
+    ptrs;
+  Media.persist t.media (roots_off + (8 * i)) (8 * List.length ptrs)
+
+let root_set t i ptr = roots_set t i [ ptr ]
 
 let close t = Media.close t.media

@@ -52,4 +52,9 @@ val root_get : t -> int -> Pptr.t
 val root_set : t -> int -> Pptr.t -> unit
 (** Atomically persist root slot [i]. *)
 
+val roots_set : t -> int -> Pptr.t list -> unit
+(** [roots_set t i ptrs] persists the slots from [i] on to [ptrs] with
+    one flush of the lines they span and one fence. Each word is
+    atomic; a crash before the fence may persist any subset. *)
+
 val close : t -> unit

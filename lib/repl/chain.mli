@@ -1,31 +1,41 @@
 (** Primary-side replication chain: forward applied mutations to the
     backups of this server's key range.
 
-    The chain is the [on_mutation] hook of a {!Net.Server}: after the
-    primary applies a client mutation locally, the chain ships it to
-    every backup as a [Replicate] frame — stamped with the
-    epoch cell it {e shares} with the server, so a fenced-out primary
-    stops forwarding the moment it learns of a newer epoch. Forwarding
-    is synchronous: by the time the client sees its ack, the write has
-    been offered to every reachable backup (a backup that is down is
-    marked out of sync and repaired later, and the ack still goes out —
-    availability over blocking; see DESIGN.md §6).
+    The chain is the [on_mutation] hook of a {!Net.Server}: it applies
+    each client mutation locally and ships it to every backup as a
+    [Replicate] frame under one mutex, held from before the apply until
+    the forward is sent, so backups receive the primary's apply order.
+    Frames are stamped with the epoch cell the chain {e shares} with the
+    server, so a fenced-out primary stops forwarding the moment it
+    learns of a newer epoch. Forwarding is synchronous: by the time the
+    client sees its ack, the write has been offered to every reachable
+    backup (a backup that is down is marked out of sync and repaired
+    later, and the ack still goes out — availability over blocking; see
+    DESIGN.md §6).
 
-    Catch-up (anti-entropy): a backup that missed writes — it was down,
-    partitioned, or just restarted empty — is brought back by a state
-    diff instead of an op replay: the primary reads the backup's state
-    over [[0, max_int)] (every cluster key) in paged [Scan] frames,
-    diffs it against its own ({!Mvdict.Snapshot.diff}), ships the
-    difference as [Replicate] batch frames of at most
-    {!Net.Wire.batch_chunk} elements, then aligns the version clock
-    with a [Replicate (Tag_at current)]. Every frame fits
-    {!Net.Wire.max_frame} however large the store. From the sync point
-    on, the backup answers reads exactly like the primary; history
-    {e below} the sync point is collapsed (the usual anti-entropy
-    contract — convergence forward, not retroactive replay).
-    Peers start out of sync, so a fresh pair syncs on first contact
-    (a no-op diff when both start empty, preserving exact history
-    parity for the lifetime of the pair). *)
+    Catch-up: a backup that missed writes (down, partitioned, or
+    restarted) is sent version chains, the way a shard move copies. The
+    primary probes the backup's clock ([Epoch_probe]) and picks a start
+    c: that clock, or the one this chain's last [Tag_at] left the
+    backup at if lower (a backup restarted over its own pool recovers
+    its clock as its highest version, which may be pending), or one
+    version below the probed clock when this chain never tagged the
+    backup. It ships every event above c over [[0, max_int)] (every
+    cluster key) as [Replicate (History_batch {since = c})] frames of
+    at most {!Net.Wire.batch_chunk} events, then aligns the clock with
+    [Replicate (Tag_at current)]. This is exact while the backup's
+    events above c are a prefix of the primary's, which holds for a
+    backup fed only by this chain (whose own GC keeps at least one
+    version) or started empty, and while the primary's compaction
+    horizon ({!Mvdict.Pskiplist}[.horizon]) is at or below c. Below it,
+    the backup is first emptied with existing frames (a [Remove_batch]
+    of its live keys, found by paged [Scan], and a [Compact] that drops
+    every history) and sent everything; [repl.catchup_resets] counts
+    that path. Either way the backup then answers every read, at every
+    version, as the primary does, unless its clock is past the
+    primary's (a restart committed its pending version): [Tag_at] only
+    raises a clock. Peers start out of sync, so a fresh pair syncs on
+    first contact. *)
 
 type t
 
@@ -35,23 +45,21 @@ type peer_status = {
   last_error : string option;  (** why the peer fell out of sync *)
 }
 
-val create :
-  epoch_cell:int Atomic.t ->
-  snapshot:(?version:int -> unit -> (int * int) array) ->
-  current_version:(unit -> int) ->
-  Net.Sockaddr.t array ->
-  t
+val create : epoch_cell:int Atomic.t -> store:Net.Server.S.t -> Net.Sockaddr.t array -> t
 (** [epoch_cell] must be the same cell handed to [Server.start] so the
-    chain forwards with whatever epoch the server has adopted.
-    [snapshot]/[current_version] read the primary's own store (the
-    catch-up source). Backup connections time out after 2000 ms and
-    retry once: a dead backup must not stall client writes for long. *)
+    chain forwards with whatever epoch the server has adopted, and
+    [store] the store it serves (the catch-up source). Backup
+    connections time out after 2000 ms and retry once: a dead backup
+    must not stall client writes for long. *)
 
-val on_mutation : t -> Net.Wire.request -> Net.Wire.response -> unit
-(** The [Server.start ?on_mutation] hook. [Tag] is canonicalised
-    against the primary's response before forwarding ([Tag_at] the
-    acked version), so backups converge on the same clock without
-    racing their own; [Compact] already carries an absolute horizon. *)
+val on_mutation :
+  t -> Net.Wire.request -> (unit -> Net.Wire.response) -> Net.Wire.response
+(** The [Server.start ?on_mutation] hook: runs the local apply, then
+    forwards its outcome, under the chain's mutex. [Tag] is
+    canonicalised against the primary's response before forwarding
+    ([Tag_at] the acked version), so backups converge on the same clock
+    without racing their own; [Compact] already carries an absolute
+    horizon. *)
 
 val tick : t -> unit
 (** Opportunistic repair: try to catch up every out-of-sync backup.

@@ -587,9 +587,7 @@ let e2e_connected_trace () =
   in
   let epoch_cell = Atomic.make 0 in
   let chain =
-    Repl.Chain.create ~epoch_cell
-      ~snapshot:(fun ?version () -> Store.extract_snapshot stores.(0) ?version ())
-      ~current_version:(fun () -> Store.current_version stores.(0))
+    Repl.Chain.create ~epoch_cell ~store:stores.(0)
       [| Net.Sockaddr.Unix_sock b_path |]
   in
   let servers =

@@ -1641,6 +1641,33 @@ let compaction_pass_cost () =
   check_bool (Printf.sprintf "lines grow with dropping keys: %d < %d" few many) true
     (few < many)
 
+(* The horizon is the highest [before] a pass used and survives a
+   reopen. A pool reopened but never compacted records 0 with its first
+   floor; one with a floor and no horizon, as a build that kept none
+   leaves it, reads its clock. *)
+let compaction_horizon () =
+  let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 20) () in
+  let t = PStore.create heap in
+  for v = 1 to 5 do
+    PStore.insert t 1 v;
+    ignore (PStore.tag t)
+  done;
+  check_int "a fresh store" 0 (PStore.horizon t);
+  let heap = Pmem.Pheap.reopen heap in
+  ignore (PStore.open_existing heap);
+  let heap = Pmem.Pheap.reopen heap in
+  let t = PStore.open_existing heap in
+  check_int "reopened twice, never compacted" 0 (PStore.horizon t);
+  ignore (PStore.compact t ~before:3);
+  ignore (PStore.compact t ~before:2);
+  check_int "the highest before" 3 (PStore.horizon t);
+  let heap = Pmem.Pheap.reopen heap in
+  check_int "after a reopen" 3 (PStore.horizon (PStore.open_existing heap));
+  Pmem.Pheap.root_set heap 2 Pmem.Pptr.null;
+  let heap = Pmem.Pheap.reopen heap in
+  check_int "a floor with no horizon reads the clock" 5
+    (PStore.horizon (PStore.open_existing heap))
+
 (* The crash-point store. Stamps interleave across five keys: key 1
    holds inline values, keys 2 and 5 blobs, key 3 a blob under a
    removal marker (its floor: the pass scrubs it), and key 4 two
@@ -1785,9 +1812,9 @@ let compaction_crash_points () =
      last flush. *)
   let flushes = crash_at 1 - 1 in
   check_int
-    "the pass's flushes: the floor, a segment and a root swap for each of keys 1, 2 \
-     and 4, and key 3's slot and key words"
-    9 flushes
+    "the pass's flushes: the floor and horizon line, a segment and a root swap for \
+     each of keys 1, 2 and 4, and key 3's slot"
+    8 flushes
 
 (* A growing history: counted crash points. *)
 
@@ -2443,59 +2470,6 @@ let rebuild_crash_property =
       in
       prefix && blocks_tile heap && free_lists_distinct heap)
 
-(* Snapshot diff *)
-
-let int_diff = Mvdict.Snapshot.diff ~compare_key:Int.compare ~equal_value:Int.equal
-
-let snapshot_diff_basic () =
-  let prev = [| (1, 10); (2, 20); (4, 40) |] in
-  let next = [| (1, 10); (2, 21); (3, 30) |] in
-  check_bool "diff" true
-    (int_diff ~prev ~next
-    = [ Mvdict.Snapshot.Changed (2, 20, 21); Mvdict.Snapshot.Added (3, 30);
-        Mvdict.Snapshot.Removed (4, 40) ]);
-  check_bool "empty diff" true (int_diff ~prev ~next:prev = [])
-
-let snapshot_diff_against_store () =
-  let t = P.make () in
-  PStore.insert t 1 10;
-  PStore.insert t 2 20;
-  let v1 = PStore.tag t in
-  PStore.remove t 1;
-  PStore.insert t 2 21;
-  PStore.insert t 3 30;
-  let v2 = PStore.tag t in
-  let d =
-    int_diff
-      ~prev:(PStore.extract_snapshot t ~version:v1 ())
-      ~next:(PStore.extract_snapshot t ~version:v2 ())
-  in
-  check_bool "store diff" true
-    (d
-    = [ Mvdict.Snapshot.Removed (1, 10); Mvdict.Snapshot.Changed (2, 20, 21);
-        Mvdict.Snapshot.Added (3, 30) ])
-
-let snapshot_diff_property =
-  QCheck.Test.make ~name:"applying diff to prev yields next" ~count:200
-    QCheck.(pair (list (pair (int_bound 50) small_int)) (list (pair (int_bound 50) small_int)))
-    (fun (a, b) ->
-      let dedup_sorted l =
-        IntMap.bindings (List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty l)
-      in
-      let prev = Array.of_list (dedup_sorted a) in
-      let next = Array.of_list (dedup_sorted b) in
-      let applied =
-        List.fold_left
-          (fun m change ->
-            match change with
-            | Mvdict.Snapshot.Added (k, v) -> IntMap.add k v m
-            | Mvdict.Snapshot.Removed (k, _) -> IntMap.remove k m
-            | Mvdict.Snapshot.Changed (k, _, v) -> IntMap.add k v m)
-          (IntMap.of_seq (Array.to_seq prev))
-          (int_diff ~prev ~next)
-      in
-      IntMap.bindings applied = Array.to_list next)
-
 let () =
   Alcotest.run "mvdict"
     [
@@ -2569,6 +2543,7 @@ let () =
           Alcotest.test_case "a pass costs the floor plus the dropping keys" `Quick
             compaction_pass_cost;
           Alcotest.test_case "every crash point of a pass" `Quick compaction_crash_points;
+          Alcotest.test_case "the horizon survives a reopen" `Quick compaction_horizon;
         ] );
       ( "gc",
         [
@@ -2577,12 +2552,6 @@ let () =
           Alcotest.test_case "online gc with concurrent writer" `Quick
             online_gc_with_concurrent_writer;
           QCheck_alcotest.to_alcotest compact_twin_equivalence;
-        ] );
-      ( "snapshot-diff",
-        [
-          Alcotest.test_case "basic" `Quick snapshot_diff_basic;
-          Alcotest.test_case "against store" `Quick snapshot_diff_against_store;
-          QCheck_alcotest.to_alcotest snapshot_diff_property;
         ] );
       ( "batch",
         [

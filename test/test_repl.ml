@@ -4,10 +4,14 @@
    lost, qcheck parity with a single PSkipList across find / history /
    snapshot at every version after promotion), the stale-epoch
    contract (typed Bad_epoch surfaced as Router.Stale_epoch, recovery
-   via topology reload), and fault schedules on the real chain
-   (partition then heal, slow replica, crash + promote + rejoin), with
-   faults injected from the test side only: a relay thread that delays
-   or severs the chain's bytes, and server stops and restarts. The
+   via topology reload), exact replicas (forwards in apply order,
+   catch-up by version chains above and below the compaction horizon,
+   with a GC pass mid-copy or a backup restarted over its own pool, its
+   wire bytes, drains beside writers), and fault schedules on the
+   real chain (partition then heal, slow replica, crash + promote +
+   rejoin), with faults injected from the test side only: a relay
+   thread that delays or severs the chain's bytes, and server stops
+   and restarts. The
    frame-limit cases move a store too large for one frame through the
    router's snapshot, the client and the chain's catch-up. *)
 
@@ -50,9 +54,7 @@ let serve ?(epoch = 0) store path =
 let serve_primary ?(epoch = 0) store path backups =
   let epoch_cell = Atomic.make epoch in
   let chain =
-    Repl.Chain.create ~epoch_cell
-      ~snapshot:(fun ?version () -> Store.extract_snapshot store ?version ())
-      ~current_version:(fun () -> Store.current_version store)
+    Repl.Chain.create ~epoch_cell ~store
       (Array.map (fun p -> Net.Sockaddr.Unix_sock p) backups)
   in
   let server =
@@ -159,7 +161,7 @@ let chain_catchup_after_backup_restart () =
   ignore (Net.Client.tag client);
   check_bool "peer marked lagging" false (Repl.Chain.in_sync r.chain);
   (* it comes back empty on the same address; the next tick repairs it
-     with a ranged state diff, not an op replay *)
+     by shipping every version chain above its clock 0 *)
   let backup_store' = fresh_store () in
   let backup' = serve backup_store' r.b_path in
   Fun.protect ~finally:(fun () -> try Net.Server.stop backup' with _ -> ())
@@ -336,12 +338,15 @@ let with_cleanup f =
    chain dials [path] and each accepted connection is piped to
    [upstream], waiting [delay] seconds before passing on each chunk it
    reads (a slow link). While [cut] is set, the relay has severed its
-   connections and hangs up on new ones (a partition). *)
+   connections and hangs up on new ones (a partition). [tap] runs
+   before each chunk toward the backup is passed on: a test's way to
+   act between two frames of one catch-up. *)
 type relay = {
   path : string;
   upstream : string;
   delay : float;
   cut : bool Atomic.t;
+  tap : (unit -> unit) Atomic.t;
   closing : bool Atomic.t;
   m : Mutex.t;
   mutable live : Unix.file_descr list;
@@ -357,12 +362,13 @@ let sever fds =
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     fds
 
-let pump relay src dst =
+let pump relay ~on_chunk src dst =
   let buf = Bytes.create 65536 in
   let rec go () =
     match Unix.read src buf 0 (Bytes.length buf) with
     | 0 -> ()
     | n ->
+        on_chunk ();
         Thread.delay relay.delay;
         ignore (Unix.write dst buf 0 n);
         go ()
@@ -375,8 +381,8 @@ let relay_conn relay down =
   | exception Unix.Unix_error _ -> Unix.close down
   | up ->
       locked relay.m (fun () -> relay.live <- down :: up :: relay.live);
-      let back = Thread.create (fun () -> pump relay up down) () in
-      pump relay down up;
+      let back = Thread.create (fun () -> pump relay ~on_chunk:ignore up down) () in
+      pump relay ~on_chunk:(fun () -> Atomic.get relay.tap ()) down up;
       Thread.join back;
       locked relay.m (fun () ->
           relay.live <- List.filter (fun fd -> fd <> down && fd <> up) relay.live);
@@ -403,6 +409,7 @@ let start_relay ?(delay = 0.) ~path ~upstream () =
       upstream;
       delay;
       cut = Atomic.make false;
+      tap = Atomic.make ignore;
       closing = Atomic.make false;
       m = Mutex.create ();
       live = [];
@@ -483,8 +490,8 @@ let partition_then_heal () =
   for k = 10 to 19 do
     apply_via client reference (Insert (k, k))
   done;
-  (* a key the cut-off backup holds: the heal must read the backup's
-     state to see it go *)
+  (* a key the cut-off backup holds: the heal must ship its removal
+     marker *)
   apply_via client reference (Remove 3);
   apply_via client reference Tag;
   let peers = Repl.Chain.peers chain in
@@ -494,7 +501,8 @@ let partition_then_heal () =
   check_bool "partitioned backup kept its pre-partition state" true
     (state b2_store = cut_off);
   check_int "no acked write lost" 0 (lost_acked_writes ~reference p_store);
-  (* heal + anti-entropy: the next tick repairs it by a state diff *)
+  (* heal + anti-entropy: the next tick ships the chains above the
+     backup's clock *)
   heal relay;
   Repl.Chain.tick chain;
   check_bool "repaired after sync" true (Repl.Chain.in_sync chain);
@@ -631,6 +639,355 @@ let crash_promote_rejoin () =
   check_bool "rejoined node serves the full state" true
     (Store.find rejoined 12 = Some 12)
 
+(* ---- exact replicas: apply order and catch-up by chains ---- *)
+
+(* Run each of [fs] on its own thread; after all have returned, raise
+   the first failure. *)
+let in_threads fs =
+  let failure = Atomic.make None in
+  let run f () = try f () with e -> ignore (Atomic.compare_and_set failure None (Some e)) in
+  List.iter Thread.join (List.map (fun f -> Thread.create (run f) ()) fs);
+  Option.iter raise (Atomic.get failure)
+
+(* [f] over a fresh client connection to the server at [path]. *)
+let client_of path f () =
+  let c = Net.Client.connect (Net.Sockaddr.Unix_sock path) in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () -> f c)
+
+(* Positions at which two histories differ, the longer one's excess
+   included. *)
+let differing a b =
+  let rec go n = function
+    | x :: a, y :: b -> go (if x = y then n else n + 1) (a, b)
+    | rest, [] | [], rest -> n + List.length rest
+  in
+  go 0 (a, b)
+
+(* Two clients of a 2-worker primary, so each has a worker of its own
+   and their applies interleave: every event of key 1 must reach the
+   backup at the version and in the place the primary gave it. *)
+let forward_order ~tagger () =
+  let n = 5_000 in
+  with_range (if tagger then "order_tag" else "order_ins") @@ fun r ->
+  let writer value = client_of r.p_path (fun c ->
+      for i = 1 to n do
+        Net.Client.insert c ~key:1 ~value:(value i)
+      done)
+  in
+  in_threads
+    [
+      writer (fun i -> 2 * i);
+      (if tagger then client_of r.p_path (fun c -> for _ = 1 to n do ignore (Net.Client.tag c) done)
+       else writer (fun i -> (2 * i) + 1));
+    ];
+  check_bool "chain in sync" true (Repl.Chain.in_sync r.chain);
+  let primary = Store.extract_history r.primary_store 1 in
+  check_int "events of key 1" (if tagger then n else 2 * n) (List.length primary);
+  check_int "events whose version or place differ on the backup" 0
+    (differing primary (Store.extract_history r.backup_store 1))
+
+(* DESIGN.md §6's schedule: keys 0-9 at version 1, key 9 removed at 2,
+   then, with the backup down, keys 0-18 rewritten at 3, and the backup
+   restarted empty. One tick must make it answer every version as the
+   primary does. *)
+let design_schedule_is_exact () =
+  let r = start_range "schedule" in
+  Fun.protect ~finally:(fun () -> stop_range r) @@ fun () ->
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock r.p_path) in
+  Fun.protect ~finally:(fun () -> Net.Client.close client) @@ fun () ->
+  for k = 0 to 9 do
+    Net.Client.insert client ~key:k ~value:k
+  done;
+  check_int "version 1" 1 (Net.Client.tag client);
+  Net.Client.remove client ~key:9;
+  check_int "version 2" 2 (Net.Client.tag client);
+  Net.Server.stop r.backup;
+  (try Sys.remove r.b_path with Sys_error _ -> ());
+  for k = 0 to 18 do
+    Net.Client.insert client ~key:k ~value:(k + 100)
+  done;
+  check_int "version 3" 3 (Net.Client.tag client);
+  let backup_store = fresh_store () in
+  let backup = serve backup_store r.b_path in
+  Fun.protect ~finally:(fun () -> Net.Server.stop backup) @@ fun () ->
+  Repl.Chain.tick r.chain;
+  check_bool "caught up" true (Repl.Chain.in_sync r.chain);
+  for version = 1 to 3 do
+    check_bool (Printf.sprintf "snapshots at v%d" version) true
+      (Store.extract_snapshot backup_store ~version ()
+      = Store.extract_snapshot r.primary_store ~version ())
+  done;
+  for key = 0 to 19 do
+    check_bool (Printf.sprintf "history of key %d" key) true
+      (Store.extract_history backup_store key = Store.extract_history r.primary_store key)
+  done;
+  check_bool "find 0 @v1 = 0 on the primary" true
+    (Store.find r.primary_store ~version:1 0 = Some 0);
+  check_bool "find 0 @v1 = 0 on the backup" true (Store.find backup_store ~version:1 0 = Some 0)
+
+(* A backup restarted over its own pool recovers its clock as its
+   highest version: 2, for a pending write it holds at version 2, while
+   the primary, which wrote key 2 at version 2 during the outage, has
+   since committed it. A copy from that clock would skip key 2. *)
+let restart_over_own_pool () =
+  let r = start_range "reopen" in
+  Fun.protect ~finally:(fun () -> stop_range r) @@ fun () ->
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock r.p_path) in
+  Fun.protect ~finally:(fun () -> Net.Client.close client) @@ fun () ->
+  for k = 0 to 9 do
+    Net.Client.insert client ~key:k ~value:k
+  done;
+  ignore (Net.Client.tag client);
+  Net.Client.insert client ~key:1 ~value:11;
+  Net.Server.stop r.backup;
+  (try Sys.remove r.b_path with Sys_error _ -> ());
+  Net.Client.insert client ~key:2 ~value:22;
+  check_int "the primary commits version 2" 2 (Net.Client.tag client);
+  let backup_store = Store.open_existing (Pmem.Pheap.reopen (Store.heap r.backup_store)) in
+  check_int "the reopened backup's clock" 2 (Store.current_version backup_store);
+  let backup = serve backup_store r.b_path in
+  Fun.protect ~finally:(fun () -> Net.Server.stop backup) @@ fun () ->
+  Repl.Chain.tick r.chain;
+  check_bool "caught up" true (Repl.Chain.in_sync r.chain);
+  check_bool "the write of the outage reached the backup" true
+    (Store.find backup_store 2 = Some 22);
+  for version = 1 to 2 do
+    check_bool (Printf.sprintf "snapshots at v%d" version) true
+      (Store.extract_snapshot backup_store ~version ()
+      = Store.extract_snapshot r.primary_store ~version ())
+  done;
+  for key = 0 to 9 do
+    check_bool (Printf.sprintf "history of key %d" key) true
+      (Store.extract_history backup_store key = Store.extract_history r.primary_store key)
+  done
+
+let counter name = Obs.Metric.value (Obs.Registry.counter name)
+
+(* The backup is cut off after a write at its pending version 2. The
+   primary then removes that key and two more, tags to 21 and compacts
+   at 19, which releases the removed keys: nothing above the backup's
+   clock 1 says they are gone, so the catch-up must empty the backup
+   and send everything. *)
+let behind_the_horizon () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("horizon_" ^ role) in
+  let p_store = fresh_store () and b_store = fresh_store () in
+  let backup = serve b_store (path "b") in
+  defer (fun () -> Net.Server.stop backup);
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ = serve_primary p_store (path "p") [| path "relay" |] in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  defer (fun () -> Net.Client.close client);
+  for k = 0 to 9 do
+    Net.Client.insert client ~key:k ~value:k
+  done;
+  ignore (Net.Client.tag client);
+  Net.Client.insert client ~key:5 ~value:55;
+  check_bool "the backup holds the pending write" true
+    (Repl.Chain.in_sync chain && Store.find b_store 5 = Some 55);
+  partition relay;
+  let released = [ 3; 4; 5 ] in
+  List.iter (fun key -> Net.Client.remove client ~key) released;
+  for _ = 1 to 20 do
+    ignore (Net.Client.tag client)
+  done;
+  let horizon, _ = Store.retain p_store ~keep:2 in
+  check_int "compacted at 19" 19 horizon;
+  check_int "the primary holds 7 keys" 7 (Store.key_count p_store);
+  heal relay;
+  let resets = counter "repl.catchup_resets" in
+  Repl.Chain.tick chain;
+  check_bool "caught up" true (Repl.Chain.in_sync chain);
+  for version = horizon to Store.current_version p_store do
+    check_bool (Printf.sprintf "snapshots at v%d" version) true
+      (Store.extract_snapshot b_store ~version () = Store.extract_snapshot p_store ~version ())
+  done;
+  for key = 0 to 9 do
+    check_bool (Printf.sprintf "history of key %d" key) true
+      (Store.extract_history b_store key = Store.extract_history p_store key)
+  done;
+  check_int "the released keys are gone from the backup" 7 (Store.key_count b_store);
+  check_int "one catch-up emptied the backup" 1 (counter "repl.catchup_resets" - resets)
+
+(* A GC pass on the primary between two pages of one catch-up. The
+   relay runs it before passing the first page on, after the chain
+   pulled that page above the backup's clock 1, and it releases keys
+   whose removal markers belong to the last page. The copy must be redone
+   from an emptied backup, or those keys stay live there. *)
+let gc_during_the_copy () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("gcmid_" ^ role) in
+  let p_store = fresh_store () and b_store = fresh_store () in
+  let backup = serve b_store (path "b") in
+  defer (fun () -> Net.Server.stop backup);
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ = serve_primary p_store (path "p") [| path "relay" |] in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  defer (fun () -> Net.Client.close client);
+  let n = 3_000 in
+  Net.Client.insert_batch client (List.init n (fun k -> (k, k)));
+  ignore (Net.Client.tag client);
+  partition relay;
+  (* 3,000 events above version 1: three pages of at most 1,024 *)
+  Net.Client.insert_batch client (List.init n (fun k -> (k, -k)));
+  Net.Client.remove_batch client (List.init 100 (fun i -> n - 100 + i));
+  for _ = 1 to 20 do
+    ignore (Net.Client.tag client)
+  done;
+  heal relay;
+  let chunks = ref 0 in
+  Atomic.set relay.tap (fun () ->
+      incr chunks;
+      (* chunk 1 is the clock probe, chunk 2 the first page *)
+      if !chunks = 2 then ignore (Store.retain p_store ~keep:2));
+  let resets = counter "repl.catchup_resets" in
+  Repl.Chain.tick chain;
+  Atomic.set relay.tap ignore;
+  check_bool "the pass ran during the copy" true (Store.horizon p_store = 19 && !chunks > 2);
+  check_bool "caught up" true (Repl.Chain.in_sync chain);
+  check_int "the released keys are gone from the backup" (n - 100) (Store.key_count b_store);
+  for version = 19 to Store.current_version p_store do
+    check_bool (Printf.sprintf "snapshots at v%d" version) true
+      (Store.extract_snapshot b_store ~version () = Store.extract_snapshot p_store ~version ())
+  done;
+  check_bool "every history" true
+    (List.for_all
+       (fun key -> Store.extract_history b_store key = Store.extract_history p_store key)
+       (List.init n Fun.id));
+  check_int "the redo emptied the backup" 1 (counter "repl.catchup_resets" - resets)
+
+(* The emptying copy cut off after its first page: the backup then
+   holds the primary's events at version 21, far past its own clock 1.
+   The next tick must empty it again, those events included, and copy
+   everything, or the removal markers it appends leave histories the
+   copy cannot line up. *)
+let interrupted_reset_resumes () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("resume_" ^ role) in
+  let p_store = fresh_store () and b_store = fresh_store () in
+  let backup = serve b_store (path "b") in
+  defer (fun () -> Net.Server.stop backup);
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ = serve_primary p_store (path "p") [| path "relay" |] in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  defer (fun () -> Net.Client.close client);
+  let n = 3_000 in
+  Net.Client.insert_batch client (List.init n (fun k -> (k, k)));
+  ignore (Net.Client.tag client);
+  partition relay;
+  for _ = 1 to 19 do
+    ignore (Net.Client.tag client)
+  done;
+  Net.Client.insert_batch client (List.init n (fun k -> (k, -k - 1)));
+  ignore (Net.Client.tag client);
+  let horizon, _ = Store.retain p_store ~keep:2 in
+  check_int "compacted at 19" 19 horizon;
+  heal relay;
+  (* Cut the link once the emptied backup holds the first page. *)
+  let emptied = ref false in
+  Atomic.set relay.tap (fun () ->
+      if Store.key_count b_store = 0 then emptied := true
+      else if !emptied then partition relay);
+  Repl.Chain.tick chain;
+  Atomic.set relay.tap ignore;
+  check_bool "the first tick was cut off" false (Repl.Chain.in_sync chain);
+  check_bool "after its first page" true (Store.key_count b_store > 0);
+  heal relay;
+  Repl.Chain.tick chain;
+  check_bool "caught up" true (Repl.Chain.in_sync chain);
+  check_bool "every history" true
+    (List.for_all
+       (fun key -> Store.extract_history b_store key = Store.extract_history p_store key)
+       (List.init n Fun.id));
+  for version = 1 to Store.current_version p_store do
+    check_bool (Printf.sprintf "snapshots at v%d" version) true
+      (Store.extract_snapshot b_store ~version () = Store.extract_snapshot p_store ~version ())
+  done
+
+(* Wire bytes, both ways, of the tick that catches a backup of [n] keys
+   up on one write it missed. *)
+let catch_up_bytes n =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path (Printf.sprintf "bytes%d_%s" n role) in
+  let store () = Store.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 25) ()) in
+  let p_store = store () and b_store = store () in
+  for chunk = 0 to (n / 1000) - 1 do
+    Store.insert_batch p_store (List.init 1000 (fun i -> ((chunk * 1000) + i, i)))
+  done;
+  ignore (Store.tag p_store);
+  let backup = serve b_store (path "b") in
+  defer (fun () -> Net.Server.stop backup);
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ = serve_primary p_store (path "p") [| path "relay" |] in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  Repl.Chain.tick chain;
+  check_int "the first tick fills the backup" n (Store.key_count b_store);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  partition relay;
+  Net.Client.insert client ~key:7 ~value:(-7);
+  check_bool "the backup missed the write" false (Repl.Chain.in_sync chain);
+  heal relay;
+  (* The chain reads the primary's store in process, so only the
+     backup's server is on the wire during the tick. Stopping the
+     primary's first settles its byte counters, which its workers bump
+     after each reply leaves. *)
+  Net.Client.close client;
+  Net.Server.stop primary;
+  let bytes () = counter "net.bytes_in" + counter "net.bytes_out" in
+  let before = bytes () in
+  Repl.Chain.tick chain;
+  let sent = bytes () - before in
+  check_bool "caught up" true
+    (Repl.Chain.in_sync chain && Store.find b_store 7 = Some (-7)
+    && Store.extract_history b_store 7 = Store.extract_history p_store 7);
+  sent
+
+let catch_up_costs_the_gap () =
+  let small = catch_up_bytes 10_000 and large = catch_up_bytes 100_000 in
+  check_int "wire bytes at 100,000 keys = at 10,000 keys" small large
+
+(* Clock probes and a seal drain every write flag. On a replicated
+   primary a flagged write waits for the chain's mutex, so a drain that
+   took it, or a mutex holder that waited on a flag, would hang this
+   case until the watchdog fires. *)
+let drains_beside_writers () =
+  with_range "drains" @@ fun r ->
+  let writing = Atomic.make 2 in
+  let writer base = client_of r.p_path (fun c ->
+      for i = 1 to 2_000 do
+        Net.Client.insert c ~key:(base + (i mod 64)) ~value:i
+      done;
+      Atomic.decr writing)
+  in
+  let until_written f = client_of r.p_path (fun c ->
+      while Atomic.get writing > 0 do
+        f c
+      done)
+  in
+  in_threads
+    [
+      writer 0;
+      writer 64;
+      until_written (fun c -> ignore (Net.Client.tag_at c ~version:0));
+      until_written (fun c ->
+          Net.Client.range_seal c ~lo:1000 ~hi:2000 ~epoch:0 ~endpoint:"unix:///elsewhere";
+          Net.Client.range_unseal c ~lo:1000 ~hi:2000);
+    ];
+  check_bool "backup = primary" true
+    (Repl.Chain.in_sync r.chain
+    && Store.extract_snapshot r.backup_store () = Store.extract_snapshot r.primary_store ())
+
 (* ---- whole-store transfers past one frame ---- *)
 
 (* A Pairs reply of 600,000 pairs is 9,600,010 bytes, past the 8 MiB
@@ -695,9 +1052,7 @@ let one_tick_fills_an_empty_backup () =
   let backup_store = Store.create (Pmem.Pheap.create_ram ~capacity:big_capacity ()) in
   let backup = serve backup_store path in
   let chain =
-    Repl.Chain.create ~epoch_cell:(Atomic.make 0)
-      ~snapshot:(fun ?version () -> Store.extract_snapshot primary ?version ())
-      ~current_version:(fun () -> Store.current_version primary)
+    Repl.Chain.create ~epoch_cell:(Atomic.make 0) ~store:primary
       [| Net.Sockaddr.Unix_sock path |]
   in
   Fun.protect
@@ -726,6 +1081,27 @@ let () =
         [
           Alcotest.test_case "stale epoch is typed and reload recovers" `Quick
             stale_epoch_is_typed_and_recoverable;
+        ] );
+      ( "exact",
+        [
+          Alcotest.test_case "forwards keep apply order: insert against tag" `Quick
+            (forward_order ~tagger:true);
+          Alcotest.test_case "forwards keep apply order: two inserters" `Quick
+            (forward_order ~tagger:false);
+          Alcotest.test_case "DESIGN 6 schedule: one tick makes the backup exact" `Quick
+            design_schedule_is_exact;
+          Alcotest.test_case "a backup restarted over its own pool misses nothing" `Quick
+            restart_over_own_pool;
+          Alcotest.test_case "behind the horizon: the backup is emptied, then refilled"
+            `Quick behind_the_horizon;
+          Alcotest.test_case "a GC pass during the copy redoes it from an emptied backup"
+            `Quick gc_during_the_copy;
+          Alcotest.test_case "an emptying copy cut off midway resumes exact" `Quick
+            interrupted_reset_resumes;
+          Alcotest.test_case "one missed write costs the same bytes at 10k and 100k keys"
+            `Quick catch_up_costs_the_gap;
+          Alcotest.test_case "probes and a seal finish beside two inserters" `Quick
+            drains_beside_writers;
         ] );
       ("failover", [ QCheck_alcotest.to_alcotest failover_parity ]);
       ( "simrep",
