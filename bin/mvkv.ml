@@ -1345,7 +1345,8 @@ let () =
     @ data_cmds Pool on_pool
   in
   let info =
-    Cmd.info "mvkv" ~version:"1.0.0"
+    Cmd.info "mvkv"
+      ~version:(Printf.sprintf "1.0.0 (heap layout %d)" Pmem.Pheap.layout_version)
       ~doc:"Persistent multi-version ordered key-value store"
   in
   exit (Cmd.eval (Cmd.group info cmds))

@@ -86,8 +86,8 @@ module type S = sig
       them one by one with no intervening {!tag}: the batch is first
       canonicalised (sorted by key, later duplicates winning), so the
       visible history of each key gains at most one event per batch.
-      Persistent stores amortise the index traversal and coalesce the
-      flush/fence epilogue across the whole batch. *)
+      The skip-list stores amortise the index traversal, and PSkipList
+      coalesces the flush/fence epilogue, across the whole batch. *)
 
   val remove_batch : t -> key list -> unit
   (** Batch analogue of {!remove}: one removal marker per distinct key,

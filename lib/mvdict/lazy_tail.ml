@@ -155,16 +155,19 @@ module Make (B : BACKEND) = struct
 
   let value store t slot = B.read_value store (covering t (slot + 1)) slot
 
-  let events store t ~ctx =
+  (* Slots [first, i], oldest first, onto [acc]. *)
+  let rec collect store segs first i acc =
+    if i < first then acc
+    else
+      collect store segs first (i - 1)
+        ((B.read_version store segs i, B.read_value store segs i) :: acc)
+
+  (* The entries above [since] follow the last one at or below it, so
+     a history with nothing above [since] allocates nothing. *)
+  let events store t ~ctx ~since =
     let visible = extend_tail store t ~ctx ~version:max_int in
     let segs = covering t visible in
-    let rec collect i acc =
-      if i < 0 then acc
-      else
-        collect (i - 1)
-          ((B.read_version store segs i, B.read_value store segs i) :: acc)
-    in
-    collect (visible - 1) []
+    collect store segs (search store segs since 0 (visible - 1) (-1) + 1) (visible - 1) []
 
   let reset_offline t segs ~length =
     t.segs <- segs;

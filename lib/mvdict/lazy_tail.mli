@@ -135,8 +135,11 @@ module Make (B : BACKEND) : sig
   val value : B.store -> t -> int -> B.value
   (** The value of a slot {!find} returned. *)
 
-  val events : B.store -> t -> ctx:Version.t -> (int * B.value) list
-  (** The visible history, oldest first (extract_history). *)
+  val events : B.store -> t -> ctx:Version.t -> since:int -> (int * B.value) list
+  (** The visible entries whose version is above [since], oldest first
+      ([since = 0]: the whole visible history). A binary search, as in
+      {!find}, skips the entries at or below [since], so a history with
+      nothing above it allocates nothing. *)
 
   val reset_offline : t -> B.segs -> length:int -> unit
   (** Install the segment array of an offline rewrite of the backend

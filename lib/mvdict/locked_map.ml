@@ -119,7 +119,7 @@ struct
               match value with
               | Some v -> (version, Dict_intf.Put v)
               | None -> (version, Dict_intf.Del))
-            (EH.H.events () h ~ctx:t.ctx)
+            (EH.H.events () h ~ctx:t.ctx ~since:0)
     in
     Obs.Instr.finish m_history t0;
     result

@@ -13,7 +13,11 @@
       or a lock.
 
     Keys and values go through {!Codec}: integers are stored inline (no
-    allocation on the hot path); arbitrary data becomes blobs. *)
+    allocation on the hot path); arbitrary data becomes blobs.
+
+    The index, the store gate, the write path and the reads are
+    {!Vstore}'s, shared with ESkipList; this module is their persistent
+    history policy, plus recovery, compaction and migration. *)
 
 module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
   include Dict_intf.S with type key = K.t and type value = V.t

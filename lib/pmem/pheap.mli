@@ -15,6 +15,9 @@ type t
 val root_slots : int
 (** Number of root slots (16). *)
 
+val layout_version : int
+(** The heap layout this build reads and writes ({!open_existing}). *)
+
 val create : Media.t -> t
 (** Format a fresh media as a heap (magic, roots, allocator). The media
     must read zero, as fresh media do ({!Alloc.format}). *)

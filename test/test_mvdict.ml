@@ -147,10 +147,15 @@ let lazy_tail_events () =
   EH.H.append () h ~ctx ~board ~version:1 (Some "x");
   EH.H.append () h ~ctx ~board ~version:2 None;
   EH.H.append () h ~ctx ~board ~version:3 (Some "y");
-  let evs = EH.H.events () h ~ctx in
+  let evs = EH.H.events () h ~ctx ~since:0 in
   check_int "three events" 3 (List.length evs);
   check_bool "sequence" true
-    (evs = [ (1, Some "x"); (2, None); (3, Some "y") ])
+    (evs = [ (1, Some "x"); (2, None); (3, Some "y") ]);
+  List.iter
+    (fun (since, above) ->
+      check_bool (Printf.sprintf "the events above %d" since) true
+        (EH.H.events () h ~ctx ~since = above))
+    [ (1, [ (2, None); (3, Some "y") ]); (2, [ (3, Some "y") ]); (3, []); (9, []) ]
 
 let lazy_tail_growth () =
   let ctx, board = history_env () in
@@ -173,7 +178,7 @@ let lazy_tail_concurrent_appends () =
            let v = Mvdict.Version.stamp ctx in
            EH.H.append () h ~ctx ~board ~version:v (Some "v")
          done));
-  let evs = EH.H.events () h ~ctx in
+  let evs = EH.H.events () h ~ctx ~since:0 in
   check_int "all appends visible" (threads * per) (List.length evs);
   (* Versions must be non-decreasing in history order. *)
   let rec non_decreasing = function
@@ -738,6 +743,27 @@ let pskiplist_find_allocation () =
        (w1 -. w0) hits)
     true
     (w1 -. w0 <= (4.0 *. float_of_int hits) +. 64.0)
+
+(* A pull lists only the events above its [since]: at 100,000 keys, a
+   pull that ships one key's one event allocates that page, and
+   nothing for the keys it skips, so its cost follows the gap. *)
+let pull_allocation () =
+  let t = PStore.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 25) ()) in
+  let keys = 100_000 in
+  for b = 0 to (keys / 1_000) - 1 do
+    PStore.insert_batch t (List.init 1_000 (fun i -> ((1_000 * b) + i, i)))
+  done;
+  let since = PStore.tag t in
+  PStore.insert t 77 1;
+  let w0 = Gc.minor_words () in
+  let page = PStore.pull_chains t ~lo:0 ~hi:keys ~since ~limit:0 in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "the page holds key 77's one event" true
+    (page = [ (77, [ (since + 1, Mvdict.Dict_intf.Put 1) ]) ]);
+  check_bool
+    (Printf.sprintf "a pull of one event over %d keys allocates %.0f words, under 1,000"
+       keys words)
+    true (words < 1_000.)
 
 let crash_heap () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 24) () in
@@ -1346,7 +1372,7 @@ let history_append_cost () =
   in
   check_int "flushed lines for 8 appends" 10 lines;
   check_int "fences for 8 appends" 10 fences;
-  check_int "all appends visible" 8 (List.length (PH.H.events heap h ~ctx))
+  check_int "all appends visible" 8 (List.length (PH.H.events heap h ~ctx ~since:0))
 
 (* Growth links one segment as large as the capacity: on a heap whose
    reservation covers the segment it persists the link word alone, and
@@ -1822,10 +1848,10 @@ let compaction_crash_points () =
    (2 -> 4 -> 8 -> 16 records), alternating inline and blob values. *)
 let growth_values = List.init 9 (fun i -> if i mod 2 = 0 then i + 1 else -(i + 1))
 
-let history_values t key =
-  List.map
-    (function _, Mvdict.Dict_intf.Put v -> v | _, Mvdict.Dict_intf.Del -> 0)
-    (PStore.extract_history t key)
+let values_of history =
+  List.map (function _, Mvdict.Dict_intf.Put v -> v | _, Mvdict.Dict_intf.Del -> 0) history
+
+let history_values t key = values_of (PStore.extract_history t key)
 
 (* For k = 1, 2, ... until the appends complete, the k-th flush after
    the store is created crashes. After each reopen the key's history is
@@ -2084,32 +2110,39 @@ let chunk_racing_itself ~blobs () =
   in
   crash_at 1
 
-(* Two domains insert the same new keys, one in batches and one singly,
-   so they race to publish many of them. Whoever loses a key's race
-   moves its entry to the winner's history: every key ends with both
-   entries in one history and one chain slot, before a crash and after
-   it. *)
+(* Two domains insert the same 256 new keys, one in batches and one
+   singly, so they race to publish many of them. Whoever loses a key's
+   race moves its entry to the winner's history: every key ends with
+   both entries in one history. *)
+let racing_keys = 256
+
+let both_entries (type a) (module S : DICT with type t = a) (t : a) =
+  List.for_all
+    (fun key -> List.sort compare (values_of (S.extract_history t key)) = [ 1; 2 ])
+    (List.init racing_keys Fun.id)
+
+let race_new_keys (type a) (module S : DICT with type t = a) (t : a) =
+  ignore
+    (Concurrent.Parallel.run ~threads:2 (fun d ->
+         if d = 0 then
+           for b = 0 to (racing_keys / 16) - 1 do
+             S.insert_batch t (List.init 16 (fun i -> ((16 * b) + i, 1)))
+           done
+         else
+           for key = 0 to racing_keys - 1 do
+             S.insert t key 2
+           done));
+  check_bool "every key holds both entries" true (both_entries (module S) t);
+  check_int "keys" racing_keys (S.key_count t)
+
+(* In persistent memory every key also ends with one chain slot, before
+   a crash and after it. *)
 let racing_new_keys () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 22) () in
   let heap = Pmem.Pheap.create media in
   let t = PStore.create heap in
-  let n = 256 in
-  ignore
-    (Concurrent.Parallel.run ~threads:2 (fun d ->
-         if d = 0 then
-           for b = 0 to (n / 16) - 1 do
-             PStore.insert_batch t (List.init 16 (fun i -> ((16 * b) + i, 1)))
-           done
-         else
-           for key = 0 to n - 1 do
-             PStore.insert t key 2
-           done));
-  let two_entries t =
-    List.for_all
-      (fun key -> List.sort compare (history_values t key) = [ 1; 2 ])
-      (List.init n Fun.id)
-  in
-  check_bool "every key holds both entries" true (two_entries t);
+  let n = racing_keys in
+  race_new_keys (module P) t;
   check_int "one live chain slot per key" n
     (PStore.chain_claimed t - PStore.chain_free_slots t);
   Pmem.Media.simulate_crash media;
@@ -2117,7 +2150,7 @@ let racing_new_keys () =
     (List.sort compare (durable_keys heap) = List.init n Fun.id);
   let t = PStore.open_existing (Pmem.Pheap.reopen heap) in
   check_int "keys after reopen" n (PStore.key_count t);
-  check_bool "both entries after reopen" true (two_entries t)
+  check_bool "both entries after reopen" true (both_entries (module P) t)
 
 (* One domain inserts batches of new keys; another appends to each key
    as soon as [key_count] shows it, and waits until a find returns the
@@ -2529,6 +2562,8 @@ let () =
           Alcotest.test_case "insert into existing key allocation" `Quick
             pskiplist_insert_existing_allocation;
           Alcotest.test_case "find hit allocation" `Quick pskiplist_find_allocation;
+          Alcotest.test_case "a pull allocates for the events it ships" `Quick
+            pull_allocation;
           Alcotest.test_case "recovery counts stamps behind an unstamped slot" `Quick
             recovery_counts_stamps_behind_an_unstamped_slot;
         ] );
@@ -2617,6 +2652,8 @@ let () =
             `Quick (chunk_racing_itself ~blobs:true);
           Alcotest.test_case "two domains racing to insert the same new keys" `Quick
             racing_new_keys;
+          Alcotest.test_case "ESkipList: two domains racing to insert the same new keys"
+            `Quick (fun () -> race_new_keys (module E) (E.create ()));
           Alcotest.test_case "appends seen visible survive a seeded crash (2 domains)" `Quick
             publication_oracle;
         ] );

@@ -852,15 +852,24 @@ let stores_feed_registry () =
   let h = Obs.Registry.histogram "mvdict.eskiplist.insert.ns" in
   let c = Obs.Registry.counter "mvdict.eskiplist.insert.ops" in
   let h0 = Obs.Histogram.count h and c0 = Obs.Metric.value c in
+  (* ESkipList runs PSkipList's install over DRAM histories: it
+     persists and allocates no pmem. *)
+  let pmem =
+    List.map Obs.Registry.counter [ "pmem.flushed_lines"; "pmem.fences"; "pmem.allocs" ]
+  in
+  let pmem0 = List.map Obs.Metric.value pmem in
   let store = E.create () in
   for i = 1 to 500 do
     E.insert store i (i * 2)
   done;
+  E.insert_batch store (List.init 100 (fun i -> (i, i)));
   ignore (E.tag store);
   check_int "insert ops counted" (c0 + 500) (Obs.Metric.value c);
   check_int "insert latencies recorded" (h0 + 500) (Obs.Histogram.count h);
+  check_bool "ESkipList leaves the pmem counters as they were" true
+    (List.map Obs.Metric.value pmem = pmem0);
   (* pmem flush/fence counters flow into the same registry. *)
-  let flushed = Obs.Registry.counter "pmem.flushed_lines" in
+  let flushed = List.hd pmem in
   let f0 = Obs.Metric.value flushed in
   let module P = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value) in
   let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in

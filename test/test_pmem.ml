@@ -541,9 +541,28 @@ let pheap_rejects_layout version () =
 
 let mvkv = Filename.concat (Filename.dirname Sys.executable_name) "../bin/mvkv.exe"
 
+(* [mvkv --version], which names the heap layout the binary reads. *)
+let mvkv_version =
+  lazy
+    (let out = Filename.temp_file "mvkv" ".out" in
+     ignore
+       (Sys.command
+          (Printf.sprintf "%s --version > %s 2> /dev/null" (Filename.quote mvkv)
+             (Filename.quote out)));
+     let version = String.trim (In_channel.with_open_text out In_channel.input_all) in
+     Sys.remove out;
+     version)
+
 (* Runs [mvkv args] and returns its exit status and its non-empty
-   stderr lines. *)
+   stderr lines. Only [dune runtest] rebuilds the binary before this
+   suite, so a binary that reads another heap layout than this build
+   fails each CLI case with one line, before the case runs it. *)
 let mvkv_run args =
+  let layout = Printf.sprintf "(heap layout %d)" Pmem.Pheap.layout_version in
+  let version = Lazy.force mvkv_version in
+  if not (String.ends_with ~suffix:layout version) then
+    Alcotest.failf "%s reports version %S, not %s: run `dune build` first" mvkv version
+      layout;
   let err = Filename.temp_file "mvkv" ".err" in
   let status =
     Sys.command
