@@ -43,9 +43,12 @@ let measure ~n approach =
   let values = Workload.Keygen.values ~seed:1 n in
   let inserts = (Workload.Opgen.insert_phase ~keys ~values ~threads:1).(0) in
   let removes = (Workload.Opgen.remove_phase ~seed:2 ~keys ~threads:1).(0) in
-  (* Stabilise the GC so one approach's garbage is not charged to the
-     next one's measurement. *)
-  Gc.compact ();
+  (* Finish the major cycle so the garbage earlier approaches left is
+     collected before this one is timed. OCaml 5.1 compacts nothing
+     (its [Gc.compact] is a full major collection too), so each
+     approach is still measured on the heap its predecessors in
+     [Approaches.all] left. *)
+  Gc.full_major ();
   let instance, stats = approach.Approaches.fresh () in
   let insert_ns =
     timed_phase instance stats ~ops:n (fun i -> Approaches.run_ops i inserts)

@@ -16,7 +16,10 @@ type measured = {
 let threads_sweep = [ 1; 2; 4; 8; 16; 32; 64 ]
 
 let build_state ~n approach =
-  Gc.compact ();
+  (* As in Fig 2: collect what earlier approaches left; nothing
+     compacts, so each approach runs on the heap its predecessors in
+     [Approaches.all] left. *)
+  Gc.full_major ();
   let keys1 = Workload.Keygen.unique_keys ~seed:1 n in
   let values = Workload.Keygen.values ~seed:1 n in
   let keys2 = Workload.Keygen.unique_keys ~seed:3 n in

@@ -20,9 +20,12 @@
    host speed lands on every mode alike rather than on whichever mode
    ran last, and record it as an `obs.bench.ns_per_op.<mode>` gauge, so
    the numbers land in BENCH_obs.json next to the `obs.bench.op.ns`
-   histogram the timed modes populate. The smoke gate
-   reads the returned assoc list: counters-mode must stay within 5% of
-   baseline, or the "always-on counters are free" claim has rotted. *)
+   histogram the timed modes populate. Each mode's minor words per op
+   are counted over the same timed reps: a count that does not drift
+   with the host. The smoke gates read the returned assoc list:
+   counters-mode must stay within 5% of baseline, or the "always-on
+   counters are free" claim has rotted, and the counters and timed
+   modes must allocate nothing per op. *)
 
 let m_op = Obs.Instr.op "obs.bench.op"
 
@@ -41,6 +44,9 @@ let work x0 =
   done;
   !x
 
+(* The span bodies take the accumulator's value and return the next
+   one, so no closure captures [acc]: it stays a local, and the modes
+   without spans allocate nothing per rep either. *)
 let run_ops mode ~n =
   let acc = ref 0x9E3779B9 in
   (match mode with
@@ -53,28 +59,35 @@ let run_ops mode ~n =
       done
   | `Full ->
       for _ = 1 to n do
-        Obs.Span.with_ "obs.bench.op" (fun () ->
-            let t0 = Obs.Instr.start () in
-            acc := work !acc;
-            Obs.Instr.finish m_op t0)
+        let x = !acc in
+        acc :=
+          Obs.Span.with_ "obs.bench.op" (fun () ->
+              let t0 = Obs.Instr.start () in
+              let x = work x in
+              Obs.Instr.finish m_op t0;
+              x)
       done
   | `Sampled ->
       (* Mirrors Cluster.Router.traced: coin per op, winners get a
          fresh context + root span, losers run bare. *)
       for _ = 1 to n do
-        if Obs.Traceid.coin ~rate:0.01 () then
-          Obs.Span.with_context
-            (Some
-               {
-                 Obs.Span.trace = Obs.Traceid.generate ();
-                 parent = 0;
-                 sampled = true;
-               })
-            (fun () ->
-              Obs.Span.with_ "obs.bench.op" (fun () ->
-                  let t0 = Obs.Instr.start () in
-                  acc := work !acc;
-                  Obs.Instr.finish m_op t0))
+        if Obs.Traceid.coin ~rate:0.01 () then begin
+          let x = !acc in
+          acc :=
+            Obs.Span.with_context
+              (Some
+                 {
+                   Obs.Span.trace = Obs.Traceid.generate ();
+                   parent = 0;
+                   sampled = true;
+                 })
+              (fun () ->
+                Obs.Span.with_ "obs.bench.op" (fun () ->
+                    let t0 = Obs.Instr.start () in
+                    let x = work x in
+                    Obs.Instr.finish m_op t0;
+                    x))
+        end
         else begin
           let t0 = Obs.Instr.start () in
           acc := work !acc;
@@ -85,11 +98,15 @@ let run_ops mode ~n =
 
 (* Processor time, not wall time: a rep that other processes preempt
    (dune runs test binaries side by side) is charged only for the time
-   it ran. *)
-let time_ns_per_op mode ~n =
+   it ran. Returns the rep's time and the minor words its ops
+   allocated; both clocks are read unboxed, so they add none. *)
+let time_rep mode ~n =
+  let w0 = Gc.minor_words () in
   let t0 = Sys.time () in
   run_ops mode ~n;
-  (Sys.time () -. t0) *. 1e9 /. float_of_int n
+  let t1 = Sys.time () in
+  let w1 = Gc.minor_words () in
+  (t1 -. t0, w1 -. w0)
 
 (* Switch the process to [mode]'s instrumentation regime. *)
 let enter ring = function
@@ -114,7 +131,12 @@ let modes =
 
 let reps = 20
 
-(* Returns [(mode, ns_per_op)]; also records the gauges the smoke
+type result = {
+  ns_per_op : float;  (** best rep *)
+  minor_words_per_op : float;  (** over every timed rep *)
+}
+
+(* Returns [(mode, result)]; also records the gauges the smoke
    validation reads back out of BENCH_obs.json. *)
 let run ~n =
   Printf.printf "\n== fig obs: instrumentation overhead (%d ops, best of %d, round-robin) ==\n%!"
@@ -137,11 +159,14 @@ let run ~n =
            slices are not charged to the modes that allocate. *)
         Gc.full_major ();
         let best = Array.make (List.length modes) infinity in
+        let words = Array.make (List.length modes) 0. in
         for _ = 1 to reps do
           List.iteri
             (fun i (_, mode) ->
               enter ring mode;
-              best.(i) <- Float.min best.(i) (time_ns_per_op mode ~n))
+              let secs, w = time_rep mode ~n in
+              best.(i) <- Float.min best.(i) (secs *. 1e9 /. float_of_int n);
+              words.(i) <- words.(i) +. w)
             modes
         done;
         List.mapi
@@ -149,14 +174,19 @@ let run ~n =
             Obs.Metric.set
               (Obs.Registry.gauge (Printf.sprintf "obs.bench.ns_per_op.%s" name))
               (int_of_float best.(i));
-            (name, best.(i)))
+            ( name,
+              {
+                ns_per_op = best.(i);
+                minor_words_per_op = words.(i) /. float_of_int (reps * n);
+              } ))
           modes)
   in
-  let baseline = List.assoc "baseline" results in
-  Printf.printf "   %-10s %10s %10s\n" "mode" "ns/op" "vs base";
+  let baseline = (List.assoc "baseline" results).ns_per_op in
+  Printf.printf "   %-10s %10s %10s %10s\n" "mode" "ns/op" "vs base" "words/op";
   List.iter
-    (fun (name, ns) ->
-      Printf.printf "   %-10s %10.1f %9.2fx\n" name ns (ns /. baseline))
+    (fun (name, r) ->
+      Printf.printf "   %-10s %10.1f %9.2fx %10.4f\n" name r.ns_per_op
+        (r.ns_per_op /. baseline) r.minor_words_per_op)
     results;
   Printf.printf "   trace ring captured %d span(s) in full mode\n%!"
     (List.length (Obs.Tracebuf.dump ring));

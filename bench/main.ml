@@ -281,7 +281,10 @@ let smoke () =
      (counters mode) within 5% of the uninstrumented baseline, and the
      production tracing regime (1% sampled origination) within 10% of
      counters-only — the cost of cluster tracing must stay in the
-     noise for the ops that lose the coin flip. *)
+     noise for the ops that lose the coin flip. Beside those wall-time
+     ratios, a counted gate: the counters and timed modes allocate no
+     minor words per op (below 0.01, which one allocation per 100 ops
+     would reach). *)
   let obs_results = ref [] in
   (* 20k ops: the sampled-vs-counters margin is a few percent, so the
      min-of-reps filter needs enough ops per rep to converge. *)
@@ -292,9 +295,10 @@ let smoke () =
   let obs_problems =
     obs_problems
     @
-    let base = List.assoc "baseline" !obs_results in
-    let counters = List.assoc "counters" !obs_results in
-    let sampled = List.assoc "sampled" !obs_results in
+    let ns mode = (List.assoc mode !obs_results).Fig_obs.ns_per_op in
+    let base = ns "baseline" in
+    let counters = ns "counters" in
+    let sampled = ns "sampled" in
     (if counters > base *. 1.05 then
        [
          Printf.sprintf
@@ -302,6 +306,15 @@ let smoke () =
            counters base;
        ]
      else [])
+    @ List.filter_map
+        (fun mode ->
+          let w = (List.assoc mode !obs_results).Fig_obs.minor_words_per_op in
+          if w >= 0.01 then
+            Some
+              (Printf.sprintf "fig obs: %s mode allocates %.4f minor words per op (>= 0.01)"
+                 mode w)
+          else None)
+        [ "counters"; "timed" ]
     @
     if sampled > counters *. 1.10 then
       [

@@ -3,29 +3,35 @@
    Values are nanoseconds (non-negative ints). Buckets: exact for
    v < 16, then 16 sub-buckets per power-of-two octave — a worst-case
    relative error of 1/16 per recorded value, constant memory, and a
-   wait-free record path (one atomic add per bucket plus a CAS loop for
-   the max). Safe under concurrent Domains. Percentiles and merges are
-   computed on {!Snap} histograms, built from [nonzero_buckets]. *)
+   wait-free record path (one fetch-and-add on the bucket, one on the
+   sum, and a CAS loop for the max). Safe under concurrent Domains.
+   Percentiles and merges are computed on {!Snap} histograms, built
+   from [nonzero_buckets]. *)
 
 let sub_bits = 4
 let subs = 1 lsl sub_bits (* 16 sub-buckets per octave *)
 let octaves = 60
 let bucket_count = subs * octaves
 
+(* 4 words until the first record allocates the bucket array (961
+   words): most registered histograms never record in a given process.
+   The fields and the bucket cells are read with plain loads and
+   changed only by CAS and fetch-and-add in place ([Atomic_field]):
+   keep [buckets_field], [sum_field] and [max_field] equal to their
+   declaration order. The count is not stored: it is the sum of the
+   buckets, so a reader's count always equals the sum of the buckets
+   it loaded. *)
 type t = {
-  buckets : int Atomic.t array;
-  count : int Atomic.t;
-  sum : int Atomic.t;
-  max : int Atomic.t;
+  mutable buckets : int array;  (** [[||]] until the first record *)
+  mutable sum : int;
+  mutable max : int;
 }
 
-let create () =
-  {
-    buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
-    count = Atomic.make 0;
-    sum = Atomic.make 0;
-    max = Atomic.make 0;
-  }
+let buckets_field = 0
+let sum_field = 1
+let max_field = 2
+
+let create () = { buckets = [||]; sum = 0; max = 0 }
 
 (* Position of the most significant set bit; v must be >= 1. *)
 let rec msb_from v acc = if v <= 1 then acc else msb_from (v lsr 1) (acc + 1)
@@ -50,33 +56,45 @@ let bucket_lo i =
 
 let bucket_hi i = if i + 1 >= bucket_count then max_int else bucket_lo (i + 1)
 
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
+(* The first record's path: CAS a fresh array over the empty one this
+   domain loaded ([seen]), then load whichever array won. *)
+let rec publish_buckets t seen =
+  ignore
+    (Concurrent.Atomic_field.compare_and_set_field t buckets_field seen
+       (Array.make bucket_count 0));
+  let b = t.buckets in
+  if Array.length b = 0 then publish_buckets t b else b
+
+let rec raise_max t v =
+  let cur = t.max in
+  if v > cur && not (Concurrent.Atomic_field.compare_and_set_field t max_field cur v)
+  then raise_max t v
 
 let record t v =
   let v = if v < 0 then 0 else v in
-  ignore (Atomic.fetch_and_add t.buckets.(index_of v) 1);
-  ignore (Atomic.fetch_and_add t.count 1);
-  ignore (Atomic.fetch_and_add t.sum v);
-  atomic_max t.max v
+  let b = t.buckets in
+  let b = if Array.length b = 0 then publish_buckets t b else b in
+  ignore (Concurrent.Atomic_field.fetch_and_add_field b (index_of v) 1);
+  ignore (Concurrent.Atomic_field.fetch_and_add_field t sum_field v);
+  raise_max t v
 
-let count t = Atomic.get t.count
-let sum t = Atomic.get t.sum
-let max_value t = Atomic.get t.max
+let count t = Array.fold_left ( + ) 0 t.buckets
+let sum t = t.sum
+let max_value t = t.max
 
 (* Sparse (index, count) view of the nonzero buckets, ascending — the
    portable form {!Snap} serialises for fleet aggregation. *)
 let nonzero_buckets t =
+  let b = t.buckets in
   let out = ref [] in
-  for i = bucket_count - 1 downto 0 do
-    let n = Atomic.get t.buckets.(i) in
+  for i = Array.length b - 1 downto 0 do
+    let n = b.(i) in
     if n > 0 then out := (i, n) :: !out
   done;
   !out
 
 let reset t =
-  Array.iter (fun b -> Atomic.set b 0) t.buckets;
-  Atomic.set t.count 0;
-  Atomic.set t.sum 0;
-  Atomic.set t.max 0
+  let b = t.buckets in
+  Array.fill b 0 (Array.length b) 0;
+  t.sum <- 0;
+  t.max <- 0

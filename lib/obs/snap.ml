@@ -29,12 +29,15 @@ let of_registry () =
         | Registry.Counter c -> Counter (Metric.value c)
         | Registry.Gauge g -> Gauge (Metric.gauge_value g)
         | Registry.Histogram h ->
+            (* The count from the buckets loaded once, so it equals
+               their sum while other domains record. *)
+            let buckets = Histogram.nonzero_buckets h in
             Hist
               {
-                hcount = Histogram.count h;
+                hcount = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets;
                 hsum = Histogram.sum h;
                 hmax = Histogram.max_value h;
-                buckets = Histogram.nonzero_buckets h;
+                buckets;
               } ))
     (Registry.snapshot ())
 

@@ -12,35 +12,47 @@
    the next drain starts at that ticket; a newer one means the event
    was overwritten and is gone. A drain advances [drained] by one CAS
    and reads again if another drain moved it first, so every event is
-   reported by exactly one drain unless the ring overwrites it first. *)
+   reported by exactly one drain unless the ring overwrites it first.
+
+   The slots are one plain array, CASed in place and read with plain
+   loads, and [ticket] and [drained] plain int fields changed only by
+   fetch-and-add and CAS on their positions ([Atomic_field]): keep
+   [ticket_field] and [drained_field] equal to their declaration order.
+   A stale load of a slot is safe: if it still shows an older ticket,
+   the read stops there and the next drain resumes at that ticket; if
+   it shows a newer one, that event was overwritten; if it shows the
+   ticket sought, the event was stored. A stale [ticket] only ends the
+   read early (a read never returns a next ticket below the one it
+   started at, so [drained] never moves back), and a stale [drained]
+   fails the CAS. *)
 
 type t = {
-  slots : (int * Span.event) option Atomic.t array;  (** (ticket, event) *)
-  ticket : int Atomic.t;
-  drained : int Atomic.t;
+  slots : (int * Span.event) option array;  (** (ticket, event) *)
+  mutable ticket : int;
+  mutable drained : int;
 }
+
+let ticket_field = 1
+let drained_field = 2
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Obs.Tracebuf.create: capacity must be positive";
-  {
-    slots = Array.init capacity (fun _ -> Atomic.make None);
-    ticket = Atomic.make 0;
-    drained = Atomic.make 0;
-  }
+  { slots = Array.make capacity None; ticket = 0; drained = 0 }
 
 (* Events ever recorded (not clamped to capacity). *)
-let total t = Atomic.get t.ticket
+let total t = t.ticket
 
 (* A writer that stalled for a whole lap of the ring stores nothing:
    its slot already holds a newer event. *)
 let record t (event : Span.event) =
-  let k = Atomic.fetch_and_add t.ticket 1 in
-  let cell = t.slots.(k mod Array.length t.slots) in
+  let k = Concurrent.Atomic_field.fetch_and_add_field t ticket_field 1 in
+  let i = k mod Array.length t.slots in
   let entry = Some (k, event) in
   let rec store () =
-    let cur = Atomic.get cell in
+    let cur = t.slots.(i) in
     let newer = match cur with Some (j, _) -> j > k | None -> false in
-    if (not newer) && not (Atomic.compare_and_set cell cur entry) then store ()
+    if (not newer) && not (Concurrent.Atomic_field.compare_and_set t.slots i cur entry)
+    then store ()
   in
   store ()
 
@@ -49,25 +61,26 @@ let install t = Span.set_sink (Some (record t))
 (* The undrained events still held, oldest-first, and the ticket the
    next drain starts at. *)
 let read t drained =
-  let n = Atomic.get t.ticket in
+  let n = t.ticket in
   let cap = Array.length t.slots in
   let rec go k acc =
-    if k >= n then (List.rev acc, n)
+    if k >= n then (List.rev acc, k)
     else
-      match Atomic.get t.slots.(k mod cap) with
+      match t.slots.(k mod cap) with
       | Some (j, e) when j = k -> go (k + 1) (e :: acc)
       | Some (j, _) when j > k -> go (k + 1) acc
       | _ -> (List.rev acc, k)
   in
   go (max drained (n - cap)) []
 
-let dump t = fst (read t (Atomic.get t.drained))
+let dump t = fst (read t t.drained)
 let length t = List.length (dump t)
 
 let rec drain t =
-  let d = Atomic.get t.drained in
+  let d = t.drained in
   let events, next = read t d in
-  if Atomic.compare_and_set t.drained d next then events else drain t
+  if Concurrent.Atomic_field.compare_and_set_field t drained_field d next then events
+  else drain t
 
 (* Chrome trace_event JSON (the "X" complete-event form), loadable
    directly by chrome://tracing and Perfetto. Timestamps are in

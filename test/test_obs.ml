@@ -1,7 +1,9 @@
 (* Tests for lib/obs: counters/gauges under concurrent domains,
-   histogram bucketing and snapshot percentiles, span nesting, registry
-   JSON round-trip, the trace ring's drains, and the zero-allocation
-   guarantees of the disabled path and of a span with no sink. *)
+   histogram bucketing, snapshot percentiles and first-record
+   publication, span nesting, registry JSON round-trip, the trace
+   ring's drains, the DRAM footprints of a histogram and a trace ring,
+   and the zero-allocation guarantees of the disabled path and of a
+   span with no sink. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -109,6 +111,59 @@ let histogram_concurrent_domains () =
          done));
   check_int "count" (per_domain * domains) (Obs.Histogram.count h);
   check_int "max" (domains * per_domain) (Obs.Histogram.max_value h)
+
+(* A histogram holds no buckets until it records: most registered
+   histograms never record in a given process. *)
+let histogram_footprint () =
+  let words h = Obj.reachable_words (Obj.repr h) in
+  let h = Obs.Histogram.create () in
+  let fresh = words h in
+  check_bool (Printf.sprintf "unrecorded: %d words <= 8" fresh) true (fresh <= 8);
+  Obs.Histogram.reset h;
+  check_int "reset leaves it unallocated" fresh (words h);
+  Obs.Histogram.record h 1234;
+  let recorded = words h in
+  check_bool (Printf.sprintf "recorded: %d words <= 970" recorded) true (recorded <= 970);
+  Obs.Histogram.reset h;
+  check_int "reset zeroes in place" 0 (Obs.Histogram.count h);
+  check_int "reset keeps the buckets" recorded (words h)
+
+(* Two domains race to allocate a fresh histogram's buckets: the loser
+   must record into the winner's array, so no sample is lost. *)
+let histogram_first_record_race () =
+  let per_domain = 2_000 and rounds = 20 in
+  let n = 2 * per_domain in
+  for _ = 1 to rounds do
+    let h = Obs.Histogram.create () in
+    let ready = Atomic.make 0 in
+    let recorder d () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      for i = 1 to per_domain do
+        Obs.Histogram.record h ((d * per_domain) + i)
+      done
+    in
+    let other = Domain.spawn (recorder 1) in
+    recorder 0 ();
+    Domain.join other;
+    let bucket_sum =
+      List.fold_left (fun acc (_, c) -> acc + c) 0 (Obs.Histogram.nonzero_buckets h)
+    in
+    check_int "count" n (Obs.Histogram.count h);
+    check_int "bucket sum" n bucket_sum;
+    check_int "sum exact" (n * (n + 1) / 2) (Obs.Histogram.sum h);
+    check_int "max exact" n (Obs.Histogram.max_value h)
+  done
+
+let histogram_unrecorded_in_snapshot () =
+  ignore (Obs.Registry.histogram "test.histogram.unrecorded");
+  match Obs.Snap.find_hist (Obs.Snap.of_registry ()) "test.histogram.unrecorded" with
+  | Some s ->
+      check_int "count" 0 s.Obs.Snap.hcount;
+      check_bool "no buckets" true (s.Obs.Snap.buckets = [])
+  | None -> Alcotest.fail "unrecorded histogram missing from snapshot"
 
 (* Spans *)
 
@@ -667,6 +722,11 @@ let tracebuf_concurrent () =
   check_int "ring stays full" 64 (Obs.Tracebuf.length t);
   check_int "dump returns a full window" 64 (List.length (Obs.Tracebuf.dump t))
 
+(* The slots are one array of immediate [None]s until events arrive. *)
+let tracebuf_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Obs.Tracebuf.create ~capacity:4096)) in
+  check_bool (Printf.sprintf "4,096 slots: %d words <= 4,200" words) true (words <= 4200)
+
 (* One domain records events 1..n while another drains in a loop: the
    drains and one final drain report every event exactly once. *)
 let tracebuf_concurrent_drains () =
@@ -895,6 +955,11 @@ let () =
           Alcotest.test_case "bucket monotonicity" `Quick histogram_buckets_monotone;
           Alcotest.test_case "percentiles" `Quick histogram_percentiles;
           Alcotest.test_case "under domains" `Quick histogram_concurrent_domains;
+          Alcotest.test_case "footprint before and after a record" `Quick
+            histogram_footprint;
+          Alcotest.test_case "first record race" `Quick histogram_first_record_race;
+          Alcotest.test_case "unrecorded in a snapshot" `Quick
+            histogram_unrecorded_in_snapshot;
           QCheck_alcotest.to_alcotest percentile_properties;
           QCheck_alcotest.to_alcotest histogram_merge_properties;
         ] );
@@ -921,6 +986,7 @@ let () =
           Alcotest.test_case "under domains" `Quick tracebuf_concurrent;
           Alcotest.test_case "concurrent drains report each span once" `Quick
             tracebuf_concurrent_drains;
+          Alcotest.test_case "footprint" `Quick tracebuf_footprint;
         ] );
       ( "slowlog",
         [
