@@ -518,9 +518,9 @@ let cluster_promote topo_file timeout_ms retries shard to_slot =
         for j = 1 to nslots - 1 do
           match
             probe ~retries timeout_ms (Cluster.Topology.replica topo shard j)
-              Net.Client.epoch_probe
+              Net.Client.clock
           with
-          | Ok (_, version) -> (
+          | Ok version -> (
               match !best with
               | Some (_, v) when v >= version -> ()
               | _ -> best := Some (j, version))
@@ -661,7 +661,7 @@ let cluster_status topo_file timeout_ms retries slo =
       let status =
         probe ~retries timeout_ms ep (fun c ->
             Net.Client.ping c;
-            let epoch, version = Net.Client.epoch_probe c in
+            let epoch, version, _ = Net.Client.epoch_probe c in
             (epoch, version, slo_of c))
       in
       match status with
@@ -755,8 +755,8 @@ let pool_target store =
       compact_below ~clock:(fun () -> Store.current_version store) (fun before ->
           Store.compact store ~before) }
 
-(* --retain N probes the server's clock with [Tag_at 0] and sends the
-   absolute horizon clock - N. *)
+(* --retain N probes the server's clock with [Epoch_probe] and sends
+   the absolute horizon clock - N. *)
 let server_target c =
   { word = "";
     insert = (fun key value -> Net.Client.insert c ~key ~value);
@@ -769,7 +769,7 @@ let server_target c =
     snapshot = Net.Client.snapshot c;
     scan = (fun ?version ~limit ~lo ~hi f -> ignore (Net.Client.scan c ?version ~limit ~lo ~hi f));
     compact =
-      compact_below ~clock:(fun () -> Net.Client.tag_at c ~version:0) (fun before ->
+      compact_below ~clock:(fun () -> Net.Client.clock c) (fun before ->
           Net.Client.compact c ~before) }
 
 let cluster_target r =

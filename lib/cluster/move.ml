@@ -1,10 +1,11 @@
 (* See move.mli. The coordinator is a plain client of the wire
-   protocol: every phase is expressed as ordinary frames (Migrate_pull,
-   History_batch, Range_seal/Unseal, Tag_at, topology save), so a
-   coordinator crash never leaves shard-local state that a re-run
-   cannot reconcile — pulls are reads, installs are idempotent
-   (skip-count rule in Pskiplist.install_chains), seals are re-assertable
-   and epoch-fenced. *)
+   protocol: every phase is expressed as ordinary frames (Epoch_probe,
+   Migrate_pull, Range_drop, History_batch, Range_seal/Unseal, Tag_at,
+   topology save), so a coordinator crash never leaves shard-local
+   state that a re-run cannot reconcile — pulls are reads, installs are
+   idempotent (skip-count rule in Pskiplist.install_chains) above the
+   source's horizon and start from a dropped range below it, seals are
+   re-assertable and epoch-fenced. *)
 
 type progress = {
   phase : string;
@@ -38,6 +39,7 @@ let c_rounds = Obs.Registry.counter "move.rounds"
 let c_keys = Obs.Registry.counter "move.keys_copied"
 let c_events = Obs.Registry.counter "move.events_copied"
 let c_resumed = Obs.Registry.counter "move.resumed"
+let c_resets = Obs.Registry.counter "move.resets"
 let h_copy = Obs.Registry.histogram "move.copy_ns"
 let h_round = Obs.Registry.histogram "move.round_ns"
 let h_pause = Obs.Registry.histogram "move.pause_ns"
@@ -56,57 +58,62 @@ type ctx = {
 let connect ctx addr =
   Net.Client.connect ~retries:ctx.retries ?timeout_ms:ctx.timeout_ms addr
 
-(* Probe a node's version clock: Tag_at 0 is unkeyed (never matches a
-   sealed range) and mutates nothing, so it passes the write gate. The
-   server answers only after draining other connections' in-flight
-   mutations, so the reply is a publication barrier: every event ever
-   stamped at or below it is already in the store's chains — which is
-   exactly the guarantee the watermark rule below needs. *)
-let clock_of c = Net.Client.tag_at c ~version:0
-
-(* Ship every event of [lo, hi) above [since] from [src] to [dst],
-   paging so one frame never carries more than [ctx.page] events.
-   Returns (keys, events) shipped. [since] rides in every History_batch
-   so the destination's skip-count install stays idempotent even when a
-   page is replayed after a coordinator crash. *)
-let copy_span ctx ~src ~dst ~lo ~hi ~since =
-  Net.Client.page_chains ~lo ~hi
-    ~pull:(fun ~lo -> Net.Client.migrate_pull src ~lo ~hi ~since ~limit:ctx.page)
-    ~ship:(Net.Client.history_batch dst ~since)
+(* Epoch-adoption fence: a frame stamped with [epoch] makes [addr]
+   reject stale-epoch writers from then on; with [unseal] that frame is
+   the Range_unseal of the range. Non-fatal: a node that misses it
+   adopts the epoch on first contact. *)
+let fence ctx ~epoch ?unseal addr =
+  try
+    let c = connect ctx addr in
+    Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+    Net.Client.set_epoch c epoch;
+    match unseal with
+    | Some (lo, hi) -> Net.Client.range_unseal c ~lo ~hi
+    | None -> Net.Client.ping c
+  with _ -> ()
 
 (* The shared three-phase handoff engine. [rewrite] turns the current
    topology into the post-move one (set swap, split, or merge) — it runs
-   exactly once, between seal and unseal, after the final diff landed.
-   [dst_primary]/[dst_backups] are the range's owners after [rewrite]. *)
-let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dst_primary
-    ~dst_backups ~lo ~hi ~rewrite =
+   exactly once, between seal and unseal, after the final round landed.
+   [dest] is the range's replica set after [rewrite], primary first. *)
+let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite =
   Obs.Metric.set g_active 1;
   Fun.protect ~finally:(fun () -> Obs.Metric.set g_active 0)
   @@ fun () ->
   let next_epoch = Topology.epoch topo + 1 in
-  let dst_ep = Net.Sockaddr.to_string dst_primary in
+  let dst_ep = Net.Sockaddr.to_string dest.(0) in
   let src = connect ctx src_addr in
-  let dst = connect ctx dst_primary in
+  let dst = connect ctx dest.(0) in
   Fun.protect ~finally:(fun () ->
       (try Net.Client.close src with _ -> ());
       try Net.Client.close dst with _ -> ())
   @@ fun () ->
+  let keys_total = ref 0 and events_total = ref 0 and rounds = ref 0 in
+  (* One round: every event of [lo, hi) above [since], paged at
+     [ctx.page] events, under the source's horizon rule. Watermark
+     rule: the next round's [since] is the clock this round probed
+     before pulling, so it cannot skip a write that raced this round's
+     pages. Overlap is harmless — install is idempotent. *)
+  let copy ~since =
+    let r =
+      Net.Client.copy_range ~lo ~hi ~since
+        ~probe:(fun () -> let _, clock, h = Net.Client.epoch_probe src in (clock, h))
+        ~pull:(fun ~since ~lo -> Net.Client.migrate_pull src ~lo ~hi ~since ~limit:ctx.page)
+        ~ship:(fun req -> ignore (Net.Client.mutate dst req))
+    in
+    keys_total := !keys_total + r.keys;
+    events_total := !events_total + r.events;
+    Obs.Metric.add c_resets r.resets;
+    r
+  in
   (* ---- phase 1: bulk copy + catch-up rounds ---------------------- *)
   let t0 = Obs.Clock.now_ns () in
-  let keys_total = ref 0 and events_total = ref 0 and rounds = ref 0 in
   let watermark = ref 0 in
   let converged = ref false in
   ctx.fault "pre_copy";
   while (not !converged) && !rounds < ctx.max_rounds do
     let r0 = Obs.Clock.now_ns () in
-    (* Watermark rule: probe the source clock *before* pulling, so the
-       next round's [since] cannot skip a write that raced this round's
-       pages. Overlap is harmless — install is idempotent. *)
-    let clock = clock_of src in
-    let since = !watermark in
-    let keys, events = copy_span ctx ~src ~dst ~lo ~hi ~since in
-    keys_total := !keys_total + keys;
-    events_total := !events_total + events;
+    let { Net.Client.keys; events; clock; _ } = copy ~since:!watermark in
     incr rounds;
     Obs.Metric.incr c_rounds;
     Obs.Histogram.record h_round (Obs.Clock.now_ns () - r0);
@@ -126,20 +133,16 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dst_primary
   let p0 = Obs.Clock.now_ns () in
   Net.Client.range_seal src ~lo ~hi ~epoch:next_epoch ~endpoint:dst_ep;
   ctx.fault "sealed";
-  (* Final diff under the seal: no writer can race it, so after this
-     the destination's copy of [lo, hi) is exact. *)
-  let keys, events = copy_span ctx ~src ~dst ~lo ~hi ~since:!watermark in
-  keys_total := !keys_total + keys;
-  events_total := !events_total + events;
+  (* Final round under the seal: no writer or tagger can race it, so
+     after this the destination's copy of [lo, hi) is exact, and the
+     clock the round probed is the source's. *)
+  let { Net.Client.keys; events; clock; _ } = copy ~since:!watermark in
   ctx.notify { phase = "cutover"; round = !rounds; keys; events };
-  (* Advance the destination's clock to at least the source's, so a
-     reader that saw version V on the old owner finds the history at V
-     on the new one. Tag_at is advance-only server-side via the probe:
-     take the max so a merge destination's own clock is never lowered. *)
-  let src_clock = clock_of src in
-  let dst_clock = clock_of dst in
-  if src_clock > dst_clock then
-    ignore (Net.Client.tag_at dst ~version:src_clock);
+  (* Raise the destination's clock to the source's, so a reader that
+     saw version V on the old owner finds the history at V on the new
+     one. Tag_at only raises a clock, so a merge destination ahead of
+     the source keeps its own; a clock of 0 has nothing to raise. *)
+  if clock > 0 then ignore (Net.Client.tag_at dst ~version:clock);
   (* ---- phase 3: publish ------------------------------------------ *)
   ctx.fault "pre_save";
   let topo' = rewrite topo in
@@ -148,25 +151,12 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dst_primary
   | Ok () -> ()
   | Error m -> failwith ("__save__ " ^ m));
   ctx.fault "saved";
-  (* Epoch-adoption fence: ping the new owners with the new epoch
-     stamped, so they reject stale-epoch writers from the moment the
-     seal lifts. A ping failure here is non-fatal — the epoch also
-     propagates on first contact. *)
-  let fence addr =
-    try
-      let c = connect ctx addr in
-      Net.Client.set_epoch c next_epoch;
-      (try Net.Client.ping c with _ -> ());
-      Net.Client.close c
-    with _ -> ()
-  in
-  fence dst_primary;
-  Array.iter fence dst_backups;
-  (* Lift the seal last: from here the old owner answers Moved with the
-     already-published epoch, and routers chase it. *)
-  Net.Client.set_epoch src next_epoch;
-  (try Net.Client.range_unseal src ~lo ~hi
-   with _ -> () (* old owner may already be gone; seal dies with it *));
+  (* Fence the new owners, so they reject stale-epoch writers from the
+     moment the seal lifts. Then lift the seal last: from here the old
+     owner answers Moved with the already-published epoch, and routers
+     chase it (an old owner already gone takes its seal with it). *)
+  Array.iter (fence ctx ~epoch:next_epoch) dest;
+  fence ctx ~epoch:next_epoch ~unseal:(lo, hi) src_addr;
   let pause_ns = Obs.Clock.now_ns () - p0 in
   Obs.Histogram.record h_pause pause_ns;
   Obs.Metric.incr c_moves;
@@ -222,29 +212,12 @@ let move ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
        pre-save primary is unknown, its in-memory seal dies with it;
        see the crash matrix in DESIGN.md §8). *)
     Obs.Metric.incr c_resumed;
-    let fence addr =
-      try
-        let c = connect ctx addr in
-        Net.Client.set_epoch c (Topology.epoch topo);
-        (try Net.Client.ping c with _ -> ());
-        (try Net.Client.range_unseal c ~lo ~hi with _ -> ());
-        Net.Client.close c
-      with _ -> ()
-    in
-    Array.iter fence dest;
-    {
-      rounds = 0;
-      keys_copied = 0;
-      events_copied = 0;
-      copy_ns = 0;
-      pause_ns = 0;
-      new_epoch = Topology.epoch topo;
-    }
+    Array.iter (fence ctx ~epoch:(Topology.epoch topo) ~unseal:(lo, hi)) dest;
+    let new_epoch = Topology.epoch topo in
+    { rounds = 0; keys_copied = 0; events_copied = 0; copy_ns = 0; pause_ns = 0; new_epoch }
   end
   else
-    handoff ctx ~topo_path ~topo ~src_addr ~dst_primary:dest.(0)
-      ~dst_backups:(Array.sub dest 1 (Array.length dest - 1))
-      ~lo ~hi
+    handoff ctx ~topo_path ~topo ~src_addr ~dest ~lo ~hi
       ~rewrite:(fun topo -> Topology.with_set topo ~shard dest)
 
 let split ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
@@ -261,9 +234,7 @@ let split ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
          shard lo hi);
   let src_addr = Topology.primary topo shard in
   (* Only the upper half [at, hi) moves; the source keeps [lo, at). *)
-  handoff ctx ~topo_path ~topo ~src_addr ~dst_primary:dest.(0)
-    ~dst_backups:(Array.sub dest 1 (Array.length dest - 1))
-    ~lo:at ~hi
+  handoff ctx ~topo_path ~topo ~src_addr ~dest ~lo:at ~hi
     ~rewrite:(fun topo -> Topology.split_range topo ~shard ~at dest)
 
 let merge ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
@@ -278,10 +249,7 @@ let merge ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
      the one case where the dest may be ahead of the source). *)
   let lo, hi = Topology.range topo (shard + 1) in
   let src_addr = Topology.primary topo (shard + 1) in
-  handoff ctx ~topo_path ~topo ~src_addr
-    ~dst_primary:(Topology.primary topo shard)
-    ~dst_backups:(Topology.backups topo shard)
-    ~lo ~hi
+  handoff ctx ~topo_path ~topo ~src_addr ~dest:(Topology.replicas topo shard) ~lo ~hi
     ~rewrite:(fun topo -> Topology.merge_range topo ~shard)
 
 let status ?timeout_ms ?(retries = 2) topo =

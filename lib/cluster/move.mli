@@ -5,31 +5,35 @@
     three phases, all expressed as ordinary wire frames so a
     coordinator crash is always recoverable by re-running:
 
-    + {b copy} — page the range's version chains off the source with
-      [Migrate_pull] and install them on the destination's primary with
-      [History_batch] (version stamps, tombstones and all; the
-      destination's replication chain forwards each batch to its
-      backups verbatim). Catch-up rounds re-pull everything above a
-      clock watermark probed {e before} each round, until one whole
-      round moves no more than [lag] events.
+    + {b copy} — rounds of {!Net.Client.copy_range}: page the range's
+      version chains off the source with [Migrate_pull] and install
+      them on the destination's primary with [History_batch] (version
+      stamps, tombstones and all; the destination's chain forwards each
+      batch to its backups verbatim). Each round pulls everything above
+      the clock the previous round probed ([Epoch_probe]) before
+      pulling, until one whole round moves no more than [lag] events.
+      Below the source's compaction horizon a round first drops the
+      destination's copy ([Range_drop]) and copies from 0
+      ([move.resets]).
     + {b cutover} — [Range_seal] the range on the source (new writers
       get a typed [Moved {epoch; endpoint}] rejection; in-flight ones
-      drain), ship the final diff under the seal, and raise the
-      destination's version clock to the source's so versioned reads
-      stay coherent across the handoff.
+      drain), ship the final round under the seal, and raise the
+      destination's version clock to the one that round probed
+      ([Tag_at]) so versioned reads stay coherent across the handoff.
     + {b publish} — rewrite the topology (epoch + 1), {!Topology.save}
       it durably, fence the new owners onto the new epoch, and lift the
       seal last — from then on the old owner's [Moved] answers carry an
       epoch the routers can chase.
 
     Idempotence contract: installs use the skip-count rule
-    ({!Mvdict.Pskiplist}[.install_chains]), so any prefix of the
-    protocol can be replayed. Killed before the topology save: re-run
-    the same command ([--resume] in the CLI is just that). Killed
-    after: {!move} detects the topology already names the destination
-    and only re-runs the fence. The source keeps its (now unreachable)
-    copy of a moved range; reclaiming it is ordinary retention GC on
-    the source, out of this module's scope. *)
+    ({!Mvdict.Pskiplist}[.install_chains]) above the source's horizon,
+    and a round below it starts from a dropped copy, so any prefix of
+    the protocol can be replayed. Killed before the topology save:
+    re-run the same command ([--resume] in the CLI is just that).
+    Killed after: {!move} detects the topology already names the
+    destination and only re-runs the fence and the unseal. The source
+    keeps its (now unreachable) copy of a moved range; reclaiming it is
+    ordinary retention GC on the source, out of this module's scope. *)
 
 type progress = {
   phase : string;  (** ["copy"], ["cutover"], or ["done"] *)

@@ -452,9 +452,7 @@ let ping t =
 (* Clock probes feed tag/compact horizons, which are then written at
    the primaries — so probe the primaries, not a possibly-lagging
    backup. *)
-let versions t =
-  Result.map Array.of_list
-    (broadcast_chased t (fun c -> Net.Client.tag_at c ~version:0))
+let versions t = Result.map Array.of_list (broadcast_chased t Net.Client.clock)
 
 (* ---- find_bulk: per-shard batches, answers in input order ---- *)
 

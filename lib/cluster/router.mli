@@ -90,7 +90,7 @@ val ping : t -> (unit, error) result
 (** Round-trip every shard. *)
 
 val versions : t -> (int array, error) result
-(** Every shard's current version, probed with [Tag_at 0]. *)
+(** Every shard's current version, probed with [Epoch_probe]. *)
 
 val insert : t -> key:int -> value:int -> (unit, error) result
 val remove : t -> key:int -> (unit, error) result

@@ -223,32 +223,56 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let heap t = t.store.heap
 
+  (* A pass's or range drop's first step, quiesced: persist the floor
+     F = fc and a horizon of at least [h] in one line, so recovery
+     counts every dropped stamp as present, kept records keep their
+     stamps, and the pool never claims an event a drop may take. *)
+  let raise_horizon t h =
+    let s = t.store in
+    let horizon = max (Atomic.get s.horizon) h in
+    set_floor s.heap ~floor:(Version.fc t.ctx) ~horizon;
+    Atomic.set s.horizon horizon
+
+  let free_values s raw ~upto =
+    for i = 0 to upto - 1 do
+      let _, word, _ = raw.(i) in
+      Codec.free_word s.heap word
+    done
+
+  (* Release whole keys, quiesced: [dead] maps chain slots, the
+     histories' handles, to histories and raw records. The slots are
+     cleared (persisted) before the key blobs, value blobs and history
+     storage are freed and the index nodes unlinked. *)
+  let release t dead =
+    let s = t.store in
+    if Hashtbl.length dead > 0 then begin
+      Pmem.Pblockchain.release_slots s.chain
+        (List.of_seq (Hashtbl.to_seq_keys dead))
+        ~on_release:(fun ~key -> Codec.free_word s.heap key);
+      Hashtbl.iter
+        (fun _ (h, raw) ->
+          free_values s raw ~upto:(Array.length raw);
+          Phistory.destroy s.heap h)
+        dead;
+      Obs.Metric.add c_gc_scrubbed
+        (Concurrent.Skiplist.scrub t.index ~dead:(fun _ h ->
+             Hashtbl.mem dead (Phistory.chain_slot h)))
+    end
+
   (* The GC core; runs with the store quiesced (gate closed, in-flight
      drained, fc settled). Persist order is the crash-safety argument:
-     (1) the floor F = fc and the horizon, before anything is dropped,
-     so recovery counts every dropped stamp as present and kept records
-     keep their stamps; (2) per history that drops records (a prefix:
-     everything before the newest entry at or below [before], and that
-     entry too when it is a removal marker) or is larger than its right
-     size, one root swap of its chain slot's history word
-     ([Phistory.drop_prefix]); (3) only after the swap, the dropped
-     value blobs are freed. Keys whose history empties out are scrubbed:
-     their chain slots, the histories' handles, are cleared (persisted)
-     first, and only then are the key blob, value blobs and history
-     storage freed and the index node unlinked. A crash between any two
+     (1) the floor and the horizon ([raise_horizon]); (2) per history
+     that drops records (a prefix: everything before the newest entry
+     at or below [before], and that entry too when it is a removal
+     marker) or is larger than its right size, one root swap of its
+     chain slot's history word ([Phistory.drop_prefix]); (3) only after
+     the swap, the dropped value blobs are freed. Keys whose history
+     empties out are released ([release]). A crash between any two
      steps strands blocks at worst, which the next open's rebuild frees,
      and never leaves a record pointing at freed storage. *)
   let compact_quiesced t ~before =
     let s = t.store in
-    let horizon = max (Atomic.get s.horizon) before in
-    set_floor s.heap ~floor:(Version.fc t.ctx) ~horizon;
-    Atomic.set s.horizon horizon;
-    let free_values raw ~upto =
-      for i = 0 to upto - 1 do
-        let _, word, _ = raw.(i) in
-        Codec.free_word s.heap word
-      done
-    in
+    raise_horizon t before;
     let dropped = ref 0 in
     let dead = Hashtbl.create 16 in
     Concurrent.Skiplist.iter t.index (fun _ h ->
@@ -269,23 +293,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         if first = n then Hashtbl.replace dead (Phistory.chain_slot h) (h, raw)
         else begin
           Phistory.drop_prefix s.heap h ~first;
-          free_values raw ~upto:first
+          free_values s raw ~upto:first
         end);
-    if Hashtbl.length dead > 0 then begin
-      Pmem.Pblockchain.release_slots s.chain
-        (List.of_seq (Hashtbl.to_seq_keys dead))
-        ~on_release:(fun ~key -> Codec.free_word s.heap key);
-      Hashtbl.iter
-        (fun _ (h, raw) ->
-          free_values raw ~upto:(Array.length raw);
-          Phistory.destroy s.heap h)
-        dead;
-      let scrubbed =
-        Concurrent.Skiplist.scrub t.index ~dead:(fun _ h ->
-            Hashtbl.mem dead (Phistory.chain_slot h))
-      in
-      Obs.Metric.add c_gc_scrubbed scrubbed
-    end;
+    release t dead;
     !dropped
 
   (* Online GC entry point (see interface). Serialises concurrent
@@ -304,6 +314,20 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         if live0 > live1 then Obs.Metric.add c_gc_reclaimed (live0 - live1);
         Obs.Histogram.record h_gc_pause (Obs.Clock.now_ns () - pause0);
         dropped)
+
+  (* See the interface: a pass's first step, then every key of the
+     range released whole. *)
+  let drop_range t ~lo ~hi ~horizon =
+    Mutex.protect t.store.gc_lock @@ fun () ->
+    quiesced t @@ fun () ->
+    raise_horizon t horizon;
+    let dead = Hashtbl.create 16 and dropped = ref 0 in
+    Concurrent.Skiplist.iter_range t.index ~lo ~hi (fun _ h ->
+        let raw = Phistory.scan_persisted t.store.heap h in
+        dropped := !dropped + Array.length raw;
+        Hashtbl.replace dead (Phistory.chain_slot h) (h, raw));
+    release t dead;
+    !dropped
 
   let retain t ~keep =
     if keep < 0 then invalid_arg "Pskiplist.retain: keep must be non-negative";

@@ -64,6 +64,14 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
       calls serialise on an internal lock. Returns the number of entries
       dropped. *)
 
+  val drop_range : t -> lo:key -> hi:key -> horizon:int -> int
+  (** Release every key in [[lo, hi)] whole, as {!compact} releases an
+      emptied key, after raising the {!horizon} to at least [horizon].
+      Runs quiesced like a pass and persists the stamp floor and the
+      horizon first, so a crash leaves each key of the range whole or
+      gone, none gone under a lower horizon. Returns the entries
+      dropped. (The wire's [Range_drop], sent by a copy from 0.) *)
+
   val retain : t -> keep:int -> int * int
   (** [retain t ~keep] compacts so that (at least) the last [keep]
       versions stay fully observable: runs [compact ~before:(current -

@@ -328,10 +328,15 @@ let snapshot t ?version () =
   | None -> ());
   Array.of_list (List.rev !acc)
 
+(* The server's epoch, version clock and compaction horizon. *)
 let epoch_probe t =
   match call t Wire.Epoch_probe with
-  | Wire.Epoch_info { epoch; version } -> (epoch, version)
+  | Wire.Epoch_info { epoch; version; horizon } -> (epoch, version, horizon)
   | r -> unexpected "epoch_probe" r
+
+let clock t =
+  let _, version, _ = epoch_probe t in
+  version
 
 (* ---- migration (shard handoff) helpers ---- *)
 
@@ -340,28 +345,50 @@ let migrate_pull t ~lo ~hi ~since ~limit =
   | Wire.Histories chains -> chains
   | r -> unexpected "migrate_pull" r
 
-let history_batch t ~since chains =
-  match call t (Wire.History_batch { since; chains }) with
-  | Wire.Ack -> ()
-  | r -> unexpected "history_batch" r
+type copied = { keys : int; events : int; resets : int; clock : int }
 
-(* Stream the version chains of [lo, hi) page by page from [pull] (the
-   page starting at a low key) to [ship]. A page ends on a whole chain,
-   so the next starts past its last key, and an empty page ends the
-   range. Returns the keys and events shipped. A shard move pulls from
-   the source over the wire, a replication catch-up from its own store. *)
-let page_chains ~pull ~ship ~lo ~hi =
-  let rec page lo keys events =
-    match pull ~lo with
-    | [||] -> (keys, events)
+(* Copy the version chains of [lo, hi) above [since] from a source to a
+   destination: the one copy behind a shard move's rounds and a
+   backup's catch-up. [probe] reads the source's clock and compaction
+   horizon h, [pull ~since ~lo] one page of its chains from key [lo] (a
+   page ends on a whole chain; an empty one ends the range), and [ship]
+   sends the destination one mutation. No event above [since] says what
+   the source dropped at or below h (a GC pass may release a removed
+   key whole), so when [since < h] the copy first drops the
+   destination's [lo, hi) ([Range_drop], raising its horizon to h) and
+   copies from 0; and it is redone that way if h rose past
+   [max since h] during the copy. Returns the keys and events shipped,
+   the drops, and the clock probed before the first pull: every event
+   at or below it was in the source's chains by then, so it is the next
+   round's [since]. *)
+let copy_range ~probe ~pull ~ship ~lo ~hi ~since =
+  let keys = ref 0 and events = ref 0 and resets = ref 0 in
+  let rec page ~since from =
+    match pull ~since ~lo:from with
+    | [||] -> ()
     | chains ->
-        ship chains;
-        let keys = keys + Array.length chains in
-        let events = Array.fold_left (fun n (_, evs) -> n + List.length evs) events chains in
+        ship (Wire.History_batch { since; chains });
+        keys := !keys + Array.length chains;
+        Array.iter (fun (_, evs) -> events := !events + List.length evs) chains;
         let last, _ = chains.(Array.length chains - 1) in
-        if last >= hi - 1 then (keys, events) else page (last + 1) keys events
+        if last < hi - 1 then page ~since (last + 1)
   in
-  page lo 0 0
+  let rec copy ~since ~h =
+    let since =
+      if since >= h then since
+      else begin
+        ship (Wire.Range_drop { lo; hi; horizon = h });
+        incr resets;
+        0
+      end
+    in
+    page ~since lo;
+    let _, h' = probe () in
+    if h' > max since h then copy ~since ~h:h'
+  in
+  let clock, h = probe () in
+  copy ~since ~h;
+  { keys = !keys; events = !events; resets = !resets; clock }
 
 let range_seal t ~lo ~hi ~epoch ~endpoint =
   match call t (Wire.Range_seal { lo; hi; epoch; endpoint }) with
@@ -378,13 +405,15 @@ let moves_status t =
   | Wire.Moves_json s -> s
   | r -> unexpected "moves_status" r
 
-(* Ship one already-applied mutation to a backup. Returns the backup's
-   raw (non-error) response so the chain can cross-check e.g. the
-   version a [Tag_at] landed at. *)
-let replicate t ~epoch req =
-  match call t (Wire.Replicate { epoch; req }) with
+(* Send one mutation and return the peer's non-error response. *)
+let mutate t req =
+  match call t req with
   | Wire.Error { code; message } -> raise (Remote_error (code, message))
   | resp -> resp
+
+(* Ship one already-applied mutation to a backup; the chain reads the
+   version a [Tag_at] landed at off the response. *)
+let replicate t ~epoch req = mutate t (Wire.Replicate { epoch; req })
 
 let trace_dump ?(clear = true) t =
   match call t (Wire.Trace_dump { clear }) with

@@ -173,26 +173,15 @@ let seal_conflict t (req : Wire.request) =
   match Atomic.get t.seals with
   | [] -> None
   | seals -> (
-      let hit key =
-        List.find_opt (fun (lo, hi, _, _, _) -> key >= lo && key < hi) seals
-      in
-      let first_hit fold keys =
-        fold
-          (fun acc key -> match acc with Some _ -> acc | None -> hit key)
-          None keys
-      in
+      let hit key = List.find_opt (fun (lo, hi, _, _, _) -> key >= lo && key < hi) seals in
+      let first_hit keyed = Array.find_map (fun (key, _) -> hit key) keyed in
       match req with
       | Wire.Insert { key; _ } | Wire.Remove { key } -> hit key
-      | Wire.Insert_batch { pairs } ->
-          first_hit
-            (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
-            pairs
-      | Wire.Remove_batch { keys } ->
-          first_hit (fun f acc -> Array.fold_left f acc) keys
-      | Wire.History_batch { chains; _ } ->
-          first_hit
-            (fun f acc -> Array.fold_left (fun a (k, _) -> f a k) acc)
-            chains
+      | Wire.Insert_batch { pairs } -> first_hit pairs
+      | Wire.Remove_batch { keys } -> Array.find_map hit keys
+      | Wire.History_batch { chains; _ } -> first_hit chains
+      | Wire.Range_drop { lo; hi; _ } ->
+          List.find_opt (fun (l, h, _, _, _) -> l < hi && lo < h) seals
       (* The version clock and the GC horizon are migrating state
          too: a tag or compaction that landed after the coordinator's
          final clock probe would be missing on the new owner, so a
@@ -205,9 +194,9 @@ let seal_conflict t (req : Wire.request) =
          gets the clock op directly, and our clock only governs the
          ranges we kept. Without the epoch cut-off, the residual seal
          between topology save and unseal would bounce every retry
-         and exhaust the chase for nothing. Clock {e probes}
-         ([Tag_at 0]) mutate nothing and never reach this check (see
-         [gated]). *)
+         and exhaust the chase for nothing. The clock probe
+         ([Epoch_probe]) mutates nothing and never reaches this
+         check. *)
       | Wire.Tag | Wire.Compact _ | Wire.Tag_at _ ->
           let cur = Atomic.get t.epoch in
           List.find_opt (fun (_, _, epoch, _, _) -> epoch > cur) seals
@@ -225,7 +214,7 @@ let sealed_reject (_, _, epoch, endpoint, _) =
    2,000 ms client timeout per backup, or a whole catch-up. Not by
    traffic, since each flag is observed at zero only once. The flagged
    worker never waits on the drainer: no flagged apply drains (see
-   [gated]), and the chain's mutex is held only by forwards and
+   [dispatch_inner]), and the chain's mutex is held only by forwards and
    catch-ups, which wait on backups, never on a flag. *)
 let drain_mutations t =
   Array.iter
@@ -302,35 +291,20 @@ let apply t (req : Wire.request) : Wire.response =
   | Wire.Tag -> Wire.Version (S.tag t.store)
   | Wire.Tag_at { version } ->
       (* Advance the version clock until it reaches [version] and
-         answer whatever it then reads. [version] 0 is a pure probe;
-         a clock already past [version] is answered as-is and left to
-         the caller (the cluster router) to flag as a conflict. The
-         loop re-reads the clock so concurrent taggers cannot push it
-         past the target through us. *)
-      if version = 0 then begin
-        (* The probe doubles as a publication barrier: read the clock
-           first, then drain every other worker's in-flight flag.
-           A write that will ever be stamped <= the answer read the
-           clock before it reached that value — its flag was already
-           up when we started scanning, so the drain waits for its
-           chain append. A write starting after our read stamps
-           strictly above the answer. This is what lets a migration
-           round trust [since = probed clock]: no event at or below
-           the watermark can surface after the round's pulls. *)
+         answer whatever it then reads. A clock already past [version]
+         is answered as-is and left to the caller (the cluster router)
+         to flag as a conflict. The loop re-reads the clock so
+         concurrent taggers cannot push it past the target through
+         us. *)
+      let rec bump () =
         let current = S.current_version t.store in
-        drain_mutations t;
-        Wire.Version current
-      end
-      else
-        let rec bump () =
-          let current = S.current_version t.store in
-          if current >= version then current
-          else begin
-            ignore (S.tag t.store);
-            bump ()
-          end
-        in
-        Wire.Version (bump ())
+        if current >= version then current
+        else begin
+          ignore (S.tag t.store);
+          bump ()
+        end
+      in
+      Wire.Version (bump ())
   | Wire.History { key } -> Wire.Events (S.extract_history t.store key)
   | Wire.Registry_snap ->
       Wire.Snap_json
@@ -354,8 +328,16 @@ let apply t (req : Wire.request) : Wire.response =
   | Wire.Compact { before } ->
       Wire.Gc_done { dropped = S.compact t.store ~before }
   | Wire.Epoch_probe ->
-      Wire.Epoch_info
-        { epoch = Atomic.get t.epoch; version = S.current_version t.store }
+      (* A publication barrier: read the clock, then drain every
+         worker's in-flight flag. A write that will ever be stamped <=
+         the answer read the clock before it reached that value, so its
+         flag was up when the drain started; a write starting after our
+         read stamps above the answer. So a copy round can trust
+         [since = probed clock]: no event at or below the watermark
+         surfaces after the round's pulls. *)
+      let version = S.current_version t.store in
+      drain_mutations t;
+      Wire.Epoch_info { epoch = Atomic.get t.epoch; version; horizon = S.horizon t.store }
   | Wire.Insert_batch { pairs } ->
       S.insert_batch t.store (Array.to_list pairs);
       Wire.Ack
@@ -401,6 +383,8 @@ let apply t (req : Wire.request) : Wire.response =
       Obs.Metric.add c_move_install_bytes
         ((16 * Array.length chains) + (17 * events));
       Wire.Ack
+  | Wire.Range_drop { lo; hi; horizon } ->
+      Wire.Gc_done { dropped = S.drop_range t.store ~lo ~hi ~horizon }
   | Wire.Range_seal { lo; hi; epoch; endpoint } ->
       let t0 = Obs.Clock.now_ns () in
       set_seal t ~lo ~hi ~epoch ~endpoint;
@@ -432,21 +416,9 @@ let finish_op t req t0 =
         Obs.Slowlog.note t.slow ~op:(Wire.request_label req)
           ?key:(Wire.request_key req) ~latency_ns:elapsed ()
 
-(* Which requests pass the write gate and the replication hook: the
-   ones that change state. A clock probe ([Tag_at 0]) changes nothing,
-   and it drains every flag itself.
-
-   Invariant: no thread waits on a flag while it holds one. The two
-   drains ([Tag_at 0] and [Range_seal]) therefore run unflagged;
-   otherwise two probes on two workers would each hold their own flag
-   up and spin on the other's forever. *)
-let gated req =
-  Wire.is_mutation req
-  && match req with Wire.Tag_at { version = 0 } -> false | _ -> true
-
 (* [replicated] marks a frame forwarded by another primary: it must be
    applied but never re-forwarded, which keeps the chain one hop deep
-   and loop-free. Every other gated request is applied through
+   and loop-free. Every other mutation is applied through
    [on_mutation] (the replication chain), which forwards it in the
    order of the local applies, so the ack the client sees means
    "applied here and offered to every reachable backup". *)
@@ -455,7 +427,8 @@ let dispatch_core t ~replicated req =
   let resp =
     match
       match t.on_mutation with
-      | Some hook when (not replicated) && gated req -> hook req (fun () -> apply t req)
+      | Some hook when (not replicated) && Wire.is_mutation req ->
+          hook req (fun () -> apply t req)
       | _ -> apply t req
     with
     | resp -> resp
@@ -466,13 +439,18 @@ let dispatch_core t ~replicated req =
   finish_op t req t0;
   resp
 
-(* Gated client requests pass the write gate around [dispatch_core]:
-   raise the worker's in-flight flag [gate], then either bounce off a
-   seal covering one of [req]'s keys or apply it. Replicated frames
-   bypass it — backups are never sealed, and the seal must not recurse
-   into the replication path it is draining. *)
+(* Client mutations pass the write gate around [dispatch_core]: raise
+   the worker's in-flight flag [gate], then either bounce off a seal
+   covering one of [req]'s keys or apply it. Replicated frames bypass
+   it — backups are never sealed, and the seal must not recurse into
+   the replication path it is draining.
+
+   Invariant: no thread waits on a flag while it holds one. The two
+   drains ([Epoch_probe] and [Range_seal]) are not mutations and run
+   unflagged; otherwise two probes on two workers would each hold
+   their own flag up and spin on the other's forever. *)
 let dispatch_inner t ~replicated ~gate req =
-  if replicated || not (gated req) then dispatch_core t ~replicated req
+  if replicated || not (Wire.is_mutation req) then dispatch_core t ~replicated req
   else begin
     Atomic.incr gate;
     Fun.protect

@@ -20,8 +20,9 @@
    and 15 are retired and decode as unknown: a whole-store snapshot
    pages through Scan, the registry travels only as a Registry_snap
    that clients render, and a retention window is a Compact horizon the
-   caller computes from a probed clock. *)
-let protocol_version = 9
+   caller computes from a probed clock. Version 10 added [Range_drop]
+   and made [Epoch_probe] the one clock probe ([Tag_at 0] is malformed). *)
+let protocol_version = 10
 
 (* Largest accepted body, in bytes: 524,287 pairs, small enough that a
    garbage length prefix is rejected instead of honoured. A reply that
@@ -75,11 +76,11 @@ type request =
           polling from two terminals doesn't lose spans. *)
   | Slowlog of { n : int }  (** newest [n] slow-op log entries *)
   | Tag_at of { version : int }
-      (** Advance the store's version clock to exactly [version] and
-          answer the resulting current version. [version] 0 never
-          advances anything, so it doubles as a version probe. A
-          cluster router broadcasts the same [Tag_at] to every shard
-          so all of them cut the {e same} version number. *)
+      (** Advance the store's version clock to [version] (positive) and
+          answer the resulting current version; a clock already past it
+          is only reported, never lowered. A cluster router broadcasts
+          the same [Tag_at] to every shard so all of them cut the
+          {e same} version number. *)
   | Find_bulk of { keys : int array; version : int option }
       (** Look every key up in one frame; answered with {!Values} in
           input order. *)
@@ -87,7 +88,7 @@ type request =
       (** Garbage-collect history entries no snapshot at or after
           [before] observes; answered with {!Gc_done}. A retention
           window of the last [keep] versions is [before = clock - keep],
-          with the clock probed by [Tag_at 0] first. *)
+          with the clock read by an {!Epoch_probe} first. *)
   | Stamped of { epoch : int; req : request }
       (** Epoch-fenced wrapper: if [epoch] is older than the newest
           epoch the server has seen, the whole request is rejected with
@@ -101,9 +102,10 @@ type request =
           without re-triggering replication — the chain is one hop
           deep. Wrappers do not nest. *)
   | Epoch_probe
-      (** Answered with {!Epoch_info}: the server's current epoch and
-          version clock — the probe behind failover decisions and
-          [mvkv cluster client status]. *)
+      (** The one clock probe: answered with {!Epoch_info} once every
+          write in flight when the clock was read has finished, so every
+          event stamped at or below the answered version is in the
+          store's chains (a publication barrier). *)
   | Traced of {
       trace_hi : int;
       trace_lo : int;
@@ -172,6 +174,11 @@ type request =
       (** Answered with {!Moves_json}: the server's epoch, clock, and
           currently sealed ranges with their age — what
           [mvkv cluster moves] renders. *)
+  | Range_drop of { lo : int; hi : int; horizon : int }
+      (** Release every key in [lo, hi) whole, after raising the
+          compaction horizon to at least [horizon]; answered with
+          {!Gc_done}. Rejected under an overlapping seal, and forwarded
+          to backups verbatim ([Client.copy_range] sends it). *)
 
 type response =
   | Pong
@@ -184,8 +191,8 @@ type response =
   | Trace_json of string  (** Chrome trace_event JSON text *)
   | Slowlog_json of string  (** slow-op log entries as JSON text *)
   | Gc_done of { dropped : int }  (** compact result: entries dropped *)
-  | Epoch_info of { epoch : int; version : int }
-      (** Epoch_probe result: the server's epoch and version clock. *)
+  | Epoch_info of { epoch : int; version : int; horizon : int }
+      (** Epoch_probe result: epoch, version clock, compaction horizon. *)
   | Snap_json of string
       (** Registry_snap result: an {!Obs.Snap} document as JSON text. *)
   | Histories of (int * (int * int Mvdict.Dict_intf.event) list) array
@@ -274,6 +281,7 @@ let request_opcode = function
   | Range_seal _ -> 26
   | Range_unseal _ -> 27
   | Moves_status -> 28
+  | Range_drop _ -> 29
 
 (* Stable per-op labels indexed by request opcode: metric names and
    the serve log key on them. "" marks an unused opcode or a wrapper
@@ -284,7 +292,7 @@ let opcode_labels =
     ""; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; ""; "";
     "replicate"; "epoch_probe"; ""; "registry_snap"; "insert_batch";
     "remove_batch"; "scan"; "migrate_pull"; "history_batch"; "range_seal";
-    "range_unseal"; "moves_status";
+    "range_unseal"; "moves_status"; "range_drop";
   |]
 
 (* The opcode a request is labelled by: a Stamped or Traced wrapper's
@@ -304,21 +312,17 @@ let rec request_key = function
       Some key
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       request_key req
-  | Ping | Tag | Trace_dump _ | Slowlog _ | Tag_at _ | Find_bulk _
-  | Compact _ | Epoch_probe | Registry_snap | Insert_batch _ | Remove_batch _
-  | Scan _ | Migrate_pull _ | History_batch _ | Range_seal _ | Range_unseal _
-  | Moves_status ->
-      None
+  | _ -> None
 
 (* Requests a primary must forward to its backups for the replica set
    to converge; everything else is read-only or server-local.
-   History_batch is one: the new owner's backups need the migrated
-   chains too. Range_seal/Range_unseal are deliberately NOT — the gate
+   History_batch and Range_drop are: the new owner's backups need the
+   migrated chains too. Range_seal/Range_unseal are deliberately NOT — the gate
    lives on the primary (backups never take client writes), and a seal
    must not recurse into the replication path it is draining. *)
 let rec is_mutation = function
   | Insert _ | Remove _ | Tag | Tag_at _ | Compact _ | Insert_batch _
-  | Remove_batch _ | History_batch _ ->
+  | Remove_batch _ | History_batch _ | Range_drop _ ->
       true
   | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
       is_mutation req
@@ -337,8 +341,8 @@ let equal_response a b =
   | a, b -> a = b
 
 let pp_response fmt = function
-  | Epoch_info { epoch; version } ->
-      Format.fprintf fmt "epoch %d version %d" epoch version
+  | Epoch_info { epoch; version; horizon } ->
+      Format.fprintf fmt "epoch %d version %d horizon %d" epoch version horizon
   | Pong -> Format.pp_print_string fmt "pong"
   | Ack -> Format.pp_print_string fmt "ack"
   | Version v -> Format.fprintf fmt "version %d" v
@@ -460,6 +464,10 @@ let rec encode_request_body (r : request) =
   | Range_unseal { lo; hi } ->
       put_int buf lo;
       put_int buf hi
+  | Range_drop { lo; hi; horizon } ->
+      put_int buf lo;
+      put_int buf hi;
+      put_int buf horizon
   | Moves_status -> ());
   Buffer.contents buf
 
@@ -511,9 +519,10 @@ let encode_response_body (r : response) =
         pairs
   | Trace_json s | Slowlog_json s | Snap_json s -> put_string buf s
   | Gc_done { dropped } -> put_int buf dropped
-  | Epoch_info { epoch; version } ->
+  | Epoch_info { epoch; version; horizon } ->
       put_int buf epoch;
-      put_int buf version
+      put_int buf version;
+      put_int buf horizon
   | Histories chains -> put_chains buf chains
   | Moves_json s -> put_string buf s
   | Error { code; message } ->
@@ -688,8 +697,8 @@ let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
         finish c (Slowlog { n })
     | 12 ->
         let version = get_int c "tag_at.version" in
-        if version < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative tag_at version %d" version));
+        if version <= 0 then
+          raise (Bad (Malformed, Printf.sprintf "non-positive tag_at version %d" version));
         finish c (Tag_at { version })
     | 13 ->
         let version = get_opt_int c "find_bulk.version" in
@@ -806,6 +815,13 @@ let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
         let hi = get_int c "range_unseal.hi" in
         finish c (Range_unseal { lo; hi })
     | 28 -> finish c Moves_status
+    | 29 ->
+        let lo = get_int c "range_drop.lo" in
+        let hi = get_int c "range_drop.hi" in
+        let horizon = get_int c "range_drop.horizon" in
+        if horizon < 0 then
+          raise (Bad (Malformed, Printf.sprintf "negative range_drop horizon %d" horizon));
+        finish c (Range_drop { lo; hi; horizon })
     | op -> Result.Error (Bad_opcode, Printf.sprintf "unknown request opcode %d" op)
   with
   | r -> r
@@ -868,7 +884,8 @@ let decode_response b ~off ~len : (response, error_code * string) result =
     | 14 ->
         let epoch = get_int c "epoch_info.epoch" in
         let version = get_int c "epoch_info.version" in
-        finish c (Epoch_info { epoch; version })
+        let horizon = get_int c "epoch_info.horizon" in
+        finish c (Epoch_info { epoch; version; horizon })
     | 15 -> finish c (Snap_json (get_string c "snap"))
     | 16 -> finish c (Histories (get_chains c "histories"))
     | 17 -> finish c (Moves_json (get_string c "moves"))

@@ -33,13 +33,21 @@ let max_field = 2
 
 let create () = { buckets = [||]; sum = 0; max = 0 }
 
-(* Position of the most significant set bit; v must be >= 1. *)
-let rec msb_from v acc = if v <= 1 then acc else msb_from (v lsr 1) (acc + 1)
+(* Position of the most significant set bit of v >= 1: a fixed six-step
+   binary search. The refs never escape, so it allocates nothing. *)
+let msb v =
+  let v = ref v and m = ref 0 in
+  if !v lsr 32 <> 0 then (v := !v lsr 32; m := 32);
+  if !v lsr 16 <> 0 then (v := !v lsr 16; m := !m + 16);
+  if !v lsr 8 <> 0 then (v := !v lsr 8; m := !m + 8);
+  if !v lsr 4 <> 0 then (v := !v lsr 4; m := !m + 4);
+  if !v lsr 2 <> 0 then (v := !v lsr 2; m := !m + 2);
+  if !v lsr 1 <> 0 then !m + 1 else !m
 
 let index_of v =
   if v < subs then v
   else begin
-    let m = msb_from v 0 in
+    let m = msb v in
     let sub = (v lsr (m - sub_bits)) land (subs - 1) in
     min (bucket_count - 1) (((m - sub_bits + 1) * subs) + sub)
   end

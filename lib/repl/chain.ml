@@ -6,8 +6,8 @@
    did. This is the chain's throughput ceiling, priced against the
    unreplicated baseline in `bench --fig repl`.
 
-   No drain waits on a thread that waits for it. The drains, a clock
-   probe ([Tag_at 0]) and [Range_seal], take no write flag and never
+   No drain waits on a thread that waits for it. The drains, the clock
+   probe ([Epoch_probe]) and [Range_seal], take no write flag and never
    this mutex. A flagged worker may wait here for the mutex, and the
    holder of the mutex (a forward, or a catch-up from [tick]) waits
    only on its backups' replies, bounded by the client timeout, never
@@ -78,65 +78,32 @@ let ensure_conn peer =
       peer.conn <- Some c;
       c
 
-(* Every event above [since] of the keys in [0, max_int), which holds
-   every cluster key space [0, 2^key_bits), shipped as pages of at most
-   [Wire.batch_chunk] events. Returns the events sent. *)
-let copy_chains t ship ~since =
-  let pull ~lo =
-    Array.of_list (S.pull_chains t.store ~lo ~hi:max_int ~since ~limit:Net.Wire.batch_chunk)
-  in
-  let ship chains = ship (Net.Wire.History_batch { since; chains }) in
-  snd (Net.Client.page_chains ~pull ~ship ~lo:0 ~hi:max_int)
-
-(* Empty a backup whose events are all at or below [upto]: remove its
-   live keys, found by paged [Scan] (the markers land at its pending
-   version, at most [upto]), then compact at [upto]. Every history then
-   ends in a marker at or below the horizon, so the pass drops it whole
-   and releases the key. *)
-let empty_backup c ship ~upto =
-  let keys = ref [] in
-  ignore (Net.Client.scan c ~lo:0 ~hi:max_int (fun key _ -> keys := key :: !keys));
-  List.iter
-    (fun keys -> ship (Net.Wire.Remove_batch { keys }))
-    (Net.Wire.chunks (Array.of_list !keys));
-  ship (Net.Wire.Compact { before = upto })
-
 (* Catch-up by version chains: see chain.mli for where the copy starts
-   and why it is exact. The backup is emptied at the higher of its own
-   and the primary's pending version, above any version it can hold,
-   even after a copy that was cut off. A GC pass that raises the horizon
-   during the copy may drop events the copy relied on, so the copy is
-   redone the emptying way. The mutex keeps the primary's clock still,
-   so [retain] raises the horizon at most once more. *)
+   and why it is exact. The copy probes this store in process (no frame
+   for that), and the mutex keeps its clock still, so [retain] raises
+   the horizon at most once during the copy. *)
 let catch_up t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
   let t0 = Obs.Instr.start () in
   let c = ensure_conn peer in
   let epoch = Atomic.get t.epoch in
-  let ship req = ignore (Net.Client.replicate c ~epoch req) in
-  let _, clock = Net.Client.epoch_probe c in
-  let start = if peer.synced < 0 then max 0 (clock - 1) else min clock peer.synced in
-  let current = S.current_version t.store in
-  let upto = max clock current + 1 in
-  let rec copy () =
-    let h = S.horizon t.store in
-    let since =
-      if start >= h then start
-      else begin
-        Obs.Metric.incr c_catchup_resets;
-        empty_backup c ship ~upto;
-        0
-      end
-    in
-    let sent = copy_chains t ship ~since in
-    if S.horizon t.store > max since h then sent + copy () else sent
+  let clock = Net.Client.clock c in
+  let since = if peer.synced < 0 then max 0 (clock - 1) else min clock peer.synced in
+  let copied =
+    Net.Client.copy_range ~lo:0 ~hi:max_int ~since
+      ~probe:(fun () -> (S.current_version t.store, S.horizon t.store))
+      ~pull:(fun ~since ~lo ->
+        Array.of_list
+          (S.pull_chains t.store ~lo ~hi:max_int ~since ~limit:Net.Wire.batch_chunk))
+      ~ship:(fun req -> ignore (Net.Client.replicate c ~epoch req))
   in
-  let sent = copy () in
   (* Align the clock last, so a backup never tags a state it does not
-     have yet. *)
-  note peer (Net.Client.replicate c ~epoch (Net.Wire.Tag_at { version = current }));
+     have yet; a clock of 0 has nothing to align. *)
+  if copied.clock > 0 then
+    note peer (Net.Client.replicate c ~epoch (Net.Wire.Tag_at { version = copied.clock }));
   Obs.Metric.incr c_catchups;
-  Obs.Metric.add c_catchup_events sent;
+  Obs.Metric.add c_catchup_events copied.events;
+  Obs.Metric.add c_catchup_resets copied.resets;
   if t0 <> 0 then Obs.Histogram.record h_catch_up (Obs.Clock.now_ns () - t0);
   peer.lagging <- false;
   peer.last_error <- None
@@ -167,11 +134,11 @@ let canonical (req : Net.Wire.request) (resp : Net.Wire.response) :
   | Net.Wire.Remove_batch { keys }, _ ->
       let keys = Mvdict.Dict_intf.canonical_keys ~compare:Int.compare (Array.to_list keys) in
       Some (Net.Wire.Remove_batch { keys = Array.of_list keys })
-  (* Migrated chains forward verbatim: the explicit version stamps are
-     the canonical form (install is idempotent on the backup exactly as
-     it was on the primary), so a new owner's backups converge on the
-     moved range's exact histories. *)
-  | (Net.Wire.History_batch _ as req), _ -> Some req
+  (* Migrated chains and range drops forward verbatim: the explicit
+     version stamps are the canonical form (install is idempotent on
+     the backup exactly as it was on the primary), so a new owner's
+     backups converge on the moved range's exact histories. *)
+  | ((Net.Wire.History_batch _ | Net.Wire.Range_drop _) as req), _ -> Some req
   | _ -> None
 
 let forward_to t peer op =

@@ -14,24 +14,22 @@
     DESIGN.md §6).
 
     Catch-up: a backup that missed writes (down, partitioned, or
-    restarted) is sent version chains, the way a shard move copies. The
-    primary probes the backup's clock ([Epoch_probe]) and picks a start
-    c: that clock, or the one this chain's last [Tag_at] left the
-    backup at if lower (a backup restarted over its own pool recovers
-    its clock as its highest version, which may be pending), or one
-    version below the probed clock when this chain never tagged the
-    backup. It ships every event above c over [[0, max_int)] (every
-    cluster key) as [Replicate (History_batch {since = c})] frames of
-    at most {!Net.Wire.batch_chunk} events, then aligns the clock with
-    [Replicate (Tag_at current)]. This is exact while the backup's
-    events above c are a prefix of the primary's, which holds for a
-    backup fed only by this chain (whose own GC keeps at least one
-    version) or started empty, and while the primary's compaction
-    horizon ({!Mvdict.Pskiplist}[.horizon]) is at or below c. Below it,
-    the backup is first emptied with existing frames (a [Remove_batch]
-    of its live keys, found by paged [Scan], and a [Compact] that drops
-    every history) and sent everything; [repl.catchup_resets] counts
-    that path. Either way the backup then answers every read, at every
+    restarted) is sent version chains by {!Net.Client.copy_range}, the
+    copy a shard move runs, over [[0, max_int)] (every cluster key) as
+    [Replicate] frames. The primary probes the backup's clock
+    ([Epoch_probe]) and copies above c: that clock, or the one this
+    chain's last [Tag_at] left the backup at if lower (a backup
+    restarted over its own pool recovers its clock as its highest
+    version, which may be pending), or one version below the probed
+    clock when this chain never tagged the backup. It then aligns the
+    clock with [Replicate (Tag_at current)] (none at clock 0). Above the
+    primary's compaction horizon h ({!Mvdict.Pskiplist}[.horizon]) this
+    is exact while the backup's events above c are a prefix of the
+    primary's, which holds for a backup fed only by this chain (whose
+    own GC keeps at least one version) or started empty. Below h, one
+    [Replicate (Range_drop {0, max_int, h})] first empties the backup
+    and raises its horizon to the primary's (again if a GC pass raises
+    h during the copy); [repl.catchup_resets] counts these. Either way the backup then answers every read, at every
     version, as the primary does, unless its clock is past the
     primary's (a restart committed its pending version): [Tag_at] only
     raises a clock. Peers start out of sync, so a fresh pair syncs on

@@ -314,6 +314,96 @@ let crash_and_resume () =
       check_int "resume path: no copy" 0 o.Cluster.Move.events_copied;
       check_parity router twin touched)
 
+(* ---- the source's horizon: below it a copy starts from a dropped range ---- *)
+
+let counter name = Obs.Metric.value (Obs.Registry.counter name)
+
+(* Keys 0-9 are copied in round 1, at watermark 1. Key 5 is then
+   removed at version 2, 20 tags follow, and the source's retain
+   ~keep:16 compacts at 5, which releases key 5: nothing above the
+   watermark says it is gone. Round 2 must drop the destination's copy
+   and copy from 0, or key 5 keeps reading 50 there. *)
+let gc_between_rounds () =
+  with_fleet ~k:1 ~spares:1 ~tag:"gcround"
+    (fun ~router ~topo_file ~addrs ~stores ~servers:_ ->
+      let twin = fresh_store () in
+      let tag () = check_int "tag parity" (Store.tag twin) (ok "tag" (Cluster.Router.tag router)) in
+      for key = 0 to 9 do
+        Store.insert twin key (key * 10);
+        ok "insert" (Cluster.Router.insert router ~key ~value:(key * 10))
+      done;
+      tag ();
+      let after_round_1 (p : Cluster.Move.progress) =
+        if p.phase = "copy" && p.round = 1 then begin
+          Store.remove twin 5;
+          ok "remove" (Cluster.Router.remove router ~key:5);
+          for _ = 1 to 20 do
+            tag ()
+          done;
+          check_int "the source compacts at 5" 5 (fst (Store.retain stores.(0) ~keep:16))
+        end
+      in
+      let resets = counter "move.resets" in
+      ignore
+        (mok "move"
+           (Cluster.Move.move ~notify:after_round_1 ~topo_path:topo_file (load topo_file)
+              ~shard:0 ~dest:[| addrs.(1) |] ()));
+      Cluster.Router.set_topology router (load topo_file);
+      check_bool "key 5 is gone" true (ok "find" (Cluster.Router.find router 5) = None);
+      let keys = Array.init 10 Fun.id in
+      for version = 5 to Store.current_version twin do
+        check_bool (Printf.sprintf "find at v%d" version) true
+          (ok "find_bulk" (Cluster.Router.find_bulk router ~version keys)
+          = Array.map (Store.find twin ~version) keys);
+        check_bool (Printf.sprintf "snapshot at v%d" version) true
+          (ok "snapshot" (Cluster.Router.snapshot router ~version ())
+          = Store.extract_snapshot twin ~version ())
+      done;
+      check_int "one round dropped the destination's copy" 1 (counter "move.resets" - resets);
+      check_int "the destination's horizon is the source's" 5 (Store.horizon stores.(1)))
+
+(* A move killed after its copy rounds is re-run once the source's GC
+   has dropped key 7's oldest event and key 7 has gained a newer one.
+   The re-run's first round, from 0, is below the source's horizon, so
+   it must start from a dropped copy: the skip count alone would set
+   the destination's two events against the incoming two and install
+   nothing, missing the newer event. *)
+let rerun_after_source_gc () =
+  with_fleet ~k:1 ~spares:1 ~tag:"gcrerun"
+    (fun ~router ~topo_file ~addrs ~stores ~servers:_ ->
+      let insert key value = ok "insert" (Cluster.Router.insert router ~key ~value) in
+      let tag () = ignore (ok "tag" (Cluster.Router.tag router)) in
+      let src = stores.(0) and dst = stores.(1) and dest = [| addrs.(1) |] in
+      for key = 0 to 9 do
+        insert key key
+      done;
+      tag ();
+      insert 7 71;
+      tag ();
+      (match
+         Cluster.Move.move ~topo_path:topo_file (load topo_file) ~shard:0 ~dest
+           ~fault:(fun point -> if point = "pre_seal" then raise Killed)
+           ()
+       with
+      | exception Killed -> ()
+      | Ok _ -> Alcotest.fail "move survived its kill"
+      | Error e -> Alcotest.failf "killed move: %s" (Cluster.Move.error_to_string e));
+      check_int "the destination holds key 7's two events" 2
+        (List.length (Store.extract_history dst 7));
+      ignore (Store.compact src ~before:2);
+      check_int "the source dropped the oldest" 1 (List.length (Store.extract_history src 7));
+      insert 7 72;
+      tag ();
+      ignore (mok "re-run" (Cluster.Move.move ~topo_path:topo_file (load topo_file) ~shard:0 ~dest ()));
+      for key = 0 to 9 do
+        check_bool (Printf.sprintf "history of key %d" key) true
+          (Store.extract_history dst key = Store.extract_history src key)
+      done;
+      for version = 1 to Store.current_version src do
+        check_bool (Printf.sprintf "snapshot at v%d" version) true
+          (Store.extract_snapshot dst ~version () = Store.extract_snapshot src ~version ())
+      done)
+
 (* ---- qcheck: random mutations concurrent with a reshard script ---- *)
 
 type op = Insert of int * int | Remove of int | Tag
@@ -419,6 +509,13 @@ let () =
           Alcotest.test_case "split then merge back" `Quick split_then_merge;
           Alcotest.test_case "coordinator crash + resume matrix" `Quick
             crash_and_resume;
+        ] );
+      ( "horizon",
+        [
+          Alcotest.test_case "a GC pass between rounds releases a removed key" `Quick
+            gc_between_rounds;
+          Alcotest.test_case "a re-run after source GC starts from a dropped copy" `Quick
+            rerun_after_source_gc;
         ] );
       ("concurrent", [ QCheck_alcotest.to_alcotest concurrent ]);
     ]

@@ -1842,6 +1842,90 @@ let compaction_crash_points () =
      each of keys 1, 2 and 4, and key 3's slot"
     8 flushes
 
+(* The range-drop store, keys 1-8 over three tagged rounds: odd keys
+   start with blob values, keys 2 and 4 are removed, and keys 5 and 7
+   grow to four records. The dropped range [3, 7) holds keys 3-6, so
+   each kind of key sits inside it and outside. *)
+let drop_program t =
+  List.iter
+    (fun round ->
+      List.iter
+        (function k, Some v -> PStore.insert t k v | k, None -> PStore.remove t k)
+        round;
+      ignore (PStore.tag t))
+    [
+      List.init 8 (fun i -> (i + 1, Some (if i mod 2 = 0 then -(i + 1) else i + 1)));
+      [ (2, None); (4, None); (5, Some 51); (7, Some 71) ];
+      [ (5, Some (-52)); (5, Some 53); (7, Some (-72)); (7, Some 73) ];
+    ]
+
+(* For k = 1, 2, ... until it completes, the k-th flush of
+   [drop_range] over [3, 7) crashes. After each reopen every key outside
+   the range reads as before at every version, each key inside is whole
+   or gone, none is gone unless the drop's horizon is recorded, and a
+   second drop empties the range and frees no block twice. *)
+let range_drop_crash_points () =
+  let lo = 3 and hi = 7 and horizon = 2 and versions = 3 in
+  let keys = List.init 8 (fun i -> i + 1) in
+  let fresh () =
+    let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+    let heap = Pmem.Pheap.create media in
+    let t = PStore.create heap in
+    drop_program t;
+    (media, heap, t)
+  in
+  let reads t key =
+    ( PStore.extract_history t key,
+      List.init versions (fun v -> PStore.find t ~version:(v + 1) key) )
+  in
+  let expected = (fun (_, _, t) -> List.map (reads t) keys) (fresh ()) in
+  (* Checks one reopened store; says whether every key inside is gone. *)
+  let check_store k stage t =
+    let name key what = Printf.sprintf "crash at flush %d, %s: key %d %s" k stage key what in
+    let gone =
+      List.map2
+        (fun key want ->
+          let history, found = reads t key in
+          if key >= lo && key < hi && history = [] then begin
+            check_bool (name key "gone, reads absent") true
+              (List.for_all Option.is_none found);
+            true
+          end
+          else begin
+            check_bool (name key "reads as before") true ((history, found) = want);
+            false
+          end)
+        keys expected
+    in
+    if List.mem true gone then
+      check_bool (Printf.sprintf "crash at flush %d, %s: the horizon is recorded" k stage)
+        true (PStore.horizon t >= horizon);
+    List.length (List.filter Fun.id gone) = hi - lo
+  in
+  let rec crash_at k =
+    let media, heap, t = fresh () in
+    Pmem.Media.crash_after media ~flushes:k;
+    let completed =
+      match PStore.drop_range t ~lo ~hi ~horizon with
+      | _ -> true
+      | exception Pmem.Media.Crash -> false
+    in
+    Pmem.Media.simulate_crash media;
+    let heap = Pmem.Pheap.reopen heap in
+    let t = PStore.open_existing heap in
+    check_bool (Printf.sprintf "crash at flush %d: the range is gone once the drop returned" k)
+      completed (check_store k "reopened" t);
+    ignore (PStore.drop_range t ~lo ~hi ~horizon);
+    let heap = Pmem.Pheap.reopen heap in
+    check_bool (Printf.sprintf "crash at flush %d: a second drop empties the range" k) true
+      (check_store k "dropped again" (PStore.open_existing heap));
+    check_bool (Printf.sprintf "crash at flush %d: no block freed twice" k) true
+      (free_lists_distinct heap);
+    if completed then k else crash_at (k + 1)
+  in
+  let flushes = crash_at 1 - 1 in
+  check_int "the drop's flushes: the floor and horizon line, and each key's slot" 5 flushes
+
 (* A growing history: counted crash points. *)
 
 (* Nine appends to one key take its history through three growths
@@ -2578,6 +2662,8 @@ let () =
           Alcotest.test_case "a pass costs the floor plus the dropping keys" `Quick
             compaction_pass_cost;
           Alcotest.test_case "every crash point of a pass" `Quick compaction_crash_points;
+          Alcotest.test_case "every crash point of a range drop" `Quick
+            range_drop_crash_points;
           Alcotest.test_case "the horizon survives a reopen" `Quick compaction_horizon;
         ] );
       ( "gc",

@@ -27,7 +27,7 @@ let gen_plain_request =
         map (fun clear -> Net.Wire.Trace_dump { clear }) bool;
         return Net.Wire.Registry_snap;
         map (fun n -> Net.Wire.Slowlog { n }) small_nat;
-        map (fun version -> Net.Wire.Tag_at { version }) small_nat;
+        map (fun version -> Net.Wire.Tag_at { version = version + 1 }) small_nat;
         map2
           (fun keys version -> Net.Wire.Find_bulk { keys = Array.of_list keys; version })
           (small_list gen_key_value) (opt small_nat);
@@ -42,6 +42,9 @@ let gen_plain_request =
         map
           (fun (lo, hi, version, limit) -> Net.Wire.Scan { lo; hi; version; limit })
           (quad gen_key_value gen_key_value (opt small_nat) small_nat);
+        map3
+          (fun lo hi horizon -> Net.Wire.Range_drop { lo; hi; horizon })
+          gen_key_value gen_key_value small_nat;
       ])
 
 (* The epoch wrappers may enclose any plain (non-wrapper) request —
@@ -115,8 +118,9 @@ let gen_response =
         map2 (fun code message -> Net.Wire.Error { code; message }) gen_error_code
           string_printable;
         map (fun dropped -> Net.Wire.Gc_done { dropped }) small_nat;
-        map2 (fun epoch version -> Net.Wire.Epoch_info { epoch; version }) small_nat
-          small_nat;
+        map3
+          (fun epoch version horizon -> Net.Wire.Epoch_info { epoch; version; horizon })
+          small_nat small_nat small_nat;
       ])
 
 (* Round-trip through the full framing path: encode into a buffer as a
@@ -301,9 +305,13 @@ let decode_bulk_count_overrun () =
   check_string "value count overrun" "malformed"
     (explain (Net.Wire.decode_response b ~off:0 ~len))
 
+(* A negative version, and 0 too: the clock probe is [Epoch_probe]. *)
 let decode_negative_tag_at () =
   let b, len = body_of_string (ver ^ "\x0c" ^ String.make 8 '\xff') in
   check_string "negative tag_at version" "malformed"
+    (explain (Net.Wire.decode_request b ~off:0 ~len));
+  let b, len = body_of_string (ver ^ "\x0c" ^ String.make 8 '\x00') in
+  check_string "tag_at version 0" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
 let decode_batch_count_overrun () =
@@ -870,8 +878,7 @@ let e2e_tag_at_find_bulk () =
       for k = 0 to 9 do
         Net.Client.insert client ~key:k ~value:(k * 2)
       done;
-      (* Tag_at 0 is a pure version probe *)
-      check_int "probe before any tag" 0 (Net.Client.tag_at client ~version:0);
+      check_int "probe before any tag" 0 (Net.Client.clock client);
       (* jump the clock straight to 3, as a cluster-wide tag would *)
       check_int "tag_at 3" 3 (Net.Client.tag_at client ~version:3);
       check_int "store clock followed" 3 (Store.current_version store);
@@ -906,7 +913,7 @@ let e2e_compact_retention () =
          --retain` does it: probe the clock, compact below clock - keep.
          With the full history already gone, keep=0 drops nothing more. *)
       let retain keep =
-        let before = max 0 (Net.Client.tag_at client ~version:0 - keep) in
+        let before = max 0 (Net.Client.clock client - keep) in
         (before, if before > 0 then Net.Client.compact client ~before else 0)
       in
       let before, dropped = retain 0 in
@@ -989,7 +996,7 @@ let e2e_concurrent_clients () =
       Array.iter (fun d -> check_bool "domain saw its writes" true (Domain.join d)) domains;
       check_int "all keys present" (2 * per_domain) (Store.key_count store))
 
-(* Regression: a clock probe ([Tag_at 0]) drains every connection's
+(* Regression: a clock probe ([Epoch_probe]) drains every connection's
    write flag. Probes used to raise their own flag first, so two
    probes dispatched by two workers each waited on the other's flag
    forever. *)
@@ -1005,7 +1012,7 @@ let e2e_concurrent_probes () =
                   (fun () ->
                     let client = Net.Client.connect addr in
                     for _ = 1 to per_domain do
-                      ignore (Net.Client.tag_at client ~version:0);
+                      ignore (Net.Client.clock client);
                       Atomic.incr probes
                     done;
                     Net.Client.close client)))

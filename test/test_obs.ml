@@ -73,6 +73,33 @@ let histogram_buckets_monotone () =
     [ 0; 1; 15; 16; 17; 31; 32; 100; 1_000; 65_536; 1_000_000; 1 lsl 40; 1 lsl 61 ];
   check_bool "monotone buckets containing their values" true !ok
 
+(* The bucket index as a loop that shifts once per bit computes it, for
+   16 exact buckets and then 16 per octave up to bucket 959: the
+   reference [index_of]'s six-step search must equal. *)
+let index_by_loop v =
+  let rec msb v acc = if v <= 1 then acc else msb (v lsr 1) (acc + 1) in
+  if v < 16 then v
+  else
+    let m = msb v 0 in
+    min 959 (((m - 3) * 16) + ((v lsr (m - 4)) land 15))
+
+let histogram_index_matches_the_loop () =
+  let rng = Random.State.make [| 30 |] in
+  let random () =
+    let bits = Random.State.bits rng lor (Random.State.bits rng lsl 30) lor (Random.State.bits rng lsl 60) in
+    (bits land max_int) lsr Random.State.int rng 62
+  in
+  let values =
+    List.init 65 Fun.id
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) (List.init 61 succ)
+    @ (max_int :: List.init 100_000 (fun _ -> random ()))
+  in
+  match List.find_opt (fun v -> Obs.Histogram.index_of v <> index_by_loop v) values with
+  | None -> ()
+  | Some v ->
+      Alcotest.failf "index_of %d = %d, the loop's %d" v (Obs.Histogram.index_of v)
+        (index_by_loop v)
+
 let histogram_percentiles () =
   let h = Obs.Registry.histogram "test.histogram.percentiles" in
   Obs.Histogram.reset h;
@@ -953,6 +980,8 @@ let () =
       ( "histogram",
         [
           Alcotest.test_case "bucket monotonicity" `Quick histogram_buckets_monotone;
+          Alcotest.test_case "bucket index equals the per-bit loop" `Quick
+            histogram_index_matches_the_loop;
           Alcotest.test_case "percentiles" `Quick histogram_percentiles;
           Alcotest.test_case "under domains" `Quick histogram_concurrent_domains;
           Alcotest.test_case "footprint before and after a record" `Quick

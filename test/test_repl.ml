@@ -979,7 +979,7 @@ let drains_beside_writers () =
     [
       writer 0;
       writer 64;
-      until_written (fun c -> ignore (Net.Client.tag_at c ~version:0));
+      until_written (fun c -> ignore (Net.Client.clock c));
       until_written (fun c ->
           Net.Client.range_seal c ~lo:1000 ~hi:2000 ~epoch:0 ~endpoint:"unix:///elsewhere";
           Net.Client.range_unseal c ~lo:1000 ~hi:2000);
