@@ -70,7 +70,7 @@ let run_one ~n k =
   let paths = Array.init k (socket_path k) in
   let servers =
     Array.init k (fun i ->
-        Net.Server.start ~store:stores.(i) ~workers:1 ~batch:256
+        Net.Server.start ~store:stores.(i) ~workers:1
           ~listen:(Net.Sockaddr.Unix_sock paths.(i)) ())
   in
   let topo =

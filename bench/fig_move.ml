@@ -67,7 +67,7 @@ let run ~n =
         (* router + mutator + the coordinator's copy and fence
            connections can all be busy on one shard at once; with four
            workers each gets a worker of its own *)
-        Net.Server.start ~store:stores.(i) ~workers:4 ~batch:256
+        Net.Server.start ~store:stores.(i) ~workers:4
           ~epoch_cell:(Atomic.make 0) ~listen:addrs.(i) ())
   in
   let topo = Cluster.Topology.create ~key_bits (Array.sub addrs 0 2) in

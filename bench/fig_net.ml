@@ -52,7 +52,7 @@ let run ~n =
   let store = Store.create heap in
   let path = socket_path () in
   let server =
-    Net.Server.start ~store ~workers:2 ~batch:256 ~listen:(Net.Sockaddr.Unix_sock path) ()
+    Net.Server.start ~store ~workers:2 ~listen:(Net.Sockaddr.Unix_sock path) ()
   in
   let results =
     Fun.protect

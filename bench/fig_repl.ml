@@ -60,7 +60,7 @@ let run_unreplicated ~n =
   let store = new_store n in
   let path = socket_path "solo" in
   let server =
-    Net.Server.start ~store ~workers:1 ~batch:256
+    Net.Server.start ~store ~workers:1
       ~listen:(Net.Sockaddr.Unix_sock path) ()
   in
   let topo = Cluster.Topology.create ~key_bits [| Net.Sockaddr.Unix_sock path |] in
@@ -81,7 +81,7 @@ let run_replicated ~n =
   let p_path = socket_path "primary" and b_path = socket_path "backup" in
   let epoch_cell = Atomic.make 0 in
   let backup =
-    Net.Server.start ~store:backup_store ~workers:1 ~batch:256
+    Net.Server.start ~store:backup_store ~workers:1
       ~epoch_cell:(Atomic.make 0)
       ~listen:(Net.Sockaddr.Unix_sock b_path) ()
   in
@@ -90,7 +90,7 @@ let run_replicated ~n =
       [| Net.Sockaddr.Unix_sock b_path |]
   in
   let primary =
-    Net.Server.start ~store:primary_store ~workers:1 ~batch:256 ~epoch_cell
+    Net.Server.start ~store:primary_store ~workers:1 ~epoch_cell
       ~on_mutation:(Repl.Chain.on_mutation chain)
       ~listen:(Net.Sockaddr.Unix_sock p_path) ()
   in

@@ -159,10 +159,6 @@ let workers_arg =
   let doc = "Worker domains serving connections." in
   Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc)
 
-let batch_arg =
-  let doc = "Max pipelined requests applied per batch." in
-  Arg.(value & opt int 64 & info [ "batch" ] ~docv:"B" ~doc)
-
 let max_conns_arg =
   let doc = "Connection limit; excess connects are refused with a busy frame." in
   Arg.(value & opt int 256 & info [ "max-conns" ] ~docv:"N" ~doc)
@@ -244,8 +240,7 @@ let entries_arg =
    the server's mutation hook and a periodic maintenance closure (the
    chain's catch-up tick) once the store is open. *)
 let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
-    listen workers batch max_conns timeout slowlog_ms trace_cap retain
-    gc_interval =
+    listen workers max_conns timeout slowlog_ms trace_cap retain gc_interval =
   (* Install the trace ring before opening the store, so the recovery
      rebuild's spans are already in it when the first `mvkv trace`
      arrives. *)
@@ -266,7 +261,7 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
   let on_mutation, tick = hooks store in
   let server =
     match
-      Net.Server.start ~store ~workers ~batch ~max_conns ~request_timeout:timeout
+      Net.Server.start ~store ~workers ~max_conns ~request_timeout:timeout
         ~slowlog_threshold_ns:(int_of_float (slowlog_ms *. 1e6))
         ~trace ?epoch_cell ?on_mutation ~listen ()
     with
@@ -275,8 +270,8 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
         die "mvkv: cannot listen on %s: %s" (Net.Sockaddr.to_string listen)
           (Unix.error_message e)
   in
-  Format.printf "mvkv: serving %s%s on %a (workers=%d, batch=%d, max-conns=%d%s)@."
-    pool banner Net.Sockaddr.pp (Net.Server.addr server) workers batch max_conns
+  Format.printf "mvkv: serving %s%s on %a (workers=%d, max-conns=%d%s)@."
+    pool banner Net.Sockaddr.pp (Net.Server.addr server) workers max_conns
     (match retain with
     | Some keep -> Printf.sprintf ", retain=%d" keep
     | None -> "");
@@ -298,10 +293,10 @@ let run_server ~banner ?epoch_cell ?(hooks = fun _ -> (None, None)) pool threads
   (match gc with Some gc -> Store.gc_stop gc | None -> ());
   Net.Server.stop server
 
-let serve pool threads socket host port workers batch max_conns timeout slowlog_ms
+let serve pool threads socket host port workers max_conns timeout slowlog_ms
     trace_cap retain gc_interval =
-  run_server ~banner:"" pool threads (addr_of socket host port) workers batch
-    max_conns timeout slowlog_ms trace_cap retain gc_interval
+  run_server ~banner:"" pool threads (addr_of socket host port) workers max_conns
+    timeout slowlog_ms trace_cap retain gc_interval
 
 let timeout_ms_arg =
   let doc =
@@ -431,8 +426,8 @@ let check_shard_id topo topo_file shard =
     die "mvkv: no shard %d in %s (%d shards)" shard topo_file
       (Cluster.Topology.shards topo)
 
-let cluster_serve topo_file shard replica_of slot pool threads workers batch
-    max_conns timeout slowlog_ms trace_cap retain gc_interval =
+let cluster_serve topo_file shard replica_of slot pool threads workers max_conns
+    timeout slowlog_ms trace_cap retain gc_interval =
   let topo = load_topology topo_file in
   (* Both roles share the topology's epoch as the server's fencing
      floor; the primary additionally owns a replication chain feeding
@@ -464,7 +459,7 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
              (Cluster.Topology.epoch topo))
         ~epoch_cell ~hooks pool threads
         (Cluster.Topology.primary topo shard)
-        workers batch max_conns timeout slowlog_ms trace_cap retain gc_interval
+        workers max_conns timeout slowlog_ms trace_cap retain gc_interval
   | None, Some shard ->
       check_shard_id topo topo_file shard;
       let nslots = Cluster.Topology.replica_count topo shard in
@@ -480,7 +475,7 @@ let cluster_serve topo_file shard replica_of slot pool threads workers batch
              (Cluster.Topology.epoch topo))
         ~epoch_cell pool threads
         (Cluster.Topology.replica topo shard slot)
-        workers batch max_conns timeout slowlog_ms trace_cap retain gc_interval
+        workers max_conns timeout slowlog_ms trace_cap retain gc_interval
 
 (* One short-lived connection for an inspection: [f]'s answer, or the
    exception that stopped it. Inspections time out after 2 s by
@@ -1233,7 +1228,7 @@ let () =
         "Serve the pool's dict API over a socket until SIGINT/SIGTERM."
         Term.(
           const serve $ pool_arg $ threads_arg $ socket_arg $ host_arg $ port_arg
-          $ workers_arg $ batch_arg $ max_conns_arg $ timeout_arg $ slowlog_ms_arg
+          $ workers_arg $ max_conns_arg $ timeout_arg $ slowlog_ms_arg
           $ trace_cap_arg $ serve_retain_arg $ gc_interval_arg);
       cmd_of "top" "Live per-operation dashboard for a running server."
         Term.(const top $ socket_arg $ host_arg $ port_arg $ interval_arg $ count_arg);
@@ -1269,7 +1264,7 @@ let () =
              to its backups) or --replica-of I --slot J (backup)."
             Term.(
               const cluster_serve $ topology_arg $ shard_arg $ replica_of_arg
-              $ slot_arg $ pool_arg $ threads_arg $ workers_arg $ batch_arg
+              $ slot_arg $ pool_arg $ threads_arg $ workers_arg
               $ max_conns_arg $ timeout_arg $ slowlog_ms_arg $ trace_cap_arg
               $ serve_retain_arg $ gc_interval_arg);
           cmd_of "promote"

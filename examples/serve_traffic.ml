@@ -14,7 +14,7 @@ let () =
   let store = Store.create heap in
   let sock = Printf.sprintf "serve_traffic_%d.sock" (Unix.getpid ()) in
   let server =
-    Net.Server.start ~store ~workers:2 ~batch:64 ~listen:(Net.Sockaddr.Unix_sock sock) ()
+    Net.Server.start ~store ~workers:2 ~listen:(Net.Sockaddr.Unix_sock sock) ()
   in
   Format.printf "serving on %a@." Net.Sockaddr.pp (Net.Server.addr server);
 

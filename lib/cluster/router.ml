@@ -454,6 +454,25 @@ let ping t =
    backup. *)
 let versions t = Result.map Array.of_list (broadcast_chased t Net.Client.clock)
 
+(* Shared bucketing for bulk reads and batched writes: every item lands
+   in its owning shard's bucket (arrival order preserved), or the whole
+   call fails with the first out-of-space key before anything is
+   sent. *)
+let bucket_by_shard t items key_of =
+  let k = Topology.shards t.topo in
+  let buckets = Array.make k [] in
+  let bad = ref None in
+  List.iter
+    (fun it ->
+      if !bad = None then
+        match check_key t (key_of it) with
+        | Ok shard -> buckets.(shard) <- it :: buckets.(shard)
+        | Error e -> bad := Some e)
+    items;
+  match !bad with
+  | Some e -> Error e
+  | None -> Ok (Array.map List.rev buckets)
+
 (* ---- find_bulk: per-shard batches, answers in input order ---- *)
 
 let find_bulk t ?version keys =
@@ -464,25 +483,16 @@ let find_bulk t ?version keys =
          every key against the chased topology. Reads are idempotent,
          so re-running the full fan-out is safe. *)
       chased t @@ fun () ->
-      let k = Topology.shards t.topo in
       (* positions of each shard's keys, in input order *)
-      let buckets = Array.make k [] in
-      let bad = ref None in
-      Array.iteri
-        (fun pos key ->
-          if !bad = None then
-            match check_key t key with
-            | Ok shard -> buckets.(shard) <- pos :: buckets.(shard)
-            | Error e -> bad := Some e)
-        keys;
-      match !bad with
-      | Some e -> Error e
-      | None ->
+      let positions = List.init (Array.length keys) Fun.id in
+      match bucket_by_shard t positions (Array.get keys) with
+      | Error e -> Error e
+      | Ok buckets ->
           let out = Array.make (Array.length keys) None in
           let rec per_shard shard =
-            if shard >= k then Ok out
+            if shard >= Array.length buckets then Ok out
             else
-              let positions = Array.of_list (List.rev buckets.(shard)) in
+              let positions = Array.of_list buckets.(shard) in
               if Array.length positions = 0 then per_shard (shard + 1)
               else begin
                 (* one pipelined call_batch of <=batch_chunk-key frames *)
@@ -523,24 +533,6 @@ let find_bulk t ?version keys =
           per_shard 0)
 
 (* ---- batched writes: per-shard buckets, pipelined frames ---- *)
-
-(* Shared bucketing for batched writes: every item lands in its owning
-   shard's bucket (arrival order preserved), or the whole batch fails
-   with the first out-of-space key before anything is sent. *)
-let bucket_by_shard t items key_of =
-  let k = Topology.shards t.topo in
-  let buckets = Array.make k [] in
-  let bad = ref None in
-  List.iter
-    (fun it ->
-      if !bad = None then
-        match check_key t (key_of it) with
-        | Ok shard -> buckets.(shard) <- it :: buckets.(shard)
-        | Error e -> bad := Some e)
-    items;
-  match !bad with
-  | Some e -> Error e
-  | None -> Ok (Array.map List.rev buckets)
 
 (* One pipelined [call_batch] per shard that owns anything: each shard's
    bucket goes out as <=batch_chunk-element batch frames written in one

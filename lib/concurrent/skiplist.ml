@@ -266,22 +266,34 @@ let iter_range t ~lo ~hi f = walk_below t hi f (lower_bound t lo)
    vordered-kv scrub idiom: per level, walk the pred's next-cell and
    skip-link over dead nodes. A plain store is enough because the
    caller guarantees exclusive access (the store quiesces around GC) —
-   this structure has no concurrent removal protocol. *)
-let scrub t ~dead =
+   this structure has no concurrent removal protocol. With a [range],
+   one descent to [lo] records each level's predecessor (its key is
+   below [lo], so it stays linked), and each level's walk starts there
+   and stops at [hi]. *)
+let scrub ?range t ~dead =
+  let top = Atomic.get t.top in
+  let preds = Array.make max_level t.head in
+  let below_hi =
+    match range with
+    | None -> fun _ -> true
+    | Some (lo, hi) ->
+        ignore (descend t lo preds (Array.make max_level Nil) (top - 1) t.head);
+        fun key -> t.compare key hi < 0
+  in
   let removed = ref 0 in
-  for level = max_level - 1 downto 0 do
+  for level = top - 1 downto 0 do
     let rec sweep pred_next =
       match pred_next.(level) with
-      | Nil -> ()
-      | Node n ->
+      | Node n when below_hi n.key ->
           if dead n.key n.value then begin
             pred_next.(level) <- n.next.(level);
             if level = 0 then incr removed;
             sweep pred_next
           end
           else sweep n.next
+      | Node _ | Nil -> ()
     in
-    sweep t.head
+    sweep preds.(level)
   done;
   if !removed > 0 then ignore (Atomic.fetch_and_add t.count (- !removed));
   !removed

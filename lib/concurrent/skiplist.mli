@@ -79,12 +79,15 @@ val iter_range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k -> 'v -> unit) -> unit
 (** In-order traversal of keys in [lo, hi). Like {!iter} and
     {!iter_from}, allocates nothing besides what [f] does. *)
 
-val scrub : ('k, 'v) t -> dead:('k -> 'v -> bool) -> int
+val scrub : ?range:'k * 'k -> ('k, 'v) t -> dead:('k -> 'v -> bool) -> int
 (** [scrub t ~dead] physically unlinks every node whose key/value
     satisfies [dead] from all levels and returns how many were removed.
-    This is the one bulk-removal escape hatch for garbage collection; it
-    is NOT safe concurrently with inserts or traversals — callers must
-    hold exclusive access (the store quiesces writers first). *)
+    With [~range:(lo, hi)] only keys in [lo, hi) are asked about and
+    unlinked, and the sweep costs one descent plus a walk over that
+    range, not the whole index. This is the one bulk-removal escape
+    hatch for garbage collection; it is NOT safe concurrently with
+    inserts or traversals — callers must hold exclusive access (the
+    store quiesces writers first). *)
 
 val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
 

@@ -242,8 +242,10 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
   (* Release whole keys, quiesced: [dead] maps chain slots, the
      histories' handles, to histories and raw records. The slots are
      cleared (persisted) before the key blobs, value blobs and history
-     storage are freed and the index nodes unlinked. *)
-  let release t dead =
+     storage are freed and the index nodes unlinked; with a [range],
+     which holds every dead key, only that range of the index is
+     swept. *)
+  let release ?range t dead =
     let s = t.store in
     if Hashtbl.length dead > 0 then begin
       Pmem.Pblockchain.release_slots s.chain
@@ -255,7 +257,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           Phistory.destroy s.heap h)
         dead;
       Obs.Metric.add c_gc_scrubbed
-        (Concurrent.Skiplist.scrub t.index ~dead:(fun _ h ->
+        (Concurrent.Skiplist.scrub ?range t.index ~dead:(fun _ h ->
              Hashtbl.mem dead (Phistory.chain_slot h)))
     end
 
@@ -326,7 +328,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         let raw = Phistory.scan_persisted t.store.heap h in
         dropped := !dropped + Array.length raw;
         Hashtbl.replace dead (Phistory.chain_slot h) (h, raw));
-    release t dead;
+    release ~range:(lo, hi) t dead;
     !dropped
 
   let retain t ~keep =

@@ -44,17 +44,13 @@ type t = {
   retries : int;
   timeout_ms : int option;
   mutable epoch : int option;
-      (** when set, every outgoing request is wrapped in
-          [Wire.Stamped] with this epoch — how a router's connections
-          participate in epoch fencing. [None] = legacy unstamped. *)
+      (** when set, every outgoing request's envelope carries this
+          epoch — how a router's connections participate in epoch
+          fencing. [None] = unstamped. *)
   mutable fd : Unix.file_descr option;
-  mutable buf : Bytes.t;
-  mutable start : int;
-  mutable fill : int;
+  rx : Rxbuf.t;
   out : Buffer.t;
 }
-
-let recv_chunk = 65536
 
 (* Kernel-level send/receive deadlines: a stalled server surfaces as
    EAGAIN from [Unix.read]/[write] instead of blocking forever. EAGAIN
@@ -101,10 +97,8 @@ let connect ?(retries = 5) ?timeout_ms ?epoch addr =
     timeout_ms;
     epoch;
     fd = Some (connect_with_backoff addr ~retries ~timeout_ms);
-    buf = Bytes.create recv_chunk;
-    start = 0;
-    fill = 0;
-    out = Buffer.create recv_chunk;
+    rx = Rxbuf.create ();
+    out = Buffer.create Rxbuf.chunk;
   }
 
 let set_epoch t epoch = t.epoch <- Some epoch
@@ -113,8 +107,7 @@ let epoch t = t.epoch
 let disconnect t =
   (match t.fd with Some fd -> ( try Unix.close fd with _ -> ()) | None -> ());
   t.fd <- None;
-  t.start <- 0;
-  t.fill <- 0
+  Rxbuf.clear t.rx
 
 let close = disconnect
 
@@ -128,92 +121,61 @@ let ensure_connected t =
 
 (* ---- response stream ---- *)
 
-let read_more t fd =
-  if Bytes.length t.buf - t.fill < recv_chunk then begin
-    if t.start > 0 then begin
-      Bytes.blit t.buf t.start t.buf 0 (t.fill - t.start);
-      t.fill <- t.fill - t.start;
-      t.start <- 0
-    end;
-    if Bytes.length t.buf - t.fill < recv_chunk then begin
-      let bigger = Bytes.create (max (2 * Bytes.length t.buf) (t.fill + recv_chunk)) in
-      Bytes.blit t.buf 0 bigger 0 t.fill;
-      t.buf <- bigger
-    end
-  end;
-  match Unix.read fd t.buf t.fill recv_chunk with
-  | 0 -> raise End_of_file
-  | n -> t.fill <- t.fill + n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
 let rec read_response t fd =
-  match Wire.scan t.buf ~off:t.start ~len:(t.fill - t.start) with
+  match Rxbuf.next t.rx with
   | `Oversize n ->
       (* The stream cannot be resynchronised past a bogus length: drop
          the connection so the next call starts on a fresh one. *)
       disconnect t;
       raise (Protocol_error (Printf.sprintf "server declared a %d-byte frame" n))
   | `Partial ->
-      read_more t fd;
+      (match Rxbuf.read t.rx fd with
+      | 0 -> raise End_of_file
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       read_response t fd
-  | `Frame (off, len, consumed) -> (
-      match Wire.decode_response t.buf ~off ~len with
-      | Ok resp ->
-          t.start <- t.start + consumed;
-          resp
+  | `Frame (off, len, _) -> (
+      match Wire.decode_response t.rx.buf ~off ~len with
+      | Ok resp -> resp
       | Error (code, msg) ->
           raise
             (Protocol_error
                (Printf.sprintf "undecodable response (%s: %s)"
                   (Wire.error_code_name code) msg)))
 
-let read_responses t fd n = List.init n (fun _ -> read_response t fd)
-
 (* ---- calls ---- *)
 
-(* Stamp a request with the client's epoch (if any). Already-wrapped
-   frames pass through untouched — the wire format rejects nesting. *)
-let stamp t (req : Wire.request) : Wire.request =
-  match (t.epoch, req) with
-  | None, req | _, ((Wire.Stamped _ | Wire.Replicate _ | Wire.Traced _) as req)
-    ->
-      req
-  | Some epoch, req -> Wire.Stamped { epoch; req }
+(* The calling domain's live trace context, when sampled: whoever is
+   inside a sampled [Obs.Span.with_] when this client sends gets the
+   remote server's work recorded as a child span of theirs. Outside
+   any sampled context no trace words are sent, so tracing costs
+   nothing when off. *)
+let envelope t =
+  let trace =
+    match Obs.Span.get_context () with
+    | Some { Obs.Span.trace; sampled = true; _ } as c
+      when not (Obs.Traceid.is_null trace) ->
+        c
+    | _ -> None
+  in
+  match (t.epoch, trace) with
+  | None, None -> Wire.plain
+  | epoch, trace -> { Wire.epoch; replicated = false; trace }
 
-(* Propagate the calling domain's live trace context onto the wire:
-   whoever is inside a sampled [Obs.Span.with_] when this client sends
-   gets the remote server's work recorded as a child span of theirs.
-   Outside any context (or unsampled) the frame is unchanged, so
-   tracing costs nothing when off. *)
-let trace_wrap (req : Wire.request) : Wire.request =
-  match req with
-  | Wire.Traced _ -> req
-  | req -> (
-      match Obs.Span.get_context () with
-      | Some { Obs.Span.trace; parent; sampled = true }
-        when not (Obs.Traceid.is_null trace) ->
-          Wire.Traced
-            {
-              trace_hi = trace.Obs.Traceid.hi;
-              trace_lo = trace.Obs.Traceid.lo;
-              parent_span = parent;
-              sampled = true;
-              req;
-            }
-      | _ -> req)
-
-let call_batch t (reqs : Wire.request list) : Wire.response list =
+(* Write every request, framed with [env], in one buffered write, then
+   read their responses in order. *)
+let exchange t env reqs =
   if reqs = [] then []
   else begin
     Buffer.clear t.out;
-    List.iter (fun req -> Wire.add_request t.out (trace_wrap (stamp t req))) reqs;
+    List.iter (fun req -> Wire.add_frame t.out (Wire.encode_request_body env req)) reqs;
     let payload = Buffer.contents t.out in
     let b = Concurrent.Backoff.create ~min:1 ~max:512 ~jitter:true () in
     let rec attempt k =
       let fd = ensure_connected t in
       match
         Sockaddr.write_string fd payload;
-        read_responses t fd (List.length reqs)
+        List.init (List.length reqs) (fun _ -> read_response t fd)
       with
       | resps -> resps
       | exception e when transient e && k < t.retries ->
@@ -225,10 +187,14 @@ let call_batch t (reqs : Wire.request list) : Wire.response list =
     attempt 0
   end
 
-let call t req =
-  match call_batch t [ req ] with
+let call_batch t reqs = exchange t (envelope t) reqs
+
+let call_in t env req =
+  match exchange t env [ req ] with
   | [ resp ] -> resp
   | _ -> raise (Protocol_error "response count mismatch")
+
+let call t req = call_in t (envelope t) req
 
 (* ---- typed helpers ---- *)
 
@@ -405,15 +371,18 @@ let moves_status t =
   | Wire.Moves_json s -> s
   | r -> unexpected "moves_status" r
 
-(* Send one mutation and return the peer's non-error response. *)
-let mutate t req =
-  match call t req with
+let ok = function
   | Wire.Error { code; message } -> raise (Remote_error (code, message))
   | resp -> resp
 
-(* Ship one already-applied mutation to a backup; the chain reads the
-   version a [Tag_at] landed at off the response. *)
-let replicate t ~epoch req = mutate t (Wire.Replicate { epoch; req })
+(* Send one mutation and return the peer's non-error response. *)
+let mutate t req = ok (call t req)
+
+(* Ship one already-applied mutation to a backup, marked replicated in
+   its envelope; the chain reads the version a [Tag_at] landed at off
+   the response. *)
+let replicate t ~epoch req =
+  ok (call_in t { (envelope t) with epoch = Some epoch; replicated = true } req)
 
 let trace_dump ?(clear = true) t =
   match call t (Wire.Trace_dump { clear }) with

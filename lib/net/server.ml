@@ -8,13 +8,12 @@
    read → decode → apply → reply step, so no accepted connection waits
    for another to hang up.
 
-   Batching: a worker drains up to [batch] complete frames from the
-   connection buffer before touching the store, applies them back to
-   back, and answers with one buffered write. A pipelining client
-   therefore pays one syscall pair and one index-cache warmup per
-   batch instead of per request — this is the server-side half of the
-   batch-update idea (Jiffy, arXiv:2102.01044) and what `bench
-   --fig net` measures.
+   Batching: a worker answers every complete frame a read brought in
+   as it scans it, into one output buffer, and writes that buffer once
+   per readiness round (sooner once it holds a frame's worth). A
+   pipelining client therefore pays one syscall pair per burst instead
+   of per request — this is the server-side half of the batch-update
+   idea (Jiffy, arXiv:2102.01044) and what `bench --fig net` measures.
 
    Robustness: per-frame decode errors are answered in-stream with an
    error frame and the connection stays usable (the length prefix
@@ -69,18 +68,16 @@ let h_move_pause = Obs.Registry.histogram "move.cutover_pause_ns"
 (** Seal-to-unseal wall time: the write-unavailability window of a
     cutover, as observed by the sealed (old) owner. *)
 
-(* Per-op instruments indexed by request opcode, so dispatch finds its
-   counter/histogram pair with one array load. Wrapper and unused
-   opcodes have none: dispatch unwraps wrappers before the lookup. A
-   traced request's span name comes from the same kind of array. *)
+(* Per-op instruments indexed like [Wire.opcode_labels] (by opcode, or
+   0 for a replicated frame), so dispatch finds its counter/histogram
+   pair with one array load; unused opcodes have none. A traced
+   request's span name comes from the same kind of array. *)
 let op_metrics =
   Array.map
     (function "" -> None | label -> Some (Obs.Instr.op ("net." ^ label)))
     Wire.opcode_labels
 
 let op_spans = Array.map (fun label -> "srv." ^ label) Wire.opcode_labels
-
-let recv_chunk = 65536
 
 (* Upper bound on pairs in one [Scan] reply page: 16 bytes each keeps
    the page around 1 MiB, well inside [Wire.max_frame]. Clients stream
@@ -97,7 +94,6 @@ type t = {
   store : S.t;
   listen_fd : Unix.file_descr;
   addr : Sockaddr.t;  (** actually bound (ephemeral TCP port resolved) *)
-  batch : int;
   max_conns : int;
   request_timeout : float;
   timeout_ns : int;  (** request_timeout on the Obs.Clock scale *)
@@ -112,7 +108,7 @@ type t = {
       (** the primary-side replication hook: handed each gated client
           mutation and the thunk that applies it locally, it runs the
           thunk once and returns its response. Never called for
-          [Replicate] frames, so forwarding is one hop deep. *)
+          replicated frames, so forwarding is one hop deep. *)
   stop_flag : bool Atomic.t;
   active : int Atomic.t;
   seals : (int * int * int * string * int) list Atomic.t;
@@ -214,7 +210,7 @@ let sealed_reject (_, _, epoch, endpoint, _) =
    2,000 ms client timeout per backup, or a whole catch-up. Not by
    traffic, since each flag is observed at zero only once. The flagged
    worker never waits on the drainer: no flagged apply drains (see
-   [dispatch_inner]), and the chain's mutex is held only by forwards and
+   [dispatch_gated]), and the chain's mutex is held only by forwards and
    catch-ups, which wait on backups, never on a flag. *)
 let drain_mutations t =
   Array.iter
@@ -398,36 +394,30 @@ let apply t (req : Wire.request) : Wire.response =
           Obs.Histogram.record h_move_pause (Obs.Clock.now_ns () - sealed_at));
       Wire.Ack
   | Wire.Moves_status -> Wire.Moves_json (moves_json t)
-  | Wire.Stamped _ | Wire.Replicate _ ->
-      (* Unreachable: [dispatch] unwraps both and the decoder rejects
-         nested wrappers — but keep it a typed error, not an assert. *)
-      Wire.Error { code = Wire.Malformed; message = "nested epoch wrapper" }
-  | Wire.Traced _ ->
-      Wire.Error { code = Wire.Malformed; message = "nested traced wrapper" }
 
-(* Close [req]'s op timing started at [t0], noting a timed request in
-   the slowlog. *)
-let finish_op t req t0 =
-  match op_metrics.(Wire.request_opcode req) with
+(* Close the op timing of [req] (labelled by [env]) started at [t0],
+   noting a timed request in the slowlog. *)
+let finish_op t env req t0 =
+  match op_metrics.(Wire.label_index env req) with
   | None -> ()
   | Some metrics ->
       let elapsed = Obs.Instr.finish_elapsed metrics t0 in
       if elapsed > 0 then
-        Obs.Slowlog.note t.slow ~op:(Wire.request_label req)
+        Obs.Slowlog.note t.slow ~op:(Wire.request_label env req)
           ?key:(Wire.request_key req) ~latency_ns:elapsed ()
 
-(* [replicated] marks a frame forwarded by another primary: it must be
-   applied but never re-forwarded, which keeps the chain one hop deep
-   and loop-free. Every other mutation is applied through
-   [on_mutation] (the replication chain), which forwards it in the
-   order of the local applies, so the ack the client sees means
-   "applied here and offered to every reachable backup". *)
-let dispatch_core t ~replicated req =
+(* A replicated frame, forwarded by another primary, must be applied
+   but never re-forwarded, which keeps the chain one hop deep and
+   loop-free. Every other mutation is applied through [on_mutation]
+   (the replication chain), which forwards it in the order of the
+   local applies, so the ack the client sees means "applied here and
+   offered to every reachable backup". *)
+let dispatch_core t env req =
   let t0 = Obs.Instr.start () in
   let resp =
     match
       match t.on_mutation with
-      | Some hook when (not replicated) && Wire.is_mutation req ->
+      | Some hook when (not env.Wire.replicated) && Wire.is_mutation req ->
           hook req (fun () -> apply t req)
       | _ -> apply t req
     with
@@ -436,7 +426,7 @@ let dispatch_core t ~replicated req =
         Obs.Metric.incr c_errors;
         Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
   in
-  finish_op t req t0;
+  finish_op t env req t0;
   resp
 
 (* Client mutations pass the write gate around [dispatch_core]: raise
@@ -449,8 +439,8 @@ let dispatch_core t ~replicated req =
    drains ([Epoch_probe] and [Range_seal]) are not mutations and run
    unflagged; otherwise two probes on two workers would each hold
    their own flag up and spin on the other's forever. *)
-let dispatch_inner t ~replicated ~gate req =
-  if replicated || not (Wire.is_mutation req) then dispatch_core t ~replicated req
+let dispatch_gated t ~gate env req =
+  if env.Wire.replicated || not (Wire.is_mutation req) then dispatch_core t env req
   else begin
     Atomic.incr gate;
     Fun.protect
@@ -458,48 +448,36 @@ let dispatch_inner t ~replicated ~gate req =
       (fun () ->
         match seal_conflict t req with
         | Some seal -> sealed_reject seal
-        | None -> dispatch_core t ~replicated req)
+        | None -> dispatch_core t env req)
   end
 
-let rec dispatch t ~gate req =
-  match req with
-  | Wire.Traced { trace_hi; trace_lo; parent_span; sampled; req } ->
-      (* Inherit the remote trace context for the duration of the
-         request: the [srv.*] span records this node's side of the
-         hop with the router's span as parent, and any span opened
-         while applying (snapshot walks, replication forwards) nests
-         under it — so one client call shows up as one connected tree
-         across every node it touched. *)
-      if sampled then
-        Obs.Span.with_context
-          (Some
-             {
-               Obs.Span.trace = { Obs.Traceid.hi = trace_hi; lo = trace_lo };
-               parent = parent_span;
-               sampled = true;
-             })
-          (fun () ->
-            Obs.Span.with_ op_spans.(Wire.label_opcode req) (fun () ->
-                dispatch t ~gate req))
-      else dispatch t ~gate req
-  | (Wire.Stamped { epoch; req } | Wire.Replicate { epoch; req }) as frame -> (
-      match check_epoch t epoch with
-      | Error resp ->
-          Obs.Metric.incr c_bad_epoch;
-          resp
-      | Ok () ->
-          let replicated = match frame with Wire.Replicate _ -> true | _ -> false in
-          if replicated then Obs.Metric.incr c_replicated;
-          dispatch_inner t ~replicated ~gate req)
-  | req -> dispatch_inner t ~replicated:false ~gate req
+(* The envelope first: a stale epoch is refused before anything runs,
+   and a trace context is inherited for the whole request, so the
+   [srv.*] span records this node's side of the hop with the sender's
+   span as parent, and every span opened while applying (scans,
+   replication forwards) nests under it — one client call shows up as
+   one connected tree across every node it touched. *)
+let dispatch t ~gate (env : Wire.envelope) req =
+  let fenced () =
+    match Option.map (check_epoch t) env.epoch with
+    | Some (Error resp) ->
+        Obs.Metric.incr c_bad_epoch;
+        resp
+    | Some (Ok ()) | None ->
+        if env.replicated then Obs.Metric.incr c_replicated;
+        dispatch_gated t ~gate env req
+  in
+  match env.trace with
+  | None -> fenced ()
+  | Some _ ->
+      Obs.Span.with_context env.trace (fun () ->
+          Obs.Span.with_ op_spans.(Wire.label_index env req) fenced)
 
 (* ---- per-connection state ---- *)
 
 type conn = {
   fd : Unix.file_descr;
-  mutable buf : Bytes.t;
-  mutable start : int;  (** first unconsumed byte *)
-  mutable fill : int;  (** end of valid data *)
+  rx : Rxbuf.t;
   out : Buffer.t;
   mutable partial_since : int;
       (** Obs.Clock ns when the pending incomplete frame was first
@@ -526,77 +504,45 @@ let flush_out conn =
     | exception Unix.Unix_error _ -> raise Close_conn
   end
 
-(* Drain up to [batch] complete frames; decode failures become
-   in-stream error replies so one garbled request cannot poison the
-   requests around it. *)
-let collect t conn =
-  let items = ref [] and n = ref 0 in
-  let continue = ref true in
-  while !continue && !n < t.batch do
-    match Wire.scan conn.buf ~off:conn.start ~len:(conn.fill - conn.start) with
-    | `Oversize declared ->
-        raise
-          (Fatal_frame
-             ( Wire.Too_large,
-               Printf.sprintf "declared frame length %d exceeds max %d" declared
-                 Wire.max_frame ))
-    | `Partial ->
-        if conn.fill = conn.start then conn.partial_since <- -1
-        else if conn.partial_since < 0 then
-          conn.partial_since <- Obs.Clock.now_ns ();
-        continue := false
-    | `Frame (off, len, consumed) ->
-        conn.partial_since <- -1;
-        (match Wire.decode_request conn.buf ~off ~len with
-        | Ok req -> items := `Req req :: !items
-        | Error (code, message) ->
-            items := `Err (Wire.Error { code; message }) :: !items);
-        conn.start <- conn.start + consumed;
-        incr n
-  done;
-  List.rev !items
-
-(* Each frame is applied as sent: one dispatch and one reply. *)
-let process t ~gate conn items =
-  Obs.Histogram.record h_batch (List.length items);
-  List.iter
-    (fun item ->
-      Obs.Metric.incr c_requests;
-      let resp =
-        match item with
-        | `Req req -> dispatch t ~gate req
-        | `Err resp ->
-            Obs.Metric.incr c_errors;
-            resp
-      in
-      Wire.add_response conn.out resp)
-    items;
-  flush_out conn
-
 let read_more conn =
-  (* Make room: compact the consumed prefix, then grow if a pipelined
-     burst still does not fit. *)
-  if Bytes.length conn.buf - conn.fill < recv_chunk then begin
-    if conn.start > 0 then begin
-      Bytes.blit conn.buf conn.start conn.buf 0 (conn.fill - conn.start);
-      conn.fill <- conn.fill - conn.start;
-      conn.start <- 0
-    end;
-    if Bytes.length conn.buf - conn.fill < recv_chunk then begin
-      let bigger =
-        Bytes.create (max (2 * Bytes.length conn.buf) (conn.fill + recv_chunk))
-      in
-      Bytes.blit conn.buf 0 bigger 0 conn.fill;
-      conn.buf <- bigger
-    end
-  end;
-  match Unix.read conn.fd conn.buf conn.fill recv_chunk with
+  match Rxbuf.read conn.rx conn.fd with
   | 0 -> conn.eof <- true
-  | n ->
-      Obs.Metric.add c_bytes_in n;
-      conn.fill <- conn.fill + n
+  | n -> Obs.Metric.add c_bytes_in n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> conn.eof <- true
+
+(* Answer every complete frame buffered, in order, into [conn.out]: one
+   dispatch and one reply each. A decode failure is answered in-stream
+   with an error frame, so one garbled request cannot poison the
+   requests around it. Replies leave once a frame's worth has piled
+   up, so a burst of large replies is never buffered whole (one 64 KiB
+   read holds up to 2,048 Scan requests, each answered with up to
+   1 MiB). Returns how many frames were answered. *)
+let rec answer t ~gate conn n =
+  match Rxbuf.next conn.rx with
+  | `Oversize declared ->
+      raise
+        (Fatal_frame
+           ( Wire.Too_large,
+             Printf.sprintf "declared frame length %d exceeds max %d" declared
+               Wire.max_frame ))
+  | `Partial ->
+      if Rxbuf.pending conn.rx = 0 then conn.partial_since <- -1
+      else if conn.partial_since < 0 then conn.partial_since <- Obs.Clock.now_ns ();
+      n
+  | `Frame (off, len, _) ->
+      conn.partial_since <- -1;
+      Obs.Metric.incr c_requests;
+      let resp =
+        match Wire.decode_request conn.rx.buf ~off ~len with
+        | Ok (env, req) -> dispatch t ~gate env req
+        | Error (code, message) ->
+            Obs.Metric.incr c_errors;
+            Wire.Error { code; message }
+      in
+      Wire.add_response conn.out resp;
+      if Buffer.length conn.out >= Wire.max_frame then flush_out conn;
+      answer t ~gate conn (n + 1)
 
 let fatal_close conn code message =
   Wire.add_response conn.out (Wire.Error { code; message });
@@ -606,18 +552,16 @@ let fatal_close conn code message =
 (* ---- workers ---- *)
 
 (* One readiness round of [conn]: read if [ready], answer every
-   complete frame buffered, then say whether the connection stays
-   open. [gate] is the serving worker's in-flight flag. *)
+   complete frame buffered with one write, then say whether the
+   connection stays open. [gate] is the serving worker's in-flight
+   flag. *)
 let serve_conn t ~gate conn ~ready =
   if ready then read_more conn;
-  let rec answer () =
-    match collect t conn with
-    | [] -> ()
-    | items ->
-        process t ~gate conn items;
-        answer ()
-  in
-  match answer () with
+  match
+    let n = answer t ~gate conn 0 in
+    if n > 0 then Obs.Histogram.record h_batch n;
+    flush_out conn
+  with
   | exception Fatal_frame (code, message) ->
       fatal_close conn code message;
       false
@@ -679,11 +623,9 @@ let accept t conns =
         Unix.clear_nonblock fd;
         (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.request_timeout
          with Unix.Unix_error _ -> ());
-        let buf = Bytes.create recv_chunk and out = Buffer.create recv_chunk in
+        let rx = Rxbuf.create () and out = Buffer.create Rxbuf.chunk in
         let seen_ns = Obs.Clock.now_ns () in
-        conns :=
-          { fd; buf; start = 0; fill = 0; out; partial_since = -1; seen_ns; eof = false }
-          :: !conns
+        conns := { fd; rx; out; partial_since = -1; seen_ns; eof = false } :: !conns
       end
 
 (* A worker owning [n] connections watches the listening socket only
@@ -729,11 +671,10 @@ let worker t i =
     List.iter (close_conn t) !conns;
     Printf.eprintf "net.server: worker died: %s\n%!" (Printexc.to_string e)
 
-let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
+let start ~store ?(workers = 4) ?(max_conns = 256)
     ?(request_timeout = 5.0) ?(slowlog_threshold_ns = 10_000_000)
     ?(trace_capacity = 4096) ?trace ?epoch_cell ?on_mutation ~listen () =
   if workers < 1 then invalid_arg "Server.start: need at least one worker";
-  if batch < 1 then invalid_arg "Server.start: batch must be positive";
   let listen_fd = Sockaddr.listen listen in
   Unix.set_nonblock listen_fd;
   let trace =
@@ -752,7 +693,6 @@ let start ~store ?(workers = 4) ?(batch = 64) ?(max_conns = 256)
       store;
       listen_fd;
       addr = Sockaddr.bound listen listen_fd;
-      batch;
       max_conns;
       request_timeout;
       timeout_ns = int_of_float (request_timeout *. 1e9);

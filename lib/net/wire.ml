@@ -1,13 +1,16 @@
 (* Wire protocol for serving the multi-version dict API over a socket.
 
    Framing: every message is [4-byte big-endian body length][body].
-   The body starts with a protocol version byte and an opcode byte,
-   followed by an opcode-specific payload. Integers travel as 8-byte
-   little-endian words (values may be negative, so no varint games);
-   options are a presence byte; sequences are a count followed by the
-   elements. The frame length is bounded by {!max_frame} so a corrupt
-   or hostile length prefix cannot make a peer allocate unbounded
-   memory.
+   A response body is a protocol version byte, an opcode byte and an
+   opcode-specific payload. A request body puts its envelope between
+   the version byte and the opcode: a flags byte (bit 0: an epoch word
+   follows; bit 1: the frame is a primary's replication forward, valid
+   only with bit 0; bit 2: three trace-context words follow), then the
+   words it flags. Integers travel as 8-byte little-endian words
+   (values may be negative, so no varint games); options are a
+   presence byte; sequences are a count followed by the elements. The
+   frame length is bounded by {!max_frame} so a corrupt or hostile
+   length prefix cannot make a peer allocate unbounded memory.
 
    Errors are first-class response frames carrying a stable numeric
    code plus a human-readable message, so a server can reject one bad
@@ -21,8 +24,11 @@
    pages through Scan, the registry travels only as a Registry_snap
    that clients render, and a retention window is a Compact horizon the
    caller computes from a probed clock. Version 10 added [Range_drop]
-   and made [Epoch_probe] the one clock probe ([Tag_at 0] is malformed). *)
-let protocol_version = 10
+   and made [Epoch_probe] the one clock probe ([Tag_at 0] is malformed).
+   Version 11 moved the epoch stamp, the replication mark and the trace
+   context into the request envelope, retiring the wrapper opcodes 16
+   (Stamped), 17 (Replicate) and 19 (Traced). *)
+let protocol_version = 11
 
 (* Largest accepted body, in bytes: 524,287 pairs, small enough that a
    garbage length prefix is rejected instead of honoured. A reply that
@@ -89,37 +95,11 @@ type request =
           [before] observes; answered with {!Gc_done}. A retention
           window of the last [keep] versions is [before = clock - keep],
           with the clock read by an {!Epoch_probe} first. *)
-  | Stamped of { epoch : int; req : request }
-      (** Epoch-fenced wrapper: if [epoch] is older than the newest
-          epoch the server has seen, the whole request is rejected with
-          a {!Bad_epoch} error frame; a newer [epoch] is adopted. The
-          cluster router wraps every request it routes so a stale
-          topology map is detected instead of silently served. Wrappers
-          do not nest. *)
-  | Replicate of { epoch : int; req : request }
-      (** Primary-to-backup forwarding of an already-applied mutation.
-          Epoch-fenced like {!Stamped}, but the inner request is applied
-          without re-triggering replication — the chain is one hop
-          deep. Wrappers do not nest. *)
   | Epoch_probe
       (** The one clock probe: answered with {!Epoch_info} once every
           write in flight when the clock was read has finished, so every
           event stamped at or below the answered version is in the
           store's chains (a publication barrier). *)
-  | Traced of {
-      trace_hi : int;
-      trace_lo : int;
-      parent_span : int;
-      sampled : bool;
-      req : request;
-    }
-      (** Trace-context wrapper: the 128-bit trace id (two 62-bit
-          halves), the sender's span id to parent under, and whether
-          the trace is sampled. Composes {e outside} the epoch
-          wrappers: [Traced] may contain [Stamped]/[Replicate] (or a
-          plain request), never another [Traced]. A server dispatches
-          the inner request under the inherited context, so its spans
-          join the sender's trace. *)
   | Registry_snap
       (** Answered with {!Snap_json}: the node's full registry as a
           mergeable snapshot (counters, gauges, raw histogram buckets). The
@@ -179,6 +159,26 @@ type request =
           compaction horizon to at least [horizon]; answered with
           {!Gc_done}. Rejected under an overlapping seal, and forwarded
           to backups verbatim ([Client.copy_range] sends it). *)
+
+(* The context every request frame carries beside its request. *)
+type envelope = {
+  epoch : int option;
+      (** The sender's topology epoch. A server rejects a frame stamped
+          older than the newest epoch it has seen with a {!Bad_epoch}
+          error and adopts a newer one, so a router with a stale map is
+          detected instead of silently served. *)
+  replicated : bool;
+      (** A primary's forward of a mutation it already applied: the
+          backup applies it without forwarding it again (the chain is
+          one hop deep) and without the migration write gate. Only
+          with an epoch. *)
+  trace : Obs.Span.context option;
+      (** The sender's sampled trace context: the server handles the
+          request under it, so its spans join the sender's trace. Only
+          sampled contexts travel. *)
+}
+
+let plain = { epoch = None; replicated = false; trace = None }
 
 type response =
   | Pong
@@ -268,10 +268,7 @@ let request_opcode = function
   | Tag_at _ -> 12
   | Find_bulk _ -> 13
   | Compact _ -> 14
-  | Stamped _ -> 16
-  | Replicate _ -> 17
   | Epoch_probe -> 18
-  | Traced _ -> 19
   | Registry_snap -> 20
   | Insert_batch _ -> 21
   | Remove_batch _ -> 22
@@ -283,35 +280,29 @@ let request_opcode = function
   | Moves_status -> 28
   | Range_drop _ -> 29
 
-(* Stable per-op labels indexed by request opcode: metric names and
-   the serve log key on them. "" marks an unused opcode or a wrapper
-   (Stamped/Traced), whose label is its inner request's. *)
+(* Stable per-op labels, indexed by request opcode: metric names, span
+   names and the slow-op log key on them. "" marks an unused opcode.
+   Slot 0, which no opcode uses, labels a replicated frame, whatever
+   request it carries, so a backup's forwarded applies are told apart
+   from the requests its own clients send. *)
 let opcode_labels =
   [|
-    ""; "ping"; "insert"; "remove"; "find"; "tag"; "history"; ""; "";
-    ""; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; ""; "";
-    "replicate"; "epoch_probe"; ""; "registry_snap"; "insert_batch";
-    "remove_batch"; "scan"; "migrate_pull"; "history_batch"; "range_seal";
-    "range_unseal"; "moves_status"; "range_drop";
+    "replicate"; "ping"; "insert"; "remove"; "find"; "tag"; "history"; "";
+    ""; ""; "trace"; "slowlog"; "tag_at"; "find_bulk"; "compact"; ""; "";
+    ""; "epoch_probe"; ""; "registry_snap"; "insert_batch"; "remove_batch";
+    "scan"; "migrate_pull"; "history_batch"; "range_seal"; "range_unseal";
+    "moves_status"; "range_drop";
   |]
 
-(* The opcode a request is labelled by: a Stamped or Traced wrapper's
-   is its inner request's. *)
-let rec label_opcode = function
-  | Stamped { req; _ } | Traced { req; _ } -> label_opcode req
-  | r -> request_opcode r
-
-let request_label r = opcode_labels.(label_opcode r)
-
+let label_index env r = if env.replicated then 0 else request_opcode r
+let request_label env r = opcode_labels.(label_index env r)
 let request_labels = List.filter (fun l -> l <> "") (Array.to_list opcode_labels)
 
 (* The key a request touches, when it names one — slow-op log entries
    carry it so a hot key is identifiable from the log alone. *)
-let rec request_key = function
+let request_key = function
   | Insert { key; _ } | Remove { key } | Find { key; _ } | History { key } ->
       Some key
-  | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
-      request_key req
   | _ -> None
 
 (* Requests a primary must forward to its backups for the replica set
@@ -320,20 +311,16 @@ let rec request_key = function
    migrated chains too. Range_seal/Range_unseal are deliberately NOT — the gate
    lives on the primary (backups never take client writes), and a seal
    must not recurse into the replication path it is draining. *)
-let rec is_mutation = function
+let is_mutation = function
   | Insert _ | Remove _ | Tag | Tag_at _ | Compact _ | Insert_batch _
   | Remove_batch _ | History_batch _ | Range_drop _ ->
       true
-  | Stamped { req; _ } | Replicate { req; _ } | Traced { req; _ } ->
-      is_mutation req
   | Ping | Find _ | Find_bulk _ | History _ | Trace_dump _
   | Slowlog _ | Epoch_probe | Registry_snap | Scan _ | Migrate_pull _
   | Range_seal _ | Range_unseal _ | Moves_status ->
       false
 
 (* ---- equality / printing (tests, error messages) ---- *)
-
-let equal_request (a : request) (b : request) = a = b
 
 let equal_response a b =
   match (a, b) with
@@ -379,33 +366,48 @@ let put_string buf s =
   put_int buf (String.length s);
   Buffer.add_string buf s
 
-(* Chains travel as: count, then per key the key, the event count, and
-   each event as version + tag byte (0 Del / 1 Put + value) — the same
-   event encoding the Events response uses. *)
+(* An event list travels as its count, then each event as version +
+   tag byte (0 Del / 1 Put + value): an Events reply, and each key's
+   chain in Histories and History_batch (count, then per key the key
+   and its events). *)
+let put_events buf events =
+  put_int buf (List.length events);
+  List.iter
+    (fun (version, event) ->
+      put_int buf version;
+      match event with
+      | Mvdict.Dict_intf.Del -> put_u8 buf 0
+      | Mvdict.Dict_intf.Put v ->
+          put_u8 buf 1;
+          put_int buf v)
+    events
+
 let put_chains buf chains =
   put_int buf (Array.length chains);
   Array.iter
     (fun (key, events) ->
       put_int buf key;
-      put_int buf (List.length events);
-      List.iter
-        (fun (version, event) ->
-          put_int buf version;
-          match event with
-          | Mvdict.Dict_intf.Del -> put_u8 buf 0
-          | Mvdict.Dict_intf.Put v ->
-              put_u8 buf 1;
-              put_int buf v)
-        events)
+      put_events buf events)
     chains
 
-(* A wrapper's payload is its epoch followed by the complete inner
-   request body (version byte, opcode, payload) running to the end of
-   the frame — no inner length prefix needed, and the inner body decodes
-   with the same cursor machinery. *)
-let rec encode_request_body (r : request) =
+let envelope_flags { epoch; replicated; trace } =
+  (if epoch = None then 0 else 1)
+  lor (if replicated then 2 else 0)
+  lor if trace = None then 0 else 4
+
+(* The envelope sits between the version byte and the opcode: the
+   flags byte, then the epoch and the trace words it flags. *)
+let encode_request_body env (r : request) =
   let buf = Buffer.create 32 in
   put_u8 buf protocol_version;
+  put_u8 buf (envelope_flags env);
+  (match env.epoch with Some epoch -> put_int buf epoch | None -> ());
+  (match env.trace with
+  | Some { trace = { hi; lo }; parent; _ } ->
+      put_int buf hi;
+      put_int buf lo;
+      put_int buf parent
+  | None -> ());
   put_u8 buf (request_opcode r);
   (match r with
   | Ping | Tag | Epoch_probe | Registry_snap -> ()
@@ -424,15 +426,6 @@ let rec encode_request_body (r : request) =
       put_int buf (Array.length keys);
       Array.iter (put_int buf) keys
   | Compact { before } -> put_int buf before
-  | Stamped { epoch; req } | Replicate { epoch; req } ->
-      put_int buf epoch;
-      Buffer.add_string buf (encode_request_body req)
-  | Traced { trace_hi; trace_lo; parent_span; sampled; req } ->
-      put_int buf trace_hi;
-      put_int buf trace_lo;
-      put_int buf parent_span;
-      put_u8 buf (if sampled then 1 else 0);
-      Buffer.add_string buf (encode_request_body req)
   | Insert_batch { pairs } ->
       put_int buf (Array.length pairs);
       Array.iter
@@ -499,17 +492,7 @@ let encode_response_body (r : response) =
   | Values vs ->
       put_int buf (Array.length vs);
       Array.iter (put_opt_int buf) vs
-  | Events evs ->
-      put_int buf (List.length evs);
-      List.iter
-        (fun (version, event) ->
-          put_int buf version;
-          match event with
-          | Mvdict.Dict_intf.Del -> put_u8 buf 0
-          | Mvdict.Dict_intf.Put v ->
-              put_u8 buf 1;
-              put_int buf v)
-        evs
+  | Events evs -> put_events buf evs
   | Pairs pairs ->
       put_int buf (Array.length pairs);
       Array.iter
@@ -540,7 +523,7 @@ let add_frame buf body =
   put_u8 buf n;
   Buffer.add_string buf body
 
-let add_request buf r = add_frame buf (encode_request_body r)
+let add_request buf r = add_frame buf (encode_request_body plain r)
 
 (* A reply never outgrows a frame: one that would is answered with a
    [Too_large] error instead, so the peer reads on in sync. *)
@@ -581,11 +564,11 @@ let scan b ~off ~len =
 
 exception Bad of error_code * string
 
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad (Malformed, msg))) fmt
+
 type cursor = { b : Bytes.t; limit : int; mutable pos : int }
 
-let need c n what =
-  if c.limit - c.pos < n then
-    raise (Bad (Malformed, Printf.sprintf "truncated payload reading %s" what))
+let need c n what = if c.limit - c.pos < n then bad "truncated payload reading %s" what
 
 let get_u8 c what =
   need c 1 what;
@@ -599,297 +582,199 @@ let get_int c what =
   c.pos <- c.pos + 8;
   v
 
+(* A word no valid frame holds negative: an epoch, a horizon, a page
+   bound, a trace word. *)
+let get_nat c what =
+  let v = get_int c what in
+  if v < 0 then bad "negative %s %d" what v;
+  v
+
+let get_bool c what =
+  match get_u8 c what with 0 -> false | 1 -> true | t -> bad "bad %s flag %d" what t
+
 let get_opt_int c what =
   match get_u8 c what with
   | 0 -> None
   | 1 -> Some (get_int c what)
-  | t -> raise (Bad (Malformed, Printf.sprintf "bad option tag %d in %s" t what))
+  | t -> bad "bad option tag %d in %s" t what
 
 let get_string c what =
   let n = get_int c what in
-  if n < 0 || n > c.limit - c.pos then
-    raise (Bad (Malformed, Printf.sprintf "bad string length %d in %s" n what));
+  if n < 0 || n > c.limit - c.pos then bad "bad string length %d in %s" n what;
   let s = Bytes.sub_string c.b c.pos n in
   c.pos <- c.pos + n;
   s
 
-let get_count c what =
+(* A count of elements at least [size] bytes each: one the rest of the
+   payload cannot hold is rejected before anything is allocated for
+   it. *)
+let get_count c ~size what =
   let n = get_int c what in
-  if n < 0 || n > max_frame then
-    raise (Bad (Malformed, Printf.sprintf "bad count %d in %s" n what));
+  if n < 0 || n > (c.limit - c.pos) / size then bad "%s %d overruns frame" what n;
   n
 
-let finish c (v : 'a) : ('a, error_code * string) result =
-  if c.pos <> c.limit then
-    Result.Error (Malformed, Printf.sprintf "%d trailing bytes" (c.limit - c.pos))
-  else Result.Ok v
+let get_array c ~size what get = Array.init (get_count c ~size what) (fun _ -> get c)
 
-(* Chains decoder shared by the Migrate_pull response and the
-   History_batch request. Guards: a chain needs at least 16 bytes
-   (key + event count), an event at least 9 (version + tag byte) —
-   counts the payload cannot hold are rejected before allocation. *)
-let get_chains c what =
-  let n = get_count c (what ^ ".count") in
-  if n > (c.limit - c.pos) / 16 then
-    raise (Bad (Malformed, Printf.sprintf "chain count %d overruns frame" n));
-  Array.init n (fun _ ->
-      let key = get_int c (what ^ ".key") in
-      let m = get_count c (what ^ ".events") in
-      if m > (c.limit - c.pos) / 9 then
-        raise (Bad (Malformed, Printf.sprintf "event count %d overruns frame" m));
-      let events = ref [] in
-      for _ = 1 to m do
-        let version = get_int c (what ^ ".version") in
-        let event =
-          match get_u8 c (what ^ ".tag") with
-          | 0 -> Mvdict.Dict_intf.Del
-          | 1 -> Mvdict.Dict_intf.Put (get_int c (what ^ ".value"))
-          | t -> raise (Bad (Malformed, Printf.sprintf "bad event tag %d in %s" t what))
-        in
-        events := (version, event) :: !events
-      done;
-      (key, List.rev !events))
+let get_key_value c =
+  let k = get_int c "key" in
+  let v = get_int c "value" in
+  (k, v)
 
-let open_cursor b ~off ~len what =
-  let c = { b; limit = off + len; pos = off } in
-  let version = get_u8 c "version" in
-  if version <> protocol_version then
-    raise
-      (Bad
-         ( Bad_version,
-           Printf.sprintf "protocol version %d, expected %d (%s)" version
-             protocol_version what ));
-  c
+(* The one event-list decoder: an Events reply, and each chain of
+   Histories and History_batch. An event takes at least 9 bytes, a
+   chain 16 (key and event count). *)
+let get_event c =
+  let version = get_int c "event.version" in
+  match get_u8 c "event.tag" with
+  | 0 -> (version, Mvdict.Dict_intf.Del)
+  | 1 -> (version, Mvdict.Dict_intf.Put (get_int c "event.value"))
+  | t -> bad "bad event tag %d" t
 
-(* [allow_wrap]/[allow_trace] bound wrapper nesting: Traced is
-   outermost and may contain one epoch wrapper (Stamped/Replicate),
-   which may contain only a plain request — so a hostile frame of
-   stacked wrappers cannot drive the decoder arbitrarily deep. *)
-let rec decode_request_at ~allow_wrap ~allow_trace b ~off ~len :
-    (request, error_code * string) result =
+let get_events c = List.init (get_count c ~size:9 "event count") (fun _ -> get_event c)
+
+let get_chains c =
+  get_array c ~size:16 "chain count" (fun c ->
+      let key = get_int c "chain.key" in
+      (key, get_events c))
+
+(* Bits 0-2 are the envelope's flags (see the header comment); any
+   other bit, or the replicated mark without an epoch, is malformed.
+   Only sampled trace contexts travel. *)
+let get_envelope c =
+  match get_u8 c "envelope flags" with
+  | 0 -> plain
+  | flags ->
+      if flags land lnot 7 <> 0 then bad "unknown envelope flags %d" flags;
+      if flags land 3 = 2 then bad "replicated frame without an epoch";
+      let epoch = if flags land 1 = 0 then None else Some (get_nat c "epoch") in
+      let trace =
+        if flags land 4 = 0 then None
+        else
+          let hi = get_nat c "trace.hi" in
+          let lo = get_nat c "trace.lo" in
+          let parent = get_nat c "trace.parent" in
+          Some { Obs.Span.trace = { Obs.Traceid.hi; lo }; parent; sampled = true }
+      in
+      { epoch; replicated = flags land 2 <> 0; trace }
+
+let get_request c =
+  match get_u8 c "opcode" with
+  | 1 -> Ping
+  | 2 ->
+      let key = get_int c "insert.key" in
+      let value = get_int c "insert.value" in
+      Insert { key; value }
+  | 3 -> Remove { key = get_int c "remove.key" }
+  | 4 ->
+      let key = get_int c "find.key" in
+      let version = get_opt_int c "find.version" in
+      Find { key; version }
+  | 5 -> Tag
+  | 6 -> History { key = get_int c "history.key" }
+  | 10 -> Trace_dump { clear = get_bool c "trace.clear" }
+  | 11 -> Slowlog { n = get_nat c "slowlog count" }
+  | 12 ->
+      let version = get_int c "tag_at.version" in
+      if version <= 0 then bad "non-positive tag_at version %d" version;
+      Tag_at { version }
+  | 13 ->
+      let version = get_opt_int c "find_bulk.version" in
+      let keys = get_array c ~size:8 "find_bulk key count" (fun c -> get_int c "key") in
+      Find_bulk { keys; version }
+  | 14 -> Compact { before = get_nat c "compact horizon" }
+  | 18 -> Epoch_probe
+  | 20 -> Registry_snap
+  | 21 ->
+      Insert_batch { pairs = get_array c ~size:16 "insert_batch pair count" get_key_value }
+  | 22 ->
+      Remove_batch
+        { keys = get_array c ~size:8 "remove_batch key count" (fun c -> get_int c "key") }
+  | 23 ->
+      let lo = get_int c "scan.lo" in
+      let hi = get_int c "scan.hi" in
+      let version = get_opt_int c "scan.version" in
+      let limit = get_nat c "scan limit" in
+      Scan { lo; hi; version; limit }
+  | 24 ->
+      let lo = get_int c "migrate_pull.lo" in
+      let hi = get_int c "migrate_pull.hi" in
+      let since = get_nat c "migrate_pull since" in
+      let limit = get_nat c "migrate_pull limit" in
+      Migrate_pull { lo; hi; since; limit }
+  | 25 ->
+      let since = get_nat c "history_batch since" in
+      History_batch { since; chains = get_chains c }
+  | 26 ->
+      let lo = get_int c "range_seal.lo" in
+      let hi = get_int c "range_seal.hi" in
+      let epoch = get_nat c "range_seal epoch" in
+      let endpoint = get_string c "range_seal.endpoint" in
+      Range_seal { lo; hi; epoch; endpoint }
+  | 27 ->
+      let lo = get_int c "range_unseal.lo" in
+      let hi = get_int c "range_unseal.hi" in
+      Range_unseal { lo; hi }
+  | 28 -> Moves_status
+  | 29 ->
+      let lo = get_int c "range_drop.lo" in
+      let hi = get_int c "range_drop.hi" in
+      let horizon = get_nat c "range_drop horizon" in
+      Range_drop { lo; hi; horizon }
+  | op -> raise (Bad (Bad_opcode, Printf.sprintf "unknown request opcode %d" op))
+
+let get_response c =
+  match get_u8 c "opcode" with
+  | 1 -> Pong
+  | 2 -> Ack
+  | 3 -> Version (get_int c "version")
+  | 4 -> Value (get_opt_int c "value")
+  | 5 -> Events (get_events c)
+  | 6 -> Pairs (get_array c ~size:16 "pair count" get_key_value)
+  | 8 ->
+      let code_byte = get_u8 c "error.code" in
+      let message = get_string c "error.message" in
+      let code = Option.value (error_code_of_int code_byte) ~default:Server_error in
+      Error { code; message }
+  | 10 -> Trace_json (get_string c "trace")
+  | 11 -> Slowlog_json (get_string c "slowlog")
+  (* at least the presence byte per element *)
+  | 12 -> Values (get_array c ~size:1 "value count" (fun c -> get_opt_int c "value"))
+  | 13 -> Gc_done { dropped = get_int c "gc_done.dropped" }
+  | 14 ->
+      let epoch = get_int c "epoch_info.epoch" in
+      let version = get_int c "epoch_info.version" in
+      let horizon = get_int c "epoch_info.horizon" in
+      Epoch_info { epoch; version; horizon }
+  | 15 -> Snap_json (get_string c "snap")
+  | 16 -> Histories (get_chains c)
+  | 17 -> Moves_json (get_string c "moves")
+  | op -> raise (Bad (Bad_opcode, Printf.sprintf "unknown response opcode %d" op))
+
+(* Decode the body at [b.(off .. off+len)] with [get], which must use
+   all of it: the value, or the error code and message to answer. *)
+let decode get what b ~off ~len =
   match
-    let c = open_cursor b ~off ~len "request" in
-    match get_u8 c "opcode" with
-    | 1 -> finish c Ping
-    | 2 ->
-        let key = get_int c "insert.key" in
-        let value = get_int c "insert.value" in
-        finish c (Insert { key; value })
-    | 3 -> finish c (Remove { key = get_int c "remove.key" })
-    | 4 ->
-        let key = get_int c "find.key" in
-        let version = get_opt_int c "find.version" in
-        finish c (Find { key; version })
-    | 5 -> finish c Tag
-    | 6 -> finish c (History { key = get_int c "history.key" })
-    | 10 ->
-        let clear =
-          match get_u8 c "trace.clear" with
-          | 0 -> false
-          | 1 -> true
-          | t -> raise (Bad (Malformed, Printf.sprintf "bad trace clear flag %d" t))
-        in
-        finish c (Trace_dump { clear })
-    | 11 ->
-        let n = get_int c "slowlog.n" in
-        if n < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative slowlog count %d" n));
-        finish c (Slowlog { n })
-    | 12 ->
-        let version = get_int c "tag_at.version" in
-        if version <= 0 then
-          raise (Bad (Malformed, Printf.sprintf "non-positive tag_at version %d" version));
-        finish c (Tag_at { version })
-    | 13 ->
-        let version = get_opt_int c "find_bulk.version" in
-        let n = get_count c "find_bulk.count" in
-        (* 8 bytes per key: reject counts the payload cannot hold. *)
-        if n > (c.limit - c.pos) / 8 then
-          raise (Bad (Malformed, Printf.sprintf "key count %d overruns frame" n));
-        finish c
-          (Find_bulk { keys = Array.init n (fun _ -> get_int c "find_bulk.key"); version })
-    | 14 ->
-        let before = get_int c "compact.before" in
-        if before < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative compact horizon %d" before));
-        finish c (Compact { before })
-    | (16 | 17) as op ->
-        let what = if op = 16 then "stamped" else "replicate" in
-        if not allow_wrap then
-          raise (Bad (Malformed, Printf.sprintf "nested %s wrapper" what));
-        let epoch = get_int c (what ^ ".epoch") in
-        if epoch < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative %s epoch %d" what epoch));
-        let inner_off = c.pos and inner_len = c.limit - c.pos in
-        (match
-           decode_request_at ~allow_wrap:false ~allow_trace:false b
-             ~off:inner_off ~len:inner_len
-         with
-        | Result.Error (code, msg) ->
-            Result.Error (code, Printf.sprintf "%s payload: %s" what msg)
-        | Result.Ok req ->
-            Result.Ok
-              (if op = 16 then Stamped { epoch; req } else Replicate { epoch; req }))
-    | 18 -> finish c Epoch_probe
-    | 19 ->
-        if not allow_trace then
-          raise (Bad (Malformed, "nested traced wrapper"));
-        let trace_hi = get_int c "traced.trace_hi" in
-        let trace_lo = get_int c "traced.trace_lo" in
-        let parent_span = get_int c "traced.parent_span" in
-        if trace_hi < 0 || trace_lo < 0 || parent_span < 0 then
-          raise (Bad (Malformed, "negative traced context field"));
-        let sampled =
-          match get_u8 c "traced.sampled" with
-          | 0 -> false
-          | 1 -> true
-          | t -> raise (Bad (Malformed, Printf.sprintf "bad sampled flag %d" t))
-        in
-        let inner_off = c.pos and inner_len = c.limit - c.pos in
-        (match
-           decode_request_at ~allow_wrap ~allow_trace:false b ~off:inner_off
-             ~len:inner_len
-         with
-        | Result.Error (code, msg) ->
-            Result.Error (code, Printf.sprintf "traced payload: %s" msg)
-        | Result.Ok req ->
-            Result.Ok (Traced { trace_hi; trace_lo; parent_span; sampled; req }))
-    | 20 -> finish c Registry_snap
-    | 21 ->
-        let n = get_count c "insert_batch.count" in
-        (* 16 bytes per pair: reject counts the payload cannot hold
-           before allocating for them. *)
-        if n > (c.limit - c.pos) / 16 then
-          raise (Bad (Malformed, Printf.sprintf "pair count %d overruns frame" n));
-        finish c
-          (Insert_batch
-             {
-               pairs =
-                 Array.init n (fun _ ->
-                     let k = get_int c "insert_batch.key" in
-                     let v = get_int c "insert_batch.value" in
-                     (k, v));
-             })
-    | 22 ->
-        let n = get_count c "remove_batch.count" in
-        (* 8 bytes per key: reject counts the payload cannot hold. *)
-        if n > (c.limit - c.pos) / 8 then
-          raise (Bad (Malformed, Printf.sprintf "key count %d overruns frame" n));
-        finish c
-          (Remove_batch
-             { keys = Array.init n (fun _ -> get_int c "remove_batch.key") })
-    | 23 ->
-        let lo = get_int c "scan.lo" in
-        let hi = get_int c "scan.hi" in
-        let version = get_opt_int c "scan.version" in
-        let limit = get_int c "scan.limit" in
-        if limit < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative scan limit %d" limit));
-        finish c (Scan { lo; hi; version; limit })
-    | 24 ->
-        let lo = get_int c "migrate_pull.lo" in
-        let hi = get_int c "migrate_pull.hi" in
-        let since = get_int c "migrate_pull.since" in
-        let limit = get_int c "migrate_pull.limit" in
-        if since < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative migrate_pull since %d" since));
-        if limit < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative migrate_pull limit %d" limit));
-        finish c (Migrate_pull { lo; hi; since; limit })
-    | 25 ->
-        let since = get_int c "history_batch.since" in
-        if since < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative history_batch since %d" since));
-        let chains = get_chains c "history_batch" in
-        finish c (History_batch { since; chains })
-    | 26 ->
-        let lo = get_int c "range_seal.lo" in
-        let hi = get_int c "range_seal.hi" in
-        let epoch = get_int c "range_seal.epoch" in
-        if epoch < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative range_seal epoch %d" epoch));
-        let endpoint = get_string c "range_seal.endpoint" in
-        finish c (Range_seal { lo; hi; epoch; endpoint })
-    | 27 ->
-        let lo = get_int c "range_unseal.lo" in
-        let hi = get_int c "range_unseal.hi" in
-        finish c (Range_unseal { lo; hi })
-    | 28 -> finish c Moves_status
-    | 29 ->
-        let lo = get_int c "range_drop.lo" in
-        let hi = get_int c "range_drop.hi" in
-        let horizon = get_int c "range_drop.horizon" in
-        if horizon < 0 then
-          raise (Bad (Malformed, Printf.sprintf "negative range_drop horizon %d" horizon));
-        finish c (Range_drop { lo; hi; horizon })
-    | op -> Result.Error (Bad_opcode, Printf.sprintf "unknown request opcode %d" op)
+    let c = { b; limit = off + len; pos = off } in
+    let version = get_u8 c "version" in
+    if version <> protocol_version then
+      raise
+        (Bad
+           ( Bad_version,
+             Printf.sprintf "protocol version %d, expected %d (%s)" version
+               protocol_version what ));
+    let v = get c in
+    if c.pos <> c.limit then bad "%d trailing bytes" (c.limit - c.pos);
+    v
   with
-  | r -> r
-  | exception Bad (code, msg) -> Result.Error (code, msg)
+  | v -> Ok v
+  | exception Bad (code, msg) -> Error (code, msg)
 
-let decode_request b ~off ~len =
-  decode_request_at ~allow_wrap:true ~allow_trace:true b ~off ~len
+let decode_request : Bytes.t -> off:int -> len:int -> (envelope * request, _) result =
+  decode
+    (fun c ->
+      let env = get_envelope c in
+      (env, get_request c))
+    "request"
 
-let decode_response b ~off ~len : (response, error_code * string) result =
-  match
-    let c = open_cursor b ~off ~len "response" in
-    match get_u8 c "opcode" with
-    | 1 -> finish c Pong
-    | 2 -> finish c Ack
-    | 3 -> finish c (Version (get_int c "version"))
-    | 4 -> finish c (Value (get_opt_int c "value"))
-    | 5 ->
-        let n = get_count c "events.count" in
-        let evs = ref [] in
-        for _ = 1 to n do
-          let version = get_int c "events.version" in
-          let event =
-            match get_u8 c "events.tag" with
-            | 0 -> Mvdict.Dict_intf.Del
-            | 1 -> Mvdict.Dict_intf.Put (get_int c "events.value")
-            | t -> raise (Bad (Malformed, Printf.sprintf "bad event tag %d" t))
-          in
-          evs := (version, event) :: !evs
-        done;
-        finish c (Events (List.rev !evs))
-    | 6 ->
-        let n = get_count c "pairs.count" in
-        (* 16 bytes per pair: reject counts the payload cannot hold. *)
-        if n > (c.limit - c.pos) / 16 then
-          raise (Bad (Malformed, Printf.sprintf "pair count %d overruns frame" n));
-        finish c
-          (Pairs
-             (Array.init n (fun _ ->
-                  let k = get_int c "pairs.key" in
-                  let v = get_int c "pairs.value" in
-                  (k, v))))
-    | 8 ->
-        let code_byte = get_u8 c "error.code" in
-        let message = get_string c "error.message" in
-        let code =
-          match error_code_of_int code_byte with
-          | Some c -> c
-          | None -> Server_error
-        in
-        finish c (Error { code; message })
-    | 10 -> finish c (Trace_json (get_string c "trace"))
-    | 11 -> finish c (Slowlog_json (get_string c "slowlog"))
-    | 12 ->
-        let n = get_count c "values.count" in
-        (* At least the presence byte per element. *)
-        if n > c.limit - c.pos then
-          raise (Bad (Malformed, Printf.sprintf "value count %d overruns frame" n));
-        finish c (Values (Array.init n (fun _ -> get_opt_int c "values.value")))
-    | 13 -> finish c (Gc_done { dropped = get_int c "gc_done.dropped" })
-    | 14 ->
-        let epoch = get_int c "epoch_info.epoch" in
-        let version = get_int c "epoch_info.version" in
-        let horizon = get_int c "epoch_info.horizon" in
-        finish c (Epoch_info { epoch; version; horizon })
-    | 15 -> finish c (Snap_json (get_string c "snap"))
-    | 16 -> finish c (Histories (get_chains c "histories"))
-    | 17 -> finish c (Moves_json (get_string c "moves"))
-    | op -> Result.Error (Bad_opcode, Printf.sprintf "unknown response opcode %d" op)
-  with
-  | r -> r
-  | exception Bad (code, msg) -> Result.Error (code, msg)
+let decode_response : Bytes.t -> off:int -> len:int -> (response, _) result =
+  decode get_response "response"

@@ -96,7 +96,7 @@ let with_ name f =
   match get_context () with
   | Some ({ sampled = true; _ } as c) when Control.is_enabled () ->
       (* Pre-allocate this span's id and point the context at it, so
-         children (local spans and Traced wire requests) parent here. *)
+         children (local spans and traced wire requests) parent here. *)
       let span_id = Traceid.new_span_id () in
       let cell = Domain.DLS.get context_key in
       let token = enter name in

@@ -127,7 +127,7 @@ let canonical (req : Net.Wire.request) (resp : Net.Wire.response) :
       Some req
   (* Batches forward canonicalised (sorted, later duplicates winning) —
      the exact form the primary's store installed — so backups replay
-     identical history events from one Replicate frame per batch. *)
+     identical history events from one replicated frame per batch. *)
   | Net.Wire.Insert_batch { pairs }, _ ->
       let pairs = Mvdict.Dict_intf.canonical_pairs ~compare:Int.compare (Array.to_list pairs) in
       Some (Net.Wire.Insert_batch { pairs = Array.of_list pairs })
@@ -150,10 +150,10 @@ let forward_to t peer op =
     else begin
       let c = ensure_conn peer in
       (* A span per hop: when the mutation arrived under a trace
-         context (Traced frame → server srv.* span → this hook, all on
-         one domain), the forward becomes a child span here and the
-         outgoing Replicate frame carries the context on to the backup
-         — the replica lane of the cluster-wide trace. *)
+         context (the frame's envelope → server srv.* span → this hook,
+         all on one domain), the forward becomes a child span here and
+         the replicated frame's envelope carries the context on to the
+         backup — the replica lane of the cluster-wide trace. *)
       Obs.Span.with_ "repl.forward" (fun () ->
           note peer (Net.Client.replicate c ~epoch:(Atomic.get t.epoch) op));
       Obs.Metric.incr c_forwarded

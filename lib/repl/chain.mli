@@ -3,8 +3,9 @@
 
     The chain is the [on_mutation] hook of a {!Net.Server}: it applies
     each client mutation locally and ships it to every backup as a
-    [Replicate] frame under one mutex, held from before the apply until
-    the forward is sent, so backups receive the primary's apply order.
+    replicated frame (its envelope marked replicated) under one mutex,
+    held from before the apply until the forward is sent, so backups
+    receive the primary's apply order.
     Frames are stamped with the epoch cell the chain {e shares} with the
     server, so a fenced-out primary stops forwarding the moment it
     learns of a newer epoch. Forwarding is synchronous: by the time the
@@ -16,18 +17,18 @@
     Catch-up: a backup that missed writes (down, partitioned, or
     restarted) is sent version chains by {!Net.Client.copy_range}, the
     copy a shard move runs, over [[0, max_int)] (every cluster key) as
-    [Replicate] frames. The primary probes the backup's clock
+    replicated frames. The primary probes the backup's clock
     ([Epoch_probe]) and copies above c: that clock, or the one this
     chain's last [Tag_at] left the backup at if lower (a backup
     restarted over its own pool recovers its clock as its highest
     version, which may be pending), or one version below the probed
     clock when this chain never tagged the backup. It then aligns the
-    clock with [Replicate (Tag_at current)] (none at clock 0). Above the
+    clock with a replicated [Tag_at current] (none at clock 0). Above the
     primary's compaction horizon h ({!Mvdict.Pskiplist}[.horizon]) this
     is exact while the backup's events above c are a prefix of the
     primary's, which holds for a backup fed only by this chain (whose
     own GC keeps at least one version) or started empty. Below h, one
-    [Replicate (Range_drop {0, max_int, h})] first empties the backup
+    replicated [Range_drop {0, max_int, h}] first empties the backup
     and raises its horizon to the primary's (again if a GC pass raises
     h during the copy); [repl.catchup_resets] counts these. Either way the backup then answers every read, at every
     version, as the primary does, unless its clock is past the

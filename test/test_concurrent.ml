@@ -614,6 +614,58 @@ let atomic_field_write_barrier () =
     (Array.fold_left (fun acc (a, b) -> if a = -b then acc + 1 else acc) 0 cells);
   ignore (Sys.opaque_identity junk)
 
+(* [scrub] on keys 0..4095 inserted in scrambled order (towers of many
+   levels), with [dead] holding runs of consecutive keys. Every level
+   must stay sorted and reachable afterwards: [find] answers each key,
+   [iter] yields the survivors in order and [cardinal] agrees, and after
+   the removed keys are inserted again (each insert descends through
+   every level) all 4,096 are reachable. A ranged scrub asks [dead]
+   about keys in its range only. *)
+let scrub_check ?range ~dead () =
+  let n = 4096 in
+  let s = int_skiplist () in
+  let scrambled = List.init n (fun i -> (i * 2_654_435_761) land (n - 1)) in
+  let insert k = ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> 2 * k)) in
+  List.iter insert scrambled;
+  check_bool "multi-level towers" true (Concurrent.Skiplist.height s >= 6);
+  let in_range k = match range with None -> true | Some (lo, hi) -> lo <= k && k < hi in
+  let gone k = in_range k && dead k in
+  let asked_outside = ref 0 in
+  let removed =
+    Concurrent.Skiplist.scrub ?range s ~dead:(fun k v ->
+        if not (in_range k) || v <> 2 * k then incr asked_outside;
+        dead k)
+  in
+  check_int "dead asked about keys in the range only" 0 !asked_outside;
+  let survivors = List.filter (fun k -> not (gone k)) (List.init n Fun.id) in
+  let reachable expect =
+    check_int "cardinal" (List.length expect) (Concurrent.Skiplist.cardinal s);
+    let seen = ref [] in
+    Concurrent.Skiplist.iter s (fun k _ -> seen := k :: !seen);
+    check_bool "iter yields the keys in order" true (List.rev !seen = expect);
+    let wrong = ref 0 in
+    for k = 0 to n - 1 do
+      let want = if List.mem k expect then Some (2 * k) else None in
+      if Concurrent.Skiplist.find s k <> want then incr wrong
+    done;
+    check_int "keys find answers wrongly" 0 !wrong
+  in
+  check_int "removed" (n - List.length survivors) removed;
+  reachable survivors;
+  List.iter (fun k -> if gone k then insert k) scrambled;
+  reachable (List.init n Fun.id)
+
+let runs_of_seven k = k / 7 mod 2 = 0
+
+let skiplist_scrub_whole () = scrub_check ~dead:runs_of_seven ()
+
+let skiplist_scrub_range () =
+  scrub_check ~range:(1000, 3001) ~dead:runs_of_seven ();
+  scrub_check ~range:(1000, 1100) ~dead:(fun _ -> true) ();
+  scrub_check ~range:(min_int, 1) ~dead:(fun _ -> true) ();
+  scrub_check ~range:(4000, max_int) ~dead:(fun _ -> true) ();
+  scrub_check ~range:(5000, 6000) ~dead:(fun _ -> true) ()
+
 let () =
   Alcotest.run "concurrent"
     [
@@ -636,6 +688,8 @@ let () =
           Alcotest.test_case "iter_range allocation" `Quick
             skiplist_iter_range_allocation;
           Alcotest.test_case "cursor allocation" `Quick skiplist_cursor_allocation;
+          Alcotest.test_case "scrub the whole index" `Quick skiplist_scrub_whole;
+          Alcotest.test_case "scrub a range" `Quick skiplist_scrub_range;
           QCheck_alcotest.to_alcotest qcheck_skiplist_vs_map;
         ] );
       ( "rbtree",

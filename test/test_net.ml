@@ -13,7 +13,20 @@ let check_string = Alcotest.(check string)
 
 let gen_key_value = QCheck.Gen.(oneof [ int; small_signed_int; return 0; return min_int; return max_int ])
 
-let gen_plain_request =
+let gen_event =
+  QCheck.Gen.(
+    oneof
+      [
+        return Mvdict.Dict_intf.Del;
+        map (fun v -> Mvdict.Dict_intf.Put v) gen_key_value;
+      ])
+
+let gen_chains =
+  QCheck.Gen.(
+    map Array.of_list
+      (small_list (pair gen_key_value (small_list (pair small_nat gen_event)))))
+
+let gen_request =
   QCheck.Gen.(
     oneof
       [
@@ -42,39 +55,49 @@ let gen_plain_request =
         map
           (fun (lo, hi, version, limit) -> Net.Wire.Scan { lo; hi; version; limit })
           (quad gen_key_value gen_key_value (opt small_nat) small_nat);
+        map
+          (fun (lo, hi, since, limit) -> Net.Wire.Migrate_pull { lo; hi; since; limit })
+          (quad gen_key_value gen_key_value small_nat small_nat);
+        map2
+          (fun since chains -> Net.Wire.History_batch { since; chains })
+          small_nat gen_chains;
+        map
+          (fun (lo, hi, epoch, endpoint) -> Net.Wire.Range_seal { lo; hi; epoch; endpoint })
+          (quad gen_key_value gen_key_value small_nat string_printable);
+        map2 (fun lo hi -> Net.Wire.Range_unseal { lo; hi }) gen_key_value gen_key_value;
+        return Net.Wire.Moves_status;
         map3
           (fun lo hi horizon -> Net.Wire.Range_drop { lo; hi; horizon })
           gen_key_value gen_key_value small_nat;
       ])
 
-(* The epoch wrappers may enclose any plain (non-wrapper) request —
-   nesting is rejected by the codec. *)
-let gen_wrapped_request =
+(* Every word of an envelope is non-negative. *)
+let gen_word = QCheck.Gen.(oneof [ small_nat; map (fun i -> i land max_int) int ])
+
+let gen_context =
   QCheck.Gen.(
+    map3
+      (fun hi lo parent ->
+        Some { Obs.Span.trace = { Obs.Traceid.hi; lo }; parent; sampled = true })
+      gen_word gen_word gen_word)
+
+(* The envelopes a sender builds: none, an epoch, a replicated epoch, a
+   trace context, and all three. *)
+let gen_envelope =
+  QCheck.Gen.(
+    let epoch = map Option.some gen_word in
     oneof
       [
-        gen_plain_request;
+        return Net.Wire.plain;
+        map (fun epoch -> { Net.Wire.plain with epoch }) epoch;
+        map (fun epoch -> { Net.Wire.plain with epoch; replicated = true }) epoch;
+        map (fun trace -> { Net.Wire.plain with trace }) gen_context;
         map2
-          (fun epoch req -> Net.Wire.Stamped { epoch; req })
-          small_nat gen_plain_request;
-        map2
-          (fun epoch req -> Net.Wire.Replicate { epoch; req })
-          small_nat gen_plain_request;
+          (fun epoch trace -> { Net.Wire.epoch; replicated = true; trace })
+          epoch gen_context;
       ])
 
-(* The full request space adds the outermost trace-context wrapper,
-   which may enclose a plain or epoch-wrapped request. *)
-let gen_request =
-  QCheck.Gen.(
-    oneof
-      [
-        gen_wrapped_request;
-        map2
-          (fun (trace_hi, trace_lo, parent_span, sampled) req ->
-            Net.Wire.Traced { trace_hi; trace_lo; parent_span; sampled; req })
-          (quad (int_bound 0xffff) (int_bound 0xffff) (int_bound 0xffff) bool)
-          gen_wrapped_request;
-      ])
+let gen_sent = QCheck.Gen.pair gen_envelope gen_request
 
 let gen_error_code =
   QCheck.Gen.oneofl
@@ -88,15 +111,8 @@ let gen_error_code =
         Busy;
         Server_error;
         Bad_epoch;
+        Moved;
       ]
-
-let gen_event =
-  QCheck.Gen.(
-    oneof
-      [
-        return Mvdict.Dict_intf.Del;
-        map (fun v -> Mvdict.Dict_intf.Put v) gen_key_value;
-      ])
 
 let gen_response =
   QCheck.Gen.(
@@ -121,19 +137,21 @@ let gen_response =
         map3
           (fun epoch version horizon -> Net.Wire.Epoch_info { epoch; version; horizon })
           small_nat small_nat small_nat;
+        map (fun chains -> Net.Wire.Histories chains) gen_chains;
+        map (fun s -> Net.Wire.Moves_json s) string_printable;
       ])
+
+let add_sent buf (env, req) = Net.Wire.add_frame buf (Net.Wire.encode_request_body env req)
 
 (* Round-trip through the full framing path: encode into a buffer as a
    frame, scan the frame out, decode the body. *)
-let roundtrip_request req =
+let roundtrip_request sent =
   let buf = Buffer.create 64 in
-  Net.Wire.add_request buf req;
+  add_sent buf sent;
   let bytes = Buffer.to_bytes buf in
   match Net.Wire.scan bytes ~off:0 ~len:(Bytes.length bytes) with
-  | `Frame (off, len, consumed) when consumed = Bytes.length bytes -> (
-      match Net.Wire.decode_request bytes ~off ~len with
-      | Ok req' -> Net.Wire.equal_request req req'
-      | Error _ -> false)
+  | `Frame (off, len, consumed) when consumed = Bytes.length bytes ->
+      Net.Wire.decode_request bytes ~off ~len = Ok sent
   | _ -> false
 
 let roundtrip_response resp =
@@ -149,7 +167,7 @@ let roundtrip_response resp =
 
 let request_roundtrip_property =
   QCheck.Test.make ~name:"wire request frames round-trip" ~count:1000
-    (QCheck.make gen_request) roundtrip_request
+    (QCheck.make gen_sent) roundtrip_request
 
 let response_roundtrip_property =
   QCheck.Test.make ~name:"wire response frames round-trip" ~count:1000
@@ -158,10 +176,10 @@ let response_roundtrip_property =
 (* Pipelined frames concatenated in one buffer scan out one by one. *)
 let pipelined_scan_property =
   QCheck.Test.make ~name:"wire pipelined frames scan in order" ~count:200
-    QCheck.(make Gen.(list_size (int_range 1 20) gen_request))
+    QCheck.(make Gen.(list_size (int_range 1 20) gen_sent))
     (fun reqs ->
       let buf = Buffer.create 256 in
-      List.iter (Net.Wire.add_request buf) reqs;
+      List.iter (add_sent buf) reqs;
       let bytes = Buffer.to_bytes buf in
       let decoded = ref [] in
       let off = ref 0 in
@@ -216,8 +234,18 @@ let scan_oversize () =
 let body_of_string s = (Bytes.of_string s, String.length s)
 
 (* The good protocol version byte, as a string prefix for hand-built
-   bodies — computed from Wire so these tests survive version bumps. *)
+   bodies — computed from Wire so these tests survive version bumps —
+   and a request's prefix: the version and an empty envelope. *)
 let ver = String.make 1 (Char.chr Net.Wire.protocol_version)
+let req_hdr = ver ^ "\x00"
+
+let decode_request_string s =
+  explain (Net.Wire.decode_request (Bytes.of_string s) ~off:0 ~len:(String.length s))
+
+let word v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.to_string b
 
 let decode_bad_version () =
   List.iter
@@ -241,9 +269,8 @@ let decode_bad_version () =
 let decode_bad_opcode () =
   List.iter
     (fun op ->
-      let b, len = body_of_string (ver ^ String.make 1 (Char.chr op)) in
       check_string "bad opcode" "bad_opcode"
-        (explain (Net.Wire.decode_request b ~off:0 ~len)))
+        (decode_request_string (req_hdr ^ String.make 1 (Char.chr op))))
     [ 0x63; 7; 8; 9; 15 ];
   List.iter
     (fun op ->
@@ -254,12 +281,12 @@ let decode_bad_opcode () =
 
 let decode_truncated_payload () =
   (* insert opcode with only 4 of the 16 payload bytes *)
-  let b, len = body_of_string (ver ^ "\x02ABCD") in
+  let b, len = body_of_string (req_hdr ^ "\x02ABCD") in
   check_string "truncated payload" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
 let decode_trailing_garbage () =
-  let body = Net.Wire.encode_request_body Net.Wire.Tag ^ "junk" in
+  let body = Net.Wire.encode_request_body Net.Wire.plain Net.Wire.Tag ^ "junk" in
   let b, len = body_of_string body in
   check_string "trailing bytes" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
@@ -270,7 +297,7 @@ let decode_empty_body () =
 
 let decode_bad_option_tag () =
   (* find(key, version) with an option tag of 7 *)
-  let b, len = body_of_string (ver ^ "\x04" ^ String.make 8 '\x00' ^ "\x07") in
+  let b, len = body_of_string (req_hdr ^ "\x04" ^ String.make 8 '\x00' ^ "\x07") in
   check_string "bad option tag" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
@@ -297,7 +324,7 @@ let decode_negative_string_length () =
 
 let decode_bulk_count_overrun () =
   (* find_bulk request: no version, 1000 keys declared, no payload *)
-  let b, len = body_of_string (ver ^ "\x0d\x00" ^ "\xe8\x03" ^ String.make 6 '\x00') in
+  let b, len = body_of_string (req_hdr ^ "\x0d\x00" ^ "\xe8\x03" ^ String.make 6 '\x00') in
   check_string "bulk key count overrun" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len));
   (* values response: 1000 values declared, no payload *)
@@ -307,24 +334,24 @@ let decode_bulk_count_overrun () =
 
 (* A negative version, and 0 too: the clock probe is [Epoch_probe]. *)
 let decode_negative_tag_at () =
-  let b, len = body_of_string (ver ^ "\x0c" ^ String.make 8 '\xff') in
+  let b, len = body_of_string (req_hdr ^ "\x0c" ^ String.make 8 '\xff') in
   check_string "negative tag_at version" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len));
-  let b, len = body_of_string (ver ^ "\x0c" ^ String.make 8 '\x00') in
+  let b, len = body_of_string (req_hdr ^ "\x0c" ^ String.make 8 '\x00') in
   check_string "tag_at version 0" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
 let decode_batch_count_overrun () =
   (* insert_batch declaring 1000 pairs with no payload behind the count *)
-  let b, len = body_of_string (ver ^ "\x15" ^ "\xe8\x03" ^ String.make 6 '\x00') in
+  let b, len = body_of_string (req_hdr ^ "\x15" ^ "\xe8\x03" ^ String.make 6 '\x00') in
   check_string "insert_batch pair count overrun" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len));
   (* remove_batch declaring 1000 keys with no payload *)
-  let b, len = body_of_string (ver ^ "\x16" ^ "\xe8\x03" ^ String.make 6 '\x00') in
+  let b, len = body_of_string (req_hdr ^ "\x16" ^ "\xe8\x03" ^ String.make 6 '\x00') in
   check_string "remove_batch key count overrun" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len));
   (* a count the frame could "hold" but that is negative *)
-  let b, len = body_of_string (ver ^ "\x15" ^ String.make 8 '\xff') in
+  let b, len = body_of_string (req_hdr ^ "\x15" ^ String.make 8 '\xff') in
   check_string "negative insert_batch count" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
@@ -332,93 +359,107 @@ let decode_bad_scan_limit () =
   (* scan lo=0 hi=0 version=None limit=-1 *)
   let b, len =
     body_of_string
-      (ver ^ "\x17" ^ String.make 16 '\x00' ^ "\x00" ^ String.make 8 '\xff')
+      (req_hdr ^ "\x17" ^ String.make 16 '\x00' ^ "\x00" ^ String.make 8 '\xff')
   in
   check_string "negative scan limit" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
-let decode_nested_epoch_wrapper () =
-  (* wrapper nesting is bounded at one level: every combination of
-     Stamped/Replicate inside Stamped/Replicate must decode as
-     malformed, never recurse *)
+(* Bits 0-2 are the envelope's only flags, and the replicated mark
+   (bit 1) needs an epoch (bit 0): anything else is malformed, as is a
+   negative or truncated epoch word. *)
+let decode_bad_envelope_flags () =
   List.iter
-    (fun (outer : Net.Wire.request -> Net.Wire.request) ->
-      List.iter
-        (fun (inner : Net.Wire.request -> Net.Wire.request) ->
-          let body =
-            Net.Wire.encode_request_body (outer (inner Net.Wire.Ping))
-          in
-          let b, len = body_of_string body in
-          check_string "nested wrapper" "malformed"
-            (explain (Net.Wire.decode_request b ~off:0 ~len)))
-        [
-          (fun r -> Net.Wire.Stamped { epoch = 1; req = r });
-          (fun r -> Net.Wire.Replicate { epoch = 1; req = r });
-        ])
-    [
-      (fun r -> Net.Wire.Stamped { epoch = 2; req = r });
-      (fun r -> Net.Wire.Replicate { epoch = 2; req = r });
-    ]
+    (fun flags ->
+      check_string
+        (Printf.sprintf "envelope flags %d" flags)
+        "malformed"
+        (decode_request_string (ver ^ String.make 1 (Char.chr flags) ^ "\x01")))
+    [ 8; 16; 32; 64; 128; 0xff; 2; 6 ];
+  check_string "negative epoch" "malformed"
+    (decode_request_string (ver ^ "\x01" ^ word (-1) ^ "\x01"));
+  check_string "negative replicated epoch" "malformed"
+    (decode_request_string (ver ^ "\x03" ^ word min_int ^ "\x01"));
+  check_string "truncated epoch" "malformed" (decode_request_string (ver ^ "\x01\x05\x00"));
+  check_string "epoch then ping" "ok"
+    (decode_request_string (ver ^ "\x03" ^ word 7 ^ "\x01"))
 
-let decode_nested_traced_wrapper () =
-  (* Traced is strictly outermost: a Traced inside Traced, Stamped or
-     Replicate must decode as malformed. (Traced over Stamped/Replicate
-     is the legal composition and is covered by the round-trip
-     property.) *)
-  let traced r =
-    Net.Wire.Traced
-      { trace_hi = 1; trace_lo = 2; parent_span = 3; sampled = true; req = r }
-  in
+(* The wrapper opcodes of version 10 (16 Stamped, 17 Replicate, 19
+   Traced) are retired: they decode like any unknown opcode, with or
+   without an envelope in front. *)
+let decode_retired_wrapper_opcodes () =
   List.iter
-    (fun (outer : Net.Wire.request -> Net.Wire.request) ->
-      let body = Net.Wire.encode_request_body (outer (traced Net.Wire.Ping)) in
-      let b, len = body_of_string body in
-      check_string "nested traced wrapper" "malformed"
-        (explain (Net.Wire.decode_request b ~off:0 ~len)))
-    [
-      traced;
-      (fun r -> Net.Wire.Stamped { epoch = 1; req = r });
-      (fun r -> Net.Wire.Replicate { epoch = 1; req = r });
-    ]
+    (fun op ->
+      let op = String.make 1 (Char.chr op) in
+      check_string "retired opcode" "bad_opcode" (decode_request_string (req_hdr ^ op));
+      check_string "retired opcode, enveloped" "bad_opcode"
+        (decode_request_string (ver ^ "\x07" ^ word 1 ^ word 2 ^ word 3 ^ word 4 ^ op
+           ^ req_hdr ^ "\x01")))
+    [ 16; 17; 19 ]
 
+(* A trace context is three non-negative words: a negative one, or a
+   context cut short, is malformed. *)
 let decode_bad_traced_fields () =
-  (* opcode 19 with a sampled flag that is neither 0 nor 1 *)
-  let b, len =
-    body_of_string (ver ^ "\x13" ^ String.make 24 '\x00' ^ "\x07" ^ ver ^ "\x01")
-  in
-  check_string "bad sampled flag" "malformed"
-    (explain (Net.Wire.decode_request b ~off:0 ~len));
-  (* negative trace id half *)
-  let b, len =
-    body_of_string
-      (ver ^ "\x13" ^ String.make 8 '\xff' ^ String.make 16 '\x00' ^ "\x01" ^ ver
-     ^ "\x01")
-  in
-  check_string "negative trace field" "malformed"
-    (explain (Net.Wire.decode_request b ~off:0 ~len))
+  List.iter
+    (fun words ->
+      check_string "negative trace word" "malformed"
+        (decode_request_string
+           (ver ^ "\x04" ^ String.concat "" (List.map word words) ^ "\x01")))
+    [ [ -1; 2; 3 ]; [ 1; min_int; 3 ]; [ 1; 2; -3 ] ];
+  List.iter
+    (fun n ->
+      check_string "truncated trace context" "malformed"
+        (decode_request_string (ver ^ "\x04" ^ String.make n '\x00')))
+    [ 0; 8; 16; 23 ];
+  check_string "context then ping" "ok"
+    (decode_request_string (ver ^ "\x04" ^ word 1 ^ word 2 ^ word 3 ^ "\x01"))
 
 let decode_bad_trace_clear_flag () =
-  let b, len = body_of_string (ver ^ "\x0a\x07") in
+  let b, len = body_of_string (req_hdr ^ "\x0a\x07") in
   check_string "bad clear flag" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
 
 let decode_negative_gc_horizons () =
   (* compact with before = -1 *)
-  let b, len = body_of_string (ver ^ "\x0e" ^ String.make 8 '\xff') in
+  let b, len = body_of_string (req_hdr ^ "\x0e" ^ String.make 8 '\xff') in
   check_string "negative compact horizon" "malformed"
     (explain (Net.Wire.decode_request b ~off:0 ~len))
+
+(* Page bounds, pull and install horizons and seal epochs are never
+   negative: each request with one word set to -1 is malformed, and
+   the same request with that word at 0 decodes. *)
+let decode_negative_bounds () =
+  let cases =
+    [
+      ( "migrate_pull since",
+        fun v -> Net.Wire.Migrate_pull { lo = 0; hi = 9; since = v; limit = 1 } );
+      ( "migrate_pull limit",
+        fun v -> Net.Wire.Migrate_pull { lo = 0; hi = 9; since = 1; limit = v } );
+      ("history_batch since", fun v -> Net.Wire.History_batch { since = v; chains = [||] });
+      ( "range_seal epoch",
+        fun v ->
+          Net.Wire.Range_seal { lo = 0; hi = 9; epoch = v; endpoint = "unix:///s" } );
+      ("range_drop horizon", fun v -> Net.Wire.Range_drop { lo = 0; hi = 9; horizon = v });
+    ]
+  in
+  List.iter
+    (fun (what, req) ->
+      check_string ("negative " ^ what) "malformed"
+        (decode_request_string (Net.Wire.encode_request_body Net.Wire.plain (req (-1))));
+      check_string ("zero " ^ what) "ok"
+        (decode_request_string (Net.Wire.encode_request_body Net.Wire.plain (req 0))))
+    cases
 
 (* ---- loopback end-to-end ---- *)
 
 module Store = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
 
-let with_server ?(workers = 2) ?batch ?max_conns ?request_timeout
+let with_server ?(workers = 2) ?max_conns ?request_timeout
     ?slowlog_threshold_ns ?trace_capacity
     ?(listen = Net.Sockaddr.Tcp ("127.0.0.1", 0)) f =
   let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 24) () in
   let store = Store.create heap in
   let server =
-    Net.Server.start ~store ~workers ?batch ?max_conns ?request_timeout
+    Net.Server.start ~store ~workers ?max_conns ?request_timeout
       ?slowlog_threshold_ns ?trace_capacity ~listen ()
   in
   match f store server (Net.Server.addr server) with
@@ -643,26 +684,21 @@ let e2e_registry_snap () =
                 (Obs.Snap.find_hist snap "net.insert.ns" <> None)));
       Net.Client.close client)
 
-(* A Traced frame runs the request under the carried context: the
-   server records a srv.* span whose trace id and parent are the
-   client's. *)
+(* A client inside a sampled context sends it in each frame's envelope,
+   and the server runs the request under it: it records a srv.* span
+   whose trace id and parent are the client's. An unsampled context
+   does not travel. *)
 let e2e_traced_request_spans () =
   with_server ~trace_capacity:64 (fun _store _server addr ->
       Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) @@ fun () ->
       let client = Net.Client.connect addr in
       let trace = Obs.Traceid.generate () in
       let parent = Obs.Traceid.new_span_id () in
-      (match
-         Net.Client.call client
-           (Net.Wire.Traced
-              {
-                trace_hi = trace.Obs.Traceid.hi;
-                trace_lo = trace.Obs.Traceid.lo;
-                parent_span = parent;
-                sampled = true;
-                req = Net.Wire.Insert { key = 5; value = 50 };
-              })
-       with
+      let under sampled f =
+        Obs.Span.with_context (Some { Obs.Span.trace; parent; sampled }) f
+      in
+      let insert () = Net.Client.call client (Net.Wire.Insert { key = 5; value = 50 }) in
+      (match under true insert with
       | Net.Wire.Ack -> ()
       | r -> Alcotest.failf "traced insert answered %a" Net.Wire.pp_response r);
       let json = Net.Client.trace_dump client in
@@ -685,21 +721,35 @@ let e2e_traced_request_spans () =
                 (Obs.Json.member "parent" args = Some (Obs.Json.Int parent))
           | _ -> Alcotest.fail "no traceEvents list"));
       (* unsampled contexts must not record anything *)
-      (match
-         Net.Client.call client
-           (Net.Wire.Traced
-              {
-                trace_hi = trace.Obs.Traceid.hi;
-                trace_lo = trace.Obs.Traceid.lo;
-                parent_span = parent;
-                sampled = false;
-                req = Net.Wire.Ping;
-              })
-       with
-      | Net.Wire.Pong -> ()
-      | r -> Alcotest.failf "unsampled traced ping answered %a" Net.Wire.pp_response r);
+      under false (fun () -> Net.Client.ping client);
       check_bool "unsampled request recorded no span" true
         (trace_event_names (Net.Client.trace_dump client) = []);
+      Net.Client.close client)
+
+(* The envelope's epoch fences and its replicated mark labels: a frame
+   stamped below the epoch the server adopted is refused with
+   Bad_epoch, and a replicated insert is applied and counted under
+   net.replicate, not net.insert. *)
+let e2e_envelope_epoch_and_replicated () =
+  with_server (fun store _server addr ->
+      let client = Net.Client.connect ~epoch:2 addr in
+      let stale = Net.Client.connect ~epoch:1 addr in
+      Net.Client.ping client;
+      (match Net.Client.ping stale with
+      | exception Net.Client.Remote_error (Net.Wire.Bad_epoch, _) -> ()
+      | () -> Alcotest.fail "a frame stamped with a stale epoch was served");
+      let ops name =
+        let text = Net.Client.registry_snap client in
+        match Result.bind (Obs.Json.of_string text) Obs.Snap.of_json with
+        | Ok snap -> Obs.Snap.counter snap name
+        | Error e -> Alcotest.failf "registry snapshot does not parse: %s" e
+      in
+      let replicated = ops "net.replicate.ops" and inserts = ops "net.insert.ops" in
+      ignore (Net.Client.replicate client ~epoch:2 (Net.Wire.Insert { key = 9; value = 90 }));
+      check_bool "the replicated insert is applied" true (Store.find store 9 = Some 90);
+      check_int "counted under net.replicate" (replicated + 1) (ops "net.replicate.ops");
+      check_int "not under net.insert" inserts (ops "net.insert.ops");
+      Net.Client.close stale;
       Net.Client.close client)
 
 let slowlog_entries text =
@@ -794,20 +844,20 @@ let e2e_error_frames_keep_connection () =
       raw_write fd (frame_of_body "\x63\x01");
       expect_error "bad version" Net.Wire.Bad_version (raw_read_response fd);
       (* 2. unknown opcode *)
-      raw_write fd (frame_of_body (ver ^ "\x63"));
+      raw_write fd (frame_of_body (req_hdr ^ "\x63"));
       expect_error "bad opcode" Net.Wire.Bad_opcode (raw_read_response fd);
       (* 3. garbled payload *)
-      raw_write fd (frame_of_body (ver ^ "\x02AB"));
+      raw_write fd (frame_of_body (req_hdr ^ "\x02AB"));
       expect_error "malformed" Net.Wire.Malformed (raw_read_response fd);
-      (* 4. the opcodes removed in versions 8 and 9 *)
+      (* 4. the opcodes removed in versions 8, 9 and 11 *)
       List.iter
         (fun op ->
-          raw_write fd (frame_of_body (ver ^ String.make 1 (Char.chr op)));
+          raw_write fd (frame_of_body (req_hdr ^ String.make 1 (Char.chr op)));
           expect_error "removed opcode" Net.Wire.Bad_opcode (raw_read_response fd))
-        [ 7; 8; 9; 15 ];
+        [ 7; 8; 9; 15; 16; 17; 19 ];
       (* ... and the connection is still perfectly usable *)
       raw_write fd
-        (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
+        (frame_of_body (Net.Wire.encode_request_body Net.Wire.plain Net.Wire.Ping));
       check_bool "ping after errors" true (raw_read_response fd = Net.Wire.Pong);
       (* 5. an oversize declared length is fatal: error frame, then EOF *)
       let b = Bytes.create 4 in
@@ -835,7 +885,8 @@ let e2e_stale_version_keeps_connection () =
       (* a version-7 Tag request, bit-exact *)
       raw_write fd (frame_of_body (stale ^ "\x05"));
       expect_error "stale version" Net.Wire.Bad_version (raw_read_response fd);
-      raw_write fd (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
+      raw_write fd
+        (frame_of_body (Net.Wire.encode_request_body Net.Wire.plain Net.Wire.Ping));
       check_bool "connection usable after stale-version frame" true
         (raw_read_response fd = Net.Wire.Pong);
       raw_close fd)
@@ -1028,7 +1079,7 @@ let e2e_graceful_drain () =
       let fd = raw_connect addr in
       (* make sure the connection is attached to a worker *)
       raw_write fd
-        (frame_of_body (Net.Wire.encode_request_body Net.Wire.Ping));
+        (frame_of_body (Net.Wire.encode_request_body Net.Wire.plain Net.Wire.Ping));
       check_bool "warmup ping" true (raw_read_response fd = Net.Wire.Pong);
       (* pipeline a burst, then stop: every queued request must still
          get its response before the server closes the connection *)
@@ -1191,8 +1242,11 @@ let () =
           Alcotest.test_case "batch count overruns" `Quick decode_batch_count_overrun;
           Alcotest.test_case "bad scan limit" `Quick decode_bad_scan_limit;
           Alcotest.test_case "negative gc horizons" `Quick decode_negative_gc_horizons;
-          Alcotest.test_case "nested epoch wrapper" `Quick decode_nested_epoch_wrapper;
-          Alcotest.test_case "nested traced wrapper" `Quick decode_nested_traced_wrapper;
+          Alcotest.test_case "negative page bounds and stamps" `Quick
+            decode_negative_bounds;
+          Alcotest.test_case "bad envelope flags" `Quick decode_bad_envelope_flags;
+          Alcotest.test_case "retired wrapper opcodes" `Quick
+            decode_retired_wrapper_opcodes;
           Alcotest.test_case "bad traced fields" `Quick decode_bad_traced_fields;
           Alcotest.test_case "bad trace clear flag" `Quick decode_bad_trace_clear_flag;
         ] );
@@ -1212,6 +1266,8 @@ let () =
           Alcotest.test_case "registry snapshot opcode" `Quick e2e_registry_snap;
           Alcotest.test_case "traced requests record remote child spans" `Quick
             e2e_traced_request_spans;
+          Alcotest.test_case "envelope epoch fences, replicated mark labels" `Quick
+            e2e_envelope_epoch_and_replicated;
           Alcotest.test_case "slowlog captures and filters by threshold" `Quick
             e2e_slowlog;
           Alcotest.test_case "error frames keep the connection usable" `Quick
