@@ -1171,9 +1171,11 @@ let render_top ~prev ~now snap =
     | Some h when h.Obs.Snap.hcount > 0 ->
         string_of_int (Obs.Snap.hist_percentile h 0.5)
     | _ -> "-");
-  (* Replication health: forwarding/catch-up are primary-side, the
-     redial and read-failover counters appear when the polled process
-     also runs a router (and stay 0 on a plain shard). *)
+  (* Replication health: forwarding/catch-up are primary-side. Redials
+     count every client in the polled process that reconnected: a
+     primary's replication chain redialling its backups, or a router.
+     Read failovers appear when the process runs a router (and stay 0
+     on a plain shard). *)
   Printf.printf
     "repl: forwarded %d (%s/s)   catchups %d   lagging backups %d   \
      redials %d   read failovers %d   bad epochs %d\n"
@@ -1181,7 +1183,7 @@ let render_top ~prev ~now snap =
     (rate "repl.forwarded")
     (counter "repl.catchups")
     (gauge "repl.lagging_backups")
-    (counter "cluster.redials")
+    (counter "net.client.redials")
     (counter "repl.read_failovers")
     (counter "net.bad_epoch");
   Printf.printf "%!"

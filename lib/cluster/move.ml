@@ -85,8 +85,8 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
   let src = connect ctx src_addr in
   let dst = connect ctx dest.(0) in
   Fun.protect ~finally:(fun () ->
-      (try Net.Client.close src with _ -> ());
-      try Net.Client.close dst with _ -> ())
+      Net.Client.close src;
+      Net.Client.close dst)
   @@ fun () ->
   let keys_total = ref 0 and events_total = ref 0 and rounds = ref 0 in
   (* One round: every event of [lo, hi) above [since], paged at
@@ -258,7 +258,7 @@ let status ?timeout_ms ?(retries = 2) topo =
       let ep = Net.Sockaddr.to_string addr in
       match
         let c = Net.Client.connect ~retries ?timeout_ms addr in
-        Fun.protect ~finally:(fun () -> try Net.Client.close c with _ -> ())
+        Fun.protect ~finally:(fun () -> Net.Client.close c)
         @@ fun () -> Net.Client.moves_status c
       with
       | json -> (shard, ep, Ok json)

@@ -4,22 +4,26 @@
     repository's one horizontal path: routed ops, cluster-wide tags and
     distributed snapshots all fan out from here.
 
-    One pipelined {!Net.Client} per replica slot, connected lazily and
-    re-connected with backoff after a shard bounce. Nothing here
-    raises for a dead shard: every operation returns a [result] whose
-    {!error} names the shard, and the cached connection is torn down so
-    the next call re-dials — a shard coming back is picked up
-    automatically.
+    One pipelined {!Net.Client} per replica slot, dialled on first use;
+    a failed call closes it and the next call redials with backoff. Nothing
+    here raises for a dead shard: every operation returns a [result]
+    whose {!error} names the shard, and a shard coming back is picked
+    up automatically.
 
-    Replica awareness: writes go to each range's primary (slot 0), the
-    one replica whose chain forwards to the backups; reads
-    (find/find_bulk/history/snapshot) fail over across the replica set
-    with a sticky preferred slot, so a dead primary costs readers one
-    failover ([repl.read_failovers], latency in
+    Every routed call takes one path. Writes go to each range's primary
+    (slot 0), the one replica whose chain forwards to the backups;
+    reads (find/find_bulk/history/snapshot) fail over across the
+    replica set with a sticky preferred slot, so a dead primary costs
+    readers one failover ([repl.read_failovers], latency in
     [repl.failover_latency_ns]) instead of an outage. Every connection
     stamps requests with the topology epoch; a [Bad_epoch] rejection
-    (promotion happened elsewhere) triggers one topology reload via the
-    [reload] closure and a retry before surfacing {!Stale_epoch}.
+    (promotion happened elsewhere) or a wholly unreachable replica set
+    triggers one topology reload via the [reload] closure, and a retry
+    only if the reload adopted a newer map. A shard call is sent only
+    while its shard index still names the key range it was routed for;
+    otherwise it answers {!Moved}, and the op re-routes what is left of
+    its work from its keys (a batched write its unacked buckets, a scan
+    from its next undelivered key).
 
     Consistency note: single-key operations are linearizable per shard
     (the shard's store provides that); cluster-wide {!tag} cuts the
@@ -46,9 +50,9 @@ type error =
           the file has not caught up yet). *)
   | Moved of { shard : int; epoch : int; endpoint : string }
       (** The shard no longer owns the key: a live reshard sealed the
-          range and pointed at [endpoint] as of topology [epoch]. Write
-          paths chase this automatically (reload the topology until its
-          epoch reaches [epoch], then re-route {e from the key} — a
+          range and pointed at [endpoint] as of topology [epoch]. Every
+          operation chases this automatically (reload the topology until
+          its epoch reaches [epoch], then re-route {e from the key} — a
           split may have renumbered shard ids); it surfaces only when
           the chase budget runs out or no [reload] closure exists. *)
 
@@ -64,11 +68,12 @@ val create :
   Topology.t ->
   t
 (** [timeout_ms]/[retries] are handed to every per-replica
-    {!Net.Client.connect} (defaults: no timeout, 2 retries). [reload]
-    is consulted when a shard rejects our epoch or a whole replica set
-    is unreachable: it should re-read the topology source (e.g.
-    [Topology.of_file]); the router adopts the result only when its
-    epoch is strictly newer, then retries the failed call once.
+    {!Net.Client.create} (defaults: no timeout, 2 retries: at most 3
+    dials a call to a dead replica). [reload] is consulted when a shard
+    rejects our epoch or a whole replica set is unreachable: it should
+    re-read the topology source (e.g. [Topology.of_file]); the router
+    adopts the result only when its epoch is strictly newer, then
+    retries the failed call once.
     [trace_sample] (default 1.0) is the probability that each routed op
     originates a trace context: sampled ops open a root span at the
     router and stamp every fan-out frame with the trace id, so the
@@ -78,13 +83,14 @@ val create :
 val topology : t -> Topology.t
 
 val set_topology : t -> Topology.t -> unit
-(** Swap the routing map (drops every cached connection). Normally the
-    [reload] closure does this on demand; exposed for callers that
-    learn about a promotion out of band. *)
+(** Swap the routing map, keeping the client of every endpoint that
+    stays in it and closing the rest. Normally the [reload] closure
+    does this on demand; exposed for callers that learn about a
+    promotion out of band. *)
 
 val close : t -> unit
-(** Drop every cached shard connection (the router stays usable; the
-    next operation re-dials). *)
+(** Close every shard connection (the router stays usable; the next
+    operation redials). *)
 
 val ping : t -> (unit, error) result
 (** Round-trip every shard. *)

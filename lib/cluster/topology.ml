@@ -241,11 +241,9 @@ let ( let* ) = Result.bind
 let of_string text =
   let err lineno msg = Error (Printf.sprintf "topology line %d: %s" lineno msg) in
   (* [shards]: (lineno, id, primary-first endpoint list) per `shard`
-     line; [extras]: (lineno, id, endpoint) per `replica` line, appended
-     to the matching set once ids are known to be dense; [ranges]:
-     (lineno, id, lo, hi) per `range` line — optional, but when present
-     every shard must have one. *)
-  let rec scan lineno lines key_bits epoch shards extras ranges =
+     line; [ranges]: (lineno, id, lo, hi) per `range` line — optional,
+     but when present every shard must have one. *)
+  let rec scan lineno lines key_bits epoch shards ranges =
     match lines with
     | [] -> (
         match key_bits with
@@ -266,16 +264,6 @@ let of_string text =
                       else begin
                         sets.(i) <- Some eps;
                         place rest
-                      end
-                in
-                let rec attach = function
-                  | [] -> Ok ()
-                  | (lineno, i, ep) :: rest ->
-                      if i < 0 || i >= k then
-                        err lineno (Printf.sprintf "replica for shard %d out of range for %d shard(s)" i k)
-                      else begin
-                        sets.(i) <- Some (Option.get sets.(i) @ [ ep ]);
-                        attach rest
                       end
                 in
                 let place_ranges () =
@@ -303,7 +291,6 @@ let of_string text =
                       go (List.rev ranges)
                 in
                 let* () = place shards in
-                let* () = attach (List.rev extras) in
                 let* ranges = place_ranges () in
                 let sets = Array.map (fun s -> Array.of_list (Option.get s)) sets in
                 let epoch = Option.value epoch ~default:0 in
@@ -312,12 +299,12 @@ let of_string text =
                 | exception Invalid_argument msg -> Error ("topology: " ^ msg))))
     | line :: rest -> (
         match words (strip line) with
-        | [] -> scan (lineno + 1) rest key_bits epoch shards extras ranges
+        | [] -> scan (lineno + 1) rest key_bits epoch shards ranges
         | [ "key_bits"; n ] -> (
             match (key_bits, int_of_string_opt n) with
             | Some _, _ -> err lineno "duplicate key_bits directive"
             | None, Some n when n >= 1 && n <= max_key_bits ->
-                scan (lineno + 1) rest (Some n) epoch shards extras ranges
+                scan (lineno + 1) rest (Some n) epoch shards ranges
             | None, _ ->
                 err lineno
                   (Printf.sprintf "bad key_bits %S (want 1..%d)" n max_key_bits))
@@ -325,7 +312,7 @@ let of_string text =
             match (epoch, int_of_string_opt n) with
             | Some _, _ -> err lineno "duplicate epoch directive"
             | None, Some n when n >= 0 ->
-                scan (lineno + 1) rest key_bits (Some n) shards extras ranges
+                scan (lineno + 1) rest key_bits (Some n) shards ranges
             | None, _ -> err lineno (Printf.sprintf "bad epoch %S (want >= 0)" n))
         | "shard" :: i :: (_ :: _ as eps) -> (
             match int_of_string_opt i with
@@ -341,29 +328,18 @@ let of_string text =
                 match parse_eps [] eps with
                 | Error e -> err lineno e
                 | Ok eps ->
-                    scan (lineno + 1) rest key_bits epoch
-                      ((lineno, i, eps) :: shards)
-                      extras ranges))
-        | [ "replica"; i; ep ] -> (
-            match int_of_string_opt i with
-            | None -> err lineno (Printf.sprintf "bad shard id %S" i)
-            | Some i -> (
-                match Net.Sockaddr.of_string ep with
-                | Error e -> err lineno e
-                | Ok ep ->
-                    scan (lineno + 1) rest key_bits epoch shards
-                      ((lineno, i, ep) :: extras)
-                      ranges))
+                    let shards = (lineno, i, eps) :: shards in
+                    scan (lineno + 1) rest key_bits epoch shards ranges))
         | [ "range"; i; lo; hi ] -> (
             match (int_of_string_opt i, int_of_string_opt lo, int_of_string_opt hi) with
             | Some i, Some lo, Some hi ->
-                scan (lineno + 1) rest key_bits epoch shards extras
-                  ((lineno, i, lo, hi) :: ranges)
+                let ranges = (lineno, i, lo, hi) :: ranges in
+                scan (lineno + 1) rest key_bits epoch shards ranges
             | _ -> err lineno "bad range directive (want \"range I LO HI\")")
         | [ "shard"; _ ] -> err lineno "shard directive needs at least one endpoint"
         | w :: _ -> err lineno (Printf.sprintf "unknown directive %S" w))
   in
-  scan 1 (String.split_on_char '\n' text) None None [] [] []
+  scan 1 (String.split_on_char '\n' text) None None [] []
 
 let of_file path =
   match

@@ -22,17 +22,14 @@
     epoch 4
     shard 0 unix:///tmp/mvkv-s0.sock unix:///tmp/mvkv-s0b.sock
     shard 1 tcp://127.0.0.1:7801
-    shard 2 tcp://127.0.0.1:7802
-    replica 2 tcp://127.0.0.1:7902
+    shard 2 tcp://127.0.0.1:7802 tcp://127.0.0.1:7902
     range 0 0 100000
     range 1 100000 200000
     range 2 200000 1048576
     v}
 
-    A [shard I EP...] line lists range [I]'s replica set, primary first;
-    [replica I EP] appends one more backup to range [I] (either spelling
-    works, and [to_string] always renders the one-line form). [epoch] is
-    optional and defaults to 0, so pre-replication topology files still
+    A [shard I EP...] line lists range [I]'s replica set, primary
+    first. [epoch] is optional and defaults to 0, so pre-replication topology files still
     parse. [range I LO HI] sets shard [I]'s key range explicitly —
     all-or-nothing: give every shard one or none at all ([to_string]
     only emits them when placement differs from the default split).

@@ -18,7 +18,7 @@ module S = Net.Server.S
 
 type peer = {
   addr : Net.Sockaddr.t;
-  mutable conn : Net.Client.t option;
+  conn : Net.Client.t;  (** dials on first use, redials after a failed call *)
   mutable lagging : bool;
   mutable synced : int;
       (** the backup's clock as this chain's last [Tag_at] left it (-1
@@ -53,7 +53,9 @@ let create ~epoch_cell ~store backups =
     Array.map
       (* lagging from birth: the first contact with each backup is a
          catch-up, which sends nothing when both sides start empty. *)
-        (fun addr -> { addr; conn = None; lagging = true; synced = -1; last_error = None })
+      (fun addr ->
+        let conn = Net.Client.create ~retries ~timeout_ms addr in
+        { addr; conn; lagging = true; synced = -1; last_error = None })
       backups
   in
   { epoch = epoch_cell; store; m = Mutex.create (); peers }
@@ -62,21 +64,7 @@ let update_lag_gauge t =
   Obs.Metric.set g_lagging
     (Array.fold_left (fun n p -> if p.lagging then n + 1 else n) 0 t.peers)
 
-let drop_conn peer =
-  (match peer.conn with
-  | Some c -> ( try Net.Client.close c with _ -> ())
-  | None -> ());
-  peer.conn <- None
-
 let note peer = function Net.Wire.Version v -> peer.synced <- v | _ -> ()
-
-let ensure_conn peer =
-  match peer.conn with
-  | Some c -> c
-  | None ->
-      let c = Net.Client.connect ~retries ~timeout_ms peer.addr in
-      peer.conn <- Some c;
-      c
 
 (* Catch-up by version chains: see chain.mli for where the copy starts
    and why it is exact. The copy probes this store in process (no frame
@@ -85,7 +73,7 @@ let ensure_conn peer =
 let catch_up t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
   let t0 = Obs.Instr.start () in
-  let c = ensure_conn peer in
+  let c = peer.conn in
   let epoch = Atomic.get t.epoch in
   let clock = Net.Client.clock c in
   let since = if peer.synced < 0 then max 0 (clock - 1) else min clock peer.synced in
@@ -110,7 +98,7 @@ let catch_up t peer =
 
 let mark_failed peer e =
   Obs.Metric.incr c_forward_errors;
-  drop_conn peer;
+  Net.Client.close peer.conn;
   peer.lagging <- true;
   peer.last_error <- Some (Net.Client.describe_exn e)
 
@@ -148,14 +136,13 @@ let forward_to t peer op =
          syncing replaces forwarding for this peer on this op. *)
       catch_up t peer
     else begin
-      let c = ensure_conn peer in
       (* A span per hop: when the mutation arrived under a trace
          context (the frame's envelope → server srv.* span → this hook,
          all on one domain), the forward becomes a child span here and
          the replicated frame's envelope carries the context on to the
          backup — the replica lane of the cluster-wide trace. *)
       Obs.Span.with_ "repl.forward" (fun () ->
-          note peer (Net.Client.replicate c ~epoch:(Atomic.get t.epoch) op));
+          note peer (Net.Client.replicate peer.conn ~epoch:(Atomic.get t.epoch) op));
       Obs.Metric.incr c_forwarded
     end
   with e -> mark_failed peer e
@@ -197,5 +184,5 @@ let in_sync t = Array.for_all (fun p -> p.in_sync) (peers t)
 
 let close t =
   Mutex.lock t.m;
-  Array.iter drop_conn t.peers;
+  Array.iter (fun p -> Net.Client.close p.conn) t.peers;
   Mutex.unlock t.m

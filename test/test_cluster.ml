@@ -73,14 +73,11 @@ let topo_errors () =
   bad "key_bits 62" "key_bits 62\nshard 0 tcp://h:1\n";
   bad "unknown directive" "key_bits 8\nwidget 0 tcp://h:1\n";
   (* replicated specs *)
-  bad "replica without shards" "key_bits 8\nreplica 0 tcp://h:1\n";
-  bad "replica id out of range"
-    "key_bits 8\nshard 0 tcp://h:1\nreplica 1 tcp://h:2\n";
   bad "duplicate endpoint in a set" "key_bits 8\nshard 0 tcp://h:1 tcp://h:1\n";
   bad "duplicate endpoint across sets"
     "key_bits 8\nshard 0 tcp://h:1\nshard 1 tcp://h:1\n";
-  bad "duplicate endpoint via replica"
-    "key_bits 8\nshard 0 tcp://h:1 tcp://h:2\nreplica 0 tcp://h:2\n";
+  bad "duplicate endpoint in a later set"
+    "key_bits 8\nshard 0 tcp://h:1 tcp://h:2\nshard 1 tcp://h:3 tcp://h:2\n";
   bad "negative epoch" "key_bits 8\nepoch -1\nshard 0 tcp://h:1\n";
   bad "duplicate epoch" "key_bits 8\nepoch 1\nepoch 2\nshard 0 tcp://h:1\n"
 
@@ -88,10 +85,8 @@ let topo_replicated_parse () =
   let spec =
     "key_bits 8\n\
      epoch 7\n\
-     shard 0 tcp://h:1 tcp://h:2\n\
-     shard 1 tcp://h:3\n\
-     replica 1 tcp://h:4\n\
-     replica 0 tcp://h:5\n"
+     shard 1 tcp://h:3 tcp://h:4\n\
+     shard 0 tcp://h:1 tcp://h:2 tcp://h:5\n"
   in
   match Cluster.Topology.of_string spec with
   | Error e -> Alcotest.failf "parse failed: %s" e
@@ -102,7 +97,7 @@ let topo_replicated_parse () =
       check_int "shard 1 replicas" 2 (Cluster.Topology.replica_count t 1);
       check_string "shard 0 primary" "tcp://h:1"
         (Net.Sockaddr.to_string (Cluster.Topology.primary t 0));
-      (* inline endpoints come before replica-directive ones *)
+      (* endpoints keep their order on the line, primary first *)
       check_string "shard 0 slot 1" "tcp://h:2"
         (Net.Sockaddr.to_string (Cluster.Topology.replica t 0 1));
       check_string "shard 0 slot 2" "tcp://h:5"
@@ -166,15 +161,18 @@ let topo_qcheck_roundtrip =
 let topo_qcheck_duplicate =
   QCheck.Test.make ~count:50 ~name:"duplicate endpoint always rejected" arb_topo
     (fun t ->
-      (* re-list an existing endpoint as an extra replica of shard 0 *)
+      (* re-list an existing endpoint as a backup on shard 0's line *)
       let dup =
         Net.Sockaddr.to_string
           (Cluster.Topology.replica t (Cluster.Topology.shards t - 1) 0)
       in
-      match
-        Cluster.Topology.of_string
-          (Cluster.Topology.to_string t ^ Printf.sprintf "replica 0 %s\n" dup)
-      with
+      let spec =
+        String.split_on_char '\n' (Cluster.Topology.to_string t)
+        |> List.map (fun line ->
+               if String.starts_with ~prefix:"shard 0 " line then line ^ " " ^ dup else line)
+        |> String.concat "\n"
+      in
+      match Cluster.Topology.of_string spec with
       | Error _ -> true
       | Ok _ -> QCheck.Test.fail_reportf "accepted duplicate %s" dup)
 
@@ -466,6 +464,43 @@ let e2e_shard_down_and_recover () =
       check_bool "snapshot after recovery" true
         (ok "snapshot" (Cluster.Router.snapshot router ()) = [| (3, 30); (12, 120) |]))
 
+(* A routed call to a dead slot dials at most [retries + 1] times: the
+   client's retry schedule is the only one. Dials after the first
+   successful one count as net.client.redials. *)
+let e2e_dead_slot_dials () =
+  let path = sock_path "dials" 0 in
+  let server =
+    Net.Server.start ~store:(fresh_store ()) ~workers:1 ~listen:(Net.Sockaddr.Unix_sock path) ()
+  in
+  let retries = 2 in
+  let router =
+    Cluster.Router.create ~retries
+      (Cluster.Topology.create ~key_bits:4 [| Net.Sockaddr.Unix_sock path |])
+  in
+  let redials () = Obs.Metric.value (Obs.Registry.counter "net.client.redials") in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.Router.close router;
+      (try Net.Server.stop server with _ -> ());
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ok "insert" (Cluster.Router.insert router ~key:3 ~value:30);
+      Net.Server.stop server;
+      let down what =
+        match Cluster.Router.find router 3 with
+        | Error (Cluster.Router.Shard_down { shard = 0; _ }) -> ()
+        | _ -> Alcotest.failf "%s: expected Shard_down 0" what
+      in
+      (* the first call finds its connection dead, then redials *)
+      down "first call";
+      let before = redials () in
+      down "second call";
+      let dials = redials () - before in
+      check_bool
+        (Printf.sprintf "%d dials, at least 1 and at most %d" dials (retries + 1))
+        true
+        (dials >= 1 && dials <= retries + 1))
+
 (* ---- qcheck parity: cluster == single PSkipList ---- *)
 
 type op = Insert of int * int | Remove of int | Tag
@@ -732,6 +767,8 @@ let () =
         [
           Alcotest.test_case "shard down is typed; router recovers" `Quick
             e2e_shard_down_and_recover;
+          Alcotest.test_case "a dead slot dials at most retries + 1 times a call" `Quick
+            e2e_dead_slot_dials;
         ] );
       ("parity", [ QCheck_alcotest.to_alcotest parity ]);
     ]

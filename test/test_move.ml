@@ -404,6 +404,88 @@ let rerun_after_source_gc () =
           (Store.extract_snapshot dst ~version () = Store.extract_snapshot src ~version ())
       done)
 
+(* ---- routers that still hold the pre-split map ---- *)
+
+(* Every key holds 1; then shard 1 of the 3-shard fleet splits at key
+   129 onto a spare, so the ranges go from [0,86) [86,172) [172,256) to
+   [0,86) [86,129) [129,172) [172,256). [stale] and [current] run [g] on
+   a fresh router (with the reload closure) over the pre-split and the
+   post-split map. Only the split's source and destination are fenced
+   at epoch 1; shard 0 stays at epoch 0 until a router stamps it. *)
+let with_split ~tag f =
+  with_fleet ~tag (fun ~router ~topo_file ~addrs ~stores:_ ~servers:_ ->
+      ok "seed" (Cluster.Router.insert_batch router (List.init 256 (fun key -> (key, 1))));
+      let pre = load topo_file in
+      ignore
+        (mok "split"
+           (Cluster.Move.split ~topo_path:topo_file pre ~shard:1 ~at:129
+              ~dest:[| addrs.(3) |] ()));
+      let post = load topo_file in
+      check_bool "split ranges" true
+        (List.init 4 (Cluster.Topology.range post)
+        = [ (0, 86); (86, 129); (129, 172); (172, 256) ]);
+      let on topo g =
+        let reload () = Result.to_option (Cluster.Topology.of_file topo_file) in
+        let r = Cluster.Router.create ~retries:1 ~reload topo in
+        Fun.protect ~finally:(fun () -> Cluster.Router.close r) (fun () -> g r)
+      in
+      f ~stale:(on pre) ~current:(on post))
+
+let batch_keys = [ 10; 100; 150; 200 ]
+
+(* Shard 0 still at epoch 0: the batch acks shard 0's bucket, meets
+   Bad_epoch at shard 1, is told Moved, and must resend only the
+   unacked buckets; the scan must resume at shard 1's first key. *)
+let stale_map_keeps_progress () =
+  with_split ~tag:"stale0" (fun ~stale ~current ->
+      let chases = counter "cluster.moved_chases" in
+      stale (fun r ->
+          ok "insert_batch"
+            (Cluster.Router.insert_batch r (List.map (fun k -> (k, 2)) batch_keys)));
+      check_int "the batch chased once" 1 (counter "cluster.moved_chases" - chases);
+      let chases = counter "cluster.moved_chases" in
+      let seen = ref [] and n = ref 0 in
+      stale (fun r ->
+          n :=
+            ok "scan"
+              (Cluster.Router.scan r ~lo:0 ~hi:256 (fun key _ -> seen := key :: !seen)));
+      check_int "the scan chased once" 1 (counter "cluster.moved_chases" - chases);
+      check_int "pairs scanned" 256 !n;
+      check_bool "each pair once, in order" true (List.rev !seen = List.init 256 Fun.id);
+      current (fun r ->
+          List.iter
+            (fun key ->
+              let puts =
+                List.filter
+                  (fun (_, e) -> e = Mvdict.Dict_intf.Put 2)
+                  (ok "history" (Cluster.Router.history r key))
+              in
+              check_int (Printf.sprintf "key %d holds one event from the batch" key) 1
+                (List.length puts))
+            batch_keys))
+
+(* Shard 0 already at epoch 1: the batch reloads at shard 0, whose
+   range survives, and its later buckets must not go out by their
+   pre-split shard index. *)
+let stale_map_renumbered () =
+  with_split ~tag:"stale1" (fun ~stale ~current ->
+      let keys = Array.of_list batch_keys in
+      let values v = Array.make (Array.length keys) (Some v) in
+      let check_values what want got =
+        Alcotest.(check (array (option int))) what want got
+      in
+      current (fun r -> check_bool "key 10" true (ok "find" (Cluster.Router.find r 10) = Some 1));
+      stale (fun r ->
+          ok "insert_batch"
+            (Cluster.Router.insert_batch r (List.map (fun k -> (k, 2)) batch_keys)));
+      current (fun r ->
+          check_values "the batch reads back through the new map" (values 2)
+            (ok "find_bulk" (Cluster.Router.find_bulk r keys));
+          Array.iter (fun key -> ok "insert" (Cluster.Router.insert r ~key ~value:3)) keys);
+      stale (fun r ->
+          check_values "a stale find_bulk reads the new owners" (values 3)
+            (ok "find_bulk" (Cluster.Router.find_bulk r keys))))
+
 (* ---- qcheck: random mutations concurrent with a reshard script ---- *)
 
 type op = Insert of int * int | Remove of int | Tag
@@ -516,6 +598,13 @@ let () =
             gc_between_rounds;
           Alcotest.test_case "a re-run after source GC starts from a dropped copy" `Quick
             rerun_after_source_gc;
+        ] );
+      ( "stale-map",
+        [
+          Alcotest.test_case "shard 0 at epoch 0: resend the remainder, resume the scan"
+            `Quick stale_map_keeps_progress;
+          Alcotest.test_case "shard 0 at epoch 1: later buckets follow the new map" `Quick
+            stale_map_renumbered;
         ] );
       ("concurrent", [ QCheck_alcotest.to_alcotest concurrent ]);
     ]
