@@ -3,12 +3,13 @@
    [fill] and whole frames are taken off at [start]; the consumed
    prefix is compacted away, and the buffer doubled, only when a read
    needs the room, so a pipelined burst costs few reads and is copied
-   at most once. *)
+   at most once. The buffer starts empty and the first read allocates
+   one chunk, so a client that is never dialled holds no buffer. *)
 
 type t = { mutable buf : Bytes.t; mutable start : int; mutable fill : int }
 
 let chunk = 65536
-let create () = { buf = Bytes.create chunk; start = 0; fill = 0 }
+let create () = { buf = Bytes.empty; start = 0; fill = 0 }
 
 let clear t =
   t.start <- 0;
