@@ -250,7 +250,11 @@ let smoke () =
      the availability contract: zero lost acked writes across the
      handoff, writers make progress while the move runs, and the
      client-observed write p99 stays under 500 ms — the seal window
-     plus the Moved chase must stay invisible at human timescales. *)
+     plus the Moved chase must stay invisible at human timescales.
+     Beside it a counted gate: the mutator never tags, so every round
+     re-ships its untagged tail and the rounds stop shrinking by round
+     3; a move that runs all 16 of the coordinator's rounds has lost
+     the rule that ends them. *)
   let move_results = ref None in
   Metrics.with_report ~fig:"move" (fun () ->
       move_results := Some (Fig_move.run ~n:2_000));
@@ -274,6 +278,7 @@ let smoke () =
             ( r.Fig_move.write_p99_ms < 500.,
               Printf.sprintf "write p99 %.1fms above the 500ms cutover bound"
                 r.Fig_move.write_p99_ms );
+            (r.Fig_move.rounds < 16, "the move ran all 16 copy rounds");
           ]
   in
   (* The observability layer itself: BENCH_obs.json prices each

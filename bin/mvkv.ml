@@ -401,20 +401,6 @@ let move_dest_arg =
 let split_at_arg =
   required_int [ "at" ] ~docv:"KEY" "Split point: the new shard owns keys at or above $(docv)."
 
-let move_page_arg =
-  let doc = "Events per migration frame during the copy phase." in
-  Arg.(value & opt int 4096 & info [ "page" ] ~docv:"N" ~doc)
-
-let move_lag_arg =
-  let doc =
-    "Cut over once a whole catch-up round ships at most $(docv) events."
-  in
-  Arg.(value & opt int 64 & info [ "lag" ] ~docv:"N" ~doc)
-
-let move_rounds_arg =
-  let doc = "Catch-up round budget before cutover happens regardless." in
-  Arg.(value & opt int 16 & info [ "max-rounds" ] ~docv:"N" ~doc)
-
 let load_topology file =
   match Cluster.Topology.of_file file with
   | Ok topo -> topo
@@ -582,31 +568,29 @@ let reshard topo_file shard step =
   | Ok o -> o
   | Error e -> die "mvkv: %s" (Cluster.Move.error_to_string e)
 
-let cluster_move topo_file timeout_ms retries shard dest page lag max_rounds =
+let cluster_move topo_file timeout_ms retries shard dest =
   let o =
     reshard topo_file shard (fun topo ->
         if dest = [] then die "mvkv: cluster move needs at least one --dest";
-        Cluster.Move.move ?timeout_ms ~retries ~page ~lag ~max_rounds
-          ~notify:print_move_progress ~topo_path:topo_file topo ~shard
-          ~dest:(parse_endpoints dest) ())
+        Cluster.Move.move ?timeout_ms ~retries ~notify:print_move_progress
+          ~topo_path:topo_file topo ~shard ~dest:(parse_endpoints dest) ())
   in
   if o.rounds = 0 && o.events_copied = 0 && o.copy_ns = 0 then
     Printf.printf "shard %d already lives at the destination (epoch %d); re-fenced\n"
       shard o.new_epoch
   else print_move_outcome (Printf.sprintf "moved shard %d" shard) o
 
-let cluster_split topo_file timeout_ms retries shard at dest page lag max_rounds =
+let cluster_split topo_file timeout_ms retries shard at dest =
   reshard topo_file shard (fun topo ->
       if dest = [] then die "mvkv: cluster split needs at least one --dest";
-      Cluster.Move.split ?timeout_ms ~retries ~page ~lag ~max_rounds
-        ~notify:print_move_progress ~topo_path:topo_file topo ~shard ~at
-        ~dest:(parse_endpoints dest) ())
+      Cluster.Move.split ?timeout_ms ~retries ~notify:print_move_progress
+        ~topo_path:topo_file topo ~shard ~at ~dest:(parse_endpoints dest) ())
   |> print_move_outcome (Printf.sprintf "split shard %d at %d" shard at)
 
-let cluster_merge topo_file timeout_ms retries shard page lag max_rounds =
+let cluster_merge topo_file timeout_ms retries shard =
   reshard topo_file shard (fun topo ->
-      Cluster.Move.merge ?timeout_ms ~retries ~page ~lag ~max_rounds
-        ~notify:print_move_progress ~topo_path:topo_file topo ~shard ())
+      Cluster.Move.merge ?timeout_ms ~retries ~notify:print_move_progress
+        ~topo_path:topo_file topo ~shard ())
   |> print_move_outcome (Printf.sprintf "merged shard %d into shard %d" (shard + 1) shard)
 
 let cluster_moves topo_file timeout_ms retries =
@@ -1281,21 +1265,19 @@ let () =
              Re-run the same command to resume after a coordinator crash."
             Term.(
               const cluster_move $ topology_arg $ timeout_ms_arg $ retries_arg
-              $ move_shard_arg $ move_dest_arg $ move_page_arg $ move_lag_arg
-              $ move_rounds_arg);
+              $ move_shard_arg $ move_dest_arg);
           cmd_of "split"
             "Split a shard's range at --at: the upper half moves to --dest \
              as a new shard (later shard ids shift up)."
             Term.(
               const cluster_split $ topology_arg $ timeout_ms_arg $ retries_arg
-              $ move_shard_arg $ split_at_arg $ move_dest_arg $ move_page_arg
-              $ move_lag_arg $ move_rounds_arg);
+              $ move_shard_arg $ split_at_arg $ move_dest_arg);
           cmd_of "merge"
             "Fold shard I+1's range into shard I (its left neighbour), \
              then drop it from the topology."
             Term.(
               const cluster_merge $ topology_arg $ timeout_ms_arg $ retries_arg
-              $ move_shard_arg $ move_page_arg $ move_lag_arg $ move_rounds_arg);
+              $ move_shard_arg);
           cmd_of "moves"
             "Per-shard migration status: active range seals, their age and \
              redirect target."

@@ -48,12 +48,17 @@ let g_active = Obs.Registry.gauge "move.active"
 type ctx = {
   timeout_ms : int option;
   retries : int;
-  page : int;
-  lag : int;
-  max_rounds : int;
   fault : string -> unit;
   notify : progress -> unit;
 }
+
+(* Unsealed rounds before the cutover happens anyway, so a delta that
+   shrinks slowly still ends. *)
+let max_rounds = 16
+
+(* The handoff copied the range, but the durable topology rewrite
+   failed; [wrap] turns it into [Save_failed]. *)
+exception Save_error of string
 
 let connect ctx addr =
   Net.Client.connect ~retries:ctx.retries ?timeout_ms:ctx.timeout_ms addr
@@ -89,16 +94,16 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
       Net.Client.close dst)
   @@ fun () ->
   let keys_total = ref 0 and events_total = ref 0 and rounds = ref 0 in
-  (* One round: every event of [lo, hi) above [since], paged at
-     [ctx.page] events, under the source's horizon rule. Watermark
-     rule: the next round's [since] is the clock this round probed
-     before pulling, so it cannot skip a write that raced this round's
-     pages. Overlap is harmless — install is idempotent. *)
+  (* One round: every event of [lo, hi) above [since], under the
+     source's horizon rule. Watermark rule: the next round's [since] is
+     the clock this round probed before pulling, so it cannot skip a
+     write that raced this round's pages. Overlap is harmless — install
+     is idempotent. *)
   let copy ~since =
     let r =
       Net.Client.copy_range ~lo ~hi ~since
         ~probe:(fun () -> let _, clock, h = Net.Client.epoch_probe src in (clock, h))
-        ~pull:(fun ~since ~lo -> Net.Client.migrate_pull src ~lo ~hi ~since ~limit:ctx.page)
+        ~pull:(fun ~since ~lo ~limit -> Net.Client.migrate_pull src ~lo ~hi ~since ~limit)
         ~ship:(fun req -> ignore (Net.Client.mutate dst req))
     in
     keys_total := !keys_total + r.keys;
@@ -108,22 +113,23 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
   in
   (* ---- phase 1: bulk copy + catch-up rounds ---------------------- *)
   let t0 = Obs.Clock.now_ns () in
-  let watermark = ref 0 in
-  let converged = ref false in
   ctx.fault "pre_copy";
-  while (not !converged) && !rounds < ctx.max_rounds do
+  (* The first round ships the bulk. Seal once a round ships nothing,
+     or no fewer events than the round before it: the copy has stopped
+     gaining on the writers, and the sealed round makes it exact
+     whatever it leaves. Returns the last round's watermark. *)
+  let rec rounds_from ~since ~prev =
     let r0 = Obs.Clock.now_ns () in
-    let { Net.Client.keys; events; clock; _ } = copy ~since:!watermark in
+    let { Net.Client.keys; events; clock; _ } = copy ~since in
     incr rounds;
     Obs.Metric.incr c_rounds;
     Obs.Histogram.record h_round (Obs.Clock.now_ns () - r0);
     ctx.notify { phase = "copy"; round = !rounds; keys; events };
-    watermark := clock;
-    (* The first round ships the bulk; once a whole round moves no more
-       than [lag] events the remaining delta is small enough to ship
-       under the seal. *)
-    if !rounds > 1 && events <= ctx.lag then converged := true
-  done;
+    if events > 0 && events < prev && !rounds < max_rounds then
+      rounds_from ~since:clock ~prev:events
+    else clock
+  in
+  let watermark = rounds_from ~since:0 ~prev:max_int in
   let copy_ns = Obs.Clock.now_ns () - t0 in
   Obs.Histogram.record h_copy copy_ns;
   Obs.Metric.add c_keys !keys_total;
@@ -136,7 +142,7 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
   (* Final round under the seal: no writer or tagger can race it, so
      after this the destination's copy of [lo, hi) is exact, and the
      clock the round probed is the source's. *)
-  let { Net.Client.keys; events; clock; _ } = copy ~since:!watermark in
+  let { Net.Client.keys; events; clock; _ } = copy ~since:watermark in
   ctx.notify { phase = "cutover"; round = !rounds; keys; events };
   (* Raise the destination's clock to the source's, so a reader that
      saw version V on the old owner finds the history at V on the new
@@ -149,7 +155,7 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
   assert (Topology.epoch topo' = next_epoch);
   (match Topology.save topo' topo_path with
   | Ok () -> ()
-  | Error m -> failwith ("__save__ " ^ m));
+  | Error m -> raise (Save_error m));
   ctx.fault "saved";
   (* Fence the new owners, so they reject stale-epoch writers from the
      moment the seal lifts. Then lift the seal last: from here the old
@@ -170,35 +176,23 @@ let handoff ctx ~topo_path ~(topo : Topology.t) ~src_addr ~dest ~lo ~hi ~rewrite
     new_epoch = next_epoch;
   }
 
-let wrap f =
-  match f () with
+(* Run [f] on the options' context, its failures as [error]s. *)
+let wrap ?timeout_ms ?(retries = 2) ?(fault = ignore) ?(notify = ignore) f =
+  match f { timeout_ms; retries; fault; notify } with
   | r -> Ok r
-  | exception Failure m when String.length m > 8 && String.sub m 0 8 = "__save__"
-    ->
-      Error (Save_failed (String.sub m 9 (String.length m - 9)))
+  | exception Save_error m -> Error (Save_failed m)
   | exception Invalid_argument m -> Error (Bad_args m)
   | exception
       (( Net.Client.Remote_error _ | Net.Client.Protocol_error _
        | Unix.Unix_error _ | End_of_file ) as e) ->
       Error (Shard_error { endpoint = "?"; reason = Net.Client.describe_exn e })
 
-let default_notify _ = ()
-let default_fault _ = ()
-
-let make_ctx ?timeout_ms ?(retries = 2) ?(page = 4096) ?(lag = 64)
-    ?(max_rounds = 16) ?(fault = default_fault) ?(notify = default_notify) () =
-  if page <= 0 then invalid_arg "move: page must be positive";
-  if max_rounds < 2 then invalid_arg "move: need at least 2 rounds";
-  { timeout_ms; retries; page; lag; max_rounds; fault; notify }
-
 let same_set a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Net.Sockaddr.to_string x = Net.Sockaddr.to_string y) a b
 
-let move ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
-    topo ~shard ~(dest : Net.Sockaddr.t array) () =
-  wrap @@ fun () ->
-  let ctx = make_ctx ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify () in
+let move ?timeout_ms ?retries ?fault ?notify ~topo_path topo ~shard ~dest () =
+  wrap ?timeout_ms ?retries ?fault ?notify @@ fun ctx ->
   if shard < 0 || shard >= Topology.shards topo then
     invalid_arg (Printf.sprintf "move: no shard %d" shard);
   if Array.length dest = 0 then invalid_arg "move: empty destination set";
@@ -212,18 +206,16 @@ let move ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
        pre-save primary is unknown, its in-memory seal dies with it;
        see the crash matrix in DESIGN.md §8). *)
     Obs.Metric.incr c_resumed;
-    Array.iter (fence ctx ~epoch:(Topology.epoch topo) ~unseal:(lo, hi)) dest;
     let new_epoch = Topology.epoch topo in
+    Array.iter (fence ctx ~epoch:new_epoch ~unseal:(lo, hi)) dest;
     { rounds = 0; keys_copied = 0; events_copied = 0; copy_ns = 0; pause_ns = 0; new_epoch }
   end
   else
     handoff ctx ~topo_path ~topo ~src_addr ~dest ~lo ~hi
       ~rewrite:(fun topo -> Topology.with_set topo ~shard dest)
 
-let split ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
-    topo ~shard ~at ~(dest : Net.Sockaddr.t array) () =
-  wrap @@ fun () ->
-  let ctx = make_ctx ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify () in
+let split ?timeout_ms ?retries ?fault ?notify ~topo_path topo ~shard ~at ~dest () =
+  wrap ?timeout_ms ?retries ?fault ?notify @@ fun ctx ->
   if shard < 0 || shard >= Topology.shards topo then
     invalid_arg (Printf.sprintf "split: no shard %d" shard);
   if Array.length dest = 0 then invalid_arg "split: empty destination set";
@@ -237,10 +229,8 @@ let split ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
   handoff ctx ~topo_path ~topo ~src_addr ~dest ~lo:at ~hi
     ~rewrite:(fun topo -> Topology.split_range topo ~shard ~at dest)
 
-let merge ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify ~topo_path
-    topo ~shard () =
-  wrap @@ fun () ->
-  let ctx = make_ctx ?timeout_ms ?retries ?page ?lag ?max_rounds ?fault ?notify () in
+let merge ?timeout_ms ?retries ?fault ?notify ~topo_path topo ~shard () =
+  wrap ?timeout_ms ?retries ?fault ?notify @@ fun ctx ->
   if shard < 0 || shard >= Topology.shards topo - 1 then
     invalid_arg
       (Printf.sprintf "merge: shard %d has no right neighbour" shard);

@@ -11,10 +11,10 @@
       stamps, tombstones and all; the destination's chain forwards each
       batch to its backups verbatim). Each round pulls everything above
       the clock the previous round probed ([Epoch_probe]) before
-      pulling, until one whole round moves no more than [lag] events.
-      Below the source's compaction horizon a round first drops the
-      destination's copy ([Range_drop]) and copies from 0
-      ([move.resets]).
+      pulling. The rounds end once one ships no events, or no fewer
+      than the round before it, and at the latest after 16. Below the
+      source's compaction horizon a round first drops the destination's
+      copy ([Range_drop]) and copies from 0 ([move.resets]).
     + {b cutover} — [Range_seal] the range on the source (new writers
       get a typed [Moved {epoch; endpoint}] rejection; in-flight ones
       drain), ship the final round under the seal, and raise the
@@ -29,9 +29,9 @@
     ({!Mvdict.Pskiplist}[.install_chains]) above the source's horizon,
     and a round below it starts from a dropped copy, so any prefix of
     the protocol can be replayed. Killed before the topology save:
-    re-run the same command ([--resume] in the CLI is just that).
-    Killed after: {!move} detects the topology already names the
-    destination and only re-runs the fence and the unseal. The source
+    re-run the same command. Killed after: {!move} detects the
+    topology already names the destination and only re-runs the fence
+    and the unseal. The source
     keeps its (now unreachable) copy of a moved range; reclaiming it is
     ordinary retention GC on the source, out of this module's scope. *)
 
@@ -43,7 +43,7 @@ type progress = {
 }
 
 type outcome = {
-  rounds : int;  (** copy rounds before convergence *)
+  rounds : int;  (** unsealed copy rounds before the seal *)
   keys_copied : int;
   events_copied : int;
   copy_ns : int;  (** wall time of the unsealed copy phase *)
@@ -64,9 +64,6 @@ val error_to_string : error -> string
 val move :
   ?timeout_ms:int ->
   ?retries:int ->
-  ?page:int ->
-  ?lag:int ->
-  ?max_rounds:int ->
   ?fault:(string -> unit) ->
   ?notify:(progress -> unit) ->
   topo_path:string ->
@@ -77,10 +74,7 @@ val move :
   (outcome, error) result
 (** Hand shard [shard]'s whole range to the replica set [dest]
     ([dest.(0)] the new primary, the rest its backups — they converge
-    through the primary's chain). [page] bounds one copy frame in
-    events (default 4096); [lag] is the convergence threshold (default
-    64 events/round); [max_rounds] caps catch-up before cutover happens
-    anyway (default 16). [fault] is a test hook called with
+    through the primary's chain). [fault] is a test hook called with
     ["pre_copy"], ["pre_seal"], ["sealed"], ["pre_save"], ["saved"] at
     the matching points — raise from it to simulate a coordinator
     crash. If the topology already names [dest] (a resume after a
@@ -90,9 +84,6 @@ val move :
 val split :
   ?timeout_ms:int ->
   ?retries:int ->
-  ?page:int ->
-  ?lag:int ->
-  ?max_rounds:int ->
   ?fault:(string -> unit) ->
   ?notify:(progress -> unit) ->
   topo_path:string ->
@@ -111,9 +102,6 @@ val split :
 val merge :
   ?timeout_ms:int ->
   ?retries:int ->
-  ?page:int ->
-  ?lag:int ->
-  ?max_rounds:int ->
   ?fault:(string -> unit) ->
   ?notify:(progress -> unit) ->
   topo_path:string ->

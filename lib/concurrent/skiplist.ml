@@ -89,14 +89,20 @@ let rec bump_top t level =
   if level > current && not (Atomic.compare_and_set t.top current level) then
     bump_top t level
 
+(* Back off after a failed CAS. The schedule [b] is made on the first
+   failure, so an insert that never retries allocates none. *)
+let back_off b =
+  let b = match b with Some b -> b | None -> Backoff.create () in
+  Backoff.once b;
+  Some b
+
 (* Shared insertion body: [search] populates [preds]/[succs] for the key
    (from the head, or from a finger cursor) and returns the level-0
    match. Re-run on every CAS retry. *)
 let insert_with t ~search key ~make preds succs =
-  let backoff = Backoff.create () in
   (* [made] memoises the speculative value so [make] runs at most once
      even across CAS retries. *)
-  let rec attempt made =
+  let rec attempt made b =
     match search () with
     | Node existing_node -> begin
         match made with
@@ -108,34 +114,32 @@ let insert_with t ~search key ~make preds succs =
         let level = random_level t in
         let next = Array.sub succs 0 level in
         let node = Node { key; value; next } in
-        if not (Atomic_field.compare_and_set preds.(0) 0 succs.(0) node) then begin
-          Backoff.once backoff;
-          attempt (Some value)
-        end
+        if not (Atomic_field.compare_and_set preds.(0) 0 succs.(0) node) then
+          attempt (Some value) (back_off b)
         else begin
           (* Linearized: the key is now reachable at level 0. Link the
              upper levels best-effort; competitors may force re-searches. *)
           ignore (Atomic.fetch_and_add t.count 1);
           bump_top t level;
-          for lvl = 1 to level - 1 do
-            let rec link () =
-              if not (Atomic_field.compare_and_set preds.(lvl) lvl succs.(lvl) node)
-              then begin
-                Backoff.once backoff;
-                ignore (search ());
-                (* Our node is not yet visible at [lvl], so the re-search
-                   gives a fresh successor to adopt, and no reader loads
-                   this cell before the CAS that links it. *)
-                next.(lvl) <- succs.(lvl);
-                link ()
-              end
-            in
-            link ()
-          done;
+          let rec link lvl b =
+            if lvl >= level then ()
+            else if Atomic_field.compare_and_set preds.(lvl) lvl succs.(lvl) node then
+              link (lvl + 1) b
+            else begin
+              let b = back_off b in
+              ignore (search ());
+              (* Our node is not yet visible at [lvl], so the re-search
+                 gives a fresh successor to adopt, and no reader loads
+                 this cell before the CAS that links it. *)
+              next.(lvl) <- succs.(lvl);
+              link lvl b
+            end
+          in
+          link 1 b;
           Added value
         end
   in
-  attempt None
+  attempt None None
 
 let find_or_insert t key ~make =
   let preds = Array.make max_level t.head in

@@ -116,18 +116,25 @@ let ensure_connected t =
    failure closes it and tries again on a fresh one, up to [retries]
    more times. Any failure that escapes has closed the connection. *)
 let with_retries t f =
-  let b = Concurrent.Backoff.create ~min:1 ~max:512 ~jitter:true () in
-  let rec attempt k =
+  (* The schedule is made on the first retry: its jitter state, seeded
+     from the OS, would nearly double what a call that never retries
+     allocates. *)
+  let rec attempt k b =
     match f (ensure_connected t) with
     | v -> v
     | exception e ->
         close t;
         if not (transient e && k < t.retries) then raise e;
+        let b =
+          match b with
+          | Some b -> b
+          | None -> Concurrent.Backoff.create ~min:1 ~max:512 ~jitter:true ()
+        in
         Unix.sleepf (float_of_int (Concurrent.Backoff.current b) *. 1e-3);
         Concurrent.Backoff.once b;
-        attempt (k + 1)
+        attempt (k + 1) (Some b)
   in
-  attempt 0
+  attempt 0 None
 
 let connect ?retries ?timeout_ms ?epoch addr =
   let t = create ?retries ?timeout_ms ?epoch addr in
@@ -315,16 +322,21 @@ let migrate_pull t ~lo ~hi ~since ~limit =
 
 type copied = { keys : int; events : int; resets : int; clock : int }
 
+(* Events per page of {!copy_range}: the one page size of a move's
+   rounds and a backup's catch-up. *)
+let copy_page = 4096
+
 (* Copy the version chains of [lo, hi) above [since] from a source to a
    destination: the one copy behind a shard move's rounds and a
    backup's catch-up. [probe] reads the source's clock and compaction
-   horizon h, [pull ~since ~lo] one page of its chains from key [lo] (a
-   page ends on a whole chain; an empty one ends the range), and [ship]
-   sends the destination one mutation. No event above [since] says what
-   the source dropped at or below h (a GC pass may release a removed
-   key whole), so when [since < h] the copy first drops the
-   destination's [lo, hi) ([Range_drop], raising its horizon to h) and
-   copies from 0; and it is redone that way if h rose past
+   horizon h, [pull ~since ~lo ~limit] one page of its chains from key
+   [lo], of about [limit] events (always {!copy_page}; a page ends on a
+   whole chain, so a key's chain is never split, and an empty one ends
+   the range), and [ship] sends the destination one mutation. No event
+   above [since] says what the source dropped at or below h (a GC pass
+   may release a removed key whole), so when [since < h] the copy first
+   drops the destination's [lo, hi) ([Range_drop], raising its horizon
+   to h) and copies from 0; and it is redone that way if h rose past
    [max since h] during the copy. Returns the keys and events shipped,
    the drops, and the clock probed before the first pull: every event
    at or below it was in the source's chains by then, so it is the next
@@ -332,7 +344,7 @@ type copied = { keys : int; events : int; resets : int; clock : int }
 let copy_range ~probe ~pull ~ship ~lo ~hi ~since =
   let keys = ref 0 and events = ref 0 and resets = ref 0 in
   let rec page ~since from =
-    match pull ~since ~lo:from with
+    match pull ~since ~lo:from ~limit:copy_page with
     | [||] -> ()
     | chains ->
         ship (Wire.History_batch { since; chains });

@@ -272,7 +272,7 @@ let moves_json t =
 
 (* ---- request dispatch ---- *)
 
-let apply t (req : Wire.request) : Wire.response =
+let apply t (env : Wire.envelope) (req : Wire.request) : Wire.response =
   match req with
   | Wire.Ping -> Wire.Pong
   | Wire.Insert { key; value } ->
@@ -369,15 +369,19 @@ let apply t (req : Wire.request) : Wire.response =
       Wire.Histories (Array.of_list chains)
   | Wire.History_batch { since; chains } ->
       S.install_chains t.store ~since (Array.to_list chains);
-      let events =
-        Array.fold_left (fun n (_, es) -> n + List.length es) 0 chains
-      in
-      Obs.Metric.add c_move_install_keys (Array.length chains);
-      Obs.Metric.add c_move_install_events events;
-      (* Wire-encoding sizes: 16 bytes per chain header, 9 or 17 per
-         event — close enough to the bytes that actually moved. *)
-      Obs.Metric.add c_move_install_bytes
-        ((16 * Array.length chains) + (17 * events));
+      (* Only a move's installs count: a catch-up's pages and a new
+         owner's forwards to its backups arrive replicated. *)
+      if not env.Wire.replicated then begin
+        let events =
+          Array.fold_left (fun n (_, es) -> n + List.length es) 0 chains
+        in
+        Obs.Metric.add c_move_install_keys (Array.length chains);
+        Obs.Metric.add c_move_install_events events;
+        (* Wire-encoding sizes: 16 bytes per chain header, 9 or 17 per
+           event — close enough to the bytes that actually moved. *)
+        Obs.Metric.add c_move_install_bytes
+          ((16 * Array.length chains) + (17 * events))
+      end;
       Wire.Ack
   | Wire.Range_drop { lo; hi; horizon } ->
       Wire.Gc_done { dropped = S.drop_range t.store ~lo ~hi ~horizon }
@@ -418,8 +422,8 @@ let dispatch_core t env req =
     match
       match t.on_mutation with
       | Some hook when (not env.Wire.replicated) && Wire.is_mutation req ->
-          hook req (fun () -> apply t req)
-      | _ -> apply t req
+          hook req (fun () -> apply t env req)
+      | _ -> apply t env req
     with
     | resp -> resp
     | exception e ->

@@ -69,7 +69,8 @@ let note peer = function Net.Wire.Version v -> peer.synced <- v | _ -> ()
 (* Catch-up by version chains: see chain.mli for where the copy starts
    and why it is exact. The copy probes this store in process (no frame
    for that), and the mutex keeps its clock still, so [retain] raises
-   the horizon at most once during the copy. *)
+   the horizon at most once during the copy. It pulls pages of the one
+   size [copy_range] sets for every copy ([Net.Client.copy_page]). *)
 let catch_up t peer =
   Obs.Span.with_ "repl.catch_up" @@ fun () ->
   let t0 = Obs.Instr.start () in
@@ -80,9 +81,8 @@ let catch_up t peer =
   let copied =
     Net.Client.copy_range ~lo:0 ~hi:max_int ~since
       ~probe:(fun () -> (S.current_version t.store, S.horizon t.store))
-      ~pull:(fun ~since ~lo ->
-        Array.of_list
-          (S.pull_chains t.store ~lo ~hi:max_int ~since ~limit:Net.Wire.batch_chunk))
+      ~pull:(fun ~since ~lo ~limit ->
+        Array.of_list (S.pull_chains t.store ~lo ~hi:max_int ~since ~limit))
       ~ship:(fun req -> ignore (Net.Client.replicate c ~epoch req))
   in
   (* Align the clock last, so a backup never tags a state it does not

@@ -261,8 +261,8 @@ let skiplist_iter_range_allocation () =
     (w1 -. w0 < 64.0)
 
 (* The batch-install path: an ascending cursor walk over present keys
-   pays for the insert call's own records (backoff, retry closures, the
-   Found), not for a closure and tuples per level of each seek. *)
+   pays for the insert call's own records (retry closures, the Found),
+   not for a closure and tuples per level of each seek. *)
 let skiplist_cursor_allocation () =
   let n = 10_000 in
   let s = even_skiplist n in

@@ -404,6 +404,34 @@ let rerun_after_source_gc () =
           (Store.extract_snapshot dst ~version () = Store.extract_snapshot src ~version ())
       done)
 
+(* ---- the rounds end once they stop shrinking ---- *)
+
+(* After [seed]'s last tag each of shard 1's 86 keys gains one untagged
+   event. Every round re-ships those 86 events above its watermark, the
+   last tagged version, so no round ships fewer: the move must seal
+   after round 3, not run to its 16-round cap. *)
+let untagged_tail () =
+  with_fleet ~tag:"tail" (fun ~router ~topo_file ~addrs ~stores:_ ~servers:_ ->
+      let twin = fresh_store () in
+      let touched = seed router twin in
+      let topo = load topo_file in
+      let lo, hi = Cluster.Topology.range topo 1 in
+      let tail = List.init (hi - lo) (fun i -> lo + i) in
+      List.iter
+        (fun key ->
+          Store.insert twin key (-key);
+          ok "insert" (Cluster.Router.insert router ~key ~value:(-key)))
+        tail;
+      let o =
+        mok "move"
+          (Cluster.Move.move ~topo_path:topo_file topo ~shard:1 ~dest:[| addrs.(3) |] ())
+      in
+      check_bool
+        (Printf.sprintf "%d rounds, at most 3" o.Cluster.Move.rounds)
+        true (o.Cluster.Move.rounds <= 3);
+      Cluster.Router.set_topology router (load topo_file);
+      check_parity router twin (List.sort_uniq compare (tail @ touched)))
+
 (* ---- routers that still hold the pre-split map ---- *)
 
 (* Every key holds 1; then shard 1 of the 3-shard fleet splits at key
@@ -598,6 +626,11 @@ let () =
             gc_between_rounds;
           Alcotest.test_case "a re-run after source GC starts from a dropped copy" `Quick
             rerun_after_source_gc;
+        ] );
+      ( "rounds",
+        [
+          Alcotest.test_case "an untagged tail does not hold a move to its cap" `Quick
+            untagged_tail;
         ] );
       ( "stale-map",
         [

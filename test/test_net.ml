@@ -1214,6 +1214,25 @@ let e2e_unix_socket_reconnect () =
   Net.Client.close client;
   Net.Server.stop !server
 
+(* A find that needs no retry allocates what it sends and reads, and
+   no retry schedule: that is made on a first failure, since its jitter
+   state, seeded from the OS, cost nearly as much as the rest of the
+   call. Counted in this domain; the server's workers run in their own. *)
+let e2e_find_allocation () =
+  with_server (fun _store _server addr ->
+      let client = Net.Client.connect addr in
+      Net.Client.insert client ~key:1 ~value:11;
+      let n = 2_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Net.Client.find client 1)
+      done;
+      let per_find = (Gc.minor_words () -. w0) /. float_of_int n in
+      Net.Client.close client;
+      check_bool
+        (Printf.sprintf "%.1f minor words per find, at most 100" per_find)
+        true (per_find <= 100.))
+
 let () =
   Watchdog.run "net"
     [
@@ -1288,6 +1307,8 @@ let () =
             e2e_graceful_drain;
           Alcotest.test_case "unix socket + reconnect with backoff" `Quick
             e2e_unix_socket_reconnect;
+          Alcotest.test_case "a find with no retry allocates at most 100 words" `Quick
+            e2e_find_allocation;
           Alcotest.test_case "three persistent clients share one worker" `Quick
             e2e_clients_share_a_worker;
           Alcotest.test_case "a peer that stops reading is dropped" `Quick

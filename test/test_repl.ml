@@ -957,6 +957,33 @@ let catch_up_costs_the_gap () =
   let small = catch_up_bytes 10_000 and large = catch_up_bytes 100_000 in
   check_int "wire bytes at 100,000 keys = at 10,000 keys" small large
 
+(* A catch-up ships replicated History_batch pages, which are no
+   move's installs: catching a backup up on one missed write leaves
+   [move.install.events], which lights `cluster top`'s move line, where
+   it was. *)
+let catch_up_installs_no_move () =
+  with_cleanup @@ fun defer ->
+  let path role = sock_path ("nomove_" ^ role) in
+  let p_store = fresh_store () and b_store = fresh_store () in
+  let backup = serve b_store (path "b") in
+  defer (fun () -> Net.Server.stop backup);
+  let relay = start_relay ~path:(path "relay") ~upstream:(path "b") () in
+  defer (fun () -> stop_relay relay);
+  let primary, chain, _ = serve_primary p_store (path "p") [| path "relay" |] in
+  defer (fun () -> Net.Server.stop primary);
+  defer (fun () -> Repl.Chain.close chain);
+  let client = Net.Client.connect (Net.Sockaddr.Unix_sock (path "p")) in
+  defer (fun () -> Net.Client.close client);
+  Net.Client.insert client ~key:1 ~value:1;
+  partition relay;
+  Net.Client.insert client ~key:7 ~value:(-7);
+  check_bool "the backup missed the write" false (Repl.Chain.in_sync chain);
+  heal relay;
+  let installed = counter "move.install.events" in
+  Repl.Chain.tick chain;
+  check_bool "caught up" true (Repl.Chain.in_sync chain && Store.find b_store 7 = Some (-7));
+  check_int "move.install.events" installed (counter "move.install.events")
+
 (* Clock probes and a seal drain every write flag. On a replicated
    primary a flagged write waits for the chain's mutex, so a drain that
    took it, or a mutex holder that waited on a flag, would hang this
@@ -1100,6 +1127,8 @@ let () =
             interrupted_reset_resumes;
           Alcotest.test_case "one missed write costs the same bytes at 10k and 100k keys"
             `Quick catch_up_costs_the_gap;
+          Alcotest.test_case "a catch-up counts no move install" `Quick
+            catch_up_installs_no_move;
           Alcotest.test_case "probes and a seal finish beside two inserters" `Quick
             drains_beside_writers;
         ] );
