@@ -90,6 +90,5 @@ let apply_op (Instance ((module S), t)) op =
       ignore (S.tag t)
   | Workload.Opgen.Find (k, version) -> ignore (S.find t ~version k)
   | Workload.Opgen.History k -> ignore (S.extract_history t k)
-  | Workload.Opgen.Snapshot version -> ignore (S.extract_snapshot t ~version ())
 
 let run_ops instance ops = Array.iter (apply_op instance) ops

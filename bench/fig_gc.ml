@@ -14,6 +14,10 @@
      footprint stays under 2x the working set (one round's live data
      plus allocator slack, measured after the first round + retain).
 
+   After the retained run's final retain, one more pass drops nothing:
+   its time and minor words per key are what a pass costs a store with
+   no garbage, all of it with the store's gate closed.
+
    Results land as gc.bench.* gauges in BENCH_gc.json next to the
    gc.pause_ns histogram and the gc.* counters the store itself
    maintains; the smoke gate in main.ml reads them back. *)
@@ -70,7 +74,13 @@ let run_retained ~keys ~rounds heap =
   Store.gc_stop gc;
   ignore (Store.retain store ~keep:keep_versions);
   let wall = Unix.gettimeofday () -. t0 in
-  (working_set, live_bytes heap, float_of_int (keys * rounds) /. wall)
+  let live = live_bytes heap in
+  let w0 = Gc.minor_words () and p0 = Unix.gettimeofday () in
+  (* No tag since the last retain: the same horizon, nothing to drop. *)
+  ignore (Store.retain store ~keep:keep_versions);
+  let idle_ms = 1e3 *. (Unix.gettimeofday () -. p0) in
+  let idle_words = (Gc.minor_words () -. w0) /. float_of_int keys in
+  (working_set, live, float_of_int (keys * rounds) /. wall, idle_ms, idle_words)
 
 let run_unretained ~keys ~rounds heap =
   let store = Store.create heap in
@@ -94,7 +104,7 @@ let run ~keys ~rounds =
     keys rounds keep_versions;
   let capacity = max (1 lsl 24) (keys * rounds * 256) in
   let retained_heap = Pmem.Pheap.create_ram ~capacity () in
-  let working_set, retained_final, retained_ops =
+  let working_set, retained_final, retained_ops, idle_pass_ms, idle_pass_words_per_key =
     run_retained ~keys ~rounds retained_heap
   in
   let unretained_heap = Pmem.Pheap.create_ram ~capacity () in
@@ -107,11 +117,16 @@ let run ~keys ~rounds =
   set "gc.bench.live_bytes.unretained" unretained_final;
   set "gc.bench.ops_per_sec.retained" (int_of_float retained_ops);
   set "gc.bench.ops_per_sec.unretained" (int_of_float unretained_ops);
+  set "gc.bench.idle_pass_us" (int_of_float (1e3 *. idle_pass_ms));
+  set "gc.bench.idle_pass_minor_words_per_key"
+    (int_of_float (Float.round idle_pass_words_per_key));
   Printf.printf "   %-12s %14s %14s %12s\n" "run" "first (B)" "final (B)" "ops/s";
   Printf.printf "   %-12s %14d %14d %12.0f\n" "retained" working_set retained_final
     retained_ops;
   Printf.printf "   %-12s %14d %14d %12.0f\n" "unretained" unretained_first
     unretained_final unretained_ops;
+  Printf.printf "   a pass that drops nothing: %.3f ms, %.2f minor words per key\n"
+    idle_pass_ms idle_pass_words_per_key;
   Printf.printf "   [shape] retained plateau: %d < 2x working set %d -> %b\n"
     retained_final (2 * working_set)
     (retained_final < 2 * working_set);

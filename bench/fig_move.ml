@@ -11,7 +11,11 @@
    - client-observed write latency during the migration (p50/p99): what
      a writer actually pays, including the Moved chase after cutover —
      this is the figure's headline, because it bounds the pause as the
-     *writer* sees it, not as the coordinator brags about it;
+     *writer* sees it, not as the coordinator brags about it. The p99
+     is over the move's own duration, so a shorter move with the same
+     slow writes reads higher; the count of writes above 1 ms, and their
+     share of all the mutator's writes, say what writers pay whatever
+     the move's length;
    - lost acked writes: zero, always. Every insert the mutator got an
      Ok for must be readable at its final value after the handoff.
 
@@ -29,6 +33,7 @@ type result = {
   pause_ms : float;  (** coordinator seal -> unseal *)
   write_p50_ms : float;  (** client-observed during the migration *)
   write_p99_ms : float;
+  slow_writes : int;  (** the mutator's writes above {!slow_ms} *)
   ops_during : float;  (** mutator throughput while the move ran *)
   lost : int;  (** acked writes unreadable after the handoff *)
 }
@@ -48,6 +53,9 @@ let key_bits_for n =
 
 let gauge_set name v =
   Obs.Metric.set (Obs.Registry.gauge ("move.bench." ^ name)) v
+
+(* A write slower than this met the bulk round or the seal. *)
+let slow_ms = 1.
 
 let run ~n =
   Printf.printf
@@ -157,6 +165,9 @@ let run ~n =
           *. lats.(min (Array.length lats - 1)
                       (int_of_float (q *. float_of_int (Array.length lats))))
       in
+      let slow_writes =
+        Array.fold_left (fun n l -> if 1e3 *. l > slow_ms then n + 1 else n) 0 lats
+      in
       let copy_ms = float_of_int outcome.Cluster.Move.copy_ns /. 1e6 in
       let pause_ms = float_of_int outcome.Cluster.Move.pause_ns /. 1e6 in
       let r =
@@ -167,6 +178,7 @@ let run ~n =
           pause_ms;
           write_p50_ms = pct 0.5;
           write_p99_ms = pct 0.99;
+          slow_writes;
           ops_during;
           lost;
         }
@@ -175,6 +187,7 @@ let run ~n =
       gauge_set "pause_ms" (int_of_float (Float.round pause_ms));
       gauge_set "write_p50_us" (int_of_float (1e3 *. r.write_p50_ms));
       gauge_set "write_p99_us" (int_of_float (1e3 *. r.write_p99_ms));
+      gauge_set "slow_writes" slow_writes;
       gauge_set "ops_per_sec_during_move" (int_of_float ops_during);
       gauge_set "lost_acked_writes" lost;
       Printf.printf "   copy: %d event(s) in %d round(s), %.1fms\n"
@@ -184,5 +197,8 @@ let run ~n =
       Printf.printf
         "   client writes during the move: %.0f ops/s, p50 %.2fms p99 %.2fms\n"
         ops_during r.write_p50_ms r.write_p99_ms;
+      let writes = Array.length lats in
+      Printf.printf "   writes above %.0fms: %d of %d (%.2f%%)\n" slow_ms slow_writes writes
+        (if writes = 0 then 0. else 100. *. float_of_int slow_writes /. float_of_int writes);
       Printf.printf "   lost acked writes: %d\n" lost;
       r)

@@ -8,12 +8,3 @@
 val run : threads:int -> (int -> 'a) -> 'a array
 (** [run ~threads f] computes [[| f 0; ...; f (threads-1) |]] in
     parallel. [threads = 1] runs inline (no domain spawn). *)
-
-val iter_chunks : threads:int -> 'a array -> (int -> 'a array -> unit) -> unit
-(** Split an array into even contiguous chunks (sizes differing by at
-    most one) and process chunk [tid] on domain [tid]. *)
-
-val make_barrier : parties:int -> (unit -> unit)
-(** [make_barrier ~parties] returns an [await] function implementing a
-    reusable sense-reversing barrier: the k-th call blocks (spins) until
-    all [parties] domains have called it. *)

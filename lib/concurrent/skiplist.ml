@@ -263,7 +263,6 @@ let rec walk_below t hi f = function
   | Node _ | Nil -> ()
 
 let iter t f = walk f t.head.(0)
-let iter_from t key f = walk f (lower_bound t key)
 let iter_range t ~lo ~hi f = walk_below t hi f (lower_bound t lo)
 
 (* Physically unlink every node matching [dead] at all levels, the
@@ -301,11 +300,6 @@ let scrub ?range t ~dead =
   done;
   if !removed > 0 then ignore (Atomic.fetch_and_add t.count (- !removed));
   !removed
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun k v -> acc := f !acc k v);
-  !acc
 
 let cardinal t = Atomic.get t.count
 let height t = Atomic.get t.top

@@ -72,12 +72,9 @@ val find_or_insert_at :
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** In-order traversal of level 0. *)
 
-val iter_from : ('k, 'v) t -> 'k -> ('k -> 'v -> unit) -> unit
-(** In-order traversal starting at the smallest key >= the given key. *)
-
 val iter_range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k -> 'v -> unit) -> unit
-(** In-order traversal of keys in [lo, hi). Like {!iter} and
-    {!iter_from}, allocates nothing besides what [f] does. *)
+(** In-order traversal of keys in [lo, hi). Like {!iter}, allocates
+    nothing besides what [f] does. *)
 
 val scrub : ?range:'k * 'k -> ('k, 'v) t -> dead:('k -> 'v -> bool) -> int
 (** [scrub t ~dead] physically unlinks every node whose key/value
@@ -88,8 +85,6 @@ val scrub : ?range:'k * 'k -> ('k, 'v) t -> dead:('k -> 'v -> bool) -> int
     hatch for garbage collection; it is NOT safe concurrently with
     inserts or traversals — callers must hold exclusive access (the
     store quiesces writers first). *)
-
-val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
 
 val cardinal : ('k, 'v) t -> int
 (** Number of keys (maintained with an atomic counter). *)

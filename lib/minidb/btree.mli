@@ -16,8 +16,6 @@
 
 type key = { a : int; b : int; seq : int }
 
-val compare_key : key -> key -> int
-
 type t
 
 val create : Pagecache.t -> t

@@ -238,11 +238,3 @@ let max_version conn =
       let highest = ref 0 in
       Btree.iter_all index (fun k _ -> if k.Btree.b > !highest then highest := k.Btree.b);
       !highest)
-
-let storage_stats t =
-  (Storage.reads t.storage, Storage.writes t.storage, Storage.syncs t.storage)
-
-let wal_stats t =
-  match t.wal with
-  | None -> (0, 0)
-  | Some wal -> (Wal.commits wal, Wal.checkpoints wal)

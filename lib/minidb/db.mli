@@ -57,11 +57,3 @@ val distinct_keys : conn -> int
 val max_version : conn -> int
 (** Highest version in the table (0 if empty; used to recover the tag
     clock after {!reopen}). *)
-
-(** {1 Introspection} *)
-
-val storage_stats : t -> int * int * int
-(** (page reads, page writes, syncs). *)
-
-val wal_stats : t -> int * int
-(** (commits, checkpoints); zeros in Mem mode. *)

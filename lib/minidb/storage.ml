@@ -4,7 +4,6 @@ type t = {
   lock : Mutex.t;
   reads : int Atomic.t;
   writes : int Atomic.t;
-  syncs : int Atomic.t;
 }
 
 let create () =
@@ -14,7 +13,6 @@ let create () =
     lock = Mutex.create ();
     reads = Atomic.make 0;
     writes = Atomic.make 0;
-    syncs = Atomic.make 0;
   }
 
 let with_lock t f =
@@ -26,8 +24,6 @@ let with_lock t f =
   | exception e ->
       Mutex.unlock t.lock;
       raise e
-
-let page_count t = t.count
 
 let allocate t =
   with_lock t (fun () ->
@@ -61,5 +57,3 @@ let write t id data =
 
 let reads t = Atomic.get t.reads
 let writes t = Atomic.get t.writes
-let syncs t = Atomic.get t.syncs
-let sync t = ignore (Atomic.fetch_and_add t.syncs 1)

@@ -4,13 +4,11 @@
     RAM-backed; the distinction that matters for the baselines is not the
     medium but the access pattern, which is measured: every page read and
     write is counted, and the write path of the Reg mode goes through the
-    {!Wal} with explicit sync points. Thread-safe (internal mutex). *)
+    {!Wal}. Thread-safe (internal mutex). *)
 
 type t
 
 val create : unit -> t
-
-val page_count : t -> int
 
 val allocate : t -> int
 (** Append a zeroed page; returns its id. *)
@@ -23,7 +21,3 @@ val write : t -> int -> Page.t -> unit
 
 val reads : t -> int
 val writes : t -> int
-val syncs : t -> int
-
-val sync : t -> unit
-(** Count an fsync-equivalent barrier. *)

@@ -31,7 +31,6 @@ let with_lock t f =
 
 let checkpoint_locked t =
   Hashtbl.iter (fun id image -> Storage.write t.storage id image) t.latest;
-  Storage.sync t.storage;
   Hashtbl.reset t.latest;
   t.frame_count <- 0;
   t.checkpoint_count <- t.checkpoint_count + 1
@@ -43,8 +42,6 @@ let commit t dirty =
           Hashtbl.replace t.latest id (Page.copy image);
           t.frame_count <- t.frame_count + 1)
         dirty;
-      (* The commit record is what the engine syncs on. *)
-      Storage.sync t.storage;
       t.commit_count <- t.commit_count + 1;
       if t.frame_count >= t.checkpoint_frames then checkpoint_locked t)
 
@@ -54,7 +51,6 @@ let lookup t id =
       | Some image -> Some (Page.copy image)
       | None -> None)
 
-let frames t = with_lock t (fun () -> t.frame_count)
 let commits t = with_lock t (fun () -> t.commit_count)
 let checkpoints t = with_lock t (fun () -> t.checkpoint_count)
 let checkpoint t = with_lock t (fun () -> checkpoint_locked t)

@@ -13,15 +13,14 @@ val create : ?checkpoint_frames:int -> Storage.t -> t
     (default 1000, SQLite's default). *)
 
 val commit : t -> (int * Page.t) list -> unit
-(** Append the dirty pages of a transaction followed by a commit record
-    (one sync), auto-checkpointing if the log grew past the threshold. *)
+(** Append the dirty pages of a transaction followed by a commit record,
+    auto-checkpointing if the log grew past the threshold. *)
 
 val lookup : t -> int -> Page.t option
 (** Latest committed image of a page, if the log holds one. *)
 
-val frames : t -> int
 val commits : t -> int
 val checkpoints : t -> int
 
 val checkpoint : t -> unit
-(** Apply every logged page to the main store (one sync) and reset. *)
+(** Apply every logged page to the main store and reset. *)

@@ -169,6 +169,8 @@ module Make (B : BACKEND) = struct
     let segs = covering t visible in
     collect store segs (search store segs since 0 (visible - 1) (-1) + 1) (visible - 1) []
 
+  let floor_offline store t ~version = search store t.segs version 0 (t.pending - 1) (-1)
+
   let reset_offline t segs ~length =
     t.segs <- segs;
     t.pending <- length;

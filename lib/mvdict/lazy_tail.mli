@@ -141,6 +141,13 @@ module Make (B : BACKEND) : sig
       {!find}, skips the entries at or below [since], so a history with
       nothing above it allocates nothing. *)
 
+  val floor_offline : B.store -> t -> version:int -> int
+  (** The slot of the newest claimed entry at or below [version], or -1
+      when there is none: one binary search over the version words of
+      every claimed slot, reading no stamp. Offline only (compaction):
+      with no operation in flight every claimed slot is written and
+      stamped. *)
+
   val reset_offline : t -> B.segs -> length:int -> unit
   (** Install the segment array of an offline rewrite of the backend
       (compaction) and reset the ephemeral cursors. Must not race with

@@ -40,17 +40,6 @@ let chain_slot = H.handle
 let root t = Pmem.Pvector.root (H.segs t)
 let destroy heap t = Pmem.Pvector.free heap (H.segs t)
 
-let scan_persisted heap t =
-  let s = H.segs t in
-  let word slot w = Pmem.Pvector.get_word heap s ~record:slot ~word:w in
-  let cap = Pmem.Pvector.capacity s in
-  let rec collect slot acc =
-    let stamp = if slot < cap then word slot 2 else 0 in
-    if stamp = 0 then Array.of_list (List.rev acc)
-    else collect (slot + 1) ((word slot 0, word slot 1, stamp) :: acc)
-  in
-  collect 0 []
-
 let mark_persisted heap root marks ~stamp =
   let media = Pmem.Pheap.media heap in
   let s = Pmem.Pvector.attach heap root in
@@ -60,22 +49,36 @@ let mark_persisted heap root marks ~stamp =
       if st <> 0 then stamp st;
       Codec.mark_word heap marks (Pmem.Media.get_i64 media (off + 8)))
 
-(* The capacity growth reaches for [n] records: doubling from the
-   initial capacity. *)
-let right_size n =
-  let rec fit c = if c >= n then c else fit (c * 2) in
-  fit initial_capacity
+(* The capacity growth reaches for [n] records: doubling from [c], the
+   initial capacity. Top-level, so that a pass asks it of every key
+   without allocating a closure. *)
+let rec right_size n c = if c >= n then c else right_size n (c * 2)
+
+(* The value blobs of records [0, n) of a segment array, read in
+   place. *)
+let free_blobs heap s n =
+  for slot = 0 to n - 1 do
+    Codec.free_word heap (Pmem.Pvector.get_word heap s ~record:slot ~word:1)
+  done
 
 let drop_prefix heap t ~first =
   let s = H.segs t in
   let keep = H.pending_length t - first in
-  let capacity = right_size keep in
-  if first > 0 || capacity < Pmem.Pvector.capacity s then
+  let capacity = right_size keep initial_capacity in
+  if first > 0 || capacity < Pmem.Pvector.capacity s then begin
     H.reset_offline t
       (Pmem.Pvector.shrink_offline heap
          ~root_word:(Pmem.Pblockchain.history_word (H.handle t))
          s ~capacity ~first ~keep)
-      ~length:keep
+      ~length:keep;
+    free_blobs heap s first;
+    Pmem.Pvector.free heap s
+  end
+
+let release heap chain t =
+  Codec.free_word heap (Pmem.Pblockchain.clear chain (H.handle t));
+  free_blobs heap (H.segs t) (H.pending_length t);
+  destroy heap t
 
 let attach_pruned heap ~chain_slot root ~fc =
   let s = Pmem.Pvector.attach heap root in

@@ -62,13 +62,9 @@ val root : t -> Pmem.Pptr.t
 (** The first segment's offset: what the slot's history word holds. *)
 
 val destroy : Pmem.Pheap.t -> t -> unit
-(** Recycle an unregistered history (the loser of an index insert race).
+(** Recycle an unregistered history's storage, not its value blobs (the
+    loser of an index insert race, whose blobs its winner now holds).
     Must never be called on a history reachable from the key chain. *)
-
-val scan_persisted : Pmem.Pheap.t -> t -> (int * int * int) array
-(** [scan_persisted heap t] returns the raw [(version, word, stamp)]
-    records of the contiguous finished prefix as persisted (compaction's
-    input). *)
 
 val mark_persisted :
   Pmem.Pheap.t -> Pmem.Pptr.t -> Pmem.Alloc.marks -> stamp:(int -> unit) -> unit
@@ -85,11 +81,22 @@ val drop_prefix : Pmem.Pheap.t -> t -> first:int -> unit
     keeps the rest, stamps untouched, in one segment of the capacity
     growth would give them, published by one root swap, of the history
     word of its chain slot ({!Pmem.Pvector.shrink_offline}); then it
-    resets the ephemeral cursors. Nothing is written unless [first > 0]
-    or the history's capacity is larger than that. The dropped records'
-    value blobs are the caller's to free, once this returns and the
-    swap is durable. Offline only (compaction); [first] must leave at
-    least one record. *)
+    resets the ephemeral cursors, and only once the swap is durable
+    frees the dropped records' value blobs, read in place from the old
+    segments, and those segments. Nothing is written or freed unless
+    [first > 0] or the history's capacity is larger than that. Offline
+    only (compaction): every claimed record is stamped, and [first]
+    must leave at least one. *)
+
+val release : Pmem.Pheap.t -> Pmem.Pblockchain.t -> t -> unit
+(** [release heap chain t] releases a whole key, the one routine for a
+    compaction's emptied keys, a range drop's keys and recovery's keys
+    with nothing visible: it clears the chain slot that roots [t]
+    ({!Pmem.Pblockchain.clear}, persisted), and only then frees the
+    key blob, the value blobs of every claimed record, read in place,
+    and the history's storage. Unlinking the key from an index is the
+    caller's. Offline only: a GC pass quiesces the store, and recovery
+    calls it before the key is indexed. *)
 
 val attach_pruned :
   Pmem.Pheap.t -> chain_slot:Pmem.Pptr.t -> Pmem.Pptr.t -> fc:int -> t * int

@@ -197,13 +197,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
             (fun bi ->
               Pmem.Pblockchain.iter_block chain blocks.(bi) (fun ~slot ~key:key_word ~hist ->
                   let h, maxv = Phistory.attach_pruned heap ~chain_slot:slot hist ~fc in
-                  if Phistory.H.visible_length h = 0 then begin
+                  if Phistory.H.visible_length h = 0 then
                     (* Nothing of it was visible: a new key whose first
                        stamp, or a lost publication race whose clear, a
-                       crash cut off. Release it, the slot first. *)
-                    Codec.free_word heap (Pmem.Pblockchain.clear chain slot);
-                    Phistory.destroy heap h
-                  end
+                       crash cut off. *)
+                    Phistory.release heap chain h
                   else begin
                     if maxv > !highest then highest := maxv;
                     let key = Codec.decode (module K) media key_word in
@@ -223,7 +221,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
 
   let heap t = t.store.heap
 
-  (* A pass's or range drop's first step, quiesced: persist the floor
+  (* The sweep's first step, quiesced: persist the floor
      F = fc and a horizon of at least [h] in one line, so recovery
      counts every dropped stamp as present, kept records keep their
      stamps, and the pool never claims an event a drop may take. *)
@@ -233,83 +231,65 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     set_floor s.heap ~floor:(Version.fc t.ctx) ~horizon;
     Atomic.set s.horizon horizon
 
-  let free_values s raw ~upto =
-    for i = 0 to upto - 1 do
-      let _, word, _ = raw.(i) in
-      Codec.free_word s.heap word
-    done
+  (* In a quiesced store, the keys a sweep released: those still
+     indexed whose chain slot is a hole. *)
+  let released s _ h =
+    Pmem.Media.get_i64 s.media (Pmem.Pblockchain.history_word (Phistory.chain_slot h))
+    = Pmem.Pptr.null
 
-  (* Release whole keys, quiesced: [dead] maps chain slots, the
-     histories' handles, to histories and raw records. The slots are
-     cleared (persisted) before the key blobs, value blobs and history
-     storage are freed and the index nodes unlinked; with a [range],
-     which holds every dead key, only that range of the index is
-     swept. *)
-  let release ?range t dead =
+  (* The one GC sweep, for a pass and a range drop; runs with the store
+     quiesced (gate closed, in-flight drained, fc settled), so every
+     claimed record is stamped. It walks the index, all of it or
+     [range], and reads each history where it lies: [cut h] says how
+     many of its first records to drop, and no record is copied out.
+     Persist order is the crash-safety argument: (1) the floor and the
+     horizon ([raise_horizon]); (2) per key that keeps records, one root
+     swap of its chain slot's history word when it drops some or is
+     over-sized, and only after the swap the frees of its dropped blobs
+     and old segments ([Phistory.drop_prefix]); per key that keeps
+     none, the slot's clear, then the frees ([Phistory.release]);
+     (3) one [scrub] unlinks the released keys. A crash between any two
+     steps strands blocks at worst, which the next open's rebuild
+     frees, and never leaves a record pointing at freed storage.
+     Returns the records dropped. *)
+  let sweep ?range t ~horizon ~cut =
     let s = t.store in
-    if Hashtbl.length dead > 0 then begin
-      Pmem.Pblockchain.release_slots s.chain
-        (List.of_seq (Hashtbl.to_seq_keys dead))
-        ~on_release:(fun ~key -> Codec.free_word s.heap key);
-      Hashtbl.iter
-        (fun _ (h, raw) ->
-          free_values s raw ~upto:(Array.length raw);
-          Phistory.destroy s.heap h)
-        dead;
+    raise_horizon t horizon;
+    let dropped = ref 0 and emptied = ref false in
+    let visit _ h =
+      let first = cut h in
+      dropped := !dropped + first;
+      if first < Phistory.H.pending_length h then Phistory.drop_prefix s.heap h ~first
+      else begin
+        Phistory.release s.heap s.chain h;
+        emptied := true
+      end
+    in
+    (match range with
+    | None -> Concurrent.Skiplist.iter t.index visit
+    | Some (lo, hi) -> Concurrent.Skiplist.iter_range t.index ~lo ~hi visit);
+    if !emptied then
       Obs.Metric.add c_gc_scrubbed
-        (Concurrent.Skiplist.scrub ?range t.index ~dead:(fun _ h ->
-             Hashtbl.mem dead (Phistory.chain_slot h)))
-    end
-
-  (* The GC core; runs with the store quiesced (gate closed, in-flight
-     drained, fc settled). Persist order is the crash-safety argument:
-     (1) the floor and the horizon ([raise_horizon]); (2) per history
-     that drops records (a prefix: everything before the newest entry
-     at or below [before], and that entry too when it is a removal
-     marker) or is larger than its right size, one root swap of its
-     chain slot's history word ([Phistory.drop_prefix]); (3) only after
-     the swap, the dropped value blobs are freed. Keys whose history
-     empties out are released ([release]). A crash between any two
-     steps strands blocks at worst, which the next open's rebuild frees,
-     and never leaves a record pointing at freed storage. *)
-  let compact_quiesced t ~before =
-    let s = t.store in
-    raise_horizon t before;
-    let dropped = ref 0 in
-    let dead = Hashtbl.create 16 in
-    Concurrent.Skiplist.iter t.index (fun _ h ->
-        let raw = Phistory.scan_persisted s.heap h in
-        let n = Array.length raw in
-        (* Rightmost entry with version <= before, if any. *)
-        let floor_idx = ref (-1) in
-        Array.iteri
-          (fun i (version, _, _) -> if version <= before then floor_idx := i)
-          raw;
-        let first =
-          if !floor_idx < 0 then 0
-          else
-            let _, word, _ = raw.(!floor_idx) in
-            if Codec.is_marker word then !floor_idx + 1 else !floor_idx
-        in
-        dropped := !dropped + first;
-        if first = n then Hashtbl.replace dead (Phistory.chain_slot h) (h, raw)
-        else begin
-          Phistory.drop_prefix s.heap h ~first;
-          free_values s raw ~upto:first
-        end);
-    release t dead;
+        (Concurrent.Skiplist.scrub ?range t.index ~dead:(released s));
     !dropped
 
+  (* What a pass below [before] drops from a history, a prefix:
+     everything before its floor entry (the newest at or below
+     [before]), and the floor entry too when it is a removal marker. *)
+  let below heap ~before h =
+    match Phistory.H.floor_offline heap h ~version:before with
+    | -1 -> 0
+    | floor -> if Codec.is_marker (Phistory.H.value heap h floor) then floor + 1 else floor
+
   (* Online GC entry point (see interface). Serialises concurrent
-     compactions with a mutex, then runs the pass [quiesced]: with fc
-     settled at pc, the invariants of the offline pass hold. *)
+     compactions with a mutex, then runs the sweep [quiesced]. *)
   let compact t ~before =
     Mutex.protect t.store.gc_lock (fun () ->
         let pause0 = Obs.Clock.now_ns () in
         quiesced t @@ fun () ->
         let stats = Pmem.Pheap.stats t.store.heap in
         let live0 = Pmem.Pstats.live_bytes stats in
-        let dropped = compact_quiesced t ~before in
+        let dropped = sweep t ~horizon:before ~cut:(below t.store.heap ~before) in
         let live1 = Pmem.Pstats.live_bytes stats in
         Obs.Metric.incr c_gc_runs;
         Obs.Metric.add c_gc_dropped dropped;
@@ -317,19 +297,11 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
         Obs.Histogram.record h_gc_pause (Obs.Clock.now_ns () - pause0);
         dropped)
 
-  (* See the interface: a pass's first step, then every key of the
-     range released whole. *)
+  (* See the interface: the sweep over [lo, hi), releasing every key. *)
   let drop_range t ~lo ~hi ~horizon =
     Mutex.protect t.store.gc_lock @@ fun () ->
     quiesced t @@ fun () ->
-    raise_horizon t horizon;
-    let dead = Hashtbl.create 16 and dropped = ref 0 in
-    Concurrent.Skiplist.iter_range t.index ~lo ~hi (fun _ h ->
-        let raw = Phistory.scan_persisted t.store.heap h in
-        dropped := !dropped + Array.length raw;
-        Hashtbl.replace dead (Phistory.chain_slot h) (h, raw));
-    release ~range:(lo, hi) t dead;
-    !dropped
+    sweep ~range:(lo, hi) t ~horizon ~cut:Phistory.H.pending_length
 
   let retain t ~keep =
     if keep < 0 then invalid_arg "Pskiplist.retain: keep must be non-negative";
@@ -367,7 +339,15 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     gated t (fun () ->
         match Concurrent.Skiplist.find t.index key with
         | None -> [||]
-        | Some h -> Phistory.scan_persisted t.store.heap h)
+        | Some h ->
+            let heap = t.store.heap and segs = Phistory.H.segs h in
+            Array.init
+              (min (Phistory.H.pending_length h) (Phistory.Backend.capacity segs))
+              (fun slot ->
+                Phistory.Backend.
+                  ( read_version heap segs slot,
+                    read_value heap segs slot,
+                    read_stamp heap segs slot )))
 
   let horizon t = Atomic.get t.store.horizon
   let recovered_fc t = t.store.recovered_fc

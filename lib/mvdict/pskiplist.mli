@@ -41,6 +41,12 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
 
   val heap : t -> Pmem.Pheap.t
 
+  val tag_at : t -> int -> int
+  (** [tag_at t version] raises the version clock to at least
+      [version] in one step ({!Version.tag_at}) and returns the clock it
+      then reads: a clock already past [version] is only reported. The
+      wire's [Tag_at]. *)
+
   val compact : t -> before:int -> int
   (** Garbage-collect history entries no retained snapshot can observe
       (the aging/GC extension the paper leaves as future work): for each
@@ -122,8 +128,9 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
       order. Safe to replay after a crash mid-install. *)
 
   val history_words : t -> key -> (int * int * int) array
-  (** Raw persisted [(version, word, stamp)] records of a key's history
-      (test/diagnostic hook). *)
+  (** Raw [(version, word, stamp)] records of a key's claimed slots, as
+      persisted (test/diagnostic hook; an append in flight reads stamp
+      0). *)
 
   val recovered_fc : t -> int
   (** The finished-counter value recovered at [open_existing] time (0

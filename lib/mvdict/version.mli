@@ -28,6 +28,12 @@ val stamp : t -> int
 val tag : t -> int
 (** Commit a snapshot; returns its version number (1, 2, ...). *)
 
+val tag_at : t -> int -> int
+(** [tag_at t version] commits every snapshot up to [version] at once:
+    one compare-and-set loop raises the clock to [max clock version],
+    and the clock it leaves is returned. A clock already at or past
+    [version] is only read, never lowered. *)
+
 val current : t -> int
 (** Latest committed version (0 before the first {!tag}). *)
 

@@ -332,6 +332,7 @@ module Make (P : POLICY) = struct
         write_batch t m_remove_batch (List.map (fun k -> (k, ())) keys) ~word_of:marker_word
 
   let tag t = Version.tag t.ctx
+  let tag_at t version = Version.tag_at t.ctx version
   let current_version t = Version.current t.ctx
 
   let lookup_value t h version =

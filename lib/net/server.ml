@@ -286,21 +286,9 @@ let apply t (env : Wire.envelope) (req : Wire.request) : Wire.response =
       Wire.Values (Array.map (fun key -> S.find t.store ?version key) keys)
   | Wire.Tag -> Wire.Version (S.tag t.store)
   | Wire.Tag_at { version } ->
-      (* Advance the version clock until it reaches [version] and
-         answer whatever it then reads. A clock already past [version]
-         is answered as-is and left to the caller (the cluster router)
-         to flag as a conflict. The loop re-reads the clock so
-         concurrent taggers cannot push it past the target through
-         us. *)
-      let rec bump () =
-        let current = S.current_version t.store in
-        if current >= version then current
-        else begin
-          ignore (S.tag t.store);
-          bump ()
-        end
-      in
-      Wire.Version (bump ())
+      (* A clock already past [version] is answered as-is and left to
+         the caller (the cluster router) to flag as a conflict. *)
+      Wire.Version (S.tag_at t.store version)
   | Wire.History { key } -> Wire.Events (S.extract_history t.store key)
   | Wire.Registry_snap ->
       Wire.Snap_json

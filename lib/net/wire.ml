@@ -82,11 +82,11 @@ type request =
           polling from two terminals doesn't lose spans. *)
   | Slowlog of { n : int }  (** newest [n] slow-op log entries *)
   | Tag_at of { version : int }
-      (** Advance the store's version clock to [version] (positive) and
-          answer the resulting current version; a clock already past it
-          is only reported, never lowered. A cluster router broadcasts
-          the same [Tag_at] to every shard so all of them cut the
-          {e same} version number. *)
+      (** Raise the store's version clock to [version] (positive) in one
+          step, however far ahead, and answer the resulting current
+          version; a clock already past it is only reported, never
+          lowered. A cluster router broadcasts the same [Tag_at] to
+          every shard so all of them cut the {e same} version number. *)
   | Find_bulk of { keys : int array; version : int option }
       (** Look every key up in one frame; answered with {!Values} in
           input order. *)

@@ -354,4 +354,3 @@ let free_blocks t =
 let start t = t.start
 let reservation t = t.reserved
 let used_bytes t = t.cursor - t.start
-let remaining_bytes t = t.heap_end - t.cursor

@@ -123,5 +123,3 @@ val reservation : t -> int
 
 val used_bytes : t -> int
 (** Bytes between the start of the heap range and the cursor. *)
-
-val remaining_bytes : t -> int

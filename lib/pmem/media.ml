@@ -91,9 +91,6 @@ let close t =
 let capacity t = t.capacity
 let stats t = t.stats
 
-let is_file_backed t =
-  match t.backing with File _ -> true | Ram _ -> false
-
 let check_range t off len =
   if off < 0 || len < 0 || off + len > t.capacity then
     invalid_arg
@@ -124,18 +121,6 @@ let set_i64 t off v =
   | Map_buf b ->
       let w = Int64.of_int v in
       map_set64 b off (if Sys.big_endian then swap64 w else w)
-
-let get_byte t off =
-  check_range t off 1;
-  match t.buf with
-  | Ram_buf b -> Char.code (Bytes.unsafe_get b off)
-  | Map_buf b -> Char.code (Array1.unsafe_get b off)
-
-let set_byte t off v =
-  check_range t off 1;
-  match t.buf with
-  | Ram_buf b -> Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff))
-  | Map_buf b -> Array1.unsafe_set b off (Char.unsafe_chr (v land 0xff))
 
 let read_bytes t off len =
   check_range t off len;

@@ -54,7 +54,6 @@ val close : t -> unit
 
 val capacity : t -> int
 val stats : t -> Pstats.t
-val is_file_backed : t -> bool
 
 (** {1 Typed accessors} — offsets are byte offsets; int64 accessors require
     8-byte alignment (checked by assertion). *)
@@ -63,9 +62,6 @@ val get_i64 : t -> int -> int
 val set_i64 : t -> int -> int -> unit
 (** Values are OCaml ints stored as little-endian 64-bit words (the top
     bit is never used by the layouts above). *)
-
-val get_byte : t -> int -> int
-val set_byte : t -> int -> int -> unit
 
 val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit

@@ -188,6 +188,11 @@ let free_slots t offs =
   t.free <- List.rev_append offs t.free;
   Mutex.unlock t.free_lock
 
+(* Nulling the (persisted) history word turns the slot into an
+   ordinary hole: a crash before the caller frees what the slot pointed
+   at strands those blocks (freed by the next open's rebuild), never a
+   dangling pointer. A hole's key word is left as it was: every reader
+   tests the history word first, and [claim] rewrites the key word. *)
 let clear t off =
   let key = Media.get_i64 t.media off in
   set_hist t off Pptr.null;
@@ -220,16 +225,6 @@ let iter_slots t f =
   Array.iter
     (fun block -> iter_block t block (fun ~slot:_ ~key ~hist -> f ~key ~hist))
     (block_offsets t)
-
-(* GC entry point. Nulling the (persisted) history word turns the slot
-   into an ordinary hole — a crash part-way through leaves holes and
-   orphaned key/history blocks (freed by the next open's rebuild), never
-   dangling pointers. A hole's key word is left as it was: every reader
-   tests the history word first, and [claim] rewrites the key word.
-   The caller must hold off concurrent claims and readers (the store
-   quiesces around compaction). *)
-let release_slots t slots ~on_release =
-  List.iter (fun off -> on_release ~key:(clear t off)) slots
 
 let free_slot_count t =
   Mutex.lock t.free_lock;

@@ -56,20 +56,15 @@ val history_word : Pptr.t -> Pptr.t
 
 val clear : t -> Pptr.t -> int
 (** [clear t slot] nulls and persists a slot's history word, making it
-    a hole again, frees the slot for reuse and returns its key word.
-    What the slot pointed at may be freed once the clear is durable. *)
+    a hole again, frees the slot for reuse and returns its key word,
+    left as it was: no reader looks past a hole's null history word.
+    What the slot pointed at may be freed once the clear is durable.
+    Releasing a key whose history readers may hold is the caller's to
+    quiesce. *)
 
 val claimed : t -> int
 (** Number of slots claimed so far (upper bound on live slots). Slot
-    reuse via {!release_slots} and {!clear} does not grow this. *)
-
-val release_slots : t -> Pptr.t list -> on_release:(key:int -> unit) -> unit
-(** [release_slots t slots ~on_release] releases each of [slots], in
-    order: it {!clear}s the slot, then calls [on_release] on its key
-    word (e.g. to free a key blob). The key word stays as it was: no
-    reader looks past a hole's null history word.
-    NOT safe concurrently with appends or readers — the caller must
-    quiesce the store first. *)
+    reuse after {!clear} does not grow this. *)
 
 val free_slot_count : t -> int
 (** Released/holed slots currently available for reuse (test hook). *)

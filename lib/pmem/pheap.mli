@@ -12,9 +12,6 @@
 
 type t
 
-val root_slots : int
-(** Number of root slots (16). *)
-
 val layout_version : int
 (** The heap layout this build reads and writes ({!open_existing}). *)
 
@@ -50,7 +47,7 @@ val allocator : t -> Alloc.t
 val stats : t -> Pstats.t
 
 val root_get : t -> int -> Pptr.t
-(** Read root slot [i] (0 <= i < {!root_slots}); {!Pptr.null} if unset. *)
+(** Read root slot [i] (0 <= i < 16); {!Pptr.null} if unset. *)
 
 val root_set : t -> int -> Pptr.t -> unit
 (** Atomically persist root slot [i]. *)

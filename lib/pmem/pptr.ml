@@ -3,7 +3,3 @@ type t = int
 let null = 0
 let is_null p = p = 0
 let align8 n = (n + 7) land lnot 7
-
-let pp fmt p =
-  if p = 0 then Format.pp_print_string fmt "null"
-  else Format.fprintf fmt "@0x%x" p

@@ -13,5 +13,3 @@ val is_null : t -> bool
 
 val align8 : int -> int
 (** Round a size or offset up to 8-byte alignment. *)
-
-val pp : Format.formatter -> t -> unit

@@ -93,7 +93,8 @@ let free heap s =
 (* The new segment is written whole before one persist: a fresh block
    is durable zero, so only its capacity word and the kept records need
    it; a recycled one also gets its link word and the slots past the
-   kept records zeroed, and is persisted whole. *)
+   kept records zeroed, and is persisted whole. The old chain stays
+   allocated, so the caller can still read it after the swap. *)
 let shrink_offline heap ~root_word s ~capacity:c ~first ~keep =
   if c < 1 || first < 0 || keep < 0 || keep > c || first + keep > capacity s then
     invalid_arg "Pvector.shrink_offline";
@@ -114,7 +115,6 @@ let shrink_offline heap ~root_word s ~capacity:c ~first ~keep =
   else Media.persist media (seg + 8) (8 + (record_bytes * keep));
   Media.set_i64 media root_word seg;
   Media.persist media root_word 8;
-  free heap s;
   [| c; seg |]
 
 let get_word heap s ~record ~word =

@@ -74,7 +74,8 @@ val shrink_offline :
     recycled one whole, its link word and the slots past the kept
     records zeroed), then the root swap: [root_word], the offset of the
     word holding the vector's root, is set to the new segment and
-    persisted. Only then is the old chain freed, so a crash leaves
+    persisted. The old chain [s] is left allocated and readable: the
+    caller frees it ({!free}) once this returns, so a crash leaves
     either the old records or the new ones, and the next open's
     {!Alloc.rebuild} frees whichever segments are unreachable. Offline
     only: safe solely while no concurrent reader or writer can use the

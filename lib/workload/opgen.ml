@@ -3,14 +3,12 @@ type op =
   | Remove of int
   | Find of int * int
   | History of int
-  | Snapshot of int
 
 let pp_op fmt = function
   | Insert (k, v) -> Format.fprintf fmt "insert(%d, %d)" k v
   | Remove k -> Format.fprintf fmt "remove(%d)" k
   | Find (k, ver) -> Format.fprintf fmt "find(%d, v%d)" k ver
   | History k -> Format.fprintf fmt "history(%d)" k
-  | Snapshot ver -> Format.fprintf fmt "snapshot(v%d)" ver
 
 let insert_phase ~keys ~values ~threads =
   if Array.length keys <> Array.length values then
@@ -33,10 +31,5 @@ let query_phase ~seed ~keys ~queries ~max_version ~kind ~threads =
           match kind with
           | `Find -> Find (key, Mt19937.next_int rng (max_version + 1))
           | `History -> History key))
-
-let snapshot_phase ~seed ~max_version ~threads =
-  Array.init threads (fun tid ->
-      let rng = Mt19937.create_by_array (Keygen.thread_seed ~base:seed ~node:0 ~thread:tid) in
-      [| Snapshot (Mt19937.next_int rng (max_version + 1)) |])
 
 let count trace = Array.fold_left (fun acc ops -> acc + Array.length ops) 0 trace

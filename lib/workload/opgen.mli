@@ -9,7 +9,6 @@ type op =
   | Remove of int                (** key *)
   | Find of int * int            (** key, version *)
   | History of int               (** key *)
-  | Snapshot of int              (** version *)
 
 val pp_op : Format.formatter -> op -> unit
 
@@ -26,10 +25,6 @@ val query_phase :
 (** Sec. V-E: each thread draws [queries/threads] random keys out of the
     key population and issues a find (with a random version in
     [0, max_version]) or a history query. *)
-
-val snapshot_phase : seed:int -> max_version:int -> threads:int -> op array array
-(** Sec. V-F: one extract-snapshot per thread at a random version (weak
-    scaling: the per-thread work is one full scan). *)
 
 val count : op array array -> int
 (** Total number of operations in a trace. *)

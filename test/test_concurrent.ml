@@ -43,26 +43,6 @@ let skiplist_sorted_iteration () =
   check_bool "ascending with right values" true !ok;
   check_int "iterated all" 2000 !count
 
-let skiplist_iter_from () =
-  let s = int_skiplist () in
-  List.iter
-    (fun k -> ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k)))
-    [ 1; 5; 9; 13 ];
-  let seen = ref [] in
-  Concurrent.Skiplist.iter_from s 6 (fun k _ -> seen := k :: !seen);
-  Alcotest.(check (list int)) "suffix from 6" [ 9; 13 ] (List.rev !seen);
-  let seen = ref [] in
-  Concurrent.Skiplist.iter_from s 5 (fun k _ -> seen := k :: !seen);
-  Alcotest.(check (list int)) "inclusive bound" [ 5; 9; 13 ] (List.rev !seen)
-
-let skiplist_fold () =
-  let s = int_skiplist () in
-  List.iter
-    (fun k -> ignore (Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> k)))
-    [ 4; 2; 8 ];
-  check_int "fold sum" 14
-    (Concurrent.Skiplist.fold s ~init:0 ~f:(fun acc _ v -> acc + v))
-
 let skiplist_make_called_once () =
   let s = int_skiplist () in
   let calls = ref 0 in
@@ -297,10 +277,9 @@ let qcheck_skiplist_vs_map =
           | None -> ignore (Concurrent.Skiplist.find s k))
         ops;
       (* Same cardinality, same sorted association list. *)
-      let from_skiplist =
-        List.rev (Concurrent.Skiplist.fold s ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-      in
-      from_skiplist = IntMap.bindings !model)
+      let from_skiplist = ref [] in
+      Concurrent.Skiplist.iter s (fun k v -> from_skiplist := (k, v) :: !from_skiplist);
+      List.rev !from_skiplist = IntMap.bindings !model)
 
 (* Red-black tree *)
 
@@ -472,25 +451,6 @@ let parallel_exception_propagates () =
       ignore
         (Concurrent.Parallel.run ~threads:4 (fun tid ->
              if tid = 2 then failwith "worker 2")))
-
-let parallel_iter_chunks () =
-  let a = Array.init 10 (fun i -> i) in
-  let sums = Array.make 3 0 in
-  Concurrent.Parallel.iter_chunks ~threads:3 a (fun tid chunk ->
-      sums.(tid) <- Array.fold_left ( + ) 0 chunk);
-  check_int "total preserved" 45 (Array.fold_left ( + ) 0 sums)
-
-let parallel_barrier () =
-  let await = Concurrent.Parallel.make_barrier ~parties:3 in
-  let phase = Atomic.make 0 in
-  let results =
-    Concurrent.Parallel.run ~threads:3 (fun _ ->
-        ignore (Atomic.fetch_and_add phase 1);
-        await ();
-        (* After the barrier every domain must observe all increments. *)
-        Atomic.get phase)
-  in
-  Array.iter (fun seen -> check_int "all arrived before release" 3 seen) results
 
 let backoff_bounded () =
   let b = Concurrent.Backoff.create ~min:1 ~max:4 () in
@@ -674,8 +634,6 @@ let () =
           Alcotest.test_case "empty" `Quick skiplist_empty;
           Alcotest.test_case "insert/find" `Quick skiplist_insert_find;
           Alcotest.test_case "sorted iteration" `Quick skiplist_sorted_iteration;
-          Alcotest.test_case "iter_from" `Quick skiplist_iter_from;
-          Alcotest.test_case "fold" `Quick skiplist_fold;
           Alcotest.test_case "make called once" `Quick skiplist_make_called_once;
           Alcotest.test_case "concurrent disjoint inserts" `Quick
             skiplist_concurrent_disjoint_inserts;
@@ -716,8 +674,6 @@ let () =
           Alcotest.test_case "results in order" `Quick parallel_results_in_order;
           Alcotest.test_case "single thread inline" `Quick parallel_single_thread_inline;
           Alcotest.test_case "exception propagates" `Quick parallel_exception_propagates;
-          Alcotest.test_case "iter_chunks" `Quick parallel_iter_chunks;
-          Alcotest.test_case "barrier" `Quick parallel_barrier;
           Alcotest.test_case "backoff" `Quick backoff_bounded;
           Alcotest.test_case "backoff jitter decorrelates" `Quick
             backoff_jitter_decorrelated;

@@ -1629,7 +1629,9 @@ let crash_after_concurrent_inserts () =
    in proportion to the keys that drop them. A dropping key here keeps
    one record: its new segment is persisted once (its capacity word and
    the record, 1 or 2 lines) and its root swap once (1 line), and the
-   frees of its old segments and blobs write nothing. *)
+   frees of its old segments and blobs write nothing. A pass reads each
+   history where it lies, so one that drops nothing allocates nothing
+   per key. *)
 let compaction_pass_cost () =
   let pass ~keys ~dropping =
     let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
@@ -1665,7 +1667,21 @@ let compaction_pass_cost () =
     [ 64; 1024 ];
   let few, _ = pass ~keys:1024 ~dropping:8 and many, _ = pass ~keys:1024 ~dropping:32 in
   check_bool (Printf.sprintf "lines grow with dropping keys: %d < %d" few many) true
-    (few < many)
+    (few < many);
+  let keys = 10_000 in
+  let t = PStore.create (Pmem.Pheap.create_ram ~capacity:(1 lsl 24) ()) in
+  for v = 1 to 4 do
+    PStore.insert_batch t (List.init keys (fun k -> (k, v)));
+    ignore (PStore.tag t)
+  done;
+  let w0 = Gc.minor_words () in
+  let dropped = PStore.compact t ~before:1 in
+  let per_key = (Gc.minor_words () -. w0) /. float_of_int keys in
+  check_int "a pass below version 1 drops nothing" 0 dropped;
+  check_bool
+    (Printf.sprintf "%d keys x 4 versions, nothing dropped: %.2f minor words per key, < 1"
+       keys per_key)
+    true (per_key < 1.0)
 
 (* The horizon is the highest [before] a pass used and survives a
    reopen. A pool reopened but never compacted records 0 with its first

@@ -943,7 +943,13 @@ let e2e_tag_at_find_bulk () =
       let vs0 = Net.Client.find_bulk client ~version:3 keys in
       check_bool "bulk at a version" true (vs0 = vs);
       check_bool "empty bulk" true (Net.Client.find_bulk client [||] = [||]);
-      Net.Client.close client)
+      Net.Client.close client;
+      (* a far target is one step, not one tag per version between *)
+      let far = Net.Client.connect ~retries:0 ~timeout_ms:2_000 addr in
+      let target = Store.current_version store + 1_000_000_000 in
+      check_int "tag_at 10^9 versions ahead, within 2 s" target
+        (Net.Client.tag_at far ~version:target);
+      Net.Client.close far)
 
 let e2e_compact_retention () =
   with_server (fun store _server addr ->

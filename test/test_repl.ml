@@ -812,11 +812,11 @@ let behind_the_horizon () =
   check_int "the released keys are gone from the backup" 7 (Store.key_count b_store);
   check_int "one catch-up emptied the backup" 1 (counter "repl.catchup_resets" - resets)
 
-(* A GC pass on the primary between two pages of one catch-up. The
-   relay runs it before passing the first page on, after the chain
-   pulled that page above the backup's clock 1, and it releases keys
-   whose removal markers belong to the last page. The copy must be redone
-   from an emptied backup, or those keys stay live there. *)
+(* A GC pass on the primary while a catch-up's page is in flight. The
+   relay runs it before passing the page on, after the chain pulled
+   that page above the backup's clock 1, and it releases keys whose
+   removal markers the page carries. The copy must be redone from an
+   emptied backup, or those keys stay live there. *)
 let gc_during_the_copy () =
   with_cleanup @@ fun defer ->
   let path role = sock_path ("gcmid_" ^ role) in
@@ -834,7 +834,8 @@ let gc_during_the_copy () =
   Net.Client.insert_batch client (List.init n (fun k -> (k, k)));
   ignore (Net.Client.tag client);
   partition relay;
-  (* 3,000 events above version 1: three pages of at most 1,024 *)
+  (* 3,100 events above version 1: one page of at most
+     Net.Client.copy_page (4,096) *)
   Net.Client.insert_batch client (List.init n (fun k -> (k, -k)));
   Net.Client.remove_batch client (List.init 100 (fun i -> n - 100 + i));
   for _ = 1 to 20 do
@@ -844,7 +845,7 @@ let gc_during_the_copy () =
   let chunks = ref 0 in
   Atomic.set relay.tap (fun () ->
       incr chunks;
-      (* chunk 1 is the clock probe, chunk 2 the first page *)
+      (* chunk 1 is the clock probe, chunk 2 the page *)
       if !chunks = 2 then ignore (Store.retain p_store ~keep:2));
   let resets = counter "repl.catchup_resets" in
   Repl.Chain.tick chain;
