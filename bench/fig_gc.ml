@@ -16,7 +16,9 @@
 
    After the retained run's final retain, one more pass drops nothing:
    its time and minor words per key are what a pass costs a store with
-   no garbage, all of it with the store's gate closed.
+   no garbage, all of it with the store's gate closed. Then one more
+   overwrite round, and the pass that drops the oldest record of every
+   key: it frees a blob and rewrites a history per key.
 
    Results land as gc.bench.* gauges in BENCH_gc.json next to the
    gc.pause_ns histogram and the gc.* counters the store itself
@@ -75,12 +77,17 @@ let run_retained ~keys ~rounds heap =
   ignore (Store.retain store ~keep:keep_versions);
   let wall = Unix.gettimeofday () -. t0 in
   let live = live_bytes heap in
-  let w0 = Gc.minor_words () and p0 = Unix.gettimeofday () in
+  (* A retain's milliseconds and minor words per key. *)
+  let timed_pass () =
+    let w0 = Gc.minor_words () and p0 = Unix.gettimeofday () in
+    ignore (Store.retain store ~keep:keep_versions);
+    (1e3 *. (Unix.gettimeofday () -. p0), (Gc.minor_words () -. w0) /. float_of_int keys)
+  in
   (* No tag since the last retain: the same horizon, nothing to drop. *)
-  ignore (Store.retain store ~keep:keep_versions);
-  let idle_ms = 1e3 *. (Unix.gettimeofday () -. p0) in
-  let idle_words = (Gc.minor_words () -. w0) /. float_of_int keys in
-  (working_set, live, float_of_int (keys * rounds) /. wall, idle_ms, idle_words)
+  let idle = timed_pass () in
+  one_round store ~keys ~round:(rounds + 1);
+  let rewrite = timed_pass () in
+  (working_set, live, float_of_int (keys * rounds) /. wall, idle, rewrite)
 
 let run_unretained ~keys ~rounds heap =
   let store = Store.create heap in
@@ -104,7 +111,11 @@ let run ~keys ~rounds =
     keys rounds keep_versions;
   let capacity = max (1 lsl 24) (keys * rounds * 256) in
   let retained_heap = Pmem.Pheap.create_ram ~capacity () in
-  let working_set, retained_final, retained_ops, idle_pass_ms, idle_pass_words_per_key =
+  let ( working_set,
+        retained_final,
+        retained_ops,
+        (idle_pass_ms, idle_pass_words_per_key),
+        (rewrite_pass_ms, rewrite_pass_words_per_key) ) =
     run_retained ~keys ~rounds retained_heap
   in
   let unretained_heap = Pmem.Pheap.create_ram ~capacity () in
@@ -120,6 +131,9 @@ let run ~keys ~rounds =
   set "gc.bench.idle_pass_us" (int_of_float (1e3 *. idle_pass_ms));
   set "gc.bench.idle_pass_minor_words_per_key"
     (int_of_float (Float.round idle_pass_words_per_key));
+  set "gc.bench.rewrite_pass_us" (int_of_float (1e3 *. rewrite_pass_ms));
+  set "gc.bench.rewrite_pass_minor_words_per_key"
+    (int_of_float (Float.round rewrite_pass_words_per_key));
   Printf.printf "   %-12s %14s %14s %12s\n" "run" "first (B)" "final (B)" "ops/s";
   Printf.printf "   %-12s %14d %14d %12.0f\n" "retained" working_set retained_final
     retained_ops;
@@ -127,6 +141,8 @@ let run ~keys ~rounds =
     unretained_final unretained_ops;
   Printf.printf "   a pass that drops nothing: %.3f ms, %.2f minor words per key\n"
     idle_pass_ms idle_pass_words_per_key;
+  Printf.printf "   a pass that rewrites every key: %.3f ms, %.2f minor words per key\n"
+    rewrite_pass_ms rewrite_pass_words_per_key;
   Printf.printf "   [shape] retained plateau: %d < 2x working set %d -> %b\n"
     retained_final (2 * working_set)
     (retained_final < 2 * working_set);

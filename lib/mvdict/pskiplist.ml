@@ -160,11 +160,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     let marks = Pmem.Alloc.marks alloc in
     Pmem.Pblockchain.mark chain marks;
     let floor = Pmem.Pheap.root_get heap floor_root_slot in
-    (* A floor with no horizon beside it: a build that recorded none
-       compacted or reopened this pool, so any version up to its clock
-       may be gone. *)
-    let recorded = Pmem.Pheap.root_get heap horizon_root_slot - 1 in
-    let unknown = recorded < 0 && floor > 0 in
+    let horizon = max 0 (Pmem.Pheap.root_get heap horizon_root_slot - 1) in
     (* Every stamp is a word of the pool, so its words bound the count. *)
     let stamps =
       Recovery.stamps ~floor
@@ -181,9 +177,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
     (* Pass 2 prunes the records behind an unstamped slot, stamps <= fc
        among them, so the floor moves up to fc first: the next open must
        not find a gap there and prune below fc. *)
-    if fc > floor then
-      if unknown then Pmem.Pheap.root_set heap floor_root_slot fc
-      else set_floor heap ~floor:fc ~horizon:(max recorded 0);
+    if fc > floor then set_floor heap ~floor:fc ~horizon;
     (* Pass 2 — prune beyond [fc] and rebuild the index in parallel:
        thread [tid] claims the chain blocks with index = tid mod threads
        and bulk-inserts their keys. *)
@@ -214,7 +208,6 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
           !highest)
     in
     let clock = Array.fold_left max 0 max_versions in
-    let horizon = if unknown then clock else max recorded 0 in
     let t = make_store heap chain index (Version.restore ~clock ~fc) fc ~horizon in
     Obs.Instr.finish m_recover t0;
     t

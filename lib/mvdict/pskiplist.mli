@@ -97,9 +97,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) : sig
   (** The compaction horizon: the highest [before] any {!compact} of
       this pool used (0 if none), persisted before the pass drops
       anything. No event above it was ever dropped; one at or below it
-      may have been. A pool with a stamp floor but no recorded horizon
-      (compacted or reopened by a build that kept none) reads its clock
-      at open. *)
+      may have been. *)
 
   val pull_chains :
     t ->

@@ -124,9 +124,11 @@ let rounded_size size =
   let c = class_of_size size in
   if c < num_classes then size_classes.(c) else Pptr.align8 size
 
-let with_lock t f =
+(* [f t a b] under the lock. [take] and [free] pass toplevel functions,
+   so their lock sections build no closure. *)
+let locked t f a b =
   Mutex.lock t.lock;
-  match f () with
+  match f t a b with
   | result ->
       Mutex.unlock t.lock;
       result
@@ -216,24 +218,24 @@ let cut t size =
 let check_live t fn =
   if t.retired then invalid_arg ("Alloc." ^ fn ^ ": allocator retired by a reopen")
 
-(* A block of [rounded_size size] bytes, and whether it came off a free
-   list (and so may hold stale bytes). A class request whose list is
-   empty splits an oversized free block before it cuts fresh memory. *)
+(* A block of [rounded] bytes, and whether it came off a free list (and
+   so may hold stale bytes). A class request whose list is empty splits
+   an oversized free block before it cuts fresh memory. Lock held. *)
+let take_locked t size rounded =
+  check_live t "alloc";
+  let recycled =
+    let c = class_of_size size in
+    if c = num_classes then take_big t rounded
+    else
+      let off = pop t.classes.(c) in
+      if Pptr.is_null off then take_big t rounded else off
+  in
+  if Pptr.is_null recycled then (cut t rounded, false) else (recycled, true)
+
 let take t size =
   if size <= 0 then invalid_arg "Alloc.alloc: size must be positive";
   let rounded = rounded_size size in
-  let block =
-    with_lock t (fun () ->
-        check_live t "alloc";
-        let recycled =
-          let c = class_of_size size in
-          if c = num_classes then take_big t rounded
-          else
-            let off = pop t.classes.(c) in
-            if Pptr.is_null off then take_big t rounded else off
-        in
-        if Pptr.is_null recycled then (cut t rounded, false) else (recycled, true))
-  in
+  let block = locked t take_locked size rounded in
   Pstats.record_alloc (Media.stats t.media) ~bytes:rounded;
   block
 
@@ -248,17 +250,19 @@ let alloc_zeroed t size =
   let off, recycled = take t size in
   if recycled then begin
     let n = rounded_size size in
-    Media.fill t.media off n '\000';
+    Media.zero t.media off n;
     Media.persist_now t.media off n
   end;
   off
 
+let free_locked t ptr rounded =
+  check_live t "free";
+  release t ptr rounded
+
 let free t ptr size =
   if Pptr.is_null ptr then invalid_arg "Alloc.free: null pointer";
   let rounded = rounded_size size in
-  with_lock t (fun () ->
-      check_live t "free";
-      release t ptr rounded);
+  locked t free_locked ptr rounded;
   Pstats.record_free (Media.stats t.media) ~bytes:rounded
 
 (* ---- rebuild at open ---- *)
@@ -328,7 +332,7 @@ let sweep t m =
   !freed
 
 let rebuild t m =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_live t "rebuild";
       if m.lo = t.start && m.hi = t.swept_end && m.hi > m.lo then begin
         let freed = sweep t m in
@@ -338,7 +342,7 @@ let rebuild t m =
       end)
 
 let free_blocks t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let acc = ref [] in
       Array.iteri
         (fun c s ->

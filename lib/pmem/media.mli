@@ -1,22 +1,23 @@
 (** Byte-addressable persistent-memory device emulation.
 
     This is the bottom of the substrate that replaces Intel PMDK's mapped
-    persistent memory. A media is a flat byte range addressed by offsets,
-    backed either by RAM (volatile, optionally with crash simulation) or
-    by a memory-mapped file (survives process restart, like the paper's
-    [/dev/shm] PMDK pool).
+    persistent memory. A media is one word-addressed buffer of bytes
+    addressed by offsets: RAM (volatile, optionally with crash
+    simulation) or a memory-mapped file (survives process restart, like
+    the paper's [/dev/shm] PMDK pool). Both kinds share every access and
+    durability path.
 
     Durability model: a store becomes durable only once the cache lines
-    covering it have been {!flush}ed and a {!fence} issued — exactly the
-    [clwb + sfence] discipline of real persistent memory. The line
-    ({!cache_line}) is the unit: a flush makes a whole line durable at
-    once, and stores by one domain to one line reach it in program order.
-    In [crash_sim:true] mode the media keeps a shadow "durable image":
-    {!simulate_crash} discards every write that was not flushed, which is
-    how the test suite proves crash consistency of the layouts above.
-    Flushes copy whole lines into the shadow under one lock per media, so
-    domains flushing neighbouring words of a line never drop each
-    other's.
+    covering it have been {!persist}ed — a flush of those lines followed
+    by a store fence, exactly the [clwb + sfence] discipline of real
+    persistent memory. The line ({!cache_line}) is the unit: a flush
+    makes a whole line durable at once, and stores by one domain to one
+    line reach it in program order. In [crash_sim:true] mode the media
+    keeps a shadow "durable image": {!simulate_crash} discards every
+    write that was not flushed, which is how the test suite proves crash
+    consistency of the layouts above. Flushes copy whole lines into the
+    shadow, a word at a time, under one lock per media, so domains
+    flushing neighbouring words of a line never drop each other's.
 
     Concurrency: distinct byte ranges may be written by different domains
     concurrently. Same-word racing accesses must be coordinated by the
@@ -30,7 +31,7 @@ val cache_line : int
 
 val create_ram : ?crash_sim:bool -> capacity:int -> unit -> t
 (** Volatile backing of [capacity] bytes, zero-initialised. With
-    [crash_sim] a durable shadow image is maintained by {!flush}. *)
+    [crash_sim] a durable shadow image is maintained by every flush. *)
 
 val create_file : path:string -> capacity:int -> t
 (** Create (truncating) a file-backed media of [capacity] bytes. Takes
@@ -65,19 +66,17 @@ val set_i64 : t -> int -> int -> unit
 
 val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
-val fill : t -> int -> int -> char -> unit
+
+val zero : t -> int -> int -> unit
+(** [zero t off len] stores zero words over [\[off, off+len)]; [off] and
+    [len] must be multiples of 8 (checked by assertion). *)
 
 (** {1 Durability} *)
 
-val flush : t -> int -> int -> unit
-(** [flush t off len] makes the cache lines covering [off, off+len)
-    durable (updates the shadow image in crash-sim mode; counts lines). *)
-
-val fence : t -> unit
-(** Store fence; orders flushes. Counted. *)
-
 val persist : t -> int -> int -> unit
-(** [flush] followed by [fence]. *)
+(** [persist t off len] flushes the cache lines covering [off, off+len)
+    (updating the shadow image in crash-sim mode) and issues a fence.
+    Counts the lines in [flushed_lines] and one fence ({!Pstats}). *)
 
 val persist_now : t -> int -> int -> unit
 (** {!persist} that takes effect at once, even inside a {!with_batch}
@@ -101,14 +100,15 @@ val persist_before : t -> int -> commit:int -> unit
     install: inside {!with_batch} the calling domain's flushes are
     deferred and deduplicated per cache line and its fences are merely
     counted; each {!batch_barrier} (and scope exit) then issues one
-    flush pass over the distinct dirty lines and one fence per touched
-    media, crediting the eliminated work to {!Pstats} as
-    [flushes_saved]/[fences_saved]. The crash-sim shadow is only
-    updated at the barrier, so a simulated crash mid-batch loses the
-    whole unfenced suffix — callers must not expose batch effects
-    before the closing barrier. Scopes are per-domain; other domains
-    flush and fence eagerly as usual, and {!persist_now} bypasses the
-    scope. *)
+    flush pass over the distinct dirty lines and one fence, crediting
+    the eliminated work to {!Pstats} as [flushes_saved]/[fences_saved].
+    The crash-sim shadow is only updated at the barrier, so a simulated
+    crash mid-batch loses the whole unfenced suffix — callers must not
+    expose batch effects before the closing barrier. A scope defers the
+    persists of one media at a time: a persist to another media drains
+    the scope first (a barrier), so every persist stays ordered after
+    the ones before it. Scopes are per-domain; other domains flush and
+    fence eagerly as usual, and {!persist_now} bypasses the scope. *)
 
 val with_batch : (unit -> 'a) -> 'a
 (** Run [f] with deferred persistence on this domain, draining the
@@ -117,7 +117,7 @@ val with_batch : (unit -> 'a) -> 'a
 
 val batch_barrier : unit -> unit
 (** Drain the current domain's batch scope now: flush distinct dirty
-    lines, issue one fence per touched media, credit savings. Needed
+    lines, issue one fence, credit savings. Needed
     mid-batch when a later write phase must be ordered after an earlier
     one (e.g. stamping entries only after their payloads are durable).
     No-op outside {!with_batch}. *)

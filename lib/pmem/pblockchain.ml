@@ -199,16 +199,21 @@ let clear t off =
   free_slots t [ off ];
   key
 
-let block_count t =
-  let c = claimed t in
-  if c = 0 then 1 else ((c - 1) / t.block_slots) + 1
+(* The published cells form a prefix: an owner publishes block [i] only
+   after block [i - 1]. After [attach] the prefix is every linked block,
+   a tail whose slots are all holes included, so [mark] keeps it live. *)
+let published_count table =
+  let rec count n =
+    if n < Array.length table && not (Pptr.is_null (Atomic.get table.(n))) then count (n + 1)
+    else n
+  in
+  count 0
+
+let block_count t = published_count (Atomic.get t.blocks)
 
 let block_offsets t =
-  let n = block_count t in
-  Array.init n (fun i ->
-      let off = published t i in
-      assert (not (Pptr.is_null off));
-      off)
+  let table = Atomic.get t.blocks in
+  Array.init (published_count table) (fun i -> Atomic.get table.(i))
 
 let mark t marks =
   Alloc.mark marks t.header_off header_size;

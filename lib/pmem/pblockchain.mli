@@ -70,10 +70,12 @@ val free_slot_count : t -> int
 (** Released/holed slots currently available for reuse (test hook). *)
 
 val block_count : t -> int
+(** Number of published blocks ({!block_offsets}). *)
 
 val block_offsets : t -> Pptr.t array
 (** Snapshot of the published block offsets, in chain order — the unit of
-    distribution for parallel reconstruction. *)
+    distribution for parallel reconstruction. After {!attach} it lists
+    every linked block, a tail whose slots are all holes included. *)
 
 val mark : t -> Alloc.marks -> unit
 (** Mark the header and every block as live, for {!Alloc.rebuild}. *)

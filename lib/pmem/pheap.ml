@@ -17,8 +17,11 @@ let magic = 0x4d564b565f504d00 land max_int (* "MVKV_PM" *)
    free space is rebuilt from its roots at open; a version-3 pool keeps
    a bump pointer and persisted free-list heads there. Version 5 roots a
    history at its key-chain slot, whose history word points at the first
-   segment; a version-4 slot points at a header that points at it. *)
-let layout_version = 5
+   segment; a version-4 slot points at a header that points at it.
+   Version 6 pools always hold the compaction horizon beside the stamp
+   floor (root slots 1 and 2, written together); a version-5 pool may
+   hold a floor alone, which a build that recorded no horizon left. *)
+let layout_version = 6
 let root_slots = 16
 let roots_off = 24
 let alloc_base = 192

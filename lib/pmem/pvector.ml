@@ -90,11 +90,12 @@ let free heap s =
     Alloc.free alloc s.(k + 1) (segment_bytes ~k ~records:(segment_records s k))
   done
 
-(* The new segment is written whole before one persist: a fresh block
-   is durable zero, so only its capacity word and the kept records need
-   it; a recycled one also gets its link word and the slots past the
-   kept records zeroed, and is persisted whole. The old chain stays
-   allocated, so the caller can still read it after the swap. *)
+(* The new segment is written whole, each kept record copied as its
+   three words, before one persist: a fresh block is durable zero, so
+   only its capacity word and the kept records need it; a recycled one
+   also gets its link word and the slots past the kept records zeroed,
+   and is persisted whole. The old chain stays allocated, so the caller
+   can still read it after the swap. *)
 let shrink_offline heap ~root_word s ~capacity:c ~first ~keep =
   if c < 1 || first < 0 || keep < 0 || keep > c || first + keep > capacity s then
     invalid_arg "Pvector.shrink_offline";
@@ -104,12 +105,14 @@ let shrink_offline heap ~root_word s ~capacity:c ~first ~keep =
   let records = seg + (8 * first_words) in
   Media.set_i64 media (seg + 8) c;
   for i = 0 to keep - 1 do
-    Media.write_bytes media (records + (record_bytes * i))
-      (Media.read_bytes media (record_off s (first + i)) record_bytes)
+    let src = record_off s (first + i) and dst = records + (record_bytes * i) in
+    for w = 0 to record_words - 1 do
+      Media.set_i64 media (dst + (8 * w)) (Media.get_i64 media (src + (8 * w)))
+    done
   done;
   if recycled then begin
     Media.set_i64 media seg Pptr.null;
-    Media.fill media (records + (record_bytes * keep)) (record_bytes * (c - keep)) '\000';
+    Media.zero media (records + (record_bytes * keep)) (record_bytes * (c - keep));
     Media.persist media seg bytes
   end
   else Media.persist media (seg + 8) (8 + (record_bytes * keep));

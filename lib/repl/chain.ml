@@ -111,17 +111,14 @@ let canonical (req : Net.Wire.request) (resp : Net.Wire.response) :
   | _, Net.Wire.Error _ -> None
   | (Net.Wire.Tag | Net.Wire.Tag_at _), Net.Wire.Version v ->
       Some (Net.Wire.Tag_at { version = v })
-  | ((Net.Wire.Insert _ | Net.Wire.Remove _ | Net.Wire.Compact _) as req), _ ->
+  (* Batches forward as they arrived: the backup's store canonicalises
+     one (sorted, later duplicates winning) exactly as the primary's
+     did, so backups replay identical history events from one
+     replicated frame per batch. *)
+  | ( ( Net.Wire.Insert _ | Net.Wire.Remove _ | Net.Wire.Compact _ | Net.Wire.Insert_batch _
+      | Net.Wire.Remove_batch _ ) as req ),
+      _ ->
       Some req
-  (* Batches forward canonicalised (sorted, later duplicates winning) —
-     the exact form the primary's store installed — so backups replay
-     identical history events from one replicated frame per batch. *)
-  | Net.Wire.Insert_batch { pairs }, _ ->
-      let pairs = Mvdict.Dict_intf.canonical_pairs ~compare:Int.compare (Array.to_list pairs) in
-      Some (Net.Wire.Insert_batch { pairs = Array.of_list pairs })
-  | Net.Wire.Remove_batch { keys }, _ ->
-      let keys = Mvdict.Dict_intf.canonical_keys ~compare:Int.compare (Array.to_list keys) in
-      Some (Net.Wire.Remove_batch { keys = Array.of_list keys })
   (* Migrated chains and range drops forward verbatim: the explicit
      version stamps are the canonical form (install is idempotent on
      the backup exactly as it was on the primary), so a new owner's

@@ -48,13 +48,13 @@ let media_flush_counts_lines () =
   let m = small_media () in
   let stats = Pmem.Media.stats m in
   Pmem.Pstats.reset stats;
-  Pmem.Media.flush m 0 1;
+  Pmem.Media.persist m 0 1;
   check_int "one line" 1 (Pmem.Pstats.flushed_lines stats);
-  Pmem.Media.flush m 60 8;
+  check_int "fence counted" 1 (Pmem.Pstats.fences stats);
+  Pmem.Media.persist m 60 8;
   (* straddles the 64-byte boundary *)
   check_int "two more lines" 3 (Pmem.Pstats.flushed_lines stats);
-  Pmem.Media.fence m;
-  check_int "fence counted" 1 (Pmem.Pstats.fences stats)
+  check_int "one fence per persist" 2 (Pmem.Pstats.fences stats)
 
 let media_crash_discards_unflushed () =
   let m = crash_media () in
@@ -151,6 +151,22 @@ let media_batch_scope_allocates_nothing () =
   check_bool
     (Printf.sprintf "10,000 scopes allocate %.0f minor words, at most 100" words)
     true (words <= 100.)
+
+(* A scope defers the persists of one media at a time: a persist to a
+   second media drains the first one's deferred lines, so they are
+   durable before anything persisted after them, while the second
+   media's lines wait for the scope's own drain. *)
+let media_batch_scope_drains_on_media_switch () =
+  let first = crash_media () and second = crash_media () in
+  Pmem.Media.with_batch (fun () ->
+      Pmem.Media.set_i64 first 64 1;
+      Pmem.Media.persist first 64 8;
+      Pmem.Media.set_i64 second 64 2;
+      Pmem.Media.persist second 64 8;
+      Pmem.Media.simulate_crash first;
+      Pmem.Media.simulate_crash second);
+  check_int "the first media's deferred line is durable" 1 (Pmem.Media.get_i64 first 64);
+  check_int "the second media's line was still deferred" 0 (Pmem.Media.get_i64 second 64)
 
 let media_file_backed_persists () =
   let path = Filename.temp_file "mvkv" ".pm" in
@@ -523,7 +539,9 @@ let pheap_rejects_bad_magic () =
    and later read that word as a segment link. Version-3 pools persist
    a bump pointer and free-list heads where version 4 keeps its
    reservation. A version-4 key-chain slot points at a history header,
-   where version 5 reads the history's first segment. *)
+   where version 5 reads the history's first segment. A version-5 pool
+   may hold a stamp floor without the compaction horizon that version 6
+   always writes beside it. *)
 let old_layout_pool version =
   let path = Filename.temp_file "mvkv" ".pool" in
   let heap = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
@@ -857,6 +875,30 @@ let chain_block_linked_in_batch_survives_crash () =
   Pmem.Pblockchain.iter_slots c2 (fun ~key ~hist:_ -> keys := key :: !keys);
   check_bool "the other domain's append survives" true (List.mem 4 !keys)
 
+(* A linked block whose one claimed slot was cleared is still linked,
+   and the chain's next claim writes there: a reattach lists it and
+   marks it live, so the rebuild does not hand it out again. *)
+let chain_emptied_tail_stays_live () =
+  let h = small_heap () in
+  let c = Pmem.Pblockchain.create h ~block_slots:2 in
+  register c ~key:1 ~hist:8;
+  register c ~key:2 ~hist:16;
+  let slot = Pmem.Pblockchain.claim c ~key:3 in
+  Pmem.Pblockchain.commit c slot ~hist:24;
+  ignore (Pmem.Pblockchain.clear c slot);
+  let h2 = Pmem.Pheap.reopen h in
+  let c2 = Pmem.Pblockchain.attach h2 (Pmem.Pblockchain.handle c) in
+  let blocks = Pmem.Pblockchain.block_offsets c2 in
+  check_int "both linked blocks listed" 2 (Array.length blocks);
+  let alloc = Pmem.Pheap.allocator h2 in
+  let marks = Pmem.Alloc.marks alloc in
+  Pmem.Pblockchain.mark c2 marks;
+  Pmem.Alloc.rebuild alloc marks;
+  (* A block of 2 slots is 8 + 16 * 2 bytes. *)
+  let tail = blocks.(1) in
+  check_bool "no free block overlaps the emptied tail" true
+    (List.for_all (fun (off, n) -> off + n <= tail || off >= tail + 40) (Pmem.Alloc.free_blocks alloc))
+
 (* Property: a random alloc/free program never hands out overlapping
    live blocks, and frees recycle within a size class. *)
 let qcheck_allocator_no_overlap =
@@ -933,6 +975,8 @@ let () =
           Alcotest.test_case "crash_after stops the k-th flush" `Quick media_crash_after;
           Alcotest.test_case "a batch scope allocates nothing in steady state" `Quick
             media_batch_scope_allocates_nothing;
+          Alcotest.test_case "a persist to another media drains the scope" `Quick
+            media_batch_scope_drains_on_media_switch;
           Alcotest.test_case "concurrent line flushes keep every word" `Quick
             media_concurrent_line_flushes;
           Alcotest.test_case "file-backed persists" `Quick media_file_backed_persists;
@@ -982,6 +1026,9 @@ let () =
           Alcotest.test_case "refuses a layout-4 pool" `Quick (pheap_rejects_layout 4);
           Alcotest.test_case "mvkv find on a layout-4 pool exits 2 with one line" `Quick
             (mvkv_rejects_layout 4);
+          Alcotest.test_case "refuses a layout-5 pool" `Quick (pheap_rejects_layout 5);
+          Alcotest.test_case "mvkv find on a layout-5 pool exits 2 with one line" `Quick
+            (mvkv_rejects_layout 5);
           Alcotest.test_case "mvkv find on a pool a server holds exits 2 with one line"
             `Quick mvkv_refuses_a_held_pool;
           Alcotest.test_case "reopen retires the replaced allocator" `Quick
@@ -1017,5 +1064,7 @@ let () =
           Alcotest.test_case "a block linked in a batch survives a crash" `Quick
             chain_block_linked_in_batch_survives_crash;
           Alcotest.test_case "append costs one line and fence" `Quick chain_append_cost;
+          Alcotest.test_case "an emptied tail block stays live after a reattach" `Quick
+            chain_emptied_tail_stays_live;
         ] );
     ]

@@ -763,6 +763,40 @@ let restart_over_own_pool () =
 
 let counter name = Obs.Metric.value (Obs.Registry.counter name)
 
+(* Batches reach the backup as the client sent them, unsorted and with
+   repeated keys: the backup's store canonicalises each one as the
+   primary's did, so both hold the same history for every key and the
+   same snapshot at every version. The first tick makes the backup
+   current, so all six mutations are forwarded, none caught up. *)
+let forward_unsorted_batches () =
+  with_range "batch" (fun r ->
+      Repl.Chain.tick r.chain;
+      check_bool "in sync before the batches" true (Repl.Chain.in_sync r.chain);
+      let forwarded = counter "repl.forwarded" and catchups = counter "repl.catchups" in
+      client_of r.p_path
+        (fun c ->
+          Net.Client.insert_batch c [ (5, 50); (1, 10); (5, 51); (3, 30); (1, 11); (9, 90) ];
+          check_int "version 1" 1 (Net.Client.tag c);
+          Net.Client.remove_batch c [ 9; 1; 9; 4; 1 ];
+          check_int "version 2" 2 (Net.Client.tag c);
+          Net.Client.insert_batch c [ (9, 91); (3, 31); (9, 92); (1, 12); (3, 32) ];
+          check_int "version 3" 3 (Net.Client.tag c))
+        ();
+      check_bool "chain in sync" true (Repl.Chain.in_sync r.chain);
+      check_int "mutations forwarded" 6 (counter "repl.forwarded" - forwarded);
+      check_int "catch-ups" 0 (counter "repl.catchups" - catchups);
+      for version = 1 to 3 do
+        check_bool (Printf.sprintf "snapshots at v%d" version) true
+          (Store.extract_snapshot r.backup_store ~version ()
+          = Store.extract_snapshot r.primary_store ~version ())
+      done;
+      for key = 0 to 9 do
+        check_bool (Printf.sprintf "history of key %d" key) true
+          (Store.extract_history r.backup_store key = Store.extract_history r.primary_store key)
+      done;
+      check_bool "the later duplicate won on the backup" true
+        (Store.find r.backup_store ~version:1 5 = Some 51))
+
 (* The backup is cut off after a write at its pending version 2. The
    primary then removes that key and two more, tags to 21 and compacts
    at 19, which releases the removed keys: nothing above the backup's
@@ -1132,6 +1166,8 @@ let () =
             catch_up_installs_no_move;
           Alcotest.test_case "probes and a seal finish beside two inserters" `Quick
             drains_beside_writers;
+          Alcotest.test_case "unsorted batches with repeated keys forward as sent" `Quick
+            forward_unsorted_batches;
         ] );
       ("failover", [ QCheck_alcotest.to_alcotest failover_parity ]);
       ( "simrep",
