@@ -1,15 +1,14 @@
-(* fig_batch — end-to-end batch updates: single-traversal multi-key
-   installs with a coalesced fence epilogue, locally and over the wire.
+(* fig_batch — end-to-end batch updates: multi-key installs with a
+   coalesced fence epilogue, locally and over the wire.
 
    Two sweeps over batch size B in {1, 8, 64, 512}:
 
    - local: a PSkipList absorbing N inserts as N/B [insert_batch]
      calls (B=1 is the plain single-key path). One gate pass, one
-     version stamp, one finger-guided index walk and one flush/fence
-     epilogue per batch replace B of each; the persistence work the
-     coalescing saved is read back from the heap's own Pstats
-     ([fences_saved]/[flushes_saved]), which is the evidence the
-     epilogue really collapsed B fences into one.
+     version stamp and one flush/fence epilogue per batch replace B of
+     each; the persistence work the coalescing saved is read back from
+     the heap's own Pstats ([fences_saved]/[flushes_saved]), which is
+     the evidence the epilogue really collapsed B fences into one.
 
    - net: the same store behind a lib/net server on a Unix-domain
      socket, one client shipping N inserts as N/B [Insert_batch]

@@ -1,11 +1,29 @@
-(* A tower ([next], [head]) is a plain array with one cell per level,
-   CASed in place (Atomic_field) and read with plain loads: a node is
-   its 4-word block plus a tower of 1 + levels words, 7 words at the 2
-   levels expected. *)
-type ('k, 'v) node =
-  | Nil
-  | Node of { key : 'k; value : 'v; next : ('k, 'v) node array }
-      (* [next]: one cell per level the node drew *)
+(* A node is one heap block: its key, its value, then one next cell per
+   level it drew (field [next + l] for level [l]), so a level hop loads
+   one block, and a key costs 3 words plus one per level, 5 at the 2
+   levels expected. The head is a block of the same shape with
+   [max_level] cells; its key and value fields hold [Nil] and are never
+   read. A cell is CASed in place (Atomic_field) and read with a plain
+   load. *)
+type ('k, 'v) node = Nil | Node of { key : 'k; value : 'v } [@@warning "-37"]
+
+let next = 2
+
+(* The library's only coercions. [make_node] builds every [Node], never
+   the constructor, as a tag-0 block of [next + levels] fields whose
+   first two are the fields [Node] reads: a [Node] and its block are one
+   value seen two ways. *)
+
+(* Sound: applied only to a [Node], a block of [next + levels] cells. *)
+let cells : ('k, 'v) node -> ('k, 'v) node array = Obj.magic
+
+(* Sound: applied only to a block [make_node] filled, which [Array.make]
+   with an immediate made tag 0, never a float array. *)
+let of_cells : ('k, 'v) node array -> ('k, 'v) node = Obj.magic
+
+(* Sound: fields 0 and 1 of a node block are read back only as [Node]'s
+   [key] and [value], at the types stored there. *)
+let field : 'a -> ('k, 'v) node = Obj.magic
 
 type ('k, 'v) t = {
   compare : 'k -> 'k -> int;
@@ -25,11 +43,19 @@ let max_level = 24
 let create ~compare () =
   {
     compare;
-    head = Array.make max_level Nil;
+    head = Array.make (next + max_level) Nil;
     count = Atomic.make 0;
     top = Atomic.make 1;
     level_seed = Atomic.make 0x9e3779b9;
   }
+
+(* Every field is stored before the level-0 CAS publishes the block. *)
+let make_node key value succs levels =
+  let block = Array.make (next + levels) Nil in
+  block.(0) <- field key;
+  block.(1) <- field value;
+  Array.blit succs 0 block next levels;
+  block
 
 (* Deterministic per-insert level draw: hash a shared counter, count
    trailing ones (p = 1/2 per level). Cheaper and more reproducible than
@@ -49,31 +75,30 @@ let random_level t =
    [top - 1] down to level 0, advance along each level while the next
    key is below [key], and return the node the level-0 walk stops at
    (the first key >= [key], or Nil). Non-empty [preds]/[succs] also
-   record, per level, the predecessor's next-array (the CAS target) and
-   the successor; find and the iterators pass [[||]] and allocate
-   nothing.
+   record, per level, the predecessor's block (the CAS target) and the
+   successor; find and the iterators pass [[||]] and allocate nothing.
 
-   Both the start at [top - 1] and the drawn-height towers are safe for
-   the reason given on [seek] below: a walk reaches a node at [level] only
-   through a link at [level], and a node is linked only at levels below
-   its own height, so [n.next.(level)] is always in bounds. A taller
-   insert racing the read of [top] bumps [top] before it links its upper
-   levels, so a read that misses them merely takes a lower road, and an
-   insert whose upper levels were recorded from a stale start fails its
-   CAS there and re-descends from the new [top]. *)
-let rec descend t key preds succs level pred_next =
-  match pred_next.(level) with
-  | Node n when t.compare n.key key < 0 -> descend t key preds succs level n.next
+   Both the start at [top - 1] and the drawn-height blocks are safe: a
+   walk reaches a node at [level] only through a link at [level], and a
+   node is linked only at levels below its own height, so its cell
+   [level] is always in bounds. A taller insert racing the read of
+   [top] bumps [top] before it links its upper levels, so a read that
+   misses them merely takes a lower road, and an insert whose upper
+   levels were recorded from a stale start fails its CAS there and
+   re-descends from the new [top]. *)
+let rec descend t key preds succs level pred =
+  match pred.(next + level) with
+  | Node n as cur when t.compare n.key key < 0 -> descend t key preds succs level (cells cur)
   | cur ->
       if Array.length preds > 0 then begin
-        preds.(level) <- pred_next;
+        preds.(level) <- pred;
         succs.(level) <- cur
       end;
-      if level = 0 then cur else descend t key preds succs (level - 1) pred_next
+      if level = 0 then cur else descend t key preds succs (level - 1) pred
 
 let lower_bound t key = descend t key [||] [||] (Atomic.get t.top - 1) t.head
 
-(* The level-0 match for [key], recording the towers an insert needs. *)
+(* The level-0 match for [key], recording the blocks an insert needs. *)
 let find_towers t key preds succs =
   match descend t key preds succs (Atomic.get t.top - 1) t.head with
   | Node n as cur when t.compare n.key key = 0 -> cur
@@ -96,14 +121,16 @@ let back_off b =
   Backoff.once b;
   Some b
 
-(* Shared insertion body: [search] populates [preds]/[succs] for the key
-   (from the head, or from a finger cursor) and returns the level-0
-   match. Re-run on every CAS retry. *)
-let insert_with t ~search key ~make preds succs =
+let link_at pred level succ node =
+  Atomic_field.compare_and_set_field pred (next + level) succ node
+
+let find_or_insert t key ~make =
+  let preds = Array.make max_level t.head in
+  let succs = Array.make max_level Nil in
   (* [made] memoises the speculative value so [make] runs at most once
      even across CAS retries. *)
   let rec attempt made b =
-    match search () with
+    match find_towers t key preds succs with
     | Node existing_node -> begin
         match made with
         | None -> Found existing_node.value
@@ -112,10 +139,9 @@ let insert_with t ~search key ~make preds succs =
     | Nil ->
         let value = match made with Some v -> v | None -> make () in
         let level = random_level t in
-        let next = Array.sub succs 0 level in
-        let node = Node { key; value; next } in
-        if not (Atomic_field.compare_and_set preds.(0) 0 succs.(0) node) then
-          attempt (Some value) (back_off b)
+        let block = make_node key value succs level in
+        let node = of_cells block in
+        if not (link_at preds.(0) 0 succs.(0) node) then attempt (Some value) (back_off b)
         else begin
           (* Linearized: the key is now reachable at level 0. Link the
              upper levels best-effort; competitors may force re-searches. *)
@@ -123,15 +149,14 @@ let insert_with t ~search key ~make preds succs =
           bump_top t level;
           let rec link lvl b =
             if lvl >= level then ()
-            else if Atomic_field.compare_and_set preds.(lvl) lvl succs.(lvl) node then
-              link (lvl + 1) b
+            else if link_at preds.(lvl) lvl succs.(lvl) node then link (lvl + 1) b
             else begin
               let b = back_off b in
-              ignore (search ());
+              ignore (find_towers t key preds succs);
               (* Our node is not yet visible at [lvl], so the re-search
                  gives a fresh successor to adopt, and no reader loads
                  this cell before the CAS that links it. *)
-              next.(lvl) <- succs.(lvl);
+              block.(next + lvl) <- succs.(lvl);
               link lvl b
             end
           in
@@ -141,128 +166,20 @@ let insert_with t ~search key ~make preds succs =
   in
   attempt None None
 
-let find_or_insert t key ~make =
-  let preds = Array.make max_level t.head in
-  let succs = Array.make max_level Nil in
-  insert_with t ~search:(fun () -> find_towers t key preds succs) key ~make
-    preds succs
-
-(* Finger cursors (Jiffy-style batch installs): the recorded predecessor
-   next-arrays of one search are valid starting points for the next
-   search as long as keys are sought in ascending order — a stored
-   pred's key stays strictly below every later target, and the
-   structure is insert-only so the arrays remain reachable. Each level
-   resumes from where the previous search left it OR from the
-   predecessor the level above just found, whichever is further along
-   (threading the descent down as an ordinary search would — a node
-   reached via level-l links is linked at every lower level too). The
-   finger alone would leave level 0 walking from wherever the batch
-   started; the threaded descent keeps each seek logarithmic, and the
-   fingers make a sorted batch's seeks one amortized walk over its
-   span. *)
-type ('k, 'v) cursor = {
-  list : ('k, 'v) t;
-  c_preds : ('k, 'v) node array array;
-  c_pred_nodes : ('k, 'v) node array;
-      (* the node whose next-array c_preds.(l) is; Nil = head *)
-  c_succs : ('k, 'v) node array;
-  mutable c_last : 'k option;
-      (* last sought key: a same-key seek is a CAS-retry re-search and
-         must re-walk every level *)
-}
-
-let cursor t =
-  {
-    list = t;
-    c_preds = Array.make max_level t.head;
-    c_pred_nodes = Array.make max_level Nil;
-    c_succs = Array.make max_level Nil;
-    c_last = None;
-  }
-
-(* One level of a seek: walk right from [pred] (Nil = head, whose
-   next-array is [t.head]) while the next key is below [key], and record
-   the straddle in the cursor — a top-level recursion, so it allocates
-   nothing. *)
-let rec advance_at c key level pred pred_next =
-  match pred_next.(level) with
-  | Node n as cur when c.list.compare n.key key < 0 ->
-      advance_at c key level cur n.next
-  | cur ->
-      c.c_preds.(level) <- pred_next;
-      c.c_pred_nodes.(level) <- pred;
-      c.c_succs.(level) <- cur
-
-(* The fast path that makes the fingers pay: a level whose recorded
-   predecessor still points at its recorded successor (one load)
-   with that successor >= [key] is untouched — adopt it without
-   walking. Ascending seeks skip almost every level this way and only
-   walk the few whose window actually moved. The skip is safe exactly
-   because it is validated against the live cell: the pair it keeps is
-   a true (pred, succ) straddle of [key] at that instant, and any
-   staleness that develops afterwards is caught by the insert CAS,
-   whose retry re-seeks the same key and therefore walks every level
-   ([c_last] disables skipping on retries — also on a fresh cursor,
-   whose unprimed fingers would otherwise all claim head-to-Nil). *)
-let seek c key =
-  let t = c.list in
-  let retry =
-    match c.c_last with Some k -> t.compare k key = 0 | None -> true
-  in
-  c.c_last <- Some key;
-  (* Levels at and above [top] hold no nodes, so the cursor's init
-     state (head pred, Nil succ) stays a valid straddle there; starting
-     the loop at [top] skips them wholesale. A racing taller insert is
-     caught by the CAS, and its bump of [top] happens before its upper
-     links, so the retry's re-seek covers the new levels. *)
-  let top = Atomic.get t.top in
-  (* predecessor node found one level up; Nil = still at the head *)
-  let carry = ref Nil in
-  for level = top - 1 downto 0 do
-    let finger = c.c_pred_nodes.(level) in
-    let start =
-      match (!carry, finger) with
-      | (Node _ as carried), Nil -> carried
-      | (Node cn as carried), Node fn when t.compare cn.key fn.key > 0 -> carried
-      | _, finger -> finger
-    in
-    let skip =
-      (not retry)
-      && start == finger
-      && c.c_preds.(level).(level) == c.c_succs.(level)
-      && match c.c_succs.(level) with
-         | Nil -> true
-         | Node s -> t.compare s.key key >= 0
-    in
-    if not skip then
-      advance_at c key level start
-        (match start with Nil -> t.head | Node n -> n.next);
-    match c.c_pred_nodes.(level) with Node _ as p -> carry := p | Nil -> ()
-  done;
-  match c.c_succs.(0) with
-  | Node s as cur when t.compare s.key key = 0 -> cur
-  | Node _ | Nil -> Nil
-
-let find_at c key = match seek c key with Node n -> Some n.value | Nil -> None
-
-let find_or_insert_at c key ~make =
-  insert_with c.list ~search:(fun () -> seek c key) key ~make c.c_preds
-    c.c_succs
-
 (* Level-0 walks, top-level so that a traversal allocates no closure. *)
 let rec walk f = function
   | Nil -> ()
-  | Node n ->
+  | Node n as cur ->
       f n.key n.value;
-      walk f n.next.(0)
+      walk f (cells cur).(next)
 
 let rec walk_below t hi f = function
-  | Node n when t.compare n.key hi < 0 ->
+  | Node n as cur when t.compare n.key hi < 0 ->
       f n.key n.value;
-      walk_below t hi f n.next.(0)
+      walk_below t hi f (cells cur).(next)
   | Node _ | Nil -> ()
 
-let iter t f = walk f t.head.(0)
+let iter t f = walk f t.head.(next)
 let iter_range t ~lo ~hi f = walk_below t hi f (lower_bound t lo)
 
 (* Physically unlink every node matching [dead] at all levels, the
@@ -285,15 +202,15 @@ let scrub ?range t ~dead =
   in
   let removed = ref 0 in
   for level = top - 1 downto 0 do
-    let rec sweep pred_next =
-      match pred_next.(level) with
-      | Node n when below_hi n.key ->
+    let rec sweep pred =
+      match pred.(next + level) with
+      | Node n as cur when below_hi n.key ->
           if dead n.key n.value then begin
-            pred_next.(level) <- n.next.(level);
+            pred.(next + level) <- (cells cur).(next + level);
             if level = 0 then incr removed;
-            sweep pred_next
+            sweep pred
           end
-          else sweep n.next
+          else sweep (cells cur)
       | Node _ | Nil -> ()
     in
     sweep preds.(level)

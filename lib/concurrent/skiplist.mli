@@ -6,10 +6,11 @@
     compare-and-swap on next pointers, exactly the simplification the
     paper exploits ("since there is no need to support removal from the
     skip list itself, the implementation can be simplified to use raw
-    pointers in compare-and-exchange operations"). A node's tower, like
-    the head's, is a plain array of next pointers, one cell per level,
-    CASed in place ({!Atomic_field}) and read with plain loads, so a key
-    costs about 7 words of index (its node and a 2-level tower).
+    pointers in compare-and-exchange operations"). A node is one heap
+    block holding its key, its value and one next pointer per level, so
+    a level hop loads one block; a next pointer is CASed in place
+    ({!Atomic_field}) and read with a plain load, and a key costs about
+    5 words of index (3 plus a 2-level tower).
 
     Values are immutable once inserted (the store mutates the history the
     value points at, not the index entry). Iteration over level 0 yields
@@ -21,9 +22,10 @@ type ('k, 'v) t
 
 val max_level : int
 (** Tower height bound (24: comfortable for hundreds of millions of
-    keys at p = 1/2). It bounds height, not allocation: a node's tower
-    has one cell per level the node drew (2 expected), and every search
-    starts at the highest level in use. *)
+    keys at p = 1/2). It bounds height, not allocation: a node's block
+    has one next pointer per level the node drew (2 expected), only the
+    head has [max_level], and every search starts at the highest level
+    in use. *)
 
 val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
 
@@ -43,31 +45,6 @@ val find_or_insert : ('k, 'v) t -> 'k -> make:(unit -> 'v) -> 'v insert_outcome
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Allocates nothing on a miss and only the [Some] on a hit. *)
-
-(** {1 Finger cursors}
-
-    A cursor remembers the predecessor towers of its last search and
-    resumes the next search from them instead of re-descending from the
-    head. Sound only for {e ascending} key sequences (a remembered
-    predecessor's key stays below every later target; the structure is
-    insert-only, so remembered towers stay reachable). A sorted batch
-    of inserts thus costs one amortized level-0 walk over its key span
-    rather than a full [O(log n)] descent per key. Safe concurrently
-    with other inserts; must not be held across a {!scrub}. *)
-
-type ('k, 'v) cursor
-
-val cursor : ('k, 'v) t -> ('k, 'v) cursor
-(** Fresh cursor positioned at the head. *)
-
-val find_at : ('k, 'v) cursor -> 'k -> 'v option
-(** As {!find}, searching from the cursor's fingers and leaving them at
-    the key for the next (ascending) call. *)
-
-val find_or_insert_at :
-  ('k, 'v) cursor -> 'k -> make:(unit -> 'v) -> 'v insert_outcome
-(** As {!find_or_insert}, searching from the cursor's fingers and
-    leaving them at the key for the next (ascending) call. *)
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** In-order traversal of level 0. *)

@@ -40,27 +40,20 @@ let rec ascending_keys ~compare = function
   | k1 :: (k2 :: _ as rest) ->
       compare k1 k2 < 0 && ascending_keys ~compare rest
 
-let canonical_pairs_slow ~compare pairs =
-  let arr = Array.of_list pairs in
-  let n = Array.length arr in
-  let keyed = Array.mapi (fun i (k, v) -> (k, i, v)) arr in
-  Array.sort
-    (fun (k1, i1, _) (k2, i2, _) ->
-      let c = compare k1 k2 in
-      if c <> 0 then c else Int.compare i1 i2)
-    keyed;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    let k, _, v = keyed.(i) in
-    (match !out with
-    | (k', _) :: _ when compare k k' = 0 -> ()
-    | _ -> out := (k, v) :: !out)
-  done;
-  !out
+(* After a stable sort, the last occurrence of a key ends its run, so
+   it is the first of its run in the reversed list. *)
+let rec keep_last ~compare acc = function
+  | [] -> acc
+  | ((k, _) as pair) :: rest -> (
+      match acc with
+      | (k', _) :: _ when compare k k' = 0 -> keep_last ~compare acc rest
+      | _ -> keep_last ~compare (pair :: acc) rest)
 
 let canonical_pairs ~compare pairs =
   if ascending_pairs ~compare pairs then pairs
-  else canonical_pairs_slow ~compare pairs
+  else
+    keep_last ~compare []
+      (List.rev (List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2) pairs))
 
 let canonical_keys ~compare keys =
   if ascending_keys ~compare keys then keys else List.sort_uniq compare keys
@@ -86,8 +79,9 @@ module type S = sig
       them one by one with no intervening {!tag}: the batch is first
       canonicalised (sorted by key, later duplicates winning), so the
       visible history of each key gains at most one event per batch.
-      The skip-list stores amortise the index traversal, and PSkipList
-      coalesces the flush/fence epilogue, across the whole batch. *)
+      The skip-list stores take the store gate and stamp the version
+      once per batch, and PSkipList coalesces the flush/fence epilogue
+      across it. *)
 
   val remove_batch : t -> key list -> unit
   (** Batch analogue of {!remove}: one removal marker per distinct key,

@@ -167,22 +167,6 @@ module Make (P : POLICY) = struct
      the order, a new key's lookup then its publishing descent, stays. *)
   let install_chunk = 64
 
-  (* One key descends from the head; more walk two ascending finger
-     cursors, one to look keys up and one to publish new ones. *)
-  type walk = Head | Fingers of cursor * cursor
-  and cursor = (P.key, P.history) Concurrent.Skiplist.cursor
-
-  let lookup t walk key =
-    match walk with
-    | Head -> Concurrent.Skiplist.find t.index key
-    | Fingers (seek, _) -> Concurrent.Skiplist.find_at seek key
-
-  let publish t walk key h =
-    let make () = h in
-    match walk with
-    | Head -> Concurrent.Skiplist.find_or_insert t.index key ~make
-    | Fingers (_, cur) -> Concurrent.Skiplist.find_or_insert_at cur key ~make
-
   let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
 
   (* Flatten entries into the chunk's arrays from index [j], encoding
@@ -206,12 +190,12 @@ module Make (P : POLICY) = struct
      made a new key's; names.(i) the name a new key claimed, else None;
      key i's entries are [first.(i), first.(i + 1)) of the flat
      arrays. *)
-  let install_chunk_at t walk ~skip ~word_of keys events lo hi =
+  let install_chunk_at t ~skip ~word_of keys events lo hi =
     let k = hi - lo in
     let found = if k = 1 then [| None |] else Array.make k None and cut = ints k 0 in
     let first = ints (k + 1) 0 and names = if k = 1 then [| None |] else Array.make k None in
     for i = 0 to k - 1 do
-      let h = lookup t walk keys.(lo + i) in
+      let h = Concurrent.Skiplist.find t.index keys.(lo + i) in
       found.(i) <- h;
       (match h with Some h -> cut.(i) <- skip h | None -> ());
       first.(i + 1) <- first.(i) + List.length (drop cut.(i) events.(lo + i))
@@ -250,7 +234,8 @@ module Make (P : POLICY) = struct
               | None -> ()
               | Some name -> (
                   let h = Option.get found.(i) in
-                  match publish t walk keys.(lo + i) h with
+                  let make () = h in
+                  match Concurrent.Skiplist.find_or_insert t.index keys.(lo + i) ~make with
                   | Concurrent.Skiplist.Added _ -> ()
                   | Found winner | Raced { existing = winner; _ } ->
                       losers := (i, h, P.clear t.store name) :: !losers;
@@ -287,14 +272,10 @@ module Make (P : POLICY) = struct
 
   let install t keys events ~skip ~word_of =
     let n = Array.length keys in
-    let walk =
-      if n = 1 then Head
-      else Fingers (Concurrent.Skiplist.cursor t.index, Concurrent.Skiplist.cursor t.index)
-    in
     let lo = ref 0 in
     while !lo < n do
       let hi = min n (!lo + install_chunk) in
-      install_chunk_at t walk ~skip ~word_of keys events !lo hi;
+      install_chunk_at t ~skip ~word_of keys events !lo hi;
       lo := hi
     done
 

@@ -176,12 +176,12 @@ let skiplist_race_from_top () =
   done;
   check_int "cardinal" (2 * n) (Concurrent.Skiplist.cardinal s)
 
-(* Skiplist: footprint and allocation. Towers are plain arrays sized at
-   the level each node drew (2 cells expected, 7 words per key with the
-   node) and every descent is a top-level recursion from [top], so the
-   bounds below hold; a boxed Atomic per tower cell (11 words per key),
-   a tower of max_level cells per key, or a closure and a tuple per
-   level per descent fails them. *)
+(* Skiplist: footprint and allocation. A node is one block of its key,
+   its value and one next cell per level it drew (2 expected, 5 words
+   per key with the header) and every descent is a top-level recursion
+   from [top], so the bounds below hold; a tower in its own array (7
+   words per key), a boxed Atomic per cell, a tower of max_level cells
+   per key, or a closure and a tuple per level per descent fails them. *)
 
 let even_skiplist n =
   let s = int_skiplist () in
@@ -194,9 +194,9 @@ let skiplist_footprint () =
   let n = 10_000 in
   let words = Obj.reachable_words (Obj.repr (even_skiplist n)) in
   check_bool
-    (Printf.sprintf "%d words for %d keys: at most 8 per key" words n)
+    (Printf.sprintf "%d words for %d keys: at most 5.2 per key" words n)
     true
-    (words <= 8 * n)
+    (words * 5 <= 26 * n)
 
 (* The two Gc.minor_words calls may box a handful of words; a per-call
    allocation shows up as thousands. *)
@@ -240,46 +240,81 @@ let skiplist_iter_range_allocation () =
     true
     (w1 -. w0 < 64.0)
 
-(* The batch-install path: an ascending cursor walk over present keys
-   pays for the insert call's own records (retry closures, the Found),
-   not for a closure and tuples per level of each seek. *)
-let skiplist_cursor_allocation () =
-  let n = 10_000 in
-  let s = even_skiplist n in
-  let make () = () in
-  let w0 = Gc.minor_words () in
-  let c = Concurrent.Skiplist.cursor s in
-  for k = 0 to n - 1 do
-    ignore (Sys.opaque_identity (Concurrent.Skiplist.find_or_insert_at c (2 * k) ~make))
-  done;
-  let per_key = (Gc.minor_words () -. w0) /. float_of_int n in
-  check_bool
-    (Printf.sprintf "%.1f words per ascending cursor find, < 32" per_key)
-    true (per_key < 32.0)
-
 (* Skiplist: model-based property test against Map *)
 
+type skiplist_op =
+  | Insert of int * int
+  | Find of int
+  | Scrub of (int * int) option * int * int
+      (* range, then a dead set: the bindings whose seeded hash is 0 mod m *)
+
+let skiplist_op =
+  let open QCheck.Gen in
+  let key = int_bound 200 in
+  frequency
+    [
+      (6, map2 (fun k v -> Insert (k, v)) key small_nat);
+      (2, map (fun k -> Find k) key);
+      ( 1,
+        map3 (fun r seed m -> Scrub (r, seed, m)) (opt (pair key key)) nat (int_range 1 4) );
+    ]
+
+let print_skiplist_op = function
+  | Insert (k, v) -> Printf.sprintf "insert %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Scrub (None, seed, m) -> Printf.sprintf "scrub seed %d mod %d" seed m
+  | Scrub (Some (lo, hi), seed, m) ->
+      Printf.sprintf "scrub [%d, %d) seed %d mod %d" lo hi seed m
+
+(* Scrubs store into published cells without a CAS, so the model checks
+   every level they relink through [find] (which descends all of them),
+   level 0 through [iter], and the count. *)
 let qcheck_skiplist_vs_map =
   let open QCheck in
   Test.make ~name:"skiplist agrees with Map on random programs" ~count:200
-    (list (pair small_int (option small_int)))
+    (make
+       ~print:Print.(list print_skiplist_op)
+       Gen.(list_size (int_bound 400) skiplist_op))
     (fun ops ->
       let s = int_skiplist () in
       let model = ref IntMap.empty in
-      List.iter
-        (fun (k, v) ->
-          match v with
-          | Some v ->
+      let agrees () =
+        let from_skiplist = ref [] in
+        Concurrent.Skiplist.iter s (fun k v -> from_skiplist := (k, v) :: !from_skiplist);
+        List.rev !from_skiplist = IntMap.bindings !model
+        && Concurrent.Skiplist.cardinal s = IntMap.cardinal !model
+        && List.for_all
+             (fun k -> Concurrent.Skiplist.find s k = IntMap.find_opt k !model)
+             (List.init 202 (fun k -> k - 1))
+      in
+      List.for_all
+        (function
+          | Insert (k, v) ->
               (match Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> v) with
               | Concurrent.Skiplist.Added _ ->
                   if not (IntMap.mem k !model) then model := IntMap.add k v !model
-              | _ -> ())
-          | None -> ignore (Concurrent.Skiplist.find s k))
-        ops;
-      (* Same cardinality, same sorted association list. *)
-      let from_skiplist = ref [] in
-      Concurrent.Skiplist.iter s (fun k v -> from_skiplist := (k, v) :: !from_skiplist);
-      List.rev !from_skiplist = IntMap.bindings !model)
+              | _ -> ());
+              true
+          | Find k -> Concurrent.Skiplist.find s k = IntMap.find_opt k !model
+          | Scrub (range, seed, m) ->
+              let in_range k =
+                match range with None -> true | Some (lo, hi) -> lo <= k && k < hi
+              in
+              let gone k v = in_range k && Hashtbl.seeded_hash seed (k, v) mod m = 0 in
+              let asked_wrong = ref 0 in
+              let removed =
+                Concurrent.Skiplist.scrub ?range s ~dead:(fun k v ->
+                    if not (in_range k) || IntMap.find_opt k !model <> Some v then
+                      incr asked_wrong;
+                    gone k v)
+              in
+              let before = IntMap.cardinal !model in
+              model := IntMap.filter (fun k v -> not (gone k v)) !model;
+              !asked_wrong = 0
+              && removed = before - IntMap.cardinal !model
+              && agrees ())
+        ops
+      && agrees ())
 
 (* Red-black tree *)
 
@@ -645,7 +680,6 @@ let () =
           Alcotest.test_case "find allocation" `Quick skiplist_find_allocation;
           Alcotest.test_case "iter_range allocation" `Quick
             skiplist_iter_range_allocation;
-          Alcotest.test_case "cursor allocation" `Quick skiplist_cursor_allocation;
           Alcotest.test_case "scrub the whole index" `Quick skiplist_scrub_whole;
           Alcotest.test_case "scrub a range" `Quick skiplist_scrub_range;
           QCheck_alcotest.to_alcotest qcheck_skiplist_vs_map;

@@ -1217,6 +1217,28 @@ let batch_coalescing_saves_pmem_work () =
   check_int "singles after a batch save no flushes" l
     (Pmem.Pstats.flushes_saved stats)
 
+(* The twin below replays [canonical_pairs] and [canonical_keys] as its
+   own model, so they are checked here against an independent one: a
+   batch folded into a Map, the last binding of a key winning. Half the
+   batches arrive ascending, which skips the sort. *)
+let canonical_batches_equal_map_fold =
+  let open QCheck in
+  let batch gen = Gen.(pair bool (list_size (int_bound 64) gen)) in
+  Test.make ~name:"canonical batches equal a Map fold" ~count:500
+    (make
+       ~print:Print.(pair (pair bool (list (pair int int))) (pair bool (list int)))
+       Gen.(pair (batch (pair (int_bound 40) small_nat)) (batch (int_bound 40))))
+    (fun ((ascending_pairs, pairs), (ascending_keys, keys)) ->
+      let pairs =
+        if ascending_pairs then List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) pairs
+        else pairs
+      and keys = if ascending_keys then List.sort_uniq Int.compare keys else keys in
+      let last = List.fold_left (fun m (k, v) -> IntMap.add k v m) IntMap.empty pairs in
+      let domain = List.fold_left (fun m k -> IntMap.add k () m) IntMap.empty keys in
+      Mvdict.Dict_intf.canonical_pairs ~compare:Int.compare pairs = IntMap.bindings last
+      && Mvdict.Dict_intf.canonical_keys ~compare:Int.compare keys
+         = List.map fst (IntMap.bindings domain))
+
 let batch_twin_equivalence =
   (* A store driven by random batched schedules must answer exactly
      like a twin driven by the flattened (canonicalised) single-key
@@ -2701,6 +2723,7 @@ let () =
           Alcotest.test_case "coalescing saves pmem work" `Quick
             batch_coalescing_saves_pmem_work;
           QCheck_alcotest.to_alcotest batch_twin_equivalence;
+          QCheck_alcotest.to_alcotest canonical_batches_equal_map_fold;
         ] );
       ( "append-persistence",
         [

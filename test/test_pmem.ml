@@ -931,10 +931,12 @@ let qcheck_allocator_no_overlap =
       !ok)
 
 (* Property: a chain survives any number of reattachments with all
-   appended slots intact and in order. *)
+   appended slots intact and in order. Each reattach walks the whole
+   chain, so a case costs the square of its batch count: at most 64
+   keep the property near a tenth of a second. *)
 let qcheck_chain_reattach =
   QCheck.Test.make ~name:"block chain survives reattach at any point" ~count:50
-    QCheck.(pair (int_range 1 16) (list (int_range 1 20)))
+    QCheck.(pair (int_range 1 16) (list_of_size Gen.(int_range 0 64) (int_range 1 20)))
     (fun (block_slots, batches) ->
       let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
       let first = Pmem.Pblockchain.create heap ~block_slots in
