@@ -21,8 +21,8 @@ type approach = {
 }
 
 module P = Mvdict.Pskiplist.Make (Mvdict.Codec.Int_key) (Mvdict.Codec.Int_value)
-module E = Mvdict.Eskiplist.Make (Int) (Int)
-module L = Mvdict.Locked_map.Make (Int) (Int)
+module E = Mvdict.Eskiplist
+module L = Mvdict.Locked_map
 
 (* Heap sized for the figure workloads (3N entries * 24B + chain + slack). *)
 let heap_capacity = ref (1 lsl 28)

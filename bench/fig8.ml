@@ -72,7 +72,7 @@ let run ~n =
   (* Real end-to-end verification at small K: K real stores, each
      filled with the keys its range owns, extracted and merged by both
      strategies, must agree element for element. *)
-  let module Local = Mvdict.Eskiplist.Make (Int) (Int) in
+  let module Local = Mvdict.Eskiplist in
   let verify_k = 8 and key_bits = 24 in
   let width = (1 lsl key_bits) / verify_k in
   let locals = Array.init verify_k (fun _ -> Local.create ()) in

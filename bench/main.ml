@@ -32,15 +32,18 @@ let parse_args () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "mvkv benchmarks";
   (!fig, !n, !dist_n, !real, !bechamel)
 
-(* Miniature end-to-end sweep attached to `dune runtest`: one
-   single-node figure and one distributed figure at toy sizes, then
-   validate that the emitted metrics JSON parses and carries the
-   expected op histograms — so the bench wiring cannot silently rot. *)
+(* Miniature end-to-end sweep attached to `dune runtest`: two
+   single-node figures (Fig 5 reopens the store, rebuilding its index at
+   1, 2 and 4 threads from the key chain's blocks) and one distributed
+   figure at toy sizes, then validate that the emitted metrics JSON
+   parses and carries the expected op histograms — so the bench wiring
+   cannot silently rot. *)
 let smoke () =
   let n = 2_000 in
   Approaches.heap_capacity := 1 lsl 26;
   Metrics.with_report ~fig:"smoke" (fun () ->
       Fig2.run ~n ~real:false;
+      Fig5.run ~n;
       Fig8.run ~n);
   let problems =
     Metrics.validate ~fig:"smoke"
@@ -48,6 +51,7 @@ let smoke () =
         [
           "mvdict.pskiplist.insert.ns";
           "mvdict.pskiplist.remove.ns";
+          "mvdict.pskiplist.recover.ns";
           "mvdict.eskiplist.insert.ns";
           "mvdict.lockedmap.insert.ns";
           "minidb.sqlitereg.insert.ns";

@@ -33,10 +33,7 @@ type ('k, 'v) t = {
   level_seed : int Atomic.t;
 }
 
-type 'v insert_outcome =
-  | Added of 'v
-  | Found of 'v
-  | Raced of { made : 'v; existing : 'v }
+type 'v insert_outcome = Added of 'v | Found of 'v
 
 let max_level = 24
 
@@ -131,11 +128,7 @@ let find_or_insert t key ~make =
      even across CAS retries. *)
   let rec attempt made b =
     match find_towers t key preds succs with
-    | Node existing_node -> begin
-        match made with
-        | None -> Found existing_node.value
-        | Some made -> Raced { made; existing = existing_node.value }
-      end
+    | Node existing_node -> Found existing_node.value
     | Nil ->
         let value = match made with Some v -> v | None -> make () in
         let level = random_level t in

@@ -32,16 +32,16 @@ val create : compare:('k -> 'k -> int) -> unit -> ('k, 'v) t
 type 'v insert_outcome =
   | Added of 'v
       (** The key was absent; our freshly made value is now indexed. *)
-  | Found of 'v  (** The key was already present with this value. *)
-  | Raced of { made : 'v; existing : 'v }
-      (** We made a value but a concurrent insert of the same key won the
-          CAS; [existing] is indexed, [made] must be cleaned up by the
-          caller (the paper: "the slower thread needs to detect this
-          situation and clean up accordingly"). *)
+  | Found of 'v
+      (** The key is indexed with this value: it was present, or a
+          concurrent insert of it won the CAS. A value [make] returned
+          for a lost race is the caller's to clean up (the paper: "the
+          slower thread needs to detect this situation and clean up
+          accordingly"). *)
 
 val find_or_insert : ('k, 'v) t -> 'k -> make:(unit -> 'v) -> 'v insert_outcome
-(** Look the key up; if absent, call [make] once and try to link the
-    result. *)
+(** Look the key up; if absent, call [make] at most once (across CAS
+    retries) and try to link the result. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Allocates nothing on a miss and only the [Some] on a hit. *)

@@ -7,14 +7,6 @@
     ordered map costs under concurrency: fastest single-threaded, heavy
     degradation as threads are added. *)
 
-module Make (K : sig
-  type t
+include Dict_intf.S with type key = int and type value = int
 
-  val compare : t -> t -> int
-end) (V : sig
-  type t
-end) : sig
-  include Dict_intf.S with type key = K.t and type value = V.t
-
-  val create : unit -> t
-end
+val create : unit -> t

@@ -202,7 +202,7 @@ module Make (K : Codec.KEY) (V : Codec.VALUE) = struct
                     match
                       Concurrent.Skiplist.find_or_insert index key ~make:(fun () -> h)
                     with
-                    | Concurrent.Skiplist.Added _ | Found _ | Raced _ -> ()
+                    | Concurrent.Skiplist.Added _ | Found _ -> ()
                   end))
             (Recovery.plan_blocks ~blocks:(Array.length blocks) ~threads ~tid);
           !highest)

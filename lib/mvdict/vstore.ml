@@ -237,7 +237,7 @@ module Make (P : POLICY) = struct
                   let make () = h in
                   match Concurrent.Skiplist.find_or_insert t.index keys.(lo + i) ~make with
                   | Concurrent.Skiplist.Added _ -> ()
-                  | Found winner | Raced { existing = winner; _ } ->
+                  | Found winner ->
                       losers := (i, h, P.clear t.store name) :: !losers;
                       found.(i) <- Some winner)
             done;

@@ -5,12 +5,12 @@
    word: it is written after the key word, and the key word is durable
    no later than it.
 
-   Ephemeral state rebuilt on attach:
-     claim  — global monotonic slot counter (fetch-add to claim),
-     blocks — published block offsets (atomic cells so that spinning
-              domains are guaranteed to observe publication),
-     free   — the offsets of released/holed slots below the claim
-              point, reused by [claim] before claiming fresh ones.
+   DRAM state, rebuilt on attach and guarded by [lock]:
+     tail   — the last linked block,
+     used   — how many of the tail's slots have been handed out,
+     blocks — the number of linked blocks,
+     free   — released or holed slots below the claim point, reused by
+              [claim] before the tail's next slot.
    A slot is named by its offset, which is also how a history names
    the slot that roots it. *)
 
@@ -19,161 +19,119 @@ type t = {
   media : Media.t;
   header_off : int;
   block_slots : int;
-  claim : int Atomic.t;
-  blocks : int Atomic.t array Atomic.t;
-  table_lock : Mutex.t;
+  lock : Mutex.t;
+  mutable tail : int;
+  mutable used : int;
+  mutable blocks : int;
   mutable free : int list;
-  free_lock : Mutex.t;
 }
 
 let header_size = 16
 let block_size block_slots = 8 + (16 * block_slots)
 let slot_off block_off slot = block_off + 8 + (16 * slot)
+let history_word slot = slot + 8
 
-let alloc_block t =
-  Alloc.alloc_zeroed (Pheap.allocator t.heap) (block_size t.block_slots)
+let alloc_block heap block_slots =
+  Alloc.alloc_zeroed (Pheap.allocator heap) (block_size block_slots)
 
-let fresh_table n = Array.init n (fun _ -> Atomic.make Pptr.null)
+let make heap header_off block_slots head =
+  { heap; media = Pheap.media heap; header_off; block_slots;
+    lock = Mutex.create ();
+    tail = head; used = 0; blocks = 1; free = [] }
 
-let publish_block t index off =
-  Mutex.lock t.table_lock;
-  let table = Atomic.get t.blocks in
-  let table =
-    if index < Array.length table then table
-    else begin
-      let bigger = fresh_table (max (index + 1) (2 * Array.length table)) in
-      Array.blit table 0 bigger 0 (Array.length table);
-      Atomic.set t.blocks bigger;
-      bigger
-    end
-  in
-  Atomic.set table.(index) off;
-  Mutex.unlock t.table_lock
+(* [f t a] under the lock, which an exception (a crash-sim [Media.Crash]
+   from a link's persist among them) releases too. Every [f] captures
+   nothing, so a lock section builds no closure. Lock order: the chain,
+   then the allocator, then the media's shadow lock. *)
+let locked t f a =
+  Mutex.lock t.lock;
+  match f t a with
+  | result ->
+      Mutex.unlock t.lock;
+      result
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
 let create heap ~block_slots =
   if block_slots <= 0 then invalid_arg "Pblockchain.create: block_slots";
   let media = Pheap.media heap in
   let header_off = Alloc.alloc (Pheap.allocator heap) header_size in
-  let t =
-    { heap; media; header_off; block_slots;
-      claim = Atomic.make 0;
-      blocks = Atomic.make (fresh_table 8);
-      table_lock = Mutex.create ();
-      free = [];
-      free_lock = Mutex.create () }
-  in
-  let head = alloc_block t in
+  let head = alloc_block heap block_slots in
   Media.set_i64 media header_off head;
   Media.set_i64 media (header_off + 8) block_slots;
   Media.persist media header_off header_size;
-  publish_block t 0 head;
-  t
+  make heap header_off block_slots head
+
+let is_hole t slot = Pptr.is_null (Media.get_i64 t.media (history_word slot))
+
+(* One past the last valid slot of [block] below [n]. *)
+let rec used_prefix t block n =
+  if n = 0 || not (is_hole t (slot_off block (n - 1))) then n
+  else used_prefix t block (n - 1)
+
+(* Every block but the tail is claimed whole, the tail up to its last
+   valid slot; a hole below that point (a crashed append that never
+   became visible, or a slot a GC pass released) is reused before a
+   fresh slot. *)
+let rec walk t block =
+  let next = Media.get_i64 t.media block in
+  let n = if Pptr.is_null next then used_prefix t block t.block_slots else t.block_slots in
+  for s = 0 to n - 1 do
+    if is_hole t (slot_off block s) then t.free <- slot_off block s :: t.free
+  done;
+  if Pptr.is_null next then begin
+    t.tail <- block;
+    t.used <- n
+  end
+  else begin
+    t.blocks <- t.blocks + 1;
+    walk t next
+  end
 
 let attach heap header_off =
   if Pptr.is_null header_off then invalid_arg "Pblockchain.attach: null handle";
   let media = Pheap.media heap in
   let block_slots = Media.get_i64 media (header_off + 8) in
   if block_slots <= 0 then invalid_arg "Pblockchain.attach: corrupt header";
-  let t =
-    { heap; media; header_off; block_slots;
-      claim = Atomic.make 0;
-      blocks = Atomic.make (fresh_table 8);
-      table_lock = Mutex.create ();
-      free = [];
-      free_lock = Mutex.create () }
-  in
-  (* Walk the chain; claimed = slots of full blocks + used prefix of the
-     tail. Holes below the claim point (crashed appends that never became
-     visible, or slots released by GC) are collected for reuse instead of
-     being claimed again through the counter. *)
-  let rec walk off index =
-    publish_block t index off;
-    let next = Media.get_i64 media off in
-    if Pptr.is_null next then (off, index) else walk next (index + 1)
-  in
-  let tail_off, tail_index = walk (Media.get_i64 media header_off) 0 in
-  let used_in_tail = ref 0 in
-  for s = 0 to block_slots - 1 do
-    if Media.get_i64 media (slot_off tail_off s + 8) <> Pptr.null then
-      used_in_tail := s + 1
-  done;
-  let claimed = (tail_index * block_slots) + !used_in_tail in
-  Atomic.set t.claim claimed;
-  let holes = ref [] in
-  for g = 0 to claimed - 1 do
-    let block = Atomic.get (Atomic.get t.blocks).(g / block_slots) in
-    let off = slot_off block (g mod block_slots) in
-    if Media.get_i64 media (off + 8) = Pptr.null then holes := off :: !holes
-  done;
-  t.free <- !holes;
+  let head = Media.get_i64 media header_off in
+  let t = make heap header_off block_slots head in
+  walk t head;
   t
 
 let handle t = t.header_off
 let block_slots t = t.block_slots
-let claimed t = Atomic.get t.claim
 
-let published t index =
-  let table = Atomic.get t.blocks in
-  if index < Array.length table then Atomic.get table.(index) else Pptr.null
-
-(* Find (allocating and linking if we own slot 0) the block [index].
-   A non-owner spins until the owner publishes block [index]; the owner
-   spins until block [index - 1] is published. Owners allocate, persist
-   and publish without waiting on any later block, so the chain of
-   waits descends to block 0, which exists from creation. *)
-let rec obtain_block t index ~owner =
-  let off = published t index in
-  if not (Pptr.is_null off) then off
-  else if owner then begin
-    let prev =
-      let rec wait () =
-        let p = published t (index - 1) in
-        if Pptr.is_null p then begin Domain.cpu_relax (); wait () end else p
-      in
-      wait ()
-    in
-    let fresh = alloc_block t in
-    (* Persisted at once even inside a batch scope: once published, the
-       block can take another domain's slots, persisted at once. *)
-    Media.set_i64 t.media prev fresh;
-    Media.persist_now t.media prev 8;
-    publish_block t index fresh;
-    fresh
-  end
-  else begin
-    Domain.cpu_relax ();
-    obtain_block t index ~owner
-  end
-
-let take_free_slot t =
-  Mutex.lock t.free_lock;
-  let off =
-    match t.free with
-    | [] -> None
-    | off :: rest ->
-        t.free <- rest;
-        Some off
-  in
-  Mutex.unlock t.free_lock;
-  off
-
-(* A fresh slot: the next one of the claim counter, in a block this
-   claim may have to allocate and link. *)
-let fresh_slot t =
-  let g = Atomic.fetch_and_add t.claim 1 in
-  let index = g / t.block_slots and slot = g mod t.block_slots in
-  slot_off (obtain_block t index ~owner:(slot = 0 && index > 0)) slot
+(* A hole first; else the tail's next slot, after linking a fresh tail
+   when the tail is full. The link is persisted at once even inside a
+   batch scope: once the lock drops, another domain may take the
+   block's slots and persist them at once. Lock held. *)
+let take_slot t () =
+  match t.free with
+  | off :: rest ->
+      t.free <- rest;
+      off
+  | [] ->
+      if t.used = t.block_slots then begin
+        let fresh = alloc_block t.heap t.block_slots in
+        Media.set_i64 t.media t.tail fresh;
+        Media.persist_now t.media t.tail 8;
+        t.tail <- fresh;
+        t.used <- 0;
+        t.blocks <- t.blocks + 1
+      end;
+      let off = slot_off t.tail t.used in
+      t.used <- t.used + 1;
+      off
 
 (* The key word needs a persist of its own only when it lies on an
    earlier line than the commit word; otherwise it becomes durable with
    the commit word's line. *)
 let claim t ~key =
-  let off = match take_free_slot t with Some off -> off | None -> fresh_slot t in
+  let off = locked t take_slot () in
   Media.set_i64 t.media off key;
-  Media.persist_before t.media off ~commit:(off + 8);
+  Media.persist_before t.media off ~commit:(history_word off);
   off
-
-let history_word slot = slot + 8
 
 let set_hist t off hist =
   Media.set_i64 t.media (history_word off) hist;
@@ -183,11 +141,6 @@ let commit t off ~hist =
   if Pptr.is_null hist then invalid_arg "Pblockchain.commit: null history";
   set_hist t off hist
 
-let free_slots t offs =
-  Mutex.lock t.free_lock;
-  t.free <- List.rev_append offs t.free;
-  Mutex.unlock t.free_lock
-
 (* Nulling the (persisted) history word turns the slot into an
    ordinary hole: a crash before the caller frees what the slot pointed
    at strands those blocks (freed by the next open's rebuild), never a
@@ -196,24 +149,21 @@ let free_slots t offs =
 let clear t off =
   let key = Media.get_i64 t.media off in
   set_hist t off Pptr.null;
-  free_slots t [ off ];
+  locked t (fun t off -> t.free <- off :: t.free) off;
   key
 
-(* The published cells form a prefix: an owner publishes block [i] only
-   after block [i - 1]. After [attach] the prefix is every linked block,
-   a tail whose slots are all holes included, so [mark] keeps it live. *)
-let published_count table =
-  let rec count n =
-    if n < Array.length table && not (Pptr.is_null (Atomic.get table.(n))) then count (n + 1)
-    else n
-  in
-  count 0
+let claimed t = locked t (fun t () -> ((t.blocks - 1) * t.block_slots) + t.used) ()
+let block_count t = locked t (fun t () -> t.blocks) ()
+let free_slot_count t = locked t (fun t () -> List.length t.free) ()
 
-let block_count t = published_count (Atomic.get t.blocks)
-
+(* The links list every linked block, a tail whose slots are all holes
+   included, so [mark] keeps it live. *)
 let block_offsets t =
-  let table = Atomic.get t.blocks in
-  Array.init (published_count table) (fun i -> Atomic.get table.(i))
+  let rec follow block acc =
+    if Pptr.is_null block then Array.of_list (List.rev acc)
+    else follow (Media.get_i64 t.media block) (block :: acc)
+  in
+  follow (Media.get_i64 t.media t.header_off) []
 
 let mark t marks =
   Alloc.mark marks t.header_off header_size;
@@ -230,9 +180,3 @@ let iter_slots t f =
   Array.iter
     (fun block -> iter_block t block (fun ~slot:_ ~key ~hist -> f ~key ~hist))
     (block_offsets t)
-
-let free_slot_count t =
-  Mutex.lock t.free_lock;
-  let n = List.length t.free in
-  Mutex.unlock t.free_lock;
-  n

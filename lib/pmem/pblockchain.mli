@@ -8,16 +8,17 @@
 
     Registering a key takes two steps, so that a store can order other
     persists between them: {!claim} takes a slot (a released one
-    first, else a fresh one by an atomic fetch-add) and writes its key
-    word, persisted only when it lies on an earlier line than the
-    history word ({!Media.persist_before}); {!commit} writes and
+    first, else the tail block's next one) and writes its key word,
+    persisted only when it lies on an earlier line than the history
+    word ({!Media.persist_before}); {!commit} writes and
     persists the history pointer, the slot's commit word. One line and
     one fence when both words share a cache line, two of each when the
     slot straddles two. A slot is valid if and only if its history
     word is non-null, so a crash before the commit leaves a hole that
-    iteration skips. The thread that claims the first slot of a fresh
-    block allocates and links it; peers spin briefly until it is
-    published.
+    iteration skips. One mutex guards the chain's DRAM state (the tail
+    block, how many of its slots are handed out, the block count and
+    the released slots): a claim takes it once, and a claim that finds
+    the tail full allocates, links and persists a fresh tail under it.
 
     A slot is named by its media offset. The history word roots the
     key's history: it points straight at the history's first segment
@@ -35,8 +36,9 @@ val create : Pheap.t -> block_slots:int -> t
 (** Allocate an empty chain (one zeroed block). *)
 
 val attach : Pheap.t -> Pptr.t -> t
-(** Reconnect after restart/crash: walks the chain, rebuilds the
-    ephemeral block table and the claim counter. *)
+(** Reconnect after restart/crash: one walk of the chain finds the
+    tail and how far it is claimed (up to its last valid slot), and
+    collects every hole below that point for reuse. *)
 
 val handle : t -> Pptr.t
 val block_slots : t -> int
@@ -44,8 +46,8 @@ val block_slots : t -> int
 val claim : t -> key:int -> Pptr.t
 (** [claim t ~key] takes a slot, reusing a released one when one is
     available, writes [key] into it and returns the slot's offset. The
-    slot stays a hole until {!commit}. Lock-free except for the
-    free-list pop and when a new block must be allocated. *)
+    slot stays a hole until {!commit}. Takes the chain's lock once;
+    the key word is written and persisted after it drops. *)
 
 val commit : t -> Pptr.t -> hist:Pptr.t -> unit
 (** [commit t slot ~hist] writes and persists the history word of a
@@ -70,12 +72,13 @@ val free_slot_count : t -> int
 (** Released/holed slots currently available for reuse (test hook). *)
 
 val block_count : t -> int
-(** Number of published blocks ({!block_offsets}). *)
+(** Number of linked blocks ({!block_offsets}). *)
 
 val block_offsets : t -> Pptr.t array
-(** Snapshot of the published block offsets, in chain order — the unit of
-    distribution for parallel reconstruction. After {!attach} it lists
-    every linked block, a tail whose slots are all holes included. *)
+(** The linked block offsets in chain order, read by following the
+    links — the unit of distribution for parallel reconstruction. It
+    lists every linked block, a tail whose slots are all holes
+    included. A walk of the chain: for open and tests, not a hot path. *)
 
 val mark : t -> Alloc.marks -> unit
 (** Mark the header and every block as live, for {!Alloc.rebuild}. *)

@@ -75,20 +75,24 @@ let skiplist_concurrent_disjoint_inserts () =
   check_int "all reachable" (threads * per) !n
 
 let skiplist_concurrent_same_keys () =
-  (* All domains fight over the same keys: exactly one Added per key, and
-     every raced speculative value is reported for cleanup. *)
+  (* All domains fight over the same keys: exactly one Added per key,
+     and every other domain, whether it lost the CAS or came later, is
+     answered Found with the winner's value. *)
   let s = int_skiplist () in
   let threads = 4 and keys = 500 in
   let added = Array.init threads (fun _ -> ref 0) in
+  let not_winner = Atomic.make 0 in
   ignore
     (Concurrent.Parallel.run ~threads (fun tid ->
          for k = 0 to keys - 1 do
            match Concurrent.Skiplist.find_or_insert s k ~make:(fun () -> (tid, k)) with
            | Concurrent.Skiplist.Added _ -> incr added.(tid)
-           | Concurrent.Skiplist.Found _ | Concurrent.Skiplist.Raced _ -> ()
+           | Concurrent.Skiplist.Found v ->
+               if Concurrent.Skiplist.find s k <> Some v then Atomic.incr not_winner
          done));
   let total_added = Array.fold_left (fun acc r -> acc + !(r)) 0 added in
   check_int "one winner per key" keys total_added;
+  check_int "Found answers the winner's value" 0 (Atomic.get not_winner);
   check_int "cardinal" keys (Concurrent.Skiplist.cardinal s)
 
 let skiplist_concurrent_readers_during_inserts () =

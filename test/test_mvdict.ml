@@ -552,13 +552,13 @@ module P = struct
 end
 
 module E = struct
-  include Mvdict.Eskiplist.Make (Int) (Int)
+  include Mvdict.Eskiplist
 
   let make () = create ()
 end
 
 module L = struct
-  include Mvdict.Locked_map.Make (Int) (Int)
+  include Mvdict.Locked_map
 
   let make () = create ()
 end

@@ -935,7 +935,7 @@ let expo_line_format () =
 (* Instrumented stores feed the registry end to end. *)
 
 let stores_feed_registry () =
-  let module E = Mvdict.Eskiplist.Make (Int) (Int) in
+  let module E = Mvdict.Eskiplist in
   let h = Obs.Registry.histogram "mvdict.eskiplist.insert.ns" in
   let c = Obs.Registry.counter "mvdict.eskiplist.insert.ops" in
   let h0 = Obs.Histogram.count h and c0 = Obs.Metric.value c in

@@ -899,6 +899,74 @@ let chain_emptied_tail_stays_live () =
   check_bool "no free block overlaps the emptied tail" true
     (List.for_all (fun (off, n) -> off + n <= tail || off >= tail + 40) (Pmem.Alloc.free_blocks alloc))
 
+(* One domain registers fresh keys while the other registers, commits
+   and clears its own, so its holes are reused while fresh blocks of 4
+   slots are linked. No slot may be live in two claims at once, the
+   chain must hold exactly the keys left committed, and a reattach must
+   read back the same blocks, slots and holes. *)
+let chain_claims_race_clears () =
+  let h = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
+  let c = Pmem.Pblockchain.create h ~block_slots:4 in
+  let per_domain = 400 in
+  let live = Hashtbl.create 1024 and live_lock = Mutex.create () in
+  let shared = Atomic.make 0 in
+  let take key =
+    let slot = Pmem.Pblockchain.claim c ~key in
+    Mutex.protect live_lock (fun () ->
+        if Hashtbl.mem live slot then Atomic.incr shared;
+        Hashtbl.replace live slot ());
+    Pmem.Pblockchain.commit c slot ~hist:(8 * (key + 1));
+    (key, slot)
+  in
+  (* Out of the live set before the clear frees the slot for a claim. *)
+  let release (_, slot) =
+    Mutex.protect live_lock (fun () -> Hashtbl.remove live slot);
+    ignore (Pmem.Pblockchain.clear c slot)
+  in
+  let kept =
+    Concurrent.Parallel.run ~threads:2 (fun tid ->
+        List.filter_map
+          (fun i ->
+            let taken = take ((tid * per_domain) + i) in
+            if tid = 0 || i mod 3 = 0 then Some taken
+            else begin
+              release taken;
+              None
+            end)
+          (List.init per_domain Fun.id))
+    |> Array.to_list |> List.concat
+  in
+  check_int "no slot live in two claims at once" 0 (Atomic.get shared);
+  let contents chain =
+    let seen = ref [] in
+    Pmem.Pblockchain.iter_slots chain (fun ~key ~hist -> seen := (key, hist) :: !seen);
+    List.sort compare !seen
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "the chain holds the committed keys"
+    (List.sort compare (List.map (fun (key, _) -> (key, 8 * (key + 1))) kept))
+    (contents c);
+  (* A reattach counts a hole only below the tail's last valid slot. So
+     fill the holes, take one fresh slot on top, then clear every fifth
+     kept key: holes in many blocks, all under a live top slot. *)
+  let kept = ref kept and next = ref (2 * per_domain) in
+  while Pmem.Pblockchain.free_slot_count c > 0 do
+    kept := take !next :: !kept;
+    incr next
+  done;
+  ignore (take !next);
+  List.iteri (fun i taken -> if i mod 5 = 0 then release taken) !kept;
+  check_bool "holes to read back" true (Pmem.Pblockchain.free_slot_count c > 0);
+  let c2 = Pmem.Pblockchain.attach h (Pmem.Pblockchain.handle c) in
+  let blocks = Array.to_list (Pmem.Pblockchain.block_offsets c2) in
+  check_int "no block listed twice" (List.length blocks)
+    (List.length (List.sort_uniq compare blocks));
+  Alcotest.check pairs "reattached slots" (contents c) (contents c2);
+  check_int "reattached holes" (Pmem.Pblockchain.free_slot_count c)
+    (Pmem.Pblockchain.free_slot_count c2);
+  check_int "reattached claim point" (Pmem.Pblockchain.claimed c)
+    (Pmem.Pblockchain.claimed c2)
+
 (* Property: a random alloc/free program never hands out overlapping
    live blocks, and frees recycle within a size class. *)
 let qcheck_allocator_no_overlap =
@@ -1068,5 +1136,7 @@ let () =
           Alcotest.test_case "append costs one line and fence" `Quick chain_append_cost;
           Alcotest.test_case "an emptied tail block stays live after a reattach" `Quick
             chain_emptied_tail_stays_live;
+          Alcotest.test_case "claims racing clears across block boundaries" `Quick
+            chain_claims_race_clears;
         ] );
     ]
