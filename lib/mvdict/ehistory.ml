@@ -11,7 +11,7 @@ struct
   }
 
   module Backend = struct
-    (* Segments of c, c, 2c, 4c, ... slots, the geometry of
+    (* Segments of 2, 2, 4, 8, ... slots, the geometry of
        {!Pmem.Pvector}: growth returns a longer array of the same
        segments plus a new one, so no entry ever moves. *)
     type store = unit

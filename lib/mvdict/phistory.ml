@@ -1,5 +1,3 @@
-let initial_capacity = 2
-
 module Backend = struct
   type store = Pmem.Pheap.t
   type handle = Pmem.Pptr.t
@@ -33,8 +31,7 @@ module H = Lazy_tail.Make (Backend)
 
 type t = H.t
 
-let create heap ~chain_slot =
-  H.wrap chain_slot (Pmem.Pvector.create heap ~initial_capacity) ~length:0
+let create heap ~chain_slot = H.wrap chain_slot (Pmem.Pvector.create heap) ~length:0
 
 let chain_slot = H.handle
 let root t = Pmem.Pvector.root (H.segs t)
@@ -49,8 +46,8 @@ let mark_persisted heap root marks ~stamp =
       if st <> 0 then stamp st;
       Codec.mark_word heap marks (Pmem.Media.get_i64 media (off + 8)))
 
-(* The capacity growth reaches for [n] records: doubling from [c], the
-   initial capacity. Top-level, so that a pass asks it of every key
+(* The capacity growth reaches for [n] records: doubling from [c], a
+   fresh vector's 2. Top-level, so that a pass asks it of every key
    without allocating a closure. *)
 let rec right_size n c = if c >= n then c else right_size n (c * 2)
 
@@ -64,7 +61,7 @@ let free_blobs heap s n =
 let drop_prefix heap t ~first =
   let s = H.segs t in
   let keep = H.pending_length t - first in
-  let capacity = right_size keep initial_capacity in
+  let capacity = right_size keep 2 in
   if first > 0 || capacity < Pmem.Pvector.capacity s then begin
     H.reset_offline t
       (Pmem.Pvector.shrink_offline heap

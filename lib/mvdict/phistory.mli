@@ -50,10 +50,10 @@ module H : module type of Lazy_tail.Make (Backend)
 type t = H.t
 
 val create : Pmem.Pheap.t -> chain_slot:Pmem.Pptr.t -> t
-(** [create heap ~chain_slot] is a fresh empty history (initial
-    capacity 2 records) rooted at a claimed chain slot. Its first
-    segment's capacity word is persisted; the history is reachable once
-    the slot is committed with {!root}. *)
+(** [create heap ~chain_slot] is a fresh empty history (capacity 2
+    records, one durably zero segment) rooted at a claimed chain slot.
+    It writes and persists nothing; the history is reachable once the
+    slot is committed with {!root}. *)
 
 val chain_slot : t -> Pmem.Pptr.t
 (** The chain slot that roots the history: its DRAM handle. *)
@@ -78,9 +78,10 @@ val mark_persisted :
 
 val drop_prefix : Pmem.Pheap.t -> t -> first:int -> unit
 (** [drop_prefix heap t ~first] drops the first [first] records and
-    keeps the rest, stamps untouched, in one segment of the capacity
-    growth would give them, published by one root swap, of the history
-    word of its chain slot ({!Pmem.Pvector.shrink_offline}); then it
+    keeps the rest, stamps untouched, in a new chain of the segments
+    growth would give them (2, 2, 4, ... records up to the capacity
+    that covers them), published by one root swap of the history word
+    of its chain slot ({!Pmem.Pvector.shrink_offline}); then it
     resets the ephemeral cursors, and only once the swap is durable
     frees the dropped records' value blobs, read in place from the old
     segments, and those segments. Nothing is written or freed unless

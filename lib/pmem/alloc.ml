@@ -11,9 +11,9 @@
    a chunk past the cursor with one persisted word first. *)
 
 (* Beside the powers of two and their halfway points, a class for every
-   history segment past the first ({!Pvector}): segment k >= 1 of a
-   history of c = 2 takes 8 + 24 * 2^k bytes, 56 to 3080, so none
-   rounds up. *)
+   history segment ({!Pvector}): a link word and 2, 2, 4, 8, ... records
+   of 24 bytes, so 56, 56, 104, 200, ... 3080 bytes, and none rounds
+   up. *)
 let size_classes =
   [| 16; 24; 32; 48; 56; 64; 96; 104; 128; 192; 200; 256; 384; 392; 512; 776; 1024;
      1544; 2048; 3080; 4096 |]
@@ -218,9 +218,10 @@ let cut t size =
 let check_live t fn =
   if t.retired then invalid_arg ("Alloc." ^ fn ^ ": allocator retired by a reopen")
 
-(* A block of [rounded] bytes, and whether it came off a free list (and
-   so may hold stale bytes). A class request whose list is empty splits
-   an oversized free block before it cuts fresh memory. Lock held. *)
+(* A block of [rounded] bytes, its offset tagged in bit 0 (free, since
+   blocks are 8-byte aligned) when it came off a free list and so may
+   hold stale bytes. A class request whose list is empty splits an
+   oversized free block before it cuts fresh memory. Lock held. *)
 let take_locked t size rounded =
   check_live t "alloc";
   let recycled =
@@ -230,7 +231,7 @@ let take_locked t size rounded =
       let off = pop t.classes.(c) in
       if Pptr.is_null off then take_big t rounded else off
   in
-  if Pptr.is_null recycled then (cut t rounded, false) else (recycled, true)
+  if Pptr.is_null recycled then cut t rounded else recycled lor 1
 
 let take t size =
   if size <= 0 then invalid_arg "Alloc.alloc: size must be positive";
@@ -239,7 +240,9 @@ let take t size =
   Pstats.record_alloc (Media.stats t.media) ~bytes:rounded;
   block
 
-let alloc t size = fst (take t size)
+let block taken = taken land lnot 1
+let recycled taken = taken land 1 = 1
+let alloc t size = block (take t size)
 
 (* Fresh blocks lie at or above the cursor, which no block handed out
    so far has passed, and below the persisted reservation; so they are
@@ -247,8 +250,9 @@ let alloc t size = fst (take t size)
    even inside a batch scope, since its caller may persist a link to it
    at once. *)
 let alloc_zeroed t size =
-  let off, recycled = take t size in
-  if recycled then begin
+  let taken = take t size in
+  let off = block taken in
+  if recycled taken then begin
     let n = rounded_size size in
     Media.zero t.media off n;
     Media.persist_now t.media off n

@@ -72,11 +72,19 @@ val alloc_zeroed : t -> int -> Pptr.t
     ({!Media.persist_now}), so the caller may persist a link to the
     block at once too. *)
 
-val take : t -> int -> Pptr.t * bool
-(** Like {!alloc}, and whether the block was recycled: [false] for a
-    fresh block, which reads durable zero; [true] for one off a free
-    list, which may hold stale bytes. For a caller that writes most of
-    the block anyway and zeroes only the rest. *)
+val take : t -> int -> int
+(** Like {!alloc}, for a caller that writes most of the block anyway
+    and zeroes only the rest: the answer is one int, so a take
+    allocates nothing. {!block} reads the block's offset from it and
+    {!recycled} whether the block came off a free list. *)
+
+val block : int -> Pptr.t
+(** The offset of the block a {!take} returned. *)
+
+val recycled : int -> bool
+(** Whether the block a {!take} returned came off a free list, and so
+    may hold stale bytes: [false] for a fresh block, which reads durable
+    zero. *)
 
 val free : t -> Pptr.t -> int -> unit
 (** [free t ptr size] recycles a block previously returned by [alloc t

@@ -200,9 +200,9 @@ let scope_key : scope Domain.DLS.key =
         nranges = 0; asked_lines = 0; asked_fences = 0 })
 
 (* A batch's writes alternate between a few regions (entry payloads,
-   new segments' capacity words, the key chain), so a range adjacent
-   to any of the last few recorded ones merges in place; only genuinely
-   scattered ranges grow the log and wait for the drain's sort. *)
+   the key chain), so a range adjacent to any of the last few recorded
+   ones merges in place; only genuinely scattered ranges grow the log
+   and wait for the drain's sort. *)
 let rec try_merge s first last n i =
   if i < 0 || i < n - 4 then false
   else if first <= s.lasts.(i) + 1 && last + 1 >= s.firsts.(i) then begin

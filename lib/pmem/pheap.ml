@@ -20,8 +20,11 @@ let magic = 0x4d564b565f504d00 land max_int (* "MVKV_PM" *)
    segment; a version-4 slot points at a header that points at it.
    Version 6 pools always hold the compaction horizon beside the stamp
    floor (root slots 1 and 2, written together); a version-5 pool may
-   hold a floor alone, which a build that recorded no horizon left. *)
-let layout_version = 6
+   hold a floor alone, which a build that recorded no horizon left.
+   Version 7 gives every history segment one shape, a link word and its
+   records (2, 2, 4, 8, ...); a version-6 first segment holds a
+   capacity word between the two. *)
+let layout_version = 7
 let root_slots = 16
 let roots_off = 24
 let alloc_base = 192

@@ -23,11 +23,14 @@ val open_existing : Media.t -> t
 (** Attach to a previously formatted media. The allocator starts with
     empty free lists ({!Alloc.attach}).
     @raise Invalid_argument if the magic or layout version mismatch.
-    The layout version is 5: version-4 pools, whose key-chain slots
-    point at a history header rather than at its first segment
-    ({!Pvector}), version-3 pools, whose allocator persisted its free
-    lists, and version-2 pools, whose histories are single buffers
-    rather than segment chains, are refused. *)
+    The layout version is 7: every history segment is a link word and
+    its records ({!Pvector}). Older pools are refused: version-6 pools,
+    whose first segments hold a capacity word; version-5 pools, which
+    may hold a stamp floor without a compaction horizon; version-4
+    pools, whose key-chain slots point at a history header rather than
+    at its first segment; version-3 pools, whose allocator persisted
+    its free lists; and version-2 pools, whose histories are single
+    buffers rather than segment chains. *)
 
 val create_ram : ?crash_sim:bool -> capacity:int -> unit -> t
 (** Convenience: fresh RAM media + {!create}. *)

@@ -2,24 +2,25 @@
     per-key version history, as functions over a heap and a DRAM
     segment array.
 
-    A vector is a chain of segments whose capacities are c, c, 2c, 4c,
-    ...: only the first segment records c, and each segment's first
-    word links the next (0 until one is linked). The vector has no
-    header: its {e root} is its first segment's offset, held in a word
-    its owner persists (in the store above, the history word of the
-    key's chain slot). A record never moves while the vector grows.
-    {!grow} takes one fresh, durably zero segment from
-    {!Alloc.alloc_zeroed} and persists one link word in the last
+    A vector is a chain of segments of 2, 2, 4, 8, ... records, each
+    [{link; records}]: its first word links the next segment (0 until
+    one is linked), and every segment has that one shape, so a vector
+    of n segments holds 2^n records and no word records a capacity.
+    The vector has no header: its {e root} is its first segment's
+    offset, held in a word its owner persists (in the store above, the
+    history word of the key's chain slot). A record never moves while
+    the vector grows. {!grow} takes one fresh, durably zero segment
+    from {!Alloc.alloc_zeroed} and persists one link word in the last
     segment, so a growth copies nothing, retires nothing, and costs the
     link: 1 line and 1 fence while the allocator's reservation covers
     the segment. A crash before the link is durable leaves the new
     segment unreachable, and the next open's {!Alloc.rebuild} frees it.
     {!shrink_offline} is the one routine that rewrites records: it
-    copies them into a single new first segment and swaps the root
+    copies them into a new chain of the same shape and swaps the root
     word.
 
-    Segment k >= 1 of a vector of c = 2 takes 8 + 24 * 2^k bytes, each
-    an {!Alloc.size_classes} entry, and the first segment 64.
+    Segments take 56, 56, 104, 200, ... bytes (a link word and 24 per
+    record), each an {!Alloc.size_classes} entry, so none rounds up.
 
     Readers and writers find a record's segment through a value of
     type {!t}, an immutable DRAM array of segment offsets. The owner
@@ -37,13 +38,13 @@
     accessors raise [Invalid_argument] at or beyond the capacity. *)
 
 type t
-(** The segment array: [\[| c; segment 0; segment 1; ... |\]]. *)
+(** The segment array: [\[| segment 0; segment 1; ... |\]]. *)
 
-val create : Pheap.t -> initial_capacity:int -> t
-(** Allocate an empty vector and return its segment array; all record
-    words are zero. Persists the first segment's capacity word (one
-    line, one fence): the caller persists its root word after it, and
-    nothing reaches the vector before that. *)
+val create : Pheap.t -> t
+(** Allocate an empty vector of capacity 2, one durably zero segment
+    ({!Alloc.alloc_zeroed}), and return its segment array. Writes and
+    persists nothing: the caller persists its root word, and nothing
+    reaches the vector before that. *)
 
 val root : t -> Pptr.t
 (** The first segment's offset: what the owner's root word holds. *)
@@ -51,8 +52,7 @@ val root : t -> Pptr.t
 val attach : Pheap.t -> Pptr.t -> t
 (** Re-read the segment array from a root (after restart) by walking
     the links.
-    @raise Invalid_argument on a null root or a first segment whose
-    capacity word is not positive. *)
+    @raise Invalid_argument on a null root. *)
 
 val capacity : t -> int
 (** Capacity in records. *)
@@ -66,23 +66,23 @@ val shrink_offline :
   Pheap.t -> root_word:Pptr.t -> t -> capacity:int -> first:int -> keep:int -> t
 (** [shrink_offline heap ~root_word s ~capacity ~first ~keep] is the one
     routine that rewrites a vector's records: it replaces the segment
-    chain with one first segment of exactly [capacity] records whose
-    first [keep] records are copies of records [\[first, first + keep)]
-    (the rest zero), and returns its array. The new segment is written
-    whole and persisted with one flush range and one fence (a fresh
-    block is durable zero, so only its capacity word and kept records; a
-    recycled one whole, its link word and the slots past the kept
-    records zeroed), then the root swap: [root_word], the offset of the
-    word holding the vector's root, is set to the new segment and
-    persisted. The old chain [s] is left allocated and readable: the
-    caller frees it ({!free}) once this returns, so a crash leaves
-    either the old records or the new ones, and the next open's
-    {!Alloc.rebuild} frees whichever segments are unreachable. Offline
-    only: safe solely while no concurrent reader or writer can use the
-    vector.
-    @raise Invalid_argument unless [1 <= capacity], [0 <= keep <=
-    capacity] and [\[first, first + keep)] lies within the current
-    capacity. *)
+    chain with a new chain of [capacity] records, the segments a vector
+    grown to [capacity] has, whose first [keep] records are copies of
+    records [\[first, first + keep)] (the rest zero), and returns its
+    array. Each new segment is written whole and persisted with one
+    flush range and one fence (a fresh block is durable zero, so only
+    its link word and kept records; a recycled one whole, the slots past
+    its kept records zeroed), then the root swap: [root_word], the
+    offset of the word holding the vector's root, is set to the new
+    first segment and persisted. The old chain [s] is left allocated
+    and readable: the caller frees it ({!free}) once this returns, so a
+    crash leaves either the old records or the new ones, and the next
+    open's {!Alloc.rebuild} frees whichever segments are unreachable.
+    Offline only: safe solely while no concurrent reader or writer can
+    use the vector.
+    @raise Invalid_argument unless [capacity] is a power of two [>= 2],
+    [0 <= keep <= capacity] and [\[first, first + keep)] lies within
+    the current capacity. *)
 
 val get_word : Pheap.t -> t -> record:int -> word:int -> int
 val set_word : Pheap.t -> t -> record:int -> word:int -> int -> unit

@@ -1321,19 +1321,17 @@ let cost stats f =
 let int_word heap v = Mvdict.Codec.encode (module Mvdict.Codec.Int_value) heap v
 
 (* Media offset of a history record, found as recovery finds it: the
-   history word of its chain slot points at the first segment, whose
-   records follow its link and capacity (c) words, and segment k >= 1,
-   linked from segment k - 1, holds records [c * 2^(k-1), c * 2^k)
-   after its link word. *)
+   history word of its chain slot points at the first segment, which
+   holds records [0, 2), and segment k >= 1, linked from segment k - 1,
+   holds records [2^k, 2^(k+1)); in every segment they follow its link
+   word. *)
 let record_at heap chain_slot slot =
   let media = Pmem.Pheap.media heap in
-  let first = Pmem.Media.get_i64 media (Pmem.Pblockchain.history_word chain_slot) in
-  let c = Pmem.Media.get_i64 media (first + 8) in
-  let rec seek seg start =
-    let next = Pmem.Media.get_i64 media seg in
-    if slot < 2 * start then next + 8 + (24 * (slot - start)) else seek next (2 * start)
+  let rec seek seg lo hi =
+    if slot < hi then seg + 8 + (24 * (slot - lo))
+    else seek (Pmem.Media.get_i64 media seg) hi (2 * hi)
   in
-  if slot < c then first + 16 + (24 * slot) else seek first c
+  seek (Pmem.Media.get_i64 media (Pmem.Pblockchain.history_word chain_slot)) 0 2
 
 let record_start heap h slot = record_at heap (PH.chain_slot h) slot
 
@@ -1370,31 +1368,26 @@ let append_until heap h ~ctx ~board p =
     PH.H.append heap h ~ctx ~board ~version:1 (int_word heap 1)
   done
 
-(* An empty history whose first [n] records are contiguous: one
-   segment of [n] records in a committed chain slot, attached as
-   recovery would. *)
-let one_segment_history heap n =
-  let chain = key_chain heap in
-  let chain_slot = Pmem.Pblockchain.claim chain ~key:0 in
-  let root = Pmem.Pvector.root (Pmem.Pvector.create heap ~initial_capacity:n) in
-  Pmem.Pblockchain.commit chain chain_slot ~hist:root;
-  fst (PH.attach_pruned heap ~chain_slot root ~fc:0)
-
 (* Any 8 consecutive 24-byte records span 3 lines, and 2 of them
-   straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). *)
+   straddle: 6 x (1 line, 1 fence) + 2 x (2, 2). Records 8 to 15 are
+   one segment, linked before the count starts. *)
 let history_append_cost () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
-  let h = one_segment_history heap 8 in
+  let h = new_history heap in
+  for v = 1 to 8 do
+    PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
+  done;
+  PH.H.grow heap h 16;
   let lines, fences =
     cost (Pmem.Pheap.stats heap) (fun () ->
-        for v = 1 to 8 do
+        for v = 9 to 16 do
           PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
         done)
   in
   check_int "flushed lines for 8 appends" 10 lines;
   check_int "fences for 8 appends" 10 fences;
-  check_int "all appends visible" 8 (List.length (PH.H.events heap h ~ctx ~since:0))
+  check_int "all appends visible" 16 (List.length (PH.H.events heap h ~ctx ~since:0))
 
 (* Growth links one segment as large as the capacity: on a heap whose
    reservation covers the segment it persists the link word alone, and
@@ -1420,8 +1413,8 @@ let history_growth_cost () =
 
 (* Eight entries fill the first three segments (2, 2 and 4 records),
    and the two growths retire nothing: those segments are all the
-   history holds besides its chain slot, and each fills a size class
-   of its own (64, 56 and 104 bytes). *)
+   history holds besides its chain slot, and each fills its size class
+   exactly (56, 56 and 104 bytes). *)
 let history_live_bytes () =
   let heap = fresh_heap () in
   let stats = Pmem.Pheap.stats heap in
@@ -1432,15 +1425,15 @@ let history_live_bytes () =
   for v = 1 to 8 do
     PH.H.append heap h ~ctx ~board ~version:v (int_word heap v)
   done;
-  check_int "live bytes: segments of 2, 2 and 4 records" (64 + 56 + 104)
+  check_int "live bytes: segments of 2, 2 and 4 records" (56 + 56 + 104)
     (Pmem.Pstats.live_bytes stats - live0)
 
 (* Pmem bytes per key, exactly: 126 keys, two full chain blocks,
    written with 1, 2, 4 and 8 entries each, by single inserts, by insert
    batches and by remove batches, hold the chain (its 16-byte header and
    two blocks of 63 slots, 1,016 bytes each in the 1,024-byte class) and
-   history segments of 64, 64, 64 + 56 and 64 + 56 + 104 bytes a key:
-   with a slot's 16 bytes, 136 at 4 entries and 240 at 8. *)
+   history segments of 56, 56, 56 + 56 and 56 + 56 + 104 bytes a key:
+   with a slot's 16 bytes, 128 at 4 entries and 232 at 8. *)
 let bytes_per_key () =
   let keys = List.init 126 Fun.id in
   let paths =
@@ -1463,14 +1456,15 @@ let bytes_per_key () =
             (Printf.sprintf "%s, %d entries a key: live bytes" path entries)
             (16 + (2 * 1024) + (126 * segments))
             (Pmem.Pstats.live_bytes (Pmem.Pheap.stats heap)))
-        [ (1, 64); (2, 64); (4, 64 + 56); (8, 64 + 56 + 104) ])
+        [ (1, 56); (2, 56); (4, 56 + 56); (8, 56 + 56 + 104) ])
     paths
 
 (* A history is one DRAM record: its chain slot, its segment array
    and the two cursors as plain int fields (5 words), plus the segment
-   array (4 words at 2 segments); an Atomic box per cursor (2 words
-   each) fails the bound. The heap, the clock and the board are the
-   store's, so they are not counted. *)
+   array, its segments' offsets (3 words at 2 segments); a capacity
+   word in the array, or an Atomic box per cursor (2 words each),
+   fails the bound. The heap, the clock and the board are the store's,
+   so they are not counted. *)
 let history_footprint () =
   let heap = fresh_heap () in
   let ctx, board = history_env () in
@@ -1483,8 +1477,8 @@ let history_footprint () =
     Obj.reachable_words (Obj.repr (h, shared)) - Obj.reachable_words shared - 3
   in
   check_bool
-    (Printf.sprintf "a 4-entry history keeps %d words of DRAM, at most 9" own)
-    true (own <= 9)
+    (Printf.sprintf "a 4-entry history keeps %d words of DRAM, at most 8" own)
+    true (own <= 8)
 
 (* Two appends to key 3 finish out of slot order: slot 1 is stamped
    (stamp 3) and published, slot 0 only written. Key 4's stamp 4 then
@@ -1649,13 +1643,14 @@ let crash_after_concurrent_inserts () =
    that drop records: a pass with nothing below the horizon costs the
    floor word whatever the key count, and one that drops records costs
    in proportion to the keys that drop them. A dropping key here keeps
-   one record: its new segment is persisted once (its capacity word and
-   the record, 1 or 2 lines) and its root swap once (1 line), and the
+   one record: its new segment is persisted once (its link word and the
+   record, 1 or 2 lines) and its root swap once (1 line), and the
    frees of its old segments and blobs write nothing. A pass reads each
    history where it lies, so one that drops nothing allocates nothing
    per key; one that rewrites every key copies its kept records as
-   words, so it allocates only each key's new segment array, the
-   allocator's answer and amortised free-list growth. *)
+   words, and the allocator answers with one int, so it allocates only
+   each key's new segment array (3 words for the two segments of 3
+   kept records) and amortised free-list growth. *)
 let compaction_pass_cost () =
   let pass ~keys ~dropping =
     let heap = Pmem.Pheap.create_ram ~capacity:(1 lsl 22) () in
@@ -1712,9 +1707,9 @@ let compaction_pass_cost () =
   let dropped, per_key = words_per_key 2 in
   check_int "a pass below version 2 drops the oldest record of every key" keys dropped;
   check_bool
-    (Printf.sprintf "%d keys x 4 versions, oldest dropped: %.2f minor words per key, < 16"
+    (Printf.sprintf "%d keys x 4 versions, oldest dropped: %.2f minor words per key, < 4"
        keys per_key)
-    true (per_key < 16.0)
+    true (per_key < 4.0)
 
 (* The horizon is the highest [before] a pass used and survives a
    reopen. A pool reopened but never compacted records 0 with its first
@@ -2047,26 +2042,39 @@ let chain_slot heap key =
 
 let line off = off / Pmem.Media.cache_line
 
-(* A new key's first insert on a heap whose reservation is warm takes
-   three barriers: the first segment's capacity word, with the lines of
-   the first record that lie before its stamp's line, then the chain
-   slot (its commit word, which points at that segment), then the
-   record's stamp. The allocator persists nothing. Key 3's chain slot
-   lies within one line. *)
-let new_key_insert_cost () =
+(* A new key's first insert on a heap whose reservation is warm writes
+   nothing into its history's first segment, which comes durably zero.
+   When record 0 fits its line, the payload barrier is empty, and the
+   insert costs two barriers of one line each: the chain slot (its
+   commit word, which points at the segment), then the record's stamp.
+   When record 0 straddles two lines, the payload barrier first
+   persists the line before its stamp's: three. The allocator persists
+   nothing. Keys are inserted one at a time, each with a first segment
+   of its own cut after the last, until one's record 0 lies on the
+   wanted side with its chain slot within one line. *)
+let new_key_insert_cost ~straddles () =
   let heap = fresh_heap () in
   let t = PStore.create heap in
-  PStore.insert t 1 1;
-  PStore.insert t 2 2;
-  let lines, fences = cost (Pmem.Pheap.stats heap) (fun () -> PStore.insert t 3 3) in
-  let slot, first = chain_slot heap 3 in
-  let stamp = first + 16 + 16 in
-  let payload = List.filter (fun l -> l < line stamp) [ line (first + 16); line (first + 24) ] in
-  let first_barrier = List.sort_uniq compare (line (first + 8) :: payload) in
-  check_bool "the chain slot lies within one line" true (line slot = line (slot + 15));
-  check_int "fences: capacity word, chain slot, record" 3 fences;
-  check_int "lines: capacity word and payload, chain slot, stamp"
-    (List.length first_barrier + 2) lines
+  PStore.insert t 0 0;
+  let rec insert key =
+    (* Key 63 would start the second key-chain block. *)
+    if key = 63 then Alcotest.fail "no key of the first key-chain block fits the case";
+    let spent = cost (Pmem.Pheap.stats heap) (fun () -> PStore.insert t key key) in
+    let slot, first = chain_slot heap key in
+    let record = first + 8 in
+    if line slot = line (slot + 15) && (line record <> line (record + 23)) = straddles then
+      spent
+    else insert (key + 1)
+  in
+  let lines, fences = insert 1 in
+  if straddles then begin
+    check_int "fences: payload, chain slot, stamp" 3 fences;
+    check_int "lines: payload, chain slot, stamp" 3 lines
+  end
+  else begin
+    check_int "fences: chain slot, stamp" 2 fences;
+    check_int "lines: chain slot, stamp" 2 lines
+  end
 
 (* New keys: publication, crash points and the insert race. *)
 
@@ -2376,9 +2384,7 @@ let existing_key_insert_cost () =
    0.031 per key: its payload barrier (the lines before the stamps of
    records that straddle two) and its stamps' barrier. The batch writes
    each key's fourth record, into the 56-byte segments that the third
-   batch linked one after another, so that some of them straddle (every
-   64-byte first segment starts at the same line offset, and each of
-   their second records fits one line). *)
+   batch linked one after another, so that some of them straddle. *)
 let existing_keys_batch_cost () =
   let heap = fresh_heap () in
   let t = PStore.create heap in
@@ -2527,23 +2533,17 @@ let reachable_blocks heap =
     (Pmem.Pblockchain.block_offsets chain);
   Pmem.Pblockchain.iter_slots chain (fun ~key ~hist:first ->
       blob key;
-      let values seg base n =
-        for i = 0 to n - 1 do
-          blob (Pmem.Media.get_i64 media (seg + base + (24 * i) + 8))
-        done
-      in
-      let c = Pmem.Media.get_i64 media (first + 8) in
-      add first (16 + (24 * c));
-      values first 16 c;
-      let rec linked seg records =
+      (* Segments of 2, 2, 4, ... records: each after the first holds
+         as many as those before it. *)
+      let rec segments seg records capacity =
+        add seg (8 + (24 * records));
+        for i = 0 to records - 1 do
+          blob (Pmem.Media.get_i64 media (seg + 8 + (24 * i) + 8))
+        done;
         let next = Pmem.Media.get_i64 media seg in
-        if next <> 0 then begin
-          add next (8 + (24 * records));
-          values next 8 records;
-          linked next (2 * records)
-        end
+        if next <> 0 then segments next capacity (2 * capacity)
       in
-      linked first c);
+      segments first 2 2);
   !blocks
 
 (* The reachable blocks and the free blocks tile the range the rebuild
@@ -2557,6 +2557,67 @@ let blocks_tile heap =
   in
   tiles (Pmem.Alloc.start alloc)
     (List.sort compare (reachable_blocks heap @ Pmem.Alloc.free_blocks alloc))
+
+(* A pass that keeps 3 records of a key copies them into two new
+   segments (2 records, then 1 of 2), each persisted whole before the
+   root swap. Keys 1 (inline values) and 2 (blobs) hold 5 records each,
+   and a pass below version 3 keeps the last 3 of both. For k = 1, 2,
+   ... until the pass completes, its k-th flush crashes. After each
+   reopen every key reads either its old records or its new ones, and
+   the rebuilt heap's blocks tile the swept range. *)
+let two_segment_rewrite_crash_points () =
+  let before = 3 and keys = [ 1; 2 ] in
+  let fresh () =
+    let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
+    let heap = Pmem.Pheap.create media in
+    let t = PStore.create heap in
+    for v = 1 to 5 do
+      PStore.insert t 1 v;
+      PStore.insert t 2 (-v);
+      ignore (PStore.tag t)
+    done;
+    (media, heap, t)
+  in
+  let old_records =
+    let _, _, t = fresh () in
+    List.map (PStore.extract_history t) keys
+  in
+  let new_records = List.map (List.filteri (fun i _ -> i >= 2)) old_records in
+  let rec crash_at k =
+    let media, heap, t = fresh () in
+    Pmem.Media.crash_after media ~flushes:k;
+    let completed =
+      match PStore.compact t ~before with
+      | dropped ->
+          check_int "the pass drops 2 records of each key" 4 dropped;
+          true
+      | exception Pmem.Media.Crash -> false
+    in
+    Pmem.Media.simulate_crash media;
+    let heap = Pmem.Pheap.reopen heap in
+    let t = PStore.open_existing heap in
+    List.iteri
+      (fun i key ->
+        let seen = PStore.extract_history t key in
+        check_bool
+          (Printf.sprintf "crash at flush %d: key %d reads its old or its new records" k key)
+          true
+          (seen = List.nth old_records i || seen = List.nth new_records i))
+      keys;
+    if completed then begin
+      check_int "key 1 rewritten into two segments" 4 (history_capacity heap 1);
+      check_bool "key 1 reads its new records" true
+        (PStore.extract_history t 1 = List.hd new_records)
+    end;
+    check_bool (Printf.sprintf "crash at flush %d: the blocks tile the heap" k) true
+      (blocks_tile heap);
+    check_bool (Printf.sprintf "crash at flush %d: no block freed twice" k) true
+      (free_lists_distinct heap);
+    if completed then k else crash_at (k + 1)
+  in
+  let flushes = crash_at 1 - 1 in
+  check_int "the pass's flushes: the floor and horizon line, and per key two segments and a root swap"
+    7 flushes
 
 type crash_op =
   | Put of int * int
@@ -2709,6 +2770,8 @@ let () =
           Alcotest.test_case "every crash point of a range drop" `Quick
             range_drop_crash_points;
           Alcotest.test_case "the horizon survives a reopen" `Quick compaction_horizon;
+          Alcotest.test_case "every crash point of a pass that keeps 3 records in two segments"
+            `Quick two_segment_rewrite_crash_points;
         ] );
       ( "gc",
         [
@@ -2730,8 +2793,8 @@ let () =
           Alcotest.test_case "8 appends cost 10 lines and 10 fences" `Quick
             history_append_cost;
           Alcotest.test_case "growth persists no zeros" `Quick history_growth_cost;
-          Alcotest.test_case "8 appends hold 224 live bytes" `Quick history_live_bytes;
-          Alcotest.test_case "keys of 1, 2, 4 and 8 entries hold 64, 64, 120 and 224 bytes"
+          Alcotest.test_case "8 appends hold 216 live bytes" `Quick history_live_bytes;
+          Alcotest.test_case "keys of 1, 2, 4 and 8 entries hold 56, 56, 112 and 216 bytes"
             `Quick bytes_per_key;
           Alcotest.test_case "crash before the stamp leaves a zero slot" `Quick
             crash_unstamped_one_line_record;
@@ -2749,8 +2812,8 @@ let () =
             (growth_crash_points ~batch:false);
           Alcotest.test_case "every crash point of a growing history, batched" `Quick
             (growth_crash_points ~batch:true);
-          Alcotest.test_case "a new key's first insert costs 3 fences" `Quick
-            new_key_insert_cost;
+          Alcotest.test_case "a new key's first insert costs 3 fences when record 0 straddles"
+            `Quick (new_key_insert_cost ~straddles:true);
           Alcotest.test_case "an existing key's insert costs its record and a growth's link"
             `Quick existing_key_insert_cost;
           Alcotest.test_case "a 64-key batch of existing keys costs 2 fences" `Quick
@@ -2762,8 +2825,10 @@ let () =
             `Quick crash_before_link_frees_segment;
           Alcotest.test_case "a rebuild reports the bytes it frees" `Quick
             rebuild_reports_freed_bytes;
-          Alcotest.test_case "a 4-entry history keeps at most 9 words of DRAM" `Quick
+          Alcotest.test_case "a 4-entry history keeps at most 8 words of DRAM" `Quick
             history_footprint;
+          Alcotest.test_case "a new key's first insert costs 2 fences when record 0 fits its line"
+            `Quick (new_key_insert_cost ~straddles:false);
         ] );
       ( "new-keys",
         [

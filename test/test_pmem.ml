@@ -541,7 +541,9 @@ let pheap_rejects_bad_magic () =
    reservation. A version-4 key-chain slot points at a history header,
    where version 5 reads the history's first segment. A version-5 pool
    may hold a stamp floor without the compaction horizon that version 6
-   always writes beside it. *)
+   always writes beside it. A version-6 pool holds a capacity word in
+   every history's first segment, between its link word and its
+   records, where version 7 reads record 0. *)
 let old_layout_pool version =
   let path = Filename.temp_file "mvkv" ".pool" in
   let heap = Pmem.Pheap.create_file ~path ~capacity:(1 lsl 20) in
@@ -682,7 +684,7 @@ let blob_free_recycles () =
 
 let pvector_words () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 10;
   Pmem.Pvector.set_word h v ~record:0 ~word:1 20;
   Pmem.Pvector.set_word h v ~record:0 ~word:2 30;
@@ -701,7 +703,7 @@ let pvector_words () =
 
 let pvector_grow_preserves () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 1;
   Pmem.Pvector.set_word h v ~record:1 ~word:0 2;
   Pmem.Pvector.persist_record h v ~record:0;
@@ -715,23 +717,33 @@ let pvector_grow_preserves () =
   check_int "new record writable" 3 (Pmem.Pvector.get_word h v ~record:2 ~word:0)
 
 (* A vector has no header: its root is its first segment, whose link
-   and capacity words lead its records. *)
+   word leads its records, as in every segment, and its capacity is
+   2^(segments), read back from the links alone. *)
 let pvector_attach () =
   let h = small_heap () in
-  let v = Pmem.Pvector.create h ~initial_capacity:4 in
+  let media = Pmem.Pheap.media h in
+  let v = Pmem.Pvector.create h in
+  check_int "capacity of one segment" 2 (Pmem.Pvector.capacity v);
+  let v = Pmem.Pvector.grow h v 5 in
+  Pmem.Pvector.set_word h v ~record:0 ~word:0 66;
   Pmem.Pvector.set_word h v ~record:2 ~word:1 77;
-  Pmem.Pvector.persist_record h v ~record:2;
+  Pmem.Pvector.set_word h v ~record:4 ~word:2 88;
   let root = Pmem.Pvector.root v in
   let v2 = Pmem.Pvector.attach h root in
-  check_int "word after attach" 77 (Pmem.Pvector.get_word h v2 ~record:2 ~word:1);
-  check_int "capacity word" 4 (Pmem.Media.get_i64 (Pmem.Pheap.media h) (root + 8));
+  check_int "capacity after attach" 8 (Pmem.Pvector.capacity v2);
+  check_int "record 2 after attach" 77 (Pmem.Pvector.get_word h v2 ~record:2 ~word:1);
+  check_int "record 4 after attach" 88 (Pmem.Pvector.get_word h v2 ~record:4 ~word:2);
+  check_int "record 0 follows the link word" 66 (Pmem.Media.get_i64 media (root + 8));
+  let second = Pmem.Media.get_i64 media root in
+  check_int "record 2 follows the second segment's link word" 77
+    (Pmem.Media.get_i64 media (second + 16));
   Alcotest.check_raises "null root" (Invalid_argument "Pvector.attach: null root")
     (fun () -> ignore (Pmem.Pvector.attach h Pmem.Pptr.null))
 
 let pvector_grow_crash_safe () =
   let media = Pmem.Media.create_ram ~crash_sim:true ~capacity:(1 lsl 20) () in
   let h = Pmem.Pheap.create media in
-  let v = Pmem.Pvector.create h ~initial_capacity:2 in
+  let v = Pmem.Pvector.create h in
   Pmem.Pvector.set_word h v ~record:0 ~word:0 5;
   Pmem.Pvector.persist_record h v ~record:0;
   ignore (Pmem.Pvector.grow h v 8);
@@ -1099,6 +1111,9 @@ let () =
           Alcotest.test_case "refuses a layout-5 pool" `Quick (pheap_rejects_layout 5);
           Alcotest.test_case "mvkv find on a layout-5 pool exits 2 with one line" `Quick
             (mvkv_rejects_layout 5);
+          Alcotest.test_case "refuses a layout-6 pool" `Quick (pheap_rejects_layout 6);
+          Alcotest.test_case "mvkv find on a layout-6 pool exits 2 with one line" `Quick
+            (mvkv_rejects_layout 6);
           Alcotest.test_case "mvkv find on a pool a server holds exits 2 with one line"
             `Quick mvkv_refuses_a_held_pool;
           Alcotest.test_case "reopen retires the replaced allocator" `Quick
